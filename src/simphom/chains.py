@@ -8,7 +8,7 @@ chains take all simplices up to a truncation degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .intmatrix import IntegerMatrix
 from .simplex import SimplexRef
@@ -19,7 +19,7 @@ class ChainComplex:
     """Non-negatively graded free chain complex with labeled bases."""
 
     def __init__(self, ranks: list[int], boundaries: dict[int, IntegerMatrix],
-                 labels: list[list[str]] | None = None, check: bool = True):
+                 labels: list[list[str]] | None = None):
         self.ranks = list(ranks)
         while self.ranks and self.ranks[-1] == 0:
             self.ranks.pop()
@@ -35,8 +35,7 @@ class ChainComplex:
             self.boundaries[n] = mat
         self.labels = labels if labels is not None else [
             [f"{n}.{k}" for k in range(r)] for n, r in enumerate(self.ranks)]
-        if check:
-            self.verify_dd_zero()
+        self.verify_dd_zero()
 
     @property
     def max_degree(self) -> int:
@@ -246,12 +245,8 @@ class TensorComplex:
     complex: ChainComplex
     # per total degree, the list of ((p, i), (q, j)) basis pairs
     basis: list[list[tuple[tuple[int, int], tuple[int, int]]]]
-    index: dict[tuple[int, int, int, int], int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for level in self.basis:
-            for k, ((p, i), (q, j)) in enumerate(level):
-                self.index[(p, i, q, j)] = k
+    # (p, i, q, j) -> position of the basis pair in its total degree
+    index: dict[tuple[int, int, int, int], int]
 
 
 def tensor_complex(left: ChainComplex, right: ChainComplex) -> TensorComplex:
@@ -267,7 +262,7 @@ def tensor_complex(left: ChainComplex, right: ChainComplex) -> TensorComplex:
                 for j in range(right.rank(q)):
                     level.append(((p, i), (q, j)))
         basis.append(level)
-    tc = TensorComplex(ChainComplex([len(l) for l in basis], {}, check=False), basis)
+    index = {(p, i, q, j): k for level in basis for k, ((p, i), (q, j)) in enumerate(level)}
     boundaries = {}
     for n in range(1, top + 1):
         mat = IntegerMatrix.zero(len(basis[n - 1]), len(basis[n]))
@@ -277,19 +272,18 @@ def tensor_complex(left: ChainComplex, right: ChainComplex) -> TensorComplex:
                 for r in range(left.rank(p - 1)):
                     c = dl.data[r][i]
                     if c:
-                        mat.data[tc.index[(p - 1, r, q, j)]][col] += c
+                        mat.data[index[(p - 1, r, q, j)]][col] += c
             if q >= 1:
                 dr = right.boundary(q)
                 sign = (-1) ** p
                 for r in range(right.rank(q - 1)):
                     c = dr.data[r][j]
                     if c:
-                        mat.data[tc.index[(p, i, q - 1, r)]][col] += sign * c
+                        mat.data[index[(p, i, q - 1, r)]][col] += sign * c
         boundaries[n] = mat
     labels = [[f"{left.labels[p][i]}(x){right.labels[q][j]}"
                for (p, i), (q, j) in level] for n, level in enumerate(basis)]
-    tc.complex = ChainComplex([len(l) for l in basis], boundaries, labels)
-    return tc
+    return TensorComplex(ChainComplex([len(l) for l in basis], boundaries, labels), basis, index)
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:

@@ -4,6 +4,12 @@ Groups are computed by Smith normal form as subquotients ker/im with
 explicit generator representatives, so induced maps and connecting
 homomorphisms come out as integer matrices and exactness of a sequence
 is decided by exact lattice comparisons.
+
+Two private helpers carry the work.  ``_subquotient`` builds every group,
+with integral or Z/m coefficients, homology or cohomology, from the map
+out of a degree and the map into it.  ``_exact_sequence`` checks a
+three-term long exact sequence node by node; the pair sequence and
+Mayer-Vietoris only supply their groups and maps.
 """
 
 from __future__ import annotations
@@ -21,24 +27,28 @@ from .sset import SimplicialSet, SubcomplexResult, subcomplex
 # Degree-by-degree homology with generators
 
 
-def _kernel_gens(mat: IntegerMatrix) -> IntegerMatrix:
-    return IntegerMatrix.from_columns(smith_normal_form(mat).kernel_basis(), rows=mat.cols)
+def _subquotient(out_map: IntegerMatrix, in_map: IntegerMatrix, modulus: int) -> Subquotient:
+    """ker(out_map mod m) / (im in_map + m Z^r) inside Z^r, r = out_map.cols.
+
+    With modulus m = 0 this is ker(out_map) / im(in_map) over Z.
+    """
+    r = out_map.cols
+    if modulus:
+        rows = out_map.rows
+        out_map = out_map.hstack(IntegerMatrix.diagonal([modulus] * rows, rows, rows))
+        in_map = in_map.hstack(IntegerMatrix.diagonal([modulus] * r, r, r))
+    kernel = [vec[:r] for vec in smith_normal_form(out_map).kernel_basis()]
+    return Subquotient(IntegerMatrix.from_columns(kernel, rows=r), in_map)
 
 
-def homology_data(c: ChainComplex, n: int) -> Subquotient:
-    """H_n = ker d_n / im d_{n+1} with representatives."""
-    rank = c.rank(n)
-    if n == 0:
-        big = IntegerMatrix.identity(rank)
-    else:
-        big = _kernel_gens(c.boundary(n))
-    small = c.boundary(n + 1)
-    return Subquotient(big, small)
+def homology_data(c: ChainComplex, n: int, modulus: int = 0) -> Subquotient:
+    """H_n = ker d_n / im d_{n+1} with representatives, with Z (modulus 0)
+    or Z/modulus coefficients, as a subquotient of the integral chains."""
+    return _subquotient(c.boundary(n), c.boundary(n + 1), modulus)
 
 
 def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[AbelianGroup]:
     """Homology groups per degree (default all degrees of the complex)."""
-    c.verify_dd_zero()
     if degrees is None:
         degrees = range(c.max_degree + 1)
     out = []
@@ -155,8 +165,32 @@ class ExactSequenceReport:
         return out
 
 
-def _zero_map(n_rows: int) -> IntegerMatrix:
-    return IntegerMatrix.zero(n_rows, 0)
+def _exact_sequence(kind: str, labels: tuple[str, str, str], data, maps) -> ExactSequenceReport:
+    """Check ... -> A_p --f_p--> B_p --g_p--> C_p --d_p--> A_{p-1} -> ... -> C_0 -> 0
+    at every node, from degree len(data) - 1 down to 0.
+
+    ``labels`` are three format strings in ``p``.  ``data[p]`` holds the
+    GroupData of (A_p, B_p, C_p) and ``maps[p]`` the matrices of the maps
+    into them, (d_{p+1}, f_p, g_p); at the top degree d_{p+1} comes from
+    the first degree the sequence does not report, or is a zero map when
+    there is none.
+    """
+    nodes = []
+    groups = {}
+    for p in range(len(data) - 1, -1, -1):
+        a, b, c = data[p]
+        d_in, f, g = maps[p]
+        if p:
+            d_out, a_below = maps[p - 1][0], data[p - 1][0]
+        else:
+            d_out, a_below = IntegerMatrix.zero(0, c.n_generators), GroupData.zero()
+        for label, here, incoming, outgoing, after in zip(
+                labels, (a, b, c), (d_in, f, g), (f, g, d_out), (b, c, a_below)):
+            label = label.format(p=p)
+            groups[label] = here.group
+            nodes.append(SequenceNode(label, here.group,
+                                      exact_at(incoming, outgoing, here, after)))
+    return ExactSequenceReport(kind, nodes, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +203,45 @@ def _as_subcomplex(space: SimplicialSet, sub) -> SubcomplexResult:
     return subcomplex(space, sub)
 
 
-def _inclusion_push(sub: SubcomplexResult, dim: int, total_rank: int):
-    """Chain-level inclusion of a subcomplex in degree ``dim``."""
-    old_of_new = {}
-    for (d, old), new in sub.new_id.items():
-        if d == dim:
-            old_of_new[new] = old
+def _inclusion_push(sub: SubcomplexResult, dim: int, total_rank: int,
+                    into: SubcomplexResult | None = None):
+    """Chain-level inclusion in degree ``dim`` of a subcomplex of K into K,
+    or into ``into``, a larger subcomplex of K; ``total_rank`` is the rank
+    of the target in that degree."""
+    position = {new: old if into is None else into.new_id[(dim, old)]
+                for (d, old), new in sub.new_id.items() if d == dim}
 
     def push(vec):
         out = [0] * total_rank
         for k, v in enumerate(vec):
-            out[old_of_new[k]] = v
+            out[position[k]] = v
+        return out
+
+    return push
+
+
+def _pair_chains(space: SimplicialSet, sub):
+    """The subcomplex L and the chains of K, of L and of the pair (K, L)."""
+    L = _as_subcomplex(space, sub)
+    return L, normalized_chains(space), normalized_chains(L.space), relative_chains(space, L.id_set)
+
+
+def _pair_connecting_push(L: SubcomplexResult, ck: ChainComplex, cl: ChainComplex, rel, p: int):
+    """Chain-level connecting map C_p(K, L) -> C_{p-1}(L): lift a relative
+    chain, apply the ambient boundary, read the result in the subcomplex."""
+    lid_of_gid = {old: new for (d, old), new in L.new_id.items() if d == p - 1}
+
+    def push(vec):
+        lift = [0] * ck.rank(p)
+        for k, gid in enumerate(rel.ambient_index[p]):
+            lift[gid] = vec[k]
+        out = [0] * cl.rank(p - 1)
+        for gid, v in enumerate(ck.boundary(p).apply(lift)):
+            if v:
+                lid = lid_of_gid.get(gid)
+                if lid is None:
+                    raise AssertionError("connecting map left the subcomplex")
+                out[lid] = v
         return out
 
     return push
@@ -190,80 +252,31 @@ def pair_les(space: SimplicialSet, sub, up_to: int | None = None) -> ExactSequen
 
     The connecting map is computed constructively: lift a relative cycle,
     apply the ambient boundary, read the result in the subcomplex.
-    Exactness is verified at every node.
+    Exactness is verified at every node; below the top of K, the top node
+    is checked against the connecting map from one degree higher.
     """
-    L = _as_subcomplex(space, sub)
-    ck = normalized_chains(space)
-    cl = normalized_chains(L.space)
-    rel = relative_chains(space, L.id_set)
+    L, ck, cl, rel = _pair_chains(space, sub)
     top = space.top_dim if up_to is None else min(up_to, space.top_dim)
 
     hl = [homology_data(cl, p) for p in range(top + 1)]
     hk = [homology_data(ck, p) for p in range(top + 1)]
-    hrel = [homology_data(rel.complex, p) for p in range(top + 1)]
-
-    def incl(p):
-        push = _inclusion_push(L, p, ck.rank(p))
-        return induced_matrix(hl[p], hk[p], push)
-
-    def proj(p):
-        def push(vec):
-            return [vec[gid] for gid in rel.ambient_index[p]]
-        return induced_matrix(hk[p], hrel[p], push)
+    hrel = [homology_data(rel.complex, p) for p in range(min(top + 1, space.top_dim) + 1)]
 
     def connecting(p):
-        if p == 0:
-            return IntegerMatrix.zero(0, hrel[0].n_generators)
-        lid_of_gid = {}
-        for (d, old), new in L.new_id.items():
-            if d == p - 1:
-                lid_of_gid[old] = new
+        if p == len(hrel):
+            return IntegerMatrix.zero(hl[p - 1].n_generators, 0)
+        return induced_matrix(hrel[p], hl[p - 1], _pair_connecting_push(L, ck, cl, rel, p))
 
-        def push(vec):
-            lift = [0] * ck.rank(p)
-            for k, gid in enumerate(rel.ambient_index[p]):
-                lift[gid] = vec[k]
-            w = ck.boundary(p).apply(lift)
-            out = [0] * cl.rank(p - 1)
-            for gid, v in enumerate(w):
-                if v == 0:
-                    continue
-                lid = lid_of_gid.get(gid)
-                if lid is None:
-                    raise AssertionError("connecting map left the subcomplex")
-                out[lid] = v
-            return out
+    def proj(p):
+        return lambda vec: [vec[gid] for gid in rel.ambient_index[p]]
 
-        return induced_matrix(hrel[p], hl[p - 1], push)
-
-    i_maps = [incl(p) for p in range(top + 1)]
-    j_maps = [proj(p) for p in range(top + 1)]
-    d_maps = [connecting(p) for p in range(top + 1)]
-
-    gd_l = [GroupData.from_subquotient(x) for x in hl]
-    gd_k = [GroupData.from_subquotient(x) for x in hk]
-    gd_r = [GroupData.from_subquotient(x) for x in hrel]
-    zero = GroupData.zero()
-
-    nodes = []
-    groups = {}
-    for p in range(top, -1, -1):
-        groups[f"H_{p}(L)"] = gd_l[p].group
-        groups[f"H_{p}(K)"] = gd_k[p].group
-        groups[f"H_{p}(K,L)"] = gd_r[p].group
-        incoming = d_maps[p + 1] if p + 1 <= top else _zero_map(gd_l[p].n_generators)
-        nodes.append(SequenceNode(
-            f"H_{p}(L)", gd_l[p].group,
-            exact_at(incoming, i_maps[p], gd_l[p], gd_k[p])))
-        nodes.append(SequenceNode(
-            f"H_{p}(K)", gd_k[p].group,
-            exact_at(i_maps[p], j_maps[p], gd_k[p], gd_r[p])))
-        after = gd_l[p - 1] if p >= 1 else zero
-        outgoing = d_maps[p] if p >= 1 else IntegerMatrix.zero(0, gd_r[p].n_generators)
-        nodes.append(SequenceNode(
-            f"H_{p}(K,L)", gd_r[p].group,
-            exact_at(j_maps[p], outgoing, gd_r[p], after)))
-    return ExactSequenceReport("pair", nodes, groups)
+    maps = [(connecting(p + 1),
+             induced_matrix(hl[p], hk[p], _inclusion_push(L, p, ck.rank(p))),
+             induced_matrix(hk[p], hrel[p], proj(p)))
+            for p in range(top + 1)]
+    data = [tuple(GroupData.from_subquotient(h[p]) for h in (hl, hk, hrel))
+            for p in range(top + 1)]
+    return _exact_sequence("pair", ("H_{p}(L)", "H_{p}(K)", "H_{p}(K,L)"), data, maps)
 
 
 def relative_homology(space: SimplicialSet, sub, degrees=None) -> list[AbelianGroup]:
@@ -276,25 +289,10 @@ def relative_homology(space: SimplicialSet, sub, degrees=None) -> list[AbelianGr
 def connecting_matrix(space: SimplicialSet, sub, p: int) -> tuple[IntegerMatrix, AbelianGroup, AbelianGroup]:
     """The connecting homomorphism H_p(K, L) -> H_{p-1}(L) as a matrix on
     presentation generators, with both groups."""
-    L = _as_subcomplex(space, sub)
-    ck = normalized_chains(space)
-    cl = normalized_chains(L.space)
-    rel = relative_chains(space, L.id_set)
+    L, ck, cl, rel = _pair_chains(space, sub)
     h_rel = homology_data(rel.complex, p)
     h_l = homology_data(cl, p - 1)
-    lid_of_gid = {old: new for (d, old), new in L.new_id.items() if d == p - 1}
-
-    def push(vec):
-        lift = [0] * ck.rank(p)
-        for k, gid in enumerate(rel.ambient_index[p]):
-            lift[gid] = vec[k]
-        w = ck.boundary(p).apply(lift)
-        out = [0] * cl.rank(p - 1)
-        for gid, v in enumerate(w):
-            if v:
-                out[lid_of_gid[gid]] = v
-        return out
-
+    push = _pair_connecting_push(L, ck, cl, rel, p)
     return induced_matrix(h_rel, h_l, push), h_rel.group, h_l.group
 
 
@@ -322,47 +320,21 @@ def mayer_vietoris(space: SimplicialSet, a_sub, b_sub, up_to: int | None = None)
     h_ab = [homology_data(cab, p) for p in range(top + 1)]
     h_a = [homology_data(ca, p) for p in range(top + 1)]
     h_b = [homology_data(cb, p) for p in range(top + 1)]
-    h_k = [homology_data(ck, p) for p in range(top + 1)]
-
-    def sub_push(sub: SubcomplexResult, inner: SubcomplexResult, dim: int, inner_rank: int):
-        """Chain inclusion of ``inner`` into ``sub`` (both subcomplexes of K)."""
-        old_of_inner = {new: old for (d, old), new in inner.new_id.items() if d == dim}
-
-        def push(vec):
-            out = [0] * sub.space.n_gens(dim)
-            for k, v in enumerate(vec):
-                if v:
-                    out[sub.new_id[(dim, old_of_inner[k])]] = v
-            return out
-
-        return push
+    h_k = [homology_data(ck, p) for p in range(min(top + 1, space.top_dim) + 1)]
 
     def alpha(p):
-        pa = sub_push(A, AB, p, cab.rank(p))
-        pb = sub_push(B, AB, p, cab.rank(p))
-        cols = []
-        for vec in h_ab[p].generator_vectors():
-            ca_coords = list(h_a[p].reduce(pa(vec)))
-            cb_coords = list(h_b[p].reduce(pb(vec)))
-            cols.append(ca_coords + cb_coords)
-        rows = h_a[p].n_generators + h_b[p].n_generators
-        return IntegerMatrix.from_columns(cols, rows=rows)
+        return induced_matrix(h_ab[p], h_a[p], _inclusion_push(AB, p, ca.rank(p), A)).vstack(
+            induced_matrix(h_ab[p], h_b[p], _inclusion_push(AB, p, cb.rank(p), B)))
 
     def beta(p):
-        pha = _inclusion_push(A, p, ck.rank(p))
-        phb = _inclusion_push(B, p, ck.rank(p))
-        cols = []
-        for vec in h_a[p].generator_vectors():
-            cols.append(list(h_k[p].reduce(pha(vec))))
-        for vec in h_b[p].generator_vectors():
-            cols.append([-v for v in h_k[p].reduce(phb(vec))])
-        return IntegerMatrix.from_columns(cols, rows=h_k[p].n_generators)
+        return induced_matrix(h_a[p], h_k[p], _inclusion_push(A, p, ck.rank(p))).hstack(
+            -induced_matrix(h_b[p], h_k[p], _inclusion_push(B, p, ck.rank(p))))
 
     a_gids = [{old for (d, old) in A.id_set if d == dim} for dim in range(space.top_dim + 1)]
 
     def connecting(p):
-        if p == 0:
-            return IntegerMatrix.zero(0, h_k[0].n_generators)
+        if p == len(h_k):
+            return IntegerMatrix.zero(h_ab[p - 1].n_generators, 0)
         ab_of_gid = {old: new for (d, old), new in AB.new_id.items() if d == p - 1}
 
         def push(vec):
@@ -376,111 +348,51 @@ def mayer_vietoris(space: SimplicialSet, a_sub, b_sub, up_to: int | None = None)
 
         return induced_matrix(h_k[p], h_ab[p - 1], push)
 
-    alphas = [alpha(p) for p in range(top + 1)]
-    betas = [beta(p) for p in range(top + 1)]
-    deltas = [connecting(p) for p in range(top + 1)]
-
-    gd_ab = [GroupData.from_subquotient(x) for x in h_ab]
-    gd_sum = [GroupData.from_subquotient(h_a[p]).direct_sum(GroupData.from_subquotient(h_b[p]))
-              for p in range(top + 1)]
-    gd_k = [GroupData.from_subquotient(x) for x in h_k]
-    zero = GroupData.zero()
-
-    nodes = []
-    groups = {}
-    for p in range(top, -1, -1):
-        groups[f"H_{p}(AnB)"] = gd_ab[p].group
-        groups[f"H_{p}(A)+H_{p}(B)"] = gd_sum[p].group
-        groups[f"H_{p}(K)"] = gd_k[p].group
-        incoming = deltas[p + 1] if p + 1 <= top else _zero_map(gd_ab[p].n_generators)
-        nodes.append(SequenceNode(
-            f"H_{p}(AnB)", gd_ab[p].group,
-            exact_at(incoming, alphas[p], gd_ab[p], gd_sum[p])))
-        nodes.append(SequenceNode(
-            f"H_{p}(A)+H_{p}(B)", gd_sum[p].group,
-            exact_at(alphas[p], betas[p], gd_sum[p], gd_k[p])))
-        after = gd_ab[p - 1] if p >= 1 else zero
-        outgoing = deltas[p] if p >= 1 else IntegerMatrix.zero(0, gd_k[p].n_generators)
-        nodes.append(SequenceNode(
-            f"H_{p}(K)", gd_k[p].group,
-            exact_at(betas[p], outgoing, gd_k[p], after)))
-    return ExactSequenceReport("mayer-vietoris", nodes, groups)
+    maps = [(connecting(p + 1), alpha(p), beta(p)) for p in range(top + 1)]
+    data = [(GroupData.from_subquotient(h_ab[p]),
+             GroupData.from_subquotient(h_a[p]).direct_sum(GroupData.from_subquotient(h_b[p])),
+             GroupData.from_subquotient(h_k[p]))
+            for p in range(top + 1)]
+    return _exact_sequence("mayer-vietoris", ("H_{p}(AnB)", "H_{p}(A)+H_{p}(B)", "H_{p}(K)"),
+                           data, maps)
 
 
 # ---------------------------------------------------------------------------
 # Coefficients, cohomology, universal coefficients
 
 
-def _mod_kernel_lattice(mat: IntegerMatrix, modulus: int) -> IntegerMatrix:
-    """Generators of {x : mat x = 0 mod modulus} as a sublattice of Z^cols."""
-    stacked = mat.hstack(IntegerMatrix.diagonal([modulus] * mat.rows, mat.rows, mat.rows))
-    cols = [vec[:mat.cols] for vec in smith_normal_form(stacked).kernel_basis()]
-    return IntegerMatrix.from_columns(cols, rows=mat.cols)
-
-
-def homology_mod_data(c: ChainComplex, n: int, modulus: int) -> Subquotient:
-    """H_n(C; Z/modulus) as a subquotient of the integral chains."""
-    rank = c.rank(n)
-    if n == 0:
-        big = IntegerMatrix.identity(rank)
-    else:
-        big = _mod_kernel_lattice(c.boundary(n), modulus)
-    small = c.boundary(n + 1).hstack(
-        IntegerMatrix.diagonal([modulus] * rank, rank, rank))
-    return Subquotient(big, small)
+def _sum_over_coefficients(data, c: ChainComplex, coeffs: AbelianGroup, degrees) -> list[AbelianGroup]:
+    """Per degree n, the direct sum over the cyclic summands Z/m of
+    ``coeffs`` (m = 0 for Z) of the groups ``data(c, n, m)``."""
+    if degrees is None:
+        degrees = range(c.max_degree + 1)
+    out = []
+    for n in degrees:
+        total = AbelianGroup.trivial()
+        if coeffs.betti:
+            integral = data(c, n, 0).group
+            for _ in range(coeffs.betti):
+                total = total.direct_sum(integral)
+        for d in coeffs.torsion:
+            total = total.direct_sum(data(c, n, d).group)
+        out.append(total)
+    return out
 
 
 def with_coefficients(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> list[AbelianGroup]:
     """Homology of C (x) coeffs, cyclic summand by cyclic summand."""
-    if degrees is None:
-        degrees = range(c.max_degree + 1)
-    integral = {}
-    out = []
-    for n in degrees:
-        parts = []
-        if coeffs.betti:
-            if n not in integral:
-                integral[n] = homology_data(c, n).group
-            parts.extend([integral[n]] * coeffs.betti)
-        for d in coeffs.torsion:
-            parts.append(homology_mod_data(c, n, d).group)
-        total = AbelianGroup.trivial()
-        for g in parts:
-            total = total.direct_sum(g)
-        out.append(total)
-    return out
+    return _sum_over_coefficients(homology_data, c, coeffs, degrees)
 
 
 def cohomology_data(c: ChainComplex, n: int, modulus: int = 0) -> Subquotient:
     """H^n with Z (modulus 0) or Z/modulus coefficients, as a subquotient
     of the integral cochains Hom(C_n, Z)."""
-    delta_out = c.boundary(n + 1).transpose()   # C^n -> C^{n+1}
-    delta_in = c.boundary(n).transpose()        # C^{n-1} -> C^n
-    rank = c.rank(n)
-    if modulus == 0:
-        big = _kernel_gens(delta_out)
-        small = delta_in
-    else:
-        big = _mod_kernel_lattice(delta_out, modulus)
-        small = delta_in.hstack(IntegerMatrix.diagonal([modulus] * rank, rank, rank))
-    return Subquotient(big, small)
+    return _subquotient(c.boundary(n + 1).transpose(), c.boundary(n).transpose(), modulus)
 
 
 def cohomology(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> list[AbelianGroup]:
     """Cohomology of Hom(C, coeffs), cyclic summand by cyclic summand."""
-    if degrees is None:
-        degrees = range(c.max_degree + 1)
-    out = []
-    for n in degrees:
-        parts = []
-        parts.extend([cohomology_data(c, n, 0).group] * coeffs.betti)
-        for d in coeffs.torsion:
-            parts.append(cohomology_data(c, n, d).group)
-        total = AbelianGroup.trivial()
-        for g in parts:
-            total = total.direct_sum(g)
-        out.append(total)
-    return out
+    return _sum_over_coefficients(cohomology_data, c, coeffs, degrees)
 
 
 def cohomology_of_pair(space: SimplicialSet, sub, coeffs: AbelianGroup, degrees=None) -> list[AbelianGroup]:

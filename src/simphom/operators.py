@@ -356,20 +356,19 @@ def cross_product(prod: ProductResult) -> list[CrossProductEntry]:
     computed generators, via the shuffle map on representative cycles."""
     K, L = prod.left, prod.right
     ez_data = alexander_whitney(prod)
-    ck = ez_data.aw.source  # N(K x L)
-    ck_target = normalized_chains(prod.space)
+    cp = ez_data.aw.source  # N(K x L)
     tc = ez_data.tensor
     cl_k = normalized_chains(K)
     cl_l = normalized_chains(L)
+    h_l = [homology_data(cl_l, q) for q in range(cl_l.max_degree + 1)]
     entries = []
     h_prod = {}
     for p in range(cl_k.max_degree + 1):
         hk = homology_data(cl_k, p)
-        for q in range(cl_l.max_degree + 1):
-            hl = homology_data(cl_l, q)
+        for q, hl in enumerate(h_l):
             n = p + q
             if n not in h_prod:
-                h_prod[n] = homology_data(ck_target, n)
+                h_prod[n] = homology_data(cp, n)
             for i, zk in enumerate(hk.generator_vectors()):
                 for j, zl in enumerate(hl.generator_vectors()):
                     tensor_vec = [0] * tc.complex.rank(n)

@@ -172,9 +172,8 @@ def _verify(m: IntegerMatrix, r: SNFResult):
 # Integer lattices (subgroups of Z^m given by generating columns)
 
 
-def lattice_contains(gens: IntegerMatrix, vec: list[int], _snf: SNFResult | None = None) -> bool:
-    snf = _snf or smith_normal_form(gens)
-    return snf.solve(vec) is not None
+def lattice_contains(gens: IntegerMatrix, vec: list[int]) -> bool:
+    return smith_normal_form(gens).solve(vec) is not None
 
 
 def lattice_equal(a: IntegerMatrix, b: IntegerMatrix) -> bool:
@@ -259,9 +258,6 @@ class Subquotient:
         out = [y[self._n_trivial + k] % d for k, d in enumerate(self.torsion_orders)]
         out.extend(y[self._n_trivial + self._n_torsion:])
         return tuple(out)
-
-    def is_zero_class(self, vec: list[int]) -> bool:
-        return all(v == 0 for v in self.reduce(vec))
 
     @property
     def n_generators(self) -> int:

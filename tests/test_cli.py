@@ -53,6 +53,14 @@ def test_les_and_mv_commands():
     assert status == 0 and "H_1(K) = Z" in text
 
 
+def test_truncated_les_and_mv_pass():
+    text, status = out_of(["les", "--space", "torus", "--sub", "skeleton:1", "--dim", "1"])
+    assert status == 0 and "FAIL" not in text
+    text, status = out_of(["mv", "--space", "torus", "--a", "gens:2.0", "--b", "gens:2.1",
+                           "--dim", "1"])
+    assert status == 0 and "FAIL" not in text
+
+
 def test_cover_command():
     text, status = out_of(["cover", "--space", "circle", "--group", "cyclic:2"])
     assert status == 0

@@ -22,6 +22,7 @@ from simphom.homology import (
 from simphom.sset import (
     boundary,
     coproduct,
+    product,
     skeleton,
     std_simplex,
     subcomplex,
@@ -130,6 +131,22 @@ def test_pair_les_exact_for_corpus_pairs(torus, rp2, klein):
         assert report.passed, report.lines()
 
 
+@pytest.mark.parametrize("dim", [0, 1])
+def test_truncated_sequences_match_full_depth(torus, rp2, dim):
+    """Below the top degree the top node is checked against the connecting
+    map from one degree higher, so every node reads as at full depth."""
+    cases = [
+        lambda up_to: pair_les(torus, skeleton(torus, 1), up_to),
+        lambda up_to: pair_les(rp2, skeleton(rp2, 1), up_to),
+        lambda up_to: mayer_vietoris(torus, subcomplex(torus, [(2, 0)]),
+                                     subcomplex(torus, [(2, 1)]), up_to),
+    ]
+    for sequence in cases:
+        full, truncated = sequence(None), sequence(dim)
+        assert truncated.passed, truncated.lines()
+        assert truncated.nodes == full.nodes[-3 * (dim + 1):]
+
+
 def test_pair_les_horn_is_homologically_trivial():
     d2 = std_simplex(2)
     horn_sub = subcomplex(d2, [(1, 0), (1, 1)])
@@ -167,6 +184,21 @@ def test_coefficients_rp2(rp2):
     assert with_coefficients(c, Z2) == [Z2, Z2, Z2]
     assert with_coefficients(c, trivial) == [trivial, trivial, trivial]
     assert with_coefficients(c, Z) == homology(c)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["circle", "torus", "rp2", "klein", "circle*rp2"])
+def test_mod_p_groups_match_mod_p_ranks(name, p):
+    """Z/p homology and cohomology against ranks from mod-p elimination."""
+    if name == "circle*rp2":
+        space = product(catalog("circle"), catalog("rp2")).space
+    else:
+        space = catalog(name)
+    c = normalized_chains(space)
+    expected = [AbelianGroup(0, (p,) * k) for k in mod_betti_numbers(c, p)]
+    zp = AbelianGroup.cyclic(p)
+    assert with_coefficients(c, zp) == expected
+    assert cohomology(c, zp) == expected
 
 
 def test_cohomology_rp2(rp2):
