@@ -2,7 +2,9 @@
 
 One command per invocation; stdout is deterministic for fixed inputs
 (timing goes to stderr) and the exit status encodes PASS/FAIL for the
-property commands.
+property commands: 0 PASS (or no verdict), 1 FAIL, 2 a usage or data
+error, 3 a failed internal certificate (an SNF postcondition, the
+elimination check, a chain-level identity), each error as one line.
 """
 
 from __future__ import annotations
@@ -342,6 +344,8 @@ def run(argv: list[str]) -> tuple[list[str], int]:
         lines, passed = COMMANDS[args.command](args)
     except (CommandError, SpaceDocumentError, ValueError, OSError) as exc:
         return [f"error: {exc}"], 2
+    except AssertionError as exc:
+        return [f"error: certificate failed: {exc}"], 3
     elapsed = time.monotonic() - started
     if args.format == "machine":
         body = _machine(lines)

@@ -8,6 +8,7 @@ works on private copies.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 
 class IntegerMatrix:
@@ -30,7 +31,9 @@ class IntegerMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls([[0] * cols for _ in range(rows)], rows, cols)
+        m = cls.__new__(cls)  # the rows are fresh ints already: skip the copy
+        m.rows, m.cols, m.data = rows, cols, [[0] * cols for _ in range(rows)]
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
@@ -101,16 +104,17 @@ class IntegerMatrix:
         out = IntegerMatrix.zero(self.rows, other.cols)
         if self.cols == 0 or other.cols == 0:
             return out
-        # accumulate rows, skipping zero coefficients: boundary matrices
-        # and most operator matrices are sparse
-        for i in range(self.rows):
-            orow = out.data[i]
-            for k, a in enumerate(self.data[i]):
-                if a:
-                    brow = other.data[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] += a * b
+        # accumulate rows, skipping zero coefficients on both sides: boundary
+        # matrices and most operator matrices are sparse, so the positions of
+        # the nonzeros of each row of the right factor are listed once
+        positions = range(other.cols)
+        nonzero = [list(compress(positions, brow)) for brow in other.data]
+        inner = range(self.cols)
+        for arow, orow in zip(self.data, out.data):
+            for k in compress(inner, arow):
+                a, brow = arow[k], other.data[k]
+                for j in nonzero[k]:
+                    orow[j] += a * brow[j]
         return out
 
     __rmul__ = __mul__
@@ -131,7 +135,7 @@ class IntegerMatrix:
         return out
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
+        return not any(map(any, self.data))
 
     def is_diagonal(self) -> bool:
         return all(v == 0 for i, row in enumerate(self.data) for j, v in enumerate(row) if i != j)

@@ -23,7 +23,7 @@ from .chains import (
     normalized_chains,
     tensor_complex,
 )
-from .homology import Subquotient, cohomology_data, homology_data
+from .homology import Subquotient, cohomology_data, homology, homology_data, homology_of_space
 from .intmatrix import IntegerMatrix
 from .simplex import SimplexRef
 from .sset import ProductResult, SimplicialMap, SimplicialSet, product, std_simplex
@@ -264,14 +264,17 @@ def is_cocycle(space: SimplicialSet, c: Cochain, chains: ChainComplex | None = N
     return all(v == 0 for v in delta.values)
 
 
-def cup_product(space: SimplicialSet, alpha: Cochain, beta: Cochain) -> Cochain:
+def cup_product(space: SimplicialSet, alpha: Cochain, beta: Cochain,
+                chains: ChainComplex | None = None) -> Cochain:
     """(alpha u beta)(sigma) = alpha(front) * beta(back) on generators.
 
-    Inputs must be cocycles over the same coefficient ring.
+    Inputs must be cocycles over the same coefficient ring; ``chains``,
+    when given, are the normalized chains of ``space``.
     """
     if alpha.modulus != beta.modulus:
         raise ValueError("cochains over different coefficient rings")
-    chains = normalized_chains(space)
+    if chains is None:
+        chains = normalized_chains(space)
     for c in (alpha, beta):
         if not is_cocycle(space, c, chains):
             raise ValueError(f"degree {c.degree} input is not a cocycle")
@@ -333,7 +336,7 @@ def cohomology_ring_table(space: SimplicialSet, coeff_modulus: int,
                 continue
             for i, a in enumerate(basis[p]):
                 for j, b in enumerate(basis[q]):
-                    cup = cup_product(space, a, b)
+                    cup = cup_product(space, a, b, chains)
                     products[(p, i, q, j)] = classes[n].reduce(list(cup.values))
     return RingTable(space.name or "K", coeff_modulus, basis, classes, products)
 
@@ -408,16 +411,13 @@ def kunneth_check(left: SimplicialSet, right: SimplicialSet,
     both sides computed independently."""
     if prod is None:
         prod = product(left, right)
-    hk = [homology_data(normalized_chains(left), p).group
-          for p in range(left.top_dim + 1)]
-    hl = [homology_data(normalized_chains(right), q).group
-          for q in range(right.top_dim + 1)]
+    hk = homology_of_space(left, range(left.top_dim + 1))
+    hl = homology_of_space(right, range(right.top_dim + 1))
     cp = normalized_chains(prod.space)
     top = cp.max_degree if up_to is None else min(up_to, cp.max_degree)
     degrees = list(range(top + 1))
     sides = []
-    for n in degrees:
-        direct = homology_data(cp, n).group
+    for n, direct in zip(degrees, homology(cp, degrees)):
         predicted = AbelianGroup.trivial()
         for p in range(n + 1):
             q = n - p

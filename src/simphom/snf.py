@@ -1,15 +1,30 @@
 """Smith normal form over Z, integer lattices, and subquotient groups.
 
-The reduction keeps the transforms U, V together with their inverses so
-that U*M*V = S holds exactly and kernel/solve questions reduce to reading
-off coordinates.  The pivot at each round is a nonzero entry of minimal
-absolute value, which keeps coefficient growth modest; arbitrary
-precision makes the answer exact regardless.
+Two reductions live here.
+
+``smith_normal_form`` is dense and keeps the transforms U, V together
+with their inverses, so that U*M*V = S holds exactly and kernel/solve
+questions reduce to reading off coordinates.  The pivot at each round is
+a nonzero entry of minimal absolute value, which keeps coefficient growth
+modest; arbitrary precision makes the answer exact regardless.  Every
+caller that needs representatives or maps goes through it.
+
+``elementary_divisors`` is the groups-only path: it returns the nonzero
+invariant factors and nothing else.  Sparse elimination first removes
++-1 pivots, chosen by Markowitz cost from a heap, leaving a small residue
+R.  The elimination is certified exactly: M = sum_k p_k c_k r_k^T + R
+entry by entry, each pivot column c_k and row r_k vanishing on the
+earlier pivots and carrying p_k = +-1 at its own.  That proves M equal to
+L * diag(p_1, ..., p_K, R) * W^T with L and W unimodular, so the divisors
+are K ones followed by those of R, which the verified dense
+``smith_normal_form`` supplies.  A failed check raises AssertionError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import compress
 
 from .abgroup import AbelianGroup
 from .intmatrix import IntegerMatrix
@@ -166,6 +181,143 @@ def _verify(m: IntegerMatrix, r: SNFResult):
     for d, e in zip(r.divisors, r.divisors[1:]):
         if e % d != 0:
             raise AssertionError("SNF postcondition failed: divisor chain broken")
+
+
+# ---------------------------------------------------------------------------
+# Divisors alone: unit-pivot elimination, then a dense residue
+
+
+def elementary_divisors(m: IntegerMatrix) -> list[int]:
+    """The nonzero invariant factors d_1 | d_2 | ... of m, the same list as
+    ``smith_normal_form(m).divisors``, computed without transforms.
+
+    The unit-pivot elimination is certified by ``_check_elimination`` and
+    the residue is reduced by the verified ``smith_normal_form``.
+    """
+    steps, residue = _eliminate_units(m)
+    _check_elimination(m, steps, residue)
+    units = [1] * len(steps)
+    if not residue:
+        return units
+    row_ids = sorted(residue)
+    col_ids = sorted({j for row in residue.values() for j in row})
+    position = {j: t for t, j in enumerate(col_ids)}
+    dense = IntegerMatrix.zero(len(row_ids), len(col_ids))
+    for t, i in enumerate(row_ids):
+        out = dense.data[t]
+        for j, v in residue[i].items():
+            out[position[j]] = v
+    return units + smith_normal_form(dense).divisors
+
+
+def _eliminate_units(m: IntegerMatrix):
+    """Sparse Gaussian elimination on +-1 pivots.
+
+    Returns ``steps``, one ``(i, j, p, c, r)`` per pivot: its row i,
+    column j, value p = +-1, and the pivot column c and row r of the
+    matrix at that step as sparse dicts; and the residue, the nonzero rows
+    left when no unit entry remains, as ``{i: {j: value}}``.  Each step
+    subtracts p * c * r^T, which clears row i and column j.
+
+    Candidates sit in a heap keyed by Markowitz cost (|r| - 1)(|c| - 1),
+    pushed when they become units.  Keys go stale as rows change; a popped
+    entry that is gone or no longer a unit is dropped, and one whose cost
+    has risen is pushed back.
+    """
+    rows = {}
+    positions = range(m.cols)
+    for i, row in enumerate(m.data):
+        sparse = {j: row[j] for j in compress(positions, row)}
+        if sparse:
+            rows[i] = sparse
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap = [((len(row) - 1) * (len(cols[j]) - 1), i, j)
+            for i, row in rows.items() for j, v in row.items() if v == 1 or v == -1]
+    heapify(heap)
+    steps = []
+    while heap:
+        cost, i, j = heappop(heap)
+        r = rows.get(i)
+        if r is None:
+            continue
+        p = r.get(j)
+        if p != 1 and p != -1:
+            continue
+        now = (len(r) - 1) * (len(cols[j]) - 1)
+        if now > cost:
+            heappush(heap, (now, i, j))
+            continue
+        del rows[i]
+        c = {k: rows[k][j] for k in cols.pop(j) if k != i}
+        for jj in r:
+            if jj != j:
+                cols[jj].discard(i)
+        for k, ck in c.items():
+            rk = rows[k]
+            del rk[j]
+            f = p * ck
+            fresh = []
+            for jj, v in r.items():
+                if jj == j:
+                    continue
+                old = rk.get(jj, 0)
+                new = old - f * v
+                if new:
+                    if not old:
+                        cols[jj].add(k)
+                    rk[jj] = new
+                    if (new == 1 or new == -1) and old != 1 and old != -1:
+                        fresh.append(jj)
+                elif old:
+                    del rk[jj]
+                    cols[jj].discard(k)
+            if not rk:
+                del rows[k]
+                continue
+            for jj in fresh:
+                heappush(heap, ((len(rk) - 1) * (len(cols[jj]) - 1), k, jj))
+        c[i] = p
+        steps.append((i, j, p, c, r))
+    return steps, rows
+
+
+def _check_elimination(m: IntegerMatrix, steps, residue) -> None:
+    """Certify an elimination: M = sum_k p_k c_k r_k^T + R entry by entry,
+    with p_k = +-1, c_k and r_k vanishing on the earlier pivot rows and
+    columns and carrying p_k at their own pivot, and R vanishing on every
+    pivot row and column.  Raises AssertionError on the first failure."""
+    done_rows: set[int] = set()
+    done_cols: set[int] = set()
+    total = {i: dict(row) for i, row in residue.items()}
+    for k, (i, j, p, c, r) in enumerate(steps):
+        if (p != 1 and p != -1) or c.get(i) != p or r.get(j) != p:
+            raise AssertionError(f"unit pivot {k} does not carry +-1 at ({i}, {j})")
+        if (any(c[x] for x in done_rows.intersection(c))
+                or any(r[x] for x in done_cols.intersection(r))):
+            raise AssertionError(f"unit pivot {k} does not vanish on earlier pivots")
+        done_rows.add(i)
+        done_cols.add(j)
+        for a, ca in c.items():
+            acc = total.setdefault(a, {})
+            f = p * ca
+            for b, rb in r.items():
+                acc[b] = acc.get(b, 0) + f * rb
+    for i, row in residue.items():
+        if (i in done_rows and any(row.values())) or any(
+                row[x] for x in done_cols.intersection(row)):
+            raise AssertionError(f"residue row {i} meets a pivot row or column")
+    nonzero = 0
+    for a, acc in total.items():
+        for b, v in acc.items():
+            if v:
+                if not (0 <= a < m.rows and 0 <= b < m.cols) or m.data[a][b] != v:
+                    raise AssertionError(f"elimination does not reproduce M at ({a}, {b})")
+                nonzero += 1
+    if nonzero != sum(m.cols - row.count(0) for row in m.data):
+        raise AssertionError("elimination does not reproduce M: entries missing")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 import json
 
-from simphom.cli import run
+from simphom.catalog import catalog
+from simphom.cli import main, run
+from simphom.io import print_space
+from simphom.sset import product
 
 
 def out_of(argv):
@@ -15,6 +18,31 @@ def test_homology_machine_format():
                            "--format", "machine"])
     assert status == 0
     assert "H_0=Z" in text and "H_1=Z/2" in text and "H_2=0" in text
+
+
+def test_homology_beyond_top_dimension():
+    text, status = out_of(["homology", "--space", "rp2", "--dim", "4"])
+    assert status == 0
+    assert text.splitlines()[1:] == ["H_0 = Z", "H_1 = Z/2", "H_2 = 0", "H_3 = 0", "H_4 = 0"]
+
+
+def test_homology_of_rp2_times_boundary3_matches_kunneth(tmp_path):
+    doc = tmp_path / "rp2xbd3.sset"
+    doc.write_text(print_space(product(catalog("rp2"), catalog("boundary:3")).space))
+    text, status = out_of(["homology", "--file", str(doc)])
+    assert status == 0
+    assert text.splitlines()[1:] == ["H_0 = Z", "H_1 = Z/2", "H_2 = Z", "H_3 = Z/2", "H_4 = 0"]
+
+
+def test_certificate_failure_exits_3(monkeypatch, capsys):
+    def fail(m, steps, residue):
+        raise AssertionError("forced mismatch")
+
+    monkeypatch.setattr("simphom.snf._check_elimination", fail)
+    assert main(["homology", "--space", "rp2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "error: certificate failed: forced mismatch\n"
+    assert "Traceback" not in captured.err
 
 
 def test_euler_boundary3():

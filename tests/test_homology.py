@@ -3,14 +3,21 @@
 import pytest
 
 from simphom.abgroup import AbelianGroup
-from simphom.catalog import catalog
-from simphom.chains import normalized_chains, unnormalized_chains
+from simphom.catalog import catalog, ordered_complex_catalog
+from simphom.chains import (
+    ChainMap,
+    mapping_cone,
+    normalized_chains,
+    relative_chains,
+    unnormalized_chains,
+)
 from simphom.homology import (
     betti_numbers_rational,
     cohomology,
     cohomology_of_pair,
     connecting_matrix,
     homology,
+    homology_data,
     homology_of_space,
     mayer_vietoris,
     mod_betti_numbers,
@@ -19,6 +26,7 @@ from simphom.homology import (
     uct_check,
     with_coefficients,
 )
+from simphom.intmatrix import IntegerMatrix
 from simphom.sset import (
     boundary,
     coproduct,
@@ -27,6 +35,7 @@ from simphom.sset import (
     std_simplex,
     subcomplex,
 )
+from simphom.subdivision import barycentric_subdivide
 
 Z = AbelianGroup.free(1)
 Z2 = AbelianGroup.cyclic(2)
@@ -52,6 +61,31 @@ def test_reduced_homology():
     assert homology(normalized_chains(std_simplex(0)), reduced=True) == [trivial]
     two = coproduct([std_simplex(0), std_simplex(0)]).space
     assert homology(normalized_chains(two), reduced=True) == [Z]
+
+
+def _groups_path_complexes():
+    names = ("point", "circle", "torus", "rp2", "klein", "delta:3", "boundary:3",
+             "horn:3:1", "sphere:3", "discrete:3")
+    spaces = [catalog(name) for name in names]
+    spaces += [product(catalog(a), catalog(b)).space for a, b in (
+        ("circle", "rp2"), ("rp2", "circle"), ("klein", "circle"), ("torus", "circle"))]
+    complexes = [normalized_chains(space) for space in spaces]
+    rp2 = catalog("rp2")
+    complexes.append(relative_chains(rp2, skeleton(rp2, 1).id_set).complex)
+    c = normalized_chains(catalog("circle"))
+    double = ChainMap(c, c, {n: IntegerMatrix.diagonal([2] * c.rank(n))
+                             for n in range(c.max_degree + 1)})
+    complexes.append(mapping_cone(double))
+    complexes.append(mapping_cone(barycentric_subdivide(ordered_complex_catalog("rp2")).chain_map))
+    return complexes
+
+
+def test_groups_path_matches_subquotients():
+    """homology() reads the certified divisors of each boundary; the
+    subquotient builder computes the same groups with representatives."""
+    for c in _groups_path_complexes():
+        degrees = range(c.max_degree + 3)
+        assert homology(c, degrees) == [homology_data(c, n).group for n in degrees]
 
 
 def test_h0_counts_components():

@@ -1,12 +1,21 @@
 """Smith normal form, lattice comparisons, and subquotient groups."""
 
+import copy
 from math import prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from simphom import snf
 from simphom.abgroup import AbelianGroup
 from simphom.intmatrix import IntegerMatrix, determinant, mod_rank, rational_rank
-from simphom.snf import Subquotient, lattice_contains, lattice_equal, smith_normal_form
+from simphom.snf import (
+    Subquotient,
+    elementary_divisors,
+    lattice_contains,
+    lattice_equal,
+    smith_normal_form,
+)
 
 
 def test_hand_reduced_example():
@@ -109,3 +118,117 @@ def test_mod_rank_and_rational_rank():
     assert mod_rank(m, 2) == 0
     assert mod_rank(m, 3) == 2
     assert rational_rank(IntegerMatrix.zero(3, 2)) == 0
+
+
+# ---------------------------------------------------------------------------
+# The groups-only path: certified unit-pivot elimination
+
+
+@st.composite
+def unit_matrices(draw):
+    """Sparse matrices full of +-1 entries, with some rows and columns
+    forced to zero and either side possibly empty."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entries = st.sampled_from([0, 0, 0, 0, 1, -1, 1, -1, 2, -3])
+    data = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2))
+    return IntegerMatrix([[0 if i in zero_rows or j in zero_cols else v
+                           for j, v in enumerate(row)] for i, row in enumerate(data)],
+                         rows, cols)
+
+
+@pytest.fixture(scope="module")
+def sympy_snf():
+    return pytest.importorskip("sympy.matrices.normalforms").smith_normal_form
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices, unit_matrices()))
+def test_elementary_divisors_match_dense_snf(m):
+    assert elementary_divisors(m) == smith_normal_form(m).divisors
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices, unit_matrices()))
+def test_elementary_divisors_match_sympy(sympy_snf, m):
+    from sympy import ZZ, Matrix
+    divisors = elementary_divisors(m)
+    if m.rows and m.cols:
+        diagonal = sympy_snf(Matrix(m.data), domain=ZZ)
+        reference = sorted(abs(diagonal[i, i]) for i in range(min(m.rows, m.cols))
+                           if diagonal[i, i])
+    else:
+        reference = []
+    assert divisors == reference
+
+
+def test_elementary_divisors_of_empty_and_zero_shapes():
+    for rows, cols in ((0, 0), (0, 4), (4, 0), (3, 2)):
+        assert elementary_divisors(IntegerMatrix.zero(rows, cols)) == []
+    assert elementary_divisors(IntegerMatrix([[2, 4], [6, 8]])) == [2, 4]
+
+
+# two unit pivots, then a residue [[-2, 0], [0, 2]] with divisors 2, 2
+TAMPER_M = IntegerMatrix([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]])
+
+
+def _tamper_pivot_row(steps, residue):
+    i, j, p, c, r = steps[-1]
+    other = next(k for k in r if k != j)
+    r[other] += 1
+
+
+def _tamper_pivot_value(steps, residue):
+    i, j, p, c, r = steps[0]
+    c[i] = r[j] = 2 * p
+
+
+def _tamper_residue_entry(steps, residue):
+    row = residue[min(residue)]
+    row[min(row)] *= 2
+
+
+def _tamper_residue_on_pivot(steps, residue):
+    residue[min(residue)][steps[-1][1]] = 5
+
+
+def _tamper_earlier_pivot_column(steps, residue):
+    steps[1][3][steps[0][0]] = 1
+
+
+def _tamper_earlier_pivot_row(steps, residue):
+    steps[1][4][steps[0][1]] = 1
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_tamper_pivot_row, "does not reproduce M"),
+    (_tamper_pivot_value, "does not carry"),
+    (_tamper_residue_entry, "does not reproduce M"),
+    (_tamper_residue_on_pivot, "meets a pivot"),
+    (_tamper_earlier_pivot_column, "does not vanish on earlier pivots"),
+    (_tamper_earlier_pivot_row, "does not vanish on earlier pivots"),
+])
+def test_elimination_certificate_rejects_tampering(tamper, message):
+    steps, residue = snf._eliminate_units(TAMPER_M)
+    assert len(steps) == 2 and len(residue) == 2
+    snf._check_elimination(TAMPER_M, steps, residue)
+    assert elementary_divisors(TAMPER_M) == [1, 1, 2, 2]
+    steps, residue = copy.deepcopy((steps, residue))
+    tamper(steps, residue)
+    with pytest.raises(AssertionError, match=message):
+        snf._check_elimination(TAMPER_M, steps, residue)
+
+
+def test_corrupted_residue_fails_elementary_divisors(monkeypatch):
+    eliminate = snf._eliminate_units
+
+    def corrupted(m):
+        steps, residue = eliminate(m)
+        _tamper_residue_entry(steps, residue)
+        return steps, residue
+
+    monkeypatch.setattr(snf, "_eliminate_units", corrupted)
+    with pytest.raises(AssertionError, match="does not reproduce M"):
+        elementary_divisors(TAMPER_M)
