@@ -2,8 +2,10 @@
 
 A group is a free rank (betti number) plus torsion divisors d1 | d2 | ...
 with every di >= 2.  Arbitrary cyclic decompositions are canonicalized by
-splitting into prime powers and recombining, so two groups compare equal
-exactly when they are abstractly isomorphic.
+gcd/lcm alone (Z/a + Z/b = Z/gcd + Z/lcm), so two groups compare equal
+exactly when they are abstractly isomorphic, and nothing is factored:
+tensor, Tor, Hom and Ext on cyclics need only gcds.  A torsion order
+<= 0 is refused with ValueError.
 
 >>> AbelianGroup.from_cyclics([0, 6, 4]) == AbelianGroup(1, (2, 12))
 True
@@ -14,43 +16,21 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-def _factorint(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+from math import gcd
 
 
 def _invariant_factors(cyclic_orders) -> tuple[int, ...]:
-    """Recombine arbitrary finite cyclic orders into a divisor chain."""
-    by_prime: dict[int, list[int]] = {}
-    for d in cyclic_orders:
-        if d in (0, 1):
-            continue
-        for p, e in _factorint(d).items():
-            by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    for exps in by_prime.values():
-        exps.sort(reverse=True)
-    length = max(len(v) for v in by_prime.values())
-    chain = []
-    for k in range(length):
-        d = 1
-        for p, exps in by_prime.items():
-            if k < len(exps):
-                d *= p ** exps[k]
-        chain.append(d)
-    chain.reverse()
-    return tuple(chain)
+    """Recombine finite cyclic orders into a divisor chain by the pairwise
+    sweep Z/a + Z/b = Z/gcd(a,b) + Z/lcm(a,b); no factoring needed."""
+    orders = list(cyclic_orders)
+    if any(d <= 0 for d in orders):
+        raise ValueError(f"torsion orders must be positive, got {tuple(orders)}")
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            a, b = orders[i], orders[j]
+            g = gcd(a, b)
+            orders[i], orders[j] = g, a // g * b
+    return tuple(d for d in orders if d > 1)
 
 
 @dataclass(frozen=True)
@@ -97,13 +77,6 @@ class AbelianGroup:
         """Invariant-factor decomposition with 0 for each Z summand."""
         return [0] * self.betti + list(self.torsion)
 
-    def _elementary(self) -> list[tuple[int, int]]:
-        out = []
-        for d in self.torsion:
-            for p, e in _factorint(d).items():
-                out.append((p, e))
-        return out
-
     def direct_sum(self, *others: "AbelianGroup") -> "AbelianGroup":
         betti = self.betti + sum(g.betti for g in others)
         torsion = list(self.torsion)
@@ -111,47 +84,27 @@ class AbelianGroup:
             torsion.extend(g.torsion)
         return AbelianGroup(betti, tuple(torsion))
 
+    def _gcds(self, other: "AbelianGroup") -> list[int]:
+        return [gcd(a, b) for a in self.torsion for b in other.torsion]
+
     def tensor(self, other: "AbelianGroup") -> "AbelianGroup":
         """Z/a (x) Z/b = Z/gcd(a,b), Z (x) G = G, summand by summand."""
-        cyclics = []
-        for p, e in self._elementary():
-            cyclics.extend([p ** e] * other.betti)
-        for p, e in other._elementary():
-            cyclics.extend([p ** e] * self.betti)
-        for p, e in self._elementary():
-            for q, f in other._elementary():
-                if p == q:
-                    cyclics.append(p ** min(e, f))
-        return AbelianGroup(self.betti * other.betti, tuple(cyclics))
+        cyclics = list(self.torsion) * other.betti + list(other.torsion) * self.betti
+        return AbelianGroup(self.betti * other.betti, tuple(cyclics + self._gcds(other)))
 
     def tor(self, other: "AbelianGroup") -> "AbelianGroup":
         """Tor(Z/a, Z/b) = Z/gcd(a,b); Tor vanishes on free summands."""
-        cyclics = [p ** min(e, f)
-                   for p, e in self._elementary()
-                   for q, f in other._elementary() if p == q]
-        return AbelianGroup(0, tuple(cyclics))
+        return AbelianGroup(0, tuple(self._gcds(other)))
 
     def hom(self, other: "AbelianGroup") -> "AbelianGroup":
         """Hom(Z, G) = G; Hom(Z/a, Z) = 0; Hom(Z/a, Z/b) = Z/gcd(a,b)."""
-        cyclics = []
-        for p, e in other._elementary():
-            cyclics.extend([p ** e] * self.betti)
-        for p, e in self._elementary():
-            for q, f in other._elementary():
-                if p == q:
-                    cyclics.append(p ** min(e, f))
-        return AbelianGroup(self.betti * other.betti, tuple(cyclics))
+        cyclics = list(other.torsion) * self.betti
+        return AbelianGroup(self.betti * other.betti, tuple(cyclics + self._gcds(other)))
 
     def ext(self, other: "AbelianGroup") -> "AbelianGroup":
         """Ext(Z, G) = 0; Ext(Z/a, Z) = Z/a; Ext(Z/a, Z/b) = Z/gcd(a,b)."""
-        cyclics = []
-        for p, e in self._elementary():
-            cyclics.extend([p ** e] * other.betti)
-        for p, e in self._elementary():
-            for q, f in other._elementary():
-                if p == q:
-                    cyclics.append(p ** min(e, f))
-        return AbelianGroup(0, tuple(cyclics))
+        cyclics = list(self.torsion) * other.betti
+        return AbelianGroup(0, tuple(cyclics + self._gcds(other)))
 
     def __str__(self):
         """Serialize as Z^b + Z/d1 + Z/d2 ('0' when trivial)."""

@@ -1,7 +1,8 @@
 """The named-space catalog and the corpus used by the verification suites.
 
 Names: ``delta:n``, ``boundary:n``, ``horn:n:k``, ``sphere:n`` (the
-quotient of delta:n by its boundary), ``circle``, ``torus``, ``rp2``
+quotient of delta:n by its boundary; ``sphere:0`` is two points, the
+collapsed empty boundary and the vertex), ``circle``, ``torus``, ``rp2``
 (the 6-vertex triangulation), ``klein`` (a document shipped with the
 package), ``point``, ``discrete:m``.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 
-from .simplex import SimplexRef
+from .simplex import NonDegenSimplex, SimplexRef
 from .sset import (
     ProductResult,
     SimplicialSet,
@@ -48,13 +49,11 @@ def rp2_complex() -> OrderedSimplicialComplex:
 
 def circle() -> SimplicialSet:
     d1 = std_simplex(1)
-    space = quotient(d1, skeleton(d1, 0)).space
-    space.name = "circle"
-    return space
+    return quotient(d1, skeleton(d1, 0), name="circle").space
 
 
 def torus_product() -> ProductResult:
-    return product(circle(), circle())
+    return product(circle(), circle(), name="torus")
 
 
 def klein_bottle() -> SimplicialSet:
@@ -74,13 +73,9 @@ def catalog(name: str) -> SimplicialSet:
         if kind == "circle" and len(parts) == 1:
             return circle()
         if kind == "torus" and len(parts) == 1:
-            space = torus_product().space
-            space.name = "torus"
-            return space
+            return torus_product().space
         if kind == "rp2" and len(parts) == 1:
-            space = complex_to_sset(rp2_complex())
-            space.name = "rp2"
-            return space
+            return complex_to_sset(rp2_complex(), name="rp2")
         if kind == "klein" and len(parts) == 1:
             return klein_bottle()
         if kind == "delta" and len(parts) == 2:
@@ -91,10 +86,11 @@ def catalog(name: str) -> SimplicialSet:
             return horn(int(parts[1]), int(parts[2]))
         if kind == "sphere" and len(parts) == 2:
             n = int(parts[1])
+            if n == 0:  # Delta[0] over its empty boundary is Delta[0] + *
+                points = [NonDegenSimplex(0, 0, (), label="*"), NonDegenSimplex(0, 1, (), label="0")]
+                return SimplicialSet([points], name="sphere:0")
             dn = std_simplex(n)
-            space = quotient(dn, skeleton(dn, n - 1)).space
-            space.name = f"sphere:{n}"
-            return space
+            return quotient(dn, skeleton(dn, n - 1), name=f"sphere:{n}").space
         if kind == "discrete" and len(parts) == 2:
             return discrete(int(parts[1]))
     except ValueError as exc:

@@ -13,14 +13,16 @@ compares two independent computations.
 
 Two private helpers carry the work.  ``_subquotient`` builds every group,
 with integral or Z/m coefficients, homology or cohomology, from the map
-out of a degree and the map into it.  ``_exact_sequence`` checks a
-three-term long exact sequence node by node; the pair sequence and
-Mayer-Vietoris only supply their groups and maps.
+out of a degree and the map into it.  ``_exact_sequence``, the one
+builder of long exact sequences, takes the complexes and chain-level
+pushes of the pair sequence or of Mayer-Vietoris, computes every group
+once, and checks exactness node by node on generator orders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .abgroup import AbelianGroup
 from .chains import ChainComplex, normalized_chains, relative_chains
@@ -101,39 +103,6 @@ def mod_betti_numbers(c: ChainComplex, p: int) -> list[int]:
 # Maps between computed groups, and exactness
 
 
-@dataclass
-class GroupData:
-    """A computed group presented by generators: torsion orders are paired
-    with their generator positions (free generators carry no relation)."""
-
-    group: AbelianGroup
-    n_generators: int
-    relations: list[tuple[int, int]]  # (generator index, order)
-
-    @classmethod
-    def from_subquotient(cls, sq: Subquotient) -> "GroupData":
-        return cls(sq.group, sq.n_generators,
-                   [(k, d) for k, d in enumerate(sq.torsion_orders)])
-
-    @classmethod
-    def zero(cls) -> "GroupData":
-        return cls(AbelianGroup.trivial(), 0, [])
-
-    def direct_sum(self, other: "GroupData") -> "GroupData":
-        rels = list(self.relations)
-        rels += [(self.n_generators + k, d) for k, d in other.relations]
-        return GroupData(self.group.direct_sum(other.group),
-                         self.n_generators + other.n_generators, rels)
-
-    def relations_matrix(self) -> IntegerMatrix:
-        cols = []
-        for k, d in self.relations:
-            col = [0] * self.n_generators
-            col[k] = d
-            cols.append(col)
-        return IntegerMatrix.from_columns(cols, rows=self.n_generators)
-
-
 def induced_matrix(src: Subquotient, dst: Subquotient, push) -> IntegerMatrix:
     """Matrix of the map sending each source generator class through the
     chain-level function ``push`` and reducing in the target."""
@@ -141,19 +110,28 @@ def induced_matrix(src: Subquotient, dst: Subquotient, push) -> IntegerMatrix:
     return IntegerMatrix.from_columns(cols, rows=dst.n_generators)
 
 
+def _relations(orders: list[int]) -> IntegerMatrix:
+    """One column d * e_k per torsion generator k of order d; free
+    generators (order 0) carry no relation."""
+    n = len(orders)
+    return IntegerMatrix.from_columns(
+        [[d if i == k else 0 for i in range(n)] for k, d in enumerate(orders) if d], rows=n)
+
+
 def exact_at(incoming: IntegerMatrix, outgoing: IntegerMatrix,
-             here: GroupData, after: GroupData) -> bool:
-    """Is im(incoming) = ker(outgoing) inside the group ``here``?
+             here: list[int], after: list[int]) -> bool:
+    """Is im(incoming) = ker(outgoing) inside the group presented by the
+    generator orders ``here`` (d for Z/d, 0 for Z)?
 
     Both maps are given by integer lifts on presentation generators;
     ``after`` presents the target of the outgoing map.
     """
-    m = here.n_generators
+    m = len(here)
     if incoming.rows != m or outgoing.cols != m:
         raise ValueError("map shapes do not match the group")
-    rel_here = here.relations_matrix()
+    rel_here = _relations(here)
     image = incoming.hstack(rel_here)
-    stacked = outgoing.hstack(after.relations_matrix())
+    stacked = outgoing.hstack(_relations(after))
     kernel_cols = [vec[:m] for vec in smith_normal_form(stacked).kernel_basis()]
     kernel = IntegerMatrix.from_columns(kernel_cols, rows=m).hstack(rel_here)
     return lattice_equal(image, kernel)
@@ -184,31 +162,41 @@ class ExactSequenceReport:
         return out
 
 
-def _exact_sequence(kind: str, labels: tuple[str, str, str], data, maps) -> ExactSequenceReport:
-    """Check ... -> A_p --f_p--> B_p --g_p--> C_p --d_p--> A_{p-1} -> ... -> C_0 -> 0
-    at every node, from degree len(data) - 1 down to 0.
+def _exact_sequence(kind: str, labels: tuple[str, str, str], a: ChainComplex,
+                    bs: tuple[ChainComplex, ...], c: ChainComplex, f, g, delta,
+                    up_to: int | None) -> ExactSequenceReport:
+    """Check ... -> H_p(A) --f--> (+)_k H_p(B_k) --g--> H_p(C) --delta--> H_{p-1}(A)
+    -> ... -> H_0(C) -> 0 at every node, from the top degree of the terms
+    (or ``up_to``, if lower) down to 0.
 
-    ``labels`` are three format strings in ``p``.  ``data[p]`` holds the
-    GroupData of (A_p, B_p, C_p) and ``maps[p]`` the matrices of the maps
-    into them, (d_{p+1}, f_p, g_p); at the top degree d_{p+1} comes from
-    the first degree the sequence does not report, or is a zero map when
-    there is none.
+    ``labels`` are three format strings in ``p``.  ``f(p)`` and ``g(p)``
+    give one chain-level push per summand B_k, A_p -> B_k,p and
+    B_k,p -> C_p, and ``delta(p)`` the push C_p -> A_{p-1}.  The top node's
+    incoming map comes from H_{top+1}(C), the zero group at full depth.
     """
+    top = max(x.max_degree for x in (a, c, *bs))
+    if up_to is not None:
+        top = min(top, up_to)
+    ha = [homology_data(a, p) for p in range(top + 1)]
+    hbs = [[homology_data(b, p) for b in bs] for p in range(top + 1)]
+    hc = [homology_data(c, p) for p in range(top + 2)]
+    d = {p: induced_matrix(hc[p], ha[p - 1], delta(p)) for p in range(1, top + 2)}
     nodes = []
     groups = {}
-    for p in range(len(data) - 1, -1, -1):
-        a, b, c = data[p]
-        d_in, f, g = maps[p]
-        if p:
-            d_out, a_below = maps[p - 1][0], data[p - 1][0]
-        else:
-            d_out, a_below = IntegerMatrix.zero(0, c.n_generators), GroupData.zero()
+    for p in range(top, -1, -1):
+        hb = hbs[p]
+        f_p = reduce(IntegerMatrix.vstack, [induced_matrix(ha[p], h, push)
+                                            for h, push in zip(hb, f(p))])
+        g_p = reduce(IntegerMatrix.hstack, [induced_matrix(h, hc[p], push)
+                                            for h, push in zip(hb, g(p))])
+        orders = (ha[p].orders, [o for h in hb for o in h.orders], hc[p].orders)
+        below = ha[p - 1].orders if p else []
+        d_out = d[p] if p else IntegerMatrix.zero(0, len(orders[2]))
         for label, here, incoming, outgoing, after in zip(
-                labels, (a, b, c), (d_in, f, g), (f, g, d_out), (b, c, a_below)):
+                labels, orders, (d[p + 1], f_p, g_p), (f_p, g_p, d_out), orders[1:] + (below,)):
             label = label.format(p=p)
-            groups[label] = here.group
-            nodes.append(SequenceNode(label, here.group,
-                                      exact_at(incoming, outgoing, here, after)))
+            groups[label] = group = AbelianGroup.from_cyclics(here)
+            nodes.append(SequenceNode(label, group, exact_at(incoming, outgoing, here, after)))
     return ExactSequenceReport(kind, nodes, groups)
 
 
@@ -217,9 +205,7 @@ def _exact_sequence(kind: str, labels: tuple[str, str, str], data, maps) -> Exac
 
 
 def _as_subcomplex(space: SimplicialSet, sub) -> SubcomplexResult:
-    if isinstance(sub, SubcomplexResult):
-        return sub
-    return subcomplex(space, sub)
+    return sub if isinstance(sub, SubcomplexResult) else subcomplex(space, sub)
 
 
 def _inclusion_push(sub: SubcomplexResult, dim: int, total_rank: int,
@@ -245,25 +231,33 @@ def _pair_chains(space: SimplicialSet, sub):
     return L, normalized_chains(space), normalized_chains(L.space), relative_chains(space, L.id_set)
 
 
-def _pair_connecting_push(L: SubcomplexResult, ck: ChainComplex, cl: ChainComplex, rel, p: int):
-    """Chain-level connecting map C_p(K, L) -> C_{p-1}(L): lift a relative
-    chain, apply the ambient boundary, read the result in the subcomplex."""
-    lid_of_gid = {old: new for (d, old), new in L.new_id.items() if d == p - 1}
+def _boundary_push(ck: ChainComplex, p: int, lift, sub: SubcomplexResult):
+    """Chain-level connecting map into C_{p-1}(sub): ``lift`` a chain to
+    C_p(K), apply the ambient boundary, read the result in the subcomplex."""
+    sub_of_gid = {old: new for (d, old), new in sub.new_id.items() if d == p - 1}
 
     def push(vec):
-        lift = [0] * ck.rank(p)
-        for k, gid in enumerate(rel.ambient_index[p]):
-            lift[gid] = vec[k]
-        out = [0] * cl.rank(p - 1)
-        for gid, v in enumerate(ck.boundary(p).apply(lift)):
+        out = [0] * len(sub_of_gid)
+        for gid, v in enumerate(ck.boundary(p).apply(lift(vec))):
             if v:
-                lid = lid_of_gid.get(gid)
-                if lid is None:
+                if gid not in sub_of_gid:
                     raise AssertionError("connecting map left the subcomplex")
-                out[lid] = v
+                out[sub_of_gid[gid]] = v
         return out
 
     return push
+
+
+def _pair_connecting_push(L: SubcomplexResult, ck: ChainComplex, rel, p: int):
+    """Chain-level connecting map C_p(K, L) -> C_{p-1}(L)."""
+
+    def lift(vec):
+        out = [0] * ck.rank(p)
+        for k, gid in enumerate(rel.ambient_index[p]):
+            out[gid] = vec[k]
+        return out
+
+    return _boundary_push(ck, p, lift, L)
 
 
 def pair_les(space: SimplicialSet, sub, up_to: int | None = None) -> ExactSequenceReport:
@@ -275,27 +269,14 @@ def pair_les(space: SimplicialSet, sub, up_to: int | None = None) -> ExactSequen
     is checked against the connecting map from one degree higher.
     """
     L, ck, cl, rel = _pair_chains(space, sub)
-    top = space.top_dim if up_to is None else min(up_to, space.top_dim)
-
-    hl = [homology_data(cl, p) for p in range(top + 1)]
-    hk = [homology_data(ck, p) for p in range(top + 1)]
-    hrel = [homology_data(rel.complex, p) for p in range(min(top + 1, space.top_dim) + 1)]
-
-    def connecting(p):
-        if p == len(hrel):
-            return IntegerMatrix.zero(hl[p - 1].n_generators, 0)
-        return induced_matrix(hrel[p], hl[p - 1], _pair_connecting_push(L, ck, cl, rel, p))
 
     def proj(p):
         return lambda vec: [vec[gid] for gid in rel.ambient_index[p]]
 
-    maps = [(connecting(p + 1),
-             induced_matrix(hl[p], hk[p], _inclusion_push(L, p, ck.rank(p))),
-             induced_matrix(hk[p], hrel[p], proj(p)))
-            for p in range(top + 1)]
-    data = [tuple(GroupData.from_subquotient(h[p]) for h in (hl, hk, hrel))
-            for p in range(top + 1)]
-    return _exact_sequence("pair", ("H_{p}(L)", "H_{p}(K)", "H_{p}(K,L)"), data, maps)
+    return _exact_sequence("pair", ("H_{p}(L)", "H_{p}(K)", "H_{p}(K,L)"), cl, (ck,), rel.complex,
+                           lambda p: (_inclusion_push(L, p, ck.rank(p)),),
+                           lambda p: (proj(p),),
+                           lambda p: _pair_connecting_push(L, ck, rel, p), up_to)
 
 
 def relative_homology(space: SimplicialSet, sub, degrees=None) -> list[AbelianGroup]:
@@ -311,7 +292,7 @@ def connecting_matrix(space: SimplicialSet, sub, p: int) -> tuple[IntegerMatrix,
     L, ck, cl, rel = _pair_chains(space, sub)
     h_rel = homology_data(rel.complex, p)
     h_l = homology_data(cl, p - 1)
-    push = _pair_connecting_push(L, ck, cl, rel, p)
+    push = _pair_connecting_push(L, ck, rel, p)
     return induced_matrix(h_rel, h_l, push), h_rel.group, h_l.group
 
 
@@ -334,46 +315,23 @@ def mayer_vietoris(space: SimplicialSet, a_sub, b_sub, up_to: int | None = None)
     ca = normalized_chains(A.space)
     cb = normalized_chains(B.space)
     cab = normalized_chains(AB.space)
-    top = space.top_dim if up_to is None else min(up_to, space.top_dim)
-
-    h_ab = [homology_data(cab, p) for p in range(top + 1)]
-    h_a = [homology_data(ca, p) for p in range(top + 1)]
-    h_b = [homology_data(cb, p) for p in range(top + 1)]
-    h_k = [homology_data(ck, p) for p in range(min(top + 1, space.top_dim) + 1)]
 
     def alpha(p):
-        return induced_matrix(h_ab[p], h_a[p], _inclusion_push(AB, p, ca.rank(p), A)).vstack(
-            induced_matrix(h_ab[p], h_b[p], _inclusion_push(AB, p, cb.rank(p), B)))
+        return (_inclusion_push(AB, p, ca.rank(p), A), _inclusion_push(AB, p, cb.rank(p), B))
 
     def beta(p):
-        return induced_matrix(h_a[p], h_k[p], _inclusion_push(A, p, ck.rank(p))).hstack(
-            -induced_matrix(h_b[p], h_k[p], _inclusion_push(B, p, ck.rank(p))))
-
-    a_gids = [{old for (d, old) in A.id_set if d == dim} for dim in range(space.top_dim + 1)]
+        into_k = _inclusion_push(B, p, ck.rank(p))
+        return (_inclusion_push(A, p, ck.rank(p)), lambda vec: [-v for v in into_k(vec)])
 
     def connecting(p):
-        if p == len(h_k):
-            return IntegerMatrix.zero(h_ab[p - 1].n_generators, 0)
-        ab_of_gid = {old: new for (d, old), new in AB.new_id.items() if d == p - 1}
+        """Split a chain of K as a chain on A plus one on B; the boundary of
+        the A part of a cycle lies in A n B."""
+        a_gids = {old for (d, old) in A.id_set if d == p}
+        return _boundary_push(ck, p, lambda vec: [v if gid in a_gids else 0
+                                                  for gid, v in enumerate(vec)], AB)
 
-        def push(vec):
-            za = [v if gid in a_gids[p] else 0 for gid, v in enumerate(vec)]
-            w = ck.boundary(p).apply(za)
-            out = [0] * cab.rank(p - 1)
-            for gid, v in enumerate(w):
-                if v:
-                    out[ab_of_gid[gid]] = v
-            return out
-
-        return induced_matrix(h_k[p], h_ab[p - 1], push)
-
-    maps = [(connecting(p + 1), alpha(p), beta(p)) for p in range(top + 1)]
-    data = [(GroupData.from_subquotient(h_ab[p]),
-             GroupData.from_subquotient(h_a[p]).direct_sum(GroupData.from_subquotient(h_b[p])),
-             GroupData.from_subquotient(h_k[p]))
-            for p in range(top + 1)]
     return _exact_sequence("mayer-vietoris", ("H_{p}(AnB)", "H_{p}(A)+H_{p}(B)", "H_{p}(K)"),
-                           data, maps)
+                           cab, (ca, cb), ck, alpha, beta, connecting, up_to)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,14 @@ from .chains import (
     normalized_chains,
     tensor_complex,
 )
-from .homology import Subquotient, cohomology_data, homology, homology_data, homology_of_space
+from .homology import (
+    Subquotient,
+    cohomology_data,
+    homology,
+    homology_data,
+    homology_of_space,
+    induced_matrix,
+)
 from .intmatrix import IntegerMatrix
 from .simplex import SimplexRef
 from .sset import ProductResult, SimplicialMap, SimplicialSet, product, std_simplex
@@ -135,11 +142,9 @@ def homotopic_maps_equal_on_homology(f: SimplicialMap, g: SimplicialMap,
     for n in degrees:
         h_src = homology_data(src, n)
         h_tgt = homology_data(tgt, n)
-        for vec in h_src.generator_vectors():
-            fv = h_tgt.reduce(f_chain.matrix(n).apply(vec))
-            gv = h_tgt.reduce(g_chain.matrix(n).apply(vec))
-            if fv != gv:
-                equal = False
+        if (induced_matrix(h_src, h_tgt, f_chain.matrix(n).apply)
+                != induced_matrix(h_src, h_tgt, g_chain.matrix(n).apply)):
+            equal = False
     return HomotopyReport(identity_holds, ends_match, degrees, equal)
 
 

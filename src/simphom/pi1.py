@@ -105,13 +105,12 @@ def abelianization_data(p: GroupPresentation) -> AbelianizationData:
 
     n = len(p.generators)
     sq = Subquotient(IntegerMatrix.identity(n), p.exponent_matrix())
-    orders = list(sq.torsion_orders) + [0] * sq.group.betti
     coords = []
     for k in range(n):
         unit = [0] * n
         unit[k] = 1
         coords.append(sq.reduce(unit))
-    return AbelianizationData(sq.group, orders, coords)
+    return AbelianizationData(sq.group, sq.orders, coords)
 
 
 @dataclass

@@ -414,3 +414,9 @@ class Subquotient:
     @property
     def n_generators(self) -> int:
         return self._n_torsion + self.free_rank
+
+    @property
+    def orders(self) -> list[int]:
+        """Generator orders in ``reduce`` order: the torsion orders, then
+        0 for each free generator."""
+        return self.torsion_orders + [0] * self.free_rank

@@ -140,15 +140,15 @@ class ValidationReport:
 
 def is_valid(space: SimplicialSet) -> ValidationReport:
     """Check all invariants: canonical face tables and the simplicial
-    identities d_i d_j = d_{j-1} d_i (i < j) on every generator."""
+    identities d_i d_j = d_{j-1} d_i (i < j) on every generator.  The
+    j-th face of a generator is entry j of its face table."""
     problems = []
     for d in range(2, space.top_dim + 1):
         for g in space.gens(d):
-            ref = SimplexRef(d, g.id)
             for j in range(1, d + 1):
                 for i in range(j):
-                    left = space.face(space.face(ref, j), i)
-                    right = space.face(space.face(ref, i), j - 1)
+                    left = space.face(g.faces[j], i)
+                    right = space.face(g.faces[i], j - 1)
                     if left != right:
                         problems.append(
                             f"simplicial identity fails on {g.name()} at (i,j)=({i},{j}): "
@@ -386,13 +386,15 @@ class QuotientResult:
     collapse_log: list[str]
 
 
-def quotient(space: SimplicialSet, sub) -> QuotientResult:
+def quotient(space: SimplicialSet, sub, name: str | None = None) -> QuotientResult:
     """Collapse a subcomplex to a point.
 
     Generators of the quotient are the generators outside the subcomplex
     plus one new vertex; faces landing in the subcomplex are redirected to
     degeneracies of that vertex and re-canonicalized.  Faces whose image
     becomes degenerate in the process are recorded in the collapse log.
+    The quotient is called ``name``, or "<space>/sub" by default;
+    collapsing nothing returns ``space`` itself, name included.
     """
     ids = _as_id_set(space, sub)
     if not ids:
@@ -426,7 +428,7 @@ def quotient(space: SimplicialSet, sub) -> QuotientResult:
                     collapse_log.append(f"face {i} of {g.name()} collapsed to {new_ref.degens} over *")
                 faces.append(new_ref)
             rows[d][new_id[(d, g.id)]] = NonDegenSimplex(d, new_id[(d, g.id)], tuple(faces), label=g.label)
-    quo = SimplicialSet(rows, name=f"{space.name}/sub" if space.name else None)
+    quo = SimplicialSet(rows, name=name or (f"{space.name}/sub" if space.name else None))
     images = {}
     for d in range(space.top_dim + 1):
         word = tuple(range(d - 1, -1, -1))
@@ -574,13 +576,14 @@ class ProductResult:
         return SimplexRef(a.dim - len(shared), gid, word)
 
 
-def product(left: SimplicialSet, right: SimplicialSet) -> ProductResult:
+def product(left: SimplicialSet, right: SimplicialSet, name: str | None = None) -> ProductResult:
     """The product simplicial set with its two projections.
 
     Non-degenerate n-simplices are jointly non-degenerate pairs
     (s_V sigma, s_W tau) with V and W disjoint degeneracy words over
     non-degenerate sigma, tau; faces are computed componentwise and
-    re-canonicalized.
+    re-canonicalized.  The product is called ``name``, or "<left>x<right>"
+    by default.
     """
     if left.is_empty() or right.is_empty():
         empty = SimplicialSet([], name="empty")
@@ -626,9 +629,7 @@ def product(left: SimplicialSet, right: SimplicialSet) -> ProductResult:
             lb = right.format_ref(b)
             row.append(NonDegenSimplex(n, gid, faces, label=f"({la}|{lb})"))
         rows.append(row)
-    lname = left.name or "?"
-    rname = right.name or "?"
-    space = SimplicialSet(rows, name=f"{lname}x{rname}")
+    space = SimplicialSet(rows, name=name or f"{left.name or '?'}x{right.name or '?'}")
     result.space = space
     result.proj_left = SimplicialMap(
         space, left, {key: ab[0] for key, ab in pair_of_gen.items()}, check=False)

@@ -76,7 +76,7 @@ class OrderedSimplicialComplex:
         return f"OrderedSimplicialComplex{self.counts()}"
 
 
-def complex_to_sset(cx: OrderedSimplicialComplex) -> SimplicialSet:
+def complex_to_sset(cx: OrderedSimplicialComplex, name: str | None = None) -> SimplicialSet:
     """One generator per face; faces by deleting vertices in order."""
     index = [{f: k for k, f in enumerate(level)} for level in cx.by_dim]
     rows = []
@@ -88,7 +88,7 @@ def complex_to_sset(cx: OrderedSimplicialComplex) -> SimplicialSet:
             ) if d > 0 else ()
             row.append(NonDegenSimplex(d, k, refs, label="".join(map(str, f))))
         rows.append(row)
-    return SimplicialSet(rows)
+    return SimplicialSet(rows, name=name)
 
 
 def simplicial_chains(cx: OrderedSimplicialComplex) -> ChainComplex:

@@ -2,10 +2,13 @@
 
 import doctest
 
+import pytest
 from hypothesis import given, strategies as st
 
 import simphom.abgroup
 from simphom.abgroup import AbelianGroup
+from simphom.intmatrix import IntegerMatrix
+from simphom.snf import smith_normal_form
 
 
 def test_doctests():
@@ -26,6 +29,25 @@ def test_divisibility_chain_invariant():
     for d, e in zip(g.torsion, g.torsion[1:]):
         assert e % d == 0
     assert g.torsion == (2, 12, 360)
+
+
+@given(st.lists(st.integers(1, 400), max_size=6))
+def test_torsion_matches_smith_normal_form(orders):
+    divisors = smith_normal_form(IntegerMatrix.diagonal(orders)).divisors
+    assert AbelianGroup(0, tuple(orders)).torsion == tuple(d for d in divisors if d > 1)
+
+
+def test_large_torsion_needs_no_factoring():
+    n = 1000000007 * 998244353
+    assert AbelianGroup(0, (n,)).torsion == (n,)
+    assert AbelianGroup(0, (n, 1000000007)).torsion == (1000000007, n)
+
+
+def test_non_positive_torsion_orders_are_refused():
+    with pytest.raises(ValueError):
+        AbelianGroup(0, (0,))
+    with pytest.raises(ValueError):
+        AbelianGroup(0, (-4,))
 
 
 def test_str_and_parse_round_trip():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from simphom.abgroup import AbelianGroup
 from simphom.catalog import all_catalog_spaces, catalog, ordered_complex_catalog
 from simphom.chains import euler_characteristic, normalized_chains, unnormalized_chains
 from simphom.homology import homology
@@ -31,6 +32,13 @@ def test_euler_equals_alternating_betti_everywhere():
         groups = homology(normalized_chains(space))
         chi = sum((-1) ** n * g.betti for n, g in enumerate(groups))
         assert chi == euler_characteristic(space), space.name
+
+
+def test_catalog_names_and_sphere0():
+    names = ["circle", "torus", "rp2", "sphere:0", "sphere:1", "sphere:2"]
+    assert [catalog(name).name for name in names] == names
+    assert catalog("sphere:0").counts() == (2,)
+    assert homology(normalized_chains(catalog("sphere:0"))) == [AbelianGroup.free(2)]
 
 
 def test_catalog_rejects_unknown_names():

@@ -87,6 +87,73 @@ def test_truncated_les_and_mv_pass():
     text, status = out_of(["mv", "--space", "torus", "--a", "gens:2.0", "--b", "gens:2.1",
                            "--dim", "1"])
     assert status == 0 and "FAIL" not in text
+    for dim in ("-1", "-2"):
+        text, status = out_of(["les", "--space", "rp2", "--sub", "skeleton:1", "--dim", dim])
+        assert (text, status) == ("simphom les\nRESULT PASS", 0)
+
+
+LES_RP2_SKELETON1 = """\
+simphom les
+PASS exact at H_2(L) [0]
+PASS exact at H_2(K) [0]
+PASS exact at H_2(K,L) [Z^10]
+PASS exact at H_1(L) [Z^10]
+PASS exact at H_1(K) [Z/2]
+PASS exact at H_1(K,L) [0]
+PASS exact at H_0(L) [Z]
+PASS exact at H_0(K) [Z]
+PASS exact at H_0(K,L) [0]
+H_0(K) = Z
+H_0(K,L) = 0
+H_0(L) = Z
+H_1(K) = Z/2
+H_1(K,L) = 0
+H_1(L) = Z^10
+H_2(K) = 0
+H_2(K,L) = Z^10
+H_2(L) = 0
+RESULT PASS"""
+
+MV_TORUS_TWO_TRIANGLES = """\
+simphom mv
+PASS exact at H_2(AnB) [0]
+PASS exact at H_2(A)+H_2(B) [0]
+PASS exact at H_2(K) [Z]
+PASS exact at H_1(AnB) [Z^3]
+PASS exact at H_1(A)+H_1(B) [Z^4]
+PASS exact at H_1(K) [Z^2]
+PASS exact at H_0(AnB) [Z]
+PASS exact at H_0(A)+H_0(B) [Z^2]
+PASS exact at H_0(K) [Z]
+H_0(A)+H_0(B) = Z^2
+H_0(AnB) = Z
+H_0(K) = Z
+H_1(A)+H_1(B) = Z^4
+H_1(AnB) = Z^3
+H_1(K) = Z^2
+H_2(A)+H_2(B) = 0
+H_2(AnB) = 0
+H_2(K) = Z
+RESULT PASS"""
+
+
+def test_les_and_mv_full_reports():
+    assert out_of(["les", "--space", "rp2", "--sub", "skeleton:1"]) == (LES_RP2_SKELETON1, 0)
+    assert out_of(["mv", "--space", "torus", "--a", "gens:2.0", "--b", "gens:2.1"]) == (
+        MV_TORUS_TWO_TRIANGLES, 0)
+
+
+def test_homology_of_sphere0_is_two_points():
+    text, status = out_of(["homology", "--space", "sphere:0"])
+    assert status == 0
+    assert text.splitlines()[1:] == ["H_0 = Z^2"]
+
+
+def test_coefficients_with_a_large_prime_order():
+    p = 2 ** 127 - 1
+    text, status = out_of(["coeffs", "--space", "rp2", "--coeff", f"Z/{p}"])
+    assert status == 0
+    assert text.splitlines()[1:] == [f"H_0 = Z/{p}", "H_1 = 0", "H_2 = 0"]
 
 
 def test_cover_command():

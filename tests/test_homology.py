@@ -1,5 +1,7 @@
 """Homology groups, exact sequences, coefficients, and cohomology."""
 
+import sys
+
 import pytest
 
 from simphom.abgroup import AbelianGroup
@@ -179,6 +181,19 @@ def test_truncated_sequences_match_full_depth(torus, rp2, dim):
         full, truncated = sequence(None), sequence(dim)
         assert truncated.passed, truncated.lines()
         assert truncated.nodes == full.nodes[-3 * (dim + 1):]
+
+
+def test_pair_les_fails_with_a_zero_connecting_map(monkeypatch):
+    module = sys.modules["simphom.homology"]
+
+    def zero_push(L, ck, rel, p):
+        rank = sum(1 for d, _ in L.new_id if d == p - 1)
+        return lambda vec: [0] * rank
+
+    monkeypatch.setattr(module, "_pair_connecting_push", zero_push)
+    report = pair_les(std_simplex(2), skeleton(std_simplex(2), 1))
+    assert not report.passed
+    assert [node.label for node in report.nodes if not node.exact] == ["H_2(K,L)", "H_1(L)"]
 
 
 def test_pair_les_horn_is_homologically_trivial():
