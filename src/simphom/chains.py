@@ -298,21 +298,11 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     ranks = [C.rank(n - 1) + D.rank(n) for n in range(top + 1)]
     boundaries = {}
     for n in range(1, top + 1):
-        rc, rd = C.rank(n - 1), D.rank(n)
-        out_c, out_d = C.rank(n - 2), D.rank(n - 1)
-        mat = IntegerMatrix.zero(out_c + out_d, rc + rd)
-        dc = C.boundary(n - 1)
-        for i in range(out_c):
-            for j in range(rc):
-                mat.data[i][j] = -dc.data[i][j]
-        fm = f.matrix(n - 1)
-        dd = D.boundary(n)
-        for i in range(out_d):
-            for j in range(rc):
-                mat.data[out_c + i][j] = -fm.data[i][j]
-            for j in range(rd):
-                mat.data[out_c + i][rc + j] = dd.data[i][j]
-        boundaries[n] = mat
+        zeros = [0] * D.rank(n)
+        rows = [[-v for v in row] + zeros for row in C.boundary(n - 1).data]
+        rows += [[-v for v in f_row] + d_row
+                 for f_row, d_row in zip(f.matrix(n - 1).data, D.boundary(n).data)]
+        boundaries[n] = IntegerMatrix(rows, ranks[n - 1], ranks[n])
     labels = [[f"s{C.labels[n - 1][i]}" for i in range(C.rank(n - 1))] +
               [D.labels[n][j] for j in range(D.rank(n))] if n <= top else []
               for n in range(top + 1)]

@@ -53,7 +53,10 @@ def _parse_subspec(space: SimplicialSet, spec: str):
     """Subcomplex specifications: 'skeleton:N' or 'gens:D.I,D.I,...'
     (the generated subcomplex, closure taken automatically)."""
     if spec.startswith("skeleton:"):
-        return skeleton(space, int(spec.split(":", 1)[1]))
+        n = int(spec.split(":", 1)[1])
+        if n < 0:
+            raise CommandError("skeleton:N needs N >= 0")
+        return skeleton(space, n)
     if spec.startswith("gens:"):
         ids = []
         body = spec.split(":", 1)[1]
@@ -341,6 +344,8 @@ def run(argv: list[str]) -> tuple[list[str], int]:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        if args.dim is not None and args.dim < 0:
+            raise CommandError("--dim must be >= 0")
         lines, passed = COMMANDS[args.command](args)
     except (CommandError, SpaceDocumentError, ValueError, OSError) as exc:
         return [f"error: {exc}"], 2

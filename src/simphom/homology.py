@@ -1,20 +1,21 @@
 """Homology of chain complexes and the exact-sequence machinery.
 
-Groups alone (``homology`` and every caller that reads only groups) come
-from the certified elementary divisors of each boundary, reduced once:
-H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion of d_{n+1}.
+Groups alone have one engine, ``homology``: the certified elementary
+divisors of each boundary, reduced once, give
+H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion of d_{n+1}.  Z/m
+coefficients are the homology of the mapping cone of m * id_C, which is
+quasi-isomorphic to C (x) Z/m for free C; cohomology is read off the dual
+complex, H^n(C; G) = H_{N-n}(Hom(C, Z); G), whose transposed boundaries
+get their own elimination, so the universal coefficient check still
+compares two independent computations.
 
 Everything else is computed by Smith normal form as subquotients ker/im
 with explicit generator representatives, so induced maps and connecting
 homomorphisms come out as integer matrices and exactness of a sequence
-is decided by exact lattice comparisons.  Cohomology and Z/m
-coefficients stay on that path too, so the universal coefficient check
-compares two independent computations.
-
-Two private helpers carry the work.  ``_subquotient`` builds every group,
-with integral or Z/m coefficients, homology or cohomology, from the map
-out of a degree and the map into it.  ``_exact_sequence``, the one
-builder of long exact sequences, takes the complexes and chain-level
+is decided by exact lattice comparisons.  ``_subquotient`` builds each
+such group; its Z/m branch serves only the cocycles of
+``cohomology_data``, which the cup table reads.  ``_exact_sequence``, the
+one builder of long exact sequences, takes the complexes and chain-level
 pushes of the pair sequence or of Mayer-Vietoris, computes every group
 once, and checks exactness node by node on generator orders.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .abgroup import AbelianGroup
-from .chains import ChainComplex, normalized_chains, relative_chains
+from .chains import ChainComplex, ChainMap, mapping_cone, normalized_chains, relative_chains
 from .intmatrix import IntegerMatrix, mod_rank, rational_rank
 from .snf import Subquotient, elementary_divisors, lattice_equal, smith_normal_form
 from .sset import SimplicialSet, SubcomplexResult, subcomplex
@@ -49,10 +50,9 @@ def _subquotient(out_map: IntegerMatrix, in_map: IntegerMatrix, modulus: int) ->
     return Subquotient(IntegerMatrix.from_columns(kernel, rows=r), in_map)
 
 
-def homology_data(c: ChainComplex, n: int, modulus: int = 0) -> Subquotient:
-    """H_n = ker d_n / im d_{n+1} with representatives, with Z (modulus 0)
-    or Z/modulus coefficients, as a subquotient of the integral chains."""
-    return _subquotient(c.boundary(n), c.boundary(n + 1), modulus)
+def homology_data(c: ChainComplex, n: int) -> Subquotient:
+    """H_n = ker d_n / im d_{n+1} with representatives."""
+    return _subquotient(c.boundary(n), c.boundary(n + 1), 0)
 
 
 def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[AbelianGroup]:
@@ -338,50 +338,55 @@ def mayer_vietoris(space: SimplicialSet, a_sub, b_sub, up_to: int | None = None)
 # Coefficients, cohomology, universal coefficients
 
 
-def _sum_over_coefficients(data, c: ChainComplex, coeffs: AbelianGroup, degrees) -> list[AbelianGroup]:
-    """Per degree n, the direct sum over the cyclic summands Z/m of
-    ``coeffs`` (m = 0 for Z) of the groups ``data(c, n, m)``."""
-    if degrees is None:
-        degrees = range(c.max_degree + 1)
-    out = []
-    for n in degrees:
-        total = AbelianGroup.trivial()
-        if coeffs.betti:
-            integral = data(c, n, 0).group
-            for _ in range(coeffs.betti):
-                total = total.direct_sum(integral)
-        for d in coeffs.torsion:
-            total = total.direct_sum(data(c, n, d).group)
-        out.append(total)
-    return out
+def _cone_of_multiple(c: ChainComplex, m: int) -> ChainComplex:
+    """The mapping cone of m * id_C; for free C it is quasi-isomorphic to
+    C (x) Z/m.  ``mapping_cone`` checks the chain map."""
+    scale = {n: IntegerMatrix.diagonal([m] * c.rank(n)) for n in range(c.max_degree + 1)}
+    return mapping_cone(ChainMap(c, c, scale, check=False))
 
 
 def with_coefficients(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> list[AbelianGroup]:
-    """Homology of C (x) coeffs, cyclic summand by cyclic summand."""
-    return _sum_over_coefficients(homology_data, c, coeffs, degrees)
+    """Homology of C (x) coeffs, summed over the cyclic summands Z/m of
+    ``coeffs`` (m = 0 for Z).  Each distinct summand is one ``homology``
+    call over all degrees: of C for Z, of the cone of m * id_C for Z/m."""
+    degrees = list(range(c.max_degree + 1) if degrees is None else degrees)
+    parts = [0] * coeffs.betti + list(coeffs.torsion)
+    groups = {m: homology(_cone_of_multiple(c, m) if m else c, degrees) for m in set(parts)}
+    total = [AbelianGroup.trivial()] * len(degrees)
+    for m in parts:
+        total = [a.direct_sum(b) for a, b in zip(total, groups[m])]
+    return total
 
 
 def cohomology_data(c: ChainComplex, n: int, modulus: int = 0) -> Subquotient:
     """H^n with Z (modulus 0) or Z/modulus coefficients, as a subquotient
-    of the integral cochains Hom(C_n, Z)."""
+    of the integral cochains Hom(C_n, Z), with representative cocycles."""
     return _subquotient(c.boundary(n + 1).transpose(), c.boundary(n).transpose(), modulus)
 
 
+def _dual(c: ChainComplex) -> ChainComplex:
+    """Hom(C, Z) graded downward from the top degree N of C: degree N - n
+    holds C^n, and the boundary out of it is d_{n+1} transposed."""
+    top = c.max_degree
+    return ChainComplex([c.rank(top - k) for k in range(top + 1)],
+                        {k: c.boundary(top - k + 1).transpose() for k in range(1, top + 1)})
+
+
 def cohomology(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> list[AbelianGroup]:
-    """Cohomology of Hom(C, coeffs), cyclic summand by cyclic summand."""
-    return _sum_over_coefficients(cohomology_data, c, coeffs, degrees)
+    """H^n(C; coeffs) = H_{N-n}(Hom(C, Z); coeffs), N the top degree of C:
+    ``with_coefficients`` on the dual complex, read at degrees N - n."""
+    if degrees is None:
+        degrees = range(c.max_degree + 1)
+    return with_coefficients(_dual(c), coeffs, [c.max_degree - n for n in degrees])
 
 
 def cohomology_of_pair(space: SimplicialSet, sub, coeffs: AbelianGroup, degrees=None) -> list[AbelianGroup]:
-    """H^*(K, L; coeffs); pass an empty subcomplex for absolute cohomology."""
-    L = _as_subcomplex(space, sub) if sub is not None else None
-    if L is None or not L.id_set:
-        c = normalized_chains(space)
-    else:
-        c = relative_chains(space, L.id_set).complex
+    """H^*(K, L; coeffs); pass None or an empty subcomplex for absolute
+    cohomology (the quotient by nothing is the normalized complex)."""
+    ids = frozenset() if sub is None else _as_subcomplex(space, sub).id_set
     if degrees is None:
         degrees = range(space.top_dim + 1)
-    return cohomology(c, coeffs, degrees)
+    return cohomology(relative_chains(space, ids).complex, coeffs, degrees)
 
 
 @dataclass
@@ -409,24 +414,18 @@ class UctReport:
 def uct_check(space: SimplicialSet, coeffs: AbelianGroup, degrees=None) -> UctReport:
     """Universal coefficients, both directions, both sides computed
     independently: H_n(K; G) vs H_n (x) G + Tor(H_{n-1}, G) and
-    H^n(K; G) vs Hom(H_n, G) + Ext(H_{n-1}, G)."""
+    H^n(K; G) vs Hom(H_n, G) + Ext(H_{n-1}, G).  The direct sides are one
+    ``with_coefficients`` and one ``cohomology`` call over all degrees;
+    the predicted sides read the integral groups of K."""
     c = normalized_chains(space)
-    if degrees is None:
-        degrees = list(range(c.max_degree + 1))
-    else:
-        degrees = list(degrees)
+    degrees = list(range(c.max_degree + 1) if degrees is None else degrees)
     integral = homology(c, range(c.max_degree + 2))
 
     def h_int(n):
         return integral[n] if 0 <= n < len(integral) else AbelianGroup.trivial()
 
-    hom_sides = []
-    coh_sides = []
-    for n in degrees:
-        direct_h = with_coefficients(c, coeffs, [n])[0]
-        predicted_h = h_int(n).tensor(coeffs).direct_sum(h_int(n - 1).tor(coeffs))
-        hom_sides.append((direct_h, predicted_h))
-        direct_c = cohomology(c, coeffs, [n])[0]
-        predicted_c = h_int(n).hom(coeffs).direct_sum(h_int(n - 1).ext(coeffs))
-        coh_sides.append((direct_c, predicted_c))
+    hom_sides = [(direct, h_int(n).tensor(coeffs).direct_sum(h_int(n - 1).tor(coeffs)))
+                 for n, direct in zip(degrees, with_coefficients(c, coeffs, degrees))]
+    coh_sides = [(direct, h_int(n).hom(coeffs).direct_sum(h_int(n - 1).ext(coeffs)))
+                 for n, direct in zip(degrees, cohomology(c, coeffs, degrees))]
     return UctReport(degrees, hom_sides, coh_sides)

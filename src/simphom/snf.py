@@ -324,10 +324,6 @@ def _check_elimination(m: IntegerMatrix, steps, residue) -> None:
 # Integer lattices (subgroups of Z^m given by generating columns)
 
 
-def lattice_contains(gens: IntegerMatrix, vec: list[int]) -> bool:
-    return smith_normal_form(gens).solve(vec) is not None
-
-
 def lattice_equal(a: IntegerMatrix, b: IntegerMatrix) -> bool:
     """Do two generating sets span the same sublattice of Z^m?"""
     if a.rows != b.rows:

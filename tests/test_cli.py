@@ -34,6 +34,17 @@ def test_homology_of_rp2_times_boundary3_matches_kunneth(tmp_path):
     assert text.splitlines()[1:] == ["H_0 = Z", "H_1 = Z/2", "H_2 = Z", "H_3 = Z/2", "H_4 = 0"]
 
 
+def test_uct_of_torus_times_rp2_mod_2_passes(tmp_path):
+    doc = tmp_path / "torusxrp2.sset"
+    doc.write_text(print_space(product(catalog("torus"), catalog("rp2")).space))
+    text, status = out_of(["uct", "--file", str(doc), "--coeff", "Z/2"])
+    assert status == 0
+    lines = text.splitlines()
+    assert lines[-1] == "RESULT PASS" and len(lines) == 12
+    assert all(line.startswith("PASS ") for line in lines[1:-1])
+    assert lines[3] == "PASS H_2: direct Z/2 + Z/2 + Z/2 + Z/2 vs tensor/Tor Z/2 + Z/2 + Z/2 + Z/2"
+
+
 def test_certificate_failure_exits_3(monkeypatch, capsys):
     def fail(m, steps, residue):
         raise AssertionError("forced mismatch")
@@ -89,7 +100,7 @@ def test_truncated_les_and_mv_pass():
     assert status == 0 and "FAIL" not in text
     for dim in ("-1", "-2"):
         text, status = out_of(["les", "--space", "rp2", "--sub", "skeleton:1", "--dim", dim])
-        assert (text, status) == ("simphom les\nRESULT PASS", 0)
+        assert (text, status) == ("error: --dim must be >= 0", 2)
 
 
 LES_RP2_SKELETON1 = """\
@@ -219,6 +230,13 @@ def test_error_paths():
     assert status == 2
     text, status = out_of(["fill", "--space", "delta:1"])
     assert status == 2
+    for argv in (["homology", "--space", "rp2", "--dim", "-1"],
+                 ["cohomology", "--space", "rp2", "--dim", "-1"],
+                 ["kan", "--space", "circle", "--dim", "-3"],
+                 ["mv", "--space", "torus", "--a", "gens:2.0", "--b", "gens:2.1", "--dim", "-1"]):
+        assert out_of(argv) == ("error: --dim must be >= 0", 2)
+    assert out_of(["les", "--space", "rp2", "--sub", "skeleton:-1"]) == (
+        "error: skeleton:N needs N >= 0", 2)
 
 
 def test_seed_flag_is_accepted():

@@ -7,6 +7,7 @@ import pytest
 from simphom.abgroup import AbelianGroup
 from simphom.catalog import catalog, ordered_complex_catalog
 from simphom.chains import (
+    ChainComplex,
     ChainMap,
     mapping_cone,
     normalized_chains,
@@ -14,8 +15,10 @@ from simphom.chains import (
     unnormalized_chains,
 )
 from simphom.homology import (
+    _subquotient,
     betti_numbers_rational,
     cohomology,
+    cohomology_data,
     cohomology_of_pair,
     connecting_matrix,
     homology,
@@ -29,6 +32,7 @@ from simphom.homology import (
     with_coefficients,
 )
 from simphom.intmatrix import IntegerMatrix
+from simphom.snf import Subquotient
 from simphom.sset import (
     boundary,
     coproduct,
@@ -88,6 +92,54 @@ def test_groups_path_matches_subquotients():
     for c in _groups_path_complexes():
         degrees = range(c.max_degree + 3)
         assert homology(c, degrees) == [homology_data(c, n).group for n in degrees]
+
+
+COEFFICIENTS = [AbelianGroup.parse(spec) for spec in ("0", "Z", "Z/2", "Z/3", "Z/4", "Z/6", "Z^2+Z/4")]
+
+
+def _summed(groups, coeffs):
+    """The direct sum over the cyclic summands Z/m of ``coeffs`` (m = 0
+    for Z) of ``groups[m]``."""
+    total = trivial
+    for m in [0] * coeffs.betti + list(coeffs.torsion):
+        total = total.direct_sum(groups[m])
+    return total
+
+
+def test_cohomology_and_coefficients_match_subquotients():
+    """Coefficients read off the cone of m * id and cohomology read off the
+    dual complex agree with the subquotients ker / (im + mZ^r)."""
+    complexes = _groups_path_complexes() + [ChainComplex([], {})]
+    for name in ("rp2", "torus", "klein"):
+        space = catalog(name)
+        for sub in (skeleton(space, 0).id_set, skeleton(space, 1).id_set, frozenset()):
+            complexes.append(relative_chains(space, sub).complex)
+    moduli = (0, 2, 3, 4, 6)
+    for c in complexes:
+        degrees = range(c.max_degree + 3)
+        h = [{m: _subquotient(c.boundary(n), c.boundary(n + 1), m).group for m in moduli}
+             for n in degrees]
+        co = [{m: cohomology_data(c, n, m).group for m in moduli} for n in degrees]
+        for coeffs in COEFFICIENTS:
+            assert with_coefficients(c, coeffs, degrees) == [_summed(g, coeffs) for g in h], (c, coeffs)
+            assert cohomology(c, coeffs, degrees) == [_summed(g, coeffs) for g in co], (c, coeffs)
+
+
+def test_groups_only_callers_build_no_subquotient(monkeypatch, rp2, klein):
+    """Cohomology, coefficients and both sides of the UCT run on the
+    divisors engine alone: none of them builds a Subquotient."""
+    def refuse(self, big, small):
+        raise AssertionError("groups-only caller built a Subquotient")
+
+    monkeypatch.setattr(Subquotient, "__init__", refuse)
+    c = normalized_chains(rp2)
+    pi = AbelianGroup.parse("Z^2+Z/4")
+    assert with_coefficients(c, Z2) == [Z2, Z2, Z2]
+    assert cohomology(c, Z) == [Z, trivial, Z2]
+    d2 = std_simplex(2)
+    assert cohomology_of_pair(d2, skeleton(d2, 1), Z) == [trivial, trivial, Z]
+    assert uct_check(klein, pi).passed
+    assert uct_check(rp2, Z2).passed
 
 
 def test_h0_counts_components():

@@ -12,7 +12,6 @@ from simphom.intmatrix import IntegerMatrix, determinant, mod_rank, rational_ran
 from simphom.snf import (
     Subquotient,
     elementary_divisors,
-    lattice_contains,
     lattice_equal,
     smith_normal_form,
 )
@@ -76,8 +75,6 @@ def test_solve_and_lattice_membership():
     res = smith_normal_form(m)
     assert res.solve([4, 9]) == [2, 3]
     assert res.solve([1, 0]) is None
-    assert lattice_contains(m, [2, 3])
-    assert not lattice_contains(m, [1, 3])
 
 
 def test_lattice_equality():
