@@ -11,6 +11,7 @@ of the edge-path presentation is exactly the cocycle condition.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .kan import FibrationReport, fibration_check
@@ -273,12 +274,12 @@ def verify_covering(projection: SimplicialMap, group_order: int,
     from .chains import euler_characteristic
 
     E, B = projection.source, projection.target
+    preimages = Counter(projection.images[(d, e.id)]
+                        for d in range(E.top_dim + 1) for e in E.gens(d))
     fiber_failures = []
     for d in range(B.top_dim + 1):
         for g in B.gens(d):
-            count = sum(
-                1 for e in E.gens(d)
-                if projection.images[(d, e.id)] == SimplexRef(d, g.id))
+            count = preimages[SimplexRef(d, g.id)]
             if count != group_order:
                 fiber_failures.append(
                     f"generator {g.name()} has {count} preimages, wanted {group_order}")

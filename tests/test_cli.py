@@ -148,6 +148,63 @@ H_2(K) = Z
 RESULT PASS"""
 
 
+KAN_TORUS_DIM3 = """\
+simphom kan
+FAIL 21 unfillable horn(s) of 114 checked
+  horn (2,0): d1=s0 (*|*), d2=(s0 *|01)
+  horn (2,0): d1=s0 (*|*), d2=(01|s0 *)
+  horn (2,0): d1=s0 (*|*), d2=(01|01)
+  horn (2,0): d1=(s0 *|01), d2=(01|s0 *)
+  horn (2,0): d1=(s0 *|01), d2=(01|01)
+  horn (2,0): d1=(01|s0 *), d2=(s0 *|01)
+  horn (2,0): d1=(01|s0 *), d2=(01|01)
+  horn (2,1): d0=(s0 *|01), d2=(s0 *|01)
+  horn (2,1): d0=(s0 *|01), d2=(01|01)
+  horn (2,1): d0=(01|s0 *), d2=(01|s0 *)
+  horn (2,1): d0=(01|s0 *), d2=(01|01)
+  horn (2,1): d0=(01|01), d2=(s0 *|01)
+  horn (2,1): d0=(01|01), d2=(01|s0 *)
+  horn (2,1): d0=(01|01), d2=(01|01)
+  horn (2,2): d0=(s0 *|01), d1=s0 (*|*)
+  horn (2,2): d0=(s0 *|01), d1=(01|s0 *)
+  horn (2,2): d0=(01|s0 *), d1=s0 (*|*)
+  horn (2,2): d0=(01|s0 *), d1=(s0 *|01)
+  horn (2,2): d0=(01|01), d1=s0 (*|*)
+  horn (2,2): d0=(01|01), d1=(s0 *|01)
+  horn (2,2): d0=(01|01), d1=(01|s0 *)
+RESULT FAIL"""
+
+COVER_RP2_CYCLIC2 = """\
+simphom cover
+cover counts (12, 30, 20)
+cover chi 2
+H_0(cover) = Z
+H_1(cover) = 0
+H_2(cover) = Z
+PASS every base generator has exactly 2 preimages
+PASS chi multiplies: 2 = 2 * 1
+PASS unique lifts for all 360 relative horn problems through dimension 2
+RESULT PASS"""
+
+FILL_RP2_EDGE_FROM_VERTEX = """\
+simphom fill
+fillers 6
+  s0 1
+  12
+  13
+  14
+  15
+  16"""
+
+
+def test_kan_cover_and_fill_full_reports():
+    # copied from the scan-based engine: pins the horn and filler order
+    assert out_of(["kan", "--space", "torus", "--dim", "3"]) == (KAN_TORUS_DIM3, 1)
+    assert out_of(["cover", "--space", "rp2", "--group", "cyclic:2"]) == (COVER_RP2_CYCLIC2, 0)
+    assert out_of(["fill", "--space", "rp2", "--dim", "1", "--k", "0",
+                   "--faces", "[[[0,0],[]]]"]) == (FILL_RP2_EDGE_FROM_VERTEX, 0)
+
+
 def test_les_and_mv_full_reports():
     assert out_of(["les", "--space", "rp2", "--sub", "skeleton:1"]) == (LES_RP2_SKELETON1, 0)
     assert out_of(["mv", "--space", "torus", "--a", "gens:2.0", "--b", "gens:2.1"]) == (
