@@ -204,6 +204,10 @@ def cmd_fill(args):
     if args.dim is None or args.horn_k is None or not args.faces:
         raise CommandError("fill needs --dim N --k K --faces JSON")
     n, k = args.dim, args.horn_k
+    if n < 1:
+        raise CommandError("horns need n >= 1")
+    if not 0 <= k <= n:
+        raise CommandError("horn index out of range")
     entries = json.loads(args.faces)
     faces = [None] * (n + 1)
     given = [i for i in range(n + 1) if i != k]

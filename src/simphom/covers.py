@@ -149,6 +149,12 @@ def labeling_from_hom(space: SimplicialSet, pi1: Pi1Data, group: FiniteGroup,
     relator must evaluate to the identity."""
     pres = pi1.presentation
     if isinstance(images, dict):
+        for name in images:
+            if name not in pres.generators:
+                raise ValueError(f"{name} is not a presentation generator")
+        missing = [name for name in pres.generators if name not in images]
+        if missing:
+            raise ValueError(f"no image for generator {missing[0]}")
         image_list = [images[name] for name in pres.generators]
     else:
         image_list = list(images)

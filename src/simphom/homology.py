@@ -9,12 +9,13 @@ complex, H^n(C; G) = H_{N-n}(Hom(C, Z); G), whose transposed boundaries
 get their own elimination, so the universal coefficient check still
 compares two independent computations.
 
-Everything else is computed by Smith normal form as subquotients ker/im
-with explicit generator representatives, so induced maps and connecting
-homomorphisms come out as integer matrices and exactness of a sequence
-is decided by exact lattice comparisons.  ``_subquotient`` builds each
-such group; its Z/m branch serves only the cocycles of
-``cohomology_data``, which the cup table reads.  ``_exact_sequence``, the
+Everything else is a ``Subquotient`` ker/im with explicit generator
+representatives, two verified SNFs each, so induced maps and connecting
+homomorphisms come out as integer matrices.  ``homology_data`` and
+``cohomology_data`` (Z or Z/m cocycles, which the cup table reads) build
+one each, and so does ``exact_at``: im = ker at a node holds iff the
+lifts of the image and of the node's relations span the kernel, that is
+iff their subquotient is trivial.  ``_exact_sequence``, the
 one builder of long exact sequences, takes the complexes and chain-level
 pushes of the pair sequence or of Mayer-Vietoris, computes every group
 once, and checks exactness node by node on generator orders.
@@ -28,7 +29,8 @@ from functools import reduce
 from .abgroup import AbelianGroup
 from .chains import ChainComplex, ChainMap, mapping_cone, normalized_chains, relative_chains
 from .intmatrix import IntegerMatrix, mod_rank, rational_rank
-from .snf import Subquotient, elementary_divisors, lattice_equal, smith_normal_form
+from .snf import Subquotient, elementary_divisors
+from .snf import smith_normal_form  # noqa: F401  perfbench's tracer tests read this binding
 from .sset import SimplicialSet, SubcomplexResult, subcomplex
 
 
@@ -36,23 +38,9 @@ from .sset import SimplicialSet, SubcomplexResult, subcomplex
 # Degree-by-degree homology with generators
 
 
-def _subquotient(out_map: IntegerMatrix, in_map: IntegerMatrix, modulus: int) -> Subquotient:
-    """ker(out_map mod m) / (im in_map + m Z^r) inside Z^r, r = out_map.cols.
-
-    With modulus m = 0 this is ker(out_map) / im(in_map) over Z.
-    """
-    r = out_map.cols
-    if modulus:
-        rows = out_map.rows
-        out_map = out_map.hstack(IntegerMatrix.diagonal([modulus] * rows, rows, rows))
-        in_map = in_map.hstack(IntegerMatrix.diagonal([modulus] * r, r, r))
-    kernel = [vec[:r] for vec in smith_normal_form(out_map).kernel_basis()]
-    return Subquotient(IntegerMatrix.from_columns(kernel, rows=r), in_map)
-
-
 def homology_data(c: ChainComplex, n: int) -> Subquotient:
     """H_n = ker d_n / im d_{n+1} with representatives."""
-    return _subquotient(c.boundary(n), c.boundary(n + 1), 0)
+    return Subquotient(c.boundary(n), c.boundary(n + 1))
 
 
 def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[AbelianGroup]:
@@ -124,17 +112,23 @@ def exact_at(incoming: IntegerMatrix, outgoing: IntegerMatrix,
     generator orders ``here`` (d for Z/d, 0 for Z)?
 
     Both maps are given by integer lifts on presentation generators;
-    ``after`` presents the target of the outgoing map.
+    ``after`` presents the target of the outgoing map.  The kernel is
+    ker[outgoing | relations of ``after``], which projects injectively to
+    Z^len(here).  Every column of ``incoming`` and every relation of
+    ``here`` must lift into it, and the lifts must span it.
     """
     m = len(here)
     if incoming.rows != m or outgoing.cols != m:
         raise ValueError("map shapes do not match the group")
-    rel_here = _relations(here)
-    image = incoming.hstack(rel_here)
     stacked = outgoing.hstack(_relations(after))
-    kernel_cols = [vec[:m] for vec in smith_normal_form(stacked).kernel_basis()]
-    kernel = IntegerMatrix.from_columns(kernel_cols, rows=m).hstack(rel_here)
-    return lattice_equal(image, kernel)
+    lifts = []  # x lifts to (x, -outgoing(x) / d) on the rows of order d > 0
+    for x in incoming.columns() + _relations(here).columns():
+        image = outgoing.apply(x)
+        if any(v % d if d else v for v, d in zip(image, after)):
+            return False
+        lifts.append(x + [-v // d for v, d in zip(image, after) if d])
+    spanned = Subquotient(stacked, IntegerMatrix.from_columns(lifts, rows=stacked.cols))
+    return spanned.group.is_trivial()
 
 
 @dataclass
@@ -361,7 +355,7 @@ def with_coefficients(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> li
 def cohomology_data(c: ChainComplex, n: int, modulus: int = 0) -> Subquotient:
     """H^n with Z (modulus 0) or Z/modulus coefficients, as a subquotient
     of the integral cochains Hom(C_n, Z), with representative cocycles."""
-    return _subquotient(c.boundary(n + 1).transpose(), c.boundary(n).transpose(), modulus)
+    return Subquotient(c.boundary(n + 1).transpose(), c.boundary(n).transpose(), modulus)
 
 
 def _dual(c: ChainComplex) -> ChainComplex:

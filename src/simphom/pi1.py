@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .abgroup import AbelianGroup
 from .intmatrix import IntegerMatrix
 from .simplex import SimplexRef
-from .snf import smith_normal_form
+from .snf import Subquotient, smith_normal_form
 from .sset import SimplicialSet
 
 
@@ -101,10 +101,8 @@ class AbelianizationData:
 
 def abelianization_data(p: GroupPresentation) -> AbelianizationData:
     """The abelianization with each generator's canonical coordinates."""
-    from .snf import Subquotient
-
     n = len(p.generators)
-    sq = Subquotient(IntegerMatrix.identity(n), p.exponent_matrix())
+    sq = Subquotient(IntegerMatrix.zero(0, n), p.exponent_matrix())
     coords = []
     for k in range(n):
         unit = [0] * n

@@ -1,13 +1,15 @@
-"""Smith normal form over Z, integer lattices, and subquotient groups.
+"""Smith normal form over Z, and subquotient groups with representatives.
 
 Two reductions live here.
 
 ``smith_normal_form`` is dense and keeps the transforms U, V together
-with their inverses, so that U*M*V = S holds exactly and kernel/solve
-questions reduce to reading off coordinates.  The pivot at each round is
-a nonzero entry of minimal absolute value, which keeps coefficient growth
-modest; arbitrary precision makes the answer exact regardless.  Every
-caller that needs representatives or maps goes through it.
+with their inverses, so that U*M*V = S holds exactly.  The pivot at each
+round is a nonzero entry of minimal absolute value, which keeps
+coefficient growth modest; arbitrary precision makes the answer exact
+regardless.  ``Subquotient``, the one builder of groups with
+representatives, makes two of them: one of the outgoing map, whose
+V^-1 coordinates describe its kernel (mod m, if a modulus is given), and
+one of the relations in those coordinates.
 
 ``elementary_divisors`` is the groups-only path: it returns the nonzero
 invariant factors and nothing else.  Sparse elimination first removes
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress
+from math import gcd
 
 from .abgroup import AbelianGroup
 from .intmatrix import IntegerMatrix
@@ -44,24 +47,6 @@ class SNFResult:
     @property
     def rank(self) -> int:
         return len(self.divisors)
-
-    def kernel_basis(self) -> list[list[int]]:
-        """Columns of V spanning the kernel lattice (a direct summand)."""
-        return [self.V.column(j) for j in range(self.rank, self.V.cols)]
-
-    def solve(self, b: list[int]) -> list[int] | None:
-        """An integer solution x of M x = b, or None if none exists."""
-        c = self.U.apply(b)
-        x = [0] * self.V.rows
-        for i, ci in enumerate(c):
-            if i < self.rank:
-                d = self.divisors[i]
-                if ci % d != 0:
-                    return None
-                x[i] = ci // d
-            elif ci != 0:
-                return None
-        return self.V.apply(x)
 
 
 def smith_normal_form(m: IntegerMatrix) -> SNFResult:
@@ -321,95 +306,79 @@ def _check_elimination(m: IntegerMatrix, steps, residue) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Integer lattices (subgroups of Z^m given by generating columns)
-
-
-def lattice_equal(a: IntegerMatrix, b: IntegerMatrix) -> bool:
-    """Do two generating sets span the same sublattice of Z^m?"""
-    if a.rows != b.rows:
-        raise ValueError("ambient ranks differ")
-    sa = smith_normal_form(a)
-    sb = smith_normal_form(b)
-    return (all(sa.solve(b.column(j)) is not None for j in range(b.cols))
-            and all(sb.solve(a.column(j)) is not None for j in range(a.cols)))
+# Subquotients ker / im with representatives
 
 
 class Subquotient:
-    """The quotient of one sublattice of Z^m by another, with generators.
+    """ker(out_map mod m) / (im in_map + m Z^r) inside Z^r, r = out_map.cols,
+    with generator representatives and a coordinate map on the kernel.
 
-    Given generating columns for lattices small <= big <= Z^m, computes
-    the abelian group big/small in canonical form, representative vectors
-    for its generators, and a coordinate map for arbitrary elements of the
-    big lattice.
+    With modulus m = 0 this is ker(out_map) / im(in_map) over Z.  One
+    verified SNF U * out_map * V = S gives the kernel in V^-1 coordinates:
+    x lies in it iff y = V^-1 x has y_i divisible by t_i = m / gcd(s_i, m)
+    on the divisor rows i (y_i = 0 when m = 0), so z = y / t are
+    coordinates on a basis of the kernel.  The relations in z coordinates
+    are V^-1 * in_map divided by t, each column checked to lie in the
+    kernel, and for m > 0 the diagonal m / t_i, which is m Z^r; a second
+    SNF of them gives the group.  A negative modulus raises ValueError.
     """
 
-    def __init__(self, big: IntegerMatrix, small: IntegerMatrix):
-        if big.rows != small.rows:
+    def __init__(self, out_map: IntegerMatrix, in_map: IntegerMatrix, modulus: int = 0):
+        if modulus < 0:
+            raise ValueError("modulus must be >= 0")
+        if in_map.rows != out_map.cols:
             raise ValueError("ambient ranks differ")
-        self.ambient_dim = big.rows
-        self._big_snf = smith_normal_form(big)
-        r1 = self._big_snf.rank
-        # basis of the big lattice: beta_i = d_i * U_inv[:, i]
-        self._basis_divisors = self._big_snf.divisors
-        coords = []
-        for j in range(small.cols):
-            c = self._coords_in_big(small.column(j))
-            if c is None:
-                raise ValueError("small lattice is not contained in the big one")
-            coords.append(c)
-        Q = IntegerMatrix.from_columns(coords, rows=r1)
-        self._rel_snf = smith_normal_form(Q)
-        s = self._rel_snf.rank
+        r = out_map.cols
+        out_snf = smith_normal_form(out_map)
+        self._V, self._V_inv = out_snf.V, out_snf.V_inv
+        free = [1] * (r - out_snf.rank)
+        if modulus:
+            self._skip = 0
+            self._steps = [modulus // gcd(s, modulus) for s in out_snf.divisors] + free
+        else:
+            self._skip = out_snf.rank
+            self._steps = free
+        coords = [self._kernel_coords(col) for col in (self._V_inv * in_map).columns()]
+        n = len(self._steps)
+        relations = IntegerMatrix.from_columns(coords, rows=n)
+        if modulus:
+            scaled = [modulus // t for t in self._steps]
+            relations = relations.hstack(IntegerMatrix.diagonal(scaled))
+        self._rel_snf = smith_normal_form(relations)
         orders = self._rel_snf.divisors
         self.torsion_orders = [d for d in orders if d >= 2]
-        self.free_rank = r1 - s
+        self.free_rank = n - len(orders)
         self.group = AbelianGroup(self.free_rank, tuple(self.torsion_orders))
-        # generator representatives in Z^m: g_k = sum_i U2_inv[i,k] * beta_i
-        n_trivial = sum(1 for d in orders if d == 1)
-        self._n_trivial = n_trivial
+        self._n_trivial = len(orders) - len(self.torsion_orders)
+        # generator k is column k of U2^-1 in z coordinates, so V * (t (.) it) in Z^r
         self._gen_cols = []
-        for k in range(n_trivial, r1):
-            vec = [0] * self.ambient_dim
-            for i in range(r1):
-                coeff = self._rel_snf.U_inv.data[i][k] * self._basis_divisors[i]
-                basis_col = self._big_snf.U_inv.column(i)
-                for t in range(self.ambient_dim):
-                    vec[t] += coeff * basis_col[t]
-            self._gen_cols.append(vec)
-        self._n_torsion = s - n_trivial
+        for k in range(self._n_trivial, n):
+            z = [t * row[k] for t, row in zip(self._steps, self._rel_snf.U_inv.data)]
+            self._gen_cols.append(self._V.apply([0] * self._skip + z))
 
-    def _coords_in_big(self, vec: list[int]) -> list[int] | None:
-        c = self._big_snf.U.apply(vec)
-        out = []
-        for i, ci in enumerate(c):
-            if i < self._big_snf.rank:
-                d = self._basis_divisors[i]
-                if ci % d != 0:
-                    return None
-                out.append(ci // d)
-            elif ci != 0:
-                return None
-        return out
+    def _kernel_coords(self, y: list[int]) -> list[int]:
+        """Basis coordinates z = y / t of a kernel vector given by y = V^-1 x."""
+        kept = y[self._skip:]
+        if any(y[:self._skip]) or any(v % t for v, t in zip(kept, self._steps)):
+            raise ValueError("vector not in the kernel")
+        return [v // t for v, t in zip(kept, self._steps)]
 
     def generator_vectors(self) -> list[list[int]]:
         """Representatives: torsion generators first, then free ones."""
         return [col[:] for col in self._gen_cols]
 
     def reduce(self, vec: list[int]) -> tuple[int, ...]:
-        """Coordinates of an element of the big lattice in the canonical
-        decomposition: torsion coordinates (mod their orders) first, then
-        free coordinates."""
-        w = self._coords_in_big(vec)
-        if w is None:
-            raise ValueError("vector not in the big lattice")
-        y = self._rel_snf.U.apply(w)
+        """Coordinates of a kernel element in the canonical decomposition:
+        torsion coordinates (mod their orders) first, then free
+        coordinates."""
+        y = self._rel_snf.U.apply(self._kernel_coords(self._V_inv.apply(vec)))
         out = [y[self._n_trivial + k] % d for k, d in enumerate(self.torsion_orders)]
-        out.extend(y[self._n_trivial + self._n_torsion:])
+        out.extend(y[self._n_trivial + len(self.torsion_orders):])
         return tuple(out)
 
     @property
     def n_generators(self) -> int:
-        return self._n_torsion + self.free_rank
+        return len(self.torsion_orders) + self.free_rank
 
     @property
     def orders(self) -> list[int]:

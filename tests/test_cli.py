@@ -294,6 +294,13 @@ def test_error_paths():
         assert out_of(argv) == ("error: --dim must be >= 0", 2)
     assert out_of(["les", "--space", "rp2", "--sub", "skeleton:-1"]) == (
         "error: skeleton:N needs N >= 0", 2)
+    cover = ["cover", "--group", "cyclic:2", "--images"]
+    assert out_of(cover + ["e5=g", "--space", "circle"]) == (
+        "error: e5 is not a presentation generator", 2)
+    assert out_of(cover + ["e0=g", "--space", "torus"]) == ("error: no image for generator e1", 2)
+    fill = ["fill", "--space", "rp2", "--faces", "[[[0,0],[]]]"]
+    assert out_of(fill + ["--dim", "1", "--k", "2"]) == ("error: horn index out of range", 2)
+    assert out_of(fill + ["--dim", "0", "--k", "0"]) == ("error: horns need n >= 1", 2)
 
 
 def test_seed_flag_is_accepted():

@@ -51,6 +51,10 @@ def test_labeling_from_hom_checks_relators(rp2):
     with pytest.raises(ValueError) as err:
         labeling_from_hom(rp2, data, z3, [1] * 10)
     assert "relator" in str(err.value)
+    with pytest.raises(ValueError, match="e99 is not a presentation generator"):
+        labeling_from_hom(rp2, data, z3, {"e99": 1})
+    with pytest.raises(ValueError, match="no image for generator"):
+        labeling_from_hom(rp2, data, z3, {})
 
 
 def test_circle_double_cover(circle):

@@ -1,6 +1,9 @@
 """Homology groups, exact sequences, coefficients, and cohomology."""
 
+import itertools
+import random
 import sys
+from math import gcd
 
 import pytest
 
@@ -15,12 +18,12 @@ from simphom.chains import (
     unnormalized_chains,
 )
 from simphom.homology import (
-    _subquotient,
     betti_numbers_rational,
     cohomology,
     cohomology_data,
     cohomology_of_pair,
     connecting_matrix,
+    exact_at,
     homology,
     homology_data,
     homology_of_space,
@@ -117,7 +120,7 @@ def test_cohomology_and_coefficients_match_subquotients():
     moduli = (0, 2, 3, 4, 6)
     for c in complexes:
         degrees = range(c.max_degree + 3)
-        h = [{m: _subquotient(c.boundary(n), c.boundary(n + 1), m).group for m in moduli}
+        h = [{m: Subquotient(c.boundary(n), c.boundary(n + 1), m).group for m in moduli}
              for n in degrees]
         co = [{m: cohomology_data(c, n, m).group for m in moduli} for n in degrees]
         for coeffs in COEFFICIENTS:
@@ -128,7 +131,7 @@ def test_cohomology_and_coefficients_match_subquotients():
 def test_groups_only_callers_build_no_subquotient(monkeypatch, rp2, klein):
     """Cohomology, coefficients and both sides of the UCT run on the
     divisors engine alone: none of them builds a Subquotient."""
-    def refuse(self, big, small):
+    def refuse(self, *args):
         raise AssertionError("groups-only caller built a Subquotient")
 
     monkeypatch.setattr(Subquotient, "__init__", refuse)
@@ -195,7 +198,7 @@ def test_connecting_map_is_isomorphism_onto_reduced():
         from simphom.intmatrix import IntegerMatrix
         from simphom.snf import Subquotient
         rim_h = homology_of_space(rim.space, [p - 1])[0]
-        ambient = IntegerMatrix.identity(rim_h.betti)
+        ambient = IntegerMatrix.zero(0, rim_h.betti)
         quotient_group = Subquotient(ambient, IntegerMatrix.from_columns([col])).group
         if p == 1:
             assert quotient_group == Z
@@ -246,6 +249,70 @@ def test_pair_les_fails_with_a_zero_connecting_map(monkeypatch):
     report = pair_les(std_simplex(2), skeleton(std_simplex(2), 1))
     assert not report.passed
     assert [node.label for node in report.nodes if not node.exact] == ["H_2(K,L)", "H_1(L)"]
+
+
+def _random_hom(rng, source, target):
+    """Integer lifts of a random homomorphism between the finite groups
+    with generator orders ``source`` and ``target``: entry (i, j) is a
+    multiple of target_i / gcd(source_j, target_i)."""
+    return IntegerMatrix([[rng.randint(-3, 3) * (b // gcd(a, b)) for a in source] for b in target],
+                         len(target), len(source))
+
+
+def _exact_by_enumeration(incoming, outgoing, before, here, after):
+    def elements(orders):
+        return itertools.product(*(range(d) for d in orders))
+
+    def push(mat, x, orders):
+        return tuple(v % d for v, d in zip(mat.apply(list(x)), orders))
+
+    image = {push(incoming, x, here) for x in elements(before)}
+    kernel = {x for x in elements(here) if not any(push(outgoing, x, after))}
+    return image == kernel
+
+
+def test_exact_at_matches_enumeration():
+    """exact_at against im and ker enumerated on finite groups of at most 3
+    cyclic generators of orders 2-6; both verdicts occur."""
+    rng = random.Random(7)
+    verdicts = []
+    for _ in range(400):
+        before, here, after = ([rng.randint(2, 6) for _ in range(rng.randint(0, 3))]
+                               for _ in range(3))
+        incoming, outgoing = _random_hom(rng, before, here), _random_hom(rng, here, after)
+        verdict = exact_at(incoming, outgoing, here, after)
+        assert verdict == _exact_by_enumeration(incoming, outgoing, before, here, after), (
+            incoming, outgoing, before, here, after)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_subquotient_builders_make_two_snf_calls_each(monkeypatch, rp2):
+    """One SNF of the outgoing map and one of the relations, for homology,
+    cohomology with Z and Z/m coefficients, and each exactness check.
+    Every module that binds ``smith_normal_form`` gets the counter."""
+    original = sys.modules["simphom.snf"].smith_normal_form
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("simphom") and getattr(module, "smith_normal_form", None) is original:
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+    c = normalized_chains(rp2)
+    z4_to_z2 = IntegerMatrix([[1]])
+    builds = [lambda: homology_data(c, 1), lambda: homology_data(c, 2),
+              lambda: cohomology_data(c, 1), lambda: cohomology_data(c, 2, 2),
+              lambda: cohomology_data(c, 1, 4),
+              lambda: exact_at(IntegerMatrix([[2]]), z4_to_z2, [4], [2]),
+              lambda: exact_at(IntegerMatrix([[0]]), z4_to_z2, [4], [2]),
+              lambda: exact_at(IntegerMatrix.zero(2, 0), IntegerMatrix([[1, 1]]), [0, 0], [0])]
+    for build in builds:
+        calls.clear()
+        build()
+        assert len(calls) == 2, calls
 
 
 def test_pair_les_horn_is_homologically_trivial():

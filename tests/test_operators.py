@@ -5,12 +5,14 @@ import itertools
 import pytest
 
 from simphom.abgroup import AbelianGroup
+from simphom.catalog import catalog
 from simphom.chains import chain_map_of, normalized_chains
 from simphom.homology import cohomology_data
 from simphom.intmatrix import IntegerMatrix
 from simphom.operators import (
     Cochain,
     alexander_whitney,
+    coboundary,
     cohomology_ring_table,
     constant_homotopy,
     cross_product,
@@ -215,6 +217,35 @@ def test_cup_associative_and_graded_commutative(torus, rp2):
                         right = cup_product(space, a, cup_product(space, b, c))
                         assert classes[p + q + r].reduce(list(left.values)) == \
                             classes[p + q + r].reduce(list(right.values))
+
+
+@pytest.mark.parametrize("name, modulus", [("torus", 0), ("torus", 2), ("klein", 0),
+                                           ("klein", 2), ("rp2", 2)])
+def test_cup_coordinates_depend_on_the_class(name, modulus):
+    """Each basis cocycle reduces to its unit vector, and replacing one by
+    a + delta b (mod m) leaves every product's coordinates unchanged."""
+    space = catalog(name)
+    chains = normalized_chains(space)
+    table = cohomology_ring_table(space, modulus)
+    basis, classes = table.basis, table.classes
+    for n, cocycles in basis.items():
+        for k, a in enumerate(cocycles):
+            assert classes[n].reduce(list(a.values)) == tuple(
+                int(i == k) for i in range(len(cocycles)))
+    moves = 0
+    for (p, i, q, j), coords in table.products.items():
+        for side, (deg, k) in enumerate(((p, i), (q, j))):
+            below = chains.rank(deg - 1) if deg else 0
+            for t in range(below):
+                b = Cochain(deg - 1, modulus, tuple(int(s == t) for s in range(below)))
+                shifted = [x + y for x, y in zip(basis[deg][k].values,
+                                                 coboundary(space, b, chains).values)]
+                moved = Cochain(deg, modulus, tuple(shifted)).normalized()
+                moves += moved != basis[deg][k]
+                left, right = (moved, basis[q][j]) if side == 0 else (basis[p][i], moved)
+                cup = cup_product(space, left, right, chains)
+                assert classes[p + q].reduce(list(cup.values)) == coords
+    assert moves
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Smith normal form, lattice comparisons, and subquotient groups."""
+"""Smith normal form and subquotient groups."""
 
 import copy
-from math import prod
+import itertools
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +10,7 @@ from hypothesis import given, settings, strategies as st
 from simphom import snf
 from simphom.abgroup import AbelianGroup
 from simphom.intmatrix import IntegerMatrix, determinant, mod_rank, rational_rank
-from simphom.snf import (
-    Subquotient,
-    elementary_divisors,
-    lattice_equal,
-    smith_normal_form,
-)
+from simphom.snf import Subquotient, elementary_divisors, smith_normal_form
 
 
 def test_hand_reduced_example():
@@ -52,10 +48,11 @@ def test_snf_properties(m):
     assert abs(determinant(res.V)) == 1
     # rank agrees with the independent rational rank
     assert len(res.divisors) == rational_rank(m)
-    # kernel basis really is a basis of the kernel
-    for col in res.kernel_basis():
+    # the columns of V past the rank span the kernel
+    kernel = [res.V.column(j) for j in range(len(res.divisors), m.cols)]
+    for col in kernel:
         assert all(v == 0 for v in m.apply(col))
-    assert m.cols - len(res.divisors) == len(res.kernel_basis())
+    assert m.cols - len(res.divisors) == len(kernel)
 
 
 @settings(max_examples=80, deadline=None)
@@ -70,23 +67,8 @@ def test_snf_determinant_invariance(m):
         assert determinant(m) == 0
 
 
-def test_solve_and_lattice_membership():
-    m = IntegerMatrix([[2, 0], [0, 3]])
-    res = smith_normal_form(m)
-    assert res.solve([4, 9]) == [2, 3]
-    assert res.solve([1, 0]) is None
-
-
-def test_lattice_equality():
-    a = IntegerMatrix([[2, 0], [0, 3]])
-    b = IntegerMatrix([[2, 2, 0], [3, 0, 3]])
-    assert lattice_equal(a, b)
-    c = IntegerMatrix([[1, 0], [0, 3]])
-    assert not lattice_equal(a, c)
-
-
 def test_subquotient_cyclic():
-    sq = Subquotient(IntegerMatrix.identity(2), IntegerMatrix([[2, 0], [0, 3]]))
+    sq = Subquotient(IntegerMatrix.zero(0, 2), IntegerMatrix([[2, 0], [0, 3]]))
     assert sq.group == AbelianGroup(0, (6,))
     assert sq.reduce([2, 3]) == (0,)
     gen = sq.generator_vectors()[0]
@@ -94,9 +76,9 @@ def test_subquotient_cyclic():
 
 
 def test_subquotient_free_and_mixed():
-    sq = Subquotient(IntegerMatrix.identity(1), IntegerMatrix.zero(1, 0))
+    sq = Subquotient(IntegerMatrix.zero(0, 1), IntegerMatrix.zero(1, 0))
     assert sq.group == AbelianGroup.free(1)
-    sq = Subquotient(IntegerMatrix.identity(3), IntegerMatrix([[2, 0], [0, 0], [0, 4]]))
+    sq = Subquotient(IntegerMatrix.zero(0, 3), IntegerMatrix([[2, 0], [0, 0], [0, 4]]))
     assert sq.group == AbelianGroup(1, (2, 4))
     # reduce is linear and kills the sublattice
     assert sq.reduce([2, 0, 0]) == (0, 0, 0)
@@ -104,9 +86,72 @@ def test_subquotient_free_and_mixed():
 
 
 def test_subquotient_rejects_non_sublattice():
-    import pytest
     with pytest.raises(ValueError):
-        Subquotient(IntegerMatrix([[2], [0]]), IntegerMatrix([[1], [0]]))
+        Subquotient(IntegerMatrix([[1, 0]]), IntegerMatrix([[1], [0]]))
+
+
+@st.composite
+def subquotient_inputs(draw):
+    """An out_map on Z^r (r <= 3), an in_map whose columns are integer
+    combinations of kernel vectors found in a box, so out * in = 0, and a
+    modulus."""
+    r, rows = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    out = IntegerMatrix(draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+                                      min_size=rows, max_size=rows)), rows, r)
+    kernel = [list(v) for v in itertools.product(range(-2, 3), repeat=r)
+              if any(v) and not any(out.apply(list(v)))]
+    columns = []
+    for _ in range(draw(st.integers(0, 3)) if kernel else 0):
+        picks = draw(st.lists(st.tuples(st.sampled_from(kernel), st.integers(-3, 3)),
+                              min_size=1, max_size=2))
+        columns.append([sum(c * v[i] for v, c in picks) for i in range(r)])
+    return out, IntegerMatrix.from_columns(columns, rows=r), draw(st.sampled_from([0, 2, 3, 4, 6]))
+
+
+def _torsion_counts(out, in_map, m):
+    """|G[d]| for each divisor d of m, G = ker(out mod m) / (im in + m Z^r),
+    by enumerating (Z/m)^r."""
+    r = out.cols
+    kernel = [x for x in itertools.product(range(m), repeat=r)
+              if all(v % m == 0 for v in out.apply(list(x)))]
+    image = {(0,) * r}
+    for col in in_map.columns():
+        image = {tuple((a + t * c) % m for a, c in zip(x, col)) for x in image for t in range(m)}
+    return {d: sum(tuple(d * v % m for v in x) in image for x in kernel) // len(image)
+            for d in range(1, m + 1) if m % d == 0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(subquotient_inputs())
+def test_subquotient_against_independent_references(data):
+    out, in_map, m = data
+    r = out.cols
+    sq = Subquotient(out, in_map, m)
+    if m == 0:
+        rank_out, divisors_in = len(elementary_divisors(out)), elementary_divisors(in_map)
+        assert sq.group == AbelianGroup(r - rank_out - len(divisors_in),
+                                        tuple(d for d in divisors_in if d > 1))
+    else:
+        assert sq.group.betti == 0
+        assert _torsion_counts(out, in_map, m) == {
+            d: prod(gcd(n, d) for n in sq.group.torsion) for d in range(1, m + 1) if m % d == 0}
+    zero = (0,) * sq.n_generators
+    for k, gen in enumerate(sq.generator_vectors()):
+        assert all(v % m == 0 if m else v == 0 for v in out.apply(gen))
+        assert sq.reduce(gen) == tuple(int(i == k) for i in range(sq.n_generators))
+    for col in in_map.columns():
+        assert sq.reduce(col) == zero
+    for i in range(r):
+        assert sq.reduce([m * int(t == i) for t in range(r)]) == zero
+    outside = next((list(v) for v in itertools.product(range(-1, 2), repeat=r)
+                    if any(x % m if m else x for x in out.apply(list(v)))), None)
+    if outside is not None:
+        with pytest.raises(ValueError):
+            sq.reduce(outside)
+        with pytest.raises(ValueError):
+            Subquotient(out, in_map.hstack(IntegerMatrix.from_columns([outside])), m)
+    with pytest.raises(ValueError):
+        Subquotient(out, in_map, -m - 1)
 
 
 def test_mod_rank_and_rational_rank():
