@@ -51,7 +51,6 @@ from .operators import (
     homotopic_maps_equal_on_homology,
     kunneth_check,
     prism_homotopy,
-    shuffle_ez,
 )
 from .pi1 import GroupPresentation, abelianization, pi0, pi1_presentation, tietze_simplify
 from .simplex import NonDegenSimplex, SimplexRef
@@ -139,7 +138,6 @@ __all__ = [
     "quotient",
     "relative_chains",
     "relative_homology",
-    "shuffle_ez",
     "skeleton",
     "smith_normal_form",
     "std_simplex",

@@ -3,7 +3,11 @@
 Boundaries follow the alternating-sum convention: the boundary of an
 n-simplex is sum_i (-1)^i d_i.  Normalized chains are free on the
 non-degenerate generators with degenerate faces discarded; unnormalized
-chains take all simplices up to a truncation degree.
+chains take all simplices up to a truncation degree.  The chains of a
+subcomplex and of a pair are not built again: ``restricted`` keeps some
+basis indices of C(K) per degree and reads each boundary as a submatrix,
+and ``relative_chains`` is the restriction to the generators off the
+subcomplex.
 """
 
 from __future__ import annotations
@@ -16,10 +20,9 @@ from .sset import SimplicialSet
 
 
 class ChainComplex:
-    """Non-negatively graded free chain complex with labeled bases."""
+    """Non-negatively graded free chain complex."""
 
-    def __init__(self, ranks: list[int], boundaries: dict[int, IntegerMatrix],
-                 labels: list[list[str]] | None = None):
+    def __init__(self, ranks: list[int], boundaries: dict[int, IntegerMatrix]):
         self.ranks = list(ranks)
         while self.ranks and self.ranks[-1] == 0:
             self.ranks.pop()
@@ -33,8 +36,6 @@ class ChainComplex:
                 raise ValueError(
                     f"boundary {n} has shape {mat.shape}, wanted {(self.rank(n-1), self.rank(n))}")
             self.boundaries[n] = mat
-        self.labels = labels if labels is not None else [
-            [f"{n}.{k}" for k in range(r)] for n, r in enumerate(self.ranks)]
         self.verify_dd_zero()
 
     @property
@@ -96,12 +97,6 @@ class ChainMap:
                 bad.append(n)
         return bad
 
-    def compose(self, other: "ChainMap") -> "ChainMap":
-        """self after other."""
-        mats = {n: self.matrix(n) * other.matrix(n)
-                for n in range(other.source.max_degree + 1)}
-        return ChainMap(other.source, self.target, mats, check=False)
-
 
 class ChainHomotopy:
     """Degree +1 maps D_n : C_n -> D_{n+1}."""
@@ -143,7 +138,6 @@ def normalized_chains(space: SimplicialSet) -> ChainComplex:
     """Free chains on the non-degenerate generators; a face contributes
     zero when its canonical form is degenerate."""
     ranks = [space.n_gens(d) for d in range(space.top_dim + 1)]
-    labels = [[g.name() for g in space.gens(d)] for d in range(space.top_dim + 1)]
     boundaries = {}
     for n in range(1, space.top_dim + 1):
         mat = IntegerMatrix.zero(ranks[n - 1], ranks[n])
@@ -154,7 +148,7 @@ def normalized_chains(space: SimplicialSet) -> ChainComplex:
                 if not f.is_degenerate:
                     mat.data[f.base_id][g.id] += (-1) ** i
         boundaries[n] = mat
-    return ChainComplex(ranks, boundaries, labels)
+    return ChainComplex(ranks, boundaries)
 
 
 def unnormalized_chains(space: SimplicialSet, up_to: int | None = None) -> ChainComplex:
@@ -169,7 +163,6 @@ def unnormalized_chains(space: SimplicialSet, up_to: int | None = None) -> Chain
     bases = [list(space.all_simplices(n)) for n in range(up_to + 1)]
     index = [{ref: k for k, ref in enumerate(level)} for level in bases]
     ranks = [len(level) for level in bases]
-    labels = [[space.format_ref(ref) for ref in level] for level in bases]
     boundaries = {}
     for n in range(1, up_to + 1):
         mat = IntegerMatrix.zero(ranks[n - 1], ranks[n])
@@ -178,46 +171,26 @@ def unnormalized_chains(space: SimplicialSet, up_to: int | None = None) -> Chain
                 f = space.face(ref, i)
                 mat.data[index[n - 1][f]][k] += (-1) ** i
         boundaries[n] = mat
-    return ChainComplex(ranks, boundaries, labels)
+    return ChainComplex(ranks, boundaries)
 
 
-@dataclass
-class RelativeChains:
-    """Normalized chains of a pair: the quotient basis (generators of the
-    total space outside the subcomplex) plus the index bookkeeping."""
+def restricted(c: ChainComplex, keep: list[list[int]]) -> ChainComplex:
+    """The complex on the basis indices ``keep[n]`` of each degree n of
+    ``c``, with each boundary the submatrix of c's on the kept indices.
+    This is a subcomplex when the kept span is closed under d, and the
+    quotient complex when the dropped span is; ``ChainComplex`` checks
+    dd = 0 either way."""
+    return ChainComplex([len(level) for level in keep],
+                        {n: c.boundary(n).submatrix(keep[n - 1], keep[n])
+                         for n in range(1, len(keep))})
 
-    complex: ChainComplex
-    # per degree, the ambient column index of each relative basis element
-    ambient_index: list[list[int]]
-    # per degree, relative index by ambient generator id (None if collapsed)
-    relative_index: list[dict[int, int]]
 
-
-def relative_chains(space: SimplicialSet, sub_ids: frozenset[tuple[int, int]]) -> RelativeChains:
-    """The quotient complex of normalized chains by a subcomplex."""
-    ambient_index: list[list[int]] = []
-    relative_index: list[dict[int, int]] = []
-    labels: list[list[str]] = []
-    for d in range(space.top_dim + 1):
-        amb = [g.id for g in space.gens(d) if (d, g.id) not in sub_ids]
-        ambient_index.append(amb)
-        relative_index.append({gid: k for k, gid in enumerate(amb)})
-        labels.append([space.gen(d, gid).name() for gid in amb])
-    ranks = [len(level) for level in ambient_index]
-    boundaries = {}
-    for n in range(1, space.top_dim + 1):
-        mat = IntegerMatrix.zero(ranks[n - 1], ranks[n])
-        for k, gid in enumerate(ambient_index[n]):
-            ref = SimplexRef(n, gid)
-            for i in range(n + 1):
-                f = space.face(ref, i)
-                if f.is_degenerate:
-                    continue
-                row = relative_index[n - 1].get(f.base_id)
-                if row is not None:
-                    mat.data[row][k] += (-1) ** i
-        boundaries[n] = mat
-    return RelativeChains(ChainComplex(ranks, boundaries, labels), ambient_index, relative_index)
+def relative_chains(space: SimplicialSet, sub_ids: frozenset[tuple[int, int]]) -> ChainComplex:
+    """The quotient complex of normalized chains by a subcomplex: C(K)
+    restricted to the generators outside it."""
+    c = normalized_chains(space)
+    return restricted(c, [[k for k in range(r) if (n, k) not in sub_ids]
+                          for n, r in enumerate(c.ranks)])
 
 
 def chain_map_of(space_map, source_chains: ChainComplex | None = None,
@@ -281,9 +254,7 @@ def tensor_complex(left: ChainComplex, right: ChainComplex) -> TensorComplex:
                     if c:
                         mat.data[index[(p, i, q - 1, r)]][col] += sign * c
         boundaries[n] = mat
-    labels = [[f"{left.labels[p][i]}(x){right.labels[q][j]}"
-               for (p, i), (q, j) in level] for n, level in enumerate(basis)]
-    return TensorComplex(ChainComplex([len(l) for l in basis], boundaries, labels), basis, index)
+    return TensorComplex(ChainComplex([len(l) for l in basis], boundaries), basis, index)
 
 
 def mapping_cone(f: ChainMap) -> ChainComplex:
@@ -303,10 +274,7 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
         rows += [[-v for v in f_row] + d_row
                  for f_row, d_row in zip(f.matrix(n - 1).data, D.boundary(n).data)]
         boundaries[n] = IntegerMatrix(rows, ranks[n - 1], ranks[n])
-    labels = [[f"s{C.labels[n - 1][i]}" for i in range(C.rank(n - 1))] +
-              [D.labels[n][j] for j in range(D.rank(n))] if n <= top else []
-              for n in range(top + 1)]
-    return ChainComplex(ranks, boundaries, labels)
+    return ChainComplex(ranks, boundaries)
 
 
 def euler_characteristic(space: SimplicialSet) -> int:

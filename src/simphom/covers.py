@@ -200,7 +200,6 @@ class CoverResult:
     space: SimplicialSet
     projection: SimplicialMap
     labeling: CoverLabeling
-    sheet_of_gen: dict[tuple[int, int], tuple[int, int]]  # cover gen -> (base gen, g)
 
     @property
     def group(self) -> FiniteGroup:
@@ -237,14 +236,12 @@ def build_cover(base: SimplicialSet, labeling: CoverLabeling) -> CoverResult:
         rows.append(row)
     cover = SimplicialSet(rows, name=f"cover({base.name or 'K'})")
     images = {}
-    sheet_of_gen = {}
     for d in range(base.top_dim + 1):
         for g in base.gens(d):
             for sheet in range(order):
                 images[(d, g.id * order + sheet)] = SimplexRef(d, g.id)
-                sheet_of_gen[(d, g.id * order + sheet)] = (g.id, sheet)
     projection = SimplicialMap(cover, base, images, check=True)
-    return CoverResult(cover, projection, labeling, sheet_of_gen)
+    return CoverResult(cover, projection, labeling)
 
 
 @dataclass

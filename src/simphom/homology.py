@@ -18,7 +18,10 @@ lifts of the image and of the node's relations span the kernel, that is
 iff their subquotient is trivial.  ``_exact_sequence``, the
 one builder of long exact sequences, takes the complexes and chain-level
 pushes of the pair sequence or of Mayer-Vietoris, computes every group
-once, and checks exactness node by node on generator orders.
+once, and checks exactness node by node on generator orders.  Both build
+C(K) once and take the chains of L, of (K, L) and of A, B and A n B as
+restrictions of it to kept basis indices; the pushes between them are
+scatters and gathers over those index lists.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .abgroup import AbelianGroup
-from .chains import ChainComplex, ChainMap, mapping_cone, normalized_chains, relative_chains
+from .chains import ChainComplex, ChainMap, mapping_cone, normalized_chains, relative_chains, restricted
 from .intmatrix import IntegerMatrix, mod_rank, rational_rank
 from .snf import Subquotient, elementary_divisors
 from .snf import smith_normal_form  # noqa: F401  perfbench's tracer tests read this binding
@@ -198,60 +201,67 @@ def _exact_sequence(kind: str, labels: tuple[str, str, str], a: ChainComplex,
 # The long exact sequence of a pair
 
 
-def _as_subcomplex(space: SimplicialSet, sub) -> SubcomplexResult:
-    return sub if isinstance(sub, SubcomplexResult) else subcomplex(space, sub)
+def _sub_ids(space: SimplicialSet, sub) -> frozenset[tuple[int, int]]:
+    """The face-closed id set of a subcomplex, or of the closure of ids."""
+    return sub.id_set if isinstance(sub, SubcomplexResult) else subcomplex(space, sub).id_set
 
 
-def _inclusion_push(sub: SubcomplexResult, dim: int, total_rank: int,
-                    into: SubcomplexResult | None = None):
-    """Chain-level inclusion in degree ``dim`` of a subcomplex of K into K,
-    or into ``into``, a larger subcomplex of K; ``total_rank`` is the rank
-    of the target in that degree."""
-    position = {new: old if into is None else into.new_id[(dim, old)]
-                for (d, old), new in sub.new_id.items() if d == dim}
+def _basis_in(ck: ChainComplex, ids) -> list[list[int]]:
+    """Per degree of C(K), the basis indices of the generators in ``ids``."""
+    return [[k for k in range(r) if (n, k) in ids] for n, r in enumerate(ck.ranks)]
+
+
+def _level(keep: list[list[int]], n: int) -> list[int]:
+    """``keep[n]``, or no indices in a degree outside the complex."""
+    return keep[n] if 0 <= n < len(keep) else []
+
+
+def _inclusion(small: list[int], big):
+    """Chain-level inclusion of the span of the basis indices ``small``
+    into the span of ``big``, a superset: a scatter."""
+    position = {k: i for i, k in enumerate(big)}
 
     def push(vec):
-        out = [0] * total_rank
-        for k, v in enumerate(vec):
+        out = [0] * len(position)
+        for k, v in zip(small, vec):
             out[position[k]] = v
         return out
 
     return push
 
 
-def _pair_chains(space: SimplicialSet, sub):
-    """The subcomplex L and the chains of K, of L and of the pair (K, L)."""
-    L = _as_subcomplex(space, sub)
-    return L, normalized_chains(space), normalized_chains(L.space), relative_chains(space, L.id_set)
-
-
-def _boundary_push(ck: ChainComplex, p: int, lift, sub: SubcomplexResult):
-    """Chain-level connecting map into C_{p-1}(sub): ``lift`` a chain to
-    C_p(K), apply the ambient boundary, read the result in the subcomplex."""
-    sub_of_gid = {old: new for (d, old), new in sub.new_id.items() if d == p - 1}
+def _boundary_push(ck: ChainComplex, p: int, lift, into: list[int]):
+    """Chain-level connecting map into the span of the basis indices
+    ``into`` of C_{p-1}(K): ``lift`` a chain to C_p(K), apply the boundary
+    of K, and gather the result on ``into``."""
+    position = {k: i for i, k in enumerate(into)}
 
     def push(vec):
-        out = [0] * len(sub_of_gid)
-        for gid, v in enumerate(ck.boundary(p).apply(lift(vec))):
+        out = [0] * len(into)
+        for k, v in enumerate(ck.boundary(p).apply(lift(vec))):
             if v:
-                if gid not in sub_of_gid:
+                if k not in position:
                     raise AssertionError("connecting map left the subcomplex")
-                out[sub_of_gid[gid]] = v
+                out[position[k]] = v
         return out
 
     return push
 
 
-def _pair_connecting_push(L: SubcomplexResult, ck: ChainComplex, rel, p: int):
+def _pair_chains(space: SimplicialSet, sub):
+    """C(K) and, per degree, the basis indices inside L and outside it;
+    C(L) and C(K, L) are the restrictions of C(K) to them."""
+    ids = _sub_ids(space, sub)
+    ck = normalized_chains(space)
+    outside = [[k for k in range(r) if (n, k) not in ids] for n, r in enumerate(ck.ranks)]
+    return ck, _basis_in(ck, ids), outside
+
+
+def _pair_connecting_push(ck: ChainComplex, inside: list[list[int]],
+                          outside: list[list[int]], p: int):
     """Chain-level connecting map C_p(K, L) -> C_{p-1}(L)."""
-
-    def lift(vec):
-        out = [0] * ck.rank(p)
-        for k, gid in enumerate(rel.ambient_index[p]):
-            out[gid] = vec[k]
-        return out
-
-    return _boundary_push(ck, p, lift, L)
+    return _boundary_push(ck, p, _inclusion(_level(outside, p), range(ck.rank(p))),
+                          _level(inside, p - 1))
 
 
 def pair_les(space: SimplicialSet, sub, up_to: int | None = None) -> ExactSequenceReport:
@@ -262,32 +272,28 @@ def pair_les(space: SimplicialSet, sub, up_to: int | None = None) -> ExactSequen
     Exactness is verified at every node; below the top of K, the top node
     is checked against the connecting map from one degree higher.
     """
-    L, ck, cl, rel = _pair_chains(space, sub)
-
-    def proj(p):
-        return lambda vec: [vec[gid] for gid in rel.ambient_index[p]]
-
-    return _exact_sequence("pair", ("H_{p}(L)", "H_{p}(K)", "H_{p}(K,L)"), cl, (ck,), rel.complex,
-                           lambda p: (_inclusion_push(L, p, ck.rank(p)),),
-                           lambda p: (proj(p),),
-                           lambda p: _pair_connecting_push(L, ck, rel, p), up_to)
+    ck, inside, outside = _pair_chains(space, sub)
+    return _exact_sequence("pair", ("H_{p}(L)", "H_{p}(K)", "H_{p}(K,L)"),
+                           restricted(ck, inside), (ck,), restricted(ck, outside),
+                           lambda p: (_inclusion(inside[p], range(ck.rank(p))),),
+                           lambda p: (lambda vec: [vec[k] for k in outside[p]],),
+                           lambda p: _pair_connecting_push(ck, inside, outside, p), up_to)
 
 
 def relative_homology(space: SimplicialSet, sub, degrees=None) -> list[AbelianGroup]:
-    L = _as_subcomplex(space, sub)
     if degrees is None:
         degrees = range(space.top_dim + 1)
-    return homology(relative_chains(space, L.id_set).complex, degrees)
+    return homology(relative_chains(space, _sub_ids(space, sub)), degrees)
 
 
 def connecting_matrix(space: SimplicialSet, sub, p: int) -> tuple[IntegerMatrix, AbelianGroup, AbelianGroup]:
     """The connecting homomorphism H_p(K, L) -> H_{p-1}(L) as a matrix on
     presentation generators, with both groups."""
-    L, ck, cl, rel = _pair_chains(space, sub)
-    h_rel = homology_data(rel.complex, p)
-    h_l = homology_data(cl, p - 1)
-    push = _pair_connecting_push(L, ck, rel, p)
-    return induced_matrix(h_rel, h_l, push), h_rel.group, h_l.group
+    ck, inside, outside = _pair_chains(space, sub)
+    h_rel = homology_data(restricted(ck, outside), p)
+    h_l = homology_data(restricted(ck, inside), p - 1)
+    return (induced_matrix(h_rel, h_l, _pair_connecting_push(ck, inside, outside, p)),
+            h_rel.group, h_l.group)
 
 
 # ---------------------------------------------------------------------------
@@ -297,35 +303,31 @@ def connecting_matrix(space: SimplicialSet, sub, p: int) -> tuple[IntegerMatrix,
 def mayer_vietoris(space: SimplicialSet, a_sub, b_sub, up_to: int | None = None) -> ExactSequenceReport:
     """The Mayer-Vietoris sequence of a generator-wise cover K = A u B,
     with the connecting map from the explicit chain splitting."""
-    A = _as_subcomplex(space, a_sub)
-    B = _as_subcomplex(space, b_sub)
+    a_ids, b_ids = _sub_ids(space, a_sub), _sub_ids(space, b_sub)
     all_ids = {(d, g.id) for d in range(space.top_dim + 1) for g in space.gens(d)}
-    if A.id_set | B.id_set != all_ids:
-        missing = sorted(all_ids - (A.id_set | B.id_set))
+    if a_ids | b_ids != all_ids:
+        missing = sorted(all_ids - (a_ids | b_ids))
         raise ValueError(f"A u B misses generators {missing}")
-    AB = subcomplex(space, A.id_set & B.id_set)
-
     ck = normalized_chains(space)
-    ca = normalized_chains(A.space)
-    cb = normalized_chains(B.space)
-    cab = normalized_chains(AB.space)
+    a, b, ab = _basis_in(ck, a_ids), _basis_in(ck, b_ids), _basis_in(ck, a_ids & b_ids)
 
     def alpha(p):
-        return (_inclusion_push(AB, p, ca.rank(p), A), _inclusion_push(AB, p, cb.rank(p), B))
+        return (_inclusion(ab[p], a[p]), _inclusion(ab[p], b[p]))
 
     def beta(p):
-        into_k = _inclusion_push(B, p, ck.rank(p))
-        return (_inclusion_push(A, p, ck.rank(p)), lambda vec: [-v for v in into_k(vec)])
+        into_k = _inclusion(b[p], range(ck.rank(p)))
+        return (_inclusion(a[p], range(ck.rank(p))), lambda vec: [-v for v in into_k(vec)])
 
     def connecting(p):
         """Split a chain of K as a chain on A plus one on B; the boundary of
         the A part of a cycle lies in A n B."""
-        a_gids = {old for (d, old) in A.id_set if d == p}
-        return _boundary_push(ck, p, lambda vec: [v if gid in a_gids else 0
-                                                  for gid, v in enumerate(vec)], AB)
+        on_a = set(_level(a, p))
+        return _boundary_push(ck, p, lambda vec: [v if k in on_a else 0
+                                                  for k, v in enumerate(vec)], _level(ab, p - 1))
 
     return _exact_sequence("mayer-vietoris", ("H_{p}(AnB)", "H_{p}(A)+H_{p}(B)", "H_{p}(K)"),
-                           cab, (ca, cb), ck, alpha, beta, connecting, up_to)
+                           restricted(ck, ab), (restricted(ck, a), restricted(ck, b)), ck,
+                           alpha, beta, connecting, up_to)
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +379,10 @@ def cohomology(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> list[Abel
 def cohomology_of_pair(space: SimplicialSet, sub, coeffs: AbelianGroup, degrees=None) -> list[AbelianGroup]:
     """H^*(K, L; coeffs); pass None or an empty subcomplex for absolute
     cohomology (the quotient by nothing is the normalized complex)."""
-    ids = frozenset() if sub is None else _as_subcomplex(space, sub).id_set
+    ids = frozenset() if sub is None else _sub_ids(space, sub)
     if degrees is None:
         degrees = range(space.top_dim + 1)
-    return cohomology(relative_chains(space, ids).complex, coeffs, degrees)
+    return cohomology(relative_chains(space, ids), coeffs, degrees)
 
 
 @dataclass

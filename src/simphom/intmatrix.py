@@ -149,6 +149,10 @@ class IntegerMatrix:
     def row(self, i: int) -> list[int]:
         return list(self.data[i])
 
+    def submatrix(self, rows: list[int], cols: list[int]) -> "IntegerMatrix":
+        """The entries on the given row and column indices, in that order."""
+        return IntegerMatrix([[self.data[i][j] for j in cols] for i in rows], len(rows), len(cols))
+
     def apply(self, vec: list[int]) -> list[int]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")

@@ -167,7 +167,7 @@ def parse_matrix(text: str) -> IntegerMatrix:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
     if not lines or lines[0] != "matrix v1":
         raise ValueError("bad or missing matrix header")
-    fields = lines[1].split()
+    fields = lines[1].split() if len(lines) > 1 else []
     if len(fields) != 4 or fields[0] != "rows" or fields[2] != "cols":
         raise ValueError("bad matrix size line")
     rows, cols = int(fields[1]), int(fields[3])
@@ -197,12 +197,12 @@ def parse_group(text: str) -> FiniteGroup:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
     if not lines or lines[0] != "group v1":
         raise ValueError("bad or missing group header")
-    if not lines[1].startswith("elements"):
+    if len(lines) < 2 or not lines[1].startswith("elements"):
         raise ValueError("missing elements line")
     names = lines[1].split()[1:]
     if len(set(names)) != len(names) or not names:
         raise ValueError("element names must be nonempty and distinct")
-    if lines[2] != "table":
+    if len(lines) < 3 or lines[2] != "table":
         raise ValueError("missing table line")
     index = {nm: k for k, nm in enumerate(names)}
     table = []
@@ -210,6 +210,9 @@ def parse_group(text: str) -> FiniteGroup:
         entries = ln.split()
         if len(entries) != len(names):
             raise ValueError("table row has the wrong length")
+        unknown = [e for e in entries if e not in index]
+        if unknown:
+            raise ValueError(f"table entry {unknown[0]!r} names no element")
         table.append([index[e] for e in entries])
     if len(table) != len(names):
         raise ValueError("table has the wrong number of rows")

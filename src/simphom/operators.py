@@ -226,10 +226,6 @@ def alexander_whitney(prod: ProductResult) -> EilenbergZilberData:
     return data
 
 
-def shuffle_ez(prod: ProductResult) -> ChainMap:
-    return alexander_whitney(prod).ez
-
-
 # ---------------------------------------------------------------------------
 # Cochains and cup products
 
@@ -410,12 +406,10 @@ class KunnethReport:
 
 
 def kunneth_check(left: SimplicialSet, right: SimplicialSet,
-                  up_to: int | None = None,
-                  prod: ProductResult | None = None) -> KunnethReport:
+                  up_to: int | None = None) -> KunnethReport:
     """Compare H(K x L) against sum of H(K) (x) H(L) plus the Tor shift,
     both sides computed independently."""
-    if prod is None:
-        prod = product(left, right)
+    prod = product(left, right)
     hk = homology_of_space(left, range(left.top_dim + 1))
     hl = homology_of_space(right, range(right.top_dim + 1))
     cp = normalized_chains(prod.space)

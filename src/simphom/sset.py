@@ -3,7 +3,10 @@
 A :class:`SimplicialSet` stores its non-degenerate generators graded by
 dimension, each with a face table of canonical :class:`SimplexRef` values.
 All values are immutable after construction and every operation is a pure
-function of its inputs.
+function of its inputs.  Subcomplexes, quotients, coproducts and pushouts
+are built by one gluing routine, ``_glue``: parts are glued in order, and
+each generator either becomes a new generator with its faces carried
+through the images so far, or is fixed to a given simplex, or dropped.
 """
 
 from __future__ import annotations
@@ -296,6 +299,35 @@ def discrete(m: int) -> SimplicialSet:
 # Subcomplexes, quotients, skeleta, coproducts, pushouts
 
 
+def _glue(parts, name: str | None = None):
+    """The one gluing routine behind subcomplexes, quotients, coproducts
+    and pushouts.
+
+    ``parts`` are ``(space, fixed)`` pairs, taken in order.  Dimension by
+    dimension, each generator whose key (dim, id) is not in ``fixed``
+    becomes a new generator: it keeps its label, and its faces are
+    carried through the images built so far.  A key in ``fixed`` maps to
+    the given simplex of the result, or is dropped when it maps to None.
+    Returns the glued space and, per part, the image of every key.
+    """
+    top = max((space.top_dim for space, _ in parts), default=-1)
+    rows: list[list[NonDegenSimplex]] = [[] for _ in range(top + 1)]
+    images = [dict(fixed) for _, fixed in parts]
+
+    def carry(image, ref: SimplexRef) -> SimplexRef:
+        img = image[(ref.base_dim, ref.base_id)]
+        return SimplexRef(img.base_dim, img.base_id, compose_words(ref.degens, img.degens))
+
+    for d, row in enumerate(rows):
+        for (space, fixed), image in zip(parts, images):
+            for g in space.gens(d):
+                if (d, g.id) not in fixed:
+                    image[(d, g.id)] = SimplexRef(d, len(row))
+                    faces = tuple(carry(image, ref) for ref in g.faces)
+                    row.append(NonDegenSimplex(d, len(row), faces, label=g.label))
+    return SimplicialSet(rows, name=name), images
+
+
 def _close_ids(space: SimplicialSet, ids) -> set[tuple[int, int]]:
     todo = list(ids)
     closed: set[tuple[int, int]] = set()
@@ -331,32 +363,12 @@ def subcomplex(space: SimplicialSet, ids, require_closed: bool = False) -> Subco
     if require_closed and closed != requested:
         extra = sorted(closed - requested)
         raise ValueError(f"id set is not face-closed; closure adds {extra}")
-    new_id: dict[tuple[int, int], int] = {}
-    gens: list[list[NonDegenSimplex]] = []
-    top = max((d for d, _ in closed), default=-1)
-    for d in range(top + 1):
-        row = []
-        for g in space.gens(d):
-            if (d, g.id) in closed:
-                new_id[(d, g.id)] = len(row)
-                row.append(g)
-        gens.append(row)
-    out: list[list[NonDegenSimplex]] = []
-    for d, row in enumerate(gens):
-        new_row = []
-        for k, g in enumerate(row):
-            faces = tuple(
-                SimplexRef(r.base_dim, new_id[(r.base_dim, r.base_id)], r.degens)
-                for r in g.faces
-            )
-            new_row.append(NonDegenSimplex(d, k, faces, label=g.label))
-        out.append(new_row)
-    sub = SimplicialSet(out, name=f"sub({space.name})" if space.name else None)
-    images = {
-        (d, new_id[(d, gid)]): SimplexRef(d, gid)
-        for (d, gid) in closed
-    }
-    incl = SimplicialMap(sub, space, images, check=False)
+    dropped = {(d, g.id): None for d in range(space.top_dim + 1)
+               for g in space.gens(d) if (d, g.id) not in closed}
+    sub, (image,) = _glue([(space, dropped)], f"sub({space.name})" if space.name else None)
+    new_id = {key: ref.base_id for key, ref in image.items() if ref is not None}
+    incl = SimplicialMap(sub, space, {(d, new): SimplexRef(d, old)
+                                      for (d, old), new in new_id.items()}, check=False)
     return SubcomplexResult(sub, incl, frozenset(closed), new_id)
 
 
@@ -389,56 +401,26 @@ class QuotientResult:
 def quotient(space: SimplicialSet, sub, name: str | None = None) -> QuotientResult:
     """Collapse a subcomplex to a point.
 
-    Generators of the quotient are the generators outside the subcomplex
-    plus one new vertex; faces landing in the subcomplex are redirected to
-    degeneracies of that vertex and re-canonicalized.  Faces whose image
-    becomes degenerate in the process are recorded in the collapse log.
-    The quotient is called ``name``, or "<space>/sub" by default;
-    collapsing nothing returns ``space`` itself, name included.
+    The quotient glues a new vertex ``*``, then the space with every
+    generator of the subcomplex fixed to a degeneracy of ``*``; faces that
+    land in the subcomplex become degenerate and are recorded in the
+    collapse log.  The quotient is called ``name``, or "<space>/sub" by
+    default; collapsing nothing returns ``space`` itself, name included.
     """
     ids = _as_id_set(space, sub)
     if not ids:
-        ident = identity_map(space)
-        return QuotientResult(space, ident, [])
-    new_id: dict[tuple[int, int], int] = {}
-    rows: list[list[NonDegenSimplex]] = [[] for _ in range(space.top_dim + 1)]
-    star = NonDegenSimplex(0, 0, (), label="*")
-    rows[0].append(star)
-    for d in range(space.top_dim + 1):
-        for g in space.gens(d):
-            if (d, g.id) not in ids:
-                new_id[(d, g.id)] = len(rows[d])
-                rows[d].append(None)  # placeholder, filled below
-    collapse_log: list[str] = []
-
-    def redirect(ref: SimplexRef) -> SimplexRef:
-        if (ref.base_dim, ref.base_id) in ids:
-            word = tuple(range(ref.dim - 1, -1, -1))
-            return SimplexRef(0, 0, word)
-        return SimplexRef(ref.base_dim, new_id[(ref.base_dim, ref.base_id)], ref.degens)
-
-    for d in range(space.top_dim + 1):
-        for g in space.gens(d):
-            if (d, g.id) in ids:
-                continue
-            faces = []
-            for i, ref in enumerate(g.faces):
-                new_ref = redirect(ref)
-                if new_ref.is_degenerate and not ref.is_degenerate:
-                    collapse_log.append(f"face {i} of {g.name()} collapsed to {new_ref.degens} over *")
-                faces.append(new_ref)
-            rows[d][new_id[(d, g.id)]] = NonDegenSimplex(d, new_id[(d, g.id)], tuple(faces), label=g.label)
-    quo = SimplicialSet(rows, name=name or (f"{space.name}/sub" if space.name else None))
-    images = {}
-    for d in range(space.top_dim + 1):
-        word = tuple(range(d - 1, -1, -1))
-        for g in space.gens(d):
-            if (d, g.id) in ids:
-                images[(d, g.id)] = SimplexRef(0, 0, word)
-            else:
-                images[(d, g.id)] = SimplexRef(d, new_id[(d, g.id)])
-    proj = SimplicialMap(space, quo, images, check=False)
-    return QuotientResult(quo, proj, collapse_log)
+        return QuotientResult(space, identity_map(space), [])
+    star = SimplicialSet([[NonDegenSimplex(0, 0, (), label="*")]])
+    collapsed = {(d, gid): SimplexRef(0, 0, tuple(range(d - 1, -1, -1))) for d, gid in ids}
+    quo, (_, images) = _glue([(star, {}), (space, collapsed)],
+                             name or (f"{space.name}/sub" if space.name else None))
+    collapse_log = [
+        f"face {i} of {g.name()} collapsed to {new.degens} over *"
+        for d in range(space.top_dim + 1) for g in space.gens(d) if (d, g.id) not in ids
+        for i, (old, new) in enumerate(zip(g.faces, quo.gen(d, images[(d, g.id)].base_id).faces))
+        if new.is_degenerate and not old.is_degenerate
+    ]
+    return QuotientResult(quo, SimplicialMap(space, quo, images, check=False), collapse_log)
 
 
 @dataclass
@@ -450,28 +432,10 @@ class CoproductResult:
 def coproduct(spaces) -> CoproductResult:
     """Disjoint union, ids offset per dimension in input order."""
     spaces = list(spaces)
-    top = max((s.top_dim for s in spaces), default=-1)
-    rows: list[list[NonDegenSimplex]] = [[] for _ in range(top + 1)]
-    offsets = []
-    for s in spaces:
-        offsets.append([len(rows[d]) if d <= top else 0 for d in range(top + 1)])
-        off = offsets[-1]
-        for d in range(s.top_dim + 1):
-            for g in s.gens(d):
-                faces = tuple(
-                    SimplexRef(r.base_dim, r.base_id + off[r.base_dim], r.degens)
-                    for r in g.faces
-                )
-                rows[d].append(NonDegenSimplex(d, len(rows[d]), faces, label=g.label))
-    total = SimplicialSet(rows, name="+".join(filter(None, (s.name for s in spaces))) or None)
-    inclusions = []
-    for s, off in zip(spaces, offsets):
-        images = {}
-        for d in range(s.top_dim + 1):
-            for g in s.gens(d):
-                images[(d, g.id)] = SimplexRef(d, g.id + off[d])
-        inclusions.append(SimplicialMap(s, total, images, check=False))
-    return CoproductResult(total, inclusions)
+    total, images = _glue([(s, {}) for s in spaces],
+                          "+".join(filter(None, (s.name for s in spaces))) or None)
+    return CoproductResult(total, [SimplicialMap(s, total, image, check=False)
+                                   for s, image in zip(spaces, images)])
 
 
 @dataclass
@@ -487,55 +451,16 @@ def pushout(f: SimplicialMap, embedding: SimplicialMap) -> PushoutResult:
     distinct generators (injective, non-degenerate images)."""
     if f.source is not embedding.source:
         raise ValueError("legs must share their source")
-    K, M = f.target, embedding.target
-    in_image: dict[tuple[int, int], tuple[int, int]] = {}
-    for (d, gid), ref in embedding.images.items():
+    shared: dict[tuple[int, int], SimplexRef] = {}
+    for key, ref in embedding.images.items():
         if ref.is_degenerate:
             raise ValueError("embedding leg has a degenerate image: not injective")
-        key = (ref.base_dim, ref.base_id)
-        if key in in_image:
+        if (ref.base_dim, ref.base_id) in shared:
             raise ValueError("embedding leg is not injective on generators")
-        in_image[key] = (d, gid)
-    top = max(K.top_dim, M.top_dim)
-    rows: list[list[NonDegenSimplex]] = [[] for _ in range(top + 1)]
-    for d in range(K.top_dim + 1):
-        for g in K.gens(d):
-            rows[d].append(g)
-    m_id: dict[tuple[int, int], int] = {}
-    for d in range(M.top_dim + 1):
-        for g in M.gens(d):
-            if (d, g.id) not in in_image:
-                m_id[(d, g.id)] = len(rows[d])
-                rows[d].append(None)
-
-    def redirect(ref: SimplexRef) -> SimplexRef:
-        key = (ref.base_dim, ref.base_id)
-        if key in in_image:
-            img = f.images[in_image[key]]
-            return SimplexRef(img.base_dim, img.base_id, compose_words(ref.degens, img.degens))
-        return SimplexRef(ref.base_dim, m_id[key], ref.degens)
-
-    for d in range(M.top_dim + 1):
-        for g in M.gens(d):
-            if (d, g.id) in in_image:
-                continue
-            faces = tuple(redirect(r) for r in g.faces)
-            k = m_id[(d, g.id)]
-            rows[d][k] = NonDegenSimplex(d, k, faces, label=g.label)
-    glued = SimplicialSet(rows)
-    base_images = {}
-    for d in range(K.top_dim + 1):
-        for g in K.gens(d):
-            base_images[(d, g.id)] = SimplexRef(d, g.id)
-    attached_images = {}
-    for d in range(M.top_dim + 1):
-        for g in M.gens(d):
-            attached_images[(d, g.id)] = redirect(SimplexRef(d, g.id))
-    return PushoutResult(
-        glued,
-        SimplicialMap(K, glued, base_images, check=False),
-        SimplicialMap(M, glued, attached_images, check=False),
-    )
+        shared[(ref.base_dim, ref.base_id)] = f.images[key]
+    glued, (base_images, attached_images) = _glue([(f.target, {}), (embedding.target, shared)])
+    return PushoutResult(glued, SimplicialMap(f.target, glued, base_images, check=False),
+                         SimplicialMap(embedding.target, glued, attached_images, check=False))
 
 
 # ---------------------------------------------------------------------------

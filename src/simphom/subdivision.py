@@ -96,7 +96,6 @@ def simplicial_chains(cx: OrderedSimplicialComplex) -> ChainComplex:
     identical to the normalized chains of ``complex_to_sset``."""
     index = [{f: k for k, f in enumerate(level)} for level in cx.by_dim]
     ranks = [len(level) for level in cx.by_dim]
-    labels = [["".join(map(str, f)) for f in level] for level in cx.by_dim]
     boundaries = {}
     for d in range(1, cx.top_dim + 1):
         mat = IntegerMatrix.zero(ranks[d - 1], ranks[d])
@@ -105,7 +104,7 @@ def simplicial_chains(cx: OrderedSimplicialComplex) -> ChainComplex:
                 sub = f[:i] + f[i + 1:]
                 mat.data[index[d - 1][sub]][k] += (-1) ** i
         boundaries[d] = mat
-    return ChainComplex(ranks, boundaries, labels)
+    return ChainComplex(ranks, boundaries)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Chain complexes of simplicial sets and general chain machinery."""
 
+import random
 from math import comb
 
 import pytest
@@ -12,12 +13,13 @@ from simphom.chains import (
     mapping_cone,
     normalized_chains,
     relative_chains,
+    restricted,
     tensor_complex,
     unnormalized_chains,
 )
 from simphom.homology import homology
 from simphom.intmatrix import IntegerMatrix
-from simphom.sset import boundary, skeleton, std_simplex
+from simphom.sset import boundary, product, quotient, skeleton, std_simplex, subcomplex
 
 
 def test_normalized_circle(circle):
@@ -72,9 +74,9 @@ def test_chain_complex_rejects_bad_boundary():
 def test_relative_chains_of_pair():
     d2 = std_simplex(2)
     rel = relative_chains(d2, skeleton(d2, 1).id_set)
-    assert rel.complex.ranks == [0, 0, 1]
-    assert homology(rel.complex) == [
-        g for g in homology(rel.complex)]  # smoke: verifies dd = 0 internally
+    assert rel.ranks == [0, 0, 1]
+    assert homology(rel) == [
+        g for g in homology(rel)]  # smoke: verifies dd = 0 internally
 
 
 def test_mapping_cone_identity_and_zero(circle):
@@ -97,8 +99,7 @@ def test_tensor_complex_koszul_sign():
     assert tc.complex.ranks == [4, 4, 1]
     # d(e (x) e) = (de) (x) e - e (x) (de)
     col = tc.complex.boundary(2).column(tc.index[(1, 0, 1, 0)])
-    labels = tc.complex.labels[1]
-    nonzero = {labels[k]: v for k, v in enumerate(col) if v}
+    nonzero = {tc.basis[1][k]: v for k, v in enumerate(col) if v}
     assert len(nonzero) == 4
     assert set(nonzero.values()) == {1, -1}
 
@@ -113,3 +114,31 @@ def test_euler_characteristic_examples(torus, rp2):
 def test_truncation_default_is_top_plus_one(torus):
     c = unnormalized_chains(torus)
     assert c.max_degree == torus.top_dim + 1
+
+
+def _closed_id_sets(space, rng, count):
+    """Seeded random face-closed id sets, the empty set and the skeleta."""
+    keys = [(d, g.id) for d in range(space.top_dim + 1) for g in space.gens(d)]
+    sets = [frozenset()] + [skeleton(space, n).id_set for n in range(space.top_dim)]
+    for _ in range(count):
+        sets.append(subcomplex(space, rng.sample(keys, rng.randint(1, 4))).id_set)
+    return sets
+
+
+def test_restrictions_match_rebuilt_subcomplexes_and_quotients(rp2, torus, klein, circle):
+    """C(L) as a restriction of C(K) equals the chains of the subcomplex
+    built on its own, and H_n(K, L) = H~_n(K/L) for nonempty L."""
+    rng = random.Random(20170)
+    for space in (rp2, torus, klein, product(circle, rp2).space):
+        ck = normalized_chains(space)
+        degrees = range(space.top_dim + 1)
+        for ids in _closed_id_sets(space, rng, 6):
+            inside = [[k for k in range(r) if (n, k) in ids] for n, r in enumerate(ck.ranks)]
+            sub = restricted(ck, inside)
+            rebuilt = normalized_chains(subcomplex(space, ids).space)
+            assert sub.ranks == rebuilt.ranks
+            for n in range(1, space.top_dim + 1):
+                assert sub.boundary(n) == rebuilt.boundary(n)
+            if ids:
+                assert homology(relative_chains(space, ids), degrees) == homology(
+                    normalized_chains(quotient(space, ids).space), degrees, reduced=True)

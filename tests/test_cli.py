@@ -278,7 +278,7 @@ def test_catalog_list_and_print(tmp_path):
     assert status == 0 and "H_1 = Z" in text2
 
 
-def test_error_paths():
+def test_error_paths(tmp_path):
     text, status = out_of(["homology", "--space", "nowhere"])
     assert status == 2 and "error" in text
     text, status = out_of(["les", "--space", "delta:2"])
@@ -298,6 +298,11 @@ def test_error_paths():
     assert out_of(cover + ["e5=g", "--space", "circle"]) == (
         "error: e5 is not a presentation generator", 2)
     assert out_of(cover + ["e0=g", "--space", "torus"]) == ("error: no image for generator e1", 2)
+    for doc, reason in (("group v1\n", "missing elements line"),
+                        ("group v1\nelements e a\ntable\ne a\na x\n", "table entry 'x' names no element")):
+        table = tmp_path / "group.txt"
+        table.write_text(doc)
+        assert out_of(["cover", "--space", "circle", "--group", str(table)]) == (f"error: {reason}", 2)
     fill = ["fill", "--space", "rp2", "--faces", "[[[0,0],[]]]"]
     assert out_of(fill + ["--dim", "1", "--k", "2"]) == ("error: horn index out of range", 2)
     assert out_of(fill + ["--dim", "0", "--k", "0"]) == ("error: horns need n >= 1", 2)

@@ -86,6 +86,8 @@ def test_matrix_round_trip():
     assert parse_matrix(print_matrix(zero)).shape == (0, 3)
     with pytest.raises(ValueError):
         parse_matrix("matrix v2\nrows 1 cols 1\n3\n")
+    with pytest.raises(ValueError, match="size line"):
+        parse_matrix("matrix v1\n")
 
 
 def test_group_round_trip():
@@ -95,3 +97,12 @@ def test_group_round_trip():
     assert back.table == z3.table
     with pytest.raises(ValueError):
         parse_group("group v1\nelements a a\ntable\na a\na a\n")
+
+
+def test_truncated_or_unknown_group_tables_are_refused():
+    with pytest.raises(ValueError, match="missing elements line"):
+        parse_group("group v1\n")
+    with pytest.raises(ValueError, match="missing table line"):
+        parse_group("group v1\nelements e a\n")
+    with pytest.raises(ValueError, match="'x' names no element"):
+        parse_group("group v1\nelements e a\ntable\ne a\na x\n")

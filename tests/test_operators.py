@@ -88,9 +88,8 @@ def test_aw_on_diagonal_edge():
     data = alexander_whitney(pr)
     gid = pr.gen_of_pair[(1, 0, (), 1, 0, ())]
     col = data.aw.matrix(1).column(gid)
-    labels = data.tensor.complex.labels[1]
-    terms = {labels[k]: v for k, v in enumerate(col) if v}
-    assert terms == {"0(x)01": 1, "01(x)1": 1}
+    terms = {data.tensor.basis[1][k]: v for k, v in enumerate(col) if v}
+    assert terms == {((0, 0), (1, 0)): 1, ((1, 0), (0, 1)): 1}
 
 
 def test_ez_two_shuffles_opposite_signs():

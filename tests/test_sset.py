@@ -6,11 +6,13 @@ import pytest
 
 from simphom.catalog import catalog
 from simphom.chains import euler_characteristic
+from simphom.io import print_space
 from simphom.simplex import NonDegenSimplex, SimplexRef
 from simphom.sset import (
     SimplicialMap,
     SimplicialSet,
     boundary,
+    constant_map,
     coproduct,
     discrete,
     horn,
@@ -218,3 +220,85 @@ def test_discrete():
     assert discrete(3).counts() == (3,)
     assert discrete(0).counts() == ()
     assert is_valid(discrete(2)).ok
+
+
+def _labels(space):
+    return [[g.label for g in space.gens(d)] for d in range(space.top_dim + 1)]
+
+
+def _images(m):
+    return {key: (ref.base_dim, ref.base_id, ref.degens) for key, ref in m.images.items()}
+
+
+def test_pinned_constructions(rp2, torus, circle):
+    """print_space, name, labels and map images of one construction of
+    each kind, pinned from the per-construction loops that the one gluing
+    routine replaced."""
+    skel = skeleton(rp2, 1)
+    assert print_space(skel.space) == (
+        "sset v1\nname sub(rp2)\ndim 0\n0 []\n1 []\n2 []\n3 []\n4 []\n5 []\ndim 1\n"
+        "0 [[1,[]],[0,[]]]\n1 [[2,[]],[0,[]]]\n2 [[3,[]],[0,[]]]\n3 [[4,[]],[0,[]]]\n"
+        "4 [[5,[]],[0,[]]]\n5 [[2,[]],[1,[]]]\n6 [[3,[]],[1,[]]]\n7 [[4,[]],[1,[]]]\n"
+        "8 [[5,[]],[1,[]]]\n9 [[3,[]],[2,[]]]\n10 [[4,[]],[2,[]]]\n11 [[5,[]],[2,[]]]\n"
+        "12 [[4,[]],[3,[]]]\n13 [[5,[]],[3,[]]]\n14 [[5,[]],[4,[]]]\n")
+    assert _labels(skel.space) == [
+        ["1", "2", "3", "4", "5", "6"],
+        ["12", "13", "14", "15", "16", "23", "24", "25", "26", "34", "35", "36", "45", "46", "56"]]
+    assert _images(skel.inclusion) == {(d, k): (d, k, ()) for d, n in ((0, 6), (1, 15))
+                                       for k in range(n)}
+
+    # the triangle 145 and the edge 56: the closure adds four vertices and three edges
+    sub = subcomplex(rp2, [(2, 3), (1, 14)])
+    assert print_space(sub.space) == (
+        "sset v1\nname sub(rp2)\ndim 0\n0 []\n1 []\n2 []\n3 []\ndim 1\n0 [[1,[]],[0,[]]]\n"
+        "1 [[2,[]],[0,[]]]\n2 [[2,[]],[1,[]]]\n3 [[3,[]],[2,[]]]\ndim 2\n0 [[2,[]],[1,[]],[0,[]]]\n")
+    assert _labels(sub.space) == [["1", "4", "5", "6"], ["14", "15", "45", "56"], ["145"]]
+    assert _images(sub.inclusion) == {
+        (0, 0): (0, 0, ()), (0, 1): (0, 3, ()), (0, 2): (0, 4, ()), (0, 3): (0, 5, ()),
+        (1, 0): (1, 2, ()), (1, 1): (1, 3, ()), (1, 2): (1, 12, ()), (1, 3): (1, 14, ()),
+        (2, 0): (2, 3, ())}
+    assert sub.new_id == {(0, 0): 0, (0, 3): 1, (0, 4): 2, (0, 5): 3,
+                          (1, 2): 0, (1, 3): 1, (1, 12): 2, (1, 14): 3, (2, 3): 0}
+
+    quo = quotient(torus, skeleton(torus, 1))
+    assert print_space(quo.space) == (
+        "sset v1\nname torus/sub\ndim 0\n0 []\ndim 1\ndim 2\n"
+        "0 [[0,[0]],[0,[0]],[0,[0]]]\n1 [[0,[0]],[0,[0]],[0,[0]]]\n")
+    assert _labels(quo.space) == [["*"], [], ["(s0 01|s1 01)", "(s1 01|s0 01)"]]
+    assert _images(quo.projection) == {
+        (0, 0): (0, 0, ()), (1, 0): (0, 0, (0,)), (1, 1): (0, 0, (0,)), (1, 2): (0, 0, (0,)),
+        (2, 0): (2, 0, ()), (2, 1): (2, 1, ())}
+    assert quo.collapse_log == [f"face {i} of {g} collapsed to (0,) over *"
+                                for g in ("(s0 01|s1 01)", "(s1 01|s0 01)") for i in range(3)]
+
+    total = coproduct([circle, rp2])
+    assert print_space(total.space) == (
+        "sset v1\nname circle+rp2\ndim 0\n0 []\n1 []\n2 []\n3 []\n4 []\n5 []\n6 []\ndim 1\n"
+        "0 [[0,[]],[0,[]]]\n1 [[2,[]],[1,[]]]\n2 [[3,[]],[1,[]]]\n3 [[4,[]],[1,[]]]\n"
+        "4 [[5,[]],[1,[]]]\n5 [[6,[]],[1,[]]]\n6 [[3,[]],[2,[]]]\n7 [[4,[]],[2,[]]]\n"
+        "8 [[5,[]],[2,[]]]\n9 [[6,[]],[2,[]]]\n10 [[4,[]],[3,[]]]\n11 [[5,[]],[3,[]]]\n"
+        "12 [[6,[]],[3,[]]]\n13 [[5,[]],[4,[]]]\n14 [[6,[]],[4,[]]]\n15 [[6,[]],[5,[]]]\n"
+        "dim 2\n0 [[6,[]],[2,[]],[1,[]]]\n1 [[9,[]],[5,[]],[1,[]]]\n2 [[10,[]],[3,[]],[2,[]]]\n"
+        "3 [[13,[]],[4,[]],[3,[]]]\n4 [[15,[]],[5,[]],[4,[]]]\n5 [[11,[]],[8,[]],[6,[]]]\n"
+        "6 [[13,[]],[8,[]],[7,[]]]\n7 [[14,[]],[9,[]],[7,[]]]\n8 [[14,[]],[12,[]],[10,[]]]\n"
+        "9 [[15,[]],[12,[]],[11,[]]]\n")
+    assert _labels(total.space) == [
+        ["*", "1", "2", "3", "4", "5", "6"],
+        ["01", "12", "13", "14", "15", "16", "23", "24", "25", "26", "34", "35", "36", "45", "46",
+         "56"],
+        ["123", "126", "134", "145", "156", "235", "245", "246", "346", "356"]]
+    assert [_images(m) for m in total.inclusions] == [
+        {(0, 0): (0, 0, ()), (1, 0): (1, 0, ())},
+        {(d, k): (d, k + shift, ()) for d, n, shift in ((0, 6, 1), (1, 15, 1), (2, 10, 0))
+         for k in range(n)}]
+
+    rim = skeleton(std_simplex(2), 1)
+    disk = pushout(constant_map(rim.space, circle, 0), rim.inclusion)
+    assert print_space(disk.space) == (
+        "sset v1\ndim 0\n0 []\ndim 1\n0 [[0,[]],[0,[]]]\ndim 2\n0 [[0,[0]],[0,[0]],[0,[0]]]\n")
+    assert disk.space.name is None
+    assert _labels(disk.space) == [["*"], ["01"], ["012"]]
+    assert _images(disk.from_base) == {(0, 0): (0, 0, ()), (1, 0): (1, 0, ())}
+    assert _images(disk.from_attached) == {
+        (0, 0): (0, 0, ()), (0, 1): (0, 0, ()), (0, 2): (0, 0, ()),
+        (1, 0): (0, 0, (0,)), (1, 1): (0, 0, (0,)), (1, 2): (0, 0, (0,)), (2, 0): (2, 0, ())}
