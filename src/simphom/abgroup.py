@@ -73,10 +73,6 @@ class AbelianGroup:
     def is_trivial(self) -> bool:
         return self.betti == 0 and not self.torsion
 
-    def cyclic_summands(self) -> list[int]:
-        """Invariant-factor decomposition with 0 for each Z summand."""
-        return [0] * self.betti + list(self.torsion)
-
     def direct_sum(self, *others: "AbelianGroup") -> "AbelianGroup":
         betti = self.betti + sum(g.betti for g in others)
         torsion = list(self.torsion)

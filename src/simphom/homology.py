@@ -336,9 +336,9 @@ def mayer_vietoris(space: SimplicialSet, a_sub, b_sub, up_to: int | None = None)
 
 def _cone_of_multiple(c: ChainComplex, m: int) -> ChainComplex:
     """The mapping cone of m * id_C; for free C it is quasi-isomorphic to
-    C (x) Z/m.  ``mapping_cone`` checks the chain map."""
+    C (x) Z/m.  ``ChainMap`` checks m * id once, as it is built."""
     scale = {n: IntegerMatrix.diagonal([m] * c.rank(n)) for n in range(c.max_degree + 1)}
-    return mapping_cone(ChainMap(c, c, scale, check=False))
+    return mapping_cone(ChainMap(c, c, scale))
 
 
 def with_coefficients(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> list[AbelianGroup]:

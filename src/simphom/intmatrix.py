@@ -1,8 +1,13 @@
 """Dense integer matrices with exact arbitrary-precision arithmetic.
 
-Python ints never overflow, so every operation here is exact.  Matrices
-are immutable from the outside; the reduction code in :mod:`simphom.snf`
-works on private copies.
+Python ints never overflow, so every operation here is exact.  This is
+the only module that knows how a matrix is stored.  Build a matrix from
+its coefficients with ``IntegerMatrix.from_entries(rows, cols, entries)``
+(repeated positions are summed) or from a list of rows; read it with
+``entries()`` (the nonzero ``(i, j, v)`` in row-major order), ``row(i)``,
+``column(j)`` and ``m[i, j]``.  The storage is private and matrices are
+immutable from the outside; the reduction code in :mod:`simphom.snf`
+works on private copies of the rows.
 """
 
 from __future__ import annotations
@@ -30,40 +35,41 @@ class IntegerMatrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
+    def from_entries(cls, rows: int, cols: int, entries) -> "IntegerMatrix":
+        """The rows x cols matrix holding, at each position, the sum of the
+        values ``v`` of the triples ``(i, j, v)`` given there.  An index
+        outside 0 <= i < rows, 0 <= j < cols raises ValueError."""
+        data = [[0] * cols for _ in range(rows)]
+        for i, j, v in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i}, {j}) lies outside a {rows}x{cols} matrix")
+            data[i][j] += int(v)
         m = cls.__new__(cls)  # the rows are fresh ints already: skip the copy
-        m.rows, m.cols, m.data = rows, cols, [[0] * cols for _ in range(rows)]
+        m.rows, m.cols, m.data = rows, cols, data
         return m
 
     @classmethod
+    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
+        return cls.from_entries(rows, cols, ())
+
+    @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
+        return cls.from_entries(n, n, ((i, i, 1) for i in range(n)))
 
     @classmethod
     def from_columns(cls, columns: list[list[int]], rows: int | None = None) -> "IntegerMatrix":
         if rows is None:
             rows = len(columns[0]) if columns else 0
-        m = cls.zero(rows, len(columns))
-        for j, col in enumerate(columns):
-            if len(col) != rows:
-                raise ValueError("column length mismatch")
-            for i, v in enumerate(col):
-                m.data[i][j] = int(v)
-        return m
+        if any(len(col) != rows for col in columns):
+            raise ValueError("column length mismatch")
+        return cls.from_entries(rows, len(columns), (
+            (i, j, v) for j, col in enumerate(columns) for i, v in enumerate(col) if v))
 
     @classmethod
     def diagonal(cls, entries: list[int], rows: int | None = None, cols: int | None = None) -> "IntegerMatrix":
         n = len(entries)
-        m = cls.zero(rows if rows is not None else n, cols if cols is not None else n)
-        for i, v in enumerate(entries):
-            m.data[i][i] = int(v)
-        return m
-
-    def copy(self) -> "IntegerMatrix":
-        return IntegerMatrix([row[:] for row in self.data], self.rows, self.cols)
+        return cls.from_entries(rows if rows is not None else n, cols if cols is not None else n,
+                                ((i, i, v) for i, v in enumerate(entries)))
 
     # -- basic algebra ---------------------------------------------------
 
@@ -128,17 +134,19 @@ class IntegerMatrix:
         return (self.rows, self.cols)
 
     def transpose(self) -> "IntegerMatrix":
-        out = IntegerMatrix.zero(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.data[j][i] = self.data[i][j]
-        return out
+        return IntegerMatrix.from_entries(self.cols, self.rows,
+                                          ((j, i, v) for i, j, v in self.entries()))
 
     def is_zero(self) -> bool:
         return not any(map(any, self.data))
 
     def is_diagonal(self) -> bool:
         return all(v == 0 for i, row in enumerate(self.data) for j, v in enumerate(row) if i != j)
+
+    def entries(self) -> list[tuple[int, int, int]]:
+        """The nonzero entries (i, j, v), in row-major order."""
+        positions = range(self.cols)
+        return [(i, j, row[j]) for i, row in enumerate(self.data) for j in compress(positions, row)]
 
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]

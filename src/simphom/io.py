@@ -158,8 +158,8 @@ def print_space(space: SimplicialSet) -> str:
 
 def print_matrix(m: IntegerMatrix) -> str:
     out = [f"matrix v1", f"rows {m.rows} cols {m.cols}"]
-    for row in m.data:
-        out.append(" ".join(str(v) for v in row))
+    for i in range(m.rows):
+        out.append(" ".join(str(v) for v in m.row(i)))
     return "\n".join(out) + "\n"
 
 
@@ -179,6 +179,8 @@ def parse_matrix(text: str) -> IntegerMatrix:
         data.append(row)
     if len(data) != rows:
         raise ValueError(f"found {len(data)} rows, wanted {rows}")
+    if len(lines) > 2 + rows:
+        raise ValueError(f"{len(lines) - 2 - rows} lines follow the {rows} matrix rows")
     return IntegerMatrix(data, rows, cols)
 
 
@@ -216,4 +218,6 @@ def parse_group(text: str) -> FiniteGroup:
         table.append([index[e] for e in entries])
     if len(table) != len(names):
         raise ValueError("table has the wrong number of rows")
+    if len(lines) > 3 + len(names):
+        raise ValueError(f"{len(lines) - 3 - len(names)} lines follow the {len(names)} table rows")
     return FiniteGroup(names, table)

@@ -90,7 +90,7 @@ def prism_homotopy(homotopy: SimplicialMap, cyl: Cylinder) -> ChainHomotopy:
     tgt = normalized_chains(L)
     mats = {}
     for n in range(K.top_dim + 1):
-        mat = IntegerMatrix.zero(tgt.rank(n + 1), src.rank(n))
+        entries = []
         for g in K.gens(n):
             for i in range(n + 1):
                 # eta_i: the (n+1)-simplex of Delta[1] jumping after i
@@ -100,8 +100,8 @@ def prism_homotopy(homotopy: SimplicialMap, cyl: Cylinder) -> ChainHomotopy:
                     K.degeneracy(SimplexRef(n, g.id), i), eta)
                 img = homotopy.apply(prism_cell)
                 if not img.is_degenerate:
-                    mat.data[img.base_id][g.id] += (-1) ** i
-        mats[n] = mat
+                    entries.append((img.base_id, g.id, (-1) ** i))
+        mats[n] = IntegerMatrix.from_entries(tgt.rank(n + 1), src.rank(n), entries)
     return ChainHomotopy(src, tgt, mats)
 
 
@@ -188,35 +188,29 @@ def alexander_whitney(prod: ProductResult) -> EilenbergZilberData:
 
     aw_mats = {}
     for n in range(prod.space.top_dim + 1):
-        mat = IntegerMatrix.zero(tc.complex.rank(n), cp.rank(n))
+        entries = []
         for g in prod.space.gens(n):
             a, b = prod.pair_of_gen[(n, g.id)]
             for i in range(n + 1):
                 fr = _front(K, a, i)
                 bk = _back(L, b, n - i)
-                if fr.is_degenerate or bk.is_degenerate:
-                    continue
-                row = tc.index[(i, fr.base_id, n - i, bk.base_id)]
-                mat.data[row][g.id] += 1
-        aw_mats[n] = mat
-    aw = ChainMap(cp, tc.complex, aw_mats, check=True)
+                if not (fr.is_degenerate or bk.is_degenerate):
+                    entries.append((tc.index[(i, fr.base_id, n - i, bk.base_id)], g.id, 1))
+        aw_mats[n] = IntegerMatrix.from_entries(tc.complex.rank(n), cp.rank(n), entries)
+    aw = ChainMap(cp, tc.complex, aw_mats)
 
     ez_mats = {}
     for n in range(tc.complex.max_degree + 1):
-        mat = IntegerMatrix.zero(cp.rank(n), tc.complex.rank(n))
-        if n > prod.space.top_dim:
-            ez_mats[n] = mat
-            continue
-        for col, ((p, i), (q, j)) in enumerate(tc.basis[n]):
+        entries = []
+        for col, ((p, i), (q, j)) in enumerate(tc.basis[n] if n <= prod.space.top_dim else ()):
             for s_set in itertools.combinations(range(n), q):
                 t_set = tuple(t for t in range(n) if t not in s_set)
                 left_word = tuple(reversed(s_set))
                 right_word = tuple(reversed(t_set))
                 key = (p, i, left_word, q, j, right_word)
-                gid = prod.gen_of_pair[key]
-                mat.data[gid][col] += _shuffle_sign(left_word, right_word)
-        ez_mats[n] = mat
-    ez = ChainMap(tc.complex, cp, ez_mats, check=True)
+                entries.append((prod.gen_of_pair[key], col, _shuffle_sign(left_word, right_word)))
+        ez_mats[n] = IntegerMatrix.from_entries(cp.rank(n), tc.complex.rank(n), entries)
+    ez = ChainMap(tc.complex, cp, ez_mats)
 
     data = EilenbergZilberData(prod, tc, aw, ez)
     for n in range(tc.complex.max_degree + 1):

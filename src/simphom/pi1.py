@@ -78,11 +78,10 @@ class GroupPresentation:
         return " ".join(parts)
 
     def exponent_matrix(self) -> IntegerMatrix:
-        mat = IntegerMatrix.zero(len(self.generators), len(self.relators))
-        for j, word in enumerate(self.relators):
-            for letter in word:
-                mat.data[abs(letter) - 1][j] += 1 if letter > 0 else -1
-        return mat
+        return IntegerMatrix.from_entries(
+            len(self.generators), len(self.relators),
+            ((abs(letter) - 1, j, 1 if letter > 0 else -1)
+             for j, word in enumerate(self.relators) for letter in word))
 
 
 def abelianization(p: GroupPresentation) -> AbelianGroup:

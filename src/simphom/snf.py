@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import gcd
 
 from .abgroup import AbelianGroup
@@ -55,51 +54,49 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
     The result is verified before returning: U*M*V == S entry-exactly and
     U, V have exact integer two-sided inverses (hence determinant +-1).
     """
-    a = m.copy()
-    rows, cols = a.rows, a.cols
-    U = IntegerMatrix.identity(rows)
-    Uinv = IntegerMatrix.identity(rows)
-    V = IntegerMatrix.identity(cols)
-    Vinv = IntegerMatrix.identity(cols)
+    rows, cols = m.rows, m.cols
+    a = [m.row(i) for i in range(rows)]
+    U, Uinv = _identity_rows(rows), _identity_rows(rows)
+    V, Vinv = _identity_rows(cols), _identity_rows(cols)
 
     def row_add(i, j, c):  # row_i += c * row_j
         for t in range(cols):
-            a.data[i][t] += c * a.data[j][t]
+            a[i][t] += c * a[j][t]
         for t in range(rows):
-            U.data[i][t] += c * U.data[j][t]
-            Uinv.data[t][j] -= c * Uinv.data[t][i]
+            U[i][t] += c * U[j][t]
+            Uinv[t][j] -= c * Uinv[t][i]
 
     def row_swap(i, j):
-        a.data[i], a.data[j] = a.data[j], a.data[i]
-        U.data[i], U.data[j] = U.data[j], U.data[i]
+        a[i], a[j] = a[j], a[i]
+        U[i], U[j] = U[j], U[i]
         for t in range(rows):
-            Uinv.data[t][i], Uinv.data[t][j] = Uinv.data[t][j], Uinv.data[t][i]
+            Uinv[t][i], Uinv[t][j] = Uinv[t][j], Uinv[t][i]
 
     def row_negate(i):
-        a.data[i] = [-v for v in a.data[i]]
-        U.data[i] = [-v for v in U.data[i]]
+        a[i] = [-v for v in a[i]]
+        U[i] = [-v for v in U[i]]
         for t in range(rows):
-            Uinv.data[t][i] = -Uinv.data[t][i]
+            Uinv[t][i] = -Uinv[t][i]
 
     def col_add(i, j, c):  # col_i += c * col_j
         for t in range(rows):
-            a.data[t][i] += c * a.data[t][j]
+            a[t][i] += c * a[t][j]
         for t in range(cols):
-            V.data[t][i] += c * V.data[t][j]
-        Vinv.data[j] = [x - c * y for x, y in zip(Vinv.data[j], Vinv.data[i])]
+            V[t][i] += c * V[t][j]
+        Vinv[j] = [x - c * y for x, y in zip(Vinv[j], Vinv[i])]
 
     def col_swap(i, j):
         for t in range(rows):
-            a.data[t][i], a.data[t][j] = a.data[t][j], a.data[t][i]
+            a[t][i], a[t][j] = a[t][j], a[t][i]
         for t in range(cols):
-            V.data[t][i], V.data[t][j] = V.data[t][j], V.data[t][i]
-        Vinv.data[i], Vinv.data[j] = Vinv.data[j], Vinv.data[i]
+            V[t][i], V[t][j] = V[t][j], V[t][i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def min_pivot(t):
         best = None
         for i in range(t, rows):
             for j in range(t, cols):
-                v = abs(a.data[i][j])
+                v = abs(a[i][j])
                 if v and (best is None or v < best[0]):
                     if v == 1:
                         return (v, i, j)  # already minimal
@@ -116,31 +113,31 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
             row_swap(t, pi)
         if pj != t:
             col_swap(t, pj)
-        if a.data[t][t] < 0:
+        if a[t][t] < 0:
             row_negate(t)
         # clear the cross through the pivot; a nonzero remainder becomes
         # the new (smaller) pivot on the next pass
         dirty = False
         for i in range(t + 1, rows):
-            if a.data[i][t]:
-                q = a.data[i][t] // a.data[t][t]
+            if a[i][t]:
+                q = a[i][t] // a[t][t]
                 row_add(i, t, -q)
-                if a.data[i][t]:
+                if a[i][t]:
                     dirty = True
         for j in range(t + 1, cols):
-            if a.data[t][j]:
-                q = a.data[t][j] // a.data[t][t]
+            if a[t][j]:
+                q = a[t][j] // a[t][t]
                 col_add(j, t, -q)
-                if a.data[t][j]:
+                if a[t][j]:
                     dirty = True
         if dirty:
             continue
         # pivot must divide the remaining block to get the divisor chain
-        pivot = a.data[t][t]
+        pivot = a[t][t]
         offender = None
         for i in range(t + 1, rows):
             for j in range(t + 1, cols):
-                if a.data[i][j] % pivot != 0:
+                if a[i][j] % pivot != 0:
                     offender = i
                     break
             if offender is not None:
@@ -150,10 +147,19 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
             continue
         t += 1
 
-    divisors = [a.data[i][i] for i in range(min(rows, cols)) if a.data[i][i] != 0]
-    result = SNFResult(a, U, V, Uinv, Vinv, divisors)
+    divisors = [a[i][i] for i in range(min(rows, cols)) if a[i][i] != 0]
+    result = SNFResult(IntegerMatrix(a, rows, cols), IntegerMatrix(U, rows, rows),
+                       IntegerMatrix(V, cols, cols), IntegerMatrix(Uinv, rows, rows),
+                       IntegerMatrix(Vinv, cols, cols), divisors)
     _verify(m, result)
     return result
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def _verify(m: IntegerMatrix, r: SNFResult):
@@ -187,11 +193,8 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
     row_ids = sorted(residue)
     col_ids = sorted({j for row in residue.values() for j in row})
     position = {j: t for t, j in enumerate(col_ids)}
-    dense = IntegerMatrix.zero(len(row_ids), len(col_ids))
-    for t, i in enumerate(row_ids):
-        out = dense.data[t]
-        for j, v in residue[i].items():
-            out[position[j]] = v
+    dense = IntegerMatrix.from_entries(len(row_ids), len(col_ids), (
+        (t, position[j], v) for t, i in enumerate(row_ids) for j, v in residue[i].items()))
     return units + smith_normal_form(dense).divisors
 
 
@@ -209,12 +212,9 @@ def _eliminate_units(m: IntegerMatrix):
     entry that is gone or no longer a unit is dropped, and one whose cost
     has risen is pushed back.
     """
-    rows = {}
-    positions = range(m.cols)
-    for i, row in enumerate(m.data):
-        sparse = {j: row[j] for j in compress(positions, row)}
-        if sparse:
-            rows[i] = sparse
+    rows: dict[int, dict[int, int]] = {}
+    for i, j, v in m.entries():
+        rows.setdefault(i, {})[j] = v
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
@@ -298,10 +298,10 @@ def _check_elimination(m: IntegerMatrix, steps, residue) -> None:
     for a, acc in total.items():
         for b, v in acc.items():
             if v:
-                if not (0 <= a < m.rows and 0 <= b < m.cols) or m.data[a][b] != v:
+                if not (0 <= a < m.rows and 0 <= b < m.cols) or m[a, b] != v:
                     raise AssertionError(f"elimination does not reproduce M at ({a}, {b})")
                 nonzero += 1
-    if nonzero != sum(m.cols - row.count(0) for row in m.data):
+    if nonzero != sum(m.cols - m.row(i).count(0) for i in range(m.rows)):
         raise AssertionError("elimination does not reproduce M: entries missing")
 
 
@@ -353,7 +353,7 @@ class Subquotient:
         # generator k is column k of U2^-1 in z coordinates, so V * (t (.) it) in Z^r
         self._gen_cols = []
         for k in range(self._n_trivial, n):
-            z = [t * row[k] for t, row in zip(self._steps, self._rel_snf.U_inv.data)]
+            z = [t * v for t, v in zip(self._steps, self._rel_snf.U_inv.column(k))]
             self._gen_cols.append(self._V.apply([0] * self._skip + z))
 
     def _kernel_coords(self, y: list[int]) -> list[int]:

@@ -349,7 +349,6 @@ class SubcomplexResult:
     space: SimplicialSet
     inclusion: SimplicialMap
     id_set: frozenset[tuple[int, int]]
-    new_id: dict[tuple[int, int], int]
 
 
 def subcomplex(space: SimplicialSet, ids, require_closed: bool = False) -> SubcomplexResult:
@@ -366,10 +365,10 @@ def subcomplex(space: SimplicialSet, ids, require_closed: bool = False) -> Subco
     dropped = {(d, g.id): None for d in range(space.top_dim + 1)
                for g in space.gens(d) if (d, g.id) not in closed}
     sub, (image,) = _glue([(space, dropped)], f"sub({space.name})" if space.name else None)
-    new_id = {key: ref.base_id for key, ref in image.items() if ref is not None}
-    incl = SimplicialMap(sub, space, {(d, new): SimplexRef(d, old)
-                                      for (d, old), new in new_id.items()}, check=False)
-    return SubcomplexResult(sub, incl, frozenset(closed), new_id)
+    incl = SimplicialMap(sub, space, {(d, ref.base_id): SimplexRef(d, old)
+                                      for (d, old), ref in image.items() if ref is not None},
+                         check=False)
+    return SubcomplexResult(sub, incl, frozenset(closed))
 
 
 def skeleton(space: SimplicialSet, n: int) -> SubcomplexResult:

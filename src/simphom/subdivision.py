@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import ChainComplex, ChainMap
+from .chains import ChainMap, normalized_chains
 from .intmatrix import IntegerMatrix
 from .simplex import NonDegenSimplex, SimplexRef
 from .sset import SimplicialSet
@@ -24,7 +24,7 @@ class OrderedSimplicialComplex:
     downward (closure is taken on construction).
     """
 
-    def __init__(self, faces, vertices=None):
+    def __init__(self, faces):
         face_set: set[tuple] = set()
         for f in faces:
             f = tuple(f)
@@ -40,10 +40,6 @@ class OrderedSimplicialComplex:
                 if sub and sub not in face_set:
                     face_set.add(sub)
                     todo.append(sub)
-        if vertices is not None:
-            vertices = sorted(vertices)
-            for v in vertices:
-                face_set.add((v,))
         self.vertices = sorted({v for f in face_set for v in f})
         self.by_dim: list[list[tuple]] = []
         d = 0
@@ -91,22 +87,6 @@ def complex_to_sset(cx: OrderedSimplicialComplex, name: str | None = None) -> Si
     return SimplicialSet(rows, name=name)
 
 
-def simplicial_chains(cx: OrderedSimplicialComplex) -> ChainComplex:
-    """The simplicial chain complex with the vertex-order orientation;
-    identical to the normalized chains of ``complex_to_sset``."""
-    index = [{f: k for k, f in enumerate(level)} for level in cx.by_dim]
-    ranks = [len(level) for level in cx.by_dim]
-    boundaries = {}
-    for d in range(1, cx.top_dim + 1):
-        mat = IntegerMatrix.zero(ranks[d - 1], ranks[d])
-        for k, f in enumerate(cx.by_dim[d]):
-            for i in range(d + 1):
-                sub = f[:i] + f[i + 1:]
-                mat.data[index[d - 1][sub]][k] += (-1) ** i
-        boundaries[d] = mat
-    return ChainComplex(ranks, boundaries)
-
-
 @dataclass
 class SubdivisionResult:
     subdivided: OrderedSimplicialComplex
@@ -118,36 +98,14 @@ def barycentric_subdivide(cx: OrderedSimplicialComplex) -> SubdivisionResult:
     """The barycentric subdivision together with its chain map.
 
     Vertices of Sd are the faces of the input ordered by (dimension,
-    vertex tuple); k-faces are flags of strictly nested input faces.  The
-    chain map is the cone formula expanded over flags; it is verified to
-    commute with boundaries before returning.
+    vertex tuple); k-faces are flags of strictly nested input faces, read
+    off the supports of the cone formula.  The chain map is the cone
+    formula expanded over flags, between the normalized chains of
+    ``complex_to_sset`` on both sides; ``ChainMap`` verifies that it
+    commutes with boundaries.
     """
     face_order = {f: k for k, f in enumerate(
         sorted(cx.all_faces(), key=lambda f: (len(f), f)))}
-    flags = []
-    # flags of nested faces: grow by adding a strictly larger coface
-    maximal_chains: list[list[tuple]] = [[f] for f in cx.all_faces()]
-    seen = {tuple(ch) for ch in maximal_chains}
-    frontier = list(maximal_chains)
-    while frontier:
-        new_frontier = []
-        for chain in frontier:
-            top = chain[-1]
-            for f in cx.all_faces():
-                if len(f) > len(top) and set(top) < set(f):
-                    ext = chain + [f]
-                    key = tuple(ext)
-                    if key not in seen:
-                        seen.add(key)
-                        new_frontier.append(ext)
-        flags.extend(frontier)
-        frontier = new_frontier
-    sd_faces = [tuple(face_order[f] for f in chain) for chain in flags]
-    subdivided = OrderedSimplicialComplex(sd_faces, vertices=face_order.values())
-
-    src = simplicial_chains(cx)
-    tgt = simplicial_chains(subdivided)
-    tgt_index = [{f: k for k, f in enumerate(level)} for level in subdivided.by_dim]
 
     def normalize(raw: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         """Sign of the permutation sorting an oriented tuple (0 if repeats)."""
@@ -184,14 +142,18 @@ def barycentric_subdivide(cx: OrderedSimplicialComplex) -> SubdivisionResult:
         cache[face] = out
         return out
 
-    mats = {}
-    for d in range(cx.top_dim + 1):
-        mat = IntegerMatrix.zero(tgt.rank(d), src.rank(d))
-        for col, face in enumerate(cx.by_dim[d]):
-            for sd_face, coeff in sd_chain(face).items():
-                mat.data[tgt_index[d][sd_face]][col] = coeff
-        mats[d] = mat
-    chain_map = ChainMap(src, tgt, mats, check=True)
+    # sd(face) is a signed sum over the full flags ending at the face, each
+    # with coefficient +-1 (sd of a vertex is its own vertex); every flag is
+    # a face of a full flag
+    subdivided = OrderedSimplicialComplex(
+        [sd_face for face in cx.all_faces() for sd_face in sd_chain(face)])
+    tgt_index = [{f: k for k, f in enumerate(level)} for level in subdivided.by_dim]
+    mats = {d: IntegerMatrix.from_entries(len(subdivided.faces(d)), len(cx.by_dim[d]), (
+        (tgt_index[d][sd_face], col, coeff)
+        for col, face in enumerate(cx.by_dim[d]) for sd_face, coeff in sd_chain(face).items()))
+        for d in range(cx.top_dim + 1)}
+    chain_map = ChainMap(normalized_chains(complex_to_sset(cx)),
+                         normalized_chains(complex_to_sset(subdivided)), mats)
     return SubdivisionResult(subdivided, chain_map, dict(face_order))
 
 

@@ -299,7 +299,8 @@ def test_error_paths(tmp_path):
         "error: e5 is not a presentation generator", 2)
     assert out_of(cover + ["e0=g", "--space", "torus"]) == ("error: no image for generator e1", 2)
     for doc, reason in (("group v1\n", "missing elements line"),
-                        ("group v1\nelements e a\ntable\ne a\na x\n", "table entry 'x' names no element")):
+                        ("group v1\nelements e a\ntable\ne a\na x\n", "table entry 'x' names no element"),
+                        ("group v1\nelements e\ntable\ne\ne\n", "1 lines follow the 1 table rows")):
         table = tmp_path / "group.txt"
         table.write_text(doc)
         assert out_of(["cover", "--space", "circle", "--group", str(table)]) == (f"error: {reason}", 2)

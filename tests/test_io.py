@@ -88,6 +88,8 @@ def test_matrix_round_trip():
         parse_matrix("matrix v2\nrows 1 cols 1\n3\n")
     with pytest.raises(ValueError, match="size line"):
         parse_matrix("matrix v1\n")
+    with pytest.raises(ValueError, match="1 lines follow the 1 matrix rows"):
+        parse_matrix("matrix v1\nrows 1 cols 1\n3\n4 5 6\n")
 
 
 def test_group_round_trip():
@@ -106,3 +108,5 @@ def test_truncated_or_unknown_group_tables_are_refused():
         parse_group("group v1\nelements e a\n")
     with pytest.raises(ValueError, match="'x' names no element"):
         parse_group("group v1\nelements e a\ntable\ne a\na x\n")
+    with pytest.raises(ValueError, match="1 lines follow the 1 table rows"):
+        parse_group("group v1\nelements e\ntable\ne\nthis line is not part of any table\n")

@@ -67,7 +67,7 @@ def test_interval_contraction_prism_matrix():
     cyl = cylinder(space)
     h = meet_contraction(space, cyl)
     d = prism_homotopy(h, cyl)
-    assert d.matrix(0).data == [[0, 1]]
+    assert d.matrix(0) == IntegerMatrix([[0, 1]])
     assert d.matrix(1).is_zero()
 
 

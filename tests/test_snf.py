@@ -198,7 +198,7 @@ def test_elementary_divisors_match_sympy(sympy_snf, m):
     from sympy import ZZ, Matrix
     divisors = elementary_divisors(m)
     if m.rows and m.cols:
-        diagonal = sympy_snf(Matrix(m.data), domain=ZZ)
+        diagonal = sympy_snf(Matrix([m.row(i) for i in range(m.rows)]), domain=ZZ)
         reference = sorted(abs(diagonal[i, i]) for i in range(min(m.rows, m.cols))
                            if diagonal[i, i])
     else:

@@ -257,8 +257,6 @@ def test_pinned_constructions(rp2, torus, circle):
         (0, 0): (0, 0, ()), (0, 1): (0, 3, ()), (0, 2): (0, 4, ()), (0, 3): (0, 5, ()),
         (1, 0): (1, 2, ()), (1, 1): (1, 3, ()), (1, 2): (1, 12, ()), (1, 3): (1, 14, ()),
         (2, 0): (2, 3, ())}
-    assert sub.new_id == {(0, 0): 0, (0, 3): 1, (0, 4): 2, (0, 5): 3,
-                          (1, 2): 0, (1, 3): 1, (1, 12): 2, (1, 14): 3, (2, 3): 0}
 
     quo = quotient(torus, skeleton(torus, 1))
     assert print_space(quo.space) == (
