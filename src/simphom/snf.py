@@ -2,14 +2,18 @@
 
 Two reductions live here.
 
-``smith_normal_form`` is dense and keeps the transforms U, V together
-with their inverses, so that U*M*V = S holds exactly.  The pivot at each
-round is a nonzero entry of minimal absolute value, which keeps
-coefficient growth modest; arbitrary precision makes the answer exact
-regardless.  ``Subquotient``, the one builder of groups with
-representatives, makes two of them: one of the outgoing map, whose
-V^-1 coordinates describe its kernel (mod m, if a modulus is given), and
-one of the relations in those coordinates.
+``smith_normal_form`` reduces private dense rows and keeps the
+transforms U, V together with their inverses, so that U*M*V = S holds
+exactly.  The pivot at each round is a nonzero entry of minimal absolute
+value, which keeps coefficient growth modest; arbitrary precision makes
+the answer exact regardless.  Every row and column operation touches
+only the nonzero entries of its source, and a unit pivot skips the
+divisibility scan of the remaining block.  The five results become
+sparse matrices once, at the end, and are verified as sparse products.
+``Subquotient``, the one builder of groups with representatives, makes
+two of them: one of the outgoing map, whose V^-1 coordinates describe
+its kernel (mod m, if a modulus is given), and one of the relations in
+those coordinates.
 
 ``elementary_divisors`` is the groups-only path: it returns the nonzero
 invariant factors and nothing else.  Sparse elimination first removes
@@ -26,7 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
+from operator import itemgetter
 
 from .abgroup import AbelianGroup
 from .intmatrix import IntegerMatrix
@@ -55,49 +61,55 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
     U, V have exact integer two-sided inverses (hence determinant +-1).
     """
     rows, cols = m.rows, m.cols
-    a = [m.row(i) for i in range(rows)]
-    U, Uinv = _identity_rows(rows), _identity_rows(rows)
-    V, Vinv = _identity_rows(cols), _identity_rows(cols)
+    row_span, col_span = range(rows), range(cols)
+    a = [m.row(i) for i in row_span]
+    # U and V^-1 are kept by rows and U^-1 and V by columns (as the rows of
+    # their transposes), so every update of a transform is a row update
+    # that touches only the nonzero entries of its source row
+    U, Uinv_t = _identity_rows(rows), _identity_rows(rows)
+    V_t, Vinv = _identity_rows(cols), _identity_rows(cols)
+
+    def add_multiple(target, source, c, span):  # target += c * source
+        for k in compress(span, source):
+            target[k] += c * source[k]
 
     def row_add(i, j, c):  # row_i += c * row_j
-        for t in range(cols):
-            a[i][t] += c * a[j][t]
-        for t in range(rows):
-            U[i][t] += c * U[j][t]
-            Uinv[t][j] -= c * Uinv[t][i]
+        add_multiple(a[i], a[j], c, col_span)
+        add_multiple(U[i], U[j], c, row_span)
+        add_multiple(Uinv_t[j], Uinv_t[i], -c, row_span)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         U[i], U[j] = U[j], U[i]
-        for t in range(rows):
-            Uinv[t][i], Uinv[t][j] = Uinv[t][j], Uinv[t][i]
+        Uinv_t[i], Uinv_t[j] = Uinv_t[j], Uinv_t[i]
 
     def row_negate(i):
         a[i] = [-v for v in a[i]]
         U[i] = [-v for v in U[i]]
-        for t in range(rows):
-            Uinv[t][i] = -Uinv[t][i]
+        Uinv_t[i] = [-v for v in Uinv_t[i]]
 
-    def col_add(i, j, c):  # col_i += c * col_j
-        for t in range(rows):
-            a[t][i] += c * a[t][j]
-        for t in range(cols):
-            V[t][i] += c * V[t][j]
-        Vinv[j] = [x - c * y for x, y in zip(Vinv[j], Vinv[i])]
+    def col_add(i, j, c, support):  # col_i += c * col_j, col_j of a nonzero on support only
+        for s in support:
+            a[s][i] += c * a[s][j]
+        add_multiple(V_t[i], V_t[j], c, col_span)
+        add_multiple(Vinv[j], Vinv[i], -c, col_span)
 
     def col_swap(i, j):
-        for t in range(rows):
-            a[t][i], a[t][j] = a[t][j], a[t][i]
-        for t in range(cols):
-            V[t][i], V[t][j] = V[t][j], V[t][i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        V_t[i], V_t[j] = V_t[j], V_t[i]
         Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
+    # Rows and columns before t are cleared but for their diagonal, so the
+    # nonzeros of rows t.. lie in columns t.. and those of columns t.. in
+    # rows t..; the scans below read only nonzeros and rely on that.
     def min_pivot(t):
         best = None
         for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best[0]):
+            row = a[i]
+            for j in compress(col_span, row):
+                v = abs(row[j])
+                if best is None or v < best[0]:
                     if v == 1:
                         return (v, i, j)  # already minimal
                     best = (v, i, j)
@@ -115,41 +127,32 @@ def smith_normal_form(m: IntegerMatrix) -> SNFResult:
             col_swap(t, pj)
         if a[t][t] < 0:
             row_negate(t)
+        pivot = a[t][t]
         # clear the cross through the pivot; a nonzero remainder becomes
         # the new (smaller) pivot on the next pass
-        dirty = False
-        for i in range(t + 1, rows):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                row_add(i, t, -q)
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                col_add(j, t, -q)
-                if a[t][j]:
-                    dirty = True
-        if dirty:
+        below = [i for i in compress(row_span, map(itemgetter(t), a)) if i > t]
+        for i in below:
+            row_add(i, t, -(a[i][t] // pivot))
+        support = [t] + [i for i in below if a[i][t]]
+        right = [j for j in compress(col_span, a[t]) if j > t]
+        for j in right:
+            col_add(j, t, -(a[t][j] // pivot), support)
+        if len(support) > 1 or any(a[t][j] for j in right):
             continue
-        # pivot must divide the remaining block to get the divisor chain
-        pivot = a[t][t]
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % pivot != 0:
-                    offender = i
-                    break
+        # the pivot must divide the remaining block to get the divisor
+        # chain; every entry is divisible by 1
+        if pivot != 1:
+            offender = next((i for i in range(t + 1, rows)
+                             if any(a[i][j] % pivot for j in compress(col_span, a[i]))), None)
             if offender is not None:
-                break
-        if offender is not None:
-            row_add(t, offender, 1)
-            continue
+                row_add(t, offender, 1)
+                continue
         t += 1
 
     divisors = [a[i][i] for i in range(min(rows, cols)) if a[i][i] != 0]
     result = SNFResult(IntegerMatrix(a, rows, cols), IntegerMatrix(U, rows, rows),
-                       IntegerMatrix(V, cols, cols), IntegerMatrix(Uinv, rows, rows),
+                       IntegerMatrix(V_t, cols, cols).transpose(),
+                       IntegerMatrix(Uinv_t, rows, rows).transpose(),
                        IntegerMatrix(Vinv, cols, cols), divisors)
     _verify(m, result)
     return result
@@ -301,7 +304,7 @@ def _check_elimination(m: IntegerMatrix, steps, residue) -> None:
                 if not (0 <= a < m.rows and 0 <= b < m.cols) or m[a, b] != v:
                     raise AssertionError(f"elimination does not reproduce M at ({a}, {b})")
                 nonzero += 1
-    if nonzero != sum(m.cols - m.row(i).count(0) for i in range(m.rows)):
+    if nonzero != len(m.entries()):
         raise AssertionError("elimination does not reproduce M: entries missing")
 
 

@@ -274,3 +274,28 @@ def test_corrupted_residue_fails_elementary_divisors(monkeypatch):
     monkeypatch.setattr(snf, "_eliminate_units", corrupted)
     with pytest.raises(AssertionError, match="does not reproduce M"):
         elementary_divisors(TAMPER_M)
+
+
+def test_unit_elimination_does_not_grow_fill_in(monkeypatch):
+    """Pins the Markowitz pivot order by counts.  On the four boundaries of
+    RP^2 x RP^2 the residues may be no larger than 0x0, 7x223, 33x23 and
+    208x1, and the heap may be popped at most 89,784 times in all."""
+    from simphom.catalog import catalog
+    from simphom.chains import normalized_chains
+    from simphom.sset import product
+
+    complex_ = normalized_chains(product(catalog("rp2"), catalog("rp2")).space)
+    pops = 0
+    heappop = snf.heappop
+
+    def counted(heap):
+        nonlocal pops
+        pops += 1
+        return heappop(heap)
+
+    monkeypatch.setattr(snf, "heappop", counted)
+    for n, (most_rows, most_cols) in {1: (0, 0), 2: (7, 223), 3: (33, 23), 4: (208, 1)}.items():
+        steps, residue = snf._eliminate_units(complex_.boundary(n))
+        residue_cols = {j for row in residue.values() for j in row}
+        assert len(residue) <= most_rows and len(residue_cols) <= most_cols, n
+    assert pops <= 89_784
