@@ -10,8 +10,10 @@ get their own elimination, so the universal coefficient check still
 compares two independent computations.
 
 Everything else is a ``Subquotient`` ker/im with explicit generator
-representatives, two verified SNFs each, so induced maps and connecting
-homomorphisms come out as integer matrices.  ``homology_data`` and
+representatives, so induced maps and connecting homomorphisms come out as
+integer matrices.  Each one eliminates the outgoing map and then its
+relations by the same certified unit pivots, with a verified SNF only
+on the two small residues.  ``homology_data`` and
 ``cohomology_data`` (Z or Z/m cocycles, which the cup table reads) build
 one each, and so does ``exact_at``: im = ker at a node holds iff the
 lifts of the image and of the node's relations span the kernel, that is
@@ -31,7 +33,7 @@ from functools import reduce
 
 from .abgroup import AbelianGroup
 from .chains import ChainComplex, ChainMap, mapping_cone, normalized_chains, relative_chains, restricted
-from .intmatrix import IntegerMatrix, mod_rank, rational_rank
+from .intmatrix import IntegerMatrix
 from .snf import Subquotient, elementary_divisors
 from .snf import smith_normal_form  # noqa: F401  perfbench's tracer tests read this binding
 from .sset import SimplicialSet, SubcomplexResult, subcomplex
@@ -76,18 +78,6 @@ def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[Abeli
 
 def homology_of_space(space: SimplicialSet, degrees=None, reduced: bool = False) -> list[AbelianGroup]:
     return homology(normalized_chains(space), degrees, reduced)
-
-
-def betti_numbers_rational(c: ChainComplex) -> list[int]:
-    """Betti numbers by rational ranks only (independent of SNF)."""
-    return [c.rank(n) - rational_rank(c.boundary(n)) - rational_rank(c.boundary(n + 1))
-            for n in range(c.max_degree + 1)]
-
-
-def mod_betti_numbers(c: ChainComplex, p: int) -> list[int]:
-    """dim H_n(C; Z/p) over the field Z/p, via mod-p ranks."""
-    return [c.rank(n) - mod_rank(c.boundary(n), p) - mod_rank(c.boundary(n + 1), p)
-            for n in range(c.max_degree + 1)]
 
 
 # ---------------------------------------------------------------------------

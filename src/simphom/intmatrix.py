@@ -19,7 +19,6 @@ copies of the rows.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 
 
@@ -185,9 +184,6 @@ class IntegerMatrix:
     def is_zero(self) -> bool:
         return not any(self._nz)
 
-    def is_diagonal(self) -> bool:
-        return all(j == i for i, row in enumerate(self._nz) for j in row)
-
     def entries(self) -> list[tuple[int, int, int]]:
         """The nonzero entries (i, j, v), in row-major order with the
         columns of each row ascending."""
@@ -248,72 +244,3 @@ class IntegerMatrix:
         body = "; ".join(" ".join(str(v) for v in self.row(i)) for i in range(self.rows))
         return f"[{body}]"
 
-
-def rational_rank(m: IntegerMatrix) -> int:
-    """Rank over the rationals by exact fraction-based elimination."""
-    a = [[Fraction(v) for v in m.row(i)] for i in range(m.rows)]
-    rank = 0
-    col = 0
-    rows, cols = m.rows, m.cols
-    while rank < rows and col < cols:
-        pivot = next((r for r in range(rank, rows) if a[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        pv = a[rank][col]
-        for r in range(rank + 1, rows):
-            if a[r][col] != 0:
-                factor = a[r][col] / pv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def mod_rank(m: IntegerMatrix, p: int) -> int:
-    """Rank over the field Z/p (p prime)."""
-    a = [[v % p for v in m.row(i)] for i in range(m.rows)]
-    rank = 0
-    col = 0
-    rows, cols = m.rows, m.cols
-    while rank < rows and col < cols:
-        pivot = next((r for r in range(rank, rows) if a[r][col] % p != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col] % p != 0:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def determinant(m: IntegerMatrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [m.row(i) for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from .abgroup import AbelianGroup
 from .intmatrix import IntegerMatrix
 from .simplex import SimplexRef
-from .snf import Subquotient, smith_normal_form
+from .snf import Subquotient, elementary_divisors
+from .snf import smith_normal_form  # noqa: F401  perfbench's tracer tests read this binding
 from .sset import SimplicialSet
 
 
@@ -85,10 +86,10 @@ class GroupPresentation:
 
 
 def abelianization(p: GroupPresentation) -> AbelianGroup:
-    """Smith normal form of the relator exponent matrix."""
-    snf = smith_normal_form(p.exponent_matrix())
-    betti = len(p.generators) - snf.rank
-    return AbelianGroup(betti, tuple(d for d in snf.divisors if d >= 2))
+    """The elementary divisors of the relator exponent matrix."""
+    divisors = elementary_divisors(p.exponent_matrix())
+    betti = len(p.generators) - len(divisors)
+    return AbelianGroup(betti, tuple(d for d in divisors if d >= 2))
 
 
 @dataclass

@@ -1,7 +1,5 @@
 """Smith normal form over Z, and subquotient groups with representatives.
 
-Two reductions live here.
-
 ``smith_normal_form`` reduces private dense rows and keeps the
 transforms U, V together with their inverses, so that U*M*V = S holds
 exactly.  The pivot at each round is a nonzero entry of minimal absolute
@@ -10,20 +8,23 @@ the answer exact regardless.  Every row and column operation touches
 only the nonzero entries of its source, and a unit pivot skips the
 divisibility scan of the remaining block.  The five results become
 sparse matrices once, at the end, and are verified as sparse products.
-``Subquotient``, the one builder of groups with representatives, makes
-two of them: one of the outgoing map, whose V^-1 coordinates describe
-its kernel (mod m, if a modulus is given), and one of the relations in
-those coordinates.
+It runs only on the small residues that the unit elimination leaves.
 
-``elementary_divisors`` is the groups-only path: it returns the nonzero
-invariant factors and nothing else.  Sparse elimination first removes
-+-1 pivots, chosen by Markowitz cost from a heap, leaving a small residue
-R.  The elimination is certified exactly: M = sum_k p_k c_k r_k^T + R
-entry by entry, each pivot column c_k and row r_k vanishing on the
-earlier pivots and carrying p_k = +-1 at its own.  That proves M equal to
-L * diag(p_1, ..., p_K, R) * W^T with L and W unimodular, so the divisors
-are K ones followed by those of R, which the verified dense
-``smith_normal_form`` supplies.  A failed check raises AssertionError.
+The unit elimination removes +-1 pivots, chosen by Markowitz cost from a
+heap, leaving a small residue R.  It is certified exactly: M = sum_k p_k
+c_k r_k^T + R entry by entry, each pivot column c_k and row r_k vanishing
+on the earlier pivots and carrying p_k = +-1 at its own.  That proves M
+equal to L * diag(p_1, ..., p_K, R) * W^T with L and W unimodular and
+triangular in pivot order; the steps are those factors, kept sparse.
+
+``elementary_divisors`` is the groups-only path: K ones followed by the
+divisors of R.  ``Subquotient``, the one builder of groups with
+representatives, eliminates twice.  The outgoing map's steps give its
+kernel: the pivot coordinates of a kernel vector follow from the others
+by back-substitution, and R's SNF describes the rest.  The relations in
+those kernel coordinates are eliminated in turn: ``reduce`` is a forward
+substitution through their steps, then the residue SNF's U.  A failed
+check raises AssertionError.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def _verify(m: IntegerMatrix, r: SNFResult):
 
 
 # ---------------------------------------------------------------------------
-# Divisors alone: unit-pivot elimination, then a dense residue
+# Unit-pivot elimination, then a dense residue
 
 
 def elementary_divisors(m: IntegerMatrix) -> list[int]:
@@ -193,12 +194,27 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
     units = [1] * len(steps)
     if not residue:
         return units
+    return units + smith_normal_form(_residue_matrix(residue)[0]).divisors
+
+
+def _reduce(m: IntegerMatrix):
+    """The certified unit elimination of m and the verified SNF of its
+    residue, with the residue's row and column indices in m."""
+    steps, residue = _eliminate_units(m)
+    _check_elimination(m, steps, residue)
+    dense, row_ids, col_ids = _residue_matrix(residue)
+    return steps, smith_normal_form(dense), row_ids, col_ids
+
+
+def _residue_matrix(residue):
+    """The residue ``{i: {j: v}}`` as a matrix on its sorted row and column
+    indices, with those indices."""
     row_ids = sorted(residue)
     col_ids = sorted({j for row in residue.values() for j in row})
     position = {j: t for t, j in enumerate(col_ids)}
     dense = IntegerMatrix.from_entries(len(row_ids), len(col_ids), (
         (t, position[j], v) for t, i in enumerate(row_ids) for j, v in residue[i].items()))
-    return units + smith_normal_form(dense).divisors
+    return dense, row_ids, col_ids
 
 
 def _eliminate_units(m: IntegerMatrix):
@@ -316,14 +332,25 @@ class Subquotient:
     """ker(out_map mod m) / (im in_map + m Z^r) inside Z^r, r = out_map.cols,
     with generator representatives and a coordinate map on the kernel.
 
-    With modulus m = 0 this is ker(out_map) / im(in_map) over Z.  One
-    verified SNF U * out_map * V = S gives the kernel in V^-1 coordinates:
-    x lies in it iff y = V^-1 x has y_i divisible by t_i = m / gcd(s_i, m)
-    on the divisor rows i (y_i = 0 when m = 0), so z = y / t are
-    coordinates on a basis of the kernel.  The relations in z coordinates
-    are V^-1 * in_map divided by t, each column checked to lie in the
-    kernel, and for m > 0 the diagonal m / t_i, which is m Z^r; a second
-    SNF of them gives the group.  A negative modulus raises ValueError.
+    With modulus m = 0 this is ker(out_map) / im(in_map) over Z.
+
+    Kernel.  The certified elimination of out_map has pivot rows r_k and
+    residue R, so x lies in ker(out_map mod m) iff r_k . x = 0 for every k
+    and R x = 0 (mod m).  The pivot coordinates of x follow from the others
+    by back-substitution, as p_k = +-1, so projecting to the non-pivot
+    coordinates loses only m Z^(pivots), which lies in m Z^r.  On R's
+    columns, R's SNF U R V = S gives y = V^-1 x with y_i divisible by
+    t_i = m / gcd(s_i, m) on the divisor rows (y_i = 0 when m = 0), and
+    z = y / t are coordinates; the non-pivot columns outside R pass
+    through.
+
+    Relations.  The in_map columns in those coordinates, checked to lie in
+    the kernel, and for m > 0 the diagonal m / t_i (m on a passed-through
+    coordinate), which is m Z^r.  Their certified elimination leaves the
+    group on the non-pivot rows as the cokernel of its residue, read from
+    a second residue SNF.  Every generator is checked to lie in the kernel
+    and to reduce to its unit vector.  A negative modulus raises
+    ValueError.
     """
 
     def __init__(self, out_map: IntegerMatrix, in_map: IntegerMatrix, modulus: int = 0):
@@ -331,40 +358,114 @@ class Subquotient:
             raise ValueError("modulus must be >= 0")
         if in_map.rows != out_map.cols:
             raise ValueError("ambient ranks differ")
+        self._out, self._modulus = out_map, modulus
+        if not all(self._vanishes(v) for _, _, v in (out_map * in_map).entries()):
+            raise ValueError("in_map leaves the kernel")
         r = out_map.cols
-        out_snf = smith_normal_form(out_map)
+        self._kernel_steps, out_snf, _, self._res_cols = _reduce(out_map)
         self._V, self._V_inv = out_snf.V, out_snf.V_inv
-        free = [1] * (r - out_snf.rank)
+        touched = {j for _, j, _, _, _ in self._kernel_steps}.union(self._res_cols)
+        self._free_cols = [j for j in range(r) if j not in touched]
+        free = [1] * (len(self._res_cols) - out_snf.rank)
         if modulus:
             self._skip = 0
-            self._steps = [modulus // gcd(s, modulus) for s in out_snf.divisors] + free
+            self._t = [modulus // gcd(s, modulus) for s in out_snf.divisors] + free
         else:
             self._skip = out_snf.rank
-            self._steps = free
-        coords = [self._kernel_coords(col) for col in (self._V_inv * in_map).columns()]
-        n = len(self._steps)
-        relations = IntegerMatrix.from_columns(coords, rows=n)
-        if modulus:
-            scaled = [modulus // t for t in self._steps]
-            relations = relations.hstack(IntegerMatrix.diagonal(scaled))
-        self._rel_snf = smith_normal_form(relations)
-        orders = self._rel_snf.divisors
+            self._t = free
+        relations = self._relations(in_map)
+        self._rel_steps, rel_snf, self._rel_rows, _ = _reduce(relations)
+        self._U = rel_snf.U
+        orders = rel_snf.divisors
         self.torsion_orders = [d for d in orders if d >= 2]
-        self.free_rank = n - len(orders)
+        n = relations.rows
+        taken = {i for i, _, _, _, _ in self._rel_steps}.union(self._rel_rows)
+        self._free_rows = [i for i in range(n) if i not in taken]
+        self.free_rank = len(self._rel_rows) - len(orders) + len(self._free_rows)
         self.group = AbelianGroup(self.free_rank, tuple(self.torsion_orders))
         self._n_trivial = len(orders) - len(self.torsion_orders)
-        # generator k is column k of U2^-1 in z coordinates, so V * (t (.) it) in Z^r
-        self._gen_cols = []
-        for k in range(self._n_trivial, n):
-            z = [t * v for t, v in zip(self._steps, self._rel_snf.U_inv.column(k))]
-            self._gen_cols.append(self._V.apply([0] * self._skip + z))
+        # generator k: column k of the residue U^-1 on the residue rows, or a
+        # unit vector on a free row; zero on the pivot rows, where the
+        # inverse forward substitution then changes nothing
+        coords = []
+        for k in range(self._n_trivial, len(self._rel_rows)):
+            z = [0] * n
+            for i, v in zip(self._rel_rows, rel_snf.U_inv.column(k)):
+                z[i] = v
+            coords.append(z)
+        for i in self._free_rows:
+            z = [0] * n
+            z[i] = 1
+            coords.append(z)
+        self._gen_cols = [self._lift(z) for z in coords]
+        for k, x in enumerate(self._gen_cols):
+            unit = tuple(int(i == k) for i in range(len(coords)))
+            if not self._in_kernel(x) or self._canonical(self._kernel_coords(x)) != unit:
+                raise AssertionError(f"generator {k} does not reduce to its unit vector")
 
-    def _kernel_coords(self, y: list[int]) -> list[int]:
-        """Basis coordinates z = y / t of a kernel vector given by y = V^-1 x."""
-        kept = y[self._skip:]
-        if any(y[:self._skip]) or any(v % t for v, t in zip(kept, self._steps)):
-            raise ValueError("vector not in the kernel")
-        return [v // t for v, t in zip(kept, self._steps)]
+    def _vanishes(self, v: int) -> bool:
+        return not (v % self._modulus if self._modulus else v)
+
+    def _in_kernel(self, x: list[int]) -> bool:
+        return all(map(self._vanishes, self._out.apply(x)))
+
+    def _relations(self, in_map: IntegerMatrix) -> IntegerMatrix:
+        """The in_map columns in kernel coordinates, then m Z^r for m > 0."""
+        n_res = len(self._t)
+        entries = []
+        y = self._V_inv * in_map.submatrix(self._res_cols, range(in_map.cols))
+        for i, j, v in y.entries():
+            k = i - self._skip
+            if k < 0 or v % self._t[k]:
+                raise AssertionError("in_map column outside the residue kernel")
+            entries.append((k, j, v // self._t[k]))
+        passed = in_map.submatrix(self._free_cols, range(in_map.cols))
+        entries.extend((n_res + k, j, v) for k, j, v in passed.entries())
+        n = n_res + len(self._free_cols)
+        cols = in_map.cols
+        if self._modulus:
+            scale = [self._modulus // t for t in self._t] + [self._modulus] * len(self._free_cols)
+            entries.extend((k, cols + k, v) for k, v in enumerate(scale))
+            cols += n
+        return IntegerMatrix.from_entries(n, cols, entries)
+
+    def _kernel_coords(self, x: list[int]) -> list[int]:
+        """Kernel coordinates of a kernel vector x: z = y / t on the
+        residue columns, y = V^-1 x, then the passed-through columns."""
+        y = self._V_inv.apply([x[j] for j in self._res_cols])[self._skip:]
+        return [v // t for v, t in zip(y, self._t)] + [x[j] for j in self._free_cols]
+
+    def _lift(self, z: list[int]) -> list[int]:
+        """The kernel vector with kernel coordinates z: V (t (.) z) on the
+        residue columns, the passed-through columns as they are, and the
+        pivot coordinates by back-substitution in reverse step order."""
+        x = [0] * self._out.cols
+        n_res = len(self._t)
+        y = [0] * self._skip + [t * v for t, v in zip(self._t, z)]
+        for j, v in zip(self._res_cols, self._V.apply(y)):
+            x[j] = v
+        for j, v in zip(self._free_cols, z[n_res:]):
+            x[j] = v
+        for _, j, p, _, row in reversed(self._kernel_steps):
+            x[j] = -p * sum([v * x[jj] for jj, v in row.items()])  # x[j] is still 0
+        return x
+
+    def _canonical(self, z: list[int]) -> tuple[int, ...]:
+        """Forward substitution of kernel coordinates through the relation
+        steps, then the residue SNF's U; torsion coordinates are reduced
+        mod their orders."""
+        for i, _, p, c, _ in self._rel_steps:
+            f = p * z[i]
+            if f:
+                for a, ca in c.items():
+                    if a != i:
+                        z[a] -= f * ca
+        y = self._U.apply([z[i] for i in self._rel_rows])
+        tors = len(self.torsion_orders)
+        out = [y[self._n_trivial + k] % d for k, d in enumerate(self.torsion_orders)]
+        out.extend(y[self._n_trivial + tors:])
+        out.extend(z[i] for i in self._free_rows)
+        return tuple(out)
 
     def generator_vectors(self) -> list[list[int]]:
         """Representatives: torsion generators first, then free ones."""
@@ -373,11 +474,10 @@ class Subquotient:
     def reduce(self, vec: list[int]) -> tuple[int, ...]:
         """Coordinates of a kernel element in the canonical decomposition:
         torsion coordinates (mod their orders) first, then free
-        coordinates."""
-        y = self._rel_snf.U.apply(self._kernel_coords(self._V_inv.apply(vec)))
-        out = [y[self._n_trivial + k] % d for k, d in enumerate(self.torsion_orders)]
-        out.extend(y[self._n_trivial + len(self.torsion_orders):])
-        return tuple(out)
+        coordinates.  A vector outside the kernel raises ValueError."""
+        if not self._in_kernel(vec):
+            raise ValueError("vector not in the kernel")
+        return self._canonical(self._kernel_coords(vec))
 
     @property
     def n_generators(self) -> int:

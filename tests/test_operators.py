@@ -282,7 +282,7 @@ def test_cross_product_classes_generate(circle):
                   if e.left_degree + e.right_degree == 1]
     # the two degree-one crosses generate H_1 = Z^2
     mat = IntegerMatrix.from_columns([list(c) for c in degree_one])
-    from simphom.intmatrix import rational_rank
+    from reference import rational_rank
     assert rational_rank(mat) == 2
     degree_two = [e.target_coords for e in entries
                   if e.left_degree == 1 and e.right_degree == 1]

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from simphom import snf
 from simphom.abgroup import AbelianGroup
-from simphom.intmatrix import IntegerMatrix, determinant, mod_rank, rational_rank
+from simphom.intmatrix import IntegerMatrix
 from simphom.snf import Subquotient, elementary_divisors, smith_normal_form
+
+from reference import DenseSubquotient, determinant, is_diagonal, mod_rank, rational_rank
 
 
 def test_hand_reduced_example():
@@ -40,7 +42,7 @@ matrices = st.integers(0, 5).flatmap(
 @given(matrices)
 def test_snf_properties(m):
     res = smith_normal_form(m)  # internal postcondition checks U*M*V = S etc.
-    assert res.S.is_diagonal()
+    assert is_diagonal(res.S)
     for d, e in zip(res.divisors, res.divisors[1:]):
         assert d > 0 and e % d == 0
     # the transforms are unimodular
@@ -127,6 +129,7 @@ def test_subquotient_against_independent_references(data):
     out, in_map, m = data
     r = out.cols
     sq = Subquotient(out, in_map, m)
+    assert sq.group == DenseSubquotient(out, in_map, m).group
     if m == 0:
         rank_out, divisors_in = len(elementary_divisors(out)), elementary_divisors(in_map)
         assert sq.group == AbelianGroup(r - rank_out - len(divisors_in),
@@ -152,6 +155,44 @@ def test_subquotient_against_independent_references(data):
             Subquotient(out, in_map.hstack(IntegerMatrix.from_columns([outside])), m)
     with pytest.raises(ValueError):
         Subquotient(out, in_map, -m - 1)
+
+
+@st.composite
+def sparse_subquotient_inputs(draw):
+    """A sparse out_map on Z^r (r <= 10) with entries in -2..2, an in_map
+    of small combinations of a kernel basis of out mod m, read from the
+    dense SNF, and a modulus.  About a fifth of the draws make both
+    elimination stages pivot and leave a residue."""
+    r, rows = draw(st.integers(2, 10)), draw(st.integers(1, 8))
+    entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2])
+    out = IntegerMatrix(draw(st.lists(st.lists(entries, min_size=r, max_size=r),
+                                      min_size=rows, max_size=rows)), rows, r)
+    m = draw(st.sampled_from([0, 0, 2, 3, 4, 6]))
+    res = smith_normal_form(out)
+    kernel = [res.V.column(j) for j in range(res.rank, r)]
+    if m:
+        kernel += [[m // gcd(s, m) * v for v in res.V.column(i)]
+                   for i, s in enumerate(res.divisors)]
+    coeffs = draw(st.lists(st.lists(entries, min_size=len(kernel), max_size=len(kernel)),
+                           min_size=1, max_size=8))
+    columns = [[sum(c * v[i] for c, v in zip(cs, kernel)) for i in range(r)] for cs in coeffs]
+    return out, IntegerMatrix.from_columns(columns, rows=r), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_subquotient_inputs())
+def test_subquotient_matches_dense_reference_on_sparse_inputs(data):
+    out, in_map, m = data
+    sq, ref = Subquotient(out, in_map, m), DenseSubquotient(out, in_map, m)
+    assert sq.group == ref.group and sq.orders == ref.orders
+    zero = (0,) * sq.n_generators
+    for k, gen in enumerate(sq.generator_vectors()):
+        assert all(v % m == 0 if m else v == 0 for v in out.apply(gen))
+        assert sq.reduce(gen) == tuple(int(i == k) for i in range(sq.n_generators))
+    for col in in_map.columns():
+        assert sq.reduce(col) == zero
+    for i in range(out.cols):
+        assert sq.reduce([m * int(t == i) for t in range(out.cols)]) == zero
 
 
 def test_mod_rank_and_rational_rank():
@@ -276,15 +317,20 @@ def test_corrupted_residue_fails_elementary_divisors(monkeypatch):
         elementary_divisors(TAMPER_M)
 
 
-def test_unit_elimination_does_not_grow_fill_in(monkeypatch):
-    """Pins the Markowitz pivot order by counts.  On the four boundaries of
-    RP^2 x RP^2 the residues may be no larger than 0x0, 7x223, 33x23 and
-    208x1, and the heap may be popped at most 89,784 times in all."""
+@pytest.fixture(scope="module")
+def rp2xrp2_chains():
     from simphom.catalog import catalog
     from simphom.chains import normalized_chains
     from simphom.sset import product
 
-    complex_ = normalized_chains(product(catalog("rp2"), catalog("rp2")).space)
+    return normalized_chains(product(catalog("rp2"), catalog("rp2")).space)
+
+
+def test_unit_elimination_does_not_grow_fill_in(monkeypatch, rp2xrp2_chains):
+    """Pins the Markowitz pivot order by counts.  On the four boundaries of
+    RP^2 x RP^2 the residues may be no larger than 0x0, 7x223, 33x23 and
+    208x1, and the heap may be popped at most 89,784 times in all."""
+    complex_ = rp2xrp2_chains
     pops = 0
     heappop = snf.heappop
 
@@ -299,3 +345,65 @@ def test_unit_elimination_does_not_grow_fill_in(monkeypatch):
         residue_cols = {j for row in residue.values() for j in row}
         assert len(residue) <= most_rows and len(residue_cols) <= most_cols, n
     assert pops <= 89_784
+
+
+# Residue shapes (rows, cols) of the kernel and relation stages of each
+# subquotient of RP^2 x RP^2, as measured; they bound the dense SNF work.
+SUBQUOTIENT_RESIDUES = {
+    "homology": [((0, 0), (0, 0)), ((0, 0), (2, 91)), ((7, 223), (1, 52)),
+                 ((33, 23), (1, 1)), ((208, 1), (0, 0))],
+    "cohomology Z/2": [((0, 0), (1, 1)), ((187, 7), (2, 2)), ((46, 42), (3, 85)),
+                       ((1, 208), (2, 143)), ((0, 0), (1, 808))],
+}
+
+
+def test_subquotient_residues_stay_small(monkeypatch, rp2xrp2_chains):
+    from simphom.homology import cohomology_data, homology_data
+
+    c = rp2xrp2_chains
+    shapes = []
+    eliminate = snf._eliminate_units
+
+    def recorded(m):
+        steps, residue = eliminate(m)
+        shapes.append((len(residue), len({j for row in residue.values() for j in row})))
+        return steps, residue
+
+    monkeypatch.setattr(snf, "_eliminate_units", recorded)
+    builds = {"homology": lambda n: homology_data(c, n),
+              "cohomology Z/2": lambda n: cohomology_data(c, n, 2)}
+    for name, build in builds.items():
+        for n, bounds in enumerate(SUBQUOTIENT_RESIDUES[name]):
+            shapes.clear()
+            build(n)
+            assert len(shapes) == 2, (name, n)
+            for (rows, cols), (most_rows, most_cols) in zip(shapes, bounds):
+                assert rows <= most_rows and cols <= most_cols, (name, n, shapes)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_corrupted_step_fails_subquotient(monkeypatch, stage):
+    """A corrupted step of either elimination stage fails its certificate."""
+    out, in_map = ((TAMPER_M, IntegerMatrix.zero(4, 0)) if stage == 1
+                   else (IntegerMatrix.zero(0, 4), TAMPER_M))
+    assert Subquotient(out, in_map).n_generators == (0 if stage == 1 else 2)
+    eliminate = snf._eliminate_units
+    calls = []
+
+    def corrupted(m):
+        steps, residue = eliminate(m)
+        calls.append(m)
+        if len(calls) == stage:
+            _tamper_pivot_row(steps, residue)
+        return steps, residue
+
+    monkeypatch.setattr(snf, "_eliminate_units", corrupted)
+    with pytest.raises(AssertionError, match="does not reproduce M"):
+        Subquotient(out, in_map)
+
+
+def test_wrong_generator_fails_subquotient(monkeypatch):
+    lift = Subquotient._lift
+    monkeypatch.setattr(Subquotient, "_lift", lambda self, z: [2 * v for v in lift(self, z)])
+    with pytest.raises(AssertionError, match="does not reduce to its unit vector"):
+        Subquotient(IntegerMatrix.zero(0, 4), TAMPER_M)
