@@ -1,13 +1,15 @@
 """Homology of chain complexes and the exact-sequence machinery.
 
-Groups alone have one engine, ``homology``: the certified elementary
-divisors of each boundary, reduced once, give
-H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion of d_{n+1}.  Z/m
-coefficients are the homology of the mapping cone of m * id_C, which is
-quasi-isomorphic to C (x) Z/m for free C; cohomology is read off the dual
-complex, H^n(C; G) = H_{N-n}(Hom(C, Z); G), whose transposed boundaries
-get their own elimination, so the universal coefficient check still
-compares two independent computations.
+Integral groups alone have one engine, ``homology``: the certified
+elementary divisors of each boundary, reduced once, give
+H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion of d_{n+1}.
+Cohomology is read off the dual complex, H^n(C; G) = H_{N-n}(Hom(C, Z); G),
+so integral cohomology runs on the same engine.  Every group with Z/m
+coefficients, of homology or of cohomology, is the group of one
+``Subquotient`` ker(d mod m) / (im d + m C) per degree, on the boundaries
+or on their transposes.  So the universal coefficient check still
+compares two different computations: a direct mod-m subquotient against
+the tensor/Tor and Hom/Ext formulas applied to the integral divisors.
 
 Everything else is a ``Subquotient`` ker/im with explicit generator
 representatives, so induced maps and connecting homomorphisms come out as
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .abgroup import AbelianGroup
-from .chains import ChainComplex, ChainMap, mapping_cone, normalized_chains, relative_chains, restricted
+from .chains import ChainComplex, normalized_chains, relative_chains, restricted
 from .intmatrix import IntegerMatrix
 from .snf import Subquotient, elementary_divisors
 from .snf import smith_normal_form  # noqa: F401  perfbench's tracer tests read this binding
@@ -324,20 +326,15 @@ def mayer_vietoris(space: SimplicialSet, a_sub, b_sub, up_to: int | None = None)
 # Coefficients, cohomology, universal coefficients
 
 
-def _cone_of_multiple(c: ChainComplex, m: int) -> ChainComplex:
-    """The mapping cone of m * id_C; for free C it is quasi-isomorphic to
-    C (x) Z/m.  ``ChainMap`` checks m * id once, as it is built."""
-    scale = {n: IntegerMatrix.diagonal([m] * c.rank(n)) for n in range(c.max_degree + 1)}
-    return mapping_cone(ChainMap(c, c, scale))
-
-
 def with_coefficients(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> list[AbelianGroup]:
     """Homology of C (x) coeffs, summed over the cyclic summands Z/m of
-    ``coeffs`` (m = 0 for Z).  Each distinct summand is one ``homology``
-    call over all degrees: of C for Z, of the cone of m * id_C for Z/m."""
+    ``coeffs`` (m = 0 for Z).  The Z summand is one ``homology`` call over
+    all degrees; a Z/m summand in degree n is the group of
+    ker(d_n mod m) / (im d_{n+1} + m C_n), one ``Subquotient`` per degree."""
     degrees = list(range(c.max_degree + 1) if degrees is None else degrees)
     parts = [0] * coeffs.betti + list(coeffs.torsion)
-    groups = {m: homology(_cone_of_multiple(c, m) if m else c, degrees) for m in set(parts)}
+    groups = {m: [Subquotient(c.boundary(n), c.boundary(n + 1), m).group for n in degrees]
+              if m else homology(c, degrees) for m in set(parts)}
     total = [AbelianGroup.trivial()] * len(degrees)
     for m in parts:
         total = [a.direct_sum(b) for a, b in zip(total, groups[m])]
@@ -360,7 +357,8 @@ def _dual(c: ChainComplex) -> ChainComplex:
 
 def cohomology(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> list[AbelianGroup]:
     """H^n(C; coeffs) = H_{N-n}(Hom(C, Z); coeffs), N the top degree of C:
-    ``with_coefficients`` on the dual complex, read at degrees N - n."""
+    ``with_coefficients`` on the dual complex, read at degrees N - n.  Its
+    Z/m summands are the subquotients that ``cohomology_data`` builds."""
     if degrees is None:
         degrees = range(c.max_degree + 1)
     return with_coefficients(_dual(c), coeffs, [c.max_degree - n for n in degrees])

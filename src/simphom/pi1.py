@@ -215,12 +215,16 @@ class TietzeResult:
 def tietze_simplify(p: GroupPresentation, max_steps: int = 1000) -> TietzeResult:
     """Bounded Tietze simplification: free/cyclic reduction, removal of
     redundant relators, and elimination of generators defined by a relator
-    that uses them exactly once."""
-    gens = list(p.generators)
+    that uses them exactly once.  Letters keep their numbers until the
+    survivors are renumbered once at the end, in order, so no choice of
+    step depends on the numbering."""
     relators = [_cyclic_reduce(w) for w in p.relators]
+    eliminated = set()
     steps = 0
 
     def substitute(word, target, replacement):
+        if target not in word and -target not in word:
+            return word  # relators stay cyclically reduced
         out = []
         for letter in word:
             if letter == target:
@@ -263,18 +267,12 @@ def tietze_simplify(p: GroupPresentation, max_steps: int = 1000) -> TietzeResult
                 expr = tuple(-x for x in reversed(expr))
             relators = [substitute(w, candidate, expr)
                         for k, w in enumerate(relators) if k != idx]
-            # renumber generators above the removed one
-            def renumber(wd):
-                out = []
-                for lt in wd:
-                    mag = abs(lt)
-                    if mag > candidate:
-                        mag -= 1
-                    out.append(mag if lt > 0 else -mag)
-                return tuple(out)
-            relators = [renumber(w) for w in relators]
-            del gens[candidate - 1]
+            eliminated.add(candidate)
             steps += 1
             changed = True
             break
+    survivors = [g for g in range(1, len(p.generators) + 1) if g not in eliminated]
+    number = {g: k for k, g in enumerate(survivors, 1)}
+    relators = [tuple(number[x] if x > 0 else -number[-x] for x in w) for w in relators]
+    gens = [p.generators[g - 1] for g in survivors]
     return TietzeResult(GroupPresentation(gens, relators), steps, steps >= max_steps)

@@ -17,14 +17,14 @@ on the earlier pivots and carrying p_k = +-1 at its own.  That proves M
 equal to L * diag(p_1, ..., p_K, R) * W^T with L and W unimodular and
 triangular in pivot order; the steps are those factors, kept sparse.
 
-``elementary_divisors`` is the groups-only path: K ones followed by the
-divisors of R.  ``Subquotient``, the one builder of groups with
-representatives, eliminates twice.  The outgoing map's steps give its
-kernel: the pivot coordinates of a kernel vector follow from the others
-by back-substitution, and R's SNF describes the rest.  The relations in
-those kernel coordinates are eliminated in turn: ``reduce`` is a forward
-substitution through their steps, then the residue SNF's U.  A failed
-check raises AssertionError.
+``elementary_divisors`` answers integral groups alone: K ones followed by
+the divisors of R.  ``Subquotient``, the one builder of groups with
+representatives and of every group with Z/m coefficients, eliminates
+twice.  The outgoing map's steps give its kernel: the pivot coordinates
+of a kernel vector follow from the others by back-substitution, and R's
+SNF describes the rest.  The relations in those kernel coordinates are
+eliminated in turn: ``reduce`` is a forward substitution through their
+steps, then the residue SNF's U.  A failed check raises AssertionError.
 """
 
 from __future__ import annotations
@@ -186,15 +186,11 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
     """The nonzero invariant factors d_1 | d_2 | ... of m, the same list as
     ``smith_normal_form(m).divisors``, computed without transforms.
 
-    The unit-pivot elimination is certified by ``_check_elimination`` and
-    the residue is reduced by the verified ``smith_normal_form``.
+    One ``_reduce``: a one per certified unit pivot, then the divisors of
+    the residue's verified SNF.
     """
-    steps, residue = _eliminate_units(m)
-    _check_elimination(m, steps, residue)
-    units = [1] * len(steps)
-    if not residue:
-        return units
-    return units + smith_normal_form(_residue_matrix(residue)[0]).divisors
+    steps, residue_snf, _, _ = _reduce(m)
+    return [1] * len(steps) + residue_snf.divisors
 
 
 def _reduce(m: IntegerMatrix):

@@ -236,42 +236,39 @@ def constant_map(source: SimplicialSet, target: SimplicialSet, vertex_id: int) -
 # Standard simplices, boundaries, horns
 
 
-def _simplex_generators(n: int, keep) -> list[list[NonDegenSimplex]]:
-    """Generators of the subcomplex of Delta[n] spanned by the vertex
-    subsets accepted by ``keep``."""
-    by_dim: list[list[tuple[int, ...]]] = []
-    index: dict[tuple[int, ...], int] = {}
-    for m in range(n + 1):
-        level = [vs for vs in itertools.combinations(range(n + 1), m + 1) if keep(vs)]
-        by_dim.append(level)
-        for k, vs in enumerate(level):
-            index[vs] = k
-    gens: list[list[NonDegenSimplex]] = []
-    for m, level in enumerate(by_dim):
+def vertex_tuple_generators(by_dim: list[list[tuple]]) -> list[list[NonDegenSimplex]]:
+    """One d-simplex per sorted vertex tuple in ``by_dim[d]``, labelled by
+    its vertices, with face i deleting vertex i; every face of a tuple
+    must be listed one level down."""
+    index = [{vs: k for k, vs in enumerate(level)} for level in by_dim]
+    gens = []
+    for d, level in enumerate(by_dim):
         row = []
         for k, vs in enumerate(level):
-            faces = tuple(
-                SimplexRef(m - 1, index[vs[:i] + vs[i + 1:]]) for i in range(m + 1)
-            ) if m > 0 else ()
-            row.append(NonDegenSimplex(m, k, faces, label="".join(map(str, vs))))
+            faces = tuple(SimplexRef(d - 1, index[d - 1][vs[:i] + vs[i + 1:]])
+                          for i in range(d + 1)) if d else ()
+            row.append(NonDegenSimplex(d, k, faces, label="".join(map(str, vs))))
         gens.append(row)
     return gens
+
+
+def _faces_of_simplex(n: int) -> list[list[tuple[int, ...]]]:
+    """The vertex tuples of the faces of Delta[n], per dimension."""
+    return [list(itertools.combinations(range(n + 1), m + 1)) for m in range(n + 1)]
 
 
 def std_simplex(n: int) -> SimplicialSet:
     """Delta[n]: one generator per monotone injection into [n]."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return SimplicialSet(_simplex_generators(n, lambda vs: True), name=f"Delta[{n}]")
+    return SimplicialSet(vertex_tuple_generators(_faces_of_simplex(n)), name=f"Delta[{n}]")
 
 
 def boundary(n: int) -> SimplicialSet:
     """The boundary of Delta[n] (omits the top generator)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return SimplicialSet(
-        _simplex_generators(n, lambda vs: len(vs) < n + 1), name=f"dDelta[{n}]"
-    )
+    return SimplicialSet(vertex_tuple_generators(_faces_of_simplex(n)[:-1]), name=f"dDelta[{n}]")
 
 
 def horn(n: int, k: int) -> SimplicialSet:
@@ -280,11 +277,9 @@ def horn(n: int, k: int) -> SimplicialSet:
         raise ValueError("horns need n >= 1")
     if not 0 <= k <= n:
         raise ValueError(f"horn index {k} out of range")
-    omitted = tuple(v for v in range(n + 1) if v != k)
-    return SimplicialSet(
-        _simplex_generators(n, lambda vs: len(vs) < n + 1 and vs != omitted),
-        name=f"Lambda[{n}]_{k}",
-    )
+    faces = _faces_of_simplex(n)[:-1]
+    faces[-1].remove(tuple(v for v in range(n + 1) if v != k))
+    return SimplicialSet(vertex_tuple_generators(faces), name=f"Lambda[{n}]_{k}")
 
 
 def discrete(m: int) -> SimplicialSet:

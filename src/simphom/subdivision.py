@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from .chains import ChainMap, normalized_chains
 from .intmatrix import IntegerMatrix
-from .simplex import NonDegenSimplex, SimplexRef
-from .sset import SimplicialSet
+from .sset import SimplicialSet, vertex_tuple_generators
 
 
 class OrderedSimplicialComplex:
@@ -74,17 +73,7 @@ class OrderedSimplicialComplex:
 
 def complex_to_sset(cx: OrderedSimplicialComplex, name: str | None = None) -> SimplicialSet:
     """One generator per face; faces by deleting vertices in order."""
-    index = [{f: k for k, f in enumerate(level)} for level in cx.by_dim]
-    rows = []
-    for d, level in enumerate(cx.by_dim):
-        row = []
-        for k, f in enumerate(level):
-            refs = tuple(
-                SimplexRef(d - 1, index[d - 1][f[:i] + f[i + 1:]]) for i in range(d + 1)
-            ) if d > 0 else ()
-            row.append(NonDegenSimplex(d, k, refs, label="".join(map(str, f))))
-        rows.append(row)
-    return SimplicialSet(rows, name=name)
+    return SimplicialSet(vertex_tuple_generators(cx.by_dim), name=name)
 
 
 @dataclass

@@ -2,9 +2,11 @@
 
 ``DenseSubquotient`` computes ker(out mod m) / (im in + m Z^r) from two
 dense Smith normal forms with all four transforms, so it shares no
-elimination step with ``simphom.snf.Subquotient``.  The rank, determinant
-and Betti number routines use exact fraction, mod-p and Bareiss
-elimination and share no code with the SNF at all.
+elimination step with ``simphom.snf.Subquotient``.  ``cone_coefficients``
+and ``cone_cohomology`` read Z/m groups off the integral homology of the
+mapping cone of m * id, not off a subquotient mod m.  The rank,
+determinant and Betti number routines use exact fraction, mod-p and
+Bareiss elimination and share no code with the SNF at all.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from fractions import Fraction
 from math import gcd
 
 from simphom.abgroup import AbelianGroup
-from simphom.chains import ChainComplex
+from simphom.chains import ChainComplex, ChainMap, mapping_cone
+from simphom.homology import homology
 from simphom.intmatrix import IntegerMatrix
 from simphom.snf import smith_normal_form
 
@@ -88,6 +91,34 @@ class DenseSubquotient:
     @property
     def orders(self) -> list[int]:
         return self.torsion_orders + [0] * self.free_rank
+
+
+def cone_of_multiple(c: ChainComplex, m: int) -> ChainComplex:
+    """The mapping cone of m * id_C; for free C it is quasi-isomorphic to
+    C (x) Z/m.  ``ChainMap`` checks m * id once, as it is built."""
+    scale = {n: IntegerMatrix.diagonal([m] * c.rank(n)) for n in range(c.max_degree + 1)}
+    return mapping_cone(ChainMap(c, c, scale))
+
+
+def cone_coefficients(c: ChainComplex, coeffs: AbelianGroup, degrees) -> list[AbelianGroup]:
+    """Homology of C (x) coeffs in ``degrees``, summed over the cyclic
+    summands Z/m of ``coeffs``: of C for Z, of the cone of m * id_C for Z/m."""
+    degrees = list(degrees)
+    parts = [0] * coeffs.betti + list(coeffs.torsion)
+    groups = {m: homology(cone_of_multiple(c, m) if m else c, degrees) for m in set(parts)}
+    total = [AbelianGroup.trivial()] * len(degrees)
+    for m in parts:
+        total = [a.direct_sum(b) for a, b in zip(total, groups[m])]
+    return total
+
+
+def cone_cohomology(c: ChainComplex, coeffs: AbelianGroup, degrees) -> list[AbelianGroup]:
+    """H^n(C; coeffs) = H_{N-n}(Hom(C, Z); coeffs), N the top degree of C,
+    with Hom(C, Z) built here from the transposed boundaries."""
+    top = c.max_degree
+    dual = ChainComplex([c.rank(top - k) for k in range(top + 1)],
+                        {k: c.boundary(top - k + 1).transpose() for k in range(1, top + 1)})
+    return cone_coefficients(dual, coeffs, [top - n for n in degrees])
 
 
 def is_diagonal(m: IntegerMatrix) -> bool:

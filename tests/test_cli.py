@@ -249,6 +249,28 @@ def test_cup_kunneth_uct_coeffs():
     assert status == 0 and "H^2 = Z/2" in text
 
 
+def test_coefficient_outputs_are_pinned():
+    """Full stdout of a UCT check with mixed coefficients, and of Z/4
+    cohomology read above the top degree."""
+    text, status = out_of(["uct", "--space", "klein", "--coeff", "Z^2+Z/4"])
+    assert status == 0
+    assert text.splitlines() == [
+        "simphom uct",
+        "PASS H_0: direct Z^2 + Z/4 vs tensor/Tor Z^2 + Z/4",
+        "PASS H_1: direct Z^2 + Z/2 + Z/2 + Z/2 + Z/4 vs tensor/Tor Z^2 + Z/2 + Z/2 + Z/2 + Z/4",
+        "PASS H_2: direct Z/2 vs tensor/Tor Z/2",
+        "PASS H^0: direct Z^2 + Z/4 vs Hom/Ext Z^2 + Z/4",
+        "PASS H^1: direct Z^2 + Z/2 + Z/4 vs Hom/Ext Z^2 + Z/2 + Z/4",
+        "PASS H^2: direct Z/2 + Z/2 + Z/2 vs Hom/Ext Z/2 + Z/2 + Z/2",
+        "RESULT PASS",
+    ]
+    text, status = out_of(["cohomology", "--space", "rp2", "--coeff", "Z/4", "--dim", "4",
+                           "--format", "machine"])
+    assert status == 0
+    assert text.splitlines() == [
+        'command="cohomology"', "H^0=Z/4", "H^1=Z/2", "H^2=Z/2", "H^3=0", "H^4=0"]
+
+
 def test_fill_command():
     faces = json.dumps([[[0, 0], [0]], [[1, 0], []]])
     text, status = out_of(["fill", "--space", "delta:1", "--dim", "2",

@@ -44,7 +44,13 @@ from simphom.sset import (
 )
 from simphom.subdivision import barycentric_subdivide
 
-from reference import DenseSubquotient, betti_numbers_rational, mod_betti_numbers
+from reference import (
+    DenseSubquotient,
+    betti_numbers_rational,
+    cone_coefficients,
+    cone_cohomology,
+    mod_betti_numbers,
+)
 
 Z = AbelianGroup.free(1)
 Z2 = AbelianGroup.cyclic(2)
@@ -72,15 +78,20 @@ def test_reduced_homology():
     assert homology(normalized_chains(two), reduced=True) == [Z]
 
 
-def _groups_path_complexes():
+def _groups_path_pairs():
+    """Spaces, each with no subcomplex, and RP^2 with its 1-skeleton."""
     names = ("point", "circle", "torus", "rp2", "klein", "delta:3", "boundary:3",
              "horn:3:1", "sphere:3", "discrete:3")
     spaces = [catalog(name) for name in names]
     spaces += [product(catalog(a), catalog(b)).space for a, b in (
         ("circle", "rp2"), ("rp2", "circle"), ("klein", "circle"), ("torus", "circle"))]
-    complexes = [normalized_chains(space) for space in spaces]
     rp2 = catalog("rp2")
-    complexes.append(relative_chains(rp2, skeleton(rp2, 1).id_set))
+    return [(space, None) for space in spaces] + [(rp2, skeleton(rp2, 1))]
+
+
+def _groups_path_complexes():
+    complexes = [normalized_chains(space) if sub is None else relative_chains(space, sub.id_set)
+                 for space, sub in _groups_path_pairs()]
     c = normalized_chains(catalog("circle"))
     double = ChainMap(c, c, {n: IntegerMatrix.diagonal([2] * c.rank(n))
                              for n in range(c.max_degree + 1)})
@@ -131,20 +142,39 @@ def test_cohomology_and_coefficients_match_subquotients():
 
 
 def test_groups_only_callers_build_no_subquotient(monkeypatch, rp2, klein):
-    """Cohomology, coefficients and both sides of the UCT run on the
-    divisors engine alone: none of them builds a Subquotient."""
+    """With free coefficients, homology, cohomology and both sides of the
+    UCT run on the divisors engine alone: none of them builds a
+    Subquotient.  Z/m groups are subquotients mod m."""
     def refuse(self, *args):
         raise AssertionError("groups-only caller built a Subquotient")
 
     monkeypatch.setattr(Subquotient, "__init__", refuse)
     c = normalized_chains(rp2)
-    pi = AbelianGroup.parse("Z^2+Z/4")
-    assert with_coefficients(c, Z2) == [Z2, Z2, Z2]
+    assert with_coefficients(c, Z) == [Z, Z2, trivial]
     assert cohomology(c, Z) == [Z, trivial, Z2]
     d2 = std_simplex(2)
     assert cohomology_of_pair(d2, skeleton(d2, 1), Z) == [trivial, trivial, Z]
-    assert uct_check(klein, pi).passed
-    assert uct_check(rp2, Z2).passed
+    assert uct_check(klein, AbelianGroup.free(2)).passed
+    assert uct_check(rp2, Z).passed
+
+
+def test_coefficients_match_the_cone_reference():
+    """Z/m groups from subquotients mod m agree with the integral homology
+    of the mapping cone of m * id, in every degree up to two above the top,
+    for homology, cohomology and the cohomology of pairs."""
+    cone_coeffs = [AbelianGroup.parse(spec)
+                   for spec in ("Z/2", "Z/3", "Z/4", "Z/6", "Z^2+Z/4", "Z/2+Z/3")]
+    for c in _groups_path_complexes():
+        degrees = range(c.max_degree + 3)
+        for coeffs in cone_coeffs:
+            assert with_coefficients(c, coeffs, degrees) == cone_coefficients(c, coeffs, degrees)
+            assert cohomology(c, coeffs, degrees) == cone_cohomology(c, coeffs, degrees)
+    for space, sub in _groups_path_pairs():
+        degrees = range(space.top_dim + 3)
+        ids = frozenset() if sub is None else sub.id_set
+        for coeffs in cone_coeffs:
+            assert cohomology_of_pair(space, sub, coeffs, degrees) == cone_cohomology(
+                relative_chains(space, ids), coeffs, degrees)
 
 
 def test_h0_counts_components():
