@@ -114,31 +114,6 @@ def ordered_complex_catalog(name: str) -> OrderedSimplicialComplex:
     raise ValueError(f"no ordered-complex model for {name!r}")
 
 
-def connected_catalog_spaces() -> list[SimplicialSet]:
-    """The connected corpus used by the presentation/homology cross-checks."""
-    return [
-        catalog("point"),
-        catalog("circle"),
-        catalog("torus"),
-        catalog("rp2"),
-        catalog("klein"),
-        catalog("delta:1"),
-        catalog("delta:2"),
-        catalog("delta:3"),
-        catalog("boundary:2"),
-        catalog("boundary:3"),
-        catalog("boundary:4"),
-        catalog("horn:2:0"),
-        catalog("horn:2:1"),
-        catalog("sphere:2"),
-        catalog("sphere:3"),
-    ]
-
-
-def all_catalog_spaces() -> list[SimplicialSet]:
-    return connected_catalog_spaces() + [catalog("discrete:2"), catalog("boundary:1")]
-
-
 # ---------------------------------------------------------------------------
 # Nerve-style maps into standard simplices (used by the homotopy corpus)
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .chains import euler_characteristic
 from .kan import FibrationReport, fibration_check
-from .pi1 import Pi1Data
+from .pi1 import Pi1Data, abelianization_data
 from .simplex import NonDegenSimplex, SimplexRef
 from .sset import SimplicialMap, SimplicialSet
 
@@ -177,8 +178,6 @@ def cyclic_labeling(space: SimplicialSet, pi1: Pi1Data, order: int) -> CoverLabe
     """Labeling in Z/order from the abelianization of the edge-path
     presentation, projected onto a coordinate whose order admits a
     surjection onto Z/order."""
-    from .pi1 import abelianization_data
-
     if order < 1:
         raise ValueError("order must be >= 1")
     group = FiniteGroup.cyclic(order)
@@ -274,8 +273,6 @@ def verify_covering(projection: SimplicialMap, group_order: int,
     """Covering checks: constant fiber cardinality on generators, Euler
     characteristic multiplicativity, and uniqueness of every relative horn
     lift through the given dimension."""
-    from .chains import euler_characteristic
-
     E, B = projection.source, projection.target
     preimages = Counter(projection.images[(d, e.id)]
                         for d in range(E.top_dim + 1) for e in E.gens(d))

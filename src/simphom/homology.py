@@ -20,12 +20,13 @@ on the two small residues.  ``homology_data`` and
 one each, and so does ``exact_at``: im = ker at a node holds iff the
 lifts of the image and of the node's relations span the kernel, that is
 iff their subquotient is trivial.  ``_exact_sequence``, the
-one builder of long exact sequences, takes the complexes and chain-level
-pushes of the pair sequence or of Mayer-Vietoris, computes every group
-once, and checks exactness node by node on generator orders.  Both build
-C(K) once and take the chains of L, of (K, L) and of A, B and A n B as
-restrictions of it to kept basis indices; the pushes between them are
-scatters and gathers over those index lists.
+one builder of long exact sequences, takes the complexes and chain maps
+of the pair sequence or of Mayer-Vietoris, computes every group once,
+and checks exactness node by node on generator orders.  Both build C(K)
+once and take the chains of L, of (K, L) and of A, B and A n B as
+restrictions of it to kept basis indices.  The chain maps are 0/1
+inclusion matrices and their transposes, and each connecting map is the
+boundary of K on lifted columns, read on the rows of the subcomplex.
 """
 
 from __future__ import annotations
@@ -86,11 +87,26 @@ def homology_of_space(space: SimplicialSet, degrees=None, reduced: bool = False)
 # Maps between computed groups, and exactness
 
 
-def induced_matrix(src: Subquotient, dst: Subquotient, push) -> IntegerMatrix:
+def induced_matrix(src: Subquotient, dst: Subquotient, push: IntegerMatrix) -> IntegerMatrix:
     """Matrix of the map sending each source generator class through the
-    chain-level function ``push`` and reducing in the target."""
-    cols = [list(dst.reduce(push(vec))) for vec in src.generator_vectors()]
-    return IntegerMatrix.from_columns(cols, rows=dst.n_generators)
+    chain map ``push`` (one product with all generators) and reducing in
+    the target."""
+    return _reduced(dst, push * IntegerMatrix.from_columns(src.generator_vectors(), rows=push.cols))
+
+
+def _reduced(dst: Subquotient, images: IntegerMatrix) -> IntegerMatrix:
+    return IntegerMatrix.from_columns([list(dst.reduce(x)) for x in images.columns()],
+                                      rows=dst.n_generators)
+
+
+def _connecting(src: Subquotient, dst: Subquotient, lifted: IntegerMatrix, into: list[int]) -> IntegerMatrix:
+    """Connecting map into the subcomplex on the rows ``into`` of C_{p-1}(K):
+    ``lifted`` (the boundary of K times a lift, on all rows) applied to the
+    source generators; a nonzero on another row fails the certificate."""
+    images = lifted * IntegerMatrix.from_columns(src.generator_vectors(), rows=lifted.cols)
+    if not {i for i, _, _ in images.entries()}.issubset(into):
+        raise AssertionError("connecting map left the subcomplex")
+    return _reduced(dst, images.submatrix(into, range(images.cols)))
 
 
 def _relations(orders: list[int]) -> IntegerMatrix:
@@ -159,9 +175,10 @@ def _exact_sequence(kind: str, labels: tuple[str, str, str], a: ChainComplex,
     (or ``up_to``, if lower) down to 0.
 
     ``labels`` are three format strings in ``p``.  ``f(p)`` and ``g(p)``
-    give one chain-level push per summand B_k, A_p -> B_k,p and
-    B_k,p -> C_p, and ``delta(p)`` the push C_p -> A_{p-1}.  The top node's
-    incoming map comes from H_{top+1}(C), the zero group at full depth.
+    give one chain map per summand B_k, A_p -> B_k,p and B_k,p -> C_p, and
+    ``delta(p)`` the connecting map's boundary and rows, as ``_connecting``
+    takes them.  The top node's incoming map comes from H_{top+1}(C), the
+    zero group at full depth.
     """
     top = max(x.max_degree for x in (a, c, *bs))
     if up_to is not None:
@@ -169,7 +186,7 @@ def _exact_sequence(kind: str, labels: tuple[str, str, str], a: ChainComplex,
     ha = [homology_data(a, p) for p in range(top + 1)]
     hbs = [[homology_data(b, p) for b in bs] for p in range(top + 1)]
     hc = [homology_data(c, p) for p in range(top + 2)]
-    d = {p: induced_matrix(hc[p], ha[p - 1], delta(p)) for p in range(1, top + 2)}
+    d = {p: _connecting(hc[p], ha[p - 1], *delta(p)) for p in range(1, top + 2)}
     nodes = []
     groups = {}
     for p in range(top, -1, -1):
@@ -208,36 +225,13 @@ def _level(keep: list[list[int]], n: int) -> list[int]:
     return keep[n] if 0 <= n < len(keep) else []
 
 
-def _inclusion(small: list[int], big):
-    """Chain-level inclusion of the span of the basis indices ``small``
-    into the span of ``big``, a superset: a scatter."""
+def _inclusion(small: list[int], big) -> IntegerMatrix:
+    """The 0/1 matrix of the inclusion of the span of the basis indices
+    ``small`` into the span of ``big``, a superset; its transpose gathers
+    the entries on ``small``."""
     position = {k: i for i, k in enumerate(big)}
-
-    def push(vec):
-        out = [0] * len(position)
-        for k, v in zip(small, vec):
-            out[position[k]] = v
-        return out
-
-    return push
-
-
-def _boundary_push(ck: ChainComplex, p: int, lift, into: list[int]):
-    """Chain-level connecting map into the span of the basis indices
-    ``into`` of C_{p-1}(K): ``lift`` a chain to C_p(K), apply the boundary
-    of K, and gather the result on ``into``."""
-    position = {k: i for i, k in enumerate(into)}
-
-    def push(vec):
-        out = [0] * len(into)
-        for k, v in enumerate(ck.boundary(p).apply(lift(vec))):
-            if v:
-                if k not in position:
-                    raise AssertionError("connecting map left the subcomplex")
-                out[position[k]] = v
-        return out
-
-    return push
+    return IntegerMatrix.from_entries(len(position), len(small),
+                                      ((position[k], j, 1) for j, k in enumerate(small)))
 
 
 def _pair_chains(space: SimplicialSet, sub):
@@ -249,11 +243,11 @@ def _pair_chains(space: SimplicialSet, sub):
     return ck, _basis_in(ck, ids), outside
 
 
-def _pair_connecting_push(ck: ChainComplex, inside: list[list[int]],
-                          outside: list[list[int]], p: int):
-    """Chain-level connecting map C_p(K, L) -> C_{p-1}(L)."""
-    return _boundary_push(ck, p, _inclusion(_level(outside, p), range(ck.rank(p))),
-                          _level(inside, p - 1))
+def _pair_connecting(ck: ChainComplex, inside: list[list[int]],
+                     outside: list[list[int]], p: int) -> tuple[IntegerMatrix, list[int]]:
+    """C_p(K, L) -> C_{p-1}(L): the boundary of K on the columns outside L,
+    to be read on the rows of L."""
+    return ck.boundary(p).submatrix(range(ck.rank(p - 1)), _level(outside, p)), _level(inside, p - 1)
 
 
 def pair_les(space: SimplicialSet, sub, up_to: int | None = None) -> ExactSequenceReport:
@@ -268,8 +262,8 @@ def pair_les(space: SimplicialSet, sub, up_to: int | None = None) -> ExactSequen
     return _exact_sequence("pair", ("H_{p}(L)", "H_{p}(K)", "H_{p}(K,L)"),
                            restricted(ck, inside), (ck,), restricted(ck, outside),
                            lambda p: (_inclusion(inside[p], range(ck.rank(p))),),
-                           lambda p: (lambda vec: [vec[k] for k in outside[p]],),
-                           lambda p: _pair_connecting_push(ck, inside, outside, p), up_to)
+                           lambda p: (_inclusion(outside[p], range(ck.rank(p))).transpose(),),
+                           lambda p: _pair_connecting(ck, inside, outside, p), up_to)
 
 
 def relative_homology(space: SimplicialSet, sub, degrees=None) -> list[AbelianGroup]:
@@ -284,7 +278,7 @@ def connecting_matrix(space: SimplicialSet, sub, p: int) -> tuple[IntegerMatrix,
     ck, inside, outside = _pair_chains(space, sub)
     h_rel = homology_data(restricted(ck, outside), p)
     h_l = homology_data(restricted(ck, inside), p - 1)
-    return (induced_matrix(h_rel, h_l, _pair_connecting_push(ck, inside, outside, p)),
+    return (_connecting(h_rel, h_l, *_pair_connecting(ck, inside, outside, p)),
             h_rel.group, h_l.group)
 
 
@@ -303,23 +297,19 @@ def mayer_vietoris(space: SimplicialSet, a_sub, b_sub, up_to: int | None = None)
     ck = normalized_chains(space)
     a, b, ab = _basis_in(ck, a_ids), _basis_in(ck, b_ids), _basis_in(ck, a_ids & b_ids)
 
-    def alpha(p):
-        return (_inclusion(ab[p], a[p]), _inclusion(ab[p], b[p]))
-
-    def beta(p):
-        into_k = _inclusion(b[p], range(ck.rank(p)))
-        return (_inclusion(a[p], range(ck.rank(p))), lambda vec: [-v for v in into_k(vec)])
+    def into_k(keep, p):
+        return _inclusion(_level(keep, p), range(ck.rank(p)))
 
     def connecting(p):
         """Split a chain of K as a chain on A plus one on B; the boundary of
         the A part of a cycle lies in A n B."""
-        on_a = set(_level(a, p))
-        return _boundary_push(ck, p, lambda vec: [v if k in on_a else 0
-                                                  for k, v in enumerate(vec)], _level(ab, p - 1))
+        on_a = into_k(a, p)
+        return ck.boundary(p) * on_a * on_a.transpose(), _level(ab, p - 1)
 
     return _exact_sequence("mayer-vietoris", ("H_{p}(AnB)", "H_{p}(A)+H_{p}(B)", "H_{p}(K)"),
                            restricted(ck, ab), (restricted(ck, a), restricted(ck, b)), ck,
-                           alpha, beta, connecting, up_to)
+                           lambda p: (_inclusion(ab[p], a[p]), _inclusion(ab[p], b[p])),
+                           lambda p: (into_k(a, p), into_k(b, p) * -1), connecting, up_to)
 
 
 # ---------------------------------------------------------------------------

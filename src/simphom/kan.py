@@ -75,11 +75,6 @@ def fill_horn(space: SimplicialSet, h: HornMap) -> list[SimplexRef]:
             if _off(faces, h.k) == _off(h.faces, h.k)]
 
 
-def enumerate_horns(space: SimplicialSet, n: int, k: int):
-    """All compatible horns of shape (n, k) into the space."""
-    yield from _horns(_face_table(space, n - 1), n, k)
-
-
 def _horns(lower: dict, n: int, k: int):
     """Backtracking over the slots j in increasing order: candidates x with
     d_i x = d_{j-1} x_i for the first slot i come from an index on d_i."""

@@ -71,11 +71,6 @@ def cylinder(space: SimplicialSet) -> Cylinder:
     return Cylinder(space, pr, end(0), end(1), pr.proj_left)
 
 
-def constant_homotopy(f: SimplicialMap, cyl: Cylinder) -> SimplicialMap:
-    """The homotopy f . projection from f to itself."""
-    return f.compose(cyl.projection)
-
-
 def prism_homotopy(homotopy: SimplicialMap, cyl: Cylinder) -> ChainHomotopy:
     """The chain homotopy of a simplicial homotopy H : K x Delta[1] -> L.
 
@@ -142,8 +137,8 @@ def homotopic_maps_equal_on_homology(f: SimplicialMap, g: SimplicialMap,
     for n in degrees:
         h_src = homology_data(src, n)
         h_tgt = homology_data(tgt, n)
-        if (induced_matrix(h_src, h_tgt, f_chain.matrix(n).apply)
-                != induced_matrix(h_src, h_tgt, g_chain.matrix(n).apply)):
+        if (induced_matrix(h_src, h_tgt, f_chain.matrix(n))
+                != induced_matrix(h_src, h_tgt, g_chain.matrix(n))):
             equal = False
     return HomotopyReport(identity_holds, ends_match, degrees, equal)
 

@@ -235,6 +235,7 @@ def tietze_simplify(p: GroupPresentation, max_steps: int = 1000) -> TietzeResult
                 out.append(letter)
         return _cyclic_reduce(tuple(out))
 
+    keys: dict[tuple[int, ...], tuple[int, ...]] = {}  # each word seen -> min(word, its inverse)
     changed = True
     while changed and steps < max_steps:
         changed = False
@@ -242,7 +243,9 @@ def tietze_simplify(p: GroupPresentation, max_steps: int = 1000) -> TietzeResult
         seen = set()
         deduped = []
         for w in relators:
-            key = min(w, tuple(-x for x in reversed(w)))
+            key = keys.get(w)
+            if key is None:
+                key = keys[w] = min(w, tuple(-x for x in reversed(w)))
             if key not in seen:
                 seen.add(key)
                 deduped.append(w)

@@ -5,9 +5,39 @@ from __future__ import annotations
 import pytest
 
 from simphom.catalog import catalog, simplex_with_vertices, vertex_sequence
-from simphom.operators import Cylinder, constant_homotopy, cylinder
+from simphom.operators import Cylinder, cylinder
 from simphom.simplex import SimplexRef
 from simphom.sset import SimplicialMap, SimplicialSet, constant_map, identity_map
+
+
+def connected_catalog_spaces() -> list[SimplicialSet]:
+    """The connected corpus used by the presentation/homology cross-checks."""
+    return [
+        catalog("point"),
+        catalog("circle"),
+        catalog("torus"),
+        catalog("rp2"),
+        catalog("klein"),
+        catalog("delta:1"),
+        catalog("delta:2"),
+        catalog("delta:3"),
+        catalog("boundary:2"),
+        catalog("boundary:3"),
+        catalog("boundary:4"),
+        catalog("horn:2:0"),
+        catalog("horn:2:1"),
+        catalog("sphere:2"),
+        catalog("sphere:3"),
+    ]
+
+
+def all_catalog_spaces() -> list[SimplicialSet]:
+    return connected_catalog_spaces() + [catalog("discrete:2"), catalog("boundary:1")]
+
+
+def constant_homotopy(f: SimplicialMap, cyl: Cylinder) -> SimplicialMap:
+    """The homotopy f . projection from f to itself."""
+    return f.compose(cyl.projection)
 
 
 @pytest.fixture(scope="session")

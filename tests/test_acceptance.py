@@ -12,12 +12,7 @@ import sys
 import time
 
 from simphom.abgroup import AbelianGroup
-from simphom.catalog import (
-    all_catalog_spaces,
-    catalog,
-    connected_catalog_spaces,
-    rp2_complex,
-)
+from simphom.catalog import catalog, rp2_complex
 from simphom.chains import (
     chain_map_of,
     euler_characteristic,
@@ -59,7 +54,7 @@ from simphom.sset import (
 )
 from simphom.subdivision import barycentric_subdivide, boundary_complex, full_simplex_complex
 
-from conftest import homotopy_corpus
+from conftest import all_catalog_spaces, connected_catalog_spaces, homotopy_corpus
 from reference import betti_numbers_rational, mod_betti_numbers
 
 Z = AbelianGroup.free(1)

@@ -17,6 +17,7 @@ from simphom.chains import (
     relative_chains,
     unnormalized_chains,
 )
+from simphom.cli import main
 from simphom.homology import (
     cohomology,
     cohomology_data,
@@ -184,7 +185,7 @@ def test_h0_counts_components():
 
 
 def test_h0_is_free_on_components_everywhere():
-    from simphom.catalog import all_catalog_spaces
+    from conftest import all_catalog_spaces
     from simphom.pi1 import pi0
     for space in all_catalog_spaces():
         components = pi0(space).count
@@ -272,14 +273,45 @@ def test_truncated_sequences_match_full_depth(torus, rp2, dim):
 
 def test_pair_les_fails_with_a_zero_connecting_map(monkeypatch):
     module = sys.modules["simphom.homology"]
+    connecting = module._pair_connecting
 
-    def zero_push(ck, inside, outside, p):
-        return lambda vec: [0] * len(inside[p - 1])
+    def zero_connecting(ck, inside, outside, p):
+        boundary, into = connecting(ck, inside, outside, p)
+        return IntegerMatrix.zero(boundary.rows, boundary.cols), into
 
-    monkeypatch.setattr(module, "_pair_connecting_push", zero_push)
+    monkeypatch.setattr(module, "_pair_connecting", zero_connecting)
     report = pair_les(std_simplex(2), skeleton(std_simplex(2), 1))
     assert not report.passed
     assert [node.label for node in report.nodes if not node.exact] == ["H_2(K,L)", "H_1(L)"]
+
+
+def _connecting_into_nothing(monkeypatch):
+    """Read every connecting map on no rows at all, so that a cycle whose
+    lift has a nonzero boundary leaves the subcomplex.  The cases below
+    have such a cycle in the lowest degree with any source generators."""
+    module = sys.modules["simphom.homology"]
+    connecting = module._connecting
+    monkeypatch.setattr(module, "_connecting",
+                        lambda src, dst, boundary, into: connecting(src, dst, boundary, []))
+
+
+def test_connecting_maps_certify_they_stay_in_the_subcomplex(monkeypatch, rp2, capsys):
+    _connecting_into_nothing(monkeypatch)
+    d2, b2 = std_simplex(2), boundary(2)
+    calls = [
+        lambda: pair_les(rp2, skeleton(rp2, 1)),
+        lambda: mayer_vietoris(b2, subcomplex(b2, [(1, 0), (1, 1)]), subcomplex(b2, [(1, 2)])),
+        lambda: connecting_matrix(d2, skeleton(d2, 1), 2),
+    ]
+    for call in calls:
+        with pytest.raises(AssertionError, match="^connecting map left the subcomplex$"):
+            call()
+    for argv in (["les", "--space", "rp2", "--sub", "skeleton:1"],
+                 ["mv", "--space", "boundary:2", "--a", "gens:1.0,1.1", "--b", "gens:1.2"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "error: certificate failed: connecting map left the subcomplex\n"
+        assert "Traceback" not in captured.err
 
 
 def _random_hom(rng, source, target):

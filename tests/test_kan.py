@@ -11,8 +11,9 @@ from simphom.kan import (
     HornMap,
     KanReport,
     LiftingProblem,
+    _face_table,
+    _horns,
     check_horn,
-    enumerate_horns,
     fibration_check,
     fill_horn,
     kan_check,
@@ -20,6 +21,11 @@ from simphom.kan import (
 from simphom.pi1 import pi1_presentation
 from simphom.simplex import SimplexRef
 from simphom.sset import SimplicialSet, constant_map, discrete, product, std_simplex
+
+
+def enumerate_horns(space: SimplicialSet, n: int, k: int):
+    """All compatible horns of shape (n, k) into the space."""
+    yield from _horns(_face_table(space, n - 1), n, k)
 
 
 def test_fill_in_discrete_space():

@@ -14,7 +14,6 @@ from simphom.operators import (
     alexander_whitney,
     coboundary,
     cohomology_ring_table,
-    constant_homotopy,
     cross_product,
     cup_product,
     cylinder,
@@ -24,6 +23,8 @@ from simphom.operators import (
     prism_homotopy,
 )
 from simphom.sset import identity_map, product, std_simplex
+
+from conftest import constant_homotopy
 
 Z = AbelianGroup.free(1)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from simphom.abgroup import AbelianGroup
-from simphom.catalog import catalog, connected_catalog_spaces
+from simphom.catalog import catalog
 from simphom.homology import homology_of_space
 from simphom.pi1 import (
     GroupPresentation,
@@ -14,6 +14,8 @@ from simphom.pi1 import (
     tietze_simplify,
 )
 from simphom.sset import boundary, coproduct, discrete
+
+from conftest import connected_catalog_spaces
 
 
 def test_pi0_examples(circle, torus):
