@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 
-from .simplex import NonDegenSimplex, SimplexRef
+from .simplex import NonDegenSimplex
 from .sset import (
     ProductResult,
     SimplicialSet,
@@ -113,32 +113,3 @@ def ordered_complex_catalog(name: str) -> OrderedSimplicialComplex:
         return OrderedSimplicialComplex([(0,)])
     raise ValueError(f"no ordered-complex model for {name!r}")
 
-
-# ---------------------------------------------------------------------------
-# Nerve-style maps into standard simplices (used by the homotopy corpus)
-
-
-def vertex_sequence(space: SimplicialSet, ref: SimplexRef) -> list[int]:
-    """The monotone vertex labels of a simplex in a standard-simplex-like
-    space (vertex labels must be single integers)."""
-    out = []
-    for t in range(ref.dim + 1):
-        r = ref
-        for u in range(ref.dim, t, -1):
-            r = space.face(r, u)
-        for _ in range(t):
-            r = space.face(r, 0)
-        out.append(int(space.gen(0, r.base_id).label))
-    return out
-
-
-def simplex_with_vertices(space: SimplicialSet, seq: list[int]) -> SimplexRef:
-    """The canonical simplex of a standard-simplex-like space with the
-    given monotone vertex sequence."""
-    word = tuple(sorted((i for i in range(len(seq) - 1) if seq[i] == seq[i + 1]),
-                        reverse=True))
-    distinct = sorted(set(seq))
-    label = "".join(map(str, distinct))
-    dim = len(distinct) - 1
-    base = next(g for g in space.gens(dim) if g.label == label)
-    return SimplexRef(dim, base.id, word)

@@ -123,7 +123,7 @@ def parse_space(text: str) -> SimplicialSet:
                     raise SpaceDocumentError(
                         f"degeneracy word {word} too long for a face of dimension {d - 1}", lineno)
                 ref = SimplexRef(base_dim, base_id, tuple(word))
-                if not ref.words_ok():
+                if word and not ref.words_ok():
                     raise SpaceDocumentError(
                         f"degeneracy word {word} is not strictly decreasing in range", lineno)
                 refs.append(ref)

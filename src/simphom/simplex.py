@@ -11,20 +11,26 @@ canonical form using the simplicial identities
     d_i s_j = id            (i = j or i = j+1)
     d_i s_j = s_j d_{i-1}   (i > j+1)
     s_i s_j = s_{j+1} s_i   (i <= j)
+
+A :class:`SimplexRef` is a named tuple, so hashing, equality and ordering
+are plain tuple operations.  The faces of a non-degenerate simplex are
+read from its generator's face table; only degenerate simplices go
+through the rewriting here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class SimplexRef:
+class SimplexRef(NamedTuple):
     """Canonical handle for a simplex: a non-degenerate base plus a word.
 
     ``degens`` is a strictly decreasing tuple of degeneracy indices; the
     handle denotes s_{j1} s_{j2} ... s_{jk} (base) with j1 > j2 > ... > jk.
-    The dimension is ``base_dim + len(degens)``.
+    The dimension is ``base_dim + len(degens)``.  It hashes, compares and
+    sorts as the tuple ``(base_dim, base_id, degens)``, which it equals.
     """
 
     base_dim: int

@@ -73,15 +73,20 @@ class SimplicialSet:
     # -- the operator calculus ----------------------------------------
 
     def face(self, s: SimplexRef, i: int) -> SimplexRef:
-        """The i-th face of any simplex, in canonical form."""
-        if s.dim < 1:
+        """The i-th face of any simplex, in canonical form: the stored
+        face table entry when ``s`` is non-degenerate."""
+        base_dim, base_id, degens = s
+        dim = base_dim + len(degens)
+        if dim < 1:
             raise ValueError("faces require dimension >= 1")
-        if not 0 <= i <= s.dim:
-            raise ValueError(f"face index {i} out of range for dimension {s.dim}")
-        word, residual = face_word_rewrite(s.degens, i)
-        base = self.gen(s.base_dim, s.base_id)
+        if not 0 <= i <= dim:
+            raise ValueError(f"face index {i} out of range for dimension {dim}")
+        if not degens:
+            return self.gen(base_dim, base_id).faces[i]
+        word, residual = face_word_rewrite(degens, i)
+        base = self.gen(base_dim, base_id)
         if residual is None:
-            return SimplexRef(s.base_dim, s.base_id, word)
+            return SimplexRef(base_dim, base_id, word)
         target = base.faces[residual]
         return SimplexRef(target.base_dim, target.base_id, compose_words(word, target.degens))
 
@@ -116,6 +121,7 @@ class SimplicialSet:
     # -- internal checks ----------------------------------------------
 
     def _check_structure(self):
+        counts = self.counts()
         for d, gens in enumerate(self.generators):
             for k, g in enumerate(gens):
                 if g.dim != d or g.id != k:
@@ -123,12 +129,13 @@ class SimplicialSet:
                 if len(g.faces) != (0 if d == 0 else d + 1):
                     raise ValueError(f"generator {g.name()} has {len(g.faces)} faces, wanted {d + 1}")
                 for i, ref in enumerate(g.faces):
-                    if ref.dim != d - 1:
+                    base_dim, base_id, degens = ref
+                    if base_dim + len(degens) != d - 1:
                         raise ValueError(f"face {i} of {g.name()} has dimension {ref.dim}, wanted {d - 1}")
-                    if not ref.words_ok():
-                        raise ValueError(f"face {i} of {g.name()} has non-canonical word {ref.degens}")
-                    if not (0 <= ref.base_dim < d and 0 <= ref.base_id < self.n_gens(ref.base_dim)):
-                        raise ValueError(f"face {i} of {g.name()} dangles: no generator ({ref.base_dim},{ref.base_id})")
+                    if degens and not ref.words_ok():
+                        raise ValueError(f"face {i} of {g.name()} has non-canonical word {degens}")
+                    if not (0 <= base_dim < d and 0 <= base_id < counts[base_dim]):
+                        raise ValueError(f"face {i} of {g.name()} dangles: no generator ({base_dim},{base_id})")
 
 
 @dataclass
@@ -144,14 +151,17 @@ class ValidationReport:
 def is_valid(space: SimplicialSet) -> ValidationReport:
     """Check all invariants: canonical face tables and the simplicial
     identities d_i d_j = d_{j-1} d_i (i < j) on every generator.  The
-    j-th face of a generator is entry j of its face table."""
+    j-th face of a generator is entry j of its face table.  The faces of
+    each face are read once: from the table of its base when it is
+    non-degenerate, through :meth:`SimplicialSet.face` otherwise."""
     problems = []
     for d in range(2, space.top_dim + 1):
         for g in space.gens(d):
+            second = [space.generators[ref.base_dim][ref.base_id].faces if not ref.degens
+                      else [space.face(ref, i) for i in range(d)] for ref in g.faces]
             for j in range(1, d + 1):
                 for i in range(j):
-                    left = space.face(g.faces[j], i)
-                    right = space.face(g.faces[i], j - 1)
+                    left, right = second[j][i], second[i][j - 1]
                     if left != right:
                         problems.append(
                             f"simplicial identity fails on {g.name()} at (i,j)=({i},{j}): "

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from simphom.catalog import catalog, simplex_with_vertices, vertex_sequence
+from simphom.catalog import catalog
 from simphom.operators import Cylinder, cylinder
 from simphom.simplex import SimplexRef
 from simphom.sset import SimplicialMap, SimplicialSet, constant_map, identity_map
@@ -58,6 +58,32 @@ def rp2():
 @pytest.fixture(scope="session")
 def klein():
     return catalog("klein")
+
+
+def vertex_sequence(space: SimplicialSet, ref: SimplexRef) -> list[int]:
+    """The monotone vertex labels of a simplex in a standard-simplex-like
+    space (vertex labels must be single integers)."""
+    out = []
+    for t in range(ref.dim + 1):
+        r = ref
+        for u in range(ref.dim, t, -1):
+            r = space.face(r, u)
+        for _ in range(t):
+            r = space.face(r, 0)
+        out.append(int(space.gen(0, r.base_id).label))
+    return out
+
+
+def simplex_with_vertices(space: SimplicialSet, seq: list[int]) -> SimplexRef:
+    """The canonical simplex of a standard-simplex-like space with the
+    given monotone vertex sequence."""
+    word = tuple(sorted((i for i in range(len(seq) - 1) if seq[i] == seq[i + 1]),
+                        reverse=True))
+    distinct = sorted(set(seq))
+    label = "".join(map(str, distinct))
+    dim = len(distinct) - 1
+    base = next(g for g in space.gens(dim) if g.label == label)
+    return SimplexRef(dim, base.id, word)
 
 
 def meet_contraction(space: SimplicialSet, cyl: Cylinder) -> SimplicialMap:

@@ -7,6 +7,9 @@ and ``cone_cohomology`` read Z/m groups off the integral homology of the
 mapping cone of m * id, not off a subquotient mod m.  The rank,
 determinant and Betti number routines use exact fraction, mod-p and
 Bareiss elimination and share no code with the SNF at all.
+``reference_is_valid`` checks the simplicial identities with the
+unconditional face rewrite, without ``SimplicialSet.face`` and its
+face-table shortcut.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from simphom.abgroup import AbelianGroup
 from simphom.chains import ChainComplex, ChainMap, mapping_cone
 from simphom.homology import homology
 from simphom.intmatrix import IntegerMatrix
+from simphom.simplex import SimplexRef, compose_words, face_word_rewrite
 from simphom.snf import smith_normal_form
+from simphom.sset import SimplicialSet, ValidationReport
 
 
 class DenseSubquotient:
@@ -205,3 +210,30 @@ def mod_betti_numbers(c: ChainComplex, p: int) -> list[int]:
     """dim H_n(C; Z/p) over the field Z/p, via mod-p ranks."""
     return [c.rank(n) - mod_rank(c.boundary(n), p) - mod_rank(c.boundary(n + 1), p)
             for n in range(c.max_degree + 1)]
+
+
+def _rewritten_face(space: SimplicialSet, s: SimplexRef, i: int) -> SimplexRef:
+    """d_i s by the degeneracy rewrite, also when s is non-degenerate."""
+    word, residual = face_word_rewrite(s.degens, i)
+    if residual is None:
+        return SimplexRef(s.base_dim, s.base_id, word)
+    target = space.generators[s.base_dim][s.base_id].faces[residual]
+    return SimplexRef(target.base_dim, target.base_id, compose_words(word, target.degens))
+
+
+def reference_is_valid(space: SimplicialSet) -> ValidationReport:
+    """``sset.is_valid`` as it was before the face-table shortcut: both
+    sides of every identity d_i d_j = d_{j-1} d_i rewritten afresh."""
+    problems = []
+    for d in range(2, space.top_dim + 1):
+        for g in space.gens(d):
+            for j in range(1, d + 1):
+                for i in range(j):
+                    left = _rewritten_face(space, g.faces[j], i)
+                    right = _rewritten_face(space, g.faces[i], j - 1)
+                    if left != right:
+                        problems.append(
+                            f"simplicial identity fails on {g.name()} at (i,j)=({i},{j}): "
+                            f"d{i} d{j} = {space.format_ref(left)} but d{j-1} d{i} = {space.format_ref(right)}"
+                        )
+    return ValidationReport(not problems, problems)

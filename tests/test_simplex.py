@@ -146,3 +146,22 @@ def test_face_errors():
         d1.face(SimplexRef(1, 0), 2)
     with pytest.raises(ValueError):
         d1.degeneracy(SimplexRef(1, 0), 5)
+
+
+def test_simplex_ref_is_a_tuple_of_its_fields():
+    """Hash, order, repr, the default word and immutability of a ref."""
+    ref = SimplexRef(2, 5, (1, 0))
+    assert hash(ref) == hash((2, 5, (1, 0)))
+    assert SimplexRef(1, 3).degens == ()
+    assert hash(SimplexRef(1, 3)) == hash((1, 3, ()))
+    refs = [SimplexRef(1, 0, (0,)), SimplexRef(0, 2), SimplexRef(1, 0), SimplexRef(0, 10),
+            SimplexRef(1, 0, (1,)), SimplexRef(0, 2, (1, 0))]
+    assert sorted(refs) == [SimplexRef(0, 2), SimplexRef(0, 2, (1, 0)), SimplexRef(0, 10),
+                            SimplexRef(1, 0), SimplexRef(1, 0, (0,)), SimplexRef(1, 0, (1,))]
+    assert repr(SimplexRef(1, 3)) == "<1.3>"
+    assert repr(ref) == "s1 s0 <2.5>"
+    assert ref.dim == 4 and ref.is_degenerate and not SimplexRef(1, 3).is_degenerate
+    with pytest.raises(AttributeError):
+        ref.base_id = 6
+    with pytest.raises(AttributeError):
+        ref.extra = 1

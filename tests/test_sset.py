@@ -1,9 +1,13 @@
 """Simplicial sets: constructors, products, quotients, pushouts, validity."""
 
+import random
 from math import comb
 
 import pytest
 
+from conftest import all_catalog_spaces
+from reference import reference_is_valid
+from simphom import sset
 from simphom.catalog import catalog
 from simphom.chains import euler_characteristic
 from simphom.io import print_space
@@ -188,6 +192,123 @@ def test_is_valid_catches_corruption():
     # the violation names the generator and the offending index pair
     assert "012" in report.first_violation
     assert "(i,j)=" in report.first_violation
+
+
+def test_is_valid_catches_a_violation_seen_only_through_a_degenerate_face():
+    """Delta[2] with its edge 01 collapsed onto vertex 0.  Putting vertex 1
+    under the degenerate face d2 breaks exactly the two identities that
+    read the faces of d2; the faces d0 and d1 stay consistent."""
+    v0, v1 = (NonDegenSimplex(0, k, (), label=f"v{k}") for k in range(2))
+    edge = NonDegenSimplex(1, 0, (SimplexRef(0, 1), SimplexRef(0, 0)), label="e")
+
+    def cone(vertex):
+        faces = (SimplexRef(1, 0), SimplexRef(1, 0), SimplexRef(0, vertex, (0,)))
+        return SimplicialSet([[v0, v1], [edge], [NonDegenSimplex(2, 0, faces, label="t")]])
+
+    assert is_valid(cone(0)).ok
+    report = is_valid(cone(1))
+    assert report.problems == [
+        "simplicial identity fails on t at (i,j)=(0,2): d0 d2 = v1 but d1 d0 = v0",
+        "simplicial identity fails on t at (i,j)=(1,2): d1 d2 = v1 but d1 d1 = v0",
+    ]
+
+
+# One space per rung of the benchmark's homology ladder.
+LADDER = ["circle*circle", "rp2", "circle*rp2", "torus*klein", "sphere:2*rp2",
+          "torus*boundary:3", "rp2*boundary:2", "boundary:3*boundary:3", "torus*rp2"]
+
+
+@pytest.fixture(scope="module")
+def ladder_spaces():
+    spaces = {}
+    for name in LADDER:
+        factors = name.split("*")
+        spaces[name] = (product(catalog(factors[0]), catalog(factors[1])).space
+                        if len(factors) == 2 else catalog(name))
+    return spaces
+
+
+def _with_faces(space, g, faces):
+    """``space`` with the face table of generator ``g`` replaced."""
+    rows = [list(space.gens(d)) for d in range(space.top_dim + 1)]
+    rows[g.dim][g.id] = NonDegenSimplex(g.dim, g.id, tuple(faces), label=g.label)
+    return SimplicialSet(rows)
+
+
+def _corruptions(space, rng, n, degenerate):
+    """``n`` seeded corruptions of generators of dimension >= 2, taking
+    turns: two faces swapped, or one face moved to another generator of
+    its base dimension.  With ``degenerate`` each one moves a degenerate
+    face."""
+    def movable(g):
+        return [i for i, ref in enumerate(g.faces) if ref.is_degenerate or not degenerate]
+
+    gens = [g for d in range(2, space.top_dim + 1) for g in space.gens(d) if movable(g)]
+    out = []
+    while len(out) < n:
+        g = rng.choice(gens)
+        faces = list(g.faces)
+        a = rng.choice(movable(g))
+        if len(out) % 2 == 0:
+            b = rng.choice([i for i in range(len(faces)) if i != a])
+            faces[a], faces[b] = faces[b], faces[a]
+        else:
+            ref = faces[a]
+            others = [k for k in range(space.n_gens(ref.base_dim)) if k != ref.base_id]
+            if not others:
+                continue
+            faces[a] = SimplexRef(ref.base_dim, rng.choice(others), ref.degens)
+        out.append(_with_faces(space, g, faces))
+    return out
+
+
+def test_is_valid_matches_reference(ladder_spaces):
+    for space in all_catalog_spaces() + list(ladder_spaces.values()):
+        report = is_valid(space)
+        assert report.ok, space.name
+        assert report == reference_is_valid(space), space.name
+
+
+@pytest.mark.parametrize("name,degenerate", [
+    ("sphere:2*rp2", True), ("sphere:2*rp2", False), ("torus*rp2", False),
+    ("circle*rp2", False), ("boundary:3*boundary:3", False),
+])
+def test_is_valid_matches_reference_on_corruptions(ladder_spaces, name, degenerate):
+    rng = random.Random(f"{name} {degenerate}")
+    caught = 0
+    for bad in _corruptions(ladder_spaces[name], rng, 8, degenerate):
+        report = is_valid(bad)
+        assert report.problems == reference_is_valid(bad).problems
+        caught += not report.ok
+    assert caught >= 4
+
+
+def test_is_valid_rewrites_only_degenerate_faces(monkeypatch, ladder_spaces):
+    """Faces of non-degenerate faces come from the face table: is_valid
+    rewrites once per (degenerate face, index) pair and never otherwise."""
+    calls = 0
+    rewrite = sset.face_word_rewrite
+
+    def counted(word, i):
+        nonlocal calls
+        calls += 1
+        return rewrite(word, i)
+
+    monkeypatch.setattr(sset, "face_word_rewrite", counted)
+    assert is_valid(ladder_spaces["torus*rp2"]).ok and calls == 0
+
+    space = ladder_spaces["sphere:2*rp2"]
+    degenerate = [(d, ref) for d in range(2, space.top_dim + 1) for g in space.gens(d)
+                  for ref in g.faces if ref.is_degenerate]
+    assert len(degenerate) == 268
+    assert is_valid(space).ok and calls == sum(d for d, _ in degenerate)
+
+    calls = 0
+    for d in range(1, space.top_dim + 1):
+        for g in space.gens(d):
+            ref = SimplexRef(d, g.id)
+            assert all(space.face(ref, i) is g.faces[i] for i in range(d + 1))
+    assert calls == 0
 
 
 def test_product_faces_satisfy_identities(rp2):
