@@ -11,22 +11,24 @@ or on their transposes.  So the universal coefficient check still
 compares two different computations: a direct mod-m subquotient against
 the tensor/Tor and Hom/Ext formulas applied to the integral divisors.
 
-Everything else is a ``Subquotient`` ker/im with explicit generator
-representatives, so induced maps and connecting homomorphisms come out as
-integer matrices.  Each one eliminates the outgoing map and then its
-relations by the same certified unit pivots, with a verified SNF only
-on the two small residues.  ``homology_data`` and
-``cohomology_data`` (Z or Z/m cocycles, which the cup table reads) build
-one each, and so does ``exact_at``: im = ker at a node holds iff the
-lifts of the image and of the node's relations span the kernel, that is
-iff their subquotient is trivial.  ``_exact_sequence``, the
-one builder of long exact sequences, takes the complexes and chain maps
-of the pair sequence or of Mayer-Vietoris, computes every group once,
-and checks exactness node by node on generator orders.  Both build C(K)
-once and take the chains of L, of (K, L) and of A, B and A n B as
-restrictions of it to kept basis indices.  The chain maps are 0/1
-inclusion matrices and their transposes, and each connecting map is the
-boundary of K on lifted columns, read on the rows of the subcomplex.
+Everything else is a ``Subquotient`` ker/im with a matrix of generator
+representatives, so induced maps and connecting homomorphisms come out
+as integer matrices: one product with the source's generators and one
+``reduce`` of the image matrix in the target.  Each subquotient
+eliminates the outgoing map and then its relations by the same certified
+unit pivots, with a verified SNF only on the two small residues.
+``homology_data`` and ``cohomology_data`` (Z or Z/m cocycles, which the
+cup table reads) build one each, and so does ``exact_at``: im = ker at a
+node holds iff the lifts of the image and of the node's relations span
+the kernel, that is iff their subquotient is trivial; one product lifts
+them all.  ``_exact_sequence``, the one builder of long exact sequences,
+takes the complexes and chain maps of the pair sequence or of
+Mayer-Vietoris, computes every group once, and checks exactness node by
+node on generator orders.  Both build C(K) once and take the chains of
+L, of (K, L) and of A, B and A n B as restrictions of it to kept basis
+indices.  The chain maps are 0/1 inclusion matrices and their
+transposes, and each connecting map is the boundary of K on lifted
+columns, read on the rows of the subcomplex.
 """
 
 from __future__ import annotations
@@ -89,24 +91,19 @@ def homology_of_space(space: SimplicialSet, degrees=None, reduced: bool = False)
 
 def induced_matrix(src: Subquotient, dst: Subquotient, push: IntegerMatrix) -> IntegerMatrix:
     """Matrix of the map sending each source generator class through the
-    chain map ``push`` (one product with all generators) and reducing in
-    the target."""
-    return _reduced(dst, push * IntegerMatrix.from_columns(src.generator_vectors(), rows=push.cols))
-
-
-def _reduced(dst: Subquotient, images: IntegerMatrix) -> IntegerMatrix:
-    return IntegerMatrix.from_columns([list(dst.reduce(x)) for x in images.columns()],
-                                      rows=dst.n_generators)
+    chain map ``push`` and reducing in the target: one product and one
+    ``reduce`` for all generators."""
+    return dst.reduce(push * src.generators)
 
 
 def _connecting(src: Subquotient, dst: Subquotient, lifted: IntegerMatrix, into: list[int]) -> IntegerMatrix:
     """Connecting map into the subcomplex on the rows ``into`` of C_{p-1}(K):
     ``lifted`` (the boundary of K times a lift, on all rows) applied to the
     source generators; a nonzero on another row fails the certificate."""
-    images = lifted * IntegerMatrix.from_columns(src.generator_vectors(), rows=lifted.cols)
+    images = lifted * src.generators
     if not {i for i, _, _ in images.entries()}.issubset(into):
         raise AssertionError("connecting map left the subcomplex")
-    return _reduced(dst, images.submatrix(into, range(images.cols)))
+    return dst.reduce(images.submatrix(into, range(images.cols)))
 
 
 def _relations(orders: list[int]) -> IntegerMatrix:
@@ -131,14 +128,15 @@ def exact_at(incoming: IntegerMatrix, outgoing: IntegerMatrix,
     m = len(here)
     if incoming.rows != m or outgoing.cols != m:
         raise ValueError("map shapes do not match the group")
-    stacked = outgoing.hstack(_relations(after))
-    lifts = []  # x lifts to (x, -outgoing(x) / d) on the rows of order d > 0
-    for x in incoming.columns() + _relations(here).columns():
-        image = outgoing.apply(x)
-        if any(v % d if d else v for v, d in zip(image, after)):
-            return False
-        lifts.append(x + [-v // d for v, d in zip(image, after) if d])
-    spanned = Subquotient(stacked, IntegerMatrix.from_columns(lifts, rows=stacked.cols))
+    # a column x lifts to (x, -outgoing(x) / d) on the rows of order d > 0
+    columns = incoming.hstack(_relations(here))
+    image = outgoing * columns
+    if any(v % after[i] if after[i] else v for i, _, v in image.entries()):
+        return False
+    torsion = {i: k for k, i in enumerate(i for i, d in enumerate(after) if d)}
+    lifts = columns.vstack(IntegerMatrix.from_entries(len(torsion), columns.cols, (
+        (torsion[i], j, -v // after[i]) for i, j, v in image.entries())))
+    spanned = Subquotient(outgoing.hstack(_relations(after)), lifts)
     return spanned.group.is_trivial()
 
 
@@ -270,16 +268,6 @@ def relative_homology(space: SimplicialSet, sub, degrees=None) -> list[AbelianGr
     if degrees is None:
         degrees = range(space.top_dim + 1)
     return homology(relative_chains(space, _sub_ids(space, sub)), degrees)
-
-
-def connecting_matrix(space: SimplicialSet, sub, p: int) -> tuple[IntegerMatrix, AbelianGroup, AbelianGroup]:
-    """The connecting homomorphism H_p(K, L) -> H_{p-1}(L) as a matrix on
-    presentation generators, with both groups."""
-    ck, inside, outside = _pair_chains(space, sub)
-    h_rel = homology_data(restricted(ck, outside), p)
-    h_l = homology_data(restricted(ck, inside), p - 1)
-    return (_connecting(h_rel, h_l, *_pair_connecting(ck, inside, outside, p)),
-            h_rel.group, h_l.group)
 
 
 # ---------------------------------------------------------------------------

@@ -315,7 +315,7 @@ def cohomology_ring_table(space: SimplicialSet, coeff_modulus: int,
     classes = {n: cohomology_data(chains, n, coeff_modulus) for n in degrees}
     basis = {
         n: [Cochain(n, coeff_modulus, tuple(vec)).normalized()
-            for vec in classes[n].generator_vectors()]
+            for vec in classes[n].generators.columns()]
         for n in degrees
     }
     products = {}
@@ -324,10 +324,10 @@ def cohomology_ring_table(space: SimplicialSet, coeff_modulus: int,
             n = p + q
             if n not in classes:
                 continue
-            for i, a in enumerate(basis[p]):
-                for j, b in enumerate(basis[q]):
-                    cup = cup_product(space, a, b, chains)
-                    products[(p, i, q, j)] = classes[n].reduce(list(cup.values))
+            pairs = [(i, j) for i in range(len(basis[p])) for j in range(len(basis[q]))]
+            cups = [cup_product(space, basis[p][i], basis[q][j], chains).values for i, j in pairs]
+            coords = classes[n].reduce(IntegerMatrix.from_columns(cups, rows=chains.rank(n)))
+            products.update(((p, i, q, j), tuple(col)) for (i, j), col in zip(pairs, coords.columns()))
     return RingTable(space.name or "K", coeff_modulus, basis, classes, products)
 
 
@@ -362,18 +362,14 @@ def cross_product(prod: ProductResult) -> list[CrossProductEntry]:
             n = p + q
             if n not in h_prod:
                 h_prod[n] = homology_data(cp, n)
-            for i, zk in enumerate(hk.generator_vectors()):
-                for j, zl in enumerate(hl.generator_vectors()):
-                    tensor_vec = [0] * tc.complex.rank(n)
-                    for a, va in enumerate(zk):
-                        if va == 0:
-                            continue
-                        for b, vb in enumerate(zl):
-                            if vb:
-                                tensor_vec[tc.index[(p, a, q, b)]] += va * vb
-                    cycle = ez_data.ez.matrix(n).apply(tensor_vec)
-                    entries.append(CrossProductEntry(
-                        p, i, q, j, h_prod[n].reduce(cycle)))
+            # column i * g_l + j holds the tensor of generators i and j
+            g_l = hl.n_generators
+            tensors = IntegerMatrix.from_entries(tc.complex.rank(n), hk.n_generators * g_l, (
+                (tc.index[(p, a, q, b)], i * g_l + j, va * vb)
+                for a, i, va in hk.generators.entries() for b, j, vb in hl.generators.entries()))
+            coords = h_prod[n].reduce(ez_data.ez.matrix(n) * tensors).columns()
+            entries.extend(CrossProductEntry(p, k // g_l, q, k % g_l, tuple(col))
+                           for k, col in enumerate(coords))
     return entries
 
 

@@ -103,12 +103,8 @@ def abelianization_data(p: GroupPresentation) -> AbelianizationData:
     """The abelianization with each generator's canonical coordinates."""
     n = len(p.generators)
     sq = Subquotient(IntegerMatrix.zero(0, n), p.exponent_matrix())
-    coords = []
-    for k in range(n):
-        unit = [0] * n
-        unit[k] = 1
-        coords.append(sq.reduce(unit))
-    return AbelianizationData(sq.group, sq.orders, coords)
+    coords = sq.reduce(IntegerMatrix.identity(n)).columns()
+    return AbelianizationData(sq.group, sq.orders, [tuple(c) for c in coords])
 
 
 @dataclass

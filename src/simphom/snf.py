@@ -23,8 +23,11 @@ representatives and of every group with Z/m coefficients, eliminates
 twice.  The outgoing map's steps give its kernel: the pivot coordinates
 of a kernel vector follow from the others by back-substitution, and R's
 SNF describes the rest.  The relations in those kernel coordinates are
-eliminated in turn: ``reduce`` is a forward substitution through their
-steps, then the residue SNF's U.  A failed check raises AssertionError.
+eliminated in turn.  It works on whole matrices: its generators are one
+matrix, and ``reduce`` takes a matrix of kernel columns, checks them by
+one sparse product with the outgoing map, and returns their coordinates
+by a forward substitution through the relation steps, then the residue
+SNF's U.  A failed check raises AssertionError.
 """
 
 from __future__ import annotations
@@ -213,6 +216,20 @@ def _residue_matrix(residue):
     return dense, row_ids, col_ids
 
 
+def _row_dicts(m: IntegerMatrix) -> dict[int, dict[int, int]]:
+    """The nonzero rows of m as ``{i: {j: value}}``."""
+    rows: dict[int, dict[int, int]] = {}
+    for i, j, v in m.entries():
+        rows.setdefault(i, {})[j] = v
+    return rows
+
+
+def _on_rows(rows: dict[int, dict[int, int]], ids, cols: int) -> IntegerMatrix:
+    """The matrix whose row t is ``rows[ids[t]]``, zero where it is absent."""
+    return IntegerMatrix.from_entries(len(ids), cols, (
+        (t, j, v) for t, i in enumerate(ids) for j, v in rows.get(i, {}).items()))
+
+
 def _eliminate_units(m: IntegerMatrix):
     """Sparse Gaussian elimination on +-1 pivots.
 
@@ -227,9 +244,7 @@ def _eliminate_units(m: IntegerMatrix):
     entry that is gone or no longer a unit is dropped, and one whose cost
     has risen is pushed back.
     """
-    rows: dict[int, dict[int, int]] = {}
-    for i, j, v in m.entries():
-        rows.setdefault(i, {})[j] = v
+    rows = _row_dicts(m)
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
@@ -340,13 +355,17 @@ class Subquotient:
     z = y / t are coordinates; the non-pivot columns outside R pass
     through.
 
-    Relations.  The in_map columns in those coordinates, checked to lie in
-    the kernel, and for m > 0 the diagonal m / t_i (m on a passed-through
-    coordinate), which is m Z^r.  Their certified elimination leaves the
-    group on the non-pivot rows as the cokernel of its residue, read from
-    a second residue SNF.  Every generator is checked to lie in the kernel
-    and to reduce to its unit vector.  A negative modulus raises
-    ValueError.
+    Relations.  The in_map columns in those coordinates, and for m > 0 the
+    diagonal m / t_i (m on a passed-through coordinate), which is m Z^r.
+    Their certified elimination leaves the group on the non-pivot rows as
+    the cokernel of its residue, read from a second residue SNF.
+
+    Everything here works on whole matrices: ``generators`` is the r x g
+    matrix of representatives, and ``reduce`` maps a matrix of kernel
+    columns to their coordinates with one product for the kernel check.
+    in_map must lie in the kernel and a negative modulus is refused
+    (ValueError); the generators must reduce to the identity
+    (AssertionError).
     """
 
     def __init__(self, out_map: IntegerMatrix, in_map: IntegerMatrix, modulus: int = 0):
@@ -355,7 +374,7 @@ class Subquotient:
         if in_map.rows != out_map.cols:
             raise ValueError("ambient ranks differ")
         self._out, self._modulus = out_map, modulus
-        if not all(self._vanishes(v) for _, _, v in (out_map * in_map).entries()):
+        if not self._vanishes(out_map * in_map):
             raise ValueError("in_map leaves the kernel")
         r = out_map.cols
         self._kernel_steps, out_snf, _, self._res_cols = _reduce(out_map)
@@ -369,111 +388,96 @@ class Subquotient:
         else:
             self._skip = out_snf.rank
             self._t = free
-        relations = self._relations(in_map)
+        relations = self._kernel_coords(in_map)
+        if modulus:
+            scale = [modulus // t for t in self._t] + [modulus] * len(self._free_cols)
+            relations = relations.hstack(IntegerMatrix.diagonal(scale))
         self._rel_steps, rel_snf, self._rel_rows, _ = _reduce(relations)
-        self._U = rel_snf.U
         orders = rel_snf.divisors
         self.torsion_orders = [d for d in orders if d >= 2]
-        n = relations.rows
         taken = {i for i, _, _, _, _ in self._rel_steps}.union(self._rel_rows)
-        self._free_rows = [i for i in range(n) if i not in taken]
+        self._free_rows = [i for i in range(relations.rows) if i not in taken]
         self.free_rank = len(self._rel_rows) - len(orders) + len(self._free_rows)
         self.group = AbelianGroup(self.free_rank, tuple(self.torsion_orders))
-        self._n_trivial = len(orders) - len(self.torsion_orders)
+        # U's rows past the trivial divisors give the residue coordinates
+        n_trivial = len(orders) - len(self.torsion_orders)
+        kept = range(n_trivial, len(self._rel_rows))
+        self._U = rel_snf.U.submatrix(kept, range(len(self._rel_rows)))
         # generator k: column k of the residue U^-1 on the residue rows, or a
         # unit vector on a free row; zero on the pivot rows, where the
         # inverse forward substitution then changes nothing
-        coords = []
-        for k in range(self._n_trivial, len(self._rel_rows)):
-            z = [0] * n
-            for i, v in zip(self._rel_rows, rel_snf.U_inv.column(k)):
-                z[i] = v
-            coords.append(z)
-        for i in self._free_rows:
-            z = [0] * n
-            z[i] = 1
-            coords.append(z)
-        self._gen_cols = [self._lift(z) for z in coords]
-        for k, x in enumerate(self._gen_cols):
-            unit = tuple(int(i == k) for i in range(len(coords)))
-            if not self._in_kernel(x) or self._canonical(self._kernel_coords(x)) != unit:
-                raise AssertionError(f"generator {k} does not reduce to its unit vector")
+        g = self.n_generators
+        coords = IntegerMatrix.from_entries(relations.rows, g, [
+            (self._rel_rows[i], k - n_trivial, v) for i, k, v in rel_snf.U_inv.entries()
+            if k >= n_trivial] + [(i, len(kept) + k, 1) for k, i in enumerate(self._free_rows)])
+        self.generators = self._lift(coords)
+        if (not self._vanishes(out_map * self.generators)
+                or self._canonical(self._kernel_coords(self.generators)) != IntegerMatrix.identity(g)):
+            raise AssertionError("a generator does not reduce to its unit vector")
 
-    def _vanishes(self, v: int) -> bool:
-        return not (v % self._modulus if self._modulus else v)
+    def _vanishes(self, m: IntegerMatrix) -> bool:
+        """Is every entry of m zero, mod the modulus when there is one?"""
+        if not self._modulus:
+            return m.is_zero()
+        return not any(v % self._modulus for _, _, v in m.entries())
 
-    def _in_kernel(self, x: list[int]) -> bool:
-        return all(map(self._vanishes, self._out.apply(x)))
-
-    def _relations(self, in_map: IntegerMatrix) -> IntegerMatrix:
-        """The in_map columns in kernel coordinates, then m Z^r for m > 0."""
-        n_res = len(self._t)
-        entries = []
-        y = self._V_inv * in_map.submatrix(self._res_cols, range(in_map.cols))
-        for i, j, v in y.entries():
+    def _kernel_coords(self, x: IntegerMatrix) -> IntegerMatrix:
+        """Kernel coordinates of kernel columns x: z = y / t on the residue
+        columns, y = V^-1 x, then the passed-through columns.  A y that
+        z cannot represent fails the certificate."""
+        cols, n_res = range(x.cols), len(self._t)
+        entries = [(n_res + k, j, v) for k, j, v in x.submatrix(self._free_cols, cols).entries()]
+        for i, j, v in (self._V_inv * x.submatrix(self._res_cols, cols)).entries():
             k = i - self._skip
             if k < 0 or v % self._t[k]:
-                raise AssertionError("in_map column outside the residue kernel")
+                raise AssertionError("column outside the residue kernel")
             entries.append((k, j, v // self._t[k]))
-        passed = in_map.submatrix(self._free_cols, range(in_map.cols))
-        entries.extend((n_res + k, j, v) for k, j, v in passed.entries())
-        n = n_res + len(self._free_cols)
-        cols = in_map.cols
-        if self._modulus:
-            scale = [self._modulus // t for t in self._t] + [self._modulus] * len(self._free_cols)
-            entries.extend((k, cols + k, v) for k, v in enumerate(scale))
-            cols += n
-        return IntegerMatrix.from_entries(n, cols, entries)
+        return IntegerMatrix.from_entries(n_res + len(self._free_cols), x.cols, entries)
 
-    def _kernel_coords(self, x: list[int]) -> list[int]:
-        """Kernel coordinates of a kernel vector x: z = y / t on the
-        residue columns, y = V^-1 x, then the passed-through columns."""
-        y = self._V_inv.apply([x[j] for j in self._res_cols])[self._skip:]
-        return [v // t for v, t in zip(y, self._t)] + [x[j] for j in self._free_cols]
-
-    def _lift(self, z: list[int]) -> list[int]:
-        """The kernel vector with kernel coordinates z: V (t (.) z) on the
+    def _lift(self, z: IntegerMatrix) -> IntegerMatrix:
+        """The kernel columns with kernel coordinates z: V (t (.) z) on the
         residue columns, the passed-through columns as they are, and the
         pivot coordinates by back-substitution in reverse step order."""
-        x = [0] * self._out.cols
         n_res = len(self._t)
-        y = [0] * self._skip + [t * v for t, v in zip(self._t, z)]
-        for j, v in zip(self._res_cols, self._V.apply(y)):
-            x[j] = v
-        for j, v in zip(self._free_cols, z[n_res:]):
-            x[j] = v
+        scaled = IntegerMatrix.from_entries(self._skip + n_res, z.cols, (
+            (self._skip + i, j, self._t[i] * v) for i, j, v in z.entries() if i < n_res))
+        x = {self._res_cols[i]: row for i, row in _row_dicts(self._V * scaled).items()}
+        x.update((self._free_cols[i - n_res], row) for i, row in _row_dicts(z).items() if i >= n_res)
         for _, j, p, _, row in reversed(self._kernel_steps):
-            x[j] = -p * sum([v * x[jj] for jj, v in row.items()])  # x[j] is still 0
-        return x
+            acc: dict[int, int] = {}
+            for jj, v in row.items():
+                if jj in x:
+                    for k, w in x[jj].items():
+                        acc[k] = acc.get(k, 0) - p * v * w
+            x[j] = acc
+        return _on_rows(x, range(self._out.cols), z.cols)
 
-    def _canonical(self, z: list[int]) -> tuple[int, ...]:
+    def _canonical(self, z: IntegerMatrix) -> IntegerMatrix:
         """Forward substitution of kernel coordinates through the relation
         steps, then the residue SNF's U; torsion coordinates are reduced
         mod their orders."""
+        rows = _row_dicts(z)
         for i, _, p, c, _ in self._rel_steps:
-            f = p * z[i]
-            if f:
+            zi = rows.get(i)
+            if zi:
                 for a, ca in c.items():
                     if a != i:
-                        z[a] -= f * ca
-        y = self._U.apply([z[i] for i in self._rel_rows])
-        tors = len(self.torsion_orders)
-        out = [y[self._n_trivial + k] % d for k, d in enumerate(self.torsion_orders)]
-        out.extend(y[self._n_trivial + tors:])
-        out.extend(z[i] for i in self._free_rows)
-        return tuple(out)
+                        za = rows.setdefault(a, {})
+                        for k, v in zi.items():
+                            za[k] = za.get(k, 0) - p * ca * v
+        y = self._U * _on_rows(rows, self._rel_rows, z.cols)
+        tors = self.torsion_orders
+        return IntegerMatrix.from_entries(self.n_generators, z.cols, [
+            (i, k, v % tors[i] if i < len(tors) else v) for i, k, v in y.entries()] + [
+            (y.rows + t, k, v) for t, i in enumerate(self._free_rows) for k, v in rows.get(i, {}).items()])
 
-    def generator_vectors(self) -> list[list[int]]:
-        """Representatives: torsion generators first, then free ones."""
-        return [col[:] for col in self._gen_cols]
-
-    def reduce(self, vec: list[int]) -> tuple[int, ...]:
-        """Coordinates of a kernel element in the canonical decomposition:
-        torsion coordinates (mod their orders) first, then free
-        coordinates.  A vector outside the kernel raises ValueError."""
-        if not self._in_kernel(vec):
-            raise ValueError("vector not in the kernel")
-        return self._canonical(self._kernel_coords(vec))
+    def reduce(self, x: IntegerMatrix) -> IntegerMatrix:
+        """The g x cols matrix of canonical coordinates of the kernel
+        columns x: torsion coordinates (mod their orders) first, then free
+        coordinates.  A column outside the kernel raises ValueError."""
+        if not self._vanishes(self._out * x):
+            raise ValueError("a column is not in the kernel")
+        return self._canonical(self._kernel_coords(x))
 
     @property
     def n_generators(self) -> int:

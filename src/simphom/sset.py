@@ -231,17 +231,6 @@ def identity_map(space: SimplicialSet) -> SimplicialMap:
     return SimplicialMap(space, space, images, check=False)
 
 
-def constant_map(source: SimplicialSet, target: SimplicialSet, vertex_id: int) -> SimplicialMap:
-    """The map collapsing everything to a chosen vertex of the target."""
-    target.gen(0, vertex_id)
-    images = {}
-    for d in range(source.top_dim + 1):
-        word = tuple(range(d - 1, -1, -1))
-        for g in source.gens(d):
-            images[(d, g.id)] = SimplexRef(0, vertex_id, word)
-    return SimplicialMap(source, target, images, check=False)
-
-
 # ---------------------------------------------------------------------------
 # Standard simplices, boundaries, horns
 

@@ -2,12 +2,41 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from simphom.abgroup import AbelianGroup
 from simphom.catalog import catalog
+from simphom.chains import restricted
+from simphom.homology import homology_data
+from simphom.intmatrix import IntegerMatrix
 from simphom.operators import Cylinder, cylinder
 from simphom.simplex import SimplexRef
-from simphom.sset import SimplicialMap, SimplicialSet, constant_map, identity_map
+from simphom.sset import SimplicialMap, SimplicialSet, identity_map
+
+
+def constant_map(source: SimplicialSet, target: SimplicialSet, vertex_id: int) -> SimplicialMap:
+    """The map collapsing everything to a chosen vertex of the target."""
+    target.gen(0, vertex_id)
+    images = {}
+    for d in range(source.top_dim + 1):
+        word = tuple(range(d - 1, -1, -1))
+        for g in source.gens(d):
+            images[(d, g.id)] = SimplexRef(0, vertex_id, word)
+    return SimplicialMap(source, target, images, check=False)
+
+
+def connecting_matrix(space: SimplicialSet, sub, p: int) -> tuple[IntegerMatrix, AbelianGroup, AbelianGroup]:
+    """The connecting homomorphism H_p(K, L) -> H_{p-1}(L) as a matrix on
+    presentation generators, with both groups.  It calls the private
+    helpers through the module, so that a test may replace one of them."""
+    module = sys.modules["simphom.homology"]
+    ck, inside, outside = module._pair_chains(space, sub)
+    h_rel = homology_data(restricted(ck, outside), p)
+    h_l = homology_data(restricted(ck, inside), p - 1)
+    return (module._connecting(h_rel, h_l, *module._pair_connecting(ck, inside, outside, p)),
+            h_rel.group, h_l.group)
 
 
 def connected_catalog_spaces() -> list[SimplicialSet]:

@@ -22,7 +22,6 @@ from simphom.chains import (
 )
 from simphom.covers import build_cover, cyclic_labeling, verify_covering
 from simphom.homology import (
-    connecting_matrix,
     homology,
     homology_of_space,
     mayer_vietoris,
@@ -44,7 +43,6 @@ from simphom.simplex import SimplexRef
 from simphom.snf import Subquotient
 from simphom.sset import (
     boundary,
-    constant_map,
     coproduct,
     discrete,
     product,
@@ -54,7 +52,13 @@ from simphom.sset import (
 )
 from simphom.subdivision import barycentric_subdivide, boundary_complex, full_simplex_complex
 
-from conftest import all_catalog_spaces, connected_catalog_spaces, homotopy_corpus
+from conftest import (
+    all_catalog_spaces,
+    connected_catalog_spaces,
+    connecting_matrix,
+    constant_map,
+    homotopy_corpus,
+)
 from reference import betti_numbers_rational, mod_betti_numbers
 
 Z = AbelianGroup.free(1)

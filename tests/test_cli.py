@@ -2,10 +2,12 @@
 
 import json
 
+import pytest
+
 from simphom.catalog import catalog
 from simphom.cli import main, run
 from simphom.io import print_space
-from simphom.sset import product
+from simphom.sset import is_valid, product
 
 
 def out_of(argv):
@@ -335,3 +337,198 @@ def test_seed_flag_is_accepted():
     first = out_of(["homology", "--space", "circle", "--seed", "7"])
     second = out_of(["homology", "--space", "circle", "--seed", "8"])
     assert first == second
+
+
+def test_validate_checks_a_space_once(monkeypatch, tmp_path):
+    """validate runs is_valid once per space: inside parse_space for a
+    document, in the command for a catalog space.  An invalid document is
+    refused by parse_space with exit 2."""
+    calls = []
+
+    def counted(space):
+        calls.append(space)
+        return is_valid(space)
+
+    for module in ("simphom.io", "simphom.cli"):
+        monkeypatch.setattr(f"{module}.is_valid", counted)
+    doc = tmp_path / "torusxrp2.sset"
+    doc.write_text(print_space(product(catalog("torus"), catalog("rp2")).space))
+    for argv in (["validate", "--file", str(doc)], ["validate", "--space", "rp2"]):
+        calls.clear()
+        text, status = out_of(argv)
+        assert status == 0 and text.splitlines()[-1] == "RESULT PASS"
+        assert len(calls) == 1
+    bad = tmp_path / "bad.sset"
+    bad.write_text(print_space(catalog("delta:2")).replace(
+        "0 [[2,[]],[1,[]],[0,[]]]", "0 [[1,[]],[2,[]],[0,[]]]"))
+    calls.clear()
+    text, status = out_of(["validate", "--file", str(bad)])
+    assert status == 2 and text.startswith("error: validation failed: simplicial identity fails")
+    assert len(calls) == 1
+
+
+# Full stdout of the parent code on circle x RP^2, copied byte for byte.
+CIRCLE_X_RP2_STDOUT = {
+    "les": """\
+simphom les
+PASS exact at H_3(L) [0]
+PASS exact at H_3(K) [0]
+PASS exact at H_3(K,L) [Z^30]
+PASS exact at H_2(L) [Z^30]
+PASS exact at H_2(K) [Z/2]
+PASS exact at H_2(K,L) [0]
+PASS exact at H_1(L) [Z + Z/2]
+PASS exact at H_1(K) [Z + Z/2]
+PASS exact at H_1(K,L) [0]
+PASS exact at H_0(L) [Z]
+PASS exact at H_0(K) [Z]
+PASS exact at H_0(K,L) [0]
+H_0(K) = Z
+H_0(K,L) = 0
+H_0(L) = Z
+H_1(K) = Z + Z/2
+H_1(K,L) = 0
+H_1(L) = Z + Z/2
+H_2(K) = Z/2
+H_2(K,L) = 0
+H_2(L) = Z^30
+H_3(K) = 0
+H_3(K,L) = Z^30
+H_3(L) = 0
+RESULT PASS
+""",
+    "mv": """\
+simphom mv
+PASS exact at H_3(AnB) [0]
+PASS exact at H_3(A)+H_3(B) [0]
+PASS exact at H_3(K) [0]
+PASS exact at H_2(AnB) [Z^2]
+PASS exact at H_2(A)+H_2(B) [Z^2]
+PASS exact at H_2(K) [Z/2]
+PASS exact at H_1(AnB) [Z^2 + Z/2]
+PASS exact at H_1(A)+H_1(B) [Z^3 + Z/2 + Z/2]
+PASS exact at H_1(K) [Z + Z/2]
+PASS exact at H_0(AnB) [Z]
+PASS exact at H_0(A)+H_0(B) [Z^2]
+PASS exact at H_0(K) [Z]
+H_0(A)+H_0(B) = Z^2
+H_0(AnB) = Z
+H_0(K) = Z
+H_1(A)+H_1(B) = Z^3 + Z/2 + Z/2
+H_1(AnB) = Z^2 + Z/2
+H_1(K) = Z + Z/2
+H_2(A)+H_2(B) = Z^2
+H_2(AnB) = Z^2
+H_2(K) = Z/2
+H_3(A)+H_3(B) = 0
+H_3(AnB) = 0
+H_3(K) = 0
+RESULT PASS
+""",
+    "cup_z2": """\
+simphom cup
+cup products of circlexrp2 with Z/2 coefficients
+H^0 = Z/2 with 1 generator(s)
+H^1 = Z/2 + Z/2 with 2 generator(s)
+H^2 = Z/2 + Z/2 with 2 generator(s)
+H^3 = Z/2 with 1 generator(s)
+      left      right   class
+      a0_0       a0_0   (1,)
+      a0_0       a1_0   (1, 0)
+      a0_0       a1_1   (0, 1)
+      a0_0       a2_0   (1, 0)
+      a0_0       a2_1   (0, 1)
+      a0_0       a3_0   (1,)
+      a1_0       a0_0   (1, 0)
+      a1_0       a1_0   (0, 1)
+      a1_0       a1_1   (1, 0)
+      a1_0       a2_0   (1,)
+      a1_0       a2_1   (0,)
+      a1_1       a0_0   (0, 1)
+      a1_1       a1_0   (1, 0)
+      a1_1       a1_1   (0, 0)
+      a1_1       a2_0   (0,)
+      a1_1       a2_1   (1,)
+      a2_0       a0_0   (1, 0)
+      a2_0       a1_0   (1,)
+      a2_0       a1_1   (0,)
+      a2_1       a0_0   (0, 1)
+      a2_1       a1_0   (0,)
+      a2_1       a1_1   (1,)
+      a3_0       a0_0   (1,)
+""",
+    "cup": """\
+simphom cup
+cup products of circlexrp2 with Z coefficients
+H^0 = Z with 1 generator(s)
+H^1 = Z with 1 generator(s)
+H^2 = Z/2 with 1 generator(s)
+H^3 = Z/2 with 1 generator(s)
+      left      right   class
+      a0_0       a0_0   (1,)
+      a0_0       a1_0   (1,)
+      a0_0       a2_0   (1,)
+      a0_0       a3_0   (1,)
+      a1_0       a0_0   (1,)
+      a1_0       a1_0   (0,)
+      a1_0       a2_0   (1,)
+      a2_0       a0_0   (1,)
+      a2_0       a1_0   (1,)
+      a3_0       a0_0   (1,)
+""",
+    "cover": """\
+simphom cover
+cover counts (12, 72, 120, 60)
+cover chi 0
+H_0(cover) = Z
+H_1(cover) = Z
+H_2(cover) = Z
+H_3(cover) = Z
+PASS every base generator has exactly 2 preimages
+PASS chi multiplies: 0 = 2 * 0
+PASS unique lifts for all 996 relative horn problems through dimension 2
+RESULT PASS
+""",
+    "pi1": """\
+simphom pi1
+presentation <e5, e6, e7, e8, e9, e10, e11, e12, e13, e14, e15, e16, e17, e18, e19, e20,\
+ e21, e22, e23, e24, e25, e26, e27, e28, e29, e30, e31, e32, e33, e34, e35 | e5, e8, e9,\
+ e12, e14, e5 e10 e7^-1, e6 e12 e7^-1, e6 e13 e8^-1, e9 e13 e11^-1, e10 e14 e11^-1, e16 \
+e21^-1, e17 e22^-1, e18 e23^-1, e19 e24^-1, e20 e25^-1, e5 e17 e26^-1, e6 e18 e27^-1, e7\
+ e19 e28^-1, e8 e20 e29^-1, e9 e18 e30^-1, e10 e19 e31^-1, e11 e20 e32^-1, e12 e19 \
+e33^-1, e13 e20 e34^-1, e14 e20 e35^-1, e26 e22^-1, e29 e25^-1, e30 e23^-1, e33 e24^-1, \
+e35 e25^-1, e5 e31 e28^-1, e6 e33 e28^-1, e6 e34 e29^-1, e9 e34 e32^-1, e10 e35 e32^-1, \
+e15 e21^-1, e15 e22^-1, e15 e23^-1, e15 e24^-1, e15 e25^-1, e16 e5 e26^-1, e16 e6 \
+e27^-1, e16 e7 e28^-1, e16 e8 e29^-1, e17 e9 e30^-1, e17 e10 e31^-1, e17 e11 e32^-1, e18\
+ e12 e33^-1, e18 e13 e34^-1, e19 e14 e35^-1, e21 e5 e22^-1, e21 e8 e25^-1, e22 e9 \
+e23^-1, e23 e12 e24^-1, e24 e14 e25^-1, e26 e10 e28^-1, e27 e12 e28^-1, e27 e13 e29^-1, \
+e30 e13 e32^-1, e31 e14 e32^-1>
+abelianization Z + Z/2
+simplified <e31, e35 | e31 e35^-1 e31 e35^-1, e35 e31 e35^-1 e31^-1, e35^-1 e31 e35 \
+e31^-1> (steps 47)
+""",
+}
+
+
+@pytest.fixture(scope="module")
+def circle_x_rp2_doc(tmp_path_factory):
+    space = product(catalog("circle"), catalog("rp2")).space
+    doc = tmp_path_factory.mktemp("pins") / "circlexrp2.sset"
+    doc.write_text(print_space(space))
+    return space, str(doc)
+
+
+@pytest.mark.parametrize("key", sorted(CIRCLE_X_RP2_STDOUT))
+def test_circle_x_rp2_stdout_is_pinned(key, circle_x_rp2_doc, capsys):
+    """les, mv on a split of the 3-simplices, both cup tables, the double
+    cover and pi1 print exactly what they printed before."""
+    space, doc = circle_x_rp2_doc
+    tops = [f"3.{g.id}" for g in space.gens(3)]
+    half = len(tops) // 2
+    extra = {"les": ["les", "--sub", "skeleton:2"],
+             "mv": ["mv", "--a", "gens:" + ",".join(tops[:half]),
+                    "--b", "gens:" + ",".join(tops[half:])],
+             "cup_z2": ["cup", "--coeff", "Z/2"], "cup": ["cup"],
+             "cover": ["cover", "--group", "cyclic:2"], "pi1": ["pi1"]}[key]
+    assert main([extra[0], "--file", doc] + extra[1:]) == 0
+    assert capsys.readouterr().out == CIRCLE_X_RP2_STDOUT[key]

@@ -20,7 +20,9 @@ from simphom.kan import (
 )
 from simphom.pi1 import pi1_presentation
 from simphom.simplex import SimplexRef
-from simphom.sset import SimplicialSet, constant_map, discrete, product, std_simplex
+from simphom.sset import SimplicialSet, discrete, product, std_simplex
+
+from conftest import constant_map
 
 
 def enumerate_horns(space: SimplicialSet, n: int, k: int):

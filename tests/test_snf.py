@@ -72,9 +72,9 @@ def test_snf_determinant_invariance(m):
 def test_subquotient_cyclic():
     sq = Subquotient(IntegerMatrix.zero(0, 2), IntegerMatrix([[2, 0], [0, 3]]))
     assert sq.group == AbelianGroup(0, (6,))
-    assert sq.reduce([2, 3]) == (0,)
-    gen = sq.generator_vectors()[0]
-    assert sq.reduce(gen) in ((1,), (5,))  # a generator of Z/6
+    assert sq.reduce(IntegerMatrix.from_columns([[2, 3]])) == IntegerMatrix([[0]])
+    assert sq.generators.shape == (2, 1)
+    assert sq.reduce(sq.generators).column(0) in ([1], [5])  # a generator of Z/6
 
 
 def test_subquotient_free_and_mixed():
@@ -83,8 +83,9 @@ def test_subquotient_free_and_mixed():
     sq = Subquotient(IntegerMatrix.zero(0, 3), IntegerMatrix([[2, 0], [0, 0], [0, 4]]))
     assert sq.group == AbelianGroup(1, (2, 4))
     # reduce is linear and kills the sublattice
-    assert sq.reduce([2, 0, 0]) == (0, 0, 0)
-    assert sq.reduce([0, 1, 0])[-1] != 0 or sq.reduce([0, 1, 0])[:2] != (0, 0)
+    killed, kept = sq.reduce(IntegerMatrix.from_columns([[2, 0, 0], [0, 1, 0]])).columns()
+    assert killed == [0, 0, 0]
+    assert kept[-1] != 0 or kept[:2] != [0, 0]
 
 
 def test_subquotient_rejects_non_sublattice():
@@ -138,19 +139,12 @@ def test_subquotient_against_independent_references(data):
         assert sq.group.betti == 0
         assert _torsion_counts(out, in_map, m) == {
             d: prod(gcd(n, d) for n in sq.group.torsion) for d in range(1, m + 1) if m % d == 0}
-    zero = (0,) * sq.n_generators
-    for k, gen in enumerate(sq.generator_vectors()):
-        assert all(v % m == 0 if m else v == 0 for v in out.apply(gen))
-        assert sq.reduce(gen) == tuple(int(i == k) for i in range(sq.n_generators))
-    for col in in_map.columns():
-        assert sq.reduce(col) == zero
-    for i in range(r):
-        assert sq.reduce([m * int(t == i) for t in range(r)]) == zero
+    _check_generators_and_relations(sq, out, in_map, m)
     outside = next((list(v) for v in itertools.product(range(-1, 2), repeat=r)
                     if any(x % m if m else x for x in out.apply(list(v)))), None)
     if outside is not None:
         with pytest.raises(ValueError):
-            sq.reduce(outside)
+            sq.reduce(IntegerMatrix.from_columns([outside], rows=r))
         with pytest.raises(ValueError):
             Subquotient(out, in_map.hstack(IntegerMatrix.from_columns([outside])), m)
     with pytest.raises(ValueError):
@@ -185,14 +179,49 @@ def test_subquotient_matches_dense_reference_on_sparse_inputs(data):
     out, in_map, m = data
     sq, ref = Subquotient(out, in_map, m), DenseSubquotient(out, in_map, m)
     assert sq.group == ref.group and sq.orders == ref.orders
-    zero = (0,) * sq.n_generators
-    for k, gen in enumerate(sq.generator_vectors()):
-        assert all(v % m == 0 if m else v == 0 for v in out.apply(gen))
-        assert sq.reduce(gen) == tuple(int(i == k) for i in range(sq.n_generators))
-    for col in in_map.columns():
-        assert sq.reduce(col) == zero
-    for i in range(out.cols):
-        assert sq.reduce([m * int(t == i) for t in range(out.cols)]) == zero
+    _check_generators_and_relations(sq, out, in_map, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_subquotient_inputs(), st.data())
+def test_reduce_matches_dense_reference_column_by_column(inputs, data):
+    """reduce on a matrix of kernel columns (none at all included) gives,
+    column by column, what it gives on each column alone and what the
+    dense reference gives through the change of basis between the two
+    generator sets.  One column outside the kernel raises ValueError."""
+    out, in_map, m = inputs
+    sq, ref = Subquotient(out, in_map, m), DenseSubquotient(out, in_map, m)
+    r, g = out.cols, sq.n_generators
+    assert sq.reduce(IntegerMatrix.zero(r, 0)) == IntegerMatrix.zero(g, 0)
+    spanning = sq.generators.hstack(in_map).hstack(IntegerMatrix.identity(r) * m)
+    picks = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=spanning.cols,
+                                        max_size=spanning.cols), max_size=6))
+    x = spanning * IntegerMatrix.from_columns(picks, rows=spanning.cols)
+    coords = sq.reduce(x)
+    assert coords.shape == (g, x.cols)
+    in_ref = [ref.reduce(gen) for gen in sq.generators.columns()]
+    for k, col in enumerate(x.columns()):
+        mine = coords.column(k)
+        assert sq.reduce(IntegerMatrix.from_columns([col], rows=r)).column(0) == mine
+        assert all(0 <= v < d for v, d in zip(mine, sq.orders) if d)
+        mapped = [sum(c * gen[i] for c, gen in zip(mine, in_ref)) for i in range(g)]
+        assert ref.reduce(col) == tuple(v % d if d else v for v, d in zip(mapped, ref.orders))
+    outside = next((j for j in range(r) if any(v % m if m else v for v in out.column(j))), None)
+    if outside is not None:
+        unit = IntegerMatrix.from_entries(r, 1, [(outside, 0, 1)])
+        with pytest.raises(ValueError):
+            sq.reduce(x.hstack(unit))
+
+
+def _check_generators_and_relations(sq, out, in_map, m):
+    """The generators lie in the kernel and reduce to the identity, and
+    in_map and m Z^r reduce to zero."""
+    r, g = out.cols, sq.n_generators
+    assert sq.generators.shape == (r, g)
+    assert all(v % m == 0 if m else v == 0 for _, _, v in (out * sq.generators).entries())
+    assert sq.reduce(sq.generators) == IntegerMatrix.identity(g)
+    assert sq.reduce(in_map) == IntegerMatrix.zero(g, in_map.cols)
+    assert sq.reduce(IntegerMatrix.identity(r) * m) == IntegerMatrix.zero(g, r)
 
 
 def test_mod_rank_and_rational_rank():
@@ -404,6 +433,6 @@ def test_corrupted_step_fails_subquotient(monkeypatch, stage):
 
 def test_wrong_generator_fails_subquotient(monkeypatch):
     lift = Subquotient._lift
-    monkeypatch.setattr(Subquotient, "_lift", lambda self, z: [2 * v for v in lift(self, z)])
+    monkeypatch.setattr(Subquotient, "_lift", lambda self, z: lift(self, z) * 2)
     with pytest.raises(AssertionError, match="does not reduce to its unit vector"):
         Subquotient(IntegerMatrix.zero(0, 4), TAMPER_M)

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from conftest import all_catalog_spaces
+from conftest import all_catalog_spaces, constant_map
 from reference import reference_is_valid
 from simphom import sset
 from simphom.catalog import catalog
@@ -16,7 +16,6 @@ from simphom.sset import (
     SimplicialMap,
     SimplicialSet,
     boundary,
-    constant_map,
     coproduct,
     discrete,
     horn,
@@ -331,7 +330,6 @@ def test_maps_commute_with_faces_everywhere(circle, torus):
 def test_constant_and_identity_maps(torus):
     ident = identity_map(torus)
     assert not ident.verify()
-    from simphom.sset import constant_map
     const = constant_map(torus, torus, 0)
     assert not const.verify()
     assert const.compose(ident).same_images(const)
