@@ -58,9 +58,9 @@ def torus_product() -> ProductResult:
 
 def klein_bottle() -> SimplicialSet:
     text = importlib.resources.files("simphom").joinpath("data/klein.sset").read_text()
-    from .io import parse_space
+    from .io import _parse_unchecked
 
-    return parse_space(text)
+    return _parse_unchecked(text)
 
 
 def catalog(name: str) -> SimplicialSet:

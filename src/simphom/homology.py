@@ -2,7 +2,12 @@
 
 Integral groups alone have one engine, ``homology``: the certified
 elementary divisors of each boundary, reduced once, give
-H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion of d_{n+1}.
+H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion of d_{n+1}.  It
+reduces from the top boundary asked for down, with clearing: d_k is
+reduced without its columns at the unit-pivot rows of d_{k+1}'s
+elimination, which are Z-combinations of the kept columns, so its
+divisors do not change.  The certificate for that is one sparse product,
+d_k * P = 0 for the matrix P of d_{k+1}'s pivot columns.
 Cohomology is read off the dual complex, H^n(C; G) = H_{N-n}(Hom(C, Z); G),
 so integral cohomology runs on the same engine.  Every group with Z/m
 coefficients, of homology or of cohomology, is the group of one
@@ -39,7 +44,7 @@ from functools import reduce
 from .abgroup import AbelianGroup
 from .chains import ChainComplex, normalized_chains, relative_chains, restricted
 from .intmatrix import IntegerMatrix
-from .snf import Subquotient, elementary_divisors
+from .snf import Subquotient, _pivot_columns, _reduce
 from .snf import smith_normal_form  # noqa: F401  perfbench's tracer tests read this binding
 from .sset import SimplicialSet, SubcomplexResult, subcomplex
 
@@ -56,22 +61,35 @@ def homology_data(c: ChainComplex, n: int) -> Subquotient:
 def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[AbelianGroup]:
     """Homology groups per degree (default all degrees of the complex).
 
-    Groups only: each boundary d_k is reduced once, by the certified
-    ``elementary_divisors``, and H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus
-    the torsion Z/d of the divisors d > 1 of d_{n+1}.
+    Groups only: H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion Z/d
+    of the divisors d > 1 of d_{n+1}.  The boundaries are reduced once
+    each, from d_{N+1} (N the highest degree asked for) down, by the
+    certified unit elimination and the verified SNF of its residue.
+    Below a reduced d_{k+1}, d_k is reduced without its columns at the
+    pivot rows of d_{k+1}'s elimination (clearing): each pivot column c
+    is a cycle carrying +-1 at its own pivot row and 0 at the earlier
+    ones, so back-substitution in reverse step order writes each dropped
+    column of d_k through the kept ones, and d_k keeps its divisors.
+    That rests on d_k * P = 0 for the matrix P of those pivot columns,
+    checked by one product; a failure raises AssertionError.  A zero
+    boundary, or one left out, clears nothing below it.
     """
-    if degrees is None:
-        degrees = range(c.max_degree + 1)
-    divisors = {}
-
-    def divisors_of(k):
-        if k not in divisors:
-            divisors[k] = elementary_divisors(c.boundary(k)) if k in c.boundaries else []
-        return divisors[k]
-
+    degrees = list(range(c.max_degree + 1) if degrees is None else degrees)
+    divisors: dict[int, list[int]] = {}
+    above = {}  # the steps of the boundary reduced last, by its degree
+    for k in sorted({k for n in degrees for k in (n, n + 1)}, reverse=True):
+        if k not in c.boundaries:
+            divisors[k] = []
+            continue
+        d = c.boundary(k)
+        if k + 1 in above:
+            d = _cleared(d, k, above.pop(k + 1))
+        steps, residue_snf, _, _ = _reduce(d)
+        divisors[k] = [1] * len(steps) + residue_snf.divisors
+        above = {k: steps}
     out = []
     for n in degrees:
-        d_out, d_in = divisors_of(n), divisors_of(n + 1)
+        d_out, d_in = divisors[n], divisors[n + 1]
         g = AbelianGroup(c.rank(n) - len(d_out) - len(d_in), tuple(d for d in d_in if d > 1))
         if reduced and n == 0:
             if g.betti < 1:
@@ -79,6 +97,16 @@ def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[Abeli
             g = AbelianGroup(g.betti - 1, g.torsion)
         out.append(g)
     return out
+
+
+def _cleared(d: IntegerMatrix, k: int, steps) -> IntegerMatrix:
+    """d = d_k without its columns at the pivot rows of the elimination
+    ``steps`` of d_{k+1}, once d_k * P = 0 holds for the matrix P of its
+    pivot columns."""
+    cleared, pivots = _pivot_columns(steps, d.cols)
+    if not (d * pivots).is_zero():
+        raise AssertionError(f"a pivot column of d_{k + 1} is not a cycle of d_{k}")
+    return d.submatrix(range(d.rows), [j for j in range(d.cols) if j not in cleared])
 
 
 def homology_of_space(space: SimplicialSet, degrees=None, reduced: bool = False) -> list[AbelianGroup]:

@@ -18,7 +18,11 @@ equal to L * diag(p_1, ..., p_K, R) * W^T with L and W unimodular and
 triangular in pivot order; the steps are those factors, kept sparse.
 
 ``elementary_divisors`` answers integral groups alone: K ones followed by
-the divisors of R.  ``Subquotient``, the one builder of groups with
+the divisors of R; an empty R skips its SNF.  ``homology.homology`` runs
+the same reduction on each boundary with clearing: it reduces d_k
+without the columns at the pivot rows of d_{k+1}'s elimination, after
+checking d_k * P = 0 for the matrix P of d_{k+1}'s pivot columns
+(``_pivot_columns``).  ``Subquotient``, the one builder of groups with
 representatives and of every group with Z/m coefficients, eliminates
 twice.  The outgoing map's steps give its kernel: the pivot coordinates
 of a kernel vector follow from the others by back-substitution, and R's
@@ -198,11 +202,22 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
 
 def _reduce(m: IntegerMatrix):
     """The certified unit elimination of m and the verified SNF of its
-    residue, with the residue's row and column indices in m."""
+    residue, with the residue's row and column indices in m.  An empty
+    residue has the trivial SNF: no divisors and 0x0 transforms."""
     steps, residue = _eliminate_units(m)
     _check_elimination(m, steps, residue)
+    if not residue:
+        empty = IntegerMatrix.zero(0, 0)
+        return steps, SNFResult(empty, empty, empty, empty, empty, []), [], []
     dense, row_ids, col_ids = _residue_matrix(residue)
     return steps, smith_normal_form(dense), row_ids, col_ids
+
+
+def _pivot_columns(steps, rows: int) -> tuple[set[int], IntegerMatrix]:
+    """The pivot rows of an elimination, and the matrix with ``rows`` rows
+    whose column k is the pivot column c_k of step k."""
+    return {i for i, _, _, _, _ in steps}, IntegerMatrix.from_entries(rows, len(steps), (
+        (a, k, v) for k, (_, _, _, c, _) in enumerate(steps) for a, v in c.items()))
 
 
 def _residue_matrix(residue):

@@ -341,8 +341,9 @@ def test_seed_flag_is_accepted():
 
 def test_validate_checks_a_space_once(monkeypatch, tmp_path):
     """validate runs is_valid once per space: inside parse_space for a
-    document, in the command for a catalog space.  An invalid document is
-    refused by parse_space with exit 2."""
+    document, in the command for a catalog space, the shipped klein
+    document included.  An invalid document is refused by parse_space
+    with exit 2."""
     calls = []
 
     def counted(space):
@@ -353,7 +354,8 @@ def test_validate_checks_a_space_once(monkeypatch, tmp_path):
         monkeypatch.setattr(f"{module}.is_valid", counted)
     doc = tmp_path / "torusxrp2.sset"
     doc.write_text(print_space(product(catalog("torus"), catalog("rp2")).space))
-    for argv in (["validate", "--file", str(doc)], ["validate", "--space", "rp2"]):
+    for argv in (["validate", "--file", str(doc)], ["validate", "--space", "rp2"],
+                 ["validate", "--space", "klein"]):
         calls.clear()
         text, status = out_of(argv)
         assert status == 0 and text.splitlines()[-1] == "RESULT PASS"

@@ -33,7 +33,7 @@ from simphom.homology import (
     with_coefficients,
 )
 from simphom.intmatrix import IntegerMatrix
-from simphom.snf import Subquotient
+from simphom.snf import Subquotient, elementary_divisors
 from simphom.sset import (
     boundary,
     coproduct,
@@ -44,7 +44,7 @@ from simphom.sset import (
 )
 from simphom.subdivision import barycentric_subdivide
 
-from conftest import connecting_matrix
+from conftest import all_catalog_spaces, connecting_matrix
 from reference import (
     DenseSubquotient,
     betti_numbers_rational,
@@ -107,6 +107,116 @@ def test_groups_path_matches_subquotients():
     for c in _groups_path_complexes():
         degrees = range(c.max_degree + 3)
         assert homology(c, degrees) == [homology_data(c, n).group for n in degrees]
+
+
+# The product spaces of the benchmark's homology ladder, one row per rung,
+# the first of each row its representative; the rung of rp2 alone is among
+# the catalog spaces.
+LADDER_RUNGS = [
+    [("circle", "circle")], [("circle", "rp2"), ("rp2", "circle")],
+    [("torus", "klein"), ("klein", "torus"), ("torus", "torus"), ("klein", "klein")],
+    [("sphere:2", "rp2")], [("torus", "boundary:3"), ("klein", "boundary:3")],
+    [("rp2", "boundary:2"), ("boundary:2", "rp2")], [("boundary:3", "boundary:3")],
+    [("torus", "rp2"), ("klein", "rp2")]]
+
+
+def _uncleared_homology(c, degrees):
+    """H_n from the elementary divisors of every boundary reduced in full,
+    with no column cleared."""
+    divisors = {k: elementary_divisors(c.boundary(k)) for n in degrees for k in (n, n + 1)}
+    return [AbelianGroup(c.rank(n) - len(divisors[n]) - len(divisors[n + 1]),
+                         tuple(d for d in divisors[n + 1] if d > 1)) for n in degrees]
+
+
+def _dual_chains(c):
+    """Hom(C, Z) graded downward from the top degree, built here from the
+    transposed boundaries."""
+    top = c.max_degree
+    return ChainComplex([c.rank(top - k) for k in range(top + 1)],
+                        {k: c.boundary(top - k + 1).transpose() for k in range(1, top + 1)})
+
+
+def _clearing_complexes():
+    """The chains of every catalog space and ladder product, their duals,
+    and the relative chains modulo each skeleton, each with whether the
+    dense reference runs on it too: on every complex of a catalog space,
+    and on the chains of each rung's representative (the dense SNFs of
+    every complex of every product would take seconds)."""
+    spaces = [(space, True, True) for space in all_catalog_spaces()]
+    spaces += [(product(catalog(a), catalog(b)).space, k == 0, False)
+               for rung in LADDER_RUNGS for k, (a, b) in enumerate(rung)]
+    for space, dense_chains, dense_all in spaces:
+        c = normalized_chains(space)
+        yield c, dense_chains
+        yield _dual_chains(c), dense_all
+        for n in range(space.top_dim + 1):
+            yield relative_chains(space, skeleton(space, n).id_set), dense_all
+
+
+def test_cleared_homology_matches_uncleared_and_dense_references():
+    """Clearing changes no group: homology() agrees with the divisors of
+    the full boundaries and with the dense two-SNF subquotients, over all
+    degrees and on subsets of them."""
+    for c, dense in _clearing_complexes():
+        top = max(c.max_degree, 0)
+        degrees = range(top + 3)
+        expected = _uncleared_homology(c, degrees)
+        assert homology(c, degrees) == expected, c
+        if dense:
+            assert expected == [DenseSubquotient(c.boundary(n), c.boundary(n + 1)).group
+                                for n in degrees], c
+        for subset in ([0, top], [1, 2], [top - 1, top + 1], [2, 0]):
+            assert homology(c, subset) == [expected[n] if n >= 0 else trivial
+                                           for n in subset], (c, subset)
+
+
+def _weighted_row(rows, cols):
+    """A boundary that is zero but for one row of distinct powers of 1000,
+    so it kills no nonzero column with entries below 500 in size."""
+    return IntegerMatrix.from_entries(rows, cols, ((0, j, 1000 ** j) for j in range(cols)))
+
+
+def test_cleared_homology_refuses_a_corrupted_lower_boundary(rp2):
+    """d_1 replaced after construction, so that d_1 d_2 != 0: the pivot
+    columns of d_2 leave ker d_1 and the clearing certificate fails."""
+    c = normalized_chains(rp2)
+    c.boundaries[1] = _weighted_row(c.rank(0), c.rank(1))
+    with pytest.raises(AssertionError, match="is not a cycle of d_1"):
+        homology(c)
+
+
+def test_cleared_homology_refuses_a_corrupted_pivot_column(monkeypatch, rp2):
+    """A pivot column of d_2 moved off the image of d_2 fails the same
+    certificate before d_1 is reduced without its columns."""
+    module = sys.modules["simphom.homology"]
+    pivot_columns = module._pivot_columns
+
+    def corrupted(steps, rows):
+        cleared, columns = pivot_columns(steps, rows)
+        return cleared, columns + IntegerMatrix.from_entries(rows, columns.cols, [(0, 0, 1)])
+
+    monkeypatch.setattr(module, "_pivot_columns", corrupted)
+    with pytest.raises(AssertionError, match="is not a cycle of d_1"):
+        homology(normalized_chains(rp2))
+
+
+def test_homology_of_one_degree_reduces_no_boundary_above_it(monkeypatch):
+    """homology(c, [n]) reduces d_{n+1} in full and d_n without the
+    cleared columns, and nothing else."""
+    snf = sys.modules["simphom.snf"]
+    eliminate = snf._eliminate_units
+    rows = []
+
+    def recorded(m):
+        rows.append(m.rows)
+        return eliminate(m)
+
+    monkeypatch.setattr(snf, "_eliminate_units", recorded)
+    c = normalized_chains(product(catalog("torus"), catalog("rp2")).space)
+    for n in range(c.max_degree + 2):
+        rows.clear()
+        homology(c, [n])
+        assert rows == [c.rank(k - 1) for k in (n + 1, n) if k in c.boundaries], (n, rows)
 
 
 COEFFICIENTS = [AbelianGroup.parse(spec) for spec in ("0", "Z", "Z/2", "Z/3", "Z/4", "Z/6", "Z^2+Z/4")]
@@ -353,20 +463,29 @@ def test_exact_at_matches_enumeration():
 
 
 def test_subquotient_builders_make_two_snf_calls_each(monkeypatch, rp2):
-    """One SNF of the residue the elimination of the outgoing map leaves
-    and one of the relations' residue, for homology,
-    cohomology with Z and Z/m coefficients, and each exactness check.
-    Every module that binds ``smith_normal_form`` gets the counter."""
-    original = sys.modules["simphom.snf"].smith_normal_form
-    calls = []
+    """At most one SNF of the residue the elimination of the outgoing map
+    leaves and one of the relations' residue, for homology, cohomology
+    with Z and Z/m coefficients, and each exactness check; an empty
+    residue needs none, so there is one call per non-empty residue, each
+    on a non-empty shape.  Every module that binds ``smith_normal_form``
+    gets the counter."""
+    snf = sys.modules["simphom.snf"]
+    original, eliminate = snf.smith_normal_form, snf._eliminate_units
+    calls, residues = [], []
 
     def counted(m):
         calls.append(m.shape)
         return original(m)
 
+    def recorded(m):
+        steps, residue = eliminate(m)
+        residues.append(len(residue))
+        return steps, residue
+
     for name, module in list(sys.modules.items()):
         if name.startswith("simphom") and getattr(module, "smith_normal_form", None) is original:
             monkeypatch.setattr(module, "smith_normal_form", counted)
+    monkeypatch.setattr(snf, "_eliminate_units", recorded)
     c = normalized_chains(rp2)
     z4_to_z2 = IntegerMatrix([[1]])
     builds = [lambda: homology_data(c, 1), lambda: homology_data(c, 2),
@@ -377,8 +496,10 @@ def test_subquotient_builders_make_two_snf_calls_each(monkeypatch, rp2):
               lambda: exact_at(IntegerMatrix.zero(2, 0), IntegerMatrix([[1, 1]]), [0, 0], [0])]
     for build in builds:
         calls.clear()
+        residues.clear()
         build()
-        assert len(calls) == 2, calls
+        assert len(residues) == 2 and len(calls) == sum(1 for r in residues if r), (calls, residues)
+        assert all(rows and cols for rows, cols in calls), calls
 
 
 def test_pair_les_horn_is_homologically_trivial():

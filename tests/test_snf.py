@@ -376,6 +376,27 @@ def test_unit_elimination_does_not_grow_fill_in(monkeypatch, rp2xrp2_chains):
     assert pops <= 89_784
 
 
+def test_cleared_groups_path_pops_the_heap_at_most_20k_times(monkeypatch, rp2xrp2_chains):
+    """homology() of RP^2 x RP^2 with clearing: each boundary below the
+    top loses the columns its upper neighbour's pivots kill, so the four
+    eliminations pop the heap at most 20,000 times (89,784 in full), and
+    the groups are the Kunneth ones."""
+    from simphom.homology import homology
+
+    pops = 0
+    heappop = snf.heappop
+
+    def counted(heap):
+        nonlocal pops
+        pops += 1
+        return heappop(heap)
+
+    monkeypatch.setattr(snf, "heappop", counted)
+    groups = homology(rp2xrp2_chains)
+    assert [str(g) for g in groups] == ["Z", "Z/2 + Z/2", "Z/2", "Z/2", "0"]
+    assert pops <= 20_000
+
+
 # Residue shapes (rows, cols) of the kernel and relation stages of each
 # subquotient of RP^2 x RP^2, as measured; they bound the dense SNF work.
 SUBQUOTIENT_RESIDUES = {
