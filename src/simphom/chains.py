@@ -13,9 +13,13 @@ subcomplex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .intmatrix import IntegerMatrix
 from .sset import SimplicialSet
+
+if TYPE_CHECKING:
+    from .snf import Reduction
 
 
 class ChainComplex:
@@ -36,6 +40,10 @@ class ChainComplex:
                     f"boundary {n} has shape {mat.shape}, wanted {(self.rank(n-1), self.rank(n))}")
             self.boundaries[n] = mat
         self.verify_dd_zero()
+        # certified boundary reductions, filled and read by simphom.homology
+        # and keyed by the boundary degree and the top of its clearing chain
+        self.reductions: dict[tuple[int, int], Reduction] = {}
+        self._dual: ChainComplex | None = None
 
     @property
     def max_degree(self) -> int:
@@ -51,6 +59,16 @@ class ChainComplex:
         if n in self.boundaries:
             return self.boundaries[n]
         return IntegerMatrix.zero(self.rank(n - 1), self.rank(n))
+
+    def dual(self) -> "ChainComplex":
+        """Hom(C, Z) graded downward from the top degree N: degree N - n
+        holds C^n, and the boundary out of it is d_{n+1} transposed.  Built
+        once per complex, so its reductions are shared too."""
+        if self._dual is None:
+            top = self.max_degree
+            self._dual = ChainComplex([self.rank(top - k) for k in range(top + 1)], {
+                k: self.boundary(top - k + 1).transpose() for k in range(1, top + 1)})
+        return self._dual
 
     def verify_dd_zero(self):
         for n in range(2, self.max_degree + 1):

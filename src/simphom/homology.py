@@ -7,23 +7,29 @@ reduces from the top boundary asked for down, with clearing: d_k is
 reduced without its columns at the unit-pivot rows of d_{k+1}'s
 elimination, which are Z-combinations of the kept columns, so its
 divisors do not change.  The certificate for that is one sparse product,
-d_k * P = 0 for the matrix P of d_{k+1}'s pivot columns.
-Cohomology is read off the dual complex, H^n(C; G) = H_{N-n}(Hom(C, Z); G),
-so integral cohomology runs on the same engine.  Every group with Z/m
-coefficients, of homology or of cohomology, is the group of one
-``Subquotient`` ker(d mod m) / (im d + m C) per degree, on the boundaries
-or on their transposes.  So the universal coefficient check still
-compares two different computations: a direct mod-m subquotient against
-the tensor/Tor and Hom/Ext formulas applied to the integral divisors.
+d_k * P = 0 for the matrix P of d_{k+1}'s pivot columns.  Each reduction
+is cached on the ``ChainComplex``, keyed by its degree and the top of its
+clearing chain, and every consumer reads it: ``homology``, the
+subquotients of ``homology_data`` and the Z/m groups of
+``with_coefficients``.  Cohomology is read off the dual complex,
+H^n(C; G) = H_{N-n}(Hom(C, Z); G), built once per complex, so integral
+cohomology, ``cohomology_data`` and Z/m cohomology share its reductions
+in the same way.  Every group with Z/m coefficients is the group of one
+``Subquotient`` ker(d mod m) / (im d + m C) per degree, which reads only
+the group.  So the universal coefficient check still compares two
+different computations: a direct mod-m subquotient against the
+tensor/Tor and Hom/Ext formulas applied to the integral divisors.
 
 Everything else is a ``Subquotient`` ker/im with a matrix of generator
 representatives, so induced maps and connecting homomorphisms come out
 as integer matrices: one product with the source's generators and one
-``reduce`` of the image matrix in the target.  Each subquotient
-eliminates the outgoing map and then its relations by the same certified
-unit pivots, with a verified SNF only on the two small residues.
-``homology_data`` and ``cohomology_data`` (Z or Z/m cocycles, which the
-cup table reads) build one each, and so does ``exact_at``: im = ker at a
+``reduce`` of the image matrix in the target.  Each subquotient works
+relations first: on a complex, from the cached reductions of d_{n+1}
+and of d_n cleared by it, so only its small relations, d_{n+1}'s residue
+in the kernel coordinates of the cleared d_n, are eliminated anew, with
+a verified SNF on their residue.  ``homology_data`` and
+``cohomology_data`` (Z or Z/m cocycles, which the cup table reads) build
+one each, and so does ``exact_at``, on its own matrices: im = ker at a
 node holds iff the lifts of the image and of the node's relations span
 the kernel, that is iff their subquotient is trivial; one product lifts
 them all.  ``_exact_sequence``, the one builder of long exact sequences,
@@ -44,7 +50,7 @@ from functools import reduce
 from .abgroup import AbelianGroup
 from .chains import ChainComplex, normalized_chains, relative_chains, restricted
 from .intmatrix import IntegerMatrix
-from .snf import Subquotient, _pivot_columns, _reduce
+from .snf import Reduction, Subquotient, _pivot_columns, _reduce
 from .snf import smith_normal_form  # noqa: F401  perfbench's tracer tests read this binding
 from .sset import SimplicialSet, SubcomplexResult, subcomplex
 
@@ -55,38 +61,57 @@ from .sset import SimplicialSet, SubcomplexResult, subcomplex
 
 def homology_data(c: ChainComplex, n: int) -> Subquotient:
     """H_n = ker d_n / im d_{n+1} with representatives."""
-    return Subquotient(c.boundary(n), c.boundary(n + 1))
+    return _subquotient(c, n)
+
+
+def _subquotient(c: ChainComplex, n: int, modulus: int = 0, top: int | None = None) -> Subquotient:
+    """H_n(C; Z/modulus), Z for modulus 0, from the cached reductions of
+    d_{n+1} and of d_n without the columns at its pivot rows, in the
+    clearing chain from d_top down (by default from above the top degree,
+    as ``homology`` over all degrees reduces)."""
+    top = max(c.max_degree + 1 if top is None else top, n + 1)
+    return Subquotient(_reduction(c, n, top), _reduction(c, n + 1, top), modulus)
+
+
+def _reduction(c: ChainComplex, k: int, top: int) -> Reduction:
+    """The certified reduction of d_k in the clearing chain from d_top down,
+    cached on c by k and the top (at most one above the top degree of c):
+    d_top in full, each boundary below it without the columns at the pivot
+    rows of the one above (``_cleared``).  The chain stops below a
+    boundary c does not hold; a zero boundary clears nothing."""
+    key = (k, min(top, c.max_degree + 1))
+    if key not in c.reductions:
+        d = c.boundary(k)
+        cleared = k < key[1] and k + 1 in c.boundaries
+        c.reductions[key] = _cleared(d, k, _reduction(c, k + 1, key[1])) if cleared else _reduce(d)
+    return c.reductions[key]
 
 
 def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[AbelianGroup]:
     """Homology groups per degree (default all degrees of the complex).
 
     Groups only: H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion Z/d
-    of the divisors d > 1 of d_{n+1}.  The boundaries are reduced once
-    each, from d_{N+1} (N the highest degree asked for) down, by the
-    certified unit elimination and the verified SNF of its residue.
-    Below a reduced d_{k+1}, d_k is reduced without its columns at the
-    pivot rows of d_{k+1}'s elimination (clearing): each pivot column c
-    is a cycle carrying +-1 at its own pivot row and 0 at the earlier
-    ones, so back-substitution in reverse step order writes each dropped
-    column of d_k through the kept ones, and d_k keeps its divisors.
-    That rests on d_k * P = 0 for the matrix P of those pivot columns,
-    checked by one product; a failure raises AssertionError.  A zero
-    boundary, or one left out, clears nothing below it.
+    of the divisors d > 1 of d_{n+1}.  Each boundary needed is reduced
+    once, by the certified unit elimination and the verified SNF of its
+    residue, in a clearing chain from the top of each run of consecutive
+    boundaries needed down.  Below a reduced d_{k+1}, d_k is reduced
+    without its columns at the pivot rows of d_{k+1}'s elimination
+    (clearing): each pivot column c is a cycle carrying +-1 at its own
+    pivot row and 0 at the earlier ones, so back-substitution in reverse
+    step order writes each dropped column of d_k through the kept ones,
+    and d_k keeps its divisors.  That rests on d_k * P = 0 for the matrix
+    P of those pivot columns, checked by one product; a failure raises
+    AssertionError.  The reductions are cached on c and shared with its
+    subquotients.
     """
     degrees = list(range(c.max_degree + 1) if degrees is None else degrees)
+    needed = {k for n in degrees for k in (n, n + 1)}
     divisors: dict[int, list[int]] = {}
-    above = {}  # the steps of the boundary reduced last, by its degree
-    for k in sorted({k for n in degrees for k in (n, n + 1)}, reverse=True):
-        if k not in c.boundaries:
-            divisors[k] = []
-            continue
-        d = c.boundary(k)
-        if k + 1 in above:
-            d = _cleared(d, k, above.pop(k + 1))
-        steps, residue_snf, _, _ = _reduce(d)
-        divisors[k] = [1] * len(steps) + residue_snf.divisors
-        above = {k: steps}
+    for k in sorted(needed, reverse=True):
+        top = k
+        while top + 1 in needed:
+            top += 1
+        divisors[k] = _reduction(c, k, top).divisors if k in c.boundaries else []
     out = []
     for n in degrees:
         d_out, d_in = divisors[n], divisors[n + 1]
@@ -99,14 +124,14 @@ def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[Abeli
     return out
 
 
-def _cleared(d: IntegerMatrix, k: int, steps) -> IntegerMatrix:
-    """d = d_k without its columns at the pivot rows of the elimination
-    ``steps`` of d_{k+1}, once d_k * P = 0 holds for the matrix P of its
-    pivot columns."""
-    cleared, pivots = _pivot_columns(steps, d.cols)
+def _cleared(d: IntegerMatrix, k: int, above: Reduction) -> Reduction:
+    """The reduction of d = d_k without its columns at the pivot rows of
+    the reduction ``above`` of d_{k+1}, once d_k * P = 0 holds for the
+    matrix P of its pivot columns."""
+    cleared, pivots = _pivot_columns(above.steps, d.cols)
     if not (d * pivots).is_zero():
         raise AssertionError(f"a pivot column of d_{k + 1} is not a cycle of d_{k}")
-    return d.submatrix(range(d.rows), [j for j in range(d.cols) if j not in cleared])
+    return _reduce(d, [j for j in range(d.cols) if j not in cleared])
 
 
 def homology_of_space(space: SimplicialSet, degrees=None, reduced: bool = False) -> list[AbelianGroup]:
@@ -209,9 +234,9 @@ def _exact_sequence(kind: str, labels: tuple[str, str, str], a: ChainComplex,
     top = max(x.max_degree for x in (a, c, *bs))
     if up_to is not None:
         top = min(top, up_to)
-    ha = [homology_data(a, p) for p in range(top + 1)]
-    hbs = [[homology_data(b, p) for b in bs] for p in range(top + 1)]
-    hc = [homology_data(c, p) for p in range(top + 2)]
+    ha = [_subquotient(a, p, top=top + 1) for p in range(top + 1)]
+    hbs = [[_subquotient(b, p, top=top + 1) for b in bs] for p in range(top + 1)]
+    hc = [_subquotient(c, p, top=top + 2) for p in range(top + 2)]
     d = {p: _connecting(hc[p], ha[p - 1], *delta(p)) for p in range(1, top + 2)}
     nodes = []
     groups = {}
@@ -336,10 +361,13 @@ def with_coefficients(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> li
     """Homology of C (x) coeffs, summed over the cyclic summands Z/m of
     ``coeffs`` (m = 0 for Z).  The Z summand is one ``homology`` call over
     all degrees; a Z/m summand in degree n is the group of
-    ker(d_n mod m) / (im d_{n+1} + m C_n), one ``Subquotient`` per degree."""
+    ker(d_n mod m) / (im d_{n+1} + m C_n), one ``Subquotient`` per degree
+    on the boundary reductions that ``homology`` caches, and reads only
+    its group."""
     degrees = list(range(c.max_degree + 1) if degrees is None else degrees)
     parts = [0] * coeffs.betti + list(coeffs.torsion)
-    groups = {m: [Subquotient(c.boundary(n), c.boundary(n + 1), m).group for n in degrees]
+    top = max(degrees, default=-1) + 1
+    groups = {m: [_subquotient(c, n, m, top).group for n in degrees]
               if m else homology(c, degrees) for m in set(parts)}
     total = [AbelianGroup.trivial()] * len(degrees)
     for m in parts:
@@ -349,16 +377,9 @@ def with_coefficients(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> li
 
 def cohomology_data(c: ChainComplex, n: int, modulus: int = 0) -> Subquotient:
     """H^n with Z (modulus 0) or Z/modulus coefficients, as a subquotient
-    of the integral cochains Hom(C_n, Z), with representative cocycles."""
-    return Subquotient(c.boundary(n + 1).transpose(), c.boundary(n).transpose(), modulus)
-
-
-def _dual(c: ChainComplex) -> ChainComplex:
-    """Hom(C, Z) graded downward from the top degree N of C: degree N - n
-    holds C^n, and the boundary out of it is d_{n+1} transposed."""
-    top = c.max_degree
-    return ChainComplex([c.rank(top - k) for k in range(top + 1)],
-                        {k: c.boundary(top - k + 1).transpose() for k in range(1, top + 1)})
+    of the integral cochains Hom(C_n, Z), with representative cocycles:
+    H_{N-n} of the cached dual complex, N the top degree of C."""
+    return _subquotient(c.dual(), c.max_degree - n, modulus)
 
 
 def cohomology(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> list[AbelianGroup]:
@@ -367,7 +388,7 @@ def cohomology(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> list[Abel
     Z/m summands are the subquotients that ``cohomology_data`` builds."""
     if degrees is None:
         degrees = range(c.max_degree + 1)
-    return with_coefficients(_dual(c), coeffs, [c.max_degree - n for n in degrees])
+    return with_coefficients(c.dual(), coeffs, [c.max_degree - n for n in degrees])
 
 
 def cohomology_of_pair(space: SimplicialSet, sub, coeffs: AbelianGroup, degrees=None) -> list[AbelianGroup]:

@@ -9,12 +9,14 @@ of their result, not rows * cols.
 
 This is the only module that knows how a matrix is stored.  Build a
 matrix from its coefficients with ``IntegerMatrix.from_entries(rows,
-cols, entries)`` (repeated positions are summed) or from a list of dense
-rows; read it with ``entries()`` (the nonzero ``(i, j, v)`` in row-major,
-column-ascending order), ``row(i)``, ``column(j)`` and ``m[i, j]``.  The
+cols, entries)`` (repeated positions are summed), from row dicts with
+``from_row_dicts`` or from a list of dense rows; read it with
+``entries()`` (the nonzero ``(i, j, v)`` in row-major, column-ascending
+order), ``row_dicts()``, ``row(i)``, ``column(j)`` and ``m[i, j]``.  The
 row dicts never change once a matrix is built, so matrices may share
-them; the reduction code in :mod:`simphom.snf` works on private dense
-copies of the rows.
+them; ``row_dicts()`` hands out fresh copies, which the elimination and
+substitution code in :mod:`simphom.snf` changes in place, and the SNF
+works on private dense copies of the rows.
 """
 
 from __future__ import annotations
@@ -70,6 +72,18 @@ class IntegerMatrix:
             else:
                 row.pop(j, None)
         return cls._of_rows(rows, cols, nz)
+
+    @classmethod
+    def from_row_dicts(cls, rows: int, cols: int, nz: dict[int, dict[int, int]]) -> "IntegerMatrix":
+        """The rows x cols matrix whose row i holds the entries ``nz[i]``,
+        ``{col: value}`` with zeros dropped, and is zero where i is not
+        given.  An index outside the shape raises ValueError."""
+        out: list[dict[int, int]] = [{} for _ in range(rows)]
+        for i, row in nz.items():
+            if not 0 <= i < rows or (row and (min(row) < 0 or max(row) >= cols)):
+                raise ValueError(f"row {i} reaches outside a {rows}x{cols} matrix")
+            out[i] = {j: v for j, v in row.items() if v}
+        return cls._of_rows(rows, cols, out)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
@@ -188,6 +202,12 @@ class IntegerMatrix:
         """The nonzero entries (i, j, v), in row-major order with the
         columns of each row ascending."""
         return [(i, j, v) for i, row in enumerate(self._nz) for j, v in sorted(row.items())]
+
+    def row_dicts(self, ids=None) -> dict[int, dict[int, int]]:
+        """The nonzero rows, or those among the indices ``ids``, as fresh
+        dicts ``{i: {col: value}}`` that the caller may change."""
+        nz = self._nz
+        return {i: dict(nz[i]) for i in (range(self.rows) if ids is None else ids) if nz[i]}
 
     def column(self, j: int) -> list[int]:
         if not 0 <= j < self.cols:

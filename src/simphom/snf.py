@@ -17,26 +17,33 @@ on the earlier pivots and carrying p_k = +-1 at its own.  That proves M
 equal to L * diag(p_1, ..., p_K, R) * W^T with L and W unimodular and
 triangular in pivot order; the steps are those factors, kept sparse.
 
+A ``Reduction`` is one certified elimination of a matrix on some of its
+columns, with its residue, whose SNF is computed on first read.
 ``elementary_divisors`` answers integral groups alone: K ones followed by
 the divisors of R; an empty R skips its SNF.  ``homology.homology`` runs
 the same reduction on each boundary with clearing: it reduces d_k
 without the columns at the pivot rows of d_{k+1}'s elimination, after
 checking d_k * P = 0 for the matrix P of d_{k+1}'s pivot columns
-(``_pivot_columns``).  ``Subquotient``, the one builder of groups with
-representatives and of every group with Z/m coefficients, eliminates
-twice.  The outgoing map's steps give its kernel: the pivot coordinates
-of a kernel vector follow from the others by back-substitution, and R's
-SNF describes the rest.  The relations in those kernel coordinates are
-eliminated in turn.  It works on whole matrices: its generators are one
-matrix, and ``reduce`` takes a matrix of kernel columns, checks them by
-one sparse product with the outgoing map, and returns their coordinates
-by a forward substitution through the relation steps, then the residue
-SNF's U.  A failed check raises AssertionError.
+(``_pivot_columns``), and caches the reductions on the complex.
+``Subquotient``, the one builder of groups with representatives and of
+every group with Z/m coefficients, reads the same reductions, relations
+first: in_map's elimination, then out_map's without the columns at
+in_map's pivot rows (once out_map * P vanishes, mod m), whose kernel is
+small, then the relations, in_map's small residue in those kernel
+coordinates.  It works on whole matrices: its generators are one matrix,
+built and certified on first read, and ``reduce`` takes a matrix of
+kernel columns, checks them by one sparse product with the outgoing map,
+and returns their coordinates by a forward substitution through in_map's
+steps, the kernel coordinates, a forward substitution through the
+relation steps, then the residue SNF's U.  A failed check raises
+AssertionError.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
@@ -196,21 +203,55 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
     One ``_reduce``: a one per certified unit pivot, then the divisors of
     the residue's verified SNF.
     """
-    steps, residue_snf, _, _ = _reduce(m)
-    return [1] * len(steps) + residue_snf.divisors
+    return _reduce(m).divisors
 
 
-def _reduce(m: IntegerMatrix):
-    """The certified unit elimination of m and the verified SNF of its
-    residue, with the residue's row and column indices in m.  An empty
-    residue has the trivial SNF: no divisors and 0x0 transforms."""
-    steps, residue = _eliminate_units(m)
-    _check_elimination(m, steps, residue)
-    if not residue:
-        empty = IntegerMatrix.zero(0, 0)
-        return steps, SNFResult(empty, empty, empty, empty, empty, []), [], []
-    dense, row_ids, col_ids = _residue_matrix(residue)
-    return steps, smith_normal_form(dense), row_ids, col_ids
+@dataclass
+class Reduction:
+    """The certified unit elimination of a matrix on some of its columns.
+
+    ``matrix`` is M with all its columns; the elimination ran on the
+    columns ``kept`` of M, so a step's column index and a residue column
+    index are positions in ``kept``.  ``residue`` is what the elimination
+    left, on the rows ``row_ids`` and the positions ``col_ids``.  Its
+    verified SNF is computed on first read.  When columns were left out
+    (clearing), the caller has certified that they lie in the span of the
+    kept ones, so the image and the divisors are M's.
+    """
+
+    matrix: IntegerMatrix
+    kept: Sequence[int]
+    steps: list
+    residue: IntegerMatrix
+    row_ids: list[int]
+    col_ids: list[int]
+
+    @cached_property
+    def snf(self) -> SNFResult:
+        """The verified SNF of the residue; an empty residue has the trivial
+        one, with no divisors and 0x0 transforms."""
+        if not self.row_ids:
+            empty = IntegerMatrix.zero(0, 0)
+            return SNFResult(empty, empty, empty, empty, empty, [])
+        return smith_normal_form(self.residue)
+
+    @property
+    def divisors(self) -> list[int]:
+        """The invariant factors: a one per unit pivot, then the residue's."""
+        return [1] * len(self.steps) + self.snf.divisors
+
+
+def _reduce(m: IntegerMatrix, kept: Sequence[int] | None = None) -> Reduction:
+    """The certified unit elimination of m on the columns ``kept`` (all of
+    them by default).  A matrix with no rows or no columns has nothing to
+    eliminate."""
+    if kept is None:
+        kept, part = range(m.cols), m
+    else:
+        part = m.submatrix(range(m.rows), kept)
+    steps, residue = _eliminate_units(part) if part.rows and part.cols else ([], {})
+    _check_elimination(part, steps, residue)
+    return Reduction(m, kept, steps, *_residue_matrix(residue))
 
 
 def _pivot_columns(steps, rows: int) -> tuple[set[int], IntegerMatrix]:
@@ -231,18 +272,33 @@ def _residue_matrix(residue):
     return dense, row_ids, col_ids
 
 
-def _row_dicts(m: IntegerMatrix) -> dict[int, dict[int, int]]:
-    """The nonzero rows of m as ``{i: {j: value}}``."""
-    rows: dict[int, dict[int, int]] = {}
-    for i, j, v in m.entries():
-        rows.setdefault(i, {})[j] = v
-    return rows
-
-
 def _on_rows(rows: dict[int, dict[int, int]], ids, cols: int) -> IntegerMatrix:
     """The matrix whose row t is ``rows[ids[t]]``, zero where it is absent."""
-    return IntegerMatrix.from_entries(len(ids), cols, (
-        (t, j, v) for t, i in enumerate(ids) for j, v in rows.get(i, {}).items()))
+    return IntegerMatrix.from_row_dicts(len(ids), cols, {
+        t: rows[i] for t, i in enumerate(ids) if i in rows})
+
+
+def _forward(rows: dict[int, dict[int, int]], steps, live=None) -> dict[int, dict[int, int]]:
+    """Forward substitution through elimination steps, in place on the row
+    dicts of a matrix: each step subtracts p * x_i times its pivot column c
+    from x, which clears its pivot row i (c_i = p = +-1) and keeps the
+    earlier pivot rows clear.  Returns ``rows``, zero on every pivot row.
+    Given the set ``live`` of rows the caller reads afterwards, which must
+    hold every pivot row, the other rows are not updated."""
+    for i, _, p, c, _ in steps:
+        xi = rows.pop(i, None)
+        if xi:
+            for a, ca in c.items():
+                if a != i and (live is None or a in live):
+                    f = p * ca
+                    ra = rows.setdefault(a, {})
+                    for k, v in xi.items():
+                        new = ra.get(k, 0) - f * v
+                        if new:
+                            ra[k] = new
+                        else:
+                            del ra[k]
+    return rows
 
 
 def _eliminate_units(m: IntegerMatrix):
@@ -259,7 +315,7 @@ def _eliminate_units(m: IntegerMatrix):
     entry that is gone or no longer a unit is dropped, and one whose cost
     has risen is pushed back.
     """
-    rows = _row_dicts(m)
+    rows = m.row_dicts()
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
@@ -360,42 +416,77 @@ class Subquotient:
 
     With modulus m = 0 this is ker(out_map) / im(in_map) over Z.
 
-    Kernel.  The certified elimination of out_map has pivot rows r_k and
-    residue R, so x lies in ker(out_map mod m) iff r_k . x = 0 for every k
-    and R x = 0 (mod m).  The pivot coordinates of x follow from the others
-    by back-substitution, as p_k = +-1, so projecting to the non-pivot
-    coordinates loses only m Z^(pivots), which lies in m Z^r.  On R's
-    columns, R's SNF U R V = S gives y = V^-1 x with y_i divisible by
-    t_i = m / gcd(s_i, m) on the divisor rows (y_i = 0 when m = 0), and
-    z = y / t are coordinates; the non-pivot columns outside R pass
-    through.
+    Relations first.  The certified elimination of in_map has pivot
+    columns c_k, each carrying +-1 at its pivot row i_k and 0 at the
+    earlier ones, and a residue R on the other rows N.  The c_k and the
+    unit vectors on N form a unimodular basis L of Z^r, so forward
+    substitution through the steps (L^-1) maps Z^r onto Z^N with kernel
+    the span of the c_k, which lies in im in_map.  Once out_map * c_k
+    vanishes (mod m), checked by one product, x lies in the kernel iff its
+    image does in ker(out_map on the columns N), and the group is
+    ker(out_map on N, mod m) / (im R + m Z^N).
 
-    Relations.  The in_map columns in those coordinates, and for m > 0 the
-    diagonal m / t_i (m on a passed-through coordinate), which is m Z^r.
-    Their certified elimination leaves the group on the non-pivot rows as
-    the cokernel of its residue, read from a second residue SNF.
+    Kernel.  The elimination of out_map on the columns N has pivot rows
+    r_k and residue R', so y in Z^N lies in the kernel mod m iff r_k . y = 0
+    for every k and R' y = 0 (mod m).  The pivot coordinates of y follow
+    from the others by back-substitution, as p_k = +-1, so projecting to
+    the non-pivot coordinates loses only m Z^(pivots).  On R''s columns,
+    its SNF U R' V = S gives w = V^-1 y with w_i divisible by
+    t_i = m / gcd(s_i, m) on the divisor rows (w_i = 0 when m = 0), and
+    z = w / t are coordinates; the non-pivot columns outside R' pass
+    through.  After clearing this kernel is small: its rank is the Betti
+    number plus the rank of R.
 
-    Everything here works on whole matrices: ``generators`` is the r x g
-    matrix of representatives, and ``reduce`` maps a matrix of kernel
-    columns to their coordinates with one product for the kernel check.
-    in_map must lie in the kernel and a negative modulus is refused
-    (ValueError); the generators must reduce to the identity
-    (AssertionError).
+    Relations.  R's columns in those coordinates, and for m > 0 the
+    diagonal m / t_i (m on a passed-through coordinate), which is m Z^N.
+    Their certified elimination leaves the group as the cokernel of its
+    residue, read from a second residue SNF.
+
+    out_map and in_map are matrices, or the cached ``Reduction`` of a
+    chain complex's d_{n+1} (in_map) and of d_n on the columns off its
+    pivot rows (out_map), whose clearing certificate was checked when
+    they were built.  ``generators`` is the r x g matrix of
+    representatives, zero on in_map's pivot rows; it is built and
+    certified on its first read or on the first ``reduce``, which maps a
+    matrix of kernel columns to their coordinates with one product for
+    the kernel check.  in_map must lie in the kernel and a negative
+    modulus is refused (ValueError); a pivot column of in_map outside the
+    kernel and a generator that does not reduce to its unit vector raise
+    AssertionError.
     """
 
-    def __init__(self, out_map: IntegerMatrix, in_map: IntegerMatrix, modulus: int = 0):
+    def __init__(self, out_map, in_map, modulus: int = 0):
         if modulus < 0:
             raise ValueError("modulus must be >= 0")
-        if in_map.rows != out_map.cols:
-            raise ValueError("ambient ranks differ")
-        self._out, self._modulus = out_map, modulus
-        if not self._vanishes(out_map * in_map):
-            raise ValueError("in_map leaves the kernel")
-        r = out_map.cols
-        self._kernel_steps, out_snf, _, self._res_cols = _reduce(out_map)
+        self._modulus = modulus
+        if isinstance(in_map, Reduction):
+            incoming, outgoing = in_map, out_map
+        else:
+            if in_map.rows != out_map.cols:
+                raise ValueError("ambient ranks differ")
+            if not self._vanishes(out_map * in_map):
+                raise ValueError("in_map leaves the kernel")
+            incoming = _reduce(in_map)
+            cleared, pivots = _pivot_columns(incoming.steps, out_map.cols)
+            if not self._vanishes(out_map * pivots):
+                raise AssertionError("a pivot column of in_map leaves the kernel")
+            outgoing = _reduce(out_map, [j for j in range(out_map.cols) if j not in cleared])
+        self._out, self._in_steps, self._kept = outgoing.matrix, incoming.steps, outgoing.kept
+        pivot_rows = {i for i, _, _, _, _ in incoming.steps}
+        if (incoming.matrix.rows != self._out.cols
+                or list(self._kept) != [j for j in range(self._out.cols) if j not in pivot_rows]):
+            raise ValueError("out_map is not reduced off the pivot rows of in_map")
+        self._kernel_steps, self._res_cols = outgoing.steps, outgoing.col_ids
+        out_snf = outgoing.snf
         self._V, self._V_inv = out_snf.V, out_snf.V_inv
         touched = {j for _, j, _, _, _ in self._kernel_steps}.union(self._res_cols)
-        self._free_cols = [j for j in range(r) if j not in touched]
+        self._free_cols = [j for j in range(len(self._kept)) if j not in touched]
+        # the coordinates of Z^r that the kernel coordinates read, and the
+        # rows that forward substitution through in_map's steps must keep
+        # up to date: those and its pivot rows
+        self._free_ids = [self._kept[j] for j in self._free_cols]
+        self._res_ids = [self._kept[j] for j in self._res_cols]
+        self._live = pivot_rows.union(self._free_ids, self._res_ids)
         free = [1] * (len(self._res_cols) - out_snf.rank)
         if modulus:
             self._skip = 0
@@ -403,11 +494,15 @@ class Subquotient:
         else:
             self._skip = out_snf.rank
             self._t = free
-        relations = self._kernel_coords(in_map)
+        residue, row_ids = incoming.residue, incoming.row_ids
+        relations = self._kernel_coords(
+            {row_ids[i]: row for i, row in residue.row_dicts().items()}, residue.cols)
         if modulus:
             scale = [modulus // t for t in self._t] + [modulus] * len(self._free_cols)
             relations = relations.hstack(IntegerMatrix.diagonal(scale))
-        self._rel_steps, rel_snf, self._rel_rows, _ = _reduce(relations)
+        rel = _reduce(relations)
+        self._rel_steps, self._rel_rows = rel.steps, rel.row_ids
+        rel_snf = rel.snf
         orders = rel_snf.divisors
         self.torsion_orders = [d for d in orders if d >= 2]
         taken = {i for i, _, _, _, _ in self._rel_steps}.union(self._rel_rows)
@@ -418,17 +513,27 @@ class Subquotient:
         n_trivial = len(orders) - len(self.torsion_orders)
         kept = range(n_trivial, len(self._rel_rows))
         self._U = rel_snf.U.submatrix(kept, range(len(self._rel_rows)))
-        # generator k: column k of the residue U^-1 on the residue rows, or a
-        # unit vector on a free row; zero on the pivot rows, where the
-        # inverse forward substitution then changes nothing
-        g = self.n_generators
-        coords = IntegerMatrix.from_entries(relations.rows, g, [
+        # generator k in kernel coordinates: column k of the residue U^-1 on
+        # the residue rows, or a unit vector on a free row; zero on the
+        # relations' pivot rows, where the inverse forward substitution then
+        # changes nothing
+        self._gen_coords = IntegerMatrix.from_entries(relations.rows, self.n_generators, [
             (self._rel_rows[i], k - n_trivial, v) for i, k, v in rel_snf.U_inv.entries()
             if k >= n_trivial] + [(i, len(kept) + k, 1) for k, i in enumerate(self._free_rows)])
-        self.generators = self._lift(coords)
-        if (not self._vanishes(out_map * self.generators)
-                or self._canonical(self._kernel_coords(self.generators)) != IntegerMatrix.identity(g)):
-            raise AssertionError("a generator does not reduce to its unit vector")
+        self._generators = None
+
+    @property
+    def generators(self) -> IntegerMatrix:
+        """The r x g matrix of representatives, zero on in_map's pivot rows,
+        certified to lie in the kernel and to reduce to the identity; built
+        on first read."""
+        if self._generators is None:
+            generators = self._lift(self._gen_coords)
+            if (not self._vanishes(self._out * generators)
+                    or self._coordinates(generators) != IntegerMatrix.identity(self.n_generators)):
+                raise AssertionError("a generator does not reduce to its unit vector")
+            self._generators = generators
+        return self._generators
 
     def _vanishes(self, m: IntegerMatrix) -> bool:
         """Is every entry of m zero, mod the modulus when there is one?"""
@@ -436,63 +541,68 @@ class Subquotient:
             return m.is_zero()
         return not any(v % self._modulus for _, _, v in m.entries())
 
-    def _kernel_coords(self, x: IntegerMatrix) -> IntegerMatrix:
-        """Kernel coordinates of kernel columns x: z = y / t on the residue
-        columns, y = V^-1 x, then the passed-through columns.  A y that
-        z cannot represent fails the certificate."""
-        cols, n_res = range(x.cols), len(self._t)
-        entries = [(n_res + k, j, v) for k, j, v in x.submatrix(self._free_cols, cols).entries()]
-        for i, j, v in (self._V_inv * x.submatrix(self._res_cols, cols)).entries():
-            k = i - self._skip
-            if k < 0 or v % self._t[k]:
-                raise AssertionError("column outside the residue kernel")
-            entries.append((k, j, v // self._t[k]))
-        return IntegerMatrix.from_entries(n_res + len(self._free_cols), x.cols, entries)
+    def _kernel_coords(self, y: dict[int, dict[int, int]], cols: int) -> IntegerMatrix:
+        """Kernel coordinates of the kernel columns whose rows, on the
+        coordinates N of Z^r, are the dicts y: z = w / t on the residue
+        columns, w = V^-1 y, then the passed-through columns.  A w that z
+        cannot represent fails the certificate."""
+        n_res = len(self._t)
+        z = {n_res + k: y[i] for k, i in enumerate(self._free_ids) if i in y}
+        if self._res_ids:
+            for i, j, v in (self._V_inv * _on_rows(y, self._res_ids, cols)).entries():
+                k = i - self._skip
+                if k < 0 or v % self._t[k]:
+                    raise AssertionError("column outside the residue kernel")
+                z.setdefault(k, {})[j] = v // self._t[k]
+        return IntegerMatrix.from_row_dicts(n_res + len(self._free_ids), cols, z)
 
     def _lift(self, z: IntegerMatrix) -> IntegerMatrix:
-        """The kernel columns with kernel coordinates z: V (t (.) z) on the
-        residue columns, the passed-through columns as they are, and the
-        pivot coordinates by back-substitution in reverse step order."""
+        """The kernel columns in Z^r with kernel coordinates z: V (t (.) z)
+        on the residue columns, the passed-through columns as they are,
+        the pivot coordinates of out_map's elimination by back-substitution
+        in reverse step order, all placed on the coordinates N, and zero on
+        in_map's pivot rows."""
         n_res = len(self._t)
-        scaled = IntegerMatrix.from_entries(self._skip + n_res, z.cols, (
-            (self._skip + i, j, self._t[i] * v) for i, j, v in z.entries() if i < n_res))
-        x = {self._res_cols[i]: row for i, row in _row_dicts(self._V * scaled).items()}
-        x.update((self._free_cols[i - n_res], row) for i, row in _row_dicts(z).items() if i >= n_res)
+        y: dict[int, dict[int, int]] = {}
+        if self._res_cols:
+            scaled = IntegerMatrix.from_entries(self._skip + n_res, z.cols, (
+                (self._skip + i, j, self._t[i] * v) for i, j, v in z.entries() if i < n_res))
+            y = {self._res_cols[i]: row for i, row in (self._V * scaled).row_dicts().items()}
+        y.update((self._free_cols[i - n_res], row) for i, row in z.row_dicts(
+            range(n_res, z.rows)).items())
         for _, j, p, _, row in reversed(self._kernel_steps):
             acc: dict[int, int] = {}
             for jj, v in row.items():
-                if jj in x:
-                    for k, w in x[jj].items():
+                if jj in y:
+                    for k, w in y[jj].items():
                         acc[k] = acc.get(k, 0) - p * v * w
-            x[j] = acc
-        return _on_rows(x, range(self._out.cols), z.cols)
+            y[j] = acc
+        kept = self._kept
+        return IntegerMatrix.from_row_dicts(self._out.cols, z.cols, {kept[i]: row for i, row in y.items()})
 
-    def _canonical(self, z: IntegerMatrix) -> IntegerMatrix:
-        """Forward substitution of kernel coordinates through the relation
+    def _coordinates(self, x: IntegerMatrix) -> IntegerMatrix:
+        """Canonical coordinates of kernel columns x: forward substitution
+        through in_map's steps onto the coordinates N, the kernel
+        coordinates there, forward substitution through the relation
         steps, then the residue SNF's U; torsion coordinates are reduced
         mod their orders."""
-        rows = _row_dicts(z)
-        for i, _, p, c, _ in self._rel_steps:
-            zi = rows.get(i)
-            if zi:
-                for a, ca in c.items():
-                    if a != i:
-                        za = rows.setdefault(a, {})
-                        for k, v in zi.items():
-                            za[k] = za.get(k, 0) - p * ca * v
-        y = self._U * _on_rows(rows, self._rel_rows, z.cols)
+        y = _forward(x.row_dicts(self._live), self._in_steps, self._live)
+        rows = _forward(self._kernel_coords(y, x.cols).row_dicts(), self._rel_steps)
+        w = self._U * _on_rows(rows, self._rel_rows, x.cols)
         tors = self.torsion_orders
-        return IntegerMatrix.from_entries(self.n_generators, z.cols, [
-            (i, k, v % tors[i] if i < len(tors) else v) for i, k, v in y.entries()] + [
-            (y.rows + t, k, v) for t, i in enumerate(self._free_rows) for k, v in rows.get(i, {}).items()])
+        return IntegerMatrix.from_entries(self.n_generators, x.cols, [
+            (i, k, v % tors[i] if i < len(tors) else v) for i, k, v in w.entries()] + [
+            (w.rows + t, k, v) for t, i in enumerate(self._free_rows) for k, v in rows.get(i, {}).items()])
 
     def reduce(self, x: IntegerMatrix) -> IntegerMatrix:
         """The g x cols matrix of canonical coordinates of the kernel
         columns x: torsion coordinates (mod their orders) first, then free
-        coordinates.  A column outside the kernel raises ValueError."""
+        coordinates.  A column outside the kernel raises ValueError.  The
+        generators are certified first."""
+        self.generators
         if not self._vanishes(self._out * x):
             raise ValueError("a column is not in the kernel")
-        return self._canonical(self._kernel_coords(x))
+        return self._coordinates(x)
 
     @property
     def n_generators(self) -> int:

@@ -12,6 +12,7 @@ through the images so far, or is fixed to a given simplex, or dropped.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .simplex import (
@@ -494,6 +495,24 @@ class ProductResult:
         return SimplexRef(a.dim - len(shared), gid, word)
 
 
+# The most non-degenerate simplices ``product`` builds.  S^1 x RP^2 x RP^2
+# has 27,312 and every product the benchmark builds fewer; RP^2 x RP^2 x
+# RP^2 would have 1,182,091.
+PRODUCT_BUDGET = 100_000
+
+
+def _product_counts(left: SimplicialSet, right: SimplicialSet) -> list[int]:
+    """The non-degenerate simplex counts of left x right, per dimension,
+    from the factors' counts a_p and b_q alone: an n-simplex is a pair
+    (s_V sigma, s_W tau) with sigma of dimension p, tau of dimension q and
+    disjoint degeneracy sets V, W of sizes n - p and n - q, so there are
+    sum_{p,q} a_p b_q C(n, p) C(p, n - q) of them."""
+    a, b = left.counts(), right.counts()
+    return [sum(a[p] * b[q] * math.comb(n, p) * math.comb(p, n - q)
+                for p in range(min(n, len(a) - 1) + 1) for q in range(min(n, len(b) - 1) + 1))
+            for n in range(len(a) + len(b) - 1)]
+
+
 def product(left: SimplicialSet, right: SimplicialSet, name: str | None = None) -> ProductResult:
     """The product simplicial set with its two projections.
 
@@ -501,8 +520,13 @@ def product(left: SimplicialSet, right: SimplicialSet, name: str | None = None) 
     (s_V sigma, s_W tau) with V and W disjoint degeneracy words over
     non-degenerate sigma, tau; faces are computed componentwise and
     re-canonicalized.  The product is called ``name``, or "<left>x<right>"
-    by default.
+    by default.  A product of more than ``PRODUCT_BUDGET`` non-degenerate
+    simplices is refused (ValueError) before anything is built.
     """
+    size = sum(_product_counts(left, right))
+    if size > PRODUCT_BUDGET:
+        raise ValueError(f"the product {left.name or '?'}x{right.name or '?'} would have {size} "
+                         f"non-degenerate simplices, over the budget of {PRODUCT_BUDGET}")
     if left.is_empty() or right.is_empty():
         empty = SimplicialSet([], name="empty")
         return ProductResult(empty, SimplicialMap(empty, left, {}, check=False),

@@ -305,6 +305,11 @@ def test_catalog_list_and_print(tmp_path):
 def test_error_paths(tmp_path):
     text, status = out_of(["homology", "--space", "nowhere"])
     assert status == 2 and "error" in text
+    square = tmp_path / "rp2xrp2.sset"
+    square.write_text(print_space(product(catalog("rp2"), catalog("rp2")).space))
+    assert out_of(["kunneth", "--file", str(square), "--with", "rp2"]) == (
+        "error: the product rp2xrp2xrp2 would have 1182091 non-degenerate simplices, "
+        "over the budget of 100000", 2)
     text, status = out_of(["les", "--space", "delta:2"])
     assert status == 2
     text, status = out_of(["cup", "--space", "torus", "--coeff", "Z^2"])
@@ -443,17 +448,17 @@ H^3 = Z/2 with 1 generator(s)
       a0_0       a3_0   (1,)
       a1_0       a0_0   (1, 0)
       a1_0       a1_0   (0, 1)
-      a1_0       a1_1   (1, 0)
+      a1_0       a1_1   (1, 1)
       a1_0       a2_0   (1,)
       a1_0       a2_1   (0,)
       a1_1       a0_0   (0, 1)
-      a1_1       a1_0   (1, 0)
+      a1_1       a1_0   (1, 1)
       a1_1       a1_1   (0, 0)
-      a1_1       a2_0   (0,)
+      a1_1       a2_0   (1,)
       a1_1       a2_1   (1,)
       a2_0       a0_0   (1, 0)
       a2_0       a1_0   (1,)
-      a2_0       a1_1   (0,)
+      a2_0       a1_1   (1,)
       a2_1       a0_0   (0, 1)
       a2_1       a1_0   (0,)
       a2_1       a1_1   (1,)

@@ -463,12 +463,14 @@ def test_exact_at_matches_enumeration():
 
 
 def test_subquotient_builders_make_two_snf_calls_each(monkeypatch, rp2):
-    """At most one SNF of the residue the elimination of the outgoing map
-    leaves and one of the relations' residue, for homology, cohomology
-    with Z and Z/m coefficients, and each exactness check; an empty
-    residue needs none, so there is one call per non-empty residue, each
-    on a non-empty shape.  Every module that binds ``smith_normal_form``
-    gets the counter."""
+    """Relations first: each builder eliminates in_map, out_map without
+    in_map's pivot rows and the relations, each at most once (a matrix
+    with no rows or no columns needs no elimination), and makes at most
+    one SNF call per non-empty residue it reads: out_map's and the
+    relations', each on a non-empty shape; in_map's residue is read as
+    it is.  So there are at most two SNF calls.  Every module that binds
+    ``smith_normal_form`` gets the counter, and each builder of homology
+    or cohomology gets chains with nothing cached."""
     snf = sys.modules["simphom.snf"]
     original, eliminate = snf.smith_normal_form, snf._eliminate_units
     calls, residues = [], []
@@ -486,20 +488,115 @@ def test_subquotient_builders_make_two_snf_calls_each(monkeypatch, rp2):
         if name.startswith("simphom") and getattr(module, "smith_normal_form", None) is original:
             monkeypatch.setattr(module, "smith_normal_form", counted)
     monkeypatch.setattr(snf, "_eliminate_units", recorded)
-    c = normalized_chains(rp2)
     z4_to_z2 = IntegerMatrix([[1]])
-    builds = [lambda: homology_data(c, 1), lambda: homology_data(c, 2),
-              lambda: cohomology_data(c, 1), lambda: cohomology_data(c, 2, 2),
-              lambda: cohomology_data(c, 1, 4),
-              lambda: exact_at(IntegerMatrix([[2]]), z4_to_z2, [4], [2]),
-              lambda: exact_at(IntegerMatrix([[0]]), z4_to_z2, [4], [2]),
-              lambda: exact_at(IntegerMatrix.zero(2, 0), IntegerMatrix([[1, 1]]), [0, 0], [0])]
+    builds = [lambda c: homology_data(c, 1), lambda c: homology_data(c, 2),
+              lambda c: cohomology_data(c, 1), lambda c: cohomology_data(c, 2, 2),
+              lambda c: cohomology_data(c, 1, 4),
+              lambda c: exact_at(IntegerMatrix([[2]]), z4_to_z2, [4], [2]),
+              lambda c: exact_at(IntegerMatrix([[0]]), z4_to_z2, [4], [2]),
+              lambda c: exact_at(IntegerMatrix.zero(2, 0), IntegerMatrix([[1, 1]]), [0, 0], [0])]
     for build in builds:
         calls.clear()
         residues.clear()
-        build()
-        assert len(residues) == 2 and len(calls) == sum(1 for r in residues if r), (calls, residues)
+        sq = build(normalized_chains(rp2))
+        if isinstance(sq, Subquotient):
+            sq.generators
+        assert len(residues) <= 3 and len(calls) <= min(2, sum(1 for r in residues if r)), (
+            calls, residues)
         assert all(rows and cols for rows, cols in calls), calls
+
+
+def _is_elimination_of(m, d):
+    """Is m the boundary d on some of its columns, in order?"""
+    if m.rows != d.rows:
+        return False
+    columns = iter(d.columns())
+    return all(any(col == other for other in columns) for col in m.columns())
+
+
+def test_each_boundary_is_eliminated_once_for_every_consumer(monkeypatch):
+    """On T^2 x RP^2, homology(), every homology_data, Z/2 coefficients
+    and every Z/2 cohomology_data share one cleared reduction per
+    boundary of the chains and of their dual: each nonzero boundary is
+    eliminated exactly once, and every other elimination is that of a
+    relations matrix with at most 8 rows."""
+    snf = sys.modules["simphom.snf"]
+    eliminate = snf._eliminate_units
+    eliminated = []
+
+    def recorded(m):
+        eliminated.append(m)
+        return eliminate(m)
+
+    monkeypatch.setattr(snf, "_eliminate_units", recorded)
+    c = normalized_chains(product(catalog("torus"), catalog("rp2")).space)
+    degrees = range(c.max_degree + 2)
+    groups = homology(c)
+    assert [homology_data(c, n).group for n in degrees] == groups + [trivial]
+    assert with_coefficients(c, Z2) == [cohomology_data(c, n, 2).group for n in range(c.max_degree + 1)]
+    boundaries = [d for complex_ in (c, c.dual()) for d in complex_.boundaries.values() if not d.is_zero()]
+    assert len(boundaries) == 8
+    for d in boundaries:
+        assert sum(1 for m in eliminated if _is_elimination_of(m, d)) == 1
+    others = [m for m in eliminated if not any(_is_elimination_of(m, d) for d in boundaries)]
+    assert len(others) == len(eliminated) - 8
+    assert all(m.rows <= 8 for m in others), [m.shape for m in others]
+
+
+def _change_of_basis(sq, ref, orders):
+    """Do the generators of sq and of ref differ by an invertible change of
+    basis?  With C the coordinates of sq's generators in ref and B those
+    of ref's generators in sq, C * B must be 1 modulo the orders."""
+    cols = [ref.reduce(g) for g in sq.generators.columns()]
+    back = sq.reduce(IntegerMatrix.from_columns(ref.generator_vectors(), rows=sq.generators.rows))
+    product_ = IntegerMatrix.from_columns([list(col) for col in cols], rows=len(orders)) * back
+    return all((v - (i == j)) % d == 0 if d else v == (i == j)
+               for i, d in enumerate(orders) for j, v in enumerate(product_.row(i)))
+
+
+def _agrees_with_dense(sq, ref, out, in_map, m):
+    """sq and the dense reference ``ref`` on the same maps give the same
+    group and orders, sq's generators and relations reduce as they must,
+    and the two generator sets differ by an invertible change of basis."""
+    if sq.group != ref.group or sq.orders != ref.orders:
+        return False
+    g = sq.n_generators
+    if (sq.reduce(sq.generators) != IntegerMatrix.identity(g)
+            or not sq.reduce(in_map).is_zero()
+            or not sq.reduce(IntegerMatrix.identity(out.cols) * m).is_zero()):
+        return False
+    return _change_of_basis(sq, ref, sq.orders)
+
+
+def test_relations_first_subquotients_match_the_dense_reference(monkeypatch):
+    """homology_data, cohomology_data with Z, Z/2 and Z/3, and the generic
+    Subquotient with the same moduli, on the chains of every catalog space
+    and of one variant per ladder rung, against the dense two-SNF
+    reference.  The reference's SNFs are kept per matrix, so the three
+    moduli share the SNF of each outgoing map."""
+    reference = sys.modules["reference"]
+    dense_snf, known = reference.smith_normal_form, {}
+
+    def kept_snf(m):
+        key = (m.shape, tuple(m.entries()))
+        if key not in known:
+            known[key] = dense_snf(m)
+        return known[key]
+
+    monkeypatch.setattr(reference, "smith_normal_form", kept_snf)
+    spaces = all_catalog_spaces() + [product(catalog(a), catalog(b)).space for (a, b), *_ in LADDER_RUNGS]
+    for space in spaces:
+        c = normalized_chains(space)
+        for n in range(c.max_degree + 2):
+            out, in_map = c.boundary(n), c.boundary(n + 1)
+            for m in (0, 2, 3):
+                ref = DenseSubquotient(out, in_map, m)
+                assert _agrees_with_dense(Subquotient(out, in_map, m), ref, out, in_map, m), (space.name, n, m)
+                if not m:
+                    assert _agrees_with_dense(homology_data(c, n), ref, out, in_map, m), (space.name, n)
+                co_out, co_in = in_map.transpose(), out.transpose()
+                assert _agrees_with_dense(cohomology_data(c, n, m), DenseSubquotient(co_out, co_in, m),
+                                          co_out, co_in, m), (space.name, n, m)
 
 
 def test_pair_les_horn_is_homologically_trivial():

@@ -25,6 +25,7 @@ from simphom.operators import (
 from simphom.sset import identity_map, product, std_simplex
 
 from conftest import constant_homotopy
+from reference import DenseSubquotient
 
 Z = AbelianGroup.free(1)
 
@@ -252,6 +253,49 @@ def test_cup_coordinates_depend_on_the_class(name, modulus):
                 cup = cup_product(space, left, right, chains)
                 assert _class_of(classes[p + q], cup.values) == coords
     assert moves
+
+
+def _congruent(x, y, orders) -> bool:
+    return all((a - b) % d == 0 if d else a == b for a, b, d in zip(x, y, orders))
+
+
+@pytest.mark.parametrize("left, right, modulus", [("circle", "rp2", 0), ("circle", "rp2", 2),
+                                                  ("klein", "circle", 3)])
+def test_cup_tables_equal_the_dense_tables_after_a_change_of_basis(left, right, modulus):
+    """The cup table on the relations-first representatives is the table on
+    the dense reference's cocycles after an invertible change of basis per
+    degree: column i of C_n holds the reference coordinates of basis class
+    i, column k of B_n our coordinates of reference class k, C_n * B_n = 1
+    modulo the orders, and each product's coordinates, mapped by C_{p+q},
+    are the bilinear combination of the reference products."""
+    space = product(catalog(left), catalog(right)).space
+    chains = normalized_chains(space)
+    table = cohomology_ring_table(space, modulus)
+    refs, change = {}, {}
+    for n, sq in table.classes.items():
+        ref = refs[n] = DenseSubquotient(chains.boundary(n + 1).transpose(),
+                                         chains.boundary(n).transpose(), modulus)
+        assert sq.orders == ref.orders
+        change[n] = [ref.reduce(col) for col in sq.generators.columns()]
+        back = sq.reduce(IntegerMatrix.from_columns(ref.generator_vectors(), rows=chains.rank(n)))
+        for k in range(back.cols):
+            mapped = [sum(col[r] * v for col, v in zip(change[n], back.column(k)))
+                      for r in range(len(ref.orders))]
+            assert _congruent(mapped, [int(r == k) for r in range(len(mapped))], ref.orders)
+    basis = {n: [Cochain(n, modulus, tuple(v)).normalized() for v in ref.generator_vectors()]
+             for n, ref in refs.items()}
+    assert table.products
+    for (p, i, q, j), coords in table.products.items():
+        target = refs[p + q]
+        mapped = [sum(col[r] * v for col, v in zip(change[p + q], coords))
+                  for r in range(len(target.orders))]
+        expected = [0] * len(target.orders)
+        for s, a in enumerate(change[p][i]):
+            for t, b in enumerate(change[q][j]):
+                if a * b:
+                    cup = cup_product(space, basis[p][s], basis[q][t], chains)
+                    expected = [e + a * b * v for e, v in zip(expected, target.reduce(list(cup.values)))]
+        assert _congruent(mapped, expected, target.orders), (p, i, q, j)
 
 
 # ---------------------------------------------------------------------------

@@ -397,20 +397,32 @@ def test_cleared_groups_path_pops_the_heap_at_most_20k_times(monkeypatch, rp2xrp
     assert pops <= 20_000
 
 
-# Residue shapes (rows, cols) of the kernel and relation stages of each
-# subquotient of RP^2 x RP^2, as measured; they bound the dense SNF work.
-SUBQUOTIENT_RESIDUES = {
-    "homology": [((0, 0), (0, 0)), ((0, 0), (2, 91)), ((7, 223), (1, 52)),
-                 ((33, 23), (1, 1)), ((208, 1), (0, 0))],
-    "cohomology Z/2": [((0, 0), (1, 1)), ((187, 7), (2, 2)), ((46, 42), (3, 85)),
-                       ((1, 208), (2, 143)), ((0, 0), (1, 808))],
-}
+# Residue shapes (rows, cols) of RP^2 x RP^2, as measured; they bound the
+# dense SNF work.  Per degree k, what the cleared elimination of d_k leaves,
+# in the chains and in their dual; then, per degree n, the relations
+# matrix of each subquotient (it has no unit pivots, so it is its own
+# residue; an empty shape is not eliminated).
+BOUNDARY_RESIDUES = {"homology": {1: (0, 0), 2: (7, 2), 3: (18, 2), 4: (208, 1)},
+                     "cohomology Z/2": {1: (1, 2), 2: (22, 1), 3: (111, 2), 4: (0, 0)}}
+RELATION_RESIDUES = {"homology": [(0, 0), (2, 2), (1, 2), (1, 1), (0, 0)],
+                     "cohomology Z/2": [(1, 1), (2, 2), (3, 5), (2, 3), (1, 3)]}
 
 
 def test_subquotient_residues_stay_small(monkeypatch, rp2xrp2_chains):
-    from simphom.homology import cohomology_data, homology_data
+    """Relations first: each boundary of the chains and of their dual is
+    reduced once, without the columns its upper neighbour's pivots clear,
+    and each subquotient then eliminates only its small relations."""
+    from simphom.chains import ChainComplex
+    from simphom.homology import cohomology_data, homology, homology_data
 
-    c = rp2xrp2_chains
+    c = ChainComplex(rp2xrp2_chains.ranks, rp2xrp2_chains.boundaries)  # nothing cached yet
+    homology(c)
+    homology(c.dual())
+    for name, complex_ in (("homology", c), ("cohomology Z/2", c.dual())):
+        reduced = {k: r.residue.shape for (k, _), r in complex_.reductions.items()}
+        for k, (most_rows, most_cols) in BOUNDARY_RESIDUES[name].items():
+            rows, cols = reduced[k]
+            assert rows <= most_rows and cols <= most_cols, (name, k, reduced[k])
     shapes = []
     eliminate = snf._eliminate_units
 
@@ -423,20 +435,26 @@ def test_subquotient_residues_stay_small(monkeypatch, rp2xrp2_chains):
     builds = {"homology": lambda n: homology_data(c, n),
               "cohomology Z/2": lambda n: cohomology_data(c, n, 2)}
     for name, build in builds.items():
-        for n, bounds in enumerate(SUBQUOTIENT_RESIDUES[name]):
+        for n, (most_rows, most_cols) in enumerate(RELATION_RESIDUES[name]):
             shapes.clear()
             build(n)
-            assert len(shapes) == 2, (name, n)
-            for (rows, cols), (most_rows, most_cols) in zip(shapes, bounds):
+            assert len(shapes) <= 1, (name, n, shapes)
+            for rows, cols in shapes:
                 assert rows <= most_rows and cols <= most_cols, (name, n, shapes)
+
+
+# ker [0 0 0 0 1 1] / im [TAMPER_M; 0; 0] = Z/2 + Z/2 + Z: in_map has two
+# unit pivots among the first four coordinates, and out_map, without those
+# columns, one more
+STAGED_OUT = IntegerMatrix([[0, 0, 0, 0, 1, 1]])
+STAGED_IN = TAMPER_M.vstack(IntegerMatrix.zero(2, 4))
 
 
 @pytest.mark.parametrize("stage", [1, 2])
 def test_corrupted_step_fails_subquotient(monkeypatch, stage):
-    """A corrupted step of either elimination stage fails its certificate."""
-    out, in_map = ((TAMPER_M, IntegerMatrix.zero(4, 0)) if stage == 1
-                   else (IntegerMatrix.zero(0, 4), TAMPER_M))
-    assert Subquotient(out, in_map).n_generators == (0 if stage == 1 else 2)
+    """A corrupted step of either elimination stage, in_map's (first) or
+    out_map's without in_map's pivot rows (second), fails its certificate."""
+    assert Subquotient(STAGED_OUT, STAGED_IN).group == AbelianGroup(1, (2, 2))
     eliminate = snf._eliminate_units
     calls = []
 
@@ -449,11 +467,36 @@ def test_corrupted_step_fails_subquotient(monkeypatch, stage):
 
     monkeypatch.setattr(snf, "_eliminate_units", corrupted)
     with pytest.raises(AssertionError, match="does not reproduce M"):
-        Subquotient(out, in_map)
+        Subquotient(STAGED_OUT, STAGED_IN)
+    assert calls[0] is STAGED_IN
+
+
+@pytest.mark.parametrize("modulus", [0, 2])
+def test_pivot_column_outside_the_kernel_fails_subquotient(monkeypatch, modulus):
+    """A pivot column of in_map moved off the kernel of out_map fails the
+    new certificate out_map * P = 0 (mod m) before out_map is reduced
+    without its pivot rows; reductions that do not fit together are
+    refused."""
+    pivot_columns = snf._pivot_columns
+
+    def corrupted(steps, rows):
+        cleared, columns = pivot_columns(steps, rows)
+        return cleared, columns + IntegerMatrix.from_entries(rows, columns.cols, [(4, 0, 1)])
+
+    monkeypatch.setattr(snf, "_pivot_columns", corrupted)
+    with pytest.raises(AssertionError, match="a pivot column of in_map leaves the kernel"):
+        Subquotient(STAGED_OUT, STAGED_IN, modulus)
+    with pytest.raises(ValueError, match="not reduced off the pivot rows"):
+        Subquotient(snf._reduce(STAGED_OUT), snf._reduce(STAGED_IN), modulus)
 
 
 def test_wrong_generator_fails_subquotient(monkeypatch):
+    """Generators are built, and certified, on their first read."""
     lift = Subquotient._lift
     monkeypatch.setattr(Subquotient, "_lift", lambda self, z: lift(self, z) * 2)
+    sq = Subquotient(IntegerMatrix.zero(0, 4), TAMPER_M)
+    assert sq.group == AbelianGroup(0, (2, 2))
     with pytest.raises(AssertionError, match="does not reduce to its unit vector"):
-        Subquotient(IntegerMatrix.zero(0, 4), TAMPER_M)
+        sq.generators
+    with pytest.raises(AssertionError, match="does not reduce to its unit vector"):
+        Subquotient(IntegerMatrix.zero(0, 4), TAMPER_M).reduce(IntegerMatrix.zero(4, 0))

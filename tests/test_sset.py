@@ -85,6 +85,36 @@ def test_product_top_cells_are_shuffles():
         assert is_valid(pr.space).ok
 
 
+def test_product_counts_are_estimated_exactly():
+    """The budget's estimate sum_{p,q} a_p b_q C(n, p) C(p, n - q) equals
+    the built counts, RP^2 x RP^2 included."""
+    spaces = [catalog(name) for name in ("point", "circle", "rp2", "torus", "delta:2", "boundary:3")]
+    spaces.append(sset.SimplicialSet([], name="empty"))
+    for left in spaces:
+        for right in spaces:
+            built = product(left, right).space.counts()
+            estimate = sset._product_counts(left, right)
+            assert tuple(estimate[:len(built)]) == built and not any(estimate[len(built):])
+    rp2 = catalog("rp2")
+    assert sset._product_counts(rp2, rp2) == [36, 405, 1270, 1500, 600]
+
+
+def test_product_over_budget_is_refused_before_it_is_built(monkeypatch):
+    """RP^2 x RP^2 x RP^2 would have 1,182,091 non-degenerate simplices and
+    is refused from the factors' counts alone; S^1 x RP^2 x RP^2 (27,312)
+    is under the budget.  The refusal builds no simplex."""
+    rp2 = catalog("rp2")
+    square = product(rp2, rp2).space
+    assert sum(sset._product_counts(catalog("circle"), square)) == 27_312 <= sset.PRODUCT_BUDGET
+
+    def refuse(*args):
+        raise AssertionError("an over-budget product was built")
+
+    monkeypatch.setattr(sset, "SimplexRef", refuse)
+    with pytest.raises(ValueError, match="1182091 non-degenerate simplices, over the budget of 100000"):
+        product(square, rp2)
+
+
 def test_product_of_circles(circle):
     pr = product(circle, circle)
     assert pr.space.counts() == (1, 3, 2)
