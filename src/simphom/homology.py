@@ -50,7 +50,7 @@ from functools import reduce
 from .abgroup import AbelianGroup
 from .chains import ChainComplex, normalized_chains, relative_chains, restricted
 from .intmatrix import IntegerMatrix
-from .snf import Reduction, Subquotient, _pivot_columns, _reduce
+from .snf import Reduction, Subquotient, _cleared, _reduce
 from .snf import smith_normal_form  # noqa: F401  perfbench's tracer tests read this binding
 from .sset import SimplicialSet, SubcomplexResult, subcomplex
 
@@ -83,7 +83,7 @@ def _reduction(c: ChainComplex, k: int, top: int) -> Reduction:
     if key not in c.reductions:
         d = c.boundary(k)
         cleared = k < key[1] and k + 1 in c.boundaries
-        c.reductions[key] = _cleared(d, k, _reduction(c, k + 1, key[1])) if cleared else _reduce(d)
+        c.reductions[key] = _cleared(d, _reduction(c, k + 1, key[1])) if cleared else _reduce(d)
     return c.reductions[key]
 
 
@@ -122,16 +122,6 @@ def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[Abeli
             g = AbelianGroup(g.betti - 1, g.torsion)
         out.append(g)
     return out
-
-
-def _cleared(d: IntegerMatrix, k: int, above: Reduction) -> Reduction:
-    """The reduction of d = d_k without its columns at the pivot rows of
-    the reduction ``above`` of d_{k+1}, once d_k * P = 0 holds for the
-    matrix P of its pivot columns."""
-    cleared, pivots = _pivot_columns(above.steps, d.cols)
-    if not (d * pivots).is_zero():
-        raise AssertionError(f"a pivot column of d_{k + 1} is not a cycle of d_{k}")
-    return _reduce(d, [j for j in range(d.cols) if j not in cleared])
 
 
 def homology_of_space(space: SimplicialSet, degrees=None, reduced: bool = False) -> list[AbelianGroup]:

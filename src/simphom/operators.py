@@ -6,6 +6,11 @@ Conventions fixed once: front_p takes vertices 0..p and back_q takes
 vertices p..p+q; the shuffle sign is (-1)^{#(s,t): s in S, t in T, s<t}
 for the partition S (degeneracies on the left factor) and T (right);
 the tensor differential carries the Koszul sign.
+
+Cup products come from one kernel: per degree n, one walk of each
+n-generator down d_n and one down d_0 give all its front and back face
+ids, and the basis cocycles are certified once, by one product with the
+boundary of the cached dual complex; ``cup_product`` is one pair.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .homology import (
 )
 from .intmatrix import IntegerMatrix
 from .simplex import SimplexRef
+from .snf import _vanishes
 from .sset import ProductResult, SimplicialMap, SimplicialSet, product, std_simplex
 
 
@@ -147,16 +153,13 @@ def homotopic_maps_equal_on_homology(f: SimplicialMap, g: SimplicialMap,
 # Alexander-Whitney and Eilenberg-Zilber
 
 
-def _front(space: SimplicialSet, ref: SimplexRef, p: int) -> SimplexRef:
-    for t in range(ref.dim, p, -1):
-        ref = space.face(ref, t)
-    return ref
-
-
-def _back(space: SimplicialSet, ref: SimplexRef, q: int) -> SimplexRef:
-    for _ in range(ref.dim - q):
-        ref = space.face(ref, 0)
-    return ref
+def _walk(space: SimplicialSet, ref: SimplexRef, front: bool) -> list[int | None]:
+    """The ids of the front faces (down the last face) or of the back faces
+    (down face 0) of ``ref`` by dimension, None where degenerate."""
+    faces = [ref]
+    for t in range(ref.dim, 0, -1):
+        faces.append(space.face(faces[-1], t if front else 0))
+    return [None if f.is_degenerate else f.base_id for f in reversed(faces)]
 
 
 def _shuffle_sign(left_word: tuple[int, ...], right_word: tuple[int, ...]) -> int:
@@ -186,11 +189,9 @@ def alexander_whitney(prod: ProductResult) -> EilenbergZilberData:
         entries = []
         for g in prod.space.gens(n):
             a, b = prod.pair_of_gen[(n, g.id)]
-            for i in range(n + 1):
-                fr = _front(K, a, i)
-                bk = _back(L, b, n - i)
-                if not (fr.is_degenerate or bk.is_degenerate):
-                    entries.append((tc.index[(i, fr.base_id, n - i, bk.base_id)], g.id, 1))
+            fronts, backs = _walk(K, a, True), _walk(L, b, False)
+            entries.extend((tc.index[(i, fronts[i], n - i, backs[n - i])], g.id, 1)
+                           for i in range(n + 1) if None not in (fronts[i], backs[n - i]))
         aw_mats[n] = IntegerMatrix.from_entries(tc.complex.rank(n), cp.rank(n), entries)
     aw = ChainMap(cp, tc.complex, aw_mats)
 
@@ -229,38 +230,43 @@ class Cochain:
     values: tuple[int, ...]
 
     def normalized(self) -> "Cochain":
-        if self.modulus:
-            return Cochain(self.degree, self.modulus,
-                           tuple(v % self.modulus for v in self.values))
-        return self
-
-    def value_on(self, ref: SimplexRef) -> int:
-        if ref.is_degenerate:
-            return 0
-        return self.values[ref.base_id]
+        m = self.modulus
+        return Cochain(self.degree, m, tuple(v % m for v in self.values)) if m else self
 
 
 def coboundary(space: SimplicialSet, c: Cochain, chains: ChainComplex | None = None) -> Cochain:
+    """delta c, by the boundary of the dual complex the chains cache."""
     cc = chains if chains is not None else normalized_chains(space)
-    mat = cc.boundary(c.degree + 1).transpose()
-    vals = mat.apply(list(c.values))
+    vals = cc.dual().boundary(cc.max_degree - c.degree).apply(list(c.values))
     return Cochain(c.degree + 1, c.modulus, tuple(vals)).normalized()
 
 
 def is_cocycle(space: SimplicialSet, c: Cochain, chains: ChainComplex | None = None) -> bool:
-    delta = coboundary(space, c, chains)
-    if c.modulus:
-        return all(v % c.modulus == 0 for v in delta.values)
-    return all(v == 0 for v in delta.values)
+    return not any(coboundary(space, c, chains).values)
+
+
+def _face_ids(space: SimplicialSet, n: int) -> list[tuple[list, list]]:
+    """Per n-generator, the ids of its front and of its back faces."""
+    return [(_walk(space, SimplexRef(n, g.id), True), _walk(space, SimplexRef(n, g.id), False))
+            for g in space.gens(n)]
+
+
+def _cups(faces, p: int, q: int, left: IntegerMatrix, right: IntegerMatrix, modulus: int) -> IntegerMatrix:
+    """Column i * right.cols + j: the cup of columns i of ``left`` and j of
+    ``right`` on the generators with face ids ``faces``, mod the modulus."""
+    left_rows, right_rows, width = left.row_dicts(), right.row_dicts(), right.cols
+    return IntegerMatrix.from_entries(len(faces), left.cols * width, (
+        (g, i * width + j, va * vb % modulus if modulus else va * vb)
+        for g, (front, back) in enumerate(faces)
+        for i, va in left_rows.get(front[p], {}).items()
+        for j, vb in right_rows.get(back[q], {}).items()))
 
 
 def cup_product(space: SimplicialSet, alpha: Cochain, beta: Cochain,
                 chains: ChainComplex | None = None) -> Cochain:
-    """(alpha u beta)(sigma) = alpha(front) * beta(back) on generators.
-
-    Inputs must be cocycles over the same coefficient ring; ``chains``,
-    when given, are the normalized chains of ``space``.
-    """
+    """(alpha u beta)(sigma) = alpha(front) * beta(back) on generators, for
+    cocycles over one coefficient ring (ValueError otherwise); ``chains``,
+    when given, are the normalized chains of ``space``."""
     if alpha.modulus != beta.modulus:
         raise ValueError("cochains over different coefficient rings")
     if chains is None:
@@ -269,14 +275,9 @@ def cup_product(space: SimplicialSet, alpha: Cochain, beta: Cochain,
         if not is_cocycle(space, c, chains):
             raise ValueError(f"degree {c.degree} input is not a cocycle")
     p, q = alpha.degree, beta.degree
-    n = p + q
-    vals = []
-    for g in space.gens(n):
-        ref = SimplexRef(n, g.id)
-        fr = _front(space, ref, p)
-        bk = _back(space, ref, q)
-        vals.append(alpha.value_on(fr) * beta.value_on(bk))
-    return Cochain(n, alpha.modulus, tuple(vals)).normalized()
+    left, right = (IntegerMatrix.from_columns([list(c.values)]) for c in (alpha, beta))
+    return Cochain(p + q, alpha.modulus, tuple(
+        _cups(_face_ids(space, p + q), p, q, left, right, alpha.modulus).column(0)))
 
 
 @dataclass
@@ -295,10 +296,8 @@ class RingTable:
         ring = "Z" if self.modulus == 0 else f"Z/{self.modulus}"
         out = [f"cup products of {self.space_name} with {ring} coefficients"]
         for p in sorted(self.basis):
-            group = self.classes[p].group
-            out.append(f"H^{p} = {group} with {len(self.basis[p])} generator(s)")
-        header = f"{'left':>10} {'right':>10}   class"
-        out.append(header)
+            out.append(f"H^{p} = {self.classes[p].group} with {len(self.basis[p])} generator(s)")
+        out.append(f"{'left':>10} {'right':>10}   class")
         for (p, i, q, j), coords in sorted(self.products.items()):
             out.append(f"{f'a{p}_{i}':>10} {f'a{q}_{j}':>10}   {coords}")
         return out
@@ -306,28 +305,28 @@ class RingTable:
 
 def cohomology_ring_table(space: SimplicialSet, coeff_modulus: int,
                           degrees=None) -> RingTable:
-    """Cup products of a chosen basis of cocycle representatives, reduced
-    to canonical coordinates in the target cohomology group."""
+    """Cup products of a basis of cocycle representatives, one matrix and
+    one ``reduce`` per (p, q), in canonical target coordinates."""
     chains = normalized_chains(space)
     if degrees is None:
         degrees = range(chains.max_degree + 1)
     degrees = [n for n in degrees if n <= chains.max_degree]
     classes = {n: cohomology_data(chains, n, coeff_modulus) for n in degrees}
-    basis = {
-        n: [Cochain(n, coeff_modulus, tuple(vec)).normalized()
-            for vec in classes[n].generators.columns()]
-        for n in degrees
-    }
+    cocycles = {n: classes[n].generators for n in degrees}
+    for n, z in cocycles.items():
+        if not _vanishes(chains.dual().boundary(chains.max_degree - n) * z, coeff_modulus):
+            raise AssertionError(f"a basis cocycle of degree {n} is not a cocycle")
     products = {}
-    for p in degrees:
-        for q in degrees:
-            n = p + q
-            if n not in classes:
-                continue
-            pairs = [(i, j) for i in range(len(basis[p])) for j in range(len(basis[q]))]
-            cups = [cup_product(space, basis[p][i], basis[q][j], chains).values for i, j in pairs]
-            coords = classes[n].reduce(IntegerMatrix.from_columns(cups, rows=chains.rank(n)))
-            products.update(((p, i, q, j), tuple(col)) for (i, j), col in zip(pairs, coords.columns()))
+    for n in degrees:
+        faces = _face_ids(space, n)
+        for p in degrees:
+            if n - p in cocycles:
+                q, width = n - p, cocycles[n - p].cols
+                cups = _cups(faces, p, q, cocycles[p], cocycles[q], coeff_modulus)
+                products.update(((p, k // width, q, k % width), tuple(col))
+                                for k, col in enumerate(classes[n].reduce(cups).columns()))
+    basis = {n: [Cochain(n, coeff_modulus, tuple(col)).normalized() for col in z.columns()]
+             for n, z in cocycles.items()}
     return RingTable(space.name or "K", coeff_modulus, basis, classes, products)
 
 

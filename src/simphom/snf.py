@@ -20,20 +20,20 @@ triangular in pivot order; the steps are those factors, kept sparse.
 A ``Reduction`` is one certified elimination of a matrix on some of its
 columns, with its residue, whose SNF is computed on first read.
 ``elementary_divisors`` answers integral groups alone: K ones followed by
-the divisors of R; an empty R skips its SNF.  ``homology.homology`` runs
-the same reduction on each boundary with clearing: it reduces d_k
-without the columns at the pivot rows of d_{k+1}'s elimination, after
-checking d_k * P = 0 for the matrix P of d_{k+1}'s pivot columns
-(``_pivot_columns``), and caches the reductions on the complex.
-``Subquotient``, the one builder of groups with representatives and of
-every group with Z/m coefficients, reads the same reductions, relations
-first: in_map's elimination, then out_map's without the columns at
-in_map's pivot rows (once out_map * P vanishes, mod m), whose kernel is
-small, then the relations, in_map's small residue in those kernel
-coordinates.  It works on whole matrices: its generators are one matrix,
-built and certified on first read, and ``reduce`` takes a matrix of
-kernel columns, checks them by one sparse product with the outgoing map,
-and returns their coordinates by a forward substitution through in_map's
+the divisors of R; an empty R skips its SNF.  One clearing step,
+``_cleared``, reduces a matrix without the columns at the pivot rows of
+the elimination of the map into its domain, after checking that it
+kills the matrix P of that elimination's pivot columns (mod m).
+``homology.homology`` runs it on each boundary, d_k below d_{k+1}, and
+caches the reductions on the complex.  ``Subquotient``, the one builder
+of groups with representatives and of every group with Z/m
+coefficients, reads the same reductions, relations first: in_map's
+elimination, then out_map's cleared by it, whose kernel is small, then
+the relations, in_map's small residue in those kernel coordinates.  It
+works on whole matrices: its generators are one matrix, built and
+certified on first read, and ``reduce`` takes a matrix of kernel
+columns, checks them by one sparse product with the outgoing map, and
+returns their coordinates by a forward substitution through in_map's
 steps, the kernel coordinates, a forward substitution through the
 relation steps, then the residue SNF's U.  A failed check raises
 AssertionError.
@@ -261,6 +261,23 @@ def _pivot_columns(steps, rows: int) -> tuple[set[int], IntegerMatrix]:
         (a, k, v) for k, (_, _, _, c, _) in enumerate(steps) for a, v in c.items()))
 
 
+def _cleared(m: IntegerMatrix, above: Reduction, modulus: int = 0) -> Reduction:
+    """m reduced without its columns at the pivot rows of ``above``, the
+    reduction of a map into m's domain, once m kills (mod the modulus) the
+    matrix P of above's pivot columns; AssertionError otherwise."""
+    cleared, pivots = _pivot_columns(above.steps, m.cols)
+    if not _vanishes(m * pivots, modulus):
+        raise AssertionError("a pivot column of in_map leaves the kernel")
+    return _reduce(m, [j for j in range(m.cols) if j not in cleared])
+
+
+def _vanishes(m: IntegerMatrix, modulus: int = 0) -> bool:
+    """Is every entry of m zero, mod the modulus when there is one?"""
+    if not modulus:
+        return m.is_zero()
+    return not any(v % modulus for _, _, v in m.entries())
+
+
 def _residue_matrix(residue):
     """The residue ``{i: {j: v}}`` as a matrix on its sorted row and column
     indices, with those indices."""
@@ -464,13 +481,10 @@ class Subquotient:
         else:
             if in_map.rows != out_map.cols:
                 raise ValueError("ambient ranks differ")
-            if not self._vanishes(out_map * in_map):
+            if not _vanishes(out_map * in_map, modulus):
                 raise ValueError("in_map leaves the kernel")
             incoming = _reduce(in_map)
-            cleared, pivots = _pivot_columns(incoming.steps, out_map.cols)
-            if not self._vanishes(out_map * pivots):
-                raise AssertionError("a pivot column of in_map leaves the kernel")
-            outgoing = _reduce(out_map, [j for j in range(out_map.cols) if j not in cleared])
+            outgoing = _cleared(out_map, incoming, modulus)
         self._out, self._in_steps, self._kept = outgoing.matrix, incoming.steps, outgoing.kept
         pivot_rows = {i for i, _, _, _, _ in incoming.steps}
         if (incoming.matrix.rows != self._out.cols
@@ -529,17 +543,11 @@ class Subquotient:
         on first read."""
         if self._generators is None:
             generators = self._lift(self._gen_coords)
-            if (not self._vanishes(self._out * generators)
+            if (not _vanishes(self._out * generators, self._modulus)
                     or self._coordinates(generators) != IntegerMatrix.identity(self.n_generators)):
                 raise AssertionError("a generator does not reduce to its unit vector")
             self._generators = generators
         return self._generators
-
-    def _vanishes(self, m: IntegerMatrix) -> bool:
-        """Is every entry of m zero, mod the modulus when there is one?"""
-        if not self._modulus:
-            return m.is_zero()
-        return not any(v % self._modulus for _, _, v in m.entries())
 
     def _kernel_coords(self, y: dict[int, dict[int, int]], cols: int) -> IntegerMatrix:
         """Kernel coordinates of the kernel columns whose rows, on the
@@ -600,7 +608,7 @@ class Subquotient:
         coordinates.  A column outside the kernel raises ValueError.  The
         generators are certified first."""
         self.generators
-        if not self._vanishes(self._out * x):
+        if not _vanishes(self._out * x, self._modulus):
             raise ValueError("a column is not in the kernel")
         return self._coordinates(x)
 

@@ -253,7 +253,11 @@ def vertex_tuple_generators(by_dim: list[list[tuple]]) -> list[list[NonDegenSimp
 
 
 def _faces_of_simplex(n: int) -> list[list[tuple[int, ...]]]:
-    """The vertex tuples of the faces of Delta[n], per dimension."""
+    """The vertex tuples of the faces of Delta[n], per dimension; more than
+    ``PRODUCT_BUDGET`` of them, 2^(n+1) - 1, is refused (ValueError)."""
+    if n + 1 >= (PRODUCT_BUDGET + 1).bit_length():  # iff 2^(n+1) - 1 > PRODUCT_BUDGET
+        raise ValueError(f"Delta[{n}] would have 2^{n + 1} - 1 non-degenerate simplices, "
+                         f"over the budget of {PRODUCT_BUDGET}")
     return [list(itertools.combinations(range(n + 1), m + 1)) for m in range(n + 1)]
 
 
@@ -495,9 +499,11 @@ class ProductResult:
         return SimplexRef(a.dim - len(shared), gid, word)
 
 
-# The most non-degenerate simplices ``product`` builds.  S^1 x RP^2 x RP^2
-# has 27,312 and every product the benchmark builds fewer; RP^2 x RP^2 x
-# RP^2 would have 1,182,091.
+# The most non-degenerate simplices ``product`` builds, and the simplex
+# family (Delta[n], its boundary and horns, and sphere:n) through
+# ``_faces_of_simplex``.  S^1 x RP^2 x RP^2 has 27,312 and every product the
+# benchmark builds fewer; RP^2 x RP^2 x RP^2 would have 1,182,091, and
+# Delta[16] 131,071.
 PRODUCT_BUDGET = 100_000
 
 

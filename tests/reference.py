@@ -9,7 +9,10 @@ determinant and Betti number routines use exact fraction, mod-p and
 Bareiss elimination and share no code with the SNF at all.
 ``reference_is_valid`` checks the simplicial identities with the
 unconditional face rewrite, without ``SimplicialSet.face`` and its
-face-table shortcut.
+face-table shortcut.  ``reference_cup`` is the cup product of one pair
+of cochains by the front/back formula, finding each front and back face
+of each generator afresh by that rewrite, with no face walk shared
+between degrees or pairs.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from simphom.abgroup import AbelianGroup
 from simphom.chains import ChainComplex, ChainMap, mapping_cone
 from simphom.homology import homology
 from simphom.intmatrix import IntegerMatrix
+from simphom.operators import Cochain
 from simphom.simplex import SimplexRef, compose_words, face_word_rewrite
 from simphom.snf import smith_normal_form
 from simphom.sset import SimplicialSet, ValidationReport
@@ -237,3 +241,21 @@ def reference_is_valid(space: SimplicialSet) -> ValidationReport:
                             f"d{i} d{j} = {space.format_ref(left)} but d{j-1} d{i} = {space.format_ref(right)}"
                         )
     return ValidationReport(not problems, problems)
+
+
+def reference_cup(space: SimplicialSet, alpha: Cochain, beta: Cochain) -> Cochain:
+    """(alpha u beta)(sigma) = alpha(front_p sigma) * beta(back_q sigma) on
+    each (p + q)-generator sigma, reduced mod the modulus: front_p applies
+    d_n, ..., d_{p+1} and back_q applies d_0 p times, one face at a time."""
+    p, q = alpha.degree, beta.degree
+    values = []
+    for g in space.gens(p + q):
+        front = back = SimplexRef(p + q, g.id)
+        for t in range(p + q, p, -1):
+            front = _rewritten_face(space, front, t)
+        for _ in range(p):
+            back = _rewritten_face(space, back, 0)
+        a = 0 if front.is_degenerate else alpha.values[front.base_id]
+        b = 0 if back.is_degenerate else beta.values[back.base_id]
+        values.append(a * b)
+    return Cochain(p + q, alpha.modulus, tuple(values)).normalized()

@@ -483,6 +483,19 @@ H^3 = Z/2 with 1 generator(s)
       a2_0       a1_0   (1,)
       a3_0       a0_0   (1,)
 """,
+    "cup_z3": """\
+simphom cup
+cup products of circlexrp2 with Z/3 coefficients
+H^0 = Z/3 with 1 generator(s)
+H^1 = Z/3 with 1 generator(s)
+H^2 = 0 with 0 generator(s)
+H^3 = 0 with 0 generator(s)
+      left      right   class
+      a0_0       a0_0   (1,)
+      a0_0       a1_0   (1,)
+      a1_0       a0_0   (1,)
+      a1_0       a1_0   ()
+""",
     "cover": """\
 simphom cover
 cover counts (12, 72, 120, 60)
@@ -527,7 +540,7 @@ def circle_x_rp2_doc(tmp_path_factory):
 
 @pytest.mark.parametrize("key", sorted(CIRCLE_X_RP2_STDOUT))
 def test_circle_x_rp2_stdout_is_pinned(key, circle_x_rp2_doc, capsys):
-    """les, mv on a split of the 3-simplices, both cup tables, the double
+    """les, mv on a split of the 3-simplices, three cup tables, the double
     cover and pi1 print exactly what they printed before."""
     space, doc = circle_x_rp2_doc
     tops = [f"3.{g.id}" for g in space.gens(3)]
@@ -536,6 +549,77 @@ def test_circle_x_rp2_stdout_is_pinned(key, circle_x_rp2_doc, capsys):
              "mv": ["mv", "--a", "gens:" + ",".join(tops[:half]),
                     "--b", "gens:" + ",".join(tops[half:])],
              "cup_z2": ["cup", "--coeff", "Z/2"], "cup": ["cup"],
+             "cup_z3": ["cup", "--coeff", "Z/3"],
              "cover": ["cover", "--group", "cyclic:2"], "pi1": ["pi1"]}[key]
     assert main([extra[0], "--file", doc] + extra[1:]) == 0
     assert capsys.readouterr().out == CIRCLE_X_RP2_STDOUT[key]
+
+
+KLEIN_X_CIRCLE_CUP = {
+    "Z": """\
+simphom cup
+cup products of kleinxcircle with Z coefficients
+H^0 = Z with 1 generator(s)
+H^1 = Z^2 with 2 generator(s)
+H^2 = Z + Z/2 with 2 generator(s)
+H^3 = Z/2 with 1 generator(s)
+      left      right   class
+      a0_0       a0_0   (1,)
+      a0_0       a1_0   (1, 0)
+      a0_0       a1_1   (0, 1)
+      a0_0       a2_0   (1, 0)
+      a0_0       a2_1   (0, 1)
+      a0_0       a3_0   (1,)
+      a1_0       a0_0   (1, 0)
+      a1_0       a1_0   (0, 0)
+      a1_0       a1_1   (1, -1)
+      a1_0       a2_0   (0,)
+      a1_0       a2_1   (0,)
+      a1_1       a0_0   (0, 1)
+      a1_1       a1_0   (1, 1)
+      a1_1       a1_1   (0, 0)
+      a1_1       a2_0   (1,)
+      a1_1       a2_1   (1,)
+      a2_0       a0_0   (1, 0)
+      a2_0       a1_0   (0,)
+      a2_0       a1_1   (1,)
+      a2_1       a0_0   (0, 1)
+      a2_1       a1_0   (0,)
+      a2_1       a1_1   (1,)
+      a3_0       a0_0   (1,)
+""",
+    "Z/3": """\
+simphom cup
+cup products of kleinxcircle with Z/3 coefficients
+H^0 = Z/3 with 1 generator(s)
+H^1 = Z/3 + Z/3 with 2 generator(s)
+H^2 = Z/3 with 1 generator(s)
+H^3 = 0 with 0 generator(s)
+      left      right   class
+      a0_0       a0_0   (1,)
+      a0_0       a1_0   (1, 0)
+      a0_0       a1_1   (0, 1)
+      a0_0       a2_0   (1,)
+      a1_0       a0_0   (1, 0)
+      a1_0       a1_0   (0,)
+      a1_0       a1_1   (2,)
+      a1_0       a2_0   ()
+      a1_1       a0_0   (0, 1)
+      a1_1       a1_0   (1,)
+      a1_1       a1_1   (0,)
+      a1_1       a2_0   ()
+      a2_0       a0_0   (1,)
+      a2_0       a1_0   ()
+      a2_0       a1_1   ()
+""",
+}
+
+
+@pytest.mark.parametrize("coeff", sorted(KLEIN_X_CIRCLE_CUP))
+def test_klein_x_circle_cup_stdout_is_pinned(coeff, tmp_path, capsys):
+    """The cup tables of klein x circle with Z and Z/3 print exactly what
+    they printed before."""
+    doc = tmp_path / "kleinxcircle.sset"
+    doc.write_text(print_space(product(catalog("klein"), catalog("circle")).space))
+    assert main(["cup", "--file", str(doc), "--coeff", coeff]) == 0
+    assert capsys.readouterr().out == KLEIN_X_CIRCLE_CUP[coeff]

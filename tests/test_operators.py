@@ -7,6 +7,7 @@ import pytest
 from simphom.abgroup import AbelianGroup
 from simphom.catalog import catalog
 from simphom.chains import chain_map_of, normalized_chains
+from simphom.cli import main
 from simphom.homology import cohomology_data
 from simphom.intmatrix import IntegerMatrix
 from simphom.operators import (
@@ -22,10 +23,11 @@ from simphom.operators import (
     kunneth_check,
     prism_homotopy,
 )
-from simphom.sset import identity_map, product, std_simplex
+from simphom.snf import Subquotient
+from simphom.sset import SimplicialSet, identity_map, product, std_simplex
 
-from conftest import constant_homotopy
-from reference import DenseSubquotient
+from conftest import all_catalog_spaces, constant_homotopy
+from reference import DenseSubquotient, reference_cup
 
 Z = AbelianGroup.free(1)
 
@@ -293,9 +295,81 @@ def test_cup_tables_equal_the_dense_tables_after_a_change_of_basis(left, right, 
         for s, a in enumerate(change[p][i]):
             for t, b in enumerate(change[q][j]):
                 if a * b:
-                    cup = cup_product(space, basis[p][s], basis[q][t], chains)
+                    cup = reference_cup(space, basis[p][s], basis[q][t])
                     expected = [e + a * b * v for e, v in zip(expected, target.reduce(list(cup.values)))]
         assert _congruent(mapped, expected, target.orders), (p, i, q, j)
+
+
+@pytest.fixture(scope="module")
+def rp2xrp2():
+    return product(catalog("rp2"), catalog("rp2")).space
+
+
+def test_cup_tables_equal_the_pair_by_pair_reference(rp2xrp2):
+    """On the catalog spaces and four products up to RP^2 x RP^2, over Z,
+    Z/2 and Z/3, every entry of the ring table is the coordinate vector of
+    the reference cup of its two basis cocycles, one pair at a time, and
+    ``cup_product`` of the pair is the reference cup."""
+    spaces = all_catalog_spaces() + [
+        product(catalog(left), catalog(right)).space
+        for left, right in (("circle", "rp2"), ("klein", "circle"), ("torus", "rp2"))] + [rp2xrp2]
+    for space in spaces:
+        chains = normalized_chains(space)
+        for modulus in (0, 2, 3):
+            table = cohomology_ring_table(space, modulus)
+            expected = {}
+            for p, q in itertools.product(table.basis, repeat=2):
+                if p + q in table.classes:
+                    for (i, a), (j, b) in itertools.product(enumerate(table.basis[p]),
+                                                            enumerate(table.basis[q])):
+                        cup = reference_cup(space, a, b)
+                        assert cup_product(space, a, b, chains) == cup
+                        expected[(p, i, q, j)] = _class_of(table.classes[p + q], cup.values)
+            assert table.products == expected, (space.name, modulus)
+
+
+def test_cup_table_work_is_one_walk_and_one_certificate_per_degree(monkeypatch, rp2xrp2):
+    """On RP^2 x RP^2 with Z/2, the ring table walks each n-generator's
+    faces once down d_n and once down d_0, at most 2 sum_n n |K_n| = 19,690
+    face calls, and reads the cocycle certificate off the cached dual: at
+    most 20 transposes in all."""
+    counts = {"face": 0, "transpose": 0}
+    face, transpose = SimplicialSet.face, IntegerMatrix.transpose
+
+    def counted_face(self, s, i):
+        counts["face"] += 1
+        return face(self, s, i)
+
+    def counted_transpose(self):
+        counts["transpose"] += 1
+        return transpose(self)
+
+    monkeypatch.setattr(SimplicialSet, "face", counted_face)
+    monkeypatch.setattr(IntegerMatrix, "transpose", counted_transpose)
+    table = cohomology_ring_table(rp2xrp2, 2)
+    assert table.classes[2].group == AbelianGroup(0, (2, 2, 2))
+    bound = 2 * sum(n * k for n, k in enumerate(rp2xrp2.counts()))
+    assert bound == 19_690
+    assert counts["face"] <= bound
+    assert counts["transpose"] <= 20
+
+
+def test_corrupted_basis_cocycle_fails_the_certificate(monkeypatch, capsys):
+    """A basis cocycle moved off the cocycles (one more unit at generator
+    0) fails the per-degree certificate, and ``simphom cup`` exits 3."""
+    generators = Subquotient.generators
+
+    def corrupted(self):
+        z = generators.fget(self)
+        return z + IntegerMatrix.from_entries(z.rows, z.cols, [(0, 0, 1)] if z.rows and z.cols else [])
+
+    monkeypatch.setattr(Subquotient, "generators", property(corrupted))
+    for modulus in (0, 2):
+        with pytest.raises(AssertionError, match="is not a cocycle"):
+            cohomology_ring_table(catalog("torus"), modulus)
+    assert main(["cup", "--space", "rp2", "--coeff", "Z/2"]) == 3
+    assert capsys.readouterr().out == (
+        "error: certificate failed: a basis cocycle of degree 0 is not a cocycle\n")
 
 
 # ---------------------------------------------------------------------------

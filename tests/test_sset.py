@@ -10,6 +10,7 @@ from reference import reference_is_valid
 from simphom import sset
 from simphom.catalog import catalog
 from simphom.chains import euler_characteristic
+from simphom.cli import run
 from simphom.io import print_space
 from simphom.simplex import NonDegenSimplex, SimplexRef
 from simphom.sset import (
@@ -113,6 +114,27 @@ def test_product_over_budget_is_refused_before_it_is_built(monkeypatch):
     monkeypatch.setattr(sset, "SimplexRef", refuse)
     with pytest.raises(ValueError, match="1182091 non-degenerate simplices, over the budget of 100000"):
         product(square, rp2)
+
+
+def test_simplex_family_over_budget_is_refused_before_it_is_built(monkeypatch):
+    """Delta[n] has 2^(n+1) - 1 non-degenerate simplices: Delta[15]
+    (65,535) is under the budget and Delta[16] (131,071) over it.
+    delta:n, boundary:n, horn:n:k and sphere:n are refused from that count
+    alone, building no simplex, and the CLI exits 2 with one line."""
+    assert [sum(map(len, sset._faces_of_simplex(n))) for n in range(6)] == [
+        2 ** (n + 1) - 1 for n in range(6)]
+    assert 2 ** 16 - 1 <= sset.PRODUCT_BUDGET < 2 ** 17 - 1
+
+    def refuse(*args):
+        raise AssertionError("an over-budget simplex was built")
+
+    monkeypatch.setattr(sset.itertools, "combinations", refuse)
+    monkeypatch.setattr(sset, "SimplexRef", refuse)
+    for name in ("delta:16", "boundary:16", "horn:16:3", "sphere:16", "delta:1000000000000"):
+        with pytest.raises(ValueError, match="non-degenerate simplices, over the budget of 100000"):
+            catalog(name)
+    assert run(["homology", "--space", "delta:17"]) == (
+        ["error: Delta[17] would have 2^18 - 1 non-degenerate simplices, over the budget of 100000"], 2)
 
 
 def test_product_of_circles(circle):
