@@ -13,6 +13,7 @@ import importlib.resources
 
 from .simplex import NonDegenSimplex
 from .sset import (
+    PRODUCT_BUDGET,
     ProductResult,
     SimplicialSet,
     discrete,
@@ -25,6 +26,7 @@ from .sset import (
 from .sset import boundary as boundary_space
 from .subdivision import (
     OrderedSimplicialComplex,
+    _subdivision_size,
     boundary_complex,
     complex_to_sset,
     full_simplex_complex,
@@ -101,14 +103,18 @@ def catalog(name: str) -> SimplicialSet:
 
 
 def ordered_complex_catalog(name: str) -> OrderedSimplicialComplex:
-    """Ordered-complex models for the subdivision operations."""
+    """Ordered-complex models for the subdivision operations.  A model of
+    delta:n or boundary:n whose subdivision would have more than
+    ``PRODUCT_BUDGET`` simplices is refused (ValueError) before it is built."""
     parts = name.split(":")
     if parts[0] == "rp2" and len(parts) == 1:
         return rp2_complex()
-    if parts[0] == "delta" and len(parts) == 2:
-        return full_simplex_complex(int(parts[1]))
-    if parts[0] == "boundary" and len(parts) == 2:
-        return boundary_complex(int(parts[1]))
+    if parts[0] in ("delta", "boundary") and len(parts) == 2:
+        n = int(parts[1])
+        if _subdivision_size(n, parts[0] == "boundary") > PRODUCT_BUDGET:
+            raise ValueError(f"the subdivision of {name} would have more simplices "
+                             f"than the budget of {PRODUCT_BUDGET}")
+        return full_simplex_complex(n) if parts[0] == "delta" else boundary_complex(n)
     if parts[0] == "point" and len(parts) == 1:
         return OrderedSimplicialComplex([(0,)])
     raise ValueError(f"no ordered-complex model for {name!r}")

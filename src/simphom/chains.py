@@ -26,6 +26,11 @@ class ChainComplex:
     """Non-negatively graded free chain complex."""
 
     def __init__(self, ranks: list[int], boundaries: dict[int, IntegerMatrix]):
+        self._build(ranks, boundaries)
+        self.verify_dd_zero()
+
+    def _build(self, ranks: list[int], boundaries: dict[int, IntegerMatrix]):
+        """Store the ranks and boundaries, checking their shapes but not dd = 0."""
         self.ranks = list(ranks)
         while self.ranks and self.ranks[-1] == 0:
             self.ranks.pop()
@@ -39,7 +44,6 @@ class ChainComplex:
                 raise ValueError(
                     f"boundary {n} has shape {mat.shape}, wanted {(self.rank(n-1), self.rank(n))}")
             self.boundaries[n] = mat
-        self.verify_dd_zero()
         # certified boundary reductions, filled and read by simphom.homology
         # and keyed by the boundary degree and the top of its clearing chain
         self.reductions: dict[tuple[int, int], Reduction] = {}
@@ -63,11 +67,15 @@ class ChainComplex:
     def dual(self) -> "ChainComplex":
         """Hom(C, Z) graded downward from the top degree N: degree N - n
         holds C^n, and the boundary out of it is d_{n+1} transposed.  Built
-        once per complex, so its reductions are shared too."""
+        once per complex, so its reductions are shared too, and its own dual
+        is the complex.  dd = 0 is not checked again: d_n^T d_{n+1}^T is
+        (d_{n+1} d_n)^T, checked when the complex was built."""
         if self._dual is None:
             top = self.max_degree
-            self._dual = ChainComplex([self.rank(top - k) for k in range(top + 1)], {
+            dual = ChainComplex.__new__(ChainComplex)
+            dual._build([self.rank(top - k) for k in range(top + 1)], {
                 k: self.boundary(top - k + 1).transpose() for k in range(1, top + 1)})
+            dual._dual, self._dual = self, dual
         return self._dual
 
     def verify_dd_zero(self):

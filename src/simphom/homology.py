@@ -3,9 +3,9 @@
 Integral groups alone have one engine, ``homology``: the certified
 elementary divisors of each boundary, reduced once, give
 H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion of d_{n+1}.  It
-reduces from the top boundary asked for down, with clearing: d_k is
-reduced without its columns at the unit-pivot rows of d_{k+1}'s
-elimination, which are Z-combinations of the kept columns, so its
+reduces from the top boundary asked for down, with clearing: ``_reduce``
+eliminates d_k without its columns at the unit-pivot rows of d_{k+1}'s
+elimination, which are Z-combinations of the other columns, so its
 divisors do not change.  The certificate for that is one sparse product,
 d_k * P = 0 for the matrix P of d_{k+1}'s pivot columns.  Each reduction
 is cached on the ``ChainComplex``, keyed by its degree and the top of its
@@ -50,7 +50,7 @@ from functools import reduce
 from .abgroup import AbelianGroup
 from .chains import ChainComplex, normalized_chains, relative_chains, restricted
 from .intmatrix import IntegerMatrix
-from .snf import Reduction, Subquotient, _cleared, _reduce
+from .snf import Reduction, Subquotient, _reduce
 from .snf import smith_normal_form  # noqa: F401  perfbench's tracer tests read this binding
 from .sset import SimplicialSet, SubcomplexResult, subcomplex
 
@@ -77,13 +77,12 @@ def _reduction(c: ChainComplex, k: int, top: int) -> Reduction:
     """The certified reduction of d_k in the clearing chain from d_top down,
     cached on c by k and the top (at most one above the top degree of c):
     d_top in full, each boundary below it without the columns at the pivot
-    rows of the one above (``_cleared``).  The chain stops below a
-    boundary c does not hold; a zero boundary clears nothing."""
+    rows of the one above.  The chain stops below a boundary c does not
+    hold; a zero boundary clears nothing."""
     key = (k, min(top, c.max_degree + 1))
     if key not in c.reductions:
-        d = c.boundary(k)
-        cleared = k < key[1] and k + 1 in c.boundaries
-        c.reductions[key] = _cleared(d, _reduction(c, k + 1, key[1])) if cleared else _reduce(d)
+        above = _reduction(c, k + 1, key[1]) if k < key[1] and k + 1 in c.boundaries else None
+        c.reductions[key] = _reduce(c.boundary(k), above)
     return c.reductions[key]
 
 
@@ -98,7 +97,7 @@ def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[Abeli
     without its columns at the pivot rows of d_{k+1}'s elimination
     (clearing): each pivot column c is a cycle carrying +-1 at its own
     pivot row and 0 at the earlier ones, so back-substitution in reverse
-    step order writes each dropped column of d_k through the kept ones,
+    step order writes each dropped column of d_k through the others,
     and d_k keeps its divisors.  That rests on d_k * P = 0 for the matrix
     P of those pivot columns, checked by one product; a failure raises
     AssertionError.  The reductions are cached on c and shared with its

@@ -241,6 +241,12 @@ class IntegerMatrix:
         return IntegerMatrix._of_rows(len(rows), len(cols), [
             {t: v for j, v in nz[i].items() for t in spots.get(j, ())} for i in rows])
 
+    def with_zero_columns(self, cols: set[int]) -> "IntegerMatrix":
+        """This matrix with the columns ``cols`` set to zero, in its shape."""
+        return IntegerMatrix._of_rows(self.rows, self.cols, [
+            row if cols.isdisjoint(row) else {j: v for j, v in row.items() if j not in cols}
+            for row in self._nz])
+
     def apply(self, vec: list[int]) -> list[int]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")

@@ -16,7 +16,7 @@ dimension is implied (generator dimension - 1 - word length).  The
 canonical printer emits dimension-major, id-minor order with compact
 JSON; parse(print(K)) is the identity on canonical documents.
 
-Matrices and finite-group tables use the same versioned-header style.
+Finite-group tables (``group v1``) use the same versioned-header style.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 
 from .covers import FiniteGroup
-from .intmatrix import IntegerMatrix
 from .simplex import NonDegenSimplex, SimplexRef
 from .sset import SimplicialSet, is_valid
 
@@ -160,46 +159,7 @@ def print_space(space: SimplicialSet) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Matrices
-
-
-def print_matrix(m: IntegerMatrix) -> str:
-    out = [f"matrix v1", f"rows {m.rows} cols {m.cols}"]
-    for i in range(m.rows):
-        out.append(" ".join(str(v) for v in m.row(i)))
-    return "\n".join(out) + "\n"
-
-
-def parse_matrix(text: str) -> IntegerMatrix:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    if not lines or lines[0] != "matrix v1":
-        raise ValueError("bad or missing matrix header")
-    fields = lines[1].split() if len(lines) > 1 else []
-    if len(fields) != 4 or fields[0] != "rows" or fields[2] != "cols":
-        raise ValueError("bad matrix size line")
-    rows, cols = int(fields[1]), int(fields[3])
-    data = []
-    for ln in lines[2:2 + rows]:
-        row = [int(v) for v in ln.split()]
-        if len(row) != cols:
-            raise ValueError(f"row has {len(row)} entries, wanted {cols}")
-        data.append(row)
-    if len(data) != rows:
-        raise ValueError(f"found {len(data)} rows, wanted {rows}")
-    if len(lines) > 2 + rows:
-        raise ValueError(f"{len(lines) - 2 - rows} lines follow the {rows} matrix rows")
-    return IntegerMatrix(data, rows, cols)
-
-
-# ---------------------------------------------------------------------------
 # Finite group tables
-
-
-def print_group(g: FiniteGroup) -> str:
-    out = ["group v1", "elements " + " ".join(g.names), "table"]
-    for row in g.table:
-        out.append(" ".join(g.names[v] for v in row))
-    return "\n".join(out) + "\n"
 
 
 def parse_group(text: str) -> FiniteGroup:

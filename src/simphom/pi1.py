@@ -5,7 +5,7 @@ spanning tree kills one generator per tree edge, the remaining
 non-degenerate 1-simplices generate, and every non-degenerate 2-simplex
 contributes the relator word(d2) word(d0) word(d1)^{-1}.  Group triviality
 is never decided; reports carry the presentation, its abelianization, and
-a budgeted Tietze simplification.
+its Tietze simplification.
 """
 
 from __future__ import annotations
@@ -201,19 +201,20 @@ def _cyclic_reduce(word: tuple[int, ...]) -> tuple[int, ...]:
 class TietzeResult:
     presentation: GroupPresentation
     steps_used: int
-    budget_exhausted: bool
 
     @property
     def certifies_trivial(self) -> bool:
         return not self.presentation.generators
 
 
-def tietze_simplify(p: GroupPresentation, max_steps: int = 1000) -> TietzeResult:
-    """Bounded Tietze simplification: free/cyclic reduction, removal of
-    redundant relators, and elimination of generators defined by a relator
-    that uses them exactly once.  Letters keep their numbers until the
-    survivors are renumbered once at the end, in order, so no choice of
-    step depends on the numbering."""
+def tietze_simplify(p: GroupPresentation) -> TietzeResult:
+    """Tietze simplification to its fixed point: free/cyclic reduction,
+    removal of redundant relators, and elimination of generators defined by
+    a relator that uses them exactly once.  Each step drops at least one
+    relator and none adds one, so there are at most as many steps as
+    relators.  Letters keep their numbers until the survivors are
+    renumbered once at the end, in order, so no choice of step depends on
+    the numbering."""
     relators = [_cyclic_reduce(w) for w in p.relators]
     eliminated = set()
     steps = 0
@@ -233,7 +234,7 @@ def tietze_simplify(p: GroupPresentation, max_steps: int = 1000) -> TietzeResult
 
     keys: dict[tuple[int, ...], tuple[int, ...]] = {}  # each word seen -> min(word, its inverse)
     changed = True
-    while changed and steps < max_steps:
+    while changed:
         changed = False
         relators = [w for w in relators if w]
         seen = set()
@@ -274,4 +275,4 @@ def tietze_simplify(p: GroupPresentation, max_steps: int = 1000) -> TietzeResult
     number = {g: k for k, g in enumerate(survivors, 1)}
     relators = [tuple(number[x] if x > 0 else -number[-x] for x in w) for w in relators]
     gens = [p.generators[g - 1] for g in survivors]
-    return TietzeResult(GroupPresentation(gens, relators), steps, steps >= max_steps)
+    return TietzeResult(GroupPresentation(gens, relators), steps)

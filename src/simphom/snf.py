@@ -17,13 +17,14 @@ on the earlier pivots and carrying p_k = +-1 at its own.  That proves M
 equal to L * diag(p_1, ..., p_K, R) * W^T with L and W unimodular and
 triangular in pivot order; the steps are those factors, kept sparse.
 
-A ``Reduction`` is one certified elimination of a matrix on some of its
-columns, with its residue, whose SNF is computed on first read.
-``elementary_divisors`` answers integral groups alone: K ones followed by
-the divisors of R; an empty R skips its SNF.  One clearing step,
-``_cleared``, reduces a matrix without the columns at the pivot rows of
-the elimination of the map into its domain, after checking that it
-kills the matrix P of that elimination's pivot columns (mod m).
+A ``Reduction`` is one certified elimination of a matrix, with its
+residue, whose SNF is computed on first read, all in the matrix's own
+row and column indices.  ``elementary_divisors`` answers integral groups
+alone: K ones followed by the divisors of R; an empty R skips its SNF.
+``_reduce`` is the one entry point of every elimination.  Given the
+reduction of the map into its matrix's domain, it clears: it checks that
+the matrix kills the matrix P of that reduction's pivot columns (mod m),
+then eliminates it without the columns at the pivot rows.
 ``homology.homology`` runs it on each boundary, d_k below d_{k+1}, and
 caches the reductions on the complex.  ``Subquotient``, the one builder
 of groups with representatives and of every group with Z/m
@@ -41,7 +42,6 @@ AssertionError.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -208,19 +208,15 @@ def elementary_divisors(m: IntegerMatrix) -> list[int]:
 
 @dataclass
 class Reduction:
-    """The certified unit elimination of a matrix on some of its columns.
-
-    ``matrix`` is M with all its columns; the elimination ran on the
-    columns ``kept`` of M, so a step's column index and a residue column
-    index are positions in ``kept``.  ``residue`` is what the elimination
-    left, on the rows ``row_ids`` and the positions ``col_ids``.  Its
-    verified SNF is computed on first read.  When columns were left out
-    (clearing), the caller has certified that they lie in the span of the
-    kept ones, so the image and the divisors are M's.
+    """The certified unit elimination of a matrix M without the columns
+    ``cleared``.  Its steps and its ``residue``, on the rows ``row_ids``
+    and the columns ``col_ids``, are in M's own indices; the residue's
+    verified SNF is computed on first read.  Cleared columns were certified
+    to lie in the span of the others, so the image and the divisors are M's.
     """
 
     matrix: IntegerMatrix
-    kept: Sequence[int]
+    cleared: set[int]
     steps: list
     residue: IntegerMatrix
     row_ids: list[int]
@@ -241,17 +237,21 @@ class Reduction:
         return [1] * len(self.steps) + self.snf.divisors
 
 
-def _reduce(m: IntegerMatrix, kept: Sequence[int] | None = None) -> Reduction:
-    """The certified unit elimination of m on the columns ``kept`` (all of
-    them by default).  A matrix with no rows or no columns has nothing to
-    eliminate."""
-    if kept is None:
-        kept, part = range(m.cols), m
-    else:
-        part = m.submatrix(range(m.rows), kept)
-    steps, residue = _eliminate_units(part) if part.rows and part.cols else ([], {})
+def _reduce(m: IntegerMatrix, above: Reduction | None = None, modulus: int = 0) -> Reduction:
+    """The certified unit elimination of m.  Given ``above``, the reduction
+    of a map into m's domain, m must kill (mod the modulus) the matrix P of
+    above's pivot columns (AssertionError otherwise), and is eliminated
+    with its columns at above's pivot rows zeroed (clearing)."""
+    cleared: set[int] = set()
+    part = m
+    if above is not None:
+        cleared, pivots = _pivot_columns(above.steps, m.cols)
+        if not _vanishes(m * pivots, modulus):
+            raise AssertionError("a pivot column of in_map leaves the kernel")
+        part = m.with_zero_columns(cleared)
+    steps, residue = ([], {}) if part.is_zero() else _eliminate_units(part)
     _check_elimination(part, steps, residue)
-    return Reduction(m, kept, steps, *_residue_matrix(residue))
+    return Reduction(m, cleared, steps, *_residue_matrix(residue))
 
 
 def _pivot_columns(steps, rows: int) -> tuple[set[int], IntegerMatrix]:
@@ -259,16 +259,6 @@ def _pivot_columns(steps, rows: int) -> tuple[set[int], IntegerMatrix]:
     whose column k is the pivot column c_k of step k."""
     return {i for i, _, _, _, _ in steps}, IntegerMatrix.from_entries(rows, len(steps), (
         (a, k, v) for k, (_, _, _, c, _) in enumerate(steps) for a, v in c.items()))
-
-
-def _cleared(m: IntegerMatrix, above: Reduction, modulus: int = 0) -> Reduction:
-    """m reduced without its columns at the pivot rows of ``above``, the
-    reduction of a map into m's domain, once m kills (mod the modulus) the
-    matrix P of above's pivot columns; AssertionError otherwise."""
-    cleared, pivots = _pivot_columns(above.steps, m.cols)
-    if not _vanishes(m * pivots, modulus):
-        raise AssertionError("a pivot column of in_map leaves the kernel")
-    return _reduce(m, [j for j in range(m.cols) if j not in cleared])
 
 
 def _vanishes(m: IntegerMatrix, modulus: int = 0) -> bool:
@@ -460,9 +450,9 @@ class Subquotient:
     residue, read from a second residue SNF.
 
     out_map and in_map are matrices, or the cached ``Reduction`` of a
-    chain complex's d_{n+1} (in_map) and of d_n on the columns off its
-    pivot rows (out_map), whose clearing certificate was checked when
-    they were built.  ``generators`` is the r x g matrix of
+    chain complex's d_{n+1} (in_map) and of d_n cleared by it (out_map),
+    whose clearing certificate was checked when they were built; both keep
+    the indices of Z^r.  ``generators`` is the r x g matrix of
     representatives, zero on in_map's pivot rows; it is built and
     certified on its first read or on the first ``reduce``, which maps a
     matrix of kernel columns to their coordinates with one product for
@@ -484,23 +474,19 @@ class Subquotient:
             if not _vanishes(out_map * in_map, modulus):
                 raise ValueError("in_map leaves the kernel")
             incoming = _reduce(in_map)
-            outgoing = _cleared(out_map, incoming, modulus)
-        self._out, self._in_steps, self._kept = outgoing.matrix, incoming.steps, outgoing.kept
+            outgoing = _reduce(out_map, incoming, modulus)
+        self._out, self._in_steps = outgoing.matrix, incoming.steps
         pivot_rows = {i for i, _, _, _, _ in incoming.steps}
-        if (incoming.matrix.rows != self._out.cols
-                or list(self._kept) != [j for j in range(self._out.cols) if j not in pivot_rows]):
+        if incoming.matrix.rows != self._out.cols or outgoing.cleared != pivot_rows:
             raise ValueError("out_map is not reduced off the pivot rows of in_map")
         self._kernel_steps, self._res_cols = outgoing.steps, outgoing.col_ids
         out_snf = outgoing.snf
         self._V, self._V_inv = out_snf.V, out_snf.V_inv
-        touched = {j for _, j, _, _, _ in self._kernel_steps}.union(self._res_cols)
-        self._free_cols = [j for j in range(len(self._kept)) if j not in touched]
-        # the coordinates of Z^r that the kernel coordinates read, and the
-        # rows that forward substitution through in_map's steps must keep
-        # up to date: those and its pivot rows
-        self._free_ids = [self._kept[j] for j in self._free_cols]
-        self._res_ids = [self._kept[j] for j in self._res_cols]
-        self._live = pivot_rows.union(self._free_ids, self._res_ids)
+        touched = pivot_rows.union(self._res_cols, (j for _, j, _, _, _ in self._kernel_steps))
+        self._free_cols = [j for j in range(self._out.cols) if j not in touched]
+        # the rows that forward substitution through in_map's steps must
+        # keep up to date: those the kernel coordinates read, and its pivot rows
+        self._live = pivot_rows.union(self._free_cols, self._res_cols)
         free = [1] * (len(self._res_cols) - out_snf.rank)
         if modulus:
             self._skip = 0
@@ -555,14 +541,14 @@ class Subquotient:
         columns, w = V^-1 y, then the passed-through columns.  A w that z
         cannot represent fails the certificate."""
         n_res = len(self._t)
-        z = {n_res + k: y[i] for k, i in enumerate(self._free_ids) if i in y}
-        if self._res_ids:
-            for i, j, v in (self._V_inv * _on_rows(y, self._res_ids, cols)).entries():
+        z = {n_res + k: y[i] for k, i in enumerate(self._free_cols) if i in y}
+        if self._res_cols:
+            for i, j, v in (self._V_inv * _on_rows(y, self._res_cols, cols)).entries():
                 k = i - self._skip
                 if k < 0 or v % self._t[k]:
                     raise AssertionError("column outside the residue kernel")
                 z.setdefault(k, {})[j] = v // self._t[k]
-        return IntegerMatrix.from_row_dicts(n_res + len(self._free_ids), cols, z)
+        return IntegerMatrix.from_row_dicts(n_res + len(self._free_cols), cols, z)
 
     def _lift(self, z: IntegerMatrix) -> IntegerMatrix:
         """The kernel columns in Z^r with kernel coordinates z: V (t (.) z)
@@ -585,8 +571,7 @@ class Subquotient:
                     for k, w in y[jj].items():
                         acc[k] = acc.get(k, 0) - p * v * w
             y[j] = acc
-        kept = self._kept
-        return IntegerMatrix.from_row_dicts(self._out.cols, z.cols, {kept[i]: row for i, row in y.items()})
+        return IntegerMatrix.from_row_dicts(self._out.cols, z.cols, y)
 
     def _coordinates(self, x: IntegerMatrix) -> IntegerMatrix:
         """Canonical coordinates of kernel columns x: forward substitution

@@ -10,10 +10,11 @@ the cone formula sd(sigma) = b_sigma * sd(boundary sigma).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .chains import ChainMap, normalized_chains
 from .intmatrix import IntegerMatrix
-from .sset import SimplicialSet, vertex_tuple_generators
+from .sset import PRODUCT_BUDGET, SimplicialSet, vertex_tuple_generators
 
 
 class OrderedSimplicialComplex:
@@ -144,6 +145,22 @@ def barycentric_subdivide(cx: OrderedSimplicialComplex) -> SubdivisionResult:
     chain_map = ChainMap(normalized_chains(complex_to_sset(cx)),
                          normalized_chains(complex_to_sset(subdivided)), mats)
     return SubdivisionResult(subdivided, chain_map, dict(face_order))
+
+
+def _subdivision_size(n: int, boundary: bool) -> int:
+    """The number of simplices of Sd(Delta[n]), or of Sd of its boundary.
+    A simplex of Sd is a chain of faces; those whose top face has m
+    vertices number C(n+1, m) a(m), with a(m) = 1, 3, 13, 75, ... the
+    ordered Bell numbers, and the boundary drops m = n + 1.  The sum stops
+    at its first partial sum over ``PRODUCT_BUDGET``, so no n is too large."""
+    bell = [1]
+    total = 0
+    for m in range(1, n + 1 if boundary else n + 2):
+        bell.append(sum(comb(m, k) * bell[m - k] for k in range(1, m + 1)))
+        total += comb(n + 1, m) * bell[m]
+        if total > PRODUCT_BUDGET:
+            break
+    return total
 
 
 def full_simplex_complex(n: int) -> OrderedSimplicialComplex:

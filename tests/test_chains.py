@@ -21,6 +21,8 @@ from simphom.homology import homology
 from simphom.intmatrix import IntegerMatrix
 from simphom.sset import boundary, product, quotient, skeleton, std_simplex, subcomplex
 
+from conftest import all_catalog_spaces
+
 
 def test_normalized_circle(circle):
     c = normalized_chains(circle)
@@ -62,6 +64,23 @@ def test_dd_zero_everywhere():
         space = catalog(name)
         normalized_chains(space).verify_dd_zero()
         unnormalized_chains(space).verify_dd_zero()
+
+
+def test_dual_reuses_the_dd_zero_certificate(monkeypatch):
+    """The dual is built without checking dd = 0 again, since
+    d_n^T d_{n+1}^T = (d_{n+1} d_n)^T was checked on the complex; its own
+    dual is the complex, and consecutive dual boundaries still compose to
+    zero on the catalog and on T^2 x RP^2."""
+    spaces = all_catalog_spaces() + [product(catalog("torus"), catalog("rp2")).space]
+    complexes = [normalized_chains(space) for space in spaces]
+    checks = []
+    monkeypatch.setattr(ChainComplex, "verify_dd_zero", lambda self: checks.append(self))
+    duals = [c.dual() for c in complexes]
+    assert checks == []
+    for c, dual in zip(complexes, duals):
+        assert dual.dual() is c and c.dual() is dual
+        for n in range(2, dual.max_degree + 1):
+            assert (dual.boundary(n - 1) * dual.boundary(n)).is_zero(), (c, n)
 
 
 def test_chain_complex_rejects_bad_boundary():

@@ -1,0 +1,79 @@
+"""CLI stdout and exit status pinned on a fixed battery of commands.
+
+``tests/golden/stdout.json`` maps each command line of ``ARGVS`` to the
+stdout and exit status it gave when the file was written.  A change that
+must leave every output byte-identical keeps this test passing; a change
+of output on purpose rewrites the file with
+
+    PYTHONPATH=src python tests/test_golden_stdout.py
+
+and declares the change.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from simphom.cli import run
+
+GOLDEN = Path(__file__).parent / "golden" / "stdout.json"
+
+SPACES = ("point", "circle", "torus", "rp2", "klein", "sphere:2", "boundary:3")
+
+COMMANDS = (
+    ["homology"],
+    ["cohomology", "--coeff", "Z/2"],
+    ["coeffs", "--coeff", "Z/3"],
+    ["uct", "--coeff", "Z/2"],
+    ["les", "--sub", "skeleton:1"],
+    ["cup"],
+    ["cup", "--coeff", "Z/2"],
+    ["cup", "--coeff", "Z/3"],
+    ["pi1"],
+    ["kan", "--dim", "2"],
+    ["cover", "--group", "cyclic:2"],
+    ["validate"],
+    ["print"],
+)
+
+# refusals that end in exit 2 with one line
+REFUSALS = (
+    ["homology", "--space", "delta:17"],
+    ["homology", "--space", "nosuch"],
+    ["homology", "--space", "rp2", "--dim", "-1"],
+    ["les", "--space", "rp2"],
+    ["cup", "--space", "rp2", "--coeff", "Z^2"],
+    ["cover", "--space", "rp2"],
+)
+
+ARGVS = [command[:1] + ["--space", space] + command[1:] + ["--format", fmt]
+         for space in SPACES for command in COMMANDS for fmt in ("text", "machine")] + [
+    list(argv) for argv in REFUSALS]
+
+
+def _outputs() -> dict[str, dict]:
+    out = {}
+    for argv in ARGVS:
+        lines, status = run(argv)
+        out[" ".join(argv)] = {"stdout": "\n".join(lines) + "\n", "status": status}
+    return out
+
+
+def test_cli_stdout_and_status_match_the_golden_file():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert list(golden) == [" ".join(argv) for argv in ARGVS], "the battery changed; rewrite the file"
+    for key, got in _outputs().items():
+        assert got == golden[key], f"first command that differs: simphom {key}"
+
+
+def test_refusals_exit_2_with_one_line():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for argv in REFUSALS:
+        entry = golden[" ".join(argv)]
+        assert entry["status"] == 2 and entry["stdout"].count("\n") == 1, argv
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(_outputs(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8")

@@ -143,6 +143,10 @@ def test_restriction_and_stacking_match_the_dense_reference(data, rows, cols, mo
     assert_reads_as(m.submatrix(pick_rows, pick_cols),
                     [[a[i][j] for j in pick_cols] for i in pick_rows],
                     len(pick_rows), len(pick_cols))
+    zeroed = set(pick_cols)
+    assert_reads_as(m.with_zero_columns(zeroed),
+                    [[0 if j in zeroed else v for j, v in enumerate(row)] for row in a], rows, cols)
+    assert_reads_as(m, a, rows, cols)
     assert_reads_as(m.hstack(IntegerMatrix(right, rows, more)),
                     [p + q for p, q in zip(a, right)], rows, cols + more)
     assert_reads_as(m.vstack(IntegerMatrix(below, more, cols)), a + below, rows + more, cols)
