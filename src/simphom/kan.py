@@ -8,15 +8,25 @@ dimension when every relative horn problem along it has a solution.
 
 Each check tabulates the faces of the simplices it needs once, in
 ``all_simplices`` order, and answers horn questions by dict lookups.
+Horns are enumerated as a join on the (n-1)-simplex table: slot by slot,
+one index on the faces at the earlier slots gives every simplex that
+satisfies all the identities d_i x_j = d_{j-1} x_i bound so far.  A horn
+is a plain face tuple with None at slot k; a :class:`HornMap` is built
+only for a reported lifting problem.  Every horn counted by
+:func:`kan_check` or :func:`fibration_check` is certified against those
+identities, read from the table.  Tables that would hold more than
+``sset.PRODUCT_BUDGET`` faces are refused, from the generator counts
+alone, before any is built.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .simplex import SimplexRef
-from .sset import SimplicialMap, SimplicialSet
+from .sset import PRODUCT_BUDGET, SimplicialMap, SimplicialSet
 
 
 @dataclass(frozen=True)
@@ -35,11 +45,22 @@ class HornMap:
         return [i for i in range(self.n + 1) if i != self.k]
 
 
+def _pairs(n: int, k: int) -> list[tuple[int, int]]:
+    """The (i, j) with i < j, both != k, of a horn's identities d_i x_j = d_{j-1} x_i."""
+    given = [i for i in range(n + 1) if i != k]
+    return [(i, j) for j in given for i in given if i < j]
+
+
 def horn_compatible(face, h: HornMap) -> bool:
     """d_i x_j = d_{j-1} x_i for i < j, both != k; ``face(x, i)`` gives d_i x."""
-    given = h.given_indices()
-    return all(face(h.faces[j], i) == face(h.faces[i], j - 1)
-               for j in given for i in given if i < j)
+    return all(face(h.faces[j], i) == face(h.faces[i], j - 1) for i, j in _pairs(h.n, h.k))
+
+
+def _certify(lower: dict, faces: tuple, pairs: list) -> None:
+    """The identities of :func:`horn_compatible`, read from the table of the
+    (n-1)-simplices, for a horn given as a face tuple."""
+    if not all(lower[faces[j]][i] == lower[faces[i]][j - 1] for i, j in pairs):
+        raise ValueError("incompatible horn data")
 
 
 def check_horn(space: SimplicialSet, h: HornMap):
@@ -64,40 +85,50 @@ def _face_table(space: SimplicialSet, n: int) -> dict[SimplexRef, tuple]:
             for x in space.all_simplices(n)}
 
 
-def _off(faces: tuple, k: int) -> tuple:
-    return faces[:k] + faces[k + 1:]
+def _refuse_over_budget(up_to_dim: int, *spaces: SimplicialSet) -> None:
+    """Refuse (ValueError) face tables through ``up_to_dim`` that would hold
+    more than ``PRODUCT_BUDGET`` faces in all, counted from the generator
+    counts a_p alone: sum_{n=1}^{D} (n+1)|K_n| with |K_n| = sum_p a_p C(n, p).
+    As (n+1) C(n, p) = (p+1) C(n+1, p+1), that is
+    sum_p a_p (p+1) C(D+2, p+2) - a_0, with no loop over n."""
+    size = sum(a * (p + 1) * math.comb(up_to_dim + 2, p + 2) - (a if p == 0 else 0)
+               for space in spaces for p, a in enumerate(space.counts()))
+    if size > PRODUCT_BUDGET:
+        raise ValueError(f"the face tables through dimension {up_to_dim} would hold {size} "
+                         f"faces, over the budget of {PRODUCT_BUDGET}")
+
+
+def _horn_of(faces: tuple, k: int) -> tuple:
+    """The faces of an n-simplex with None at slot k: the (n, k) horn it fills."""
+    return faces[:k] + (None,) + faces[k + 1:]
 
 
 def fill_horn(space: SimplicialSet, h: HornMap) -> list[SimplexRef]:
     """All n-simplices whose faces match the horn off index k."""
     check_horn(space, h)
-    return [x for x, faces in _face_table(space, h.n).items()
-            if _off(faces, h.k) == _off(h.faces, h.k)]
+    horn = _horn_of(h.faces, h.k)
+    return [x for x, faces in _face_table(space, h.n).items() if _horn_of(faces, h.k) == horn]
 
 
-def _horns(lower: dict, n: int, k: int):
-    """Backtracking over the slots j in increasing order: candidates x with
-    d_i x = d_{j-1} x_i for the first slot i come from an index on d_i."""
+def _horns(lower: dict, n: int, k: int) -> list[tuple]:
+    """Every compatible horn (n, k) on the (n-1)-simplex table ``lower``, as
+    a face tuple with None at slot k, in the order of a backtracking over
+    the slots j != k in increasing order and ``lower`` order at each slot.
+
+    A join, one slot at a time: the partial horns on the earlier slots
+    extend by the x whose faces d_i x, at each earlier slot i, equal
+    d_{j-1} x_i.  One index on those faces per slot answers that with one
+    lookup, so no candidate is filtered afterwards."""
     slots = [i for i in range(n + 1) if i != k]
-    index: dict = {}
-    if n > 1:  # for n = 1 there is one slot, and vertices have no faces
+    partial = [()]
+    for pos, j in enumerate(slots):
+        earlier = slots[:pos]
+        index: dict = {}
         for x, faces in lower.items():
-            index.setdefault(faces[slots[0]], []).append(x)
-    assigned: list = [None] * (n + 1)
-
-    def extend(pos: int):
-        if pos == len(slots):
-            yield HornMap(n, k, tuple(assigned))
-            return
-        j = slots[pos]
-        cands = index.get(lower[assigned[slots[0]]][j - 1], ()) if pos else lower
-        for cand in cands:
-            if all(lower[cand][i] == lower[assigned[i]][j - 1] for i in slots[1:pos]):
-                assigned[j] = cand
-                yield from extend(pos + 1)
-        assigned[j] = None
-
-    yield from extend(0)
+            index.setdefault(tuple([faces[i] for i in earlier]), []).append(x)
+        partial = [h + (x,) for h in partial
+                   for x in index.get(tuple([lower[x_i][j - 1] for x_i in h]), ())]
+    return [h[:k] + (None,) + h[k:] for h in partial]
 
 
 @dataclass
@@ -135,23 +166,27 @@ class KanReport:
 def kan_check(space: SimplicialSet, up_to_dim: int = 3) -> KanReport:
     """Enumerate every horn through the given dimension and report the
     unfillable ones; empty failure list certifies the Kan condition.
-    Every counted horn passes :func:`horn_compatible` on the face table."""
+    Every counted horn passes :func:`horn_compatible` on the face table.
+    Face tables over ``PRODUCT_BUDGET`` are refused before they are built."""
     if up_to_dim < 1:
         raise ValueError("up_to_dim must be >= 1")
+    _refuse_over_budget(up_to_dim, space)
     report = KanReport(space.name or "K", up_to_dim, 0)
+    if space.is_empty():  # no simplex, so no horn in any dimension
+        return report
     tables = [_face_table(space, n) for n in range(up_to_dim + 1)]
     for n in range(1, up_to_dim + 1):
         lower, upper = tables[n - 1], tables[n]
-        fillable = {(k, _off(faces, k)) for faces in upper.values() for k in range(n + 1)}
+        fillable = {_horn_of(faces, k) for faces in upper.values() for k in range(n + 1)}
         for k in range(n + 1):
+            pairs = _pairs(n, k)
             for h in _horns(lower, n, k):
-                if not horn_compatible(lambda x, i: lower[x][i], h):
-                    raise ValueError("incompatible horn data")
+                _certify(lower, h, pairs)
                 report.horns_checked += 1
-                if (k, _off(h.faces, k)) not in fillable:
-                    desc = ", ".join(
-                        f"d{i}={space.format_ref(h.faces[i])}" for i in h.given_indices())
-                    report.failures.append(HornFailure(n, k, h.faces, desc))
+                if h not in fillable:
+                    desc = ", ".join(f"d{i}={space.format_ref(x)}"
+                                     for i, x in enumerate(h) if i != k)
+                    report.failures.append(HornFailure(n, k, h, desc))
     return report
 
 
@@ -194,28 +229,34 @@ class FibrationReport:
 def fibration_check(space_map: SimplicialMap, up_to_dim: int = 3) -> FibrationReport:
     """Relative horn lifting along a map: for every horn in the source and
     every compatible simplex downstairs, count the upstairs fillers that
-    also project correctly."""
+    also project correctly.  Every horn passes :func:`horn_compatible` on the
+    face table; face tables of source and target over ``PRODUCT_BUDGET`` in
+    all are refused before they are built."""
     if up_to_dim < 1:
         raise ValueError("up_to_dim must be >= 1")
     E, B = space_map.source, space_map.target
-    f = space_map.apply
+    _refuse_over_budget(up_to_dim, E, B)
     report = FibrationReport(up_to_dim, 0)
+    if E.is_empty():  # no simplex upstairs, so no horn in any dimension
+        return report
     tables = [_face_table(E, n) for n in range(up_to_dim + 1)]
+    images = [{x: space_map.apply(x) for x in table} for table in tables]
     for n in range(1, up_to_dim + 1):
-        lower, upper = tables[n - 1], tables[n]
-        lifts = Counter((f(x), k, _off(faces, k))
+        lower, upper, image = tables[n - 1], tables[n], images[n - 1]
+        lifts = Counter((images[n][x], _horn_of(faces, k))
                         for x, faces in upper.items() for k in range(n + 1))
-        over: dict = {}  # (k, faces off k) -> base n-simplices, in order
+        over: dict = {}  # base horn -> the base n-simplices filling it, in order
         for y, faces in _face_table(B, n).items():
             for k in range(n + 1):
-                over.setdefault((k, _off(faces, k)), []).append(y)
+                over.setdefault(_horn_of(faces, k), []).append(y)
         for k in range(n + 1):
+            pairs = _pairs(n, k)
             for h in _horns(lower, n, k):
-                off = _off(h.faces, k)
-                for y in over.get((k, tuple(map(f, off))), ()):
+                _certify(lower, h, pairs)
+                for y in over.get(tuple(map(image.get, h)), ()):  # image.get(None) is None
                     report.problems_checked += 1
-                    count = lifts[(y, k, off)]
+                    count = lifts[(y, h)]
                     if count != 1:
                         bad = report.non_unique if count else report.failures
-                        bad.append(LiftingProblem(h, y, count))
+                        bad.append(LiftingProblem(HornMap(n, k, h), y, count))
     return report

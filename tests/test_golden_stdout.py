@@ -32,6 +32,7 @@ COMMANDS = (
     ["cup", "--coeff", "Z/3"],
     ["pi1"],
     ["kan", "--dim", "2"],
+    ["kan", "--dim", "3"],
     ["cover", "--group", "cyclic:2"],
     ["validate"],
     ["print"],

@@ -4,7 +4,9 @@ import pytest
 
 import simphom.kan as kan_module
 from simphom.catalog import catalog
+from simphom.cli import run
 from simphom.covers import build_cover, cyclic_labeling, verify_covering
+from simphom.io import print_space
 from simphom.kan import (
     FibrationReport,
     HornFailure,
@@ -20,14 +22,15 @@ from simphom.kan import (
 )
 from simphom.pi1 import pi1_presentation
 from simphom.simplex import SimplexRef
-from simphom.sset import SimplicialSet, discrete, product, std_simplex
+from simphom.sset import SimplicialMap, SimplicialSet, discrete, product, std_simplex
 
 from conftest import constant_map
 
 
 def enumerate_horns(space: SimplicialSet, n: int, k: int):
     """All compatible horns of shape (n, k) into the space."""
-    yield from _horns(_face_table(space, n - 1), n, k)
+    for faces in _horns(_face_table(space, n - 1), n, k):
+        yield HornMap(n, k, faces)
 
 
 def test_fill_in_discrete_space():
@@ -233,9 +236,94 @@ def test_kan_check_certifies_each_horn_it_counts(monkeypatch):
     # the interval horn of test_incompatible_horn_rejected, slipped past the
     # enumeration: kan_check must refuse it rather than count it
     bad = HornMap(2, 0, (None, SimplexRef(0, 1, (0,)), SimplexRef(1, 0)))
-    monkeypatch.setattr(kan_module, "_horns", lambda lower, n, k: iter([bad] if n == 2 else []))
+    monkeypatch.setattr(kan_module, "_horns", lambda lower, n, k: [bad.faces] if n == 2 else [])
     with pytest.raises(ValueError, match="incompatible horn data"):
         kan_check(std_simplex(1), 2)
+
+
+def test_fibration_check_certifies_each_horn_it_counts(monkeypatch):
+    # the same incompatible horn, slipped past the enumeration of the source's
+    # horns: fibration_check must refuse it rather than count its lifts
+    bad = HornMap(2, 0, (None, SimplexRef(0, 1, (0,)), SimplexRef(1, 0)))
+    monkeypatch.setattr(kan_module, "_horns", lambda lower, n, k: [bad.faces] if n == 2 else [])
+    with pytest.raises(ValueError, match="incompatible horn data"):
+        fibration_check(constant_map(std_simplex(1), catalog("point"), 0), 2)
+
+
+@pytest.fixture(scope="module")
+def rp2_x_rp2():
+    return product(catalog("rp2"), catalog("rp2")).space
+
+
+def test_kan_counts_on_products_are_pinned(rp2_x_rp2):
+    """Horns checked and unfillable horns, pinned from the backtracking
+    enumeration that the slot-by-slot join replaced."""
+    t2_x_rp2 = product(catalog("torus"), catalog("rp2")).space
+    pins = [(rp2_x_rp2, 2, 19770, 13350), (rp2_x_rp2, 3, 46014, 13350),
+            (t2_x_rp2, 2, 3820, 2566), (t2_x_rp2, 3, 9004, 2566)]
+    for space, dim, horns, unfillable in pins:
+        report = kan_check(space, dim)
+        assert (report.horns_checked, len(report.failures)) == (horns, unfillable), (space, dim)
+
+
+def test_face_table_estimate_is_exact(monkeypatch):
+    """With a budget of -1 every check is refused, and the refusal names the
+    estimate: it equals the faces the tables through that dimension hold."""
+    def faces_held(space, top):
+        return sum((n + 1) * sum(1 for _ in space.all_simplices(n)) for n in range(1, top + 1))
+
+    monkeypatch.setattr(kan_module, "PRODUCT_BUDGET", -1)
+    spaces = [catalog(name) for name in ("point", "rp2", "klein", "boundary:3", "discrete:0")]
+    for space in spaces:
+        for dim in (1, 2, 3, 5):
+            with pytest.raises(ValueError, match=f"would hold {faces_held(space, dim)} faces"):
+                kan_check(space, dim)
+    to_point = constant_map(catalog("rp2"), catalog("point"), 0)
+    # rp2's 504 faces through dimension 3 and the point's 2 + 3 + 4
+    with pytest.raises(ValueError, match=f"would hold {504 + 2 + 3 + 4} faces"):
+        fibration_check(to_point, 3)
+
+
+def test_face_tables_over_budget_are_refused_before_they_are_built(monkeypatch, rp2_x_rp2, tmp_path):
+    """RP^2 x RP^2 (36/405/1270/1500/600) has 33,474 table faces through
+    dimension 3 and 112,854 through dimension 4, over the budget of 100,000.
+    Both checks refuse from the generator counts alone, building no table;
+    fibration_check counts the faces of source and target."""
+    doc = tmp_path / "rp2xrp2.sset"
+    doc.write_text(print_space(rp2_x_rp2))
+
+    def refuse(*args):
+        raise AssertionError("an over-budget face table was built")
+
+    monkeypatch.setattr(SimplicialSet, "all_simplices", refuse)
+    over = "would hold 112854 faces, over the budget of 100000"
+    with pytest.raises(ValueError, match=over):
+        kan_check(rp2_x_rp2, 4)
+    with pytest.raises(ValueError, match="over the budget"):
+        kan_check(catalog("point"), 10 ** 12)
+    assert run(["kan", "--file", str(doc), "--dim", "4"]) == (
+        [f"error: the face tables through dimension 4 {over}"], 2)
+    point = catalog("point")  # 14 table faces through dimension 4
+    into = SimplicialMap(point, rp2_x_rp2, {(0, 0): SimplexRef(0, 0)}, check=False)
+    for space_map in (into, constant_map(rp2_x_rp2, point, 0)):
+        with pytest.raises(ValueError, match="would hold 112868 faces"):
+            fibration_check(space_map, 4)
+    monkeypatch.undo()
+    assert fibration_check(into, 3).problems_checked > 0
+
+
+def test_empty_space_has_no_horns_in_any_dimension(monkeypatch):
+    """An empty space has no table faces, so the budget cannot bound the
+    dimensions; both checks answer without walking them or building a table."""
+    def refuse(*args):
+        raise AssertionError("a face table of the empty space was built")
+
+    empty = discrete(0)
+    monkeypatch.setattr(SimplicialSet, "all_simplices", refuse)
+    report = kan_check(empty, 10 ** 12)
+    assert report.passed and report.horns_checked == 0
+    into_point = SimplicialMap(empty, catalog("point"), {}, check=False)
+    assert fibration_check(into_point, 3).problems_checked == 0
 
 
 def test_face_calls_scale_with_the_face_tables(monkeypatch, rp2):
