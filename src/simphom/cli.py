@@ -344,9 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: parse_args builds a fresh namespace on every call.
+PARSER = build_parser()
+
+
 def run(argv: list[str]) -> tuple[list[str], int]:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     started = time.monotonic()
     try:
         if args.dim is not None and args.dim < 0:

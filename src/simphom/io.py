@@ -12,9 +12,12 @@ Space documents (the wire format, version ``sset v1``)::
 Each generator line is ``<id> <faces>`` where faces is a JSON list of
 ``[base-id, degeneracy-word]`` pairs in face order d0, d1, ...; the word
 is a decreasing list of integers, ``[]`` when empty, and the base
-dimension is implied (generator dimension - 1 - word length).  The
-canonical printer emits dimension-major, id-minor order with compact
-JSON; parse(print(K)) is the identity on canonical documents.
+dimension is implied (generator dimension - 1 - word length); ids and
+letters are JSON ints, never booleans.  The parser reads the lines, then
+decodes each dimension block in one ``json.loads`` and checks each
+distinct word of a block once; its errors name the same line as a
+line-by-line parse.  The printer emits dimension-major, id-minor order
+with compact JSON; parse(print(K)) is the identity on canonical documents.
 
 Finite-group tables (``group v1``) use the same versioned-header style.
 """
@@ -50,91 +53,75 @@ def parse_space(text: str) -> SimplicialSet:
 def _parse_unchecked(text: str) -> SimplicialSet:
     """Parse a space document without checking the simplicial identities;
     the catalog reads its shipped documents this way."""
-    lines = text.splitlines()
-    pos = 0
-
-    def next_content():
-        nonlocal pos
-        while pos < len(lines):
-            stripped = lines[pos].strip()
-            pos += 1
-            if stripped and not stripped.startswith("#"):
-                return stripped, pos
-        return None, pos
-
-    header, lineno = next_content()
-    if header is None or header != "sset v1":
-        raise SpaceDocumentError(f"bad or missing header (wanted 'sset v1', got {header!r})",
-                                 lineno if header is not None else 1)
-    name = None
-    rows: list[list[tuple[int, list, int]]] = []
-    current_dim = None
-    while True:
-        content, lineno = next_content()
-        if content is None:
-            break
-        fields = content.split(None, 1)
-        if fields[0] == "name":
-            if current_dim is not None:
-                raise SpaceDocumentError("name must precede the dimension blocks", lineno)
-            name = fields[1].strip() if len(fields) > 1 else ""
-        elif fields[0] == "dim":
-            try:
-                d = int(fields[1])
-            except (IndexError, ValueError):
-                raise SpaceDocumentError("dim needs an integer argument", lineno) from None
-            expected = (current_dim + 1) if current_dim is not None else 0
-            if d != expected:
-                raise SpaceDocumentError(
-                    f"dimension blocks must be consecutive from 0 (got {d}, wanted {expected})",
-                    lineno)
-            current_dim = d
-            rows.append([])
-        else:
-            if current_dim is None:
-                raise SpaceDocumentError(f"generator line before any 'dim' block: {content!r}", lineno)
-            try:
-                gid = int(fields[0])
-            except ValueError:
-                raise SpaceDocumentError(f"bad generator id {fields[0]!r}", lineno) from None
-            if len(fields) < 2:
-                raise SpaceDocumentError("generator line has no face list", lineno)
-            try:
-                faces = json.loads(fields[1])
-            except json.JSONDecodeError as exc:
-                raise SpaceDocumentError(f"bad face list: {exc.msg}", lineno) from None
-            if gid != len(rows[current_dim]):
-                raise SpaceDocumentError(
-                    f"ids must be dense and ascending (got {gid}, wanted {len(rows[current_dim])})",
-                    lineno)
-            rows[current_dim].append((gid, faces, lineno))
-
-    gens: list[list[NonDegenSimplex]] = []
-    for d, row in enumerate(rows):
+    # A line pass checks the header, the blocks and the ids, and collects
+    # each block's face texts.  Its error waits until those are decoded: a
+    # bad face list on an earlier line, or on the same line before a wrong
+    # id, is reported first.  Entry errors come after every block decodes.
+    lines = ((k, s) for k, s in enumerate(map(str.strip, text.splitlines()), 1) if s and s[0] != "#")
+    lineno, header = next(lines, (1, None))
+    if header != "sset v1":
+        raise SpaceDocumentError(f"bad or missing header (wanted 'sset v1', got {header!r})", lineno)
+    name = pending = None
+    blocks: list[tuple[list[str], list[int]]] = []      # face texts and line numbers per dim
+    try:
+        for lineno, content in lines:
+            fields = content.split(None, 1)
+            if fields[0] == "name":
+                if blocks:
+                    raise SpaceDocumentError("name must precede the dimension blocks", lineno)
+                name = fields[1].strip() if len(fields) > 1 else ""
+            elif fields[0] == "dim":
+                try:
+                    d = int(fields[1])
+                except (IndexError, ValueError):
+                    raise SpaceDocumentError("dim needs an integer argument", lineno) from None
+                if d != len(blocks):
+                    raise SpaceDocumentError(
+                        f"dimension blocks must be consecutive from 0 (got {d}, wanted {len(blocks)})",
+                        lineno)
+                blocks.append(([], []))
+            else:
+                if not blocks:
+                    raise SpaceDocumentError(f"generator line before any 'dim' block: {content!r}", lineno)
+                try:
+                    gid = int(fields[0])
+                except ValueError:
+                    raise SpaceDocumentError(f"bad generator id {fields[0]!r}", lineno) from None
+                if len(fields) < 2:
+                    raise SpaceDocumentError("generator line has no face list", lineno)
+                texts, linenos = blocks[-1]
+                texts.append(fields[1])
+                linenos.append(lineno)
+                if gid != len(texts) - 1:
+                    raise SpaceDocumentError(
+                        f"ids must be dense and ascending (got {gid}, wanted {len(texts) - 1})", lineno)
+    except SpaceDocumentError as exc:
+        pending = exc
+    decoded = [_decode(texts, linenos) for texts, linenos in blocks]
+    if pending is not None:
+        raise pending
+    gens = []
+    for d, (rows, (_, linenos)) in enumerate(zip(decoded, blocks)):
+        want = d + 1 if d else 0
+        # str(word) (which tells 1 from true and 1.0) -> its base dimension and
+        # word, and the face refs over it by base id, each built once per block
+        words = {}
         out = []
-        for gid, faces, lineno in row:
-            if not isinstance(faces, list):
+        for gid, (faces, lineno) in enumerate(zip(rows, linenos)):
+            if type(faces) is not list:
                 raise SpaceDocumentError("face list must be a list", lineno)
-            want = 0 if d == 0 else d + 1
             if len(faces) != want:
-                raise SpaceDocumentError(
-                    f"generator {d}.{gid} has {len(faces)} faces, wanted {want}", lineno)
+                raise SpaceDocumentError(f"generator {d}.{gid} has {len(faces)} faces, wanted {want}", lineno)
             refs = []
             for entry in faces:
-                if (not isinstance(entry, list) or len(entry) != 2
-                        or not isinstance(entry[0], int) or not isinstance(entry[1], list)
-                        or not all(isinstance(w, int) for w in entry[1])):
-                    raise SpaceDocumentError(
-                        f"face entry {entry!r} is not [base-id, word]", lineno)
-                base_id, word = entry
-                base_dim = d - 1 - len(word)
-                if base_dim < 0:
-                    raise SpaceDocumentError(
-                        f"degeneracy word {word} too long for a face of dimension {d - 1}", lineno)
-                ref = SimplexRef(base_dim, base_id, tuple(word))
-                if word and not ref.words_ok():
-                    raise SpaceDocumentError(
-                        f"degeneracy word {word} is not strictly decreasing in range", lineno)
+                if (type(entry) is not list or len(entry) != 2      # type(): True is not an id
+                        or type(entry[0]) is not int or type(entry[1]) is not list):
+                    raise SpaceDocumentError(f"face entry {entry!r} is not [base-id, word]", lineno)
+                base_dim, word, seen = words.get(str(entry[1])) or words.setdefault(
+                    str(entry[1]), (*_checked_word(d, entry, lineno), {}))
+                ref = seen.get(entry[0])
+                if ref is None:
+                    ref = seen[entry[0]] = tuple.__new__(SimplexRef, (base_dim, entry[0], word))
                 refs.append(ref)
             out.append(NonDegenSimplex(d, gid, tuple(refs)))
         gens.append(out)
@@ -143,6 +130,41 @@ def _parse_unchecked(text: str) -> SimplicialSet:
     except ValueError as exc:
         raise SpaceDocumentError(str(exc)) from None
     return space
+
+
+def _decode(texts: list[str], linenos: list[int]) -> list:
+    """The face lists of one block, by one ``json.loads`` when it can."""
+    # With no string in the block, one list per line and balanced brackets
+    # on each line, every line is one value between top-level commas, so one
+    # decode of the joined texts is the per-line decode.  A block that fails
+    # this is decoded line by line, which names its first bad line.
+    block = "[" + ",".join(texts) + "]"
+    try:
+        rows = json.loads(block)
+    except ValueError:
+        rows = []
+    if (len(rows) == len(texts) and '"' not in block
+            and all(text.count("[") == text.count("]") for text in texts)):
+        return rows
+    rows = []
+    for face_text, lineno in zip(texts, linenos):
+        try:
+            rows.append(json.loads(face_text))
+        except json.JSONDecodeError as exc:
+            raise SpaceDocumentError(f"bad face list: {exc.msg}", lineno) from None
+    return rows
+
+
+def _checked_word(d: int, entry: list, lineno: int) -> tuple[int, tuple[int, ...]]:
+    """The base dimension and word of a face entry of a d-simplex."""
+    word = entry[1]
+    if not all(type(w) is int for w in word):
+        raise SpaceDocumentError(f"face entry {entry!r} is not [base-id, word]", lineno)
+    if len(word) >= d:
+        raise SpaceDocumentError(f"degeneracy word {word} too long for a face of dimension {d - 1}", lineno)
+    if word and not SimplexRef(d - 1 - len(word), 0, tuple(word)).words_ok():
+        raise SpaceDocumentError(f"degeneracy word {word} is not strictly decreasing in range", lineno)
+    return d - 1 - len(word), tuple(word)
 
 
 def print_space(space: SimplicialSet) -> str:

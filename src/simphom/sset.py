@@ -124,6 +124,7 @@ class SimplicialSet:
     def _check_structure(self):
         counts = self.counts()
         for d, gens in enumerate(self.generators):
+            base_dims = {}      # word -> the base dimension it was checked with
             for k, g in enumerate(gens):
                 if g.dim != d or g.id != k:
                     raise ValueError(f"generator {g.name()} misfiled at ({d},{k})")
@@ -131,10 +132,12 @@ class SimplicialSet:
                     raise ValueError(f"generator {g.name()} has {len(g.faces)} faces, wanted {d + 1}")
                 for i, ref in enumerate(g.faces):
                     base_dim, base_id, degens = ref
-                    if base_dim + len(degens) != d - 1:
-                        raise ValueError(f"face {i} of {g.name()} has dimension {ref.dim}, wanted {d - 1}")
-                    if degens and not ref.words_ok():
-                        raise ValueError(f"face {i} of {g.name()} has non-canonical word {degens}")
+                    if base_dims.get(degens) != base_dim:
+                        if base_dim + len(degens) != d - 1:
+                            raise ValueError(f"face {i} of {g.name()} has dimension {ref.dim}, wanted {d - 1}")
+                        if degens and not ref.words_ok():
+                            raise ValueError(f"face {i} of {g.name()} has non-canonical word {degens}")
+                        base_dims[degens] = base_dim
                     if not (0 <= base_dim < d and 0 <= base_id < counts[base_dim]):
                         raise ValueError(f"face {i} of {g.name()} dangles: no generator ({base_dim},{base_id})")
 

@@ -12,11 +12,14 @@ unconditional face rewrite, without ``SimplicialSet.face`` and its
 face-table shortcut.  ``reference_cup`` is the cup product of one pair
 of cochains by the front/back formula, finding each front and back face
 of each generator afresh by that rewrite, with no face walk shared
-between degrees or pairs.
+between degrees or pairs.  ``reference_parse_unchecked`` parses a space
+document line by line, decoding each face list on its own, so the block
+decoder of ``simphom.io`` can be held to its messages and line numbers.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -24,8 +27,9 @@ from simphom.abgroup import AbelianGroup
 from simphom.chains import ChainComplex, ChainMap, mapping_cone
 from simphom.homology import homology
 from simphom.intmatrix import IntegerMatrix
+from simphom.io import SpaceDocumentError
 from simphom.operators import Cochain
-from simphom.simplex import SimplexRef, compose_words, face_word_rewrite
+from simphom.simplex import NonDegenSimplex, SimplexRef, compose_words, face_word_rewrite
 from simphom.snf import smith_normal_form
 from simphom.sset import SimplicialSet, ValidationReport
 
@@ -259,3 +263,101 @@ def reference_cup(space: SimplicialSet, alpha: Cochain, beta: Cochain) -> Cochai
         b = 0 if back.is_degenerate else beta.values[back.base_id]
         values.append(a * b)
     return Cochain(p + q, alpha.modulus, tuple(values)).normalized()
+
+
+def reference_parse_unchecked(text: str) -> SimplicialSet:
+    """The space-document parser as it was before block decoding: one
+    ``json.loads`` per generator line and every check on every face."""
+    lines = text.splitlines()
+    pos = 0
+
+    def next_content():
+        nonlocal pos
+        while pos < len(lines):
+            stripped = lines[pos].strip()
+            pos += 1
+            if stripped and not stripped.startswith("#"):
+                return stripped, pos
+        return None, pos
+
+    header, lineno = next_content()
+    if header is None or header != "sset v1":
+        raise SpaceDocumentError(f"bad or missing header (wanted 'sset v1', got {header!r})",
+                                 lineno if header is not None else 1)
+    name = None
+    rows: list[list[tuple[int, list, int]]] = []
+    current_dim = None
+    while True:
+        content, lineno = next_content()
+        if content is None:
+            break
+        fields = content.split(None, 1)
+        if fields[0] == "name":
+            if current_dim is not None:
+                raise SpaceDocumentError("name must precede the dimension blocks", lineno)
+            name = fields[1].strip() if len(fields) > 1 else ""
+        elif fields[0] == "dim":
+            try:
+                d = int(fields[1])
+            except (IndexError, ValueError):
+                raise SpaceDocumentError("dim needs an integer argument", lineno) from None
+            expected = (current_dim + 1) if current_dim is not None else 0
+            if d != expected:
+                raise SpaceDocumentError(
+                    f"dimension blocks must be consecutive from 0 (got {d}, wanted {expected})",
+                    lineno)
+            current_dim = d
+            rows.append([])
+        else:
+            if current_dim is None:
+                raise SpaceDocumentError(f"generator line before any 'dim' block: {content!r}", lineno)
+            try:
+                gid = int(fields[0])
+            except ValueError:
+                raise SpaceDocumentError(f"bad generator id {fields[0]!r}", lineno) from None
+            if len(fields) < 2:
+                raise SpaceDocumentError("generator line has no face list", lineno)
+            try:
+                faces = json.loads(fields[1])
+            except json.JSONDecodeError as exc:
+                raise SpaceDocumentError(f"bad face list: {exc.msg}", lineno) from None
+            if gid != len(rows[current_dim]):
+                raise SpaceDocumentError(
+                    f"ids must be dense and ascending (got {gid}, wanted {len(rows[current_dim])})",
+                    lineno)
+            rows[current_dim].append((gid, faces, lineno))
+
+    gens: list[list[NonDegenSimplex]] = []
+    for d, row in enumerate(rows):
+        out = []
+        for gid, faces, lineno in row:
+            if not isinstance(faces, list):
+                raise SpaceDocumentError("face list must be a list", lineno)
+            want = 0 if d == 0 else d + 1
+            if len(faces) != want:
+                raise SpaceDocumentError(
+                    f"generator {d}.{gid} has {len(faces)} faces, wanted {want}", lineno)
+            refs = []
+            for entry in faces:
+                if (not isinstance(entry, list) or len(entry) != 2
+                        or not isinstance(entry[0], int) or not isinstance(entry[1], list)
+                        or not all(isinstance(w, int) for w in entry[1])):
+                    raise SpaceDocumentError(
+                        f"face entry {entry!r} is not [base-id, word]", lineno)
+                base_id, word = entry
+                base_dim = d - 1 - len(word)
+                if base_dim < 0:
+                    raise SpaceDocumentError(
+                        f"degeneracy word {word} too long for a face of dimension {d - 1}", lineno)
+                ref = SimplexRef(base_dim, base_id, tuple(word))
+                if word and not ref.words_ok():
+                    raise SpaceDocumentError(
+                        f"degeneracy word {word} is not strictly decreasing in range", lineno)
+                refs.append(ref)
+            out.append(NonDegenSimplex(d, gid, tuple(refs)))
+        gens.append(out)
+    try:
+        space = SimplicialSet(gens, name=name)
+    except ValueError as exc:
+        raise SpaceDocumentError(str(exc)) from None
+    return space

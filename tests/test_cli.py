@@ -338,6 +338,29 @@ def test_error_paths(tmp_path):
     assert out_of(fill + ["--dim", "0", "--k", "0"]) == ("error: horns need n >= 1", 2)
 
 
+def test_runs_share_no_options(capsys):
+    """One argument parser serves every run: the options of one call do not
+    carry over into the next, and bad arguments still exit 2 with usage."""
+    assert out_of(["homology", "--space", "rp2", "--dim", "1"])[0].splitlines()[1:] == [
+        "H_0 = Z", "H_1 = Z/2"]
+    assert out_of(["homology", "--space", "rp2"])[0].splitlines()[1:] == [
+        "H_0 = Z", "H_1 = Z/2", "H_2 = 0"]
+    assert out_of(["homology", "--space", "circle", "--format", "machine"]) == (
+        'command="homology"\nH_0=Z\nH_1=Z', 0)
+    assert out_of(["homology", "--space", "circle"]) == ("simphom homology\nH_0 = Z\nH_1 = Z", 0)
+    capsys.readouterr()
+    for argv, reason in ((["nosuch"], "argument command: invalid choice: 'nosuch'"),
+                         (["homology", "--dim", "x"], "argument --dim: invalid int value: 'x'"),
+                         (["homology", "--format", "json"], "argument --format: invalid choice"),
+                         ([], "the following arguments are required: command")):
+        with pytest.raises(SystemExit) as exit_:
+            run(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: simphom ") and f"simphom: error: {reason}" in err
+    assert out_of(["euler", "--space", "torus"]) == out_of(["euler", "--space", "torus"])
+
+
 def test_seed_flag_is_accepted():
     first = out_of(["homology", "--space", "circle", "--seed", "7"])
     second = out_of(["homology", "--space", "circle", "--seed", "8"])

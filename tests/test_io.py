@@ -54,6 +54,7 @@ def test_invalid_documents_rejected():
         "invalid_identity.sset": "identity",
         "invalid_sparse_ids.sset": "dense",
         "invalid_json.sset": "face list",
+        "invalid_bool_id.sset": "[True, []] is not [base-id, word]",
     }
     for name, needle in expectations.items():
         text = (CONFORMANCE / name).read_text()

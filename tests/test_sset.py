@@ -264,6 +264,31 @@ def test_is_valid_catches_a_violation_seen_only_through_a_degenerate_face():
     ]
 
 
+@pytest.mark.parametrize("name,face,message", [
+    # the word (0,) is first seen over the vertex; over an edge it is 2-dimensional
+    ("sphere:2", SimplexRef(1, 0, (0,)), "face 2 of 2.1 has dimension 2, wanted 1"),
+    ("sphere:2", SimplexRef(0, 1, (0,)), r"face 2 of 2.1 dangles: no generator \(0,1\)"),
+    ("sphere:2", SimplexRef(0, -1, (0,)), r"face 2 of 2.1 dangles: no generator \(0,-1\)"),
+    # the empty word is first seen over edges; over a vertex it is 0-dimensional
+    ("torus*rp2", SimplexRef(0, 0), "has dimension 0, wanted 1"),
+    ("torus*rp2", SimplexRef(1, 78), r"dangles: no generator \(1,78\)"),
+], ids=["s0 of an edge", "s0 of a missing vertex", "s0 of vertex -1", "a vertex", "a missing edge"])
+def test_structure_check_refuses_a_seen_word_on_a_wrong_base(name, face, message):
+    """The structure check reads each word of a block once, but every face
+    still has its dimension and its base checked: a face that reuses a word
+    seen earlier in the block, over a base of the wrong dimension or one
+    that does not exist, is refused.  The set is built directly, without
+    the document parser's own checks."""
+    factors = name.split("*")
+    space = product(catalog(factors[0]), catalog(factors[1])).space if len(factors) == 2 else catalog(name)
+    rows = [list(space.gens(d)) for d in range(space.top_dim + 1)]
+    last = rows[2][-1]
+    assert face.degens in {ref.degens for ref in last.faces[:2]}
+    rows[2].append(NonDegenSimplex(2, len(rows[2]), last.faces[:2] + (face,)))
+    with pytest.raises(ValueError, match=message):
+        SimplicialSet(rows)
+
+
 # One space per rung of the benchmark's homology ladder.
 LADDER = ["circle*circle", "rp2", "circle*rp2", "torus*klein", "sphere:2*rp2",
           "torus*boundary:3", "rp2*boundary:2", "boundary:3*boundary:3", "torus*rp2"]
