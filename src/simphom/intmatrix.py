@@ -14,9 +14,8 @@ cols, entries)`` (repeated positions are summed), from row dicts with
 ``entries()`` (the nonzero ``(i, j, v)`` in row-major, column-ascending
 order), ``row_dicts()``, ``row(i)``, ``column(j)`` and ``m[i, j]``.  The
 row dicts never change once a matrix is built, so matrices may share
-them; ``row_dicts()`` hands out fresh copies, which the elimination and
-substitution code in :mod:`simphom.snf` changes in place, and the SNF
-works on private dense copies of the rows.
+them; ``row_dicts()`` hands out fresh copies, which the elimination,
+substitution and SNF code in :mod:`simphom.snf` changes in place.
 """
 
 from __future__ import annotations

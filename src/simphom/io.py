@@ -141,7 +141,7 @@ def _decode(texts: list[str], linenos: list[int]) -> list:
     block = "[" + ",".join(texts) + "]"
     try:
         rows = json.loads(block)
-    except ValueError:
+    except (ValueError, RecursionError):
         rows = []
     if (len(rows) == len(texts) and '"' not in block
             and all(text.count("[") == text.count("]") for text in texts)):
@@ -152,6 +152,8 @@ def _decode(texts: list[str], linenos: list[int]) -> list:
             rows.append(json.loads(face_text))
         except json.JSONDecodeError as exc:
             raise SpaceDocumentError(f"bad face list: {exc.msg}", lineno) from None
+        except RecursionError:
+            raise SpaceDocumentError("bad face list: nested too deeply", lineno) from None
     return rows
 
 

@@ -1,14 +1,14 @@
 """Smith normal form over Z, and subquotient groups with representatives.
 
-``smith_normal_form`` reduces private dense rows and keeps the
-transforms U, V together with their inverses, so that U*M*V = S holds
-exactly.  The pivot at each round is a nonzero entry of minimal absolute
-value, which keeps coefficient growth modest; arbitrary precision makes
-the answer exact regardless.  Every row and column operation touches
-only the nonzero entries of its source, and a unit pivot skips the
-divisibility scan of the remaining block.  The five results become
-sparse matrices once, at the end, and are verified as sparse products.
-It runs only on the small residues that the unit elimination leaves.
+``smith_normal_form`` reduces private sparse rows and records each of
+its row and column operations (a swap, a negation or the addition of a
+multiple of another row) instead of building U, V and their inverses.
+The pivot at each round is a nonzero entry of minimal absolute value,
+which keeps coefficient growth modest; arbitrary precision makes the
+answer exact regardless.  One ``_replay`` of the recorded operations, or
+of their inverses, on sparse rows applies U, U^-1, V and V^-1, and
+certifies U*M*V = S on M's own rows and columns.  The SNF runs only on
+the small residues that the unit elimination leaves.
 
 The unit elimination removes +-1 pivots, chosen by Markowitz cost from a
 heap, leaving a small residue R.  It is certified exactly: M = sum_k p_k
@@ -45,9 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import gcd
-from operator import itemgetter
 
 from .abgroup import AbelianGroup
 from .intmatrix import IntegerMatrix
@@ -55,145 +53,168 @@ from .intmatrix import IntegerMatrix
 
 @dataclass
 class SNFResult:
-    """U * M * V = S with S diagonal and d_i | d_{i+1}."""
+    """U * M * V = S = diag(divisors), d_i | d_{i+1}, for a rows x cols M.
+    U is the product of ``row_ops`` and V^-1 that of ``col_ops`` (see
+    ``_replay``); the matrices are built, by replay on the identity, when read."""
 
-    S: IntegerMatrix
-    U: IntegerMatrix
-    V: IntegerMatrix
-    U_inv: IntegerMatrix
-    V_inv: IntegerMatrix
+    rows: int
+    cols: int
+    row_ops: list[tuple[int, int, int]]
+    col_ops: list[tuple[int, int, int]]
     divisors: list[int]
 
     @property
     def rank(self) -> int:
         return len(self.divisors)
 
+    @property
+    def S(self) -> IntegerMatrix:
+        return IntegerMatrix.diagonal(self.divisors, self.rows, self.cols)
+
+    @property
+    def U(self) -> IntegerMatrix:
+        return _replayed(self.rows, self.row_ops, False)
+
+    @property
+    def U_inv(self) -> IntegerMatrix:
+        return _replayed(self.rows, self.row_ops, True)
+
+    @property
+    def V(self) -> IntegerMatrix:
+        return _replayed(self.cols, self.col_ops, True)
+
+    @property
+    def V_inv(self) -> IntegerMatrix:
+        return _replayed(self.cols, self.col_ops, False)
+
 
 def smith_normal_form(m: IntegerMatrix) -> SNFResult:
-    """Diagonalize an integer matrix by unimodular row/column operations.
+    """Diagonalize an integer matrix by unimodular row/column operations,
+    recorded, not multiplied out.
 
-    The result is verified before returning: U*M*V == S entry-exactly and
-    U, V have exact integer two-sided inverses (hence determinant +-1).
+    The result is verified before returning: the operations replayed on
+    M's own rows and columns give diag(divisors), a divisor chain.
     """
-    rows, cols = m.rows, m.cols
-    row_span, col_span = range(rows), range(cols)
-    a = [m.row(i) for i in row_span]
-    # U and V^-1 are kept by rows and U^-1 and V by columns (as the rows of
-    # their transposes), so every update of a transform is a row update
-    # that touches only the nonzero entries of its source row
-    U, Uinv_t = _identity_rows(rows), _identity_rows(rows)
-    V_t, Vinv = _identity_rows(cols), _identity_rows(cols)
+    a = m.row_dicts()  # the working rows; an absent row is zero
+    row_ops: list[tuple[int, int, int]] = []
+    col_ops: list[tuple[int, int, int]] = []
 
-    def add_multiple(target, source, c, span):  # target += c * source
-        for k in compress(span, source):
-            target[k] += c * source[k]
+    def row_op(i, j, c):
+        row_ops.append((i, j, c))
+        _replay(a, [(i, j, c)], False)
 
-    def row_add(i, j, c):  # row_i += c * row_j
-        add_multiple(a[i], a[j], c, col_span)
-        add_multiple(U[i], U[j], c, row_span)
-        add_multiple(Uinv_t[j], Uinv_t[i], -c, row_span)
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-        Uinv_t[i], Uinv_t[j] = Uinv_t[j], Uinv_t[i]
-
-    def row_negate(i):
-        a[i] = [-v for v in a[i]]
-        U[i] = [-v for v in U[i]]
-        Uinv_t[i] = [-v for v in Uinv_t[i]]
-
-    def col_add(i, j, c, support):  # col_i += c * col_j, col_j of a nonzero on support only
+    def col_op(i, j, c, support):  # col_i += c * col_j on the rows support, or swap when c == 0
+        col_ops.append((j, i, -c) if c else (i, j, 0))  # on V^-1: row_j -= c * row_i
         for s in support:
-            a[s][i] += c * a[s][j]
-        add_multiple(V_t[i], V_t[j], c, col_span)
-        add_multiple(Vinv[j], Vinv[i], -c, col_span)
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        V_t[i], V_t[j] = V_t[j], V_t[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+            if c:
+                _add_to(a[s], {i: a[s][j]}, c)
+            else:
+                _swap(a[s], i, j)
 
     # Rows and columns before t are cleared but for their diagonal, so the
     # nonzeros of rows t.. lie in columns t.. and those of columns t.. in
-    # rows t..; the scans below read only nonzeros and rely on that.
-    def min_pivot(t):
-        best = None
-        for i in range(t, rows):
-            row = a[i]
-            for j in compress(col_span, row):
-                v = abs(row[j])
-                if best is None or v < best[0]:
-                    if v == 1:
-                        return (v, i, j)  # already minimal
-                    best = (v, i, j)
-        return best
-
+    # rows t..; the pivot is the first entry of least absolute value among
+    # them in row-major order.  No nonzero entry is smaller than the pivot,
+    # so the multiple c of an addition below is never 0 (which is a swap).
     t = 0
     while True:
-        found = min_pivot(t)
+        found = min(((abs(v), i, j) for i, row in a.items() if i >= t for j, v in row.items()),
+                    default=None)
         if found is None:
             break
         _, pi, pj = found
         if pi != t:
-            row_swap(t, pi)
+            row_op(t, pi, 0)
         if pj != t:
-            col_swap(t, pj)
+            col_op(t, pj, 0, list(a))
         if a[t][t] < 0:
-            row_negate(t)
+            row_op(t, t, -1)
         pivot = a[t][t]
         # clear the cross through the pivot; a nonzero remainder becomes
         # the new (smaller) pivot on the next pass
-        below = [i for i in compress(row_span, map(itemgetter(t), a)) if i > t]
+        below = sorted(i for i, row in a.items() if i > t and t in row)
         for i in below:
-            row_add(i, t, -(a[i][t] // pivot))
-        support = [t] + [i for i in below if a[i][t]]
-        right = [j for j in compress(col_span, a[t]) if j > t]
-        for j in right:
-            col_add(j, t, -(a[t][j] // pivot), support)
-        if len(support) > 1 or any(a[t][j] for j in right):
+            row_op(i, t, -(a[i][t] // pivot))
+        support = [t] + [i for i in below if t in a.get(i, ())]
+        for j in sorted(j for j in a[t] if j > t):
+            col_op(j, t, -(a[t][j] // pivot), support)
+        if len(support) > 1 or len(a[t]) > 1:
             continue
         # the pivot must divide the remaining block to get the divisor
         # chain; every entry is divisible by 1
         if pivot != 1:
-            offender = next((i for i in range(t + 1, rows)
-                             if any(a[i][j] % pivot for j in compress(col_span, a[i]))), None)
+            offender = next((i for i in sorted(a) if i > t and any(v % pivot for v in a[i].values())), None)
             if offender is not None:
-                row_add(t, offender, 1)
+                row_op(t, offender, 1)
                 continue
         t += 1
 
-    divisors = [a[i][i] for i in range(min(rows, cols)) if a[i][i] != 0]
-    result = SNFResult(IntegerMatrix(a, rows, cols), IntegerMatrix(U, rows, rows),
-                       IntegerMatrix(V_t, cols, cols).transpose(),
-                       IntegerMatrix(Uinv_t, rows, rows).transpose(),
-                       IntegerMatrix(Vinv, cols, cols), divisors)
+    result = SNFResult(m.rows, m.cols, row_ops, col_ops, [a[i][i] for i in range(t)])
     _verify(m, result)
     return result
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
+def _replay(rows: dict[int, dict[int, int]], ops, inverse: bool) -> dict[int, dict[int, int]]:
+    """Row operations E_1, ..., E_k applied in place to the sparse rows
+    ``{i: {col: value}}`` of a matrix X (an absent row is zero), which
+    become E_k ... E_1 X, or (E_k ... E_1)^-1 X with ``inverse``.  An
+    operation (i, j, c) negates row i when i == j, swaps rows i and j when
+    c == 0 and adds c times row j to row i otherwise; nothing else can be
+    written, so every replay is unimodular."""
+    for i, j, c in reversed(ops) if inverse else ops:
+        if i == j:
+            if i in rows:
+                rows[i] = {k: -v for k, v in rows[i].items()}
+        elif not c:
+            _swap(rows, i, j)
+        elif j in rows:
+            target = rows.setdefault(i, {})
+            _add_to(target, rows[j], -c if inverse else c)
+            if not target:
+                del rows[i]
     return rows
 
 
+def _add_to(target: dict[int, int], source: dict[int, int], f: int) -> None:
+    """target += f * source on sparse vectors ``{index: value}``, zeros dropped."""
+    for k, v in source.items():
+        new = target.get(k, 0) + f * v
+        if new:
+            target[k] = new
+        else:
+            del target[k]
+
+
+def _swap(sparse: dict, i: int, j: int) -> None:
+    """Swap the entries at i and j of a sparse dict, absent ones too."""
+    vi, vj = sparse.pop(i, None), sparse.pop(j, None)
+    if vj is not None:
+        sparse[i] = vj
+    if vi is not None:
+        sparse[j] = vi
+
+
+def _replayed(n: int, ops, inverse: bool) -> IntegerMatrix:
+    """The n x n matrix of a replay, built on the identity."""
+    return IntegerMatrix.from_row_dicts(n, n, _replay({i: {i: 1} for i in range(n)}, ops, inverse))
+
+
 def _verify(m: IntegerMatrix, r: SNFResult):
-    if r.U * m * r.V != r.S:
+    """U * M * V == S and the divisor chain: the row operations replayed on
+    M's rows, then on the columns V^T, the replay of the inverse transposes
+    (j, i, -c) of the operations (i, j, c) recorded on V^-1."""
+    rows = _replay(m.row_dicts(), r.row_ops, False)
+    cols = IntegerMatrix.from_row_dicts(m.rows, m.cols, rows).transpose().row_dicts()
+    if _replay(cols, [(j, i, -c) for i, j, c in r.col_ops], False) != {
+            k: {k: d} for k, d in enumerate(r.divisors)}:
         raise AssertionError("SNF postcondition failed: U*M*V != S")
-    if r.U * r.U_inv != IntegerMatrix.identity(m.rows):
-        raise AssertionError("SNF postcondition failed: U not unimodular")
-    if r.V * r.V_inv != IntegerMatrix.identity(m.cols):
-        raise AssertionError("SNF postcondition failed: V not unimodular")
     for d, e in zip(r.divisors, r.divisors[1:]):
         if e % d != 0:
             raise AssertionError("SNF postcondition failed: divisor chain broken")
 
 
 # ---------------------------------------------------------------------------
-# Unit-pivot elimination, then a dense residue
+# Unit-pivot elimination, then a small residue
 
 
 def elementary_divisors(m: IntegerMatrix) -> list[int]:
@@ -225,10 +246,9 @@ class Reduction:
     @cached_property
     def snf(self) -> SNFResult:
         """The verified SNF of the residue; an empty residue has the trivial
-        one, with no divisors and 0x0 transforms."""
+        one, with no divisors and no operations."""
         if not self.row_ids:
-            empty = IntegerMatrix.zero(0, 0)
-            return SNFResult(empty, empty, empty, empty, empty, [])
+            return SNFResult(0, 0, [], [], [])
         return smith_normal_form(self.residue)
 
     @property
@@ -279,12 +299,6 @@ def _residue_matrix(residue):
     return dense, row_ids, col_ids
 
 
-def _on_rows(rows: dict[int, dict[int, int]], ids, cols: int) -> IntegerMatrix:
-    """The matrix whose row t is ``rows[ids[t]]``, zero where it is absent."""
-    return IntegerMatrix.from_row_dicts(len(ids), cols, {
-        t: rows[i] for t, i in enumerate(ids) if i in rows})
-
-
 def _forward(rows: dict[int, dict[int, int]], steps, live=None) -> dict[int, dict[int, int]]:
     """Forward substitution through elimination steps, in place on the row
     dicts of a matrix: each step subtracts p * x_i times its pivot column c
@@ -297,14 +311,7 @@ def _forward(rows: dict[int, dict[int, int]], steps, live=None) -> dict[int, dic
         if xi:
             for a, ca in c.items():
                 if a != i and (live is None or a in live):
-                    f = p * ca
-                    ra = rows.setdefault(a, {})
-                    for k, v in xi.items():
-                        new = ra.get(k, 0) - f * v
-                        if new:
-                            ra[k] = new
-                        else:
-                            del ra[k]
+                    _add_to(rows.setdefault(a, {}), xi, -p * ca)
     return rows
 
 
@@ -394,22 +401,16 @@ def _check_elimination(m: IntegerMatrix, steps, residue) -> None:
         done_rows.add(i)
         done_cols.add(j)
         for a, ca in c.items():
-            acc = total.setdefault(a, {})
-            f = p * ca
-            for b, rb in r.items():
-                acc[b] = acc.get(b, 0) + f * rb
+            _add_to(total.setdefault(a, {}), r, p * ca)
     for i, row in residue.items():
         if (i in done_rows and any(row.values())) or any(
                 row[x] for x in done_cols.intersection(row)):
             raise AssertionError(f"residue row {i} meets a pivot row or column")
-    nonzero = 0
     for a, acc in total.items():
         for b, v in acc.items():
-            if v:
-                if not (0 <= a < m.rows and 0 <= b < m.cols) or m[a, b] != v:
-                    raise AssertionError(f"elimination does not reproduce M at ({a}, {b})")
-                nonzero += 1
-    if nonzero != len(m.entries()):
+            if not (0 <= a < m.rows and 0 <= b < m.cols) or m[a, b] != v:
+                raise AssertionError(f"elimination does not reproduce M at ({a}, {b})")
+    if sum(map(len, total.values())) != len(m.entries()):
         raise AssertionError("elimination does not reproduce M: entries missing")
 
 
@@ -481,7 +482,7 @@ class Subquotient:
             raise ValueError("out_map is not reduced off the pivot rows of in_map")
         self._kernel_steps, self._res_cols = outgoing.steps, outgoing.col_ids
         out_snf = outgoing.snf
-        self._V, self._V_inv = out_snf.V, out_snf.V_inv
+        self._out_ops = out_snf.col_ops
         touched = pivot_rows.union(self._res_cols, (j for _, j, _, _, _ in self._kernel_steps))
         self._free_cols = [j for j in range(self._out.cols) if j not in touched]
         # the rows that forward substitution through in_map's steps must
@@ -501,25 +502,25 @@ class Subquotient:
             scale = [modulus // t for t in self._t] + [modulus] * len(self._free_cols)
             relations = relations.hstack(IntegerMatrix.diagonal(scale))
         rel = _reduce(relations)
-        self._rel_steps, self._rel_rows = rel.steps, rel.row_ids
+        self._rel_steps, rel_rows = rel.steps, rel.row_ids
         rel_snf = rel.snf
         orders = rel_snf.divisors
         self.torsion_orders = [d for d in orders if d >= 2]
-        taken = {i for i, _, _, _, _ in self._rel_steps}.union(self._rel_rows)
-        self._free_rows = [i for i in range(relations.rows) if i not in taken]
-        self.free_rank = len(self._rel_rows) - len(orders) + len(self._free_rows)
+        taken = {i for i, _, _, _, _ in self._rel_steps}.union(rel_rows)
+        free_rows = [i for i in range(relations.rows) if i not in taken]
+        self.free_rank = len(rel_rows) - len(orders) + len(free_rows)
         self.group = AbelianGroup(self.free_rank, tuple(self.torsion_orders))
-        # U's rows past the trivial divisors give the residue coordinates
-        n_trivial = len(orders) - len(self.torsion_orders)
-        kept = range(n_trivial, len(self._rel_rows))
-        self._U = rel_snf.U.submatrix(kept, range(len(self._rel_rows)))
-        # generator k in kernel coordinates: column k of the residue U^-1 on
-        # the residue rows, or a unit vector on a free row; zero on the
-        # relations' pivot rows, where the inverse forward substitution then
-        # changes nothing
-        self._gen_coords = IntegerMatrix.from_entries(relations.rows, self.n_generators, [
-            (self._rel_rows[i], k - n_trivial, v) for i, k, v in rel_snf.U_inv.entries()
-            if k >= n_trivial] + [(i, len(kept) + k, 1) for k, i in enumerate(self._free_rows)])
+        # on the residue rows, then the free rows, the residue SNF's U and
+        # the identity; their rows past the trivial divisors are the coordinates
+        self._coord_rows, self._rel_ops = rel_rows + free_rows, rel_snf.row_ops
+        self._n_trivial = len(orders) - len(self.torsion_orders)
+        # generator k in kernel coordinates: column n_trivial + k of the
+        # inverse of that map; zero on the relations' pivot rows, where the
+        # inverse forward substitution then changes nothing
+        columns = _replay({self._n_trivial + k: {k: 1} for k in range(self.n_generators)},
+                          self._rel_ops, True)
+        self._gen_coords = IntegerMatrix.from_row_dicts(relations.rows, self.n_generators, {
+            self._coord_rows[i]: row for i, row in columns.items()})
         self._generators = None
 
     @property
@@ -539,15 +540,15 @@ class Subquotient:
         """Kernel coordinates of the kernel columns whose rows, on the
         coordinates N of Z^r, are the dicts y: z = w / t on the residue
         columns, w = V^-1 y, then the passed-through columns.  A w that z
-        cannot represent fails the certificate."""
+        cannot represent fails the certificate.  The dicts of y are used up."""
         n_res = len(self._t)
         z = {n_res + k: y[i] for k, i in enumerate(self._free_cols) if i in y}
-        if self._res_cols:
-            for i, j, v in (self._V_inv * _on_rows(y, self._res_cols, cols)).entries():
-                k = i - self._skip
-                if k < 0 or v % self._t[k]:
-                    raise AssertionError("column outside the residue kernel")
-                z.setdefault(k, {})[j] = v // self._t[k]
+        w = _replay({t: y[i] for t, i in enumerate(self._res_cols) if y.get(i)}, self._out_ops, False)
+        for i, row in w.items():
+            k = i - self._skip
+            if k < 0 or any(v % self._t[k] for v in row.values()):
+                raise AssertionError("column outside the residue kernel")
+            z[k] = {j: v // self._t[k] for j, v in row.items()}
         return IntegerMatrix.from_row_dicts(n_res + len(self._free_cols), cols, z)
 
     def _lift(self, z: IntegerMatrix) -> IntegerMatrix:
@@ -557,19 +558,16 @@ class Subquotient:
         in reverse step order, all placed on the coordinates N, and zero on
         in_map's pivot rows."""
         n_res = len(self._t)
-        y: dict[int, dict[int, int]] = {}
-        if self._res_cols:
-            scaled = IntegerMatrix.from_entries(self._skip + n_res, z.cols, (
-                (self._skip + i, j, self._t[i] * v) for i, j, v in z.entries() if i < n_res))
-            y = {self._res_cols[i]: row for i, row in (self._V * scaled).row_dicts().items()}
+        scaled = {self._skip + i: {j: self._t[i] * v for j, v in row.items()}
+                  for i, row in z.row_dicts(range(n_res)).items()}
+        y = {self._res_cols[i]: row for i, row in _replay(scaled, self._out_ops, True).items()}
         y.update((self._free_cols[i - n_res], row) for i, row in z.row_dicts(
             range(n_res, z.rows)).items())
         for _, j, p, _, row in reversed(self._kernel_steps):
             acc: dict[int, int] = {}
             for jj, v in row.items():
                 if jj in y:
-                    for k, w in y[jj].items():
-                        acc[k] = acc.get(k, 0) - p * v * w
+                    _add_to(acc, y[jj], -p * v)
             y[j] = acc
         return IntegerMatrix.from_row_dicts(self._out.cols, z.cols, y)
 
@@ -577,15 +575,16 @@ class Subquotient:
         """Canonical coordinates of kernel columns x: forward substitution
         through in_map's steps onto the coordinates N, the kernel
         coordinates there, forward substitution through the relation
-        steps, then the residue SNF's U; torsion coordinates are reduced
-        mod their orders."""
+        steps, then the residue SNF's U (the identity on the free rows),
+        whose rows past the trivial divisors are the coordinates; torsion
+        coordinates are reduced mod their orders."""
         y = _forward(x.row_dicts(self._live), self._in_steps, self._live)
         rows = _forward(self._kernel_coords(y, x.cols).row_dicts(), self._rel_steps)
-        w = self._U * _on_rows(rows, self._rel_rows, x.cols)
-        tors = self.torsion_orders
+        w = _replay({t: rows[i] for t, i in enumerate(self._coord_rows) if i in rows}, self._rel_ops, False)
+        skip, tors = self._n_trivial, self.torsion_orders
         return IntegerMatrix.from_entries(self.n_generators, x.cols, [
-            (i, k, v % tors[i] if i < len(tors) else v) for i, k, v in w.entries()] + [
-            (w.rows + t, k, v) for t, i in enumerate(self._free_rows) for k, v in rows.get(i, {}).items()])
+            (i - skip, k, v % tors[i - skip] if i - skip < len(tors) else v)
+            for i, row in w.items() if i >= skip for k, v in row.items()])
 
     def reduce(self, x: IntegerMatrix) -> IntegerMatrix:
         """The g x cols matrix of canonical coordinates of the kernel

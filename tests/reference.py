@@ -1,8 +1,8 @@
 """Independent references that only the tests read.
 
 ``DenseSubquotient`` computes ker(out mod m) / (im in + m Z^r) from two
-dense Smith normal forms with all four transforms, so it shares no
-elimination step with ``simphom.snf.Subquotient``.  ``cone_coefficients``
+Smith normal forms of the whole matrices, reading their transforms as
+matrices, so it shares no elimination step with ``simphom.snf.Subquotient``.  ``cone_coefficients``
 and ``cone_cohomology`` read Z/m groups off the integral homology of the
 mapping cone of m * id, not off a subquotient mod m.  The rank,
 determinant and Betti number routines use exact fraction, mod-p and

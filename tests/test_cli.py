@@ -1,6 +1,7 @@
 """The command-line surface: outputs, determinism, exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -56,6 +57,21 @@ def test_certificate_failure_exits_3(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "error: certificate failed: forced mismatch\n"
     assert "Traceback" not in captured.err
+
+
+def test_snf_certificate_failure_exits_3(monkeypatch):
+    """A residue SNF whose recorded operations do not reproduce S fails
+    the replay certificate: one error line, exit 3."""
+    snf = sys.modules["simphom.snf"]
+    verify = snf._verify
+
+    def corrupted(m, res):
+        res.divisors[-1] += 1
+        verify(m, res)
+
+    monkeypatch.setattr(snf, "_verify", corrupted)
+    assert run(["homology", "--space", "rp2"]) == (
+        ["error: certificate failed: SNF postcondition failed: U*M*V != S"], 3)
 
 
 def test_euler_boundary3():

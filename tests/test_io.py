@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from simphom.catalog import catalog
+from simphom.cli import run
 from simphom.covers import FiniteGroup
 from simphom.io import (
     SpaceDocumentError,
@@ -74,6 +75,19 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(SpaceDocumentError) as err:
         parse_space("sset v1\ndim 0\nnonsense []\n")
     assert err.value.line == 3
+
+
+def test_deeply_nested_face_list_is_refused_on_its_line(tmp_path):
+    """A face list nested past the JSON decoder's recursion limit is a bad
+    face list on its line, not a RecursionError: exit 2 with one line."""
+    doc = "sset v1\ndim 0\n0 []\ndim 1\n0 " + "[" * 100_000 + "]" * 100_000 + "\n"
+    with pytest.raises(SpaceDocumentError, match="nested too deeply") as err:
+        parse_space(doc)
+    assert err.value.line == 5
+    path = tmp_path / "deep.sset"
+    path.write_text(doc)
+    lines, status = run(["validate", "--file", str(path)])
+    assert status == 2 and lines == ["error: line 5: bad face list: nested too deeply"]
 
 
 def test_group_round_trip():

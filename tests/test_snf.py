@@ -45,9 +45,11 @@ def test_snf_properties(m):
     assert is_diagonal(res.S)
     for d, e in zip(res.divisors, res.divisors[1:]):
         assert d > 0 and e % d == 0
-    # the transforms are unimodular
+    # the transforms are unimodular, and their replayed inverses are inverses
     assert abs(determinant(res.U)) == 1
     assert abs(determinant(res.V)) == 1
+    assert res.U * res.U_inv == IntegerMatrix.identity(m.rows)
+    assert res.V * res.V_inv == IntegerMatrix.identity(m.cols)
     # rank agrees with the independent rational rank
     assert len(res.divisors) == rational_rank(m)
     # the columns of V past the rank span the kernel
@@ -67,6 +69,63 @@ def test_snf_determinant_invariance(m):
         assert abs(determinant(m)) == prod(res.divisors)
     else:
         assert determinant(m) == 0
+
+
+# every kind of recorded operation on both sides: swaps, a negation, additions
+SNF_TAMPER_M = IntegerMatrix([[4, 6, 2], [6, 9, 3], [2, 5, 7]])
+
+
+def _corrupt_row_coefficient(res):
+    i, j, c = res.row_ops[0]
+    res.row_ops[0] = (i, j, c - 1)
+
+
+def _corrupt_col_coefficient(res):
+    i, j, c = res.col_ops[1]
+    res.col_ops[1] = (i, j, c + 1)
+
+
+def _drop_last_row_operation(res):
+    res.row_ops.pop()
+
+
+def _drop_last_col_operation(res):
+    res.col_ops.pop()
+
+
+def _wrong_divisor(res):
+    res.divisors[-1] *= 2
+
+
+@pytest.mark.parametrize("tamper", [_corrupt_row_coefficient, _corrupt_col_coefficient,
+                                    _drop_last_row_operation, _drop_last_col_operation,
+                                    _wrong_divisor])
+def test_snf_certificate_rejects_tampering(tamper):
+    """The replay certificate: the recorded operations, replayed on M's own
+    rows and columns, must give diag(divisors)."""
+    res = smith_normal_form(SNF_TAMPER_M)
+    assert res.divisors == [1, 4]
+    kinds = [{"negate" if i == j else "add" if c else "swap" for i, j, c in ops}
+             for ops in (res.row_ops, res.col_ops)]
+    assert kinds == [{"negate", "swap", "add"}, {"swap", "add"}]
+    snf._verify(SNF_TAMPER_M, res)
+    res = copy.deepcopy(res)
+    tamper(res)
+    with pytest.raises(AssertionError, match=r"U\*M\*V != S"):
+        snf._verify(SNF_TAMPER_M, res)
+
+
+@pytest.mark.parametrize("shape", ["column", "row"])
+def test_thin_matrix_records_no_square_transform(shape):
+    """An n x 1 or 1 x n matrix of even entries, n = 2000, reduces with at
+    most n recorded operations (one per cleared entry) to the divisor 2, so
+    no n x n transform is built."""
+    n = 2000
+    column = IntegerMatrix.from_entries(n, 1, ((i, 0, 2 * (i + 1) * (-1) ** i) for i in range(n)))
+    m = column if shape == "column" else column.transpose()
+    res = smith_normal_form(m)
+    assert res.divisors == [2]
+    assert len(res.row_ops) + len(res.col_ops) <= n
 
 
 def test_subquotient_cyclic():
