@@ -199,12 +199,18 @@ def restricted(c: ChainComplex, keep: list[list[int]]) -> ChainComplex:
                          for n in range(1, len(keep))})
 
 
+def kept(c: ChainComplex, ids, inside: bool = True) -> list[list[int]]:
+    """Per degree n of c, the basis indices k with (n, k) in ``ids`` (not in
+    it, with ``inside`` False): on normalized chains, where a generator's
+    index is its id, the keep lists of a subcomplex and of its complement."""
+    return [[k for k in range(r) if ((n, k) in ids) == inside] for n, r in enumerate(c.ranks)]
+
+
 def relative_chains(space: SimplicialSet, sub_ids: frozenset[tuple[int, int]]) -> ChainComplex:
     """The quotient complex of normalized chains by a subcomplex: C(K)
     restricted to the generators outside it."""
     c = normalized_chains(space)
-    return restricted(c, [[k for k in range(r) if (n, k) not in sub_ids]
-                          for n, r in enumerate(c.ranks)])
+    return restricted(c, kept(c, sub_ids, inside=False))
 
 
 def chain_map_of(space_map, source_chains: ChainComplex | None = None,

@@ -32,7 +32,7 @@ from .kan import HornMap, fill_horn, kan_check
 from .operators import cohomology_ring_table, kunneth_check
 from .pi1 import abelianization, pi1_presentation, tietze_simplify
 from .simplex import SimplexRef
-from .sset import SimplicialSet, is_valid, skeleton, subcomplex
+from .sset import SimplicialSet, is_valid
 from .subdivision import barycentric_subdivide
 
 
@@ -49,22 +49,19 @@ def _load_space(args) -> SimplicialSet:
     raise CommandError("need --space NAME or --file PATH")
 
 
-def _parse_subspec(space: SimplicialSet, spec: str):
-    """Subcomplex specifications: 'skeleton:N' or 'gens:D.I,D.I,...'
-    (the generated subcomplex, closure taken automatically)."""
+def _parse_subspec(space: SimplicialSet, spec: str) -> list[tuple[int, int]]:
+    """Subcomplex specifications: 'skeleton:N' or 'gens:D.I,D.I,...', as
+    the (dim, id) pairs they name; ``pair_les`` and ``mayer_vietoris``
+    take the closure."""
     if spec.startswith("skeleton:"):
         n = int(spec.split(":", 1)[1])
         if n < 0:
             raise CommandError("skeleton:N needs N >= 0")
-        return skeleton(space, n)
+        return [(d, g.id) for d in range(min(n, space.top_dim) + 1) for g in space.gens(d)]
     if spec.startswith("gens:"):
-        ids = []
         body = spec.split(":", 1)[1]
-        if body:
-            for item in body.split(","):
-                d, _, i = item.partition(".")
-                ids.append((int(d), int(i)))
-        return subcomplex(space, ids)
+        items = body.split(",") if body else []
+        return [(int(d), int(i)) for d, _, i in (item.partition(".") for item in items)]
     raise CommandError(f"bad subcomplex spec {spec!r} (use skeleton:N or gens:D.I,...)")
 
 
@@ -139,27 +136,25 @@ def cmd_uct(args):
     return report.lines(), report.passed
 
 
+def _sequence(report):
+    """Every node of an exact sequence, then its groups by label."""
+    groups = [f"{key} = {report.groups[key]}" for key in sorted(report.groups)]
+    return report.lines() + groups, report.passed
+
+
 def cmd_les(args):
     space = _load_space(args)
     if not args.sub:
         raise CommandError("les needs --sub (skeleton:N or gens:D.I,...)")
-    report = pair_les(space, _parse_subspec(space, args.sub), args.dim)
-    lines = report.lines()
-    for key in sorted(report.groups):
-        lines.append(f"{key} = {report.groups[key]}")
-    return lines, report.passed
+    return _sequence(pair_les(space, _parse_subspec(space, args.sub), args.dim))
 
 
 def cmd_mv(args):
     space = _load_space(args)
     if not args.cover_a or not args.cover_b:
         raise CommandError("mv needs --a and --b subcomplex specs")
-    report = mayer_vietoris(space, _parse_subspec(space, args.cover_a),
-                            _parse_subspec(space, args.cover_b), args.dim)
-    lines = report.lines()
-    for key in sorted(report.groups):
-        lines.append(f"{key} = {report.groups[key]}")
-    return lines, report.passed
+    return _sequence(mayer_vietoris(space, _parse_subspec(space, args.cover_a),
+                                    _parse_subspec(space, args.cover_b), args.dim))
 
 
 def cmd_cup(args):

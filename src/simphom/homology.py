@@ -33,13 +33,11 @@ one each, and so does ``exact_at``, on its own matrices: im = ker at a
 node holds iff the lifts of the image and of the node's relations span
 the kernel, that is iff their subquotient is trivial; one product lifts
 them all.  ``_exact_sequence``, the one builder of long exact sequences,
-takes the complexes and chain maps of the pair sequence or of
-Mayer-Vietoris, computes every group once, and checks exactness node by
-node on generator orders.  Both build C(K) once and take the chains of
-L, of (K, L) and of A, B and A n B as restrictions of it to kept basis
-indices.  The chain maps are 0/1 inclusion matrices and their
-transposes, and each connecting map is the boundary of K on lifted
-columns, read on the rows of the subcomplex.
+takes C(K) and per-degree lists of its basis indices, one per term of
+the pair sequence or of Mayer-Vietoris; subcomplexes are id sets, never
+glued spaces.  Each term is C(K) restricted to its list, every chain map
+keeps the indices two terms share, and each connecting map is d_K on a
+chain lifted by the same rule, read on the rows of the subcomplex.
 """
 
 from __future__ import annotations
@@ -48,11 +46,11 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .abgroup import AbelianGroup
-from .chains import ChainComplex, normalized_chains, relative_chains, restricted
+from .chains import ChainComplex, kept, normalized_chains, relative_chains, restricted
 from .intmatrix import IntegerMatrix
 from .snf import Reduction, Subquotient, _reduce
 from .snf import smith_normal_form  # noqa: F401  perfbench's tracer tests read this binding
-from .sset import SimplicialSet, SubcomplexResult, subcomplex
+from .sset import SimplicialSet, SubcomplexResult, _close_ids
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +149,9 @@ def _connecting(src: Subquotient, dst: Subquotient, lifted: IntegerMatrix, into:
 def _relations(orders: list[int]) -> IntegerMatrix:
     """One column d * e_k per torsion generator k of order d; free
     generators (order 0) carry no relation."""
-    n = len(orders)
-    return IntegerMatrix.from_columns(
-        [[d if i == k else 0 for i in range(n)] for k, d in enumerate(orders) if d], rows=n)
+    torsion = [(k, d) for k, d in enumerate(orders) if d]
+    return IntegerMatrix.from_entries(len(orders), len(torsion),
+                                      ((k, j, d) for j, (k, d) in enumerate(torsion)))
 
 
 def exact_at(incoming: IntegerMatrix, outgoing: IntegerMatrix,
@@ -200,41 +198,63 @@ class ExactSequenceReport:
         return all(node.exact for node in self.nodes)
 
     def lines(self) -> list[str]:
-        out = []
-        for node in self.nodes:
-            status = "PASS" if node.exact else "FAIL"
-            out.append(f"{status} exact at {node.label} [{node.group}]")
-        return out
+        return [f"{'PASS' if node.exact else 'FAIL'} exact at {node.label} [{node.group}]"
+                for node in self.nodes]
 
 
-def _exact_sequence(kind: str, labels: tuple[str, str, str], a: ChainComplex,
-                    bs: tuple[ChainComplex, ...], c: ChainComplex, f, g, delta,
+def _term(ck: ChainComplex, keep: list[list[int]]) -> ChainComplex:
+    """C(K) on the basis indices ``keep``: C(K) itself where that is all of
+    them, so that its reductions are shared."""
+    return ck if [len(level) for level in keep] == ck.ranks else restricted(ck, keep)
+
+
+def _shared(src: list[int], dst: list[int], sign: int = 1) -> IntegerMatrix:
+    """The 0/1 map, times ``sign``, from the span of the basis indices
+    ``src`` to that of ``dst`` keeping the indices both hold: an inclusion
+    or a projection."""
+    position = {k: i for i, k in enumerate(dst)}
+    return IntegerMatrix.from_entries(len(dst), len(src), (
+        (position[k], j, sign) for j, k in enumerate(src) if k in position))
+
+
+def _lift(ck: ChainComplex, c: list[list[int]], first: list[list[int]], p: int) -> IntegerMatrix:
+    """d_p of K on the p-chains on ``c`` lifted into ``first`` as ``_shared``
+    does: its columns at c[p], zero where ``first`` lacks the index."""
+    c_p, first_p = (c[p], set(first[p])) if p < len(c) else ([], set())
+    return ck.boundary(p).submatrix(range(ck.rank(p - 1)), c_p).with_zero_columns(
+        {j for j, k in enumerate(c_p) if k not in first_p})
+
+
+def _exact_sequence(kind: str, labels: tuple[str, str, str], ck: ChainComplex, a: list[list[int]],
+                    bs: tuple[tuple[list[list[int]], int], ...], c: list[list[int]],
                     up_to: int | None) -> ExactSequenceReport:
     """Check ... -> H_p(A) --f--> (+)_k H_p(B_k) --g--> H_p(C) --delta--> H_{p-1}(A)
     -> ... -> H_0(C) -> 0 at every node, from the top degree of the terms
     (or ``up_to``, if lower) down to 0.
 
-    ``labels`` are three format strings in ``p``.  ``f(p)`` and ``g(p)``
-    give one chain map per summand B_k, A_p -> B_k,p and B_k,p -> C_p, and
-    ``delta(p)`` the connecting map's boundary and rows, as ``_connecting``
-    takes them.  The top node's incoming map comes from H_{top+1}(C), the
+    ``labels`` are three format strings in ``p``.  The terms are C(K) on
+    the per-degree basis indices ``a``, on the keep list of each pair
+    (keep, sign) of ``bs``, and on ``c``.  f and g are ``_shared`` maps, g
+    times the sign; delta is ``_lift`` into the first summand, read on the
+    rows of A.  The top node's incoming map comes from H_{top+1}(C), the
     zero group at full depth.
     """
-    top = max(x.max_degree for x in (a, c, *bs))
+    ta, tbs, tc = _term(ck, a), [_term(ck, b) for b, _ in bs], _term(ck, c)
+    top = max(x.max_degree for x in (ta, tc, *tbs))
     if up_to is not None:
         top = min(top, up_to)
-    ha = [_subquotient(a, p, top=top + 1) for p in range(top + 1)]
-    hbs = [[_subquotient(b, p, top=top + 1) for b in bs] for p in range(top + 1)]
-    hc = [_subquotient(c, p, top=top + 2) for p in range(top + 2)]
-    d = {p: _connecting(hc[p], ha[p - 1], *delta(p)) for p in range(1, top + 2)}
-    nodes = []
-    groups = {}
+    ha = [_subquotient(ta, p, top=top + 1) for p in range(top + 1)]
+    hbs = [[_subquotient(b, p, top=top + 1) for b in tbs] for p in range(top + 1)]
+    hc = [_subquotient(tc, p, top=top + 2) for p in range(top + 2)]
+    d = {p: _connecting(hc[p], ha[p - 1], _lift(ck, c, bs[0][0], p), a[p - 1])
+         for p in range(1, top + 2)}
+    nodes, groups = [], {}
     for p in range(top, -1, -1):
         hb = hbs[p]
-        f_p = reduce(IntegerMatrix.vstack, [induced_matrix(ha[p], h, push)
-                                            for h, push in zip(hb, f(p))])
-        g_p = reduce(IntegerMatrix.hstack, [induced_matrix(h, hc[p], push)
-                                            for h, push in zip(hb, g(p))])
+        f_p = reduce(IntegerMatrix.vstack, [induced_matrix(ha[p], h, _shared(a[p], b[p]))
+                                            for h, (b, _) in zip(hb, bs)])
+        g_p = reduce(IntegerMatrix.hstack, [induced_matrix(h, hc[p], _shared(b[p], c[p], sign))
+                                            for h, (b, sign) in zip(hb, bs)])
         orders = (ha[p].orders, [o for h in hb for o in h.orders], hc[p].orders)
         below = ha[p - 1].orders if p else []
         d_out = d[p] if p else IntegerMatrix.zero(0, len(orders[2]))
@@ -251,43 +271,8 @@ def _exact_sequence(kind: str, labels: tuple[str, str, str], a: ChainComplex,
 
 
 def _sub_ids(space: SimplicialSet, sub) -> frozenset[tuple[int, int]]:
-    """The face-closed id set of a subcomplex, or of the closure of ids."""
-    return sub.id_set if isinstance(sub, SubcomplexResult) else subcomplex(space, sub).id_set
-
-
-def _basis_in(ck: ChainComplex, ids) -> list[list[int]]:
-    """Per degree of C(K), the basis indices of the generators in ``ids``."""
-    return [[k for k in range(r) if (n, k) in ids] for n, r in enumerate(ck.ranks)]
-
-
-def _level(keep: list[list[int]], n: int) -> list[int]:
-    """``keep[n]``, or no indices in a degree outside the complex."""
-    return keep[n] if 0 <= n < len(keep) else []
-
-
-def _inclusion(small: list[int], big) -> IntegerMatrix:
-    """The 0/1 matrix of the inclusion of the span of the basis indices
-    ``small`` into the span of ``big``, a superset; its transpose gathers
-    the entries on ``small``."""
-    position = {k: i for i, k in enumerate(big)}
-    return IntegerMatrix.from_entries(len(position), len(small),
-                                      ((position[k], j, 1) for j, k in enumerate(small)))
-
-
-def _pair_chains(space: SimplicialSet, sub):
-    """C(K) and, per degree, the basis indices inside L and outside it;
-    C(L) and C(K, L) are the restrictions of C(K) to them."""
-    ids = _sub_ids(space, sub)
-    ck = normalized_chains(space)
-    outside = [[k for k in range(r) if (n, k) not in ids] for n, r in enumerate(ck.ranks)]
-    return ck, _basis_in(ck, ids), outside
-
-
-def _pair_connecting(ck: ChainComplex, inside: list[list[int]],
-                     outside: list[list[int]], p: int) -> tuple[IntegerMatrix, list[int]]:
-    """C_p(K, L) -> C_{p-1}(L): the boundary of K on the columns outside L,
-    to be read on the rows of L."""
-    return ck.boundary(p).submatrix(range(ck.rank(p - 1)), _level(outside, p)), _level(inside, p - 1)
+    """The face-closed id set of a subcomplex, or the closure of ids."""
+    return sub.id_set if isinstance(sub, SubcomplexResult) else frozenset(_close_ids(space, sub))
 
 
 def pair_les(space: SimplicialSet, sub, up_to: int | None = None) -> ExactSequenceReport:
@@ -298,12 +283,11 @@ def pair_les(space: SimplicialSet, sub, up_to: int | None = None) -> ExactSequen
     Exactness is verified at every node; below the top of K, the top node
     is checked against the connecting map from one degree higher.
     """
-    ck, inside, outside = _pair_chains(space, sub)
-    return _exact_sequence("pair", ("H_{p}(L)", "H_{p}(K)", "H_{p}(K,L)"),
-                           restricted(ck, inside), (ck,), restricted(ck, outside),
-                           lambda p: (_inclusion(inside[p], range(ck.rank(p))),),
-                           lambda p: (_inclusion(outside[p], range(ck.rank(p))).transpose(),),
-                           lambda p: _pair_connecting(ck, inside, outside, p), up_to)
+    ids = _sub_ids(space, sub)
+    ck = normalized_chains(space)
+    return _exact_sequence("pair", ("H_{p}(L)", "H_{p}(K)", "H_{p}(K,L)"), ck, kept(ck, ids),
+                           (([list(range(r)) for r in ck.ranks], 1),),
+                           kept(ck, ids, inside=False), up_to)
 
 
 def relative_homology(space: SimplicialSet, sub, degrees=None) -> list[AbelianGroup]:
@@ -318,28 +302,16 @@ def relative_homology(space: SimplicialSet, sub, degrees=None) -> list[AbelianGr
 
 def mayer_vietoris(space: SimplicialSet, a_sub, b_sub, up_to: int | None = None) -> ExactSequenceReport:
     """The Mayer-Vietoris sequence of a generator-wise cover K = A u B,
-    with the connecting map from the explicit chain splitting."""
+    with the connecting map from the explicit chain splitting: the A part
+    of a cycle of K has its boundary in A n B."""
     a_ids, b_ids = _sub_ids(space, a_sub), _sub_ids(space, b_sub)
     all_ids = {(d, g.id) for d in range(space.top_dim + 1) for g in space.gens(d)}
     if a_ids | b_ids != all_ids:
-        missing = sorted(all_ids - (a_ids | b_ids))
-        raise ValueError(f"A u B misses generators {missing}")
+        raise ValueError(f"A u B misses generators {sorted(all_ids - (a_ids | b_ids))}")
     ck = normalized_chains(space)
-    a, b, ab = _basis_in(ck, a_ids), _basis_in(ck, b_ids), _basis_in(ck, a_ids & b_ids)
-
-    def into_k(keep, p):
-        return _inclusion(_level(keep, p), range(ck.rank(p)))
-
-    def connecting(p):
-        """Split a chain of K as a chain on A plus one on B; the boundary of
-        the A part of a cycle lies in A n B."""
-        on_a = into_k(a, p)
-        return ck.boundary(p) * on_a * on_a.transpose(), _level(ab, p - 1)
-
-    return _exact_sequence("mayer-vietoris", ("H_{p}(AnB)", "H_{p}(A)+H_{p}(B)", "H_{p}(K)"),
-                           restricted(ck, ab), (restricted(ck, a), restricted(ck, b)), ck,
-                           lambda p: (_inclusion(ab[p], a[p]), _inclusion(ab[p], b[p])),
-                           lambda p: (into_k(a, p), into_k(b, p) * -1), connecting, up_to)
+    return _exact_sequence("mayer-vietoris", ("H_{p}(AnB)", "H_{p}(A)+H_{p}(B)", "H_{p}(K)"), ck,
+                           kept(ck, a_ids & b_ids), ((kept(ck, a_ids), 1), (kept(ck, b_ids), -1)),
+                           kept(ck, all_ids), up_to)
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,13 @@ def _horn_of(faces: tuple, k: int) -> tuple:
 
 
 def fill_horn(space: SimplicialSet, h: HornMap) -> list[SimplexRef]:
-    """All n-simplices whose faces match the horn off index k."""
+    """All n-simplices whose faces match the horn off index k.  A table of
+    (n+1) |K_n| > ``PRODUCT_BUDGET`` faces is refused before it is built."""
     check_horn(space, h)
+    size = (h.n + 1) * sum(a * math.comb(h.n, p) for p, a in enumerate(space.counts()))
+    if size > PRODUCT_BUDGET:
+        raise ValueError(f"the face table in dimension {h.n} would hold {size} faces, "
+                         f"over the budget of {PRODUCT_BUDGET}")
     horn = _horn_of(h.faces, h.k)
     return [x for x, faces in _face_table(space, h.n).items() if _horn_of(faces, h.k) == horn]
 

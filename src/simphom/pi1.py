@@ -138,11 +138,9 @@ def pi1_presentation(space: SimplicialSet, base_vertex: int = 0) -> Pi1Data:
 
     # incidence of non-degenerate edges: edge e runs d1(e) -> d0(e)
     incident: list[list[tuple[int, int]]] = [[] for _ in range(space.n_gens(0))]
-    ends = {}
     for e in space.gens(1):
         v_from = space.face(SimplexRef(1, e.id), 1).base_id
         v_to = space.face(SimplexRef(1, e.id), 0).base_id
-        ends[e.id] = (v_from, v_to)
         incident[v_from].append((e.id, v_to))
         incident[v_to].append((e.id, v_from))
     for lst in incident:

@@ -8,7 +8,7 @@ import pytest
 
 from simphom.abgroup import AbelianGroup
 from simphom.catalog import catalog
-from simphom.chains import restricted
+from simphom.chains import kept, normalized_chains, restricted
 from simphom.homology import homology_data
 from simphom.intmatrix import IntegerMatrix
 from simphom.operators import Cylinder, cylinder
@@ -32,10 +32,13 @@ def connecting_matrix(space: SimplicialSet, sub, p: int) -> tuple[IntegerMatrix,
     presentation generators, with both groups.  It calls the private
     helpers through the module, so that a test may replace one of them."""
     module = sys.modules["simphom.homology"]
-    ck, inside, outside = module._pair_chains(space, sub)
+    ids = module._sub_ids(space, sub)
+    ck = normalized_chains(space)
+    inside, outside = kept(ck, ids), kept(ck, ids, inside=False)
     h_rel = homology_data(restricted(ck, outside), p)
     h_l = homology_data(restricted(ck, inside), p - 1)
-    return (module._connecting(h_rel, h_l, *module._pair_connecting(ck, inside, outside, p)),
+    whole = [list(range(r)) for r in ck.ranks]
+    return (module._connecting(h_rel, h_l, module._lift(ck, outside, whole, p), inside[p - 1]),
             h_rel.group, h_l.group)
 
 

@@ -8,7 +8,8 @@ import pytest
 from simphom.catalog import catalog
 from simphom.cli import main, run
 from simphom.io import print_space
-from simphom.sset import is_valid, product
+import simphom.sset as sset
+from simphom.sset import is_valid, product, subcomplex
 
 
 def out_of(argv):
@@ -662,3 +663,20 @@ def test_klein_x_circle_cup_stdout_is_pinned(coeff, tmp_path, capsys):
     doc.write_text(print_space(product(catalog("klein"), catalog("circle")).space))
     assert main(["cup", "--file", str(doc), "--coeff", coeff]) == 0
     assert capsys.readouterr().out == KLEIN_X_CIRCLE_CUP[coeff]
+
+
+def test_les_and_mv_glue_no_subcomplex(monkeypatch):
+    """Subcomplex specs reach ``pair_les`` and ``mayer_vietoris`` as id
+    lists, closed as id sets: on rp2, which the catalog builds without
+    gluing, neither command glues a space."""
+    glued = []
+    glue = sset._glue
+    monkeypatch.setattr(sset, "_glue", lambda *args, **kwargs: glued.append(args) or glue(*args, **kwargs))
+    for argv in (["les", "--space", "rp2", "--sub", "skeleton:1"],
+                 ["mv", "--space", "rp2", "--a", "gens:2.0,2.1,2.2,2.3,2.4",
+                  "--b", "gens:2.5,2.6,2.7,2.8,2.9"]):
+        lines, status = run(argv)
+        assert status == 0 and lines[-1] == "RESULT PASS", argv
+    assert glued == []
+    subcomplex(catalog("rp2"), [(2, 0)])
+    assert len(glued) == 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from simphom.catalog import catalog
 from simphom.cli import run
 
 GOLDEN = Path(__file__).parent / "golden" / "stdout.json"
@@ -38,6 +39,25 @@ COMMANDS = (
     ["print"],
 )
 
+
+def _subcomplex_commands(space: str) -> list[list[str]]:
+    """Mayer-Vietoris on the closures of the first and of the last half
+    (rounded up) of the top generators, and pairs with the 0-skeleton,
+    with the closure of the first top generator and, truncated, with the
+    1-skeleton."""
+    counts = catalog(space).counts()
+    top, m = len(counts) - 1, counts[-1]
+    half = -(-m // 2)
+
+    def gens(ids) -> str:
+        return "gens:" + ",".join(f"{top}.{i}" for i in ids)
+
+    return [["mv", "--a", gens(range(half)), "--b", gens(range(m - half, m))],
+            ["les", "--sub", "skeleton:0"],
+            ["les", "--sub", gens([0])],
+            ["les", "--sub", "skeleton:1", "--dim", "1"]]
+
+
 # refusals that end in exit 2 with one line
 REFUSALS = (
     ["homology", "--space", "delta:17"],
@@ -46,10 +66,14 @@ REFUSALS = (
     ["les", "--space", "rp2"],
     ["cup", "--space", "rp2", "--coeff", "Z^2"],
     ["cover", "--space", "rp2"],
+    ["mv", "--space", "rp2", "--a", "gens:2.0", "--b", "gens:2.1"],
+    ["les", "--space", "rp2", "--sub", "gens:9.9"],
+    ["les", "--space", "rp2", "--sub", "skeleton:-1"],
 )
 
 ARGVS = [command[:1] + ["--space", space] + command[1:] + ["--format", fmt]
-         for space in SPACES for command in COMMANDS for fmt in ("text", "machine")] + [
+         for space in SPACES for command in COMMANDS + tuple(_subcomplex_commands(space))
+         for fmt in ("text", "machine")] + [
     list(argv) for argv in REFUSALS]
 
 

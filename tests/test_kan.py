@@ -1,5 +1,7 @@
 """Horn filling, Kan certification, lifting properties."""
 
+import json
+
 import pytest
 
 import simphom.kan as kan_module
@@ -310,6 +312,30 @@ def test_face_tables_over_budget_are_refused_before_they_are_built(monkeypatch, 
             fibration_check(space_map, 4)
     monkeypatch.undo()
     assert fibration_check(into, 3).problems_checked > 0
+
+
+def test_fill_horn_refuses_an_over_budget_face_table(monkeypatch, rp2_x_rp2, tmp_path):
+    """fill_horn tabulates the n-simplices: on RP^2 x RP^2 that is
+    (n+1)|K_n| = 9 * 164,836 faces at n = 8, refused from the generator
+    counts before the table is built, and 26,244 at n = 3, which fills."""
+    doc = tmp_path / "rp2xrp2.sset"
+    doc.write_text(print_space(rp2_x_rp2))
+
+    def vertex_horn(n):
+        return HornMap(n, 0, (None,) + (SimplexRef(0, 0, tuple(range(n - 2, -1, -1))),) * n)
+
+    def refuse(*args):
+        raise AssertionError("an over-budget face table was built")
+
+    monkeypatch.setattr(kan_module, "_face_table", refuse)
+    over = "the face table in dimension 8 would hold 1483524 faces, over the budget of 100000"
+    with pytest.raises(ValueError, match=over):
+        fill_horn(rp2_x_rp2, vertex_horn(8))
+    faces = json.dumps([[[0, 0], list(range(6, -1, -1))]] * 8)
+    assert run(["fill", "--file", str(doc), "--dim", "8", "--k", "0", "--faces", faces]) == (
+        [f"error: {over}"], 2)
+    monkeypatch.undo()
+    assert SimplexRef(0, 0, (2, 1, 0)) in fill_horn(rp2_x_rp2, vertex_horn(3))
 
 
 def test_empty_space_has_no_horns_in_any_dimension(monkeypatch):
