@@ -17,7 +17,6 @@ from .chains import (
     mapping_cone,
     normalized_chains,
     relative_chains,
-    unnormalized_chains,
 )
 from .covers import (
     CoverLabeling,
@@ -144,7 +143,6 @@ __all__ = [
     "subcomplex",
     "tietze_simplify",
     "uct_check",
-    "unnormalized_chains",
     "verify_covering",
     "with_coefficients",
 ]

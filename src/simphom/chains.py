@@ -2,12 +2,11 @@
 
 Boundaries follow the alternating-sum convention: the boundary of an
 n-simplex is sum_i (-1)^i d_i.  Normalized chains are free on the
-non-degenerate generators with degenerate faces discarded; unnormalized
-chains take all simplices up to a truncation degree.  The chains of a
-subcomplex and of a pair are not built again: ``restricted`` keeps some
-basis indices of C(K) per degree and reads each boundary as a submatrix,
-and ``relative_chains`` is the restriction to the generators off the
-subcomplex.
+non-degenerate generators with degenerate faces discarded.  The chains
+of a subcomplex and of a pair are not built again: ``restricted`` keeps
+some basis indices of C(K) per degree and reads each boundary as a
+submatrix, and ``relative_chains`` is the restriction to the generators
+off the subcomplex.
 """
 
 from __future__ import annotations
@@ -166,25 +165,6 @@ def normalized_chains(space: SimplicialSet) -> ChainComplex:
         (f.base_id, g.id, (-1) ** i)
         for g in space.gens(n) for i, f in enumerate(g.faces) if not f.is_degenerate))
         for n in range(1, space.top_dim + 1)}
-    return ChainComplex(ranks, boundaries)
-
-
-def unnormalized_chains(space: SimplicialSet, up_to: int | None = None) -> ChainComplex:
-    """Free chains on all simplices through degree ``up_to`` (default
-    top_dim + 1), degenerate simplices kept as basis elements."""
-    if up_to is None:
-        up_to = space.top_dim + 1
-    if up_to < 0:
-        raise ValueError("up_to must be >= 0")
-    if space.is_empty():
-        return ChainComplex([], {})
-    bases = [list(space.all_simplices(n)) for n in range(up_to + 1)]
-    index = [{ref: k for k, ref in enumerate(level)} for level in bases]
-    ranks = [len(level) for level in bases]
-    boundaries = {n: IntegerMatrix.from_entries(ranks[n - 1], ranks[n], (
-        (index[n - 1][space.face(ref, i)], k, (-1) ** i)
-        for k, ref in enumerate(bases[n]) for i in range(n + 1)))
-        for n in range(1, up_to + 1)}
     return ChainComplex(ranks, boundaries)
 
 

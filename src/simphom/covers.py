@@ -220,10 +220,8 @@ def build_cover(base: SimplicialSet, labeling: CoverLabeling) -> CoverResult:
     for d in range(base.top_dim + 1):
         row = []
         for g in base.gens(d):
+            twisted = labeling.label_of(base.edge_01(SimplexRef(d, g.id))) if d else G.identity
             for sheet in range(order):
-                twisted = G.identity
-                if d >= 1:
-                    twisted = labeling.label_of(base.edge_01(SimplexRef(d, g.id)))
                 faces = []
                 for i, ref in enumerate(g.faces):
                     out_sheet = G.mul(twisted, sheet) if i == 0 else sheet

@@ -189,7 +189,6 @@ class SequenceNode:
 
 @dataclass
 class ExactSequenceReport:
-    kind: str
     nodes: list[SequenceNode]
     groups: dict[str, AbelianGroup] = field(default_factory=dict)
 
@@ -225,7 +224,7 @@ def _lift(ck: ChainComplex, c: list[list[int]], first: list[list[int]], p: int) 
         {j for j, k in enumerate(c_p) if k not in first_p})
 
 
-def _exact_sequence(kind: str, labels: tuple[str, str, str], ck: ChainComplex, a: list[list[int]],
+def _exact_sequence(labels: tuple[str, str, str], ck: ChainComplex, a: list[list[int]],
                     bs: tuple[tuple[list[list[int]], int], ...], c: list[list[int]],
                     up_to: int | None) -> ExactSequenceReport:
     """Check ... -> H_p(A) --f--> (+)_k H_p(B_k) --g--> H_p(C) --delta--> H_{p-1}(A)
@@ -263,7 +262,7 @@ def _exact_sequence(kind: str, labels: tuple[str, str, str], ck: ChainComplex, a
             label = label.format(p=p)
             groups[label] = group = AbelianGroup.from_cyclics(here)
             nodes.append(SequenceNode(label, group, exact_at(incoming, outgoing, here, after)))
-    return ExactSequenceReport(kind, nodes, groups)
+    return ExactSequenceReport(nodes, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +284,7 @@ def pair_les(space: SimplicialSet, sub, up_to: int | None = None) -> ExactSequen
     """
     ids = _sub_ids(space, sub)
     ck = normalized_chains(space)
-    return _exact_sequence("pair", ("H_{p}(L)", "H_{p}(K)", "H_{p}(K,L)"), ck, kept(ck, ids),
+    return _exact_sequence(("H_{p}(L)", "H_{p}(K)", "H_{p}(K,L)"), ck, kept(ck, ids),
                            (([list(range(r)) for r in ck.ranks], 1),),
                            kept(ck, ids, inside=False), up_to)
 
@@ -309,7 +308,7 @@ def mayer_vietoris(space: SimplicialSet, a_sub, b_sub, up_to: int | None = None)
     if a_ids | b_ids != all_ids:
         raise ValueError(f"A u B misses generators {sorted(all_ids - (a_ids | b_ids))}")
     ck = normalized_chains(space)
-    return _exact_sequence("mayer-vietoris", ("H_{p}(AnB)", "H_{p}(A)+H_{p}(B)", "H_{p}(K)"), ck,
+    return _exact_sequence(("H_{p}(AnB)", "H_{p}(A)+H_{p}(B)", "H_{p}(K)"), ck,
                            kept(ck, a_ids & b_ids), ((kept(ck, a_ids), 1), (kept(ck, b_ids), -1)),
                            kept(ck, all_ids), up_to)
 

@@ -6,13 +6,17 @@ degenerate) whose faces match.  A space is Kan through a dimension when
 every horn through that dimension fills; a map is a fibration through a
 dimension when every relative horn problem along it has a solution.
 
-Each check tabulates the faces of the simplices it needs once, in
-``all_simplices`` order, and answers horn questions by dict lookups.
-Horns are enumerated as a join on the (n-1)-simplex table: slot by slot,
-one index on the faces at the earlier slots gives every simplex that
-satisfies all the identities d_i x_j = d_{j-1} x_i bound so far.  A horn
-is a plain face tuple with None at slot k; a :class:`HornMap` is built
-only for a reported lifting problem.  Every horn counted by
+Each check reads integer face tables made by one function, ``_tables``: the
+n-simplices in ``all_simplices`` order, and for each the positions of
+its faces in the (n-1)-simplex list.  A face of s_w x depends only on the
+word w, the face index and the stored faces of the generator x (the
+Eilenberg-Zilber form), so each word is rewritten once per face index and
+dimension, and no simplex goes through ``SimplicialSet.face``.  Horns are
+enumerated as a join on the (n-1)-simplex table: slot by slot, one index
+on the faces at the earlier slots gives every simplex that satisfies all
+the identities d_i x_j = d_{j-1} x_i bound so far.  A horn is a tuple of
+positions with None at slot k; it becomes ``SimplexRef`` faces, or a
+:class:`HornMap`, only when it is reported.  Every horn counted by
 :func:`kan_check` or :func:`fibration_check` is certified against those
 identities, read from the table.  Tables that would hold more than
 ``sset.PRODUCT_BUDGET`` faces are refused, from the generator counts
@@ -21,11 +25,14 @@ alone, before any is built.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .simplex import SimplexRef
+from .simplex import SimplexRef, compose_words, face_word_rewrite
 from .sset import PRODUCT_BUDGET, SimplicialMap, SimplicialSet
 
 
@@ -56,9 +63,9 @@ def horn_compatible(face, h: HornMap) -> bool:
     return all(face(h.faces[j], i) == face(h.faces[i], j - 1) for i, j in _pairs(h.n, h.k))
 
 
-def _certify(lower: dict, faces: tuple, pairs: list) -> None:
-    """The identities of :func:`horn_compatible`, read from the table of the
-    (n-1)-simplices, for a horn given as a face tuple."""
+def _certify(lower: list, faces: tuple, pairs: list) -> None:
+    """The identities of :func:`horn_compatible`, read from the face table
+    of the (n-1)-simplices, for a horn given as a tuple of positions."""
     if not all(lower[faces[j]][i] == lower[faces[i]][j - 1] for i, j in pairs):
         raise ValueError("incompatible horn data")
 
@@ -68,6 +75,8 @@ def check_horn(space: SimplicialSet, h: HornMap):
         raise ValueError("horns need n >= 1")
     if not 0 <= h.k <= h.n:
         raise ValueError("horn index out of range")
+    if len(h.faces) != h.n + 1:
+        raise ValueError(f"a ({h.n},{h.k}) horn has {h.n + 1} face slots, not {len(h.faces)}")
     for i in h.given_indices():
         ref = h.faces[i]
         if ref is None or ref.dim != h.n - 1:
@@ -79,10 +88,78 @@ def check_horn(space: SimplicialSet, h: HornMap):
         raise ValueError("incompatible horn data")
 
 
-def _face_table(space: SimplicialSet, n: int) -> dict[SimplexRef, tuple]:
-    """{x: (d_0 x, ..., d_n x)} for the n-simplices, in all_simplices order."""
-    return {x: tuple(space.face(x, i) for i in range(n + 1)) if n else ()
-            for x in space.all_simplices(n)}
+class _Table(NamedTuple):
+    """The n-simplices of a space and their faces, by position.
+
+    ``refs`` lists the n-simplices in ``all_simplices`` order and
+    ``faces[x]`` the positions of d_0 x, ..., d_n x in the (n-1)-simplex
+    list.  ``ranks[p]`` maps each word of length n - p to its rank in
+    ``all_simplices`` order, so s_w of the p-generator g sits at
+    ``offsets[p] + g * len(ranks[p]) + ranks[p][w]``."""
+
+    refs: list
+    faces: list
+    offsets: list
+    ranks: list
+
+    def position(self, ref: SimplexRef) -> int:
+        ranks = self.ranks[ref.base_dim]
+        return self.offsets[ref.base_dim] + ref.base_id * len(ranks) + ranks[ref.degens]
+
+
+def _layout(counts: tuple, n: int) -> tuple[list, list]:
+    """``_Table.ranks`` and ``_Table.offsets`` for the n-simplices."""
+    ranks, offsets, at = [], [], 0
+    for p in range(min(n, len(counts) - 1) + 1):
+        words = itertools.combinations(range(n), n - p)
+        ranks.append({tuple(reversed(w)): j for j, w in enumerate(words)})
+        offsets.append(at)
+        at += counts[p] * len(ranks[p])
+    return ranks, offsets
+
+
+def _tables(space: SimplicialSet, top: int, bottom: int = 0) -> list[_Table]:
+    """The face tables of the n-simplices for n = bottom..top.
+
+    With (w', r) = ``face_word_rewrite(w, i)``, d_i s_w g is s_w' g when d_i
+    cancels against w, and s_w' of g's stored face r otherwise.  So face i
+    of s_w g sits at the offset of g, or of the generator of its face r,
+    plus a rank that depends only on w, i and the words of g's stored
+    faces.  One template per such pattern of words holds those ranks.
+    Each rewrite is made once per (w, i) and dimension, and each
+    ``compose_words`` once per pair of words."""
+    counts = space.counts()
+    compose = functools.lru_cache(maxsize=None)(compose_words)
+    low_ranks, low_offsets = _layout(counts, bottom - 1) if bottom else ([], [])
+    tables = []
+    for n in range(bottom, top + 1):
+        ranks, offsets = _layout(counts, n)
+        refs = [SimplexRef(p, g, w) for p, words in enumerate(ranks)
+                for g in range(counts[p]) for w in words]
+        faces: list = [()] * len(refs) if n == 0 else []
+        for p, words in enumerate(ranks if n else ()):
+            rewrites = [[face_word_rewrite(w, i) for i in range(n + 1)] for w in words]
+
+            def entry(w, r, pattern):  # (0 for g itself or 1 + r for its face r, rank)
+                if r is None:
+                    return 0, low_ranks[p][w]
+                return r + 1, low_ranks[p - 1 - len(pattern[r])][compose(w, pattern[r])]
+
+            stride = len(low_ranks[p]) if p < n else 0  # d_i cancels only if p < n
+            templates: dict = {}
+            for g in space.gens(p):
+                pattern = tuple(f.degens for f in g.faces)
+                template = templates.get(pattern)
+                if template is None:
+                    template = templates[pattern] = [[entry(w, r, pattern) for w, r in row]
+                                                     for row in rewrites]
+                bases = [low_offsets[p] + g.id * stride if p < n else 0]  # as in entry
+                bases += [low_offsets[f.base_dim] + f.base_id * len(low_ranks[f.base_dim])
+                          for f in g.faces]
+                faces += [tuple([bases[b] + rank for b, rank in row]) for row in template]
+        tables.append(_Table(refs, faces, offsets, ranks))
+        low_ranks, low_offsets = ranks, offsets
+    return tables
 
 
 def _refuse_over_budget(up_to_dim: int, *spaces: SimplicialSet) -> None:
@@ -103,6 +180,11 @@ def _horn_of(faces: tuple, k: int) -> tuple:
     return faces[:k] + (None,) + faces[k + 1:]
 
 
+def _read(values: list, h: tuple) -> tuple:
+    """The horn ``h`` with each position x read as ``values[x]``; None stays None."""
+    return tuple([None if x is None else values[x] for x in h])
+
+
 def fill_horn(space: SimplicialSet, h: HornMap) -> list[SimplexRef]:
     """All n-simplices whose faces match the horn off index k.  A table of
     (n+1) |K_n| > ``PRODUCT_BUDGET`` faces is refused before it is built."""
@@ -111,14 +193,16 @@ def fill_horn(space: SimplicialSet, h: HornMap) -> list[SimplexRef]:
     if size > PRODUCT_BUDGET:
         raise ValueError(f"the face table in dimension {h.n} would hold {size} faces, "
                          f"over the budget of {PRODUCT_BUDGET}")
-    horn = _horn_of(h.faces, h.k)
-    return [x for x, faces in _face_table(space, h.n).items() if _horn_of(faces, h.k) == horn]
+    lower, table = _tables(space, h.n, h.n - 1)
+    horn = tuple(None if i == h.k else lower.position(h.faces[i]) for i in range(h.n + 1))
+    return [table.refs[x] for x, faces in enumerate(table.faces) if _horn_of(faces, h.k) == horn]
 
 
-def _horns(lower: dict, n: int, k: int) -> list[tuple]:
-    """Every compatible horn (n, k) on the (n-1)-simplex table ``lower``, as
-    a face tuple with None at slot k, in the order of a backtracking over
-    the slots j != k in increasing order and ``lower`` order at each slot.
+def _horns(lower: list, n: int, k: int) -> list[tuple]:
+    """Every compatible horn (n, k) on the (n-1)-simplex face table
+    ``lower``, as a tuple of positions with None at slot k, in the order of
+    a backtracking over the slots j != k in increasing order and ``lower``
+    order at each slot.
 
     A join, one slot at a time: the partial horns on the earlier slots
     extend by the x whose faces d_i x, at each earlier slot i, equal
@@ -129,7 +213,7 @@ def _horns(lower: dict, n: int, k: int) -> list[tuple]:
     for pos, j in enumerate(slots):
         earlier = slots[:pos]
         index: dict = {}
-        for x, faces in lower.items():
+        for x, faces in enumerate(lower):
             index.setdefault(tuple([faces[i] for i in earlier]), []).append(x)
         partial = [h + (x,) for h in partial
                    for x in index.get(tuple([lower[x_i][j - 1] for x_i in h]), ())]
@@ -179,19 +263,20 @@ def kan_check(space: SimplicialSet, up_to_dim: int = 3) -> KanReport:
     report = KanReport(space.name or "K", up_to_dim, 0)
     if space.is_empty():  # no simplex, so no horn in any dimension
         return report
-    tables = [_face_table(space, n) for n in range(up_to_dim + 1)]
+    tables = _tables(space, up_to_dim)
     for n in range(1, up_to_dim + 1):
-        lower, upper = tables[n - 1], tables[n]
-        fillable = {_horn_of(faces, k) for faces in upper.values() for k in range(n + 1)}
+        lower, refs = tables[n - 1].faces, tables[n - 1].refs
+        fillable = {_horn_of(faces, k) for faces in tables[n].faces for k in range(n + 1)}
         for k in range(n + 1):
             pairs = _pairs(n, k)
             for h in _horns(lower, n, k):
                 _certify(lower, h, pairs)
                 report.horns_checked += 1
                 if h not in fillable:
+                    faces = _read(refs, h)
                     desc = ", ".join(f"d{i}={space.format_ref(x)}"
-                                     for i, x in enumerate(h) if i != k)
-                    report.failures.append(HornFailure(n, k, h, desc))
+                                     for i, x in enumerate(faces) if i != k)
+                    report.failures.append(HornFailure(n, k, faces, desc))
     return report
 
 
@@ -244,24 +329,34 @@ def fibration_check(space_map: SimplicialMap, up_to_dim: int = 3) -> FibrationRe
     report = FibrationReport(up_to_dim, 0)
     if E.is_empty():  # no simplex upstairs, so no horn in any dimension
         return report
-    tables = [_face_table(E, n) for n in range(up_to_dim + 1)]
-    images = [{x: space_map.apply(x) for x in table} for table in tables]
+    tables, base_tables = _tables(E, up_to_dim), _tables(B, up_to_dim)
+    compose = functools.lru_cache(maxsize=None)(compose_words)
+    images = []  # per n, the position of f(x) among the base n-simplices
+    for table, base in zip(tables, base_tables):
+        image = []
+        for p, words in enumerate(table.ranks):
+            for g in range(E.n_gens(p)):  # f(s_w g) = s_w f(g)
+                q, gid, word = space_map.images[(p, g)]
+                at, ranks = base.offsets[q] + gid * len(base.ranks[q]), base.ranks[q]
+                image += [at + ranks[compose(w, word)] for w in words]
+        images.append(image)
     for n in range(1, up_to_dim + 1):
-        lower, upper, image = tables[n - 1], tables[n], images[n - 1]
+        lower, image = tables[n - 1].faces, images[n - 1]
         lifts = Counter((images[n][x], _horn_of(faces, k))
-                        for x, faces in upper.items() for k in range(n + 1))
+                        for x, faces in enumerate(tables[n].faces) for k in range(n + 1))
         over: dict = {}  # base horn -> the base n-simplices filling it, in order
-        for y, faces in _face_table(B, n).items():
+        for y, faces in enumerate(base_tables[n].faces):
             for k in range(n + 1):
                 over.setdefault(_horn_of(faces, k), []).append(y)
         for k in range(n + 1):
             pairs = _pairs(n, k)
             for h in _horns(lower, n, k):
                 _certify(lower, h, pairs)
-                for y in over.get(tuple(map(image.get, h)), ()):  # image.get(None) is None
+                for y in over.get(_read(image, h), ()):
                     report.problems_checked += 1
                     count = lifts[(y, h)]
                     if count != 1:
                         bad = report.non_unique if count else report.failures
-                        bad.append(LiftingProblem(HornMap(n, k, h), y, count))
+                        bad.append(LiftingProblem(HornMap(n, k, _read(tables[n - 1].refs, h)),
+                                                  base_tables[n].refs[y], count))
     return report

@@ -7,7 +7,11 @@ and ``cone_cohomology`` read Z/m groups off the integral homology of the
 mapping cone of m * id, not off a subquotient mod m.  The rank,
 determinant and Betti number routines use exact fraction, mod-p and
 Bareiss elimination and share no code with the SNF at all.
-``reference_is_valid`` checks the simplicial identities with the
+``unnormalized_chains`` is the complex on all simplices, degenerate ones
+included, through a truncation degree: its homology is that of the
+normalized chains below the truncation.
+``reference_is_valid`` checks the simplicial identities, and
+``reference_verify`` the face commutation of a map, with the
 unconditional face rewrite, without ``SimplicialSet.face`` and its
 face-table shortcut.  ``reference_cup`` is the cup product of one pair
 of cochains by the front/back formula, finding each front and back face
@@ -31,7 +35,7 @@ from simphom.io import SpaceDocumentError
 from simphom.operators import Cochain
 from simphom.simplex import NonDegenSimplex, SimplexRef, compose_words, face_word_rewrite
 from simphom.snf import smith_normal_form
-from simphom.sset import SimplicialSet, ValidationReport
+from simphom.sset import SimplicialMap, SimplicialSet, ValidationReport
 
 
 class DenseSubquotient:
@@ -220,6 +224,25 @@ def mod_betti_numbers(c: ChainComplex, p: int) -> list[int]:
             for n in range(c.max_degree + 1)]
 
 
+def unnormalized_chains(space: SimplicialSet, up_to: int | None = None) -> ChainComplex:
+    """Free chains on all simplices through degree ``up_to`` (default
+    top_dim + 1), degenerate simplices kept as basis elements."""
+    if up_to is None:
+        up_to = space.top_dim + 1
+    if up_to < 0:
+        raise ValueError("up_to must be >= 0")
+    if space.is_empty():
+        return ChainComplex([], {})
+    bases = [list(space.all_simplices(n)) for n in range(up_to + 1)]
+    index = [{ref: k for k, ref in enumerate(level)} for level in bases]
+    ranks = [len(level) for level in bases]
+    boundaries = {n: IntegerMatrix.from_entries(ranks[n - 1], ranks[n], (
+        (index[n - 1][space.face(ref, i)], k, (-1) ** i)
+        for k, ref in enumerate(bases[n]) for i in range(n + 1)))
+        for n in range(1, up_to + 1)}
+    return ChainComplex(ranks, boundaries)
+
+
 def _rewritten_face(space: SimplicialSet, s: SimplexRef, i: int) -> SimplexRef:
     """d_i s by the degeneracy rewrite, also when s is non-degenerate."""
     word, residual = face_word_rewrite(s.degens, i)
@@ -245,6 +268,22 @@ def reference_is_valid(space: SimplicialSet) -> ValidationReport:
                             f"d{i} d{j} = {space.format_ref(left)} but d{j-1} d{i} = {space.format_ref(right)}"
                         )
     return ValidationReport(not problems, problems)
+
+
+def reference_verify(space_map: SimplicialMap) -> list[str]:
+    """``SimplicialMap.verify`` as it was before it read stored entries:
+    both sides of f(d_i s) = d_i f(s) rewritten afresh for every generator."""
+    bad = []
+    source, target = space_map.source, space_map.target
+    for d in range(1, source.top_dim + 1):
+        for g in source.gens(d):
+            ref = SimplexRef(d, g.id)
+            for i in range(d + 1):
+                lhs = space_map.apply(_rewritten_face(source, ref, i))
+                rhs = _rewritten_face(target, space_map.apply(ref), i)
+                if lhs != rhs:
+                    bad.append(f"f(d{i} {g.name()}) != d{i} f({g.name()})")
+    return bad
 
 
 def reference_cup(space: SimplicialSet, alpha: Cochain, beta: Cochain) -> Cochain:

@@ -18,7 +18,6 @@ from simphom.chains import (
     euler_characteristic,
     mapping_cone,
     normalized_chains,
-    unnormalized_chains,
 )
 from simphom.covers import build_cover, cyclic_labeling, verify_covering
 from simphom.homology import (
@@ -59,7 +58,7 @@ from conftest import (
     constant_map,
     homotopy_corpus,
 )
-from reference import betti_numbers_rational, mod_betti_numbers
+from reference import betti_numbers_rational, mod_betti_numbers, unnormalized_chains
 
 Z = AbelianGroup.free(1)
 Z2 = AbelianGroup.cyclic(2)

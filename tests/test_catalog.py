@@ -4,12 +4,13 @@ import pytest
 
 from simphom.abgroup import AbelianGroup
 from simphom.catalog import catalog, ordered_complex_catalog
-from simphom.chains import euler_characteristic, normalized_chains, unnormalized_chains
+from simphom.chains import euler_characteristic, normalized_chains
 from simphom.homology import homology
 from simphom.io import parse_space, print_space
 from simphom.sset import is_valid
 
 from conftest import all_catalog_spaces
+from reference import unnormalized_chains
 
 
 def test_every_catalog_space_is_valid():

@@ -15,13 +15,13 @@ from simphom.chains import (
     relative_chains,
     restricted,
     tensor_complex,
-    unnormalized_chains,
 )
 from simphom.homology import homology
 from simphom.intmatrix import IntegerMatrix
 from simphom.sset import boundary, product, quotient, skeleton, std_simplex, subcomplex
 
 from conftest import all_catalog_spaces
+from reference import unnormalized_chains
 
 
 def test_normalized_circle(circle):

@@ -1,5 +1,7 @@
 """Finite groups, edge labelings, and covering spaces."""
 
+import re
+
 import pytest
 
 from simphom.abgroup import AbelianGroup
@@ -16,7 +18,9 @@ from simphom.covers import (
 from simphom.homology import homology_of_space
 from simphom.pi1 import pi1_presentation
 from simphom.simplex import NonDegenSimplex, SimplexRef
-from simphom.sset import SimplicialMap, SimplicialSet, is_valid
+from simphom.sset import SimplicialMap, SimplicialSet, is_valid, quotient, subcomplex
+
+from reference import reference_verify
 
 
 def test_finite_group_laws():
@@ -150,3 +154,54 @@ def test_quotient_space_with_degenerate_face_edges_cocycle(klein):
     cover = build_cover(sphere, lab)
     assert cover.space.counts() == sphere.counts()
     assert is_valid(cover.space).ok
+
+
+def _with_face(space: SimplicialSet, d: int, gid: int, i: int, face: SimplexRef) -> SimplicialSet:
+    """``space`` with face i of the generator (d, gid) replaced by ``face``."""
+    rows = [list(space.gens(p)) for p in range(space.top_dim + 1)]
+    g = rows[d][gid]
+    rows[d][gid] = NonDegenSimplex(d, gid, g.faces[:i] + (face,) + g.faces[i + 1:], label=g.label)
+    return SimplicialSet(rows)
+
+
+def _tampered_rp2_cover(how: str):
+    """The double cover of RP^2, or of RP^2 with one edge collapsed (whose
+    cover has degenerate faces), with one face or one projection image
+    corrupted: the source, target and images of the tampered projection."""
+    from simphom.catalog import catalog
+    base = catalog("rp2")
+    if how == "degenerate face":
+        base = quotient(base, subcomplex(base, [(1, 0)])).space
+    cover = build_cover(base, cyclic_labeling(base, pi1_presentation(base), 2))
+    space, images = cover.space, dict(cover.projection.images)
+    assert not cover.projection.verify() and not reference_verify(cover.projection)
+    if how == "d0 over another edge":
+        # (sigma, g) keeps its sheet at d_0 but lies over the next base edge
+        face = space.gen(2, 0).faces[0]
+        space = _with_face(space, 2, 0, 0, SimplexRef(1, (face.base_id + 2) % space.n_gens(1)))
+    elif how == "degenerate face":
+        # a degenerate face s_0 (v, g) moved over another base vertex
+        d, gid, i = next((d, g.id, i) for d in range(2, space.top_dim + 1)
+                         for g in space.gens(d) for i, f in enumerate(g.faces) if f.degens)
+        face = space.gen(d, gid).faces[i]
+        space = _with_face(space, d, gid, i, face._replace(
+            base_id=(face.base_id + 2) % space.n_gens(face.base_dim)))
+    elif how == "wrong image":
+        images[(1, 0)] = SimplexRef(1, 1)
+    elif how == "degenerate image":
+        images[(1, 0)] = SimplexRef(0, 0, (0,))
+    return space, base, images
+
+
+@pytest.mark.parametrize("how", ["d0 over another edge", "degenerate face", "wrong image",
+                                 "degenerate image"])
+def test_tampered_cover_projection_is_refused(how):
+    """The map certificate reads stored entries where the image and the face
+    are non-degenerate, and rewrites otherwise: each tampering is refused
+    with the failures, and the first message, of the rewrite on every face."""
+    space, base, images = _tampered_rp2_cover(how)
+    unchecked = SimplicialMap(space, base, images, check=False)
+    expected = reference_verify(unchecked)
+    assert expected and unchecked.verify() == expected
+    with pytest.raises(ValueError, match=rf"^not a simplicial map: {re.escape(expected[0])}$"):
+        SimplicialMap(space, base, images)

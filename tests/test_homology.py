@@ -15,7 +15,6 @@ from simphom.chains import (
     mapping_cone,
     normalized_chains,
     relative_chains,
-    unnormalized_chains,
 )
 from simphom.cli import main
 from simphom.homology import (
@@ -51,6 +50,7 @@ from reference import (
     cone_coefficients,
     cone_cohomology,
     mod_betti_numbers,
+    unnormalized_chains,
 )
 
 Z = AbelianGroup.free(1)

@@ -15,8 +15,8 @@ from simphom.kan import (
     HornMap,
     KanReport,
     LiftingProblem,
-    _face_table,
     _horns,
+    _tables,
     check_horn,
     fibration_check,
     fill_horn,
@@ -29,10 +29,20 @@ from simphom.sset import SimplicialMap, SimplicialSet, discrete, product, std_si
 from conftest import constant_map
 
 
-def enumerate_horns(space: SimplicialSet, n: int, k: int):
-    """All compatible horns of shape (n, k) into the space."""
-    for faces in _horns(_face_table(space, n - 1), n, k):
-        yield HornMap(n, k, faces)
+def table_horns(space: SimplicialSet, n: int, k: int) -> list[HornMap]:
+    """The compatible horns of shape (n, k) that ``_horns`` finds on the
+    (n-1)-simplex table, with their positions read back as simplices."""
+    (lower,) = _tables(space, n - 1, n - 1)
+    return [HornMap(n, k, tuple(None if x is None else lower.refs[x] for x in h))
+            for h in _horns(lower.faces, n, k)]
+
+
+def interval_incompatible_horn() -> tuple:
+    """The (2, 0) horn of test_incompatible_horn_rejected in index form:
+    d1 the constant edge at vertex 1 and d2 the edge, as positions in the
+    1-simplex table of Delta[1]."""
+    edges = _tables(std_simplex(1), 1)[1]
+    return (None, edges.position(SimplexRef(0, 1, (0,))), edges.position(SimplexRef(1, 0)))
 
 
 def test_fill_in_discrete_space():
@@ -62,6 +72,16 @@ def test_incompatible_horn_rejected():
         fill_horn(d1, h)
 
 
+def test_horn_with_the_wrong_number_of_face_slots_is_refused():
+    # fill_horn reads slots 0..n of the table's faces; a face tuple of
+    # another length is refused rather than matched on a prefix
+    point = std_simplex(0)
+    vertex = SimplexRef(0, 0)
+    for h in (HornMap(1, 0, (None, vertex, vertex)), HornMap(1, 1, (vertex,))):
+        with pytest.raises(ValueError, match="face slots"):
+            fill_horn(point, h)
+
+
 def test_discrete_is_kan_through_three():
     for m in (1, 2, 3):
         report = kan_check(discrete(m), 3)
@@ -83,8 +103,8 @@ def test_interval_fails_kan_with_witness():
 def test_horn_enumeration_counts_interval():
     d1 = std_simplex(1)
     # (1, k) horns are single vertices; (2, k) horns are compatible pairs
-    assert sum(1 for _ in enumerate_horns(d1, 1, 0)) == 2
-    horns2 = list(enumerate_horns(d1, 2, 0))
+    assert len(table_horns(d1, 1, 0)) == 2
+    horns2 = table_horns(d1, 2, 0)
     for h in horns2:
         assert h.faces[0] is None
         assert h.faces[1].dim == 1 and h.faces[2].dim == 1
@@ -96,7 +116,7 @@ def test_kan_self_consistency_fillers_exist():
     assert report.passed
     for n in (1, 2, 3):
         for k in range(n + 1):
-            for h in enumerate_horns(space, n, k):
+            for h in table_horns(space, n, k):
                 assert fill_horn(space, h)
 
 
@@ -195,11 +215,40 @@ def cover_of(base, order):
     return build_cover(space, cyclic_labeling(space, pi1_presentation(space), order))
 
 
+def table_spaces():
+    """The catalog spaces through dimension 4, one product and one cover
+    through 3, and the point and two points through 6."""
+    names = ["point", "circle", "torus", "rp2", "klein", "delta:3", "boundary:3", "horn:3:1",
+             "sphere:2", "discrete:0"]
+    cases = [(catalog(name), 4) for name in names]
+    cases.append((product(catalog("torus"), catalog("rp2")).space, 3))
+    cases.append((cover_of("rp2", 2).space, 3))
+    cases += [(catalog("point"), 6), (catalog("discrete:2"), 6)]
+    return cases
+
+
+@pytest.mark.parametrize("space,top", table_spaces(), ids=lambda c: getattr(c, "name", str(c)))
+def test_table_entries_are_the_faces_of_their_simplices(space, top):
+    """Every table lists the n-simplices in all_simplices order, places each
+    one where ``position`` says, and reads back face i of x at entry i of
+    its face tuple, as ``SimplicialSet.face`` computes it."""
+    tables = _tables(space, top)
+    for n, table in enumerate(tables):
+        assert table.refs == list(space.all_simplices(n))
+        assert [table.position(x) for x in table.refs] == list(range(len(table.refs)))
+        assert len(table.faces) == len(table.refs)
+        for x, faces in zip(table.refs, table.faces):
+            assert [tables[n - 1].refs[f] for f in faces] == (
+                [space.face(x, i) for i in range(n + 1)] if n else [])
+    for bottom in range(1, top + 1):
+        assert _tables(space, top, bottom) == tables[bottom:]
+
+
 @pytest.mark.parametrize("space", differential_spaces(), ids=lambda s: s.name)
 def test_horns_fillers_and_kan_reports_match_brute_force(space):
     for n in (1, 2, 3):
         for k in range(n + 1):
-            horns = list(enumerate_horns(space, n, k))
+            horns = table_horns(space, n, k)
             assert horns == list(brute_enumerate_horns(space, n, k))
             assert [fill_horn(space, h) for h in horns] == [
                 brute_fill_horn(space, h) for h in horns]
@@ -237,8 +286,9 @@ def test_brute_force_reference_sees_failures_and_non_unique_lifts():
 def test_kan_check_certifies_each_horn_it_counts(monkeypatch):
     # the interval horn of test_incompatible_horn_rejected, slipped past the
     # enumeration: kan_check must refuse it rather than count it
-    bad = HornMap(2, 0, (None, SimplexRef(0, 1, (0,)), SimplexRef(1, 0)))
-    monkeypatch.setattr(kan_module, "_horns", lambda lower, n, k: [bad.faces] if n == 2 else [])
+    bad = interval_incompatible_horn()
+    assert bad == (None, 1, 2)
+    monkeypatch.setattr(kan_module, "_horns", lambda lower, n, k: [bad] if n == 2 else [])
     with pytest.raises(ValueError, match="incompatible horn data"):
         kan_check(std_simplex(1), 2)
 
@@ -246,8 +296,8 @@ def test_kan_check_certifies_each_horn_it_counts(monkeypatch):
 def test_fibration_check_certifies_each_horn_it_counts(monkeypatch):
     # the same incompatible horn, slipped past the enumeration of the source's
     # horns: fibration_check must refuse it rather than count its lifts
-    bad = HornMap(2, 0, (None, SimplexRef(0, 1, (0,)), SimplexRef(1, 0)))
-    monkeypatch.setattr(kan_module, "_horns", lambda lower, n, k: [bad.faces] if n == 2 else [])
+    bad = interval_incompatible_horn()
+    monkeypatch.setattr(kan_module, "_horns", lambda lower, n, k: [bad] if n == 2 else [])
     with pytest.raises(ValueError, match="incompatible horn data"):
         fibration_check(constant_map(std_simplex(1), catalog("point"), 0), 2)
 
@@ -297,6 +347,7 @@ def test_face_tables_over_budget_are_refused_before_they_are_built(monkeypatch, 
     def refuse(*args):
         raise AssertionError("an over-budget face table was built")
 
+    monkeypatch.setattr(kan_module, "_tables", refuse)
     monkeypatch.setattr(SimplicialSet, "all_simplices", refuse)
     over = "would hold 112854 faces, over the budget of 100000"
     with pytest.raises(ValueError, match=over):
@@ -327,7 +378,7 @@ def test_fill_horn_refuses_an_over_budget_face_table(monkeypatch, rp2_x_rp2, tmp
     def refuse(*args):
         raise AssertionError("an over-budget face table was built")
 
-    monkeypatch.setattr(kan_module, "_face_table", refuse)
+    monkeypatch.setattr(kan_module, "_tables", refuse)
     over = "the face table in dimension 8 would hold 1483524 faces, over the budget of 100000"
     with pytest.raises(ValueError, match=over):
         fill_horn(rp2_x_rp2, vertex_horn(8))
@@ -345,6 +396,7 @@ def test_empty_space_has_no_horns_in_any_dimension(monkeypatch):
         raise AssertionError("a face table of the empty space was built")
 
     empty = discrete(0)
+    monkeypatch.setattr(kan_module, "_tables", refuse)
     monkeypatch.setattr(SimplicialSet, "all_simplices", refuse)
     report = kan_check(empty, 10 ** 12)
     assert report.passed and report.horns_checked == 0
@@ -353,9 +405,10 @@ def test_empty_space_has_no_horns_in_any_dimension(monkeypatch):
 
 
 def test_face_calls_scale_with_the_face_tables(monkeypatch, rp2):
-    """kan_check and verify_covering compute each face once: no more face
-    calls than twice the face tables, where a rescan per horn made ~108k
-    (kan_check) and ~35k (verify_covering) on these inputs."""
+    """kan_check and verify_covering read every face from integer tables and
+    make no face call at all; tables of SimplexRef faces made one per table
+    face (504 for kan_check here), and a rescan per horn ~108k (kan_check)
+    and ~35k (verify_covering) on these inputs."""
     def table_size(space, top):
         return sum((n + 1) * sum(1 for _ in space.all_simplices(n)) for n in range(1, top + 1))
 
@@ -371,7 +424,6 @@ def test_face_calls_scale_with_the_face_tables(monkeypatch, rp2):
     assert table_size(rp2, 3) == 504
     report = kan_check(rp2, 3)
     assert report.horns_checked == 574
-    assert len(calls) <= 2 * 504
-    calls.clear()
+    assert calls == []
     assert verify_covering(cover.projection, 2, 2).passed
-    assert len(calls) <= 2 * (table_size(cover.space, 2) + table_size(rp2, 2))
+    assert calls == []
