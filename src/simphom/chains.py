@@ -44,8 +44,8 @@ class ChainComplex:
                     f"boundary {n} has shape {mat.shape}, wanted {(self.rank(n-1), self.rank(n))}")
             self.boundaries[n] = mat
         # certified boundary reductions, filled and read by simphom.homology
-        # and keyed by the boundary degree and the top of its clearing chain
-        self.reductions: dict[tuple[int, int], Reduction] = {}
+        # and keyed by the boundary degree: one per boundary
+        self.reductions: dict[int, Reduction] = {}
         self._dual: ChainComplex | None = None
 
     @property

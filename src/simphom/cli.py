@@ -100,34 +100,31 @@ def _machine(lines: list[str]) -> list[str]:
 # Commands: each returns (lines, passed or None)
 
 
+def _degrees(args, space) -> range:
+    """Degrees 0 to --dim, or to the top dimension of the space."""
+    return range((space.top_dim if args.dim is None else args.dim) + 1)
+
+
+def _graded(args, symbol: str, groups):
+    """One line per degree: the group after ``symbol`` and the degree."""
+    machine = args.format == "machine"
+    sep = "=" if machine else " = "
+    return [f"{symbol}{n}{sep}{_group_str(g, machine)}" for n, g in enumerate(groups)], None
+
+
 def cmd_homology(args):
     space = _load_space(args)
-    top = space.top_dim if args.dim is None else args.dim
-    groups = homology_of_space(space, range(top + 1))
-    machine = args.format == "machine"
-    if machine:
-        return [f"H_{n}={_group_str(g, True)}" for n, g in enumerate(groups)], None
-    return [f"H_{n} = {g}" for n, g in enumerate(groups)], None
+    return _graded(args, "H_", homology_of_space(space, _degrees(args, space)))
 
 
 def cmd_cohomology(args):
-    space = _load_space(args)
-    pi = _coeff(args)
-    top = space.top_dim if args.dim is None else args.dim
-    groups = cohomology(normalized_chains(space), pi, range(top + 1))
-    machine = args.format == "machine"
-    sep = "=" if machine else " = "
-    return [f"H^{n}{sep}{_group_str(g, machine)}" for n, g in enumerate(groups)], None
+    space, pi = _load_space(args), _coeff(args)
+    return _graded(args, "H^", cohomology(normalized_chains(space), pi, _degrees(args, space)))
 
 
 def cmd_coeffs(args):
-    space = _load_space(args)
-    pi = _coeff(args)
-    top = space.top_dim if args.dim is None else args.dim
-    groups = with_coefficients(normalized_chains(space), pi, range(top + 1))
-    machine = args.format == "machine"
-    sep = "=" if machine else " = "
-    return [f"H_{n}{sep}{_group_str(g, machine)}" for n, g in enumerate(groups)], None
+    space, pi = _load_space(args), _coeff(args)
+    return _graded(args, "H_", with_coefficients(normalized_chains(space), pi, _degrees(args, space)))
 
 
 def cmd_uct(args):
@@ -166,8 +163,7 @@ def cmd_cup(args):
         modulus = pi.torsion[0]
     else:
         raise CommandError("cup products need ring coefficients Z or Z/d")
-    degrees = range((space.top_dim if args.dim is None else args.dim) + 1)
-    table = cohomology_ring_table(space, modulus, degrees)
+    table = cohomology_ring_table(space, modulus, _degrees(args, space))
     return table.lines(), None
 
 

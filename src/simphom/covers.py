@@ -18,7 +18,7 @@ from .chains import euler_characteristic
 from .kan import FibrationReport, fibration_check
 from .pi1 import Pi1Data, abelianization_data
 from .simplex import NonDegenSimplex, SimplexRef
-from .sset import SimplicialMap, SimplicialSet
+from .sset import SimplicialMap, SimplicialSet, _walk
 
 
 class FiniteGroup:
@@ -209,8 +209,8 @@ def build_cover(base: SimplicialSet, labeling: CoverLabeling) -> CoverResult:
     """The covering space with generators (sigma, g).
 
     Faces: d_i(sigma, g) = (d_i sigma, g) for i >= 1 and
-    d_0(sigma, g) = (d_0 sigma, label(edge01(sigma)) * g); degeneracy
-    words pass through untouched.
+    d_0(sigma, g) = (d_0 sigma, label(e) * g), e the edge of sigma on its
+    vertices 0 and 1; degeneracy words pass through untouched.
     """
     if labeling.space is not base:
         raise ValueError("labeling belongs to a different space")
@@ -220,7 +220,8 @@ def build_cover(base: SimplicialSet, labeling: CoverLabeling) -> CoverResult:
     for d in range(base.top_dim + 1):
         row = []
         for g in base.gens(d):
-            twisted = labeling.label_of(base.edge_01(SimplexRef(d, g.id))) if d else G.identity
+            edge = _walk(base, SimplexRef(d, g.id), True, 1)[0] if d else None
+            twisted = G.identity if edge is None else labeling.labels[edge]
             for sheet in range(order):
                 faces = []
                 for i, ref in enumerate(g.faces):

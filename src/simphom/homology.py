@@ -2,16 +2,17 @@
 
 Integral groups alone have one engine, ``homology``: the certified
 elementary divisors of each boundary, reduced once, give
-H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion of d_{n+1}.  It
-reduces from the top boundary asked for down, with clearing: ``_reduce``
+H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion of d_{n+1}.  The
+reductions clear from the top boundary of the complex down: ``_reduce``
 eliminates d_k without its columns at the unit-pivot rows of d_{k+1}'s
 elimination, which are Z-combinations of the other columns, so its
 divisors do not change.  The certificate for that is one sparse product,
 d_k * P = 0 for the matrix P of d_{k+1}'s pivot columns.  Each reduction
-is cached on the ``ChainComplex``, keyed by its degree and the top of its
-clearing chain, and every consumer reads it: ``homology``, the
-subquotients of ``homology_data`` and the Z/m groups of
-``with_coefficients``.  Cohomology is read off the dual complex,
+is cached on the ``ChainComplex``, keyed by its degree alone, so the
+degrees a caller asks for choose what is reported, not how it is
+computed.  Every consumer reads it: ``homology``, the subquotients of
+``homology_data`` and the Z/m groups of ``with_coefficients``.
+Cohomology is read off the dual complex,
 H^n(C; G) = H_{N-n}(Hom(C, Z); G), built once per complex, so integral
 cohomology, ``cohomology_data`` and Z/m cohomology share its reductions
 in the same way.  Every group with Z/m coefficients is the group of one
@@ -62,26 +63,20 @@ def homology_data(c: ChainComplex, n: int) -> Subquotient:
     return _subquotient(c, n)
 
 
-def _subquotient(c: ChainComplex, n: int, modulus: int = 0, top: int | None = None) -> Subquotient:
+def _subquotient(c: ChainComplex, n: int, modulus: int = 0) -> Subquotient:
     """H_n(C; Z/modulus), Z for modulus 0, from the cached reductions of
-    d_{n+1} and of d_n without the columns at its pivot rows, in the
-    clearing chain from d_top down (by default from above the top degree,
-    as ``homology`` over all degrees reduces)."""
-    top = max(c.max_degree + 1 if top is None else top, n + 1)
-    return Subquotient(_reduction(c, n, top), _reduction(c, n + 1, top), modulus)
+    d_{n+1} and of d_n without the columns at its pivot rows."""
+    return Subquotient(_reduction(c, n), _reduction(c, n + 1), modulus)
 
 
-def _reduction(c: ChainComplex, k: int, top: int) -> Reduction:
-    """The certified reduction of d_k in the clearing chain from d_top down,
-    cached on c by k and the top (at most one above the top degree of c):
-    d_top in full, each boundary below it without the columns at the pivot
-    rows of the one above.  The chain stops below a boundary c does not
-    hold; a zero boundary clears nothing."""
-    key = (k, min(top, c.max_degree + 1))
-    if key not in c.reductions:
-        above = _reduction(c, k + 1, key[1]) if k < key[1] and k + 1 in c.boundaries else None
-        c.reductions[key] = _reduce(c.boundary(k), above)
-    return c.reductions[key]
+def _reduction(c: ChainComplex, k: int) -> Reduction:
+    """The certified reduction of d_k, cached on c by k: without the columns
+    at the pivot rows of d_{k+1}'s reduction where c holds d_{k+1}, in full
+    at the top.  A zero boundary clears nothing."""
+    if k not in c.reductions:
+        above = _reduction(c, k + 1) if k + 1 in c.boundaries else None
+        c.reductions[k] = _reduce(c.boundary(k), above)
+    return c.reductions[k]
 
 
 def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[AbelianGroup]:
@@ -90,8 +85,8 @@ def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[Abeli
     Groups only: H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion Z/d
     of the divisors d > 1 of d_{n+1}.  Each boundary needed is reduced
     once, by the certified unit elimination and the verified SNF of its
-    residue, in a clearing chain from the top of each run of consecutive
-    boundaries needed down.  Below a reduced d_{k+1}, d_k is reduced
+    residue, in the clearing chain from the top boundary of c down, which
+    does not depend on ``degrees``.  Below d_{k+1}, d_k is reduced
     without its columns at the pivot rows of d_{k+1}'s elimination
     (clearing): each pivot column c is a cycle carrying +-1 at its own
     pivot row and 0 at the earlier ones, so back-substitution in reverse
@@ -102,13 +97,8 @@ def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[Abeli
     subquotients.
     """
     degrees = list(range(c.max_degree + 1) if degrees is None else degrees)
-    needed = {k for n in degrees for k in (n, n + 1)}
-    divisors: dict[int, list[int]] = {}
-    for k in sorted(needed, reverse=True):
-        top = k
-        while top + 1 in needed:
-            top += 1
-        divisors[k] = _reduction(c, k, top).divisors if k in c.boundaries else []
+    divisors = {k: _reduction(c, k).divisors if k in c.boundaries else []
+                for n in degrees for k in (n, n + 1)}
     out = []
     for n in degrees:
         d_out, d_in = divisors[n], divisors[n + 1]
@@ -242,9 +232,9 @@ def _exact_sequence(labels: tuple[str, str, str], ck: ChainComplex, a: list[list
     top = max(x.max_degree for x in (ta, tc, *tbs))
     if up_to is not None:
         top = min(top, up_to)
-    ha = [_subquotient(ta, p, top=top + 1) for p in range(top + 1)]
-    hbs = [[_subquotient(b, p, top=top + 1) for b in tbs] for p in range(top + 1)]
-    hc = [_subquotient(tc, p, top=top + 2) for p in range(top + 2)]
+    ha = [_subquotient(ta, p) for p in range(top + 1)]
+    hbs = [[_subquotient(b, p) for b in tbs] for p in range(top + 1)]
+    hc = [_subquotient(tc, p) for p in range(top + 2)]
     d = {p: _connecting(hc[p], ha[p - 1], _lift(ck, c, bs[0][0], p), a[p - 1])
          for p in range(1, top + 2)}
     nodes, groups = [], {}
@@ -326,8 +316,7 @@ def with_coefficients(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> li
     its group."""
     degrees = list(range(c.max_degree + 1) if degrees is None else degrees)
     parts = [0] * coeffs.betti + list(coeffs.torsion)
-    top = max(degrees, default=-1) + 1
-    groups = {m: [_subquotient(c, n, m, top).group for n in degrees]
+    groups = {m: [_subquotient(c, n, m).group for n in degrees]
               if m else homology(c, degrees) for m in set(parts)}
     total = [AbelianGroup.trivial()] * len(degrees)
     for m in parts:

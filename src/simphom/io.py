@@ -25,10 +25,17 @@ Finite-group tables (``group v1``) use the same versioned-header style.
 from __future__ import annotations
 
 import json
+import re
 
 from .covers import FiniteGroup
 from .simplex import NonDegenSimplex, SimplexRef
 from .sset import SimplicialSet, is_valid
+
+
+# the deepest face list decoded, far below the recursion limit of the decoder
+MAX_NESTING = 100
+# the brackets of a JSON text, strings skipped
+_BRACKETS = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
 
 class SpaceDocumentError(ValueError):
@@ -97,9 +104,23 @@ def _parse_unchecked(text: str) -> SimplicialSet:
                         f"ids must be dense and ascending (got {gid}, wanted {len(texts) - 1})", lineno)
     except SpaceDocumentError as exc:
         pending = exc
-    decoded = [_decode(texts, linenos) for texts, linenos in blocks]
-    if pending is not None:
-        raise pending
+    try:
+        decoded = [_decode(texts, linenos) for texts, linenos in blocks]
+        if pending is not None:
+            raise pending
+        return _generators(name, decoded, blocks)
+    except SpaceDocumentError:
+        # Whether a block holding a face list nested too deeply decodes in one
+        # piece depends on the caller's stack depth.  So a refused document is
+        # decoded line by line, which refuses such a list before anything else.
+        for texts, linenos in blocks:
+            _decode_lines(texts, linenos)
+        raise
+
+
+def _generators(name: str | None, decoded: list[list],
+                blocks: list[tuple[list[str], list[int]]]) -> SimplicialSet:
+    """The space of the decoded face lists, every entry checked."""
     gens = []
     for d, (rows, (_, linenos)) in enumerate(zip(decoded, blocks)):
         want = d + 1 if d else 0
@@ -126,10 +147,9 @@ def _parse_unchecked(text: str) -> SimplicialSet:
             out.append(NonDegenSimplex(d, gid, tuple(refs)))
         gens.append(out)
     try:
-        space = SimplicialSet(gens, name=name)
+        return SimplicialSet(gens, name=name)
     except ValueError as exc:
         raise SpaceDocumentError(str(exc)) from None
-    return space
 
 
 def _decode(texts: list[str], linenos: list[int]) -> list:
@@ -146,14 +166,25 @@ def _decode(texts: list[str], linenos: list[int]) -> list:
     if (len(rows) == len(texts) and '"' not in block
             and all(text.count("[") == text.count("]") for text in texts)):
         return rows
+    return _decode_lines(texts, linenos)
+
+
+def _decode_lines(texts: list[str], linenos: list[int]) -> list:
+    """The face lists of one block, one ``json.loads`` per line; the first
+    bad line is refused.  A list nested deeper than ``MAX_NESTING`` (a valid
+    one has depth 3) is refused before it is decoded, its depth counted
+    without recursion, so the refusal does not depend on the stack."""
     rows = []
     for face_text, lineno in zip(texts, linenos):
+        depth = 0
+        for token in _BRACKETS.findall(face_text):
+            depth += (token in "[{") - (token in "]}")
+            if depth > MAX_NESTING:
+                raise SpaceDocumentError("bad face list: nested too deeply", lineno)
         try:
             rows.append(json.loads(face_text))
         except json.JSONDecodeError as exc:
             raise SpaceDocumentError(f"bad face list: {exc.msg}", lineno) from None
-        except RecursionError:
-            raise SpaceDocumentError("bad face list: nested too deeply", lineno) from None
     return rows
 
 

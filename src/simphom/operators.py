@@ -39,7 +39,7 @@ from .homology import (
 from .intmatrix import IntegerMatrix
 from .simplex import SimplexRef
 from .snf import _vanishes
-from .sset import ProductResult, SimplicialMap, SimplicialSet, product, std_simplex
+from .sset import ProductResult, SimplicialMap, SimplicialSet, _walk, product, std_simplex
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +151,6 @@ def homotopic_maps_equal_on_homology(f: SimplicialMap, g: SimplicialMap,
 
 # ---------------------------------------------------------------------------
 # Alexander-Whitney and Eilenberg-Zilber
-
-
-def _walk(space: SimplicialSet, ref: SimplexRef, front: bool) -> list[int | None]:
-    """The ids of the front faces (down the last face) or of the back faces
-    (down face 0) of ``ref`` by dimension, None where degenerate."""
-    faces = [ref]
-    for t in range(ref.dim, 0, -1):
-        faces.append(space.face(faces[-1], t if front else 0))
-    return [None if f.is_degenerate else f.base_id for f in reversed(faces)]
 
 
 def _shuffle_sign(left_word: tuple[int, ...], right_word: tuple[int, ...]) -> int:

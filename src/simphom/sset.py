@@ -104,14 +104,6 @@ class SimplicialSet:
                 for chosen in itertools.combinations(range(n), n - p):
                     yield SimplexRef(p, g.id, tuple(reversed(chosen)))
 
-    def edge_01(self, s: SimplexRef) -> SimplexRef:
-        """The edge spanned by vertices 0 and 1 (faces off vertices 2..n)."""
-        if s.dim < 1:
-            raise ValueError("needs dimension >= 1")
-        for t in range(s.dim, 1, -1):
-            s = self.face(s, t)
-        return s
-
     def format_ref(self, s: SimplexRef) -> str:
         base = self.gen(s.base_dim, s.base_id)
         if not s.degens:
@@ -140,6 +132,16 @@ class SimplicialSet:
                         base_dims[degens] = base_dim
                     if not (0 <= base_dim < d and 0 <= base_id < counts[base_dim]):
                         raise ValueError(f"face {i} of {g.name()} dangles: no generator ({base_dim},{base_id})")
+
+
+def _walk(space: SimplicialSet, ref: SimplexRef, front: bool, bottom: int = 0) -> list[int | None]:
+    """The ids of the front faces (down the last face) or of the back faces
+    (down face 0) of ``ref`` by dimension from ``bottom`` up, None where
+    degenerate: the front face of dimension 1 is the edge on vertices 0, 1."""
+    faces = [ref]
+    for t in range(ref.dim, bottom, -1):
+        faces.append(space.face(faces[-1], t if front else 0))
+    return [None if f.is_degenerate else f.base_id for f in reversed(faces)]
 
 
 @dataclass

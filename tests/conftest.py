@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
@@ -13,7 +14,18 @@ from simphom.homology import homology_data
 from simphom.intmatrix import IntegerMatrix
 from simphom.operators import Cylinder, cylinder
 from simphom.simplex import SimplexRef
-from simphom.sset import SimplicialMap, SimplicialSet, identity_map
+from simphom.sset import (
+    SimplicialMap,
+    SimplicialSet,
+    _close_ids,
+    boundary,
+    horn,
+    identity_map,
+    pushout,
+    quotient,
+    std_simplex,
+    subcomplex,
+)
 
 
 def constant_map(source: SimplicialSet, target: SimplicialSet, vertex_id: int) -> SimplicialMap:
@@ -65,6 +77,54 @@ def connected_catalog_spaces() -> list[SimplicialSet]:
 
 def all_catalog_spaces() -> list[SimplicialSet]:
     return connected_catalog_spaces() + [catalog("discrete:2"), catalog("boundary:1")]
+
+
+def random_sset(rng: random.Random, steps: int = 5) -> SimplicialSet:
+    """A random simplicial set from the simplex family: Delta[n], its
+    boundary or a horn (n <= 3), then ``steps`` random quotients by the
+    closure of a few generators and pushouts attaching a simplex along
+    part of its 1-skeleton, all glued by ``sset._glue``."""
+    n = rng.randint(1, 3)
+    space = rng.choice([std_simplex(n), boundary(n), horn(n, rng.randint(0, n))])
+    for _ in range(steps):
+        if rng.random() < 0.3:
+            keys = [(d, g.id) for d in range(space.top_dim + 1) for g in space.gens(d)]
+            picked = rng.sample(keys, rng.randint(1, min(3, len(keys))))
+            space = quotient(space, frozenset(_close_ids(space, picked))).space
+        else:
+            space = _attached(rng, space)
+    return space
+
+
+def _attached(rng: random.Random, space: SimplicialSet) -> SimplicialSet:
+    """Delta[m] glued to ``space`` along the closure A of some of its edges
+    (of both vertices for m = 1, of vertex 0 when no edge is picked).
+    Every vertex of A goes to one vertex v, most often one with a loop.
+    Mostly, with a loop e at v, an edge [i, j] of A goes to e for j - i
+    odd and to the degenerate edge on v otherwise, so an attached
+    2-simplex has boundary 2e; else each edge goes to a random loop at v
+    or to the degenerate edge."""
+    m = rng.choice((1, 2, 2, 3))
+    cell = std_simplex(m)
+    picked = ([(1, e.id) for e in cell.gens(1) if rng.random() < 0.8] or [(0, 0)] if m > 1
+              else [(0, 0), (0, 1)])
+    a = subcomplex(cell, picked)
+    looped = [e.faces[0] for e in space.gens(1) if e.faces[0] == e.faces[1]]
+    v = rng.choice(looped if looped and rng.random() < 0.8 else
+                   [SimplexRef(0, k) for k in range(space.n_gens(0))])
+    loops = [SimplexRef(1, e.id) for e in space.gens(1) if e.faces == (v, v)]
+    wrap = rng.choice(loops) if loops and rng.random() < 0.8 else None
+    flat = SimplexRef(0, v.base_id, (0,))
+
+    def edge_image(gid: int) -> SimplexRef:
+        j, i = (f.base_id for f in cell.gen(1, a.inclusion.images[(1, gid)].base_id).faces)
+        if wrap is not None:
+            return wrap if (j - i) % 2 else flat
+        return rng.choice(loops) if loops and rng.random() < 0.7 else flat
+
+    images = {(d, g.id): edge_image(g.id) if d else v
+              for d in range(a.space.top_dim + 1) for g in a.space.gens(d)}
+    return pushout(SimplicialMap(a.space, space, images), a.inclusion).space
 
 
 def constant_homotopy(f: SimplicialMap, cyl: Cylinder) -> SimplicialMap:

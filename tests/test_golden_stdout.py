@@ -37,14 +37,18 @@ COMMANDS = (
     ["cover", "--group", "cyclic:2"],
     ["validate"],
     ["print"],
+    ["homology", "--dim", "1"],
+    ["cohomology", "--coeff", "Z/2", "--dim", "1"],
+    ["coeffs", "--coeff", "Z/3", "--dim", "1"],
+    ["cup", "--dim", "1"],
 )
 
 
 def _subcomplex_commands(space: str) -> list[list[str]]:
     """Mayer-Vietoris on the closures of the first and of the last half
-    (rounded up) of the top generators, and pairs with the 0-skeleton,
-    with the closure of the first top generator and, truncated, with the
-    1-skeleton."""
+    (rounded up) of the top generators, in full and truncated, and pairs
+    with the 0-skeleton, with the closure of the first top generator and,
+    truncated, with the 1-skeleton."""
     counts = catalog(space).counts()
     top, m = len(counts) - 1, counts[-1]
     half = -(-m // 2)
@@ -52,7 +56,8 @@ def _subcomplex_commands(space: str) -> list[list[str]]:
     def gens(ids) -> str:
         return "gens:" + ",".join(f"{top}.{i}" for i in ids)
 
-    return [["mv", "--a", gens(range(half)), "--b", gens(range(m - half, m))],
+    mv = ["mv", "--a", gens(range(half)), "--b", gens(range(m - half, m))]
+    return [mv, mv + ["--dim", "1"],
             ["les", "--sub", "skeleton:0"],
             ["les", "--sub", gens([0])],
             ["les", "--sub", "skeleton:1", "--dim", "1"]]

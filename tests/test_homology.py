@@ -32,6 +32,7 @@ from simphom.homology import (
     with_coefficients,
 )
 from simphom.intmatrix import IntegerMatrix
+from simphom.io import parse_space, print_space
 from simphom.snf import Subquotient, elementary_divisors
 from simphom.sset import (
     boundary,
@@ -43,7 +44,7 @@ from simphom.sset import (
 )
 from simphom.subdivision import barycentric_subdivide
 
-from conftest import all_catalog_spaces, connecting_matrix
+from conftest import all_catalog_spaces, connecting_matrix, random_sset
 from reference import (
     DenseSubquotient,
     betti_numbers_rational,
@@ -198,25 +199,6 @@ def test_cleared_homology_refuses_a_corrupted_pivot_column(monkeypatch, rp2):
     monkeypatch.setattr(module, "_pivot_columns", corrupted)
     with pytest.raises(AssertionError, match="a pivot column of in_map leaves the kernel"):
         homology(normalized_chains(rp2))
-
-
-def test_homology_of_one_degree_reduces_no_boundary_above_it(monkeypatch):
-    """homology(c, [n]) reduces d_{n+1} in full and d_n without the
-    cleared columns, and nothing else."""
-    snf = sys.modules["simphom.snf"]
-    eliminate = snf._eliminate_units
-    rows = []
-
-    def recorded(m):
-        rows.append(m.rows)
-        return eliminate(m)
-
-    monkeypatch.setattr(snf, "_eliminate_units", recorded)
-    c = normalized_chains(product(catalog("torus"), catalog("rp2")).space)
-    for n in range(c.max_degree + 2):
-        rows.clear()
-        homology(c, [n])
-        assert rows == [c.rank(k - 1) for k in (n + 1, n) if k in c.boundaries], (n, rows)
 
 
 COEFFICIENTS = [AbelianGroup.parse(spec) for spec in ("0", "Z", "Z/2", "Z/3", "Z/4", "Z/6", "Z^2+Z/4")]
@@ -559,10 +541,12 @@ def _is_elimination_of(m, d):
 
 
 def test_each_boundary_is_eliminated_once_for_every_consumer(monkeypatch):
-    """On T^2 x RP^2, homology(), every homology_data, Z/2 coefficients
-    and every Z/2 cohomology_data share one cleared reduction per
-    boundary of the chains and of their dual: each nonzero boundary is
-    eliminated exactly once, and every other elimination is that of a
+    """On T^2 x RP^2, homology of each single degree, asked for top down
+    and then bottom up, Z/2 coefficients in degree 1, homology(), every
+    homology_data, Z/2 coefficients and every Z/2 cohomology_data share
+    one cleared reduction per boundary of the chains and of their dual:
+    each nonzero boundary is eliminated exactly once, whatever degrees
+    the first query asked for, and every other elimination is that of a
     relations matrix with at most 8 rows."""
     snf = sys.modules["simphom.snf"]
     eliminate = snf._eliminate_units
@@ -575,7 +559,10 @@ def test_each_boundary_is_eliminated_once_for_every_consumer(monkeypatch):
     monkeypatch.setattr(snf, "_eliminate_units", recorded)
     c = normalized_chains(product(catalog("torus"), catalog("rp2")).space)
     degrees = range(c.max_degree + 2)
+    singles = [homology(c, [n]) for n in [*reversed(degrees), *degrees]]
+    assert with_coefficients(c, Z2, [1]) == [AbelianGroup.parse("Z/2+Z/2+Z/2")]
     groups = homology(c)
+    assert singles == [[g] for g in [trivial, *reversed(groups), *groups, trivial]]
     assert [homology_data(c, n).group for n in degrees] == groups + [trivial]
     assert with_coefficients(c, Z2) == [cohomology_data(c, n, 2).group for n in range(c.max_degree + 1)]
     boundaries = [d for complex_ in (c, c.dual()) for d in complex_.boundaries.values() if not d.is_zero()]
@@ -752,6 +739,36 @@ def test_euler_equals_alternating_betti(circle, torus, rp2, klein):
         groups = homology_of_space(space)
         chi = sum((-1) ** n * g.betti for n, g in enumerate(groups))
         assert chi == euler_characteristic(space)
+
+
+def test_random_simplicial_sets_after_a_round_trip():
+    """Seeded random simplicial sets (``conftest.random_sset``), each
+    printed and parsed back: chi is the alternating sum of the Betti
+    numbers; the homology of random subsets of degrees, asked for in random
+    order on one complex, is the full answer of a fresh complex restricted
+    to them; and the Z/2 and Z/3 groups are the universal coefficient
+    formula applied to the integral groups, of the rank that dense mod-p
+    elimination gives."""
+    from simphom.chains import euler_characteristic
+    rng = random.Random(2017)
+    with_torsion = 0
+    for _ in range(80):
+        space = parse_space(print_space(random_sset(rng)))
+        groups = homology(normalized_chains(space))
+        assert euler_characteristic(space) == sum((-1) ** n * g.betti for n, g in enumerate(groups))
+        c = normalized_chains(space)
+        degrees = list(range(c.max_degree + 2))
+        for _ in range(4):
+            subset = rng.sample(degrees, rng.randint(1, len(degrees)))
+            assert homology(c, subset) == [(groups + [trivial])[n] for n in subset], subset
+        for p in (2, 3):
+            zp = AbelianGroup.cyclic(p)
+            direct = with_coefficients(c, zp)
+            assert direct == [g.tensor(zp).direct_sum((groups[n - 1] if n else trivial).tor(zp))
+                              for n, g in enumerate(groups)]
+            assert [len(g.torsion) for g in direct] == mod_betti_numbers(c, p)
+        with_torsion += any(g.torsion for g in groups)
+    assert with_torsion >= 5
 
 
 def test_corrupted_complex_detected():

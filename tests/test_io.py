@@ -90,6 +90,22 @@ def test_deeply_nested_face_list_is_refused_on_its_line(tmp_path):
     assert status == 2 and lines == ["error: line 5: bad face list: nested too deeply"]
 
 
+def test_nesting_past_the_bound_gives_one_message_at_any_stack_depth(tmp_path):
+    """A face list 900 deep decodes or not with the caller's stack depth;
+    either way it is refused as nested too deeply, at top level and under
+    300 extra frames."""
+    doc = "sset v1\ndim 0\n0 []\ndim 1\n0 " + "[" * 900 + "]" * 900 + "\n"
+    with pytest.raises(SpaceDocumentError, match="nested too deeply") as err:
+        parse_space(doc)
+    path = tmp_path / "deep.sset"
+    path.write_text(doc)
+
+    def framed(k):
+        return framed(k - 1) if k else run(["validate", "--file", str(path)])
+
+    assert framed(300) == ([f"error: {err.value}"], 2)
+
+
 def test_group_round_trip():
     z3 = FiniteGroup.cyclic(3)
     back = parse_group("# Z/3\ngroup v1\nelements e g g2\ntable\ne g g2\ng g2 e\ng2 e g\n")

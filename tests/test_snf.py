@@ -478,7 +478,7 @@ def test_subquotient_residues_stay_small(monkeypatch, rp2xrp2_chains):
     homology(c)
     homology(c.dual())
     for name, complex_ in (("homology", c), ("cohomology Z/2", c.dual())):
-        reduced = {k: r.residue.shape for (k, _), r in complex_.reductions.items()}
+        reduced = {k: r.residue.shape for k, r in complex_.reductions.items()}
         for k, (most_rows, most_cols) in BOUNDARY_RESIDUES[name].items():
             rows, cols = reduced[k]
             assert rows <= most_rows and cols <= most_cols, (name, k, reduced[k])
