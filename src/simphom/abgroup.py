@@ -128,13 +128,17 @@ class AbelianGroup:
             part = part.strip()
             if part == "Z":
                 betti += 1
-            elif part.startswith("Z^"):
-                betti += int(part[2:])
-            elif part.startswith("Z/"):
-                d = int(part[2:])
-                if d < 2:
-                    raise ValueError(f"bad torsion order {d!r}")
-                torsion.append(d)
+            elif part[:2] in ("Z^", "Z/"):
+                try:
+                    n = int(part[2:])
+                except ValueError:
+                    raise ValueError(f"cannot parse group term {part!r}") from None
+                if part[1] == "^":
+                    betti += n
+                elif n < 2:
+                    raise ValueError(f"bad torsion order {n!r}")
+                else:
+                    torsion.append(n)
             elif part:
                 raise ValueError(f"cannot parse group term {part!r}")
         return cls(betti, tuple(torsion))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import importlib.resources
 
-from .simplex import NonDegenSimplex
 from .sset import (
     PRODUCT_BUDGET,
     ProductResult,
@@ -22,6 +21,7 @@ from .sset import (
     quotient,
     skeleton,
     std_simplex,
+    vertex_tuple_space,
 )
 from .sset import boundary as boundary_space
 from .subdivision import (
@@ -89,8 +89,7 @@ def catalog(name: str) -> SimplicialSet:
         if kind == "sphere" and len(parts) == 2:
             n = int(parts[1])
             if n == 0:  # Delta[0] over its empty boundary is Delta[0] + *
-                points = [NonDegenSimplex(0, 0, (), label="*"), NonDegenSimplex(0, 1, (), label="0")]
-                return SimplicialSet([points], name="sphere:0")
+                return vertex_tuple_space([[("*",), ("0",)]], name="sphere:0")
             dn = std_simplex(n)
             return quotient(dn, skeleton(dn, n - 1), name=f"sphere:{n}").space
         if kind == "discrete" and len(parts) == 2:

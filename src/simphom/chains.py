@@ -158,12 +158,13 @@ class ChainHomotopy:
 
 
 def normalized_chains(space: SimplicialSet) -> ChainComplex:
-    """Free chains on the non-degenerate generators; a face contributes
-    zero when its canonical form is degenerate."""
-    ranks = [space.n_gens(d) for d in range(space.top_dim + 1)]
+    """Free chains on the non-degenerate generators, read from the face
+    table; a face contributes zero when its word is not empty."""
+    table = space._table
+    ranks = list(table.counts)
     boundaries = {n: IntegerMatrix.from_entries(ranks[n - 1], ranks[n], (
-        (f.base_id, g.id, (-1) ** i)
-        for g in space.gens(n) for i, f in enumerate(g.faces) if not f.is_degenerate))
+        (b, at // (n + 1), -1 if at % (n + 1) % 2 else 1)
+        for at, (b, w) in enumerate(zip(table.base[n], table.word[n])) if not w))
         for n in range(1, space.top_dim + 1)}
     return ChainComplex(ranks, boundaries)
 
@@ -200,8 +201,8 @@ def chain_map_of(space_map, source_chains: ChainComplex | None = None,
     tgt = target_chains if target_chains is not None else normalized_chains(space_map.target)
     images = space_map.images
     mats = {n: IntegerMatrix.from_entries(tgt.rank(n), src.rank(n), (
-        (images[(n, g.id)].base_id, g.id, 1)
-        for g in space_map.source.gens(n) if not images[(n, g.id)].is_degenerate))
+        (images[(n, g)].base_id, g, 1)
+        for g in range(space_map.source.n_gens(n)) if not images[(n, g)].is_degenerate))
         for n in range(space_map.source.top_dim + 1)}
     return ChainMap(src, tgt, mats)
 

@@ -57,7 +57,7 @@ def _parse_subspec(space: SimplicialSet, spec: str) -> list[tuple[int, int]]:
         n = int(spec.split(":", 1)[1])
         if n < 0:
             raise CommandError("skeleton:N needs N >= 0")
-        return [(d, g.id) for d in range(min(n, space.top_dim) + 1) for g in space.gens(d)]
+        return [(d, g) for d in range(min(n, space.top_dim) + 1) for g in range(space.n_gens(d))]
     if spec.startswith("gens:"):
         body = spec.split(":", 1)[1]
         items = body.split(",") if body else []

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .chains import euler_characteristic
 from .kan import FibrationReport, fibration_check
 from .pi1 import Pi1Data, abelianization_data
-from .simplex import NonDegenSimplex, SimplexRef
-from .sset import SimplicialMap, SimplicialSet, _walk
+from .simplex import SimplexRef
+from .sset import FaceTable, SimplicialMap, SimplicialSet, _walk
 
 
 class FiniteGroup:
@@ -102,11 +102,11 @@ class CoverLabeling:
         self.space = space
         self.group = group
         self.labels = dict(labels)
-        for e in space.gens(1):
-            if e.id not in self.labels:
-                raise ValueError(f"edge {e.name()} has no label")
-            if not 0 <= self.labels[e.id] < group.order:
-                raise ValueError(f"label of edge {e.name()} out of range")
+        for e in range(space.n_gens(1)):
+            if e not in self.labels:
+                raise ValueError(f"edge {space._name(1, e)} has no label")
+            if not 0 <= self.labels[e] < group.order:
+                raise ValueError(f"label of edge {space._name(1, e)} out of range")
         bad = self.cocycle_failures()
         if bad:
             raise ValueError("cocycle condition fails: " + bad[0])
@@ -122,13 +122,10 @@ class CoverLabeling:
     def cocycle_failures(self) -> list[str]:
         """label(d1 t) = label(d0 t) * label(d2 t) for every 2-generator."""
         bad = []
-        for t in self.space.gens(2):
-            ref = SimplexRef(2, t.id)
-            lhs = self.label_of(self.space.face(ref, 1))
-            rhs = self.group.mul(self.label_of(self.space.face(ref, 0)),
-                                 self.label_of(self.space.face(ref, 2)))
-            if lhs != rhs:
-                bad.append(f"2-simplex {t.name()}")
+        for t in range(self.space.n_gens(2)):
+            d0, d1, d2 = (SimplexRef._make(f) for f in self.space._faces(2, t))
+            if self.label_of(d1) != self.group.mul(self.label_of(d0), self.label_of(d2)):
+                bad.append(f"2-simplex {self.space._name(2, t)}")
         return bad
 
 
@@ -165,12 +162,8 @@ def labeling_from_hom(space: SimplicialSet, pi1: Pi1Data, group: FiniteGroup,
         if evaluate_word(group, word, image_list) != group.identity:
             raise ValueError(
                 f"relator {pres.word_str(word)} has non-identity image")
-    labels = {}
-    for e in space.gens(1):
-        if e.id in pi1.tree_edges:
-            labels[e.id] = group.identity
-        else:
-            labels[e.id] = image_list[pi1.generator_index[e.id]]
+    labels = {e: group.identity if e in pi1.tree_edges else image_list[pi1.generator_index[e]]
+              for e in range(space.n_gens(1))}
     return CoverLabeling(space, group, labels)
 
 
@@ -216,28 +209,18 @@ def build_cover(base: SimplicialSet, labeling: CoverLabeling) -> CoverResult:
         raise ValueError("labeling belongs to a different space")
     G = labeling.group
     order = G.order
-    rows: list[list[NonDegenSimplex]] = []
+    table = FaceTable(base.top_dim)
     for d in range(base.top_dim + 1):
-        row = []
-        for g in base.gens(d):
-            edge = _walk(base, SimplexRef(d, g.id), True, 1)[0] if d else None
+        for g in range(base.n_gens(d)):
+            edge = _walk(base, (d, g, ()), True, 1)[0] if d else None
             twisted = G.identity if edge is None else labeling.labels[edge]
+            faces = [(b * order, w) for _, b, w in base._faces(d, g)]
             for sheet in range(order):
-                faces = []
-                for i, ref in enumerate(g.faces):
-                    out_sheet = G.mul(twisted, sheet) if i == 0 else sheet
-                    faces.append(SimplexRef(
-                        ref.base_dim, ref.base_id * order + out_sheet, ref.degens))
-                gid = g.id * order + sheet
-                row.append(NonDegenSimplex(
-                    d, gid, tuple(faces), label=f"({g.name()},{G.names[sheet]})"))
-        rows.append(row)
-    cover = SimplicialSet(rows, name=f"cover({base.name or 'K'})")
-    images = {}
-    for d in range(base.top_dim + 1):
-        for g in base.gens(d):
-            for sheet in range(order):
-                images[(d, g.id * order + sheet)] = SimplexRef(d, g.id)
+                table.add(d, [(b + (G.mul(twisted, sheet) if i == 0 else sheet), w)
+                              for i, (b, w) in enumerate(faces)], f"({base._name(d, g)},{G.names[sheet]})")
+    cover = SimplicialSet(table, name=f"cover({base.name or 'K'})")
+    images = {(d, g * order + sheet): SimplexRef(d, g) for d in range(base.top_dim + 1)
+              for g in range(base.n_gens(d)) for sheet in range(order)}
     projection = SimplicialMap(cover, base, images, check=True)
     return CoverResult(cover, projection, labeling)
 
@@ -273,15 +256,14 @@ def verify_covering(projection: SimplicialMap, group_order: int,
     characteristic multiplicativity, and uniqueness of every relative horn
     lift through the given dimension."""
     E, B = projection.source, projection.target
-    preimages = Counter(projection.images[(d, e.id)]
-                        for d in range(E.top_dim + 1) for e in E.gens(d))
+    preimages = Counter(projection.images[(d, e)]
+                        for d in range(E.top_dim + 1) for e in range(E.n_gens(d)))
     fiber_failures = []
     for d in range(B.top_dim + 1):
-        for g in B.gens(d):
-            count = preimages[SimplexRef(d, g.id)]
+        for g in range(B.n_gens(d)):
+            count = preimages[SimplexRef(d, g)]
             if count != group_order:
-                fiber_failures.append(
-                    f"generator {g.name()} has {count} preimages, wanted {group_order}")
+                fiber_failures.append(f"generator {B._name(d, g)} has {count} preimages, wanted {group_order}")
     chi_e = euler_characteristic(E)
     chi_b = euler_characteristic(B)
     lifting = fibration_check(projection, up_to_dim)

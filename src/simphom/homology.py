@@ -294,7 +294,7 @@ def mayer_vietoris(space: SimplicialSet, a_sub, b_sub, up_to: int | None = None)
     with the connecting map from the explicit chain splitting: the A part
     of a cycle of K has its boundary in A n B."""
     a_ids, b_ids = _sub_ids(space, a_sub), _sub_ids(space, b_sub)
-    all_ids = {(d, g.id) for d in range(space.top_dim + 1) for g in space.gens(d)}
+    all_ids = {(d, g) for d in range(space.top_dim + 1) for g in range(space.n_gens(d))}
     if a_ids | b_ids != all_ids:
         raise ValueError(f"A u B misses generators {sorted(all_ids - (a_ids | b_ids))}")
     ck = normalized_chains(space)

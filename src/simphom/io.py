@@ -14,10 +14,12 @@ Each generator line is ``<id> <faces>`` where faces is a JSON list of
 is a decreasing list of integers, ``[]`` when empty, and the base
 dimension is implied (generator dimension - 1 - word length); ids and
 letters are JSON ints, never booleans.  The parser reads the lines, then
-decodes each dimension block in one ``json.loads`` and checks each
-distinct word of a block once; its errors name the same line as a
-line-by-line parse.  The printer emits dimension-major, id-minor order
-with compact JSON; parse(print(K)) is the identity on canonical documents.
+decodes each dimension block in one ``json.loads`` and writes each entry,
+once checked, to the space's integer face table, checking each distinct
+word of a block once; its errors name the same line as a line-by-line
+parse.  The printer reads the same table and emits dimension-major,
+id-minor order with compact JSON; parse(print(K)) is the identity on
+canonical documents.
 
 Finite-group tables (``group v1``) use the same versioned-header style.
 """
@@ -28,8 +30,8 @@ import json
 import re
 
 from .covers import FiniteGroup
-from .simplex import NonDegenSimplex, SimplexRef
-from .sset import SimplicialSet, is_valid
+from .simplex import SimplexRef
+from .sset import FaceTable, SimplicialSet, is_valid
 
 
 # the deepest face list decoded, far below the recursion limit of the decoder
@@ -120,34 +122,31 @@ def _parse_unchecked(text: str) -> SimplicialSet:
 
 def _generators(name: str | None, decoded: list[list],
                 blocks: list[tuple[list[str], list[int]]]) -> SimplicialSet:
-    """The space of the decoded face lists, every entry checked."""
-    gens = []
+    """The space of the decoded face lists, every entry checked and written
+    to the face table as it is read."""
+    table = FaceTable(len(decoded) - 1)
     for d, (rows, (_, linenos)) in enumerate(zip(decoded, blocks)):
         want = d + 1 if d else 0
-        # str(word) (which tells 1 from true and 1.0) -> its base dimension and
-        # word, and the face refs over it by base id, each built once per block
-        words = {}
-        out = []
+        words = {"[]": 0}  # str(word), which tells 1 from true and 1.0 -> its index
+        base, word = table.base[d], table.word[d]
         for gid, (faces, lineno) in enumerate(zip(rows, linenos)):
             if type(faces) is not list:
                 raise SpaceDocumentError("face list must be a list", lineno)
             if len(faces) != want:
                 raise SpaceDocumentError(f"generator {d}.{gid} has {len(faces)} faces, wanted {want}", lineno)
-            refs = []
             for entry in faces:
                 if (type(entry) is not list or len(entry) != 2      # type(): True is not an id
                         or type(entry[0]) is not int or type(entry[1]) is not list):
                     raise SpaceDocumentError(f"face entry {entry!r} is not [base-id, word]", lineno)
-                base_dim, word, seen = words.get(str(entry[1])) or words.setdefault(
-                    str(entry[1]), (*_checked_word(d, entry, lineno), {}))
-                ref = seen.get(entry[0])
-                if ref is None:
-                    ref = seen[entry[0]] = tuple.__new__(SimplexRef, (base_dim, entry[0], word))
-                refs.append(ref)
-            out.append(NonDegenSimplex(d, gid, tuple(refs)))
-        gens.append(out)
+                wi = words.get(str(entry[1]))
+                if wi is None:
+                    wi = words[str(entry[1])] = table.intern(d, _checked_word(d, entry, lineno))
+                base.append(entry[0])
+                word.append(wi)
+        table.counts[d] = len(rows)
+        table.labels[d] = [None] * len(rows)
     try:
-        return SimplicialSet(gens, name=name)
+        return SimplicialSet(table, name=name)
     except ValueError as exc:
         raise SpaceDocumentError(str(exc)) from None
 
@@ -188,8 +187,8 @@ def _decode_lines(texts: list[str], linenos: list[int]) -> list:
     return rows
 
 
-def _checked_word(d: int, entry: list, lineno: int) -> tuple[int, tuple[int, ...]]:
-    """The base dimension and word of a face entry of a d-simplex."""
+def _checked_word(d: int, entry: list, lineno: int) -> tuple[int, ...]:
+    """The word of a face entry of a d-simplex."""
     word = entry[1]
     if not all(type(w) is int for w in word):
         raise SpaceDocumentError(f"face entry {entry!r} is not [base-id, word]", lineno)
@@ -197,7 +196,7 @@ def _checked_word(d: int, entry: list, lineno: int) -> tuple[int, tuple[int, ...
         raise SpaceDocumentError(f"degeneracy word {word} too long for a face of dimension {d - 1}", lineno)
     if word and not SimplexRef(d - 1 - len(word), 0, tuple(word)).words_ok():
         raise SpaceDocumentError(f"degeneracy word {word} is not strictly decreasing in range", lineno)
-    return d - 1 - len(word), tuple(word)
+    return tuple(word)
 
 
 def print_space(space: SimplicialSet) -> str:
@@ -205,11 +204,12 @@ def print_space(space: SimplicialSet) -> str:
     out = ["sset v1"]
     if space.name:
         out.append(f"name {space.name}")
-    for d in range(space.top_dim + 1):
+    table = space._table
+    for d, (count, base, word, words) in enumerate(zip(table.counts, table.base, table.word, table.words)):
         out.append(f"dim {d}")
-        for g in space.gens(d):
-            faces = [[ref.base_id, list(ref.degens)] for ref in g.faces]
-            out.append(f"{g.id} {json.dumps(faces, separators=(',', ':'))}")
+        texts = [f"[{','.join(map(str, w))}]" for w in words]
+        faces = [f"[{b},{texts[w]}]" for b, w in zip(base, word)]
+        out += [f"{k} [{','.join(faces[k * (d + 1):(k + 1) * (d + 1)])}]" for k in range(count)]
     return "\n".join(out) + "\n"
 
 

@@ -6,33 +6,29 @@ degenerate) whose faces match.  A space is Kan through a dimension when
 every horn through that dimension fills; a map is a fibration through a
 dimension when every relative horn problem along it has a solution.
 
-Each check reads integer face tables made by one function, ``_tables``: the
-n-simplices in ``all_simplices`` order, and for each the positions of
-its faces in the (n-1)-simplex list.  A face of s_w x depends only on the
-word w, the face index and the stored faces of the generator x (the
-Eilenberg-Zilber form), so each word is rewritten once per face index and
-dimension, and no simplex goes through ``SimplicialSet.face``.  Horns are
-enumerated as a join on the (n-1)-simplex table: slot by slot, one index
-on the faces at the earlier slots gives every simplex that satisfies all
-the identities d_i x_j = d_{j-1} x_i bound so far.  A horn is a tuple of
-positions with None at slot k; it becomes ``SimplexRef`` faces, or a
-:class:`HornMap`, only when it is reported.  Every horn counted by
-:func:`kan_check` or :func:`fibration_check` is certified against those
-identities, read from the table.  Tables that would hold more than
-``sset.PRODUCT_BUDGET`` faces are refused, from the generator counts
-alone, before any is built.
+Each check reads integer tables made by ``_tables``: the n-simplices in
+``all_simplices`` order, each with the positions of its faces among the
+(n-1)-simplices.  The rows of the generators are the space's own face
+table; only the rows of degenerate simplices are computed, through the
+space's rewrite of each (word, i).  Horns are enumerated as a join on the
+(n-1)-simplex table: slot by slot, one index on the faces at the earlier
+slots gives every simplex that satisfies the identities
+d_i x_j = d_{j-1} x_i bound so far.  A horn is a tuple of positions with
+None at slot k, read back as ``SimplexRef`` faces only when it is
+reported, and every horn counted is certified against those identities.
+Tables that would hold more than ``sset.PRODUCT_BUDGET`` faces are
+refused, from the generator counts alone, before any is built.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
-from .simplex import SimplexRef, compose_words, face_word_rewrite
+from .simplex import SimplexRef
 from .sset import PRODUCT_BUDGET, SimplicialMap, SimplicialSet
 
 
@@ -58,14 +54,9 @@ def _pairs(n: int, k: int) -> list[tuple[int, int]]:
     return [(i, j) for j in given for i in given if i < j]
 
 
-def horn_compatible(face, h: HornMap) -> bool:
-    """d_i x_j = d_{j-1} x_i for i < j, both != k; ``face(x, i)`` gives d_i x."""
-    return all(face(h.faces[j], i) == face(h.faces[i], j - 1) for i, j in _pairs(h.n, h.k))
-
-
 def _certify(lower: list, faces: tuple, pairs: list) -> None:
-    """The identities of :func:`horn_compatible`, read from the face table
-    of the (n-1)-simplices, for a horn given as a tuple of positions."""
+    """The horn identities d_i x_j = d_{j-1} x_i of ``pairs``, read from the
+    face table of the (n-1)-simplices, for a horn given as a tuple of positions."""
     if not all(lower[faces[j]][i] == lower[faces[i]][j - 1] for i, j in pairs):
         raise ValueError("incompatible horn data")
 
@@ -84,81 +75,33 @@ def check_horn(space: SimplicialSet, h: HornMap):
         if not ref.words_ok():
             raise ValueError(f"face {i} has a non-canonical degeneracy word")
         space.gen(ref.base_dim, ref.base_id)  # raises on dangling ids
-    if not horn_compatible(space.face, h):
-        raise ValueError("incompatible horn data")
 
 
 class _Table(NamedTuple):
     """The n-simplices of a space and their faces, by position.
 
-    ``refs`` lists the n-simplices in ``all_simplices`` order and
-    ``faces[x]`` the positions of d_0 x, ..., d_n x in the (n-1)-simplex
-    list.  ``ranks[p]`` maps each word of length n - p to its rank in
-    ``all_simplices`` order, so s_w of the p-generator g sits at
-    ``offsets[p] + g * len(ranks[p]) + ranks[p][w]``."""
+    ``refs`` lists the n-simplices in ``all_simplices`` order, ``index``
+    maps each one to its position there, and ``faces[x]`` holds the
+    positions of d_0 x, ..., d_n x among the (n-1)-simplices."""
 
     refs: list
     faces: list
-    offsets: list
-    ranks: list
-
-    def position(self, ref: SimplexRef) -> int:
-        ranks = self.ranks[ref.base_dim]
-        return self.offsets[ref.base_dim] + ref.base_id * len(ranks) + ranks[ref.degens]
-
-
-def _layout(counts: tuple, n: int) -> tuple[list, list]:
-    """``_Table.ranks`` and ``_Table.offsets`` for the n-simplices."""
-    ranks, offsets, at = [], [], 0
-    for p in range(min(n, len(counts) - 1) + 1):
-        words = itertools.combinations(range(n), n - p)
-        ranks.append({tuple(reversed(w)): j for j, w in enumerate(words)})
-        offsets.append(at)
-        at += counts[p] * len(ranks[p])
-    return ranks, offsets
+    index: dict
 
 
 def _tables(space: SimplicialSet, top: int, bottom: int = 0) -> list[_Table]:
     """The face tables of the n-simplices for n = bottom..top.
 
-    With (w', r) = ``face_word_rewrite(w, i)``, d_i s_w g is s_w' g when d_i
-    cancels against w, and s_w' of g's stored face r otherwise.  So face i
-    of s_w g sits at the offset of g, or of the generator of its face r,
-    plus a rank that depends only on w, i and the words of g's stored
-    faces.  One template per such pattern of words holds those ranks.
-    Each rewrite is made once per (w, i) and dimension, and each
-    ``compose_words`` once per pair of words."""
-    counts = space.counts()
-    compose = functools.lru_cache(maxsize=None)(compose_words)
-    low_ranks, low_offsets = _layout(counts, bottom - 1) if bottom else ([], [])
+    The rows of the n-generators are the space's own face table, and the
+    row of a degenerate simplex s_w g is read through the space's rewrite
+    of each (w, i); each face is placed by its position one dimension down."""
+    low = _Table([], [], {x: k for k, x in enumerate(space.all_simplices(bottom - 1))})
     tables = []
     for n in range(bottom, top + 1):
-        ranks, offsets = _layout(counts, n)
-        refs = [SimplexRef(p, g, w) for p, words in enumerate(ranks)
-                for g in range(counts[p]) for w in words]
-        faces: list = [()] * len(refs) if n == 0 else []
-        for p, words in enumerate(ranks if n else ()):
-            rewrites = [[face_word_rewrite(w, i) for i in range(n + 1)] for w in words]
-
-            def entry(w, r, pattern):  # (0 for g itself or 1 + r for its face r, rank)
-                if r is None:
-                    return 0, low_ranks[p][w]
-                return r + 1, low_ranks[p - 1 - len(pattern[r])][compose(w, pattern[r])]
-
-            stride = len(low_ranks[p]) if p < n else 0  # d_i cancels only if p < n
-            templates: dict = {}
-            for g in space.gens(p):
-                pattern = tuple(f.degens for f in g.faces)
-                template = templates.get(pattern)
-                if template is None:
-                    template = templates[pattern] = [[entry(w, r, pattern) for w, r in row]
-                                                     for row in rewrites]
-                bases = [low_offsets[p] + g.id * stride if p < n else 0]  # as in entry
-                bases += [low_offsets[f.base_dim] + f.base_id * len(low_ranks[f.base_dim])
-                          for f in g.faces]
-                faces += [tuple([bases[b] + rank for b, rank in row]) for row in template]
-        tables.append(_Table(refs, faces, offsets, ranks))
-        low_ranks, low_offsets = ranks, offsets
+        refs = list(space.all_simplices(n))
+        low = _Table(refs, [tuple([low.index[f] for f in space._faces(*x)]) for x in refs],
+                     {x: k for k, x in enumerate(refs)})
+        tables.append(low)
     return tables
 
 
@@ -194,7 +137,8 @@ def fill_horn(space: SimplicialSet, h: HornMap) -> list[SimplexRef]:
         raise ValueError(f"the face table in dimension {h.n} would hold {size} faces, "
                          f"over the budget of {PRODUCT_BUDGET}")
     lower, table = _tables(space, h.n, h.n - 1)
-    horn = tuple(None if i == h.k else lower.position(h.faces[i]) for i in range(h.n + 1))
+    horn = tuple(None if i == h.k else lower.index[h.faces[i]] for i in range(h.n + 1))
+    _certify(lower.faces, horn, _pairs(h.n, h.k))
     return [table.refs[x] for x, faces in enumerate(table.faces) if _horn_of(faces, h.k) == horn]
 
 
@@ -209,14 +153,15 @@ def _horns(lower: list, n: int, k: int) -> list[tuple]:
     d_{j-1} x_i.  One index on those faces per slot answers that with one
     lookup, so no candidate is filtered afterwards."""
     slots = [i for i in range(n + 1) if i != k]
-    partial = [()]
-    for pos, j in enumerate(slots):
-        earlier = slots[:pos]
+    partial = [(x,) for x in range(len(lower))]
+    for pos, j in enumerate(slots[1:], 1):
+        below = [faces[j - 1] for faces in lower]   # d_{j-1} of each simplex
+        key = itemgetter(*slots[:pos])               # a scalar on one earlier slot
         index: dict = {}
         for x, faces in enumerate(lower):
-            index.setdefault(tuple([faces[i] for i in earlier]), []).append(x)
-        partial = [h + (x,) for h in partial
-                   for x in index.get(tuple([lower[x_i][j - 1] for x_i in h]), ())]
+            index.setdefault(key(faces), []).append(x)
+        partial = [h + (x,) for h in partial for x in index.get(
+            below[h[0]] if pos == 1 else tuple(map(below.__getitem__, h)), ())]
     return [h[:k] + (None,) + h[k:] for h in partial]
 
 
@@ -255,7 +200,7 @@ class KanReport:
 def kan_check(space: SimplicialSet, up_to_dim: int = 3) -> KanReport:
     """Enumerate every horn through the given dimension and report the
     unfillable ones; empty failure list certifies the Kan condition.
-    Every counted horn passes :func:`horn_compatible` on the face table.
+    Every counted horn is certified against the horn identities.
     Face tables over ``PRODUCT_BUDGET`` are refused before they are built."""
     if up_to_dim < 1:
         raise ValueError("up_to_dim must be >= 1")
@@ -319,8 +264,8 @@ class FibrationReport:
 def fibration_check(space_map: SimplicialMap, up_to_dim: int = 3) -> FibrationReport:
     """Relative horn lifting along a map: for every horn in the source and
     every compatible simplex downstairs, count the upstairs fillers that
-    also project correctly.  Every horn passes :func:`horn_compatible` on the
-    face table; face tables of source and target over ``PRODUCT_BUDGET`` in
+    also project correctly.  Every horn is certified against the horn
+    identities; face tables of source and target over ``PRODUCT_BUDGET`` in
     all are refused before they are built."""
     if up_to_dim < 1:
         raise ValueError("up_to_dim must be >= 1")
@@ -330,16 +275,9 @@ def fibration_check(space_map: SimplicialMap, up_to_dim: int = 3) -> FibrationRe
     if E.is_empty():  # no simplex upstairs, so no horn in any dimension
         return report
     tables, base_tables = _tables(E, up_to_dim), _tables(B, up_to_dim)
-    compose = functools.lru_cache(maxsize=None)(compose_words)
-    images = []  # per n, the position of f(x) among the base n-simplices
-    for table, base in zip(tables, base_tables):
-        image = []
-        for p, words in enumerate(table.ranks):
-            for g in range(E.n_gens(p)):  # f(s_w g) = s_w f(g)
-                q, gid, word = space_map.images[(p, g)]
-                at, ranks = base.offsets[q] + gid * len(base.ranks[q]), base.ranks[q]
-                image += [at + ranks[compose(w, word)] for w in words]
-        images.append(image)
+    # per n, the position of f(x) among the base n-simplices
+    images = [[base.index[space_map.apply(x)] for x in table.refs]
+              for table, base in zip(tables, base_tables)]
     for n in range(1, up_to_dim + 1):
         lower, image = tables[n - 1].faces, images[n - 1]
         lifts = Counter((images[n][x], _horn_of(faces, k))

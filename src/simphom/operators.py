@@ -69,9 +69,8 @@ def cylinder(space: SimplicialSet) -> Cylinder:
         images = {}
         for d in range(space.top_dim + 1):
             word = tuple(range(d - 1, -1, -1))
-            for g in space.gens(d):
-                images[(d, g.id)] = pr.ref_of_pair(
-                    SimplexRef(d, g.id), SimplexRef(0, vertex, word))
+            for g in range(space.n_gens(d)):
+                images[(d, g)] = pr.ref_of_pair(SimplexRef(d, g), SimplexRef(0, vertex, word))
         return SimplicialMap(space, pr.space, images, check=False)
 
     return Cylinder(space, pr, end(0), end(1), pr.proj_left)
@@ -92,16 +91,16 @@ def prism_homotopy(homotopy: SimplicialMap, cyl: Cylinder) -> ChainHomotopy:
     mats = {}
     for n in range(K.top_dim + 1):
         entries = []
-        for g in K.gens(n):
+        for g in range(K.n_gens(n)):
             for i in range(n + 1):
                 # eta_i: the (n+1)-simplex of Delta[1] jumping after i
                 eta_word = tuple(j for j in range(n, -1, -1) if j != i)
                 eta = SimplexRef(1, 0, eta_word)
                 prism_cell = cyl.prod.ref_of_pair(
-                    K.degeneracy(SimplexRef(n, g.id), i), eta)
+                    K.degeneracy(SimplexRef(n, g), i), eta)
                 img = homotopy.apply(prism_cell)
                 if not img.is_degenerate:
-                    entries.append((img.base_id, g.id, (-1) ** i))
+                    entries.append((img.base_id, g, (-1) ** i))
         mats[n] = IntegerMatrix.from_entries(tgt.rank(n + 1), src.rank(n), entries)
     return ChainHomotopy(src, tgt, mats)
 
@@ -178,10 +177,10 @@ def alexander_whitney(prod: ProductResult) -> EilenbergZilberData:
     aw_mats = {}
     for n in range(prod.space.top_dim + 1):
         entries = []
-        for g in prod.space.gens(n):
-            a, b = prod.pair_of_gen[(n, g.id)]
+        for g in range(prod.space.n_gens(n)):
+            a, b = prod.pair_of_gen[(n, g)]
             fronts, backs = _walk(K, a, True), _walk(L, b, False)
-            entries.extend((tc.index[(i, fronts[i], n - i, backs[n - i])], g.id, 1)
+            entries.extend((tc.index[(i, fronts[i], n - i, backs[n - i])], g, 1)
                            for i in range(n + 1) if None not in (fronts[i], backs[n - i]))
         aw_mats[n] = IntegerMatrix.from_entries(tc.complex.rank(n), cp.rank(n), entries)
     aw = ChainMap(cp, tc.complex, aw_mats)
@@ -238,8 +237,8 @@ def is_cocycle(space: SimplicialSet, c: Cochain, chains: ChainComplex | None = N
 
 def _face_ids(space: SimplicialSet, n: int) -> list[tuple[list, list]]:
     """Per n-generator, the ids of its front and of its back faces."""
-    return [(_walk(space, SimplexRef(n, g.id), True), _walk(space, SimplexRef(n, g.id), False))
-            for g in space.gens(n)]
+    return [(_walk(space, (n, g, ()), True), _walk(space, (n, g, ()), False))
+            for g in range(space.n_gens(n))]
 
 
 def _cups(faces, p: int, q: int, left: IntegerMatrix, right: IntegerMatrix, modulus: int) -> IntegerMatrix:

@@ -39,9 +39,9 @@ def pi0(space: SimplicialSet) -> Pi0Result:
             x = parent[x]
         return x
 
-    for e in space.gens(1):
-        a = find(space.face(SimplexRef(1, e.id), 0).base_id)
-        b = find(space.face(SimplexRef(1, e.id), 1).base_id)
+    for e in range(space.n_gens(1)):
+        (_, a, _), (_, b, _) = space._faces(1, e)
+        a, b = find(a), find(b)
         if a != b:
             parent[a] = b
     reps = []
@@ -138,11 +138,10 @@ def pi1_presentation(space: SimplicialSet, base_vertex: int = 0) -> Pi1Data:
 
     # incidence of non-degenerate edges: edge e runs d1(e) -> d0(e)
     incident: list[list[tuple[int, int]]] = [[] for _ in range(space.n_gens(0))]
-    for e in space.gens(1):
-        v_from = space.face(SimplexRef(1, e.id), 1).base_id
-        v_to = space.face(SimplexRef(1, e.id), 0).base_id
-        incident[v_from].append((e.id, v_to))
-        incident[v_to].append((e.id, v_from))
+    for e in range(space.n_gens(1)):
+        (_, v_to, _), (_, v_from, _) = space._faces(1, e)
+        incident[v_from].append((e, v_to))
+        incident[v_to].append((e, v_from))
     for lst in incident:
         lst.sort()
 
@@ -157,18 +156,18 @@ def pi1_presentation(space: SimplicialSet, base_vertex: int = 0) -> Pi1Data:
                 tree.add(eid)
                 queue.append(w)
 
-    generator_edges = [e.id for e in space.gens(1) if e.id not in tree]
+    generator_edges = [e for e in range(space.n_gens(1)) if e not in tree]
     generator_index = {eid: k for k, eid in enumerate(generator_edges)}
     names = [f"e{eid}" for eid in generator_edges]
 
     data = Pi1Data(GroupPresentation(names, []), base_vertex,
                    frozenset(tree), generator_edges, generator_index)
     relators = []
-    for t in space.gens(2):
-        ref = SimplexRef(2, t.id)
+    for t in range(space.n_gens(2)):
+        faces = [SimplexRef._make(f) for f in space._faces(2, t)]
         word = []
         for face_index, inverted in ((2, False), (0, False), (1, True)):
-            letter = data.letter_of_edge(space.face(ref, face_index))
+            letter = data.letter_of_edge(faces[face_index])
             if letter is not None:
                 word.append(-letter if inverted else letter)
         word = _free_reduce(tuple(word))

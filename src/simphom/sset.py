@@ -1,19 +1,27 @@
 """Finitely presented simplicial sets and the standard constructions.
 
-A :class:`SimplicialSet` stores its non-degenerate generators graded by
-dimension, each with a face table of canonical :class:`SimplexRef` values.
-All values are immutable after construction and every operation is a pure
-function of its inputs.  Subcomplexes, quotients, coproducts and pushouts
-are built by one gluing routine, ``_glue``: parts are glued in order, and
-each generator either becomes a new generator with its faces carried
-through the images so far, or is fixed to a given simplex, or dropped.
+A :class:`SimplicialSet` stores its faces in one integer table, a
+:class:`FaceTable`: per dimension d, the base id and the index of the
+degeneracy word of every face of every d-generator, in flat lists, and
+the distinct words of the block.  Every reader goes through that table:
+the face operator, the identity check, maps, chains, documents, covers and
+the Kan checks.  Faces of degenerate simplices are rewritten through one
+memo per space, so each (word, i) is rewritten once.  The generators as
+:class:`NonDegenSimplex` values with :class:`SimplexRef` faces are a view,
+built when read.  Subcomplexes, quotients, coproducts and pushouts are
+built by one gluing routine, ``_glue``: parts are glued in order, and each
+generator either becomes a new generator with its faces carried through
+the images so far, or is fixed to a given simplex, or dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .simplex import (
     NonDegenSimplex,
@@ -23,53 +31,147 @@ from .simplex import (
     insert_degeneracy,
 )
 
+class FaceTable:
+    """The faces of a space as integers, filled one generator at a time:
+    face i of the d-generator k is s_w of the generator ``base[d][k*(d+1) + i]``
+    of dimension d - 1 - len(w), w = ``words[d][word[d][k*(d+1) + i]]``, and
+    ``words[d]`` holds each word of the block once, the empty word first."""
+
+    def __init__(self, top: int):
+        self.counts = [0] * (top + 1)
+        self.base, self.word, self.labels = ([[] for _ in range(top + 1)] for _ in range(3))
+        self.words, self._index = [[()] for _ in range(top + 1)], [{(): 0} for _ in range(top + 1)]
+
+    def intern(self, d: int, word: tuple[int, ...]) -> int:
+        """The index of ``word`` in ``words[d]``, appended when new."""
+        index = self._index[d]
+        if word not in index:
+            index[word] = len(index)
+            self.words[d].append(word)
+        return index[word]
+
+    def add(self, d: int, faces, label: str | None = None) -> None:
+        """Append a d-generator with faces given as (base id, word) in order."""
+        self.base[d] += [b for b, _ in faces]
+        self.word[d] += [self.intern(d, w) for _, w in faces]
+        self.labels[d].append(label)
+        self.counts[d] += 1
+
+
+def _table_of_rows(rows) -> FaceTable:
+    """The face table of rows of :class:`NonDegenSimplex`, each generator
+    checked for its place, its face count and the dimension of each face."""
+    table = FaceTable(len(rows) - 1)
+    for d, gens in enumerate(rows):
+        for k, g in enumerate(gens):
+            if g.dim != d or g.id != k:
+                raise ValueError(f"generator {g.name()} misfiled at ({d},{k})")
+            if len(g.faces) != (0 if d == 0 else d + 1):
+                raise ValueError(f"generator {g.name()} has {len(g.faces)} faces, wanted {d + 1}")
+            for i, ref in enumerate(g.faces):
+                if ref.dim != d - 1:
+                    raise ValueError(f"face {i} of {g.name()} has dimension {ref.dim}, wanted {d - 1}")
+            table.add(d, [(ref.base_id, ref.degens) for ref in g.faces], g.label)
+    return table
+
+
+class _Row(Sequence):
+    """The d-generators of a space as :class:`NonDegenSimplex` values, each
+    built from the face table when read."""
+
+    def __init__(self, space: "SimplicialSet", d: int):
+        self.space, self.dim = space, d
+
+    def __len__(self) -> int:
+        return self.space.n_gens(self.dim)
+
+    def __getitem__(self, k: int) -> NonDegenSimplex:
+        return self.space.gen(self.dim, range(len(self))[k])
+
 
 class SimplicialSet:
     """A simplicial set presented by generators and a face table.
 
-    ``generators[d]`` lists the non-degenerate d-simplices; a generator's
-    id is its index in that list.  Structural well-formedness (faces
-    resolve, canonical words, correct counts) is enforced on construction;
-    the simplicial identities are checked separately by :func:`is_valid`.
-    """
+    Built from rows of :class:`NonDegenSimplex`, one per dimension, a
+    generator's id being its index in its row, or from a
+    :class:`FaceTable`.  Structural well-formedness (faces resolve,
+    canonical words, correct counts) is enforced on construction; the
+    simplicial identities are checked separately by :func:`is_valid`."""
 
-    def __init__(self, generators: list[list[NonDegenSimplex]], name: str | None = None):
-        while generators and not generators[-1]:
-            generators = generators[:-1]
-        self.generators = [tuple(gens) for gens in generators]
+    def __init__(self, generators, name: str | None = None):
+        table = generators if isinstance(generators, FaceTable) else _table_of_rows(generators)
+        while table.counts and not table.counts[-1]:
+            for column in (table.counts, table.base, table.word, table.words, table.labels, table._index):
+                column.pop()
+        self._table = table
+        self._rewrites: dict = {}   # (word, i) -> face_word_rewrite(word, i)
         self.name = name
         self._check_structure()
 
     # -- accessors ---------------------------------------------------
 
     @property
+    def generators(self) -> tuple[_Row, ...]:
+        """Per dimension, the generators as a sequence built when read."""
+        return tuple(map(self.gens, range(self.top_dim + 1)))
+
+    @property
     def top_dim(self) -> int:
-        return len(self.generators) - 1
+        return len(self._table.counts) - 1
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.generators)
+        return tuple(self._table.counts)
 
     def n_gens(self, dim: int) -> int:
-        if 0 <= dim <= self.top_dim:
-            return len(self.generators[dim])
-        return 0
+        return self._table.counts[dim] if 0 <= dim <= self.top_dim else 0
 
-    def gens(self, dim: int) -> tuple[NonDegenSimplex, ...]:
-        if 0 <= dim <= self.top_dim:
-            return self.generators[dim]
-        return ()
+    def gens(self, dim: int) -> Sequence[NonDegenSimplex]:
+        return _Row(self, dim)
 
     def gen(self, dim: int, gid: int) -> NonDegenSimplex:
-        if not (0 <= dim <= self.top_dim and 0 <= gid < len(self.generators[dim])):
-            raise ValueError(f"no generator ({dim},{gid})")
-        return self.generators[dim][gid]
+        self._check_gen(dim, gid)
+        return NonDegenSimplex(dim, gid, tuple(SimplexRef._make(f) for f in self._faces(dim, gid)),
+                               label=self._table.labels[dim][gid])
 
     def is_empty(self) -> bool:
-        return not self.generators
+        return not self._table.counts
 
     def __repr__(self):
-        nm = self.name or "SimplicialSet"
-        return f"{nm}{self.counts()}"
+        return f"{self.name or 'SimplicialSet'}{self.counts()}"
+
+    # -- the face table ------------------------------------------------
+
+    def _check_gen(self, dim: int, gid: int) -> None:
+        if not (0 <= dim <= self.top_dim and 0 <= gid < self._table.counts[dim]):
+            raise ValueError(f"no generator ({dim},{gid})")
+
+    def _name(self, dim: int, gid: int) -> str:
+        label = self._table.labels[dim][gid]
+        return label if label is not None else f"{dim}.{gid}"
+
+    def _faces(self, p: int, g: int, w: tuple[int, ...] = ()) -> list[tuple[int, int, tuple[int, ...]]]:
+        """The faces of s_w x, x the p-generator g, as (base dim, base id,
+        word) in order: the row of x in the table when w is empty."""
+        if w:
+            return [self._face(p, g, w, i) for i in range(p + len(w) + 1)]
+        t, at = self._table, g * (p + 1)
+        words = t.words[p]
+        return [(p - 1 - len(words[k]), b, words[k])
+                for b, k in zip(t.base[p][at:at + p + 1], t.word[p][at:at + p + 1])]
+
+    def _face(self, p: int, g: int, w: tuple[int, ...], i: int) -> tuple[int, int, tuple[int, ...]]:
+        """d_i of s_w x, x the p-generator g, as (base dim, base id, word):
+        a stored face, after one rewrite of (w, i) per space when w is not empty."""
+        if w:
+            rewritten = self._rewrites.get((w, i))
+            if rewritten is None:
+                rewritten = self._rewrites[(w, i)] = face_word_rewrite(w, i)
+            w, i = rewritten
+            if i is None:
+                return p, g, w
+        t, at = self._table, g * (p + 1) + i
+        u = t.words[p][t.word[p][at]]
+        return p - 1 - len(u), t.base[p][at], compose_words(w, u) if w and u else w or u
 
     # -- the operator calculus ----------------------------------------
 
@@ -82,14 +184,8 @@ class SimplicialSet:
             raise ValueError("faces require dimension >= 1")
         if not 0 <= i <= dim:
             raise ValueError(f"face index {i} out of range for dimension {dim}")
-        if not degens:
-            return self.gen(base_dim, base_id).faces[i]
-        word, residual = face_word_rewrite(degens, i)
-        base = self.gen(base_dim, base_id)
-        if residual is None:
-            return SimplexRef(base_dim, base_id, word)
-        target = base.faces[residual]
-        return SimplexRef(target.base_dim, target.base_id, compose_words(word, target.degens))
+        self._check_gen(base_dim, base_id)
+        return SimplexRef._make(self._face(base_dim, base_id, degens, i))
 
     def degeneracy(self, s: SimplexRef, i: int) -> SimplexRef:
         """The i-th degeneracy of any simplex, in canonical form."""
@@ -100,48 +196,44 @@ class SimplicialSet:
     def all_simplices(self, n: int):
         """All n-simplices (degenerate included), canonical and sorted."""
         for p in range(min(n, self.top_dim) + 1):
-            for g in self.generators[p]:
-                for chosen in itertools.combinations(range(n), n - p):
-                    yield SimplexRef(p, g.id, tuple(reversed(chosen)))
+            words = [tuple(reversed(chosen)) for chosen in itertools.combinations(range(n), n - p)]
+            for g in range(self._table.counts[p]):
+                for w in words:
+                    yield SimplexRef(p, g, w)
 
     def format_ref(self, s: SimplexRef) -> str:
-        base = self.gen(s.base_dim, s.base_id)
-        if not s.degens:
-            return base.name()
-        word = " ".join(f"s{j}" for j in s.degens)
-        return f"{word} {base.name()}"
+        base_dim, base_id, degens = s
+        self._check_gen(base_dim, base_id)
+        return " ".join([f"s{j}" for j in degens] + [self._name(base_dim, base_id)])
 
     # -- internal checks ----------------------------------------------
 
     def _check_structure(self):
-        counts = self.counts()
-        for d, gens in enumerate(self.generators):
-            base_dims = {}      # word -> the base dimension it was checked with
-            for k, g in enumerate(gens):
-                if g.dim != d or g.id != k:
-                    raise ValueError(f"generator {g.name()} misfiled at ({d},{k})")
-                if len(g.faces) != (0 if d == 0 else d + 1):
-                    raise ValueError(f"generator {g.name()} has {len(g.faces)} faces, wanted {d + 1}")
-                for i, ref in enumerate(g.faces):
-                    base_dim, base_id, degens = ref
-                    if base_dims.get(degens) != base_dim:
-                        if base_dim + len(degens) != d - 1:
-                            raise ValueError(f"face {i} of {g.name()} has dimension {ref.dim}, wanted {d - 1}")
-                        if degens and not ref.words_ok():
-                            raise ValueError(f"face {i} of {g.name()} has non-canonical word {degens}")
-                        base_dims[degens] = base_dim
-                    if not (0 <= base_dim < d and 0 <= base_id < counts[base_dim]):
-                        raise ValueError(f"face {i} of {g.name()} dangles: no generator ({base_dim},{base_id})")
+        """Every face has a canonical word, each word checked once, and lies
+        on an existing generator."""
+        t = self._table
+        for d in range(1, len(t.counts)):
+            words = t.words[d]
+            ok = [not w or SimplexRef(d - 1 - len(w), 0, w).words_ok() for w in words]
+            limits = [t.counts[d - 1 - len(w)] if good else 0 for w, good in zip(words, ok)]
+            for at, (b, wi) in enumerate(zip(t.base[d], t.word[d])):
+                if not 0 <= b < limits[wi]:
+                    where = f"face {at % (d + 1)} of {self._name(d, at // (d + 1))}"
+                    if not ok[wi]:
+                        raise ValueError(f"{where} has non-canonical word {words[wi]}")
+                    raise ValueError(f"{where} dangles: no generator ({d - 1 - len(words[wi])},{b})")
 
 
-def _walk(space: SimplicialSet, ref: SimplexRef, front: bool, bottom: int = 0) -> list[int | None]:
+def _walk(space: SimplicialSet, ref, front: bool, bottom: int = 0) -> list[int | None]:
     """The ids of the front faces (down the last face) or of the back faces
     (down face 0) of ``ref`` by dimension from ``bottom`` up, None where
     degenerate: the front face of dimension 1 is the edge on vertices 0, 1."""
-    faces = [ref]
-    for t in range(ref.dim, bottom, -1):
-        faces.append(space.face(faces[-1], t if front else 0))
-    return [None if f.is_degenerate else f.base_id for f in reversed(faces)]
+    p, g, w = ref
+    ids = [None if w else g]
+    for t in range(p + len(w), bottom, -1):
+        p, g, w = space._face(p, g, w, t if front else 0)
+        ids.append(None if w else g)
+    return ids[::-1]
 
 
 @dataclass
@@ -156,23 +248,29 @@ class ValidationReport:
 
 def is_valid(space: SimplicialSet) -> ValidationReport:
     """Check all invariants: canonical face tables and the simplicial
-    identities d_i d_j = d_{j-1} d_i (i < j) on every generator.  The
-    j-th face of a generator is entry j of its face table.  The faces of
-    each face are read once: from the table of its base when it is
-    non-degenerate, through :meth:`SimplicialSet.face` otherwise."""
-    problems = []
+    identities d_i d_j = d_{j-1} d_i (i < j), each compared on all the
+    generators of a dimension at once.  Faces of faces are (base id, word
+    index) pairs: a row of the table one dimension down for a non-degenerate
+    face, and rewritten once for each distinct degenerate face."""
+    problems, t = [], space._table
     for d in range(2, space.top_dim + 1):
-        for g in space.gens(d):
-            second = [space.generators[ref.base_dim][ref.base_id].faces if not ref.degens
-                      else [space.face(ref, i) for i in range(d)] for ref in g.faces]
-            for j in range(1, d + 1):
-                for i in range(j):
-                    left, right = second[j][i], second[i][j - 1]
-                    if left != right:
-                        problems.append(
-                            f"simplicial identity fails on {g.name()} at (i,j)=({i},{j}): "
-                            f"d{i} d{j} = {space.format_ref(left)} but d{j-1} d{i} = {space.format_ref(right)}"
-                        )
+        index = {w: k for k, w in enumerate(t.words[d - 1])}  # grows by the rewritten words
+        lower, words, faces = list(zip(t.base[d - 1], t.word[d - 1])), t.words[d], list(zip(t.base[d], t.word[d]))
+        rows = {(b, k): [(f[1], index.setdefault(f[2], len(index)))
+                         for f in space._faces(d - 1 - len(words[k]), b, words[k])] if k else lower[b * d:b * d + d]
+                for b, k in set(faces)}
+        at = [[rows[f] for f in faces[j::d + 1]] for j in range(d + 1)]  # the faces of face j, per generator
+        bad = []
+        for j in range(1, d + 1):
+            for i in range(j):
+                left, right = list(map(itemgetter(i), at[j])), list(map(itemgetter(j - 1), at[i]))
+                if left != right:
+                    bad += [(g, j, i, x, y) for g, (x, y) in enumerate(zip(left, right)) if x != y]
+        word_of = list(index)
+        for g, j, i, *pair in sorted(bad):
+            left, right = (space.format_ref(SimplexRef(d - 2 - len(word_of[k]), b, word_of[k])) for b, k in pair)
+            problems.append(f"simplicial identity fails on {space._name(d, g)} at (i,j)=({i},{j}): "
+                            f"d{i} d{j} = {left} but d{j-1} d{i} = {right}")
     return ValidationReport(not problems, problems)
 
 
@@ -190,12 +288,12 @@ class SimplicialMap:
         self.target = target
         self.images = dict(images)
         for d in range(source.top_dim + 1):
-            for g in source.gens(d):
-                ref = self.images.get((d, g.id))
+            for g in range(source.n_gens(d)):
+                ref = self.images.get((d, g))
                 if ref is None:
-                    raise ValueError(f"no image for generator {g.name()}")
+                    raise ValueError(f"no image for generator {source._name(d, g)}")
                 if ref.dim != d:
-                    raise ValueError(f"image of {g.name()} has dimension {ref.dim}, wanted {d}")
+                    raise ValueError(f"image of {source._name(d, g)} has dimension {ref.dim}, wanted {d}")
         if check:
             bad = self.verify()
             if bad:
@@ -208,24 +306,27 @@ class SimplicialMap:
     def verify(self) -> list[str]:
         """All face-commutation failures f(d_i s) != d_i f(s), if any.
 
-        d_i s is entry i of the face table of s.  Where f(s) and d_i s are
-        non-degenerate, both sides are stored entries: the image of the
-        face, and face i of the generator f(s).  Otherwise they go through
-        :meth:`apply` and ``face``."""
+        Per dimension, the images of the faces of every generator, read
+        from the source's face table, are compared as one list with the
+        faces of the images, read from the target's: each image's row once."""
         bad = []
-        images = self.images
-        for d in range(1, self.source.top_dim + 1):
-            for g in self.source.gens(d):
-                image = images[(d, g.id)]
-                stored = (None if image.degens
-                          else self.target.gen(image.base_dim, image.base_id).faces)
-                for i, face in enumerate(g.faces):
-                    if stored is not None and not face.degens:
-                        same = images[(face.base_dim, face.base_id)] == stored[i]
-                    else:
-                        same = self.apply(face) == self.target.face(image, i)
-                    if not same:
-                        bad.append(f"f(d{i} {g.name()}) != d{i} f({g.name()})")
+        source, target, images, t = self.source, self.target, self.images, self.source._table
+        rows: dict = {}
+        for d in range(1, source.top_dim + 1):
+            after = []
+            for g in range(t.counts[d]):
+                image = images[(d, g)]
+                if image not in rows:
+                    target._check_gen(image.base_dim, image.base_id)
+                    rows[image] = target._faces(*image)
+                after += rows[image]
+            words = t.words[d]
+            before = [images[(d - 1, b)] if not k else self.apply(SimplexRef(d - 1 - len(words[k]), b, words[k]))
+                      for b, k in zip(t.base[d], t.word[d])]
+            if before != after:
+                bad += [f"f(d{i} {source._name(d, g)}) != d{i} f({source._name(d, g)})"
+                        for (g, i), x, y in zip(itertools.product(range(t.counts[d]), range(d + 1)), before, after)
+                        if x != y]
         return bad
 
     def compose(self, other: "SimplicialMap") -> "SimplicialMap":
@@ -240,10 +341,7 @@ class SimplicialMap:
 
 
 def identity_map(space: SimplicialSet) -> SimplicialMap:
-    images = {}
-    for d in range(space.top_dim + 1):
-        for g in space.gens(d):
-            images[(d, g.id)] = SimplexRef(d, g.id)
+    images = {(d, g): SimplexRef(d, g) for d in range(space.top_dim + 1) for g in range(space.n_gens(d))}
     return SimplicialMap(space, space, images, check=False)
 
 
@@ -251,20 +349,17 @@ def identity_map(space: SimplicialSet) -> SimplicialMap:
 # Standard simplices, boundaries, horns
 
 
-def vertex_tuple_generators(by_dim: list[list[tuple]]) -> list[list[NonDegenSimplex]]:
+def vertex_tuple_space(by_dim: list[list[tuple]], name: str | None = None) -> SimplicialSet:
     """One d-simplex per sorted vertex tuple in ``by_dim[d]``, labelled by
     its vertices, with face i deleting vertex i; every face of a tuple
     must be listed one level down."""
     index = [{vs: k for k, vs in enumerate(level)} for level in by_dim]
-    gens = []
+    table = FaceTable(len(by_dim) - 1)
     for d, level in enumerate(by_dim):
-        row = []
-        for k, vs in enumerate(level):
-            faces = tuple(SimplexRef(d - 1, index[d - 1][vs[:i] + vs[i + 1:]])
-                          for i in range(d + 1)) if d else ()
-            row.append(NonDegenSimplex(d, k, faces, label="".join(map(str, vs))))
-        gens.append(row)
-    return gens
+        for vs in level:
+            table.add(d, [(index[d - 1][vs[:i] + vs[i + 1:]], ()) for i in range(d + 1) if d],
+                      "".join(map(str, vs)))
+    return SimplicialSet(table, name=name)
 
 
 def _faces_of_simplex(n: int) -> list[list[tuple[int, ...]]]:
@@ -280,14 +375,14 @@ def std_simplex(n: int) -> SimplicialSet:
     """Delta[n]: one generator per monotone injection into [n]."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return SimplicialSet(vertex_tuple_generators(_faces_of_simplex(n)), name=f"Delta[{n}]")
+    return vertex_tuple_space(_faces_of_simplex(n), name=f"Delta[{n}]")
 
 
 def boundary(n: int) -> SimplicialSet:
     """The boundary of Delta[n] (omits the top generator)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return SimplicialSet(vertex_tuple_generators(_faces_of_simplex(n)[:-1]), name=f"dDelta[{n}]")
+    return vertex_tuple_space(_faces_of_simplex(n)[:-1], name=f"dDelta[{n}]")
 
 
 def horn(n: int, k: int) -> SimplicialSet:
@@ -298,15 +393,17 @@ def horn(n: int, k: int) -> SimplicialSet:
         raise ValueError(f"horn index {k} out of range")
     faces = _faces_of_simplex(n)[:-1]
     faces[-1].remove(tuple(v for v in range(n + 1) if v != k))
-    return SimplicialSet(vertex_tuple_generators(faces), name=f"Lambda[{n}]_{k}")
+    return vertex_tuple_space(faces, name=f"Lambda[{n}]_{k}")
 
 
 def discrete(m: int) -> SimplicialSet:
-    """m isolated points."""
+    """m isolated points; more than ``PRODUCT_BUDGET`` is refused (ValueError)."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    verts = [NonDegenSimplex(0, k, (), label=f"p{k}") for k in range(m)]
-    return SimplicialSet([verts] if m else [], name=f"discrete[{m}]")
+    if m > PRODUCT_BUDGET:
+        raise ValueError(f"discrete[{m}] would have {m} non-degenerate simplices, "
+                         f"over the budget of {PRODUCT_BUDGET}")
+    return vertex_tuple_space([[(f"p{k}",) for k in range(m)]], name=f"discrete[{m}]")
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +422,17 @@ def _glue(parts, name: str | None = None):
     Returns the glued space and, per part, the image of every key.
     """
     top = max((space.top_dim for space, _ in parts), default=-1)
-    rows: list[list[NonDegenSimplex]] = [[] for _ in range(top + 1)]
+    table = FaceTable(top)
     images = [dict(fixed) for _, fixed in parts]
-
-    def carry(image, ref: SimplexRef) -> SimplexRef:
-        img = image[(ref.base_dim, ref.base_id)]
-        return SimplexRef(img.base_dim, img.base_id, compose_words(ref.degens, img.degens))
-
-    for d, row in enumerate(rows):
+    for d in range(top + 1):
         for (space, fixed), image in zip(parts, images):
-            for g in space.gens(d):
-                if (d, g.id) not in fixed:
-                    image[(d, g.id)] = SimplexRef(d, len(row))
-                    faces = tuple(carry(image, ref) for ref in g.faces)
-                    row.append(NonDegenSimplex(d, len(row), faces, label=g.label))
-    return SimplicialSet(rows, name=name), images
+            for g in range(space.n_gens(d)):
+                if (d, g) not in fixed:
+                    image[(d, g)] = SimplexRef(d, table.counts[d])
+                    carried = [(image[(p, b)], w) for p, b, w in space._faces(d, g)]
+                    table.add(d, [(img.base_id, compose_words(w, img.degens)) for img, w in carried],
+                              space._table.labels[d][g])
+    return SimplicialSet(table, name=name), images
 
 
 def _close_ids(space: SimplicialSet, ids) -> set[tuple[int, int]]:
@@ -353,8 +446,7 @@ def _close_ids(space: SimplicialSet, ids) -> set[tuple[int, int]]:
         if not (0 <= d <= space.top_dim and 0 <= gid < space.n_gens(d)):
             raise ValueError(f"unknown generator id ({d},{gid})")
         closed.add(key)
-        for ref in space.gen(d, gid).faces:
-            todo.append((ref.base_dim, ref.base_id))
+        todo += [(p, b) for p, b, _ in space._faces(d, gid)]
     return closed
 
 
@@ -376,8 +468,8 @@ def subcomplex(space: SimplicialSet, ids, require_closed: bool = False) -> Subco
     if require_closed and closed != requested:
         extra = sorted(closed - requested)
         raise ValueError(f"id set is not face-closed; closure adds {extra}")
-    dropped = {(d, g.id): None for d in range(space.top_dim + 1)
-               for g in space.gens(d) if (d, g.id) not in closed}
+    dropped = {(d, g): None for d in range(space.top_dim + 1)
+               for g in range(space.n_gens(d)) if (d, g) not in closed}
     sub, (image,) = _glue([(space, dropped)], f"sub({space.name})" if space.name else None)
     incl = SimplicialMap(sub, space, {(d, ref.base_id): SimplexRef(d, old)
                                       for (d, old), ref in image.items() if ref is not None},
@@ -387,12 +479,8 @@ def subcomplex(space: SimplicialSet, ids, require_closed: bool = False) -> Subco
 
 def skeleton(space: SimplicialSet, n: int) -> SubcomplexResult:
     """The n-skeleton as a subcomplex (keeps generators of dimension <= n)."""
-    ids = [
-        (d, g.id)
-        for d in range(min(n, space.top_dim) + 1)
-        for g in space.gens(d)
-    ]
-    return subcomplex(space, ids)
+    return subcomplex(space, [(d, g) for d in range(min(n, space.top_dim) + 1)
+                              for g in range(space.n_gens(d))])
 
 
 def _as_id_set(space: SimplicialSet, sub) -> frozenset[tuple[int, int]]:
@@ -423,15 +511,15 @@ def quotient(space: SimplicialSet, sub, name: str | None = None) -> QuotientResu
     ids = _as_id_set(space, sub)
     if not ids:
         return QuotientResult(space, identity_map(space), [])
-    star = SimplicialSet([[NonDegenSimplex(0, 0, (), label="*")]])
+    star = vertex_tuple_space([[("*",)]])
     collapsed = {(d, gid): SimplexRef(0, 0, tuple(range(d - 1, -1, -1))) for d, gid in ids}
     quo, (_, images) = _glue([(star, {}), (space, collapsed)],
                              name or (f"{space.name}/sub" if space.name else None))
     collapse_log = [
-        f"face {i} of {g.name()} collapsed to {new.degens} over *"
-        for d in range(space.top_dim + 1) for g in space.gens(d) if (d, g.id) not in ids
-        for i, (old, new) in enumerate(zip(g.faces, quo.gen(d, images[(d, g.id)].base_id).faces))
-        if new.is_degenerate and not old.is_degenerate
+        f"face {i} of {space._name(d, g)} collapsed to {new[2]} over *"
+        for d in range(space.top_dim + 1) for g in range(space.n_gens(d)) if (d, g) not in ids
+        for i, (old, new) in enumerate(zip(space._faces(d, g), quo._faces(d, images[(d, g)].base_id)))
+        if new[2] and not old[2]
     ]
     return QuotientResult(quo, SimplicialMap(space, quo, images, check=False), collapse_log)
 
@@ -498,20 +586,20 @@ class ProductResult:
         degeneracies and look up the jointly non-degenerate base pair."""
         if a.dim != b.dim:
             raise ValueError("pair components must have equal dimension")
-        shared = set(a.degens) & set(b.degens)
-        word = tuple(sorted(shared, reverse=True))
+        word, v, w = _split(a.degens, b.degens)
+        return SimplexRef(a.dim - len(word), self.gen_of_pair[(a.base_dim, a.base_id, v, b.base_dim, b.base_id, w)],
+                          word)
 
-        def strip(degens):
-            out = []
-            for j in degens:
-                if j in shared:
-                    continue
-                out.append(j - sum(1 for t in shared if t < j))
-            return tuple(out)
 
-        key = (a.base_dim, a.base_id, strip(a.degens), b.base_dim, b.base_id, strip(b.degens))
-        gid = self.gen_of_pair[key]
-        return SimplexRef(a.dim - len(shared), gid, word)
+def _split(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The letters two words share, as a word, and each word with them
+    factored out."""
+    shared = set(v) & set(w)
+
+    def strip(degens):
+        return tuple(j - sum(1 for t in shared if t < j) for j in degens if j not in shared)
+
+    return tuple(sorted(shared, reverse=True)), strip(v), strip(w)
 
 
 # The most non-degenerate simplices ``product`` builds, and the simplex
@@ -556,46 +644,26 @@ def product(left: SimplicialSet, right: SimplicialSet, name: str | None = None) 
     top = left.top_dim + right.top_dim
     gen_of_pair: dict[PairKey, int] = {}
     pair_of_gen: dict[tuple[int, int], tuple[SimplexRef, SimplexRef]] = {}
-    pairs_by_dim: list[list[tuple[SimplexRef, SimplexRef]]] = []
+    table = FaceTable(top)
+    split = functools.lru_cache(maxsize=None)(_split)  # few distinct pairs of words
     for n in range(top + 1):
-        level = []
-        for p in range(min(n, left.top_dim) + 1):
-            for q in range(min(n, right.top_dim) + 1):
-                if p + q < n:
-                    continue
-                for sigma in left.gens(p):
-                    for tau in right.gens(q):
-                        for vset in itertools.combinations(range(n), n - p):
-                            rest = [t for t in range(n) if t not in vset]
-                            for wset in itertools.combinations(rest, n - q):
-                                a = SimplexRef(p, sigma.id, tuple(reversed(vset)))
-                                b = SimplexRef(q, tau.id, tuple(reversed(wset)))
-                                level.append((a, b))
-        level.sort(key=lambda ab: (ab[0].base_dim, ab[0].base_id, ab[0].degens,
-                                   ab[1].base_dim, ab[1].base_id, ab[1].degens))
-        for gid, (a, b) in enumerate(level):
-            gen_of_pair[(a.base_dim, a.base_id, a.degens, b.base_dim, b.base_id, b.degens)] = gid
+        level = sorted((p, sigma, tuple(reversed(vset)), q, tau, tuple(reversed(wset)))
+                       for p in range(min(n, left.top_dim) + 1)
+                       for q in range(n - p, min(n, right.top_dim) + 1)
+                       for vset in itertools.combinations(range(n), n - p)
+                       for wset in itertools.combinations([t for t in range(n) if t not in vset], n - q)
+                       for sigma in range(left.n_gens(p)) for tau in range(right.n_gens(q)))
+        for gid, (p, sigma, v, q, tau, w) in enumerate(level):
+            a, b = SimplexRef(p, sigma, v), SimplexRef(q, tau, w)
+            gen_of_pair[(p, sigma, v, q, tau, w)] = gid
             pair_of_gen[(n, gid)] = (a, b)
-        pairs_by_dim.append(level)
-
-    result = ProductResult(None, None, None, left, right, gen_of_pair, pair_of_gen)  # type: ignore
-
-    rows: list[list[NonDegenSimplex]] = []
-    for n, level in enumerate(pairs_by_dim):
-        row = []
-        for gid, (a, b) in enumerate(level):
-            faces = tuple(
-                result.ref_of_pair(left.face(a, i), right.face(b, i))
-                for i in range(n + 1)
-            ) if n > 0 else ()
-            la = left.format_ref(a)
-            lb = right.format_ref(b)
-            row.append(NonDegenSimplex(n, gid, faces, label=f"({la}|{lb})"))
-        rows.append(row)
-    space = SimplicialSet(rows, name=name or f"{left.name or '?'}x{right.name or '?'}")
-    result.space = space
-    result.proj_left = SimplicialMap(
-        space, left, {key: ab[0] for key, ab in pair_of_gen.items()}, check=False)
-    result.proj_right = SimplicialMap(
-        space, right, {key: ab[1] for key, ab in pair_of_gen.items()}, check=False)
-    return result
+            faces = []
+            for (fp, fs, fv), (fq, ft, fw) in zip(left._faces(p, sigma, v), right._faces(q, tau, w)):
+                word, fv, fw = split(fv, fw)
+                faces.append((gen_of_pair[(fp, fs, fv, fq, ft, fw)], word))
+            table.add(n, faces, f"({left.format_ref(a)}|{right.format_ref(b)})")
+    space = SimplicialSet(table, name=name or f"{left.name or '?'}x{right.name or '?'}")
+    return ProductResult(
+        space, SimplicialMap(space, left, {key: ab[0] for key, ab in pair_of_gen.items()}, check=False),
+        SimplicialMap(space, right, {key: ab[1] for key, ab in pair_of_gen.items()}, check=False),
+        left, right, gen_of_pair, pair_of_gen)

@@ -14,7 +14,7 @@ from math import comb
 
 from .chains import ChainMap, normalized_chains
 from .intmatrix import IntegerMatrix
-from .sset import PRODUCT_BUDGET, SimplicialSet, vertex_tuple_generators
+from .sset import PRODUCT_BUDGET, SimplicialSet, vertex_tuple_space
 
 
 class OrderedSimplicialComplex:
@@ -74,7 +74,7 @@ class OrderedSimplicialComplex:
 
 def complex_to_sset(cx: OrderedSimplicialComplex, name: str | None = None) -> SimplicialSet:
     """One generator per face; faces by deleting vertices in order."""
-    return SimplicialSet(vertex_tuple_generators(cx.by_dim), name=name)
+    return vertex_tuple_space(cx.by_dim, name=name)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -680,3 +681,29 @@ def test_les_and_mv_glue_no_subcomplex(monkeypatch):
     assert glued == []
     subcomplex(catalog("rp2"), [(2, 0)])
     assert len(glued) == 1
+
+
+@pytest.mark.parametrize("coeff", ["Z/2^4", "Z^two", "Z/", "Z^2 + Z/x"])
+def test_a_bad_order_in_a_group_term_is_refused_as_that_term(coeff):
+    """A cyclic order or a rank that is not an integer gets the parser's
+    own message naming the term, as any other unreadable term does."""
+    term = coeff.split("+")[-1].strip()
+    assert run(["coeffs", "--space", "rp2", "--coeff", coeff]) == (
+        [f"error: cannot parse group term {term!r}"], 2)
+
+
+def test_discrete_spaces_over_the_budget_are_refused_before_they_are_built(monkeypatch):
+    """discrete:m with m over the budget is refused from m alone: no face
+    table is made, so the refusal is one line and immediate."""
+    def refuse(*args):
+        raise AssertionError("an over-budget space was built")
+
+    monkeypatch.setattr(sset, "FaceTable", refuse)
+    start = time.perf_counter()
+    assert run(["euler", "--space", "discrete:1000000000"]) == (
+        ["error: discrete[1000000000] would have 1000000000 non-degenerate simplices, "
+         "over the budget of 100000"], 2)
+    assert time.perf_counter() - start < 0.1
+    monkeypatch.undo()
+    assert run(["euler", "--space", f"discrete:{sset.PRODUCT_BUDGET}"]) == (
+        ["simphom euler", f"chi = {sset.PRODUCT_BUDGET}"], 0)

@@ -1,6 +1,7 @@
 """Horn filling, Kan certification, lifting properties."""
 
 import json
+import random
 
 import pytest
 
@@ -26,7 +27,8 @@ from simphom.pi1 import pi1_presentation
 from simphom.simplex import SimplexRef
 from simphom.sset import SimplicialMap, SimplicialSet, discrete, product, std_simplex
 
-from conftest import constant_map
+from conftest import constant_map, random_sset
+from reference import _rewritten_face
 
 
 def table_horns(space: SimplicialSet, n: int, k: int) -> list[HornMap]:
@@ -42,7 +44,7 @@ def interval_incompatible_horn() -> tuple:
     d1 the constant edge at vertex 1 and d2 the edge, as positions in the
     1-simplex table of Delta[1]."""
     edges = _tables(std_simplex(1), 1)[1]
-    return (None, edges.position(SimplexRef(0, 1, (0,))), edges.position(SimplexRef(1, 0)))
+    return (None, edges.index[SimplexRef(0, 1, (0,))], edges.index[SimplexRef(1, 0)])
 
 
 def test_fill_in_discrete_space():
@@ -230,12 +232,12 @@ def table_spaces():
 @pytest.mark.parametrize("space,top", table_spaces(), ids=lambda c: getattr(c, "name", str(c)))
 def test_table_entries_are_the_faces_of_their_simplices(space, top):
     """Every table lists the n-simplices in all_simplices order, places each
-    one where ``position`` says, and reads back face i of x at entry i of
+    one where ``index`` says, and reads back face i of x at entry i of
     its face tuple, as ``SimplicialSet.face`` computes it."""
     tables = _tables(space, top)
     for n, table in enumerate(tables):
         assert table.refs == list(space.all_simplices(n))
-        assert [table.position(x) for x in table.refs] == list(range(len(table.refs)))
+        assert [table.index[x] for x in table.refs] == list(range(len(table.refs)))
         assert len(table.faces) == len(table.refs)
         for x, faces in zip(table.refs, table.faces):
             assert [tables[n - 1].refs[f] for f in faces] == (
@@ -254,6 +256,26 @@ def test_horns_fillers_and_kan_reports_match_brute_force(space):
                 brute_fill_horn(space, h) for h in horns]
     for dim in (1, 2, 3):
         assert kan_check(space, dim) == brute_kan_check(space, dim)
+
+
+def test_random_simplicial_sets_agree_with_the_rewriting_reference():
+    """Seeded random simplicial sets (``conftest.random_sset``, quotients
+    and pushouts with degenerate faces): every face of every simplex
+    through one past the top dimension, read from the space's face table
+    and from the Kan tables, equals its rewrite by ``face_word_rewrite``
+    and ``compose_words`` in ``tests/reference.py``, and ``kan_check``
+    through dimension 3 equals the brute-force check."""
+    rng = random.Random(2026)
+    for _ in range(20):
+        space = random_sset(rng)
+        top = space.top_dim + 1
+        tables = _tables(space, top)
+        for n in range(1, top + 1):
+            for x, faces in zip(tables[n].refs, tables[n].faces):
+                expected = [_rewritten_face(space, x, i) for i in range(n + 1)]
+                assert [space.face(x, i) for i in range(n + 1)] == expected
+                assert [tables[n - 1].refs[f] for f in faces] == expected
+        assert kan_check(space, 3) == brute_kan_check(space, 3)
 
 
 @pytest.mark.parametrize("base,order", [
@@ -316,6 +338,44 @@ def test_kan_counts_on_products_are_pinned(rp2_x_rp2):
     for space, dim, horns, unfillable in pins:
         report = kan_check(space, dim)
         assert (report.horns_checked, len(report.failures)) == (horns, unfillable), (space, dim)
+
+
+def test_one_rewrite_per_word_and_index_from_load_to_kan(monkeypatch, rp2_x_rp2):
+    """Loading RP^2 x RP^2, checking its identities, building its chains and
+    checking Kan through dimension 3 rewrite each (word, i) once: all read
+    one face table and its one memo of rewrites.  The Kan tables read the
+    rows of the generators from that table and compute only the rows of
+    degenerate simplices."""
+    import simphom.sset as sset_module
+    from simphom.chains import normalized_chains
+    from simphom.io import parse_space
+
+    rewrites, face_words, rows_read = [], [], []
+    rewrite, face, faces = sset_module.face_word_rewrite, SimplicialSet._face, SimplicialSet._faces
+
+    def counted_rewrite(word, i):
+        rewrites.append((word, i))
+        return rewrite(word, i)
+
+    def counted_face(self, p, g, w, i):
+        face_words.append(w)
+        return face(self, p, g, w, i)
+
+    def counted_faces(self, p, g, w=()):
+        rows_read.append((p, g) if not w else None)
+        return faces(self, p, g, w)
+
+    doc = print_space(rp2_x_rp2)
+    monkeypatch.setattr(sset_module, "face_word_rewrite", counted_rewrite)
+    space = parse_space(doc)
+    normalized_chains(space)
+    monkeypatch.setattr(SimplicialSet, "_face", counted_face)
+    monkeypatch.setattr(SimplicialSet, "_faces", counted_faces)
+    assert kan_check(space, 3).horns_checked == 46014
+    assert rewrites and len(rewrites) == len(set(rewrites))
+    assert not hasattr(kan_module, "face_word_rewrite") and not hasattr(kan_module, "compose_words")
+    assert face_words and all(face_words)  # no face of a generator is computed
+    assert sorted(filter(None, rows_read)) == [(n, g) for n in range(4) for g in range(space.n_gens(n))]
 
 
 def test_face_table_estimate_is_exact(monkeypatch):

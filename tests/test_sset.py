@@ -361,30 +361,32 @@ def test_is_valid_matches_reference_on_corruptions(ladder_spaces, name, degenera
 
 def test_is_valid_rewrites_only_degenerate_faces(monkeypatch, ladder_spaces):
     """Faces of non-degenerate faces come from the face table: is_valid
-    rewrites once per (degenerate face, index) pair and never otherwise."""
-    calls = 0
+    rewrites only the words of degenerate faces, each (word, index) pair
+    once per space, and never otherwise."""
+    calls = []
     rewrite = sset.face_word_rewrite
+    space = product(catalog("sphere:2"), catalog("rp2")).space  # nothing rewritten on it yet
 
     def counted(word, i):
-        nonlocal calls
-        calls += 1
+        calls.append((word, i))
         return rewrite(word, i)
 
     monkeypatch.setattr(sset, "face_word_rewrite", counted)
-    assert is_valid(ladder_spaces["torus*rp2"]).ok and calls == 0
+    assert is_valid(ladder_spaces["torus*rp2"]).ok and calls == []
 
-    space = ladder_spaces["sphere:2*rp2"]
     degenerate = [(d, ref) for d in range(2, space.top_dim + 1) for g in space.gens(d)
                   for ref in g.faces if ref.is_degenerate]
     assert len(degenerate) == 268
-    assert is_valid(space).ok and calls == sum(d for d, _ in degenerate)
+    assert is_valid(space).ok
+    assert sorted(calls) == sorted({(ref.degens, i) for d, ref in degenerate for i in range(d)})
+    assert is_valid(space).ok and len(calls) == len(set(calls))
 
-    calls = 0
+    calls.clear()
     for d in range(1, space.top_dim + 1):
         for g in space.gens(d):
             ref = SimplexRef(d, g.id)
-            assert all(space.face(ref, i) is g.faces[i] for i in range(d + 1))
-    assert calls == 0
+            assert [space.face(ref, i) for i in range(d + 1)] == list(g.faces)
+    assert calls == []
 
 
 def test_product_faces_satisfy_identities(rp2):
