@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import importlib.resources
 
+from . import budget
 from .sset import (
-    PRODUCT_BUDGET,
     ProductResult,
     SimplicialSet,
     discrete,
@@ -26,7 +26,6 @@ from .sset import (
 from .sset import boundary as boundary_space
 from .subdivision import (
     OrderedSimplicialComplex,
-    _subdivision_size,
     boundary_complex,
     complex_to_sset,
     full_simplex_complex,
@@ -103,16 +102,15 @@ def catalog(name: str) -> SimplicialSet:
 
 def ordered_complex_catalog(name: str) -> OrderedSimplicialComplex:
     """Ordered-complex models for the subdivision operations.  A model of
-    delta:n or boundary:n whose subdivision would have more than
-    ``PRODUCT_BUDGET`` simplices is refused (ValueError) before it is built."""
+    delta:n or boundary:n passes the size budget of its subdivision
+    before it is built."""
     parts = name.split(":")
     if parts[0] == "rp2" and len(parts) == 1:
         return rp2_complex()
     if parts[0] in ("delta", "boundary") and len(parts) == 2:
         n = int(parts[1])
-        if _subdivision_size(n, parts[0] == "boundary") > PRODUCT_BUDGET:
-            raise ValueError(f"the subdivision of {name} would have more simplices "
-                             f"than the budget of {PRODUCT_BUDGET}")
+        budget.refuse(f"the subdivision of {name}", budget.subdivision(n, parts[0] == "boundary"),
+                      "simplices", bound=True)
         return full_simplex_complex(n) if parts[0] == "delta" else boundary_complex(n)
     if parts[0] == "point" and len(parts) == 1:
         return OrderedSimplicialComplex([(0,)])

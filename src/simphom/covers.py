@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from . import budget
 from .chains import euler_characteristic
 from .kan import FibrationReport, fibration_check
 from .pi1 import Pi1Data, abelianization_data
@@ -22,12 +23,13 @@ from .sset import FaceTable, SimplicialMap, SimplicialSet, _walk
 
 
 class FiniteGroup:
-    """A finite group by multiplication table; the laws are verified at
-    construction."""
+    """A finite group by multiplication table; its order^2 entries pass the
+    size budget before the laws are verified."""
 
     def __init__(self, names: list[str], table: list[list[int]]):
         self.names = list(names)
         n = len(names)
+        budget.refuse(f"a group of order {n}", n * n, "table entries")
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError("table shape must match the element count")
         self.table = [list(map(int, row)) for row in table]
@@ -86,6 +88,7 @@ class FiniteGroup:
     def cyclic(cls, n: int) -> "FiniteGroup":
         if n < 1:
             raise ValueError("cyclic group order must be >= 1")
+        budget.refuse(f"a group of order {n}", n * n, "table entries")
         names = ["e"] + [f"g{k}" if k > 1 else "g" for k in range(1, n)]
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
         return cls(names, table)
@@ -203,12 +206,15 @@ def build_cover(base: SimplicialSet, labeling: CoverLabeling) -> CoverResult:
 
     Faces: d_i(sigma, g) = (d_i sigma, g) for i >= 1 and
     d_0(sigma, g) = (d_0 sigma, label(e) * g), e the edge of sigma on its
-    vertices 0 and 1; degeneracy words pass through untouched.
+    vertices 0 and 1; degeneracy words pass through untouched.  Its
+    order x |base| generators pass the size budget before it is built.
     """
     if labeling.space is not base:
         raise ValueError("labeling belongs to a different space")
     G = labeling.group
     order = G.order
+    budget.refuse(f"the {order}-sheeted cover of {base.name or 'K'}", order * sum(base.counts()),
+                  "non-degenerate simplices")
     table = FaceTable(base.top_dim)
     for d in range(base.top_dim + 1):
         for g in range(base.n_gens(d)):

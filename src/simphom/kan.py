@@ -16,20 +16,20 @@ slots gives every simplex that satisfies the identities
 d_i x_j = d_{j-1} x_i bound so far.  A horn is a tuple of positions with
 None at slot k, read back as ``SimplexRef`` faces only when it is
 reported, and every horn counted is certified against those identities.
-Tables that would hold more than ``sset.PRODUCT_BUDGET`` faces are
-refused, from the generator counts alone, before any is built.
+Each check's tables pass the size budget, counted from the generator
+counts alone, before any is built.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
+from . import budget
 from .simplex import SimplexRef
-from .sset import PRODUCT_BUDGET, SimplicialMap, SimplicialSet
+from .sset import SimplicialMap, SimplicialSet
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def check_horn(space: SimplicialSet, h: HornMap):
             raise ValueError(f"face {i} missing or of wrong dimension")
         if not ref.words_ok():
             raise ValueError(f"face {i} has a non-canonical degeneracy word")
-        space.gen(ref.base_dim, ref.base_id)  # raises on dangling ids
+        space._check_gen(ref.base_dim, ref.base_id)
 
 
 class _Table(NamedTuple):
@@ -105,19 +105,6 @@ def _tables(space: SimplicialSet, top: int, bottom: int = 0) -> list[_Table]:
     return tables
 
 
-def _refuse_over_budget(up_to_dim: int, *spaces: SimplicialSet) -> None:
-    """Refuse (ValueError) face tables through ``up_to_dim`` that would hold
-    more than ``PRODUCT_BUDGET`` faces in all, counted from the generator
-    counts a_p alone: sum_{n=1}^{D} (n+1)|K_n| with |K_n| = sum_p a_p C(n, p).
-    As (n+1) C(n, p) = (p+1) C(n+1, p+1), that is
-    sum_p a_p (p+1) C(D+2, p+2) - a_0, with no loop over n."""
-    size = sum(a * (p + 1) * math.comb(up_to_dim + 2, p + 2) - (a if p == 0 else 0)
-               for space in spaces for p, a in enumerate(space.counts()))
-    if size > PRODUCT_BUDGET:
-        raise ValueError(f"the face tables through dimension {up_to_dim} would hold {size} "
-                         f"faces, over the budget of {PRODUCT_BUDGET}")
-
-
 def _horn_of(faces: tuple, k: int) -> tuple:
     """The faces of an n-simplex with None at slot k: the (n, k) horn it fills."""
     return faces[:k] + (None,) + faces[k + 1:]
@@ -129,13 +116,11 @@ def _read(values: list, h: tuple) -> tuple:
 
 
 def fill_horn(space: SimplicialSet, h: HornMap) -> list[SimplexRef]:
-    """All n-simplices whose faces match the horn off index k.  A table of
-    (n+1) |K_n| > ``PRODUCT_BUDGET`` faces is refused before it is built."""
+    """All n-simplices whose faces match the horn off index k.  The tables
+    of the (n-1)- and n-simplices pass the size budget before they are built."""
     check_horn(space, h)
-    size = (h.n + 1) * sum(a * math.comb(h.n, p) for p, a in enumerate(space.counts()))
-    if size > PRODUCT_BUDGET:
-        raise ValueError(f"the face table in dimension {h.n} would hold {size} faces, "
-                         f"over the budget of {PRODUCT_BUDGET}")
+    budget.refuse(f"the face tables in dimensions {h.n - 1} and {h.n}",
+                  budget.face_tables(space.counts(), h.n, h.n - 1), "faces")
     lower, table = _tables(space, h.n, h.n - 1)
     horn = tuple(None if i == h.k else lower.index[h.faces[i]] for i in range(h.n + 1))
     _certify(lower.faces, horn, _pairs(h.n, h.k))
@@ -201,10 +186,11 @@ def kan_check(space: SimplicialSet, up_to_dim: int = 3) -> KanReport:
     """Enumerate every horn through the given dimension and report the
     unfillable ones; empty failure list certifies the Kan condition.
     Every counted horn is certified against the horn identities.
-    Face tables over ``PRODUCT_BUDGET`` are refused before they are built."""
+    The face tables pass the size budget before they are built."""
     if up_to_dim < 1:
         raise ValueError("up_to_dim must be >= 1")
-    _refuse_over_budget(up_to_dim, space)
+    budget.refuse(f"the face tables through dimension {up_to_dim}",
+                  budget.face_tables(space.counts(), up_to_dim), "faces")
     report = KanReport(space.name or "K", up_to_dim, 0)
     if space.is_empty():  # no simplex, so no horn in any dimension
         return report
@@ -265,12 +251,13 @@ def fibration_check(space_map: SimplicialMap, up_to_dim: int = 3) -> FibrationRe
     """Relative horn lifting along a map: for every horn in the source and
     every compatible simplex downstairs, count the upstairs fillers that
     also project correctly.  Every horn is certified against the horn
-    identities; face tables of source and target over ``PRODUCT_BUDGET`` in
-    all are refused before they are built."""
+    identities; the face tables of source and target pass the size budget
+    together before they are built."""
     if up_to_dim < 1:
         raise ValueError("up_to_dim must be >= 1")
     E, B = space_map.source, space_map.target
-    _refuse_over_budget(up_to_dim, E, B)
+    budget.refuse(f"the face tables through dimension {up_to_dim}",
+                  sum(budget.face_tables(s.counts(), up_to_dim) for s in (E, B)), "faces")
     report = FibrationReport(up_to_dim, 0)
     if E.is_empty():  # no simplex upstairs, so no horn in any dimension
         return report

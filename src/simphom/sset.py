@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
+from . import budget
 from .simplex import (
     NonDegenSimplex,
     SimplexRef,
@@ -363,11 +363,9 @@ def vertex_tuple_space(by_dim: list[list[tuple]], name: str | None = None) -> Si
 
 
 def _faces_of_simplex(n: int) -> list[list[tuple[int, ...]]]:
-    """The vertex tuples of the faces of Delta[n], per dimension; more than
-    ``PRODUCT_BUDGET`` of them, 2^(n+1) - 1, is refused (ValueError)."""
-    if n + 1 >= (PRODUCT_BUDGET + 1).bit_length():  # iff 2^(n+1) - 1 > PRODUCT_BUDGET
-        raise ValueError(f"Delta[{n}] would have 2^{n + 1} - 1 non-degenerate simplices, "
-                         f"over the budget of {PRODUCT_BUDGET}")
+    """The vertex tuples of the faces of Delta[n], per dimension, after
+    they pass the size budget, counted from n alone."""
+    budget.refuse(f"Delta[{n}]", budget.simplex_family(n), "non-degenerate simplices", bound=True)
     return [list(itertools.combinations(range(n + 1), m + 1)) for m in range(n + 1)]
 
 
@@ -397,12 +395,10 @@ def horn(n: int, k: int) -> SimplicialSet:
 
 
 def discrete(m: int) -> SimplicialSet:
-    """m isolated points; more than ``PRODUCT_BUDGET`` is refused (ValueError)."""
+    """m isolated points, after m passes the size budget."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m > PRODUCT_BUDGET:
-        raise ValueError(f"discrete[{m}] would have {m} non-degenerate simplices, "
-                         f"over the budget of {PRODUCT_BUDGET}")
+    budget.refuse(f"discrete[{m}]", m, "non-degenerate simplices")
     return vertex_tuple_space([[(f"p{k}",) for k in range(m)]], name=f"discrete[{m}]")
 
 
@@ -602,26 +598,6 @@ def _split(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[tuple[int, ...], tup
     return tuple(sorted(shared, reverse=True)), strip(v), strip(w)
 
 
-# The most non-degenerate simplices ``product`` builds, and the simplex
-# family (Delta[n], its boundary and horns, and sphere:n) through
-# ``_faces_of_simplex``.  S^1 x RP^2 x RP^2 has 27,312 and every product the
-# benchmark builds fewer; RP^2 x RP^2 x RP^2 would have 1,182,091, and
-# Delta[16] 131,071.
-PRODUCT_BUDGET = 100_000
-
-
-def _product_counts(left: SimplicialSet, right: SimplicialSet) -> list[int]:
-    """The non-degenerate simplex counts of left x right, per dimension,
-    from the factors' counts a_p and b_q alone: an n-simplex is a pair
-    (s_V sigma, s_W tau) with sigma of dimension p, tau of dimension q and
-    disjoint degeneracy sets V, W of sizes n - p and n - q, so there are
-    sum_{p,q} a_p b_q C(n, p) C(p, n - q) of them."""
-    a, b = left.counts(), right.counts()
-    return [sum(a[p] * b[q] * math.comb(n, p) * math.comb(p, n - q)
-                for p in range(min(n, len(a) - 1) + 1) for q in range(min(n, len(b) - 1) + 1))
-            for n in range(len(a) + len(b) - 1)]
-
-
 def product(left: SimplicialSet, right: SimplicialSet, name: str | None = None) -> ProductResult:
     """The product simplicial set with its two projections.
 
@@ -629,13 +605,11 @@ def product(left: SimplicialSet, right: SimplicialSet, name: str | None = None) 
     (s_V sigma, s_W tau) with V and W disjoint degeneracy words over
     non-degenerate sigma, tau; faces are computed componentwise and
     re-canonicalized.  The product is called ``name``, or "<left>x<right>"
-    by default.  A product of more than ``PRODUCT_BUDGET`` non-degenerate
-    simplices is refused (ValueError) before anything is built.
+    by default.  It passes the size budget, counted from the factors'
+    counts alone, before anything is built.
     """
-    size = sum(_product_counts(left, right))
-    if size > PRODUCT_BUDGET:
-        raise ValueError(f"the product {left.name or '?'}x{right.name or '?'} would have {size} "
-                         f"non-degenerate simplices, over the budget of {PRODUCT_BUDGET}")
+    budget.refuse(f"the product {left.name or '?'}x{right.name or '?'}",
+                  sum(budget.product_counts(left.counts(), right.counts())), "non-degenerate simplices")
     if left.is_empty() or right.is_empty():
         empty = SimplicialSet([], name="empty")
         return ProductResult(empty, SimplicialMap(empty, left, {}, check=False),

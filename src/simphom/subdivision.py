@@ -10,11 +10,10 @@ the cone formula sd(sigma) = b_sigma * sd(boundary sigma).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .chains import ChainMap, normalized_chains
 from .intmatrix import IntegerMatrix
-from .sset import PRODUCT_BUDGET, SimplicialSet, vertex_tuple_space
+from .sset import SimplicialSet, vertex_tuple_space
 
 
 class OrderedSimplicialComplex:
@@ -97,38 +96,20 @@ def barycentric_subdivide(cx: OrderedSimplicialComplex) -> SubdivisionResult:
     face_order = {f: k for k, f in enumerate(
         sorted(cx.all_faces(), key=lambda f: (len(f), f)))}
 
-    def normalize(raw: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        """Sign of the permutation sorting an oriented tuple (0 if repeats)."""
-        if len(set(raw)) != len(raw):
-            return 0, ()
-        perm = sorted(range(len(raw)), key=lambda i: raw[i])
-        sign = 1
-        # count inversions
-        for a in range(len(perm)):
-            for b in range(a + 1, len(perm)):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        return sign, tuple(sorted(raw))
-
     cache: dict[tuple, dict[tuple, int]] = {}
 
     def sd_chain(face: tuple) -> dict[tuple, int]:
-        """sd of one input face, as a chain over Sd faces (sorted tuples)."""
+        """sd of one input face, as a chain over Sd faces (sorted tuples).
+        The cone b_face * sd(d_i face) puts the apex first; it comes after
+        every face of a face in ``face_order``, so sorting the flag moves
+        it past the len(sd_face) others.  The flags of different d_i face
+        end differently, so none cancels."""
         if face in cache:
             return cache[face]
         apex = face_order[face]
-        if len(face) == 1:
-            out = {(apex,): 1}
-        else:
-            out = {}
-            for i in range(len(face)):
-                sub = face[:i] + face[i + 1:]
-                for sd_face, coeff in sd_chain(sub).items():
-                    sign, sorted_face = normalize((apex,) + sd_face)
-                    if sign:
-                        c = coeff * ((-1) ** i) * sign
-                        out[sorted_face] = out.get(sorted_face, 0) + c
-            out = {f: c for f, c in out.items() if c}
+        out = {(apex,): 1} if len(face) == 1 else {
+            sd_face + (apex,): coeff * (-1) ** (i + len(sd_face))
+            for i in range(len(face)) for sd_face, coeff in sd_chain(face[:i] + face[i + 1:]).items()}
         cache[face] = out
         return out
 
@@ -145,22 +126,6 @@ def barycentric_subdivide(cx: OrderedSimplicialComplex) -> SubdivisionResult:
     chain_map = ChainMap(normalized_chains(complex_to_sset(cx)),
                          normalized_chains(complex_to_sset(subdivided)), mats)
     return SubdivisionResult(subdivided, chain_map, dict(face_order))
-
-
-def _subdivision_size(n: int, boundary: bool) -> int:
-    """The number of simplices of Sd(Delta[n]), or of Sd of its boundary.
-    A simplex of Sd is a chain of faces; those whose top face has m
-    vertices number C(n+1, m) a(m), with a(m) = 1, 3, 13, 75, ... the
-    ordered Bell numbers, and the boundary drops m = n + 1.  The sum stops
-    at its first partial sum over ``PRODUCT_BUDGET``, so no n is too large."""
-    bell = [1]
-    total = 0
-    for m in range(1, n + 1 if boundary else n + 2):
-        bell.append(sum(comb(m, k) * bell[m - k] for k in range(1, m + 1)))
-        total += comb(n + 1, m) * bell[m]
-        if total > PRODUCT_BUDGET:
-            break
-    return total
 
 
 def full_simplex_complex(n: int) -> OrderedSimplicialComplex:

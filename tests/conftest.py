@@ -79,6 +79,17 @@ def all_catalog_spaces() -> list[SimplicialSet]:
     return connected_catalog_spaces() + [catalog("discrete:2"), catalog("boundary:1")]
 
 
+# The product spaces of the benchmark's homology ladder, one row per rung,
+# the first of each row its representative; the rung of rp2 alone is among
+# the catalog spaces.
+LADDER_RUNGS = [
+    [("circle", "circle")], [("circle", "rp2"), ("rp2", "circle")],
+    [("torus", "klein"), ("klein", "torus"), ("torus", "torus"), ("klein", "klein")],
+    [("sphere:2", "rp2")], [("torus", "boundary:3"), ("klein", "boundary:3")],
+    [("rp2", "boundary:2"), ("boundary:2", "rp2")], [("boundary:3", "boundary:3")],
+    [("torus", "rp2"), ("klein", "rp2")]]
+
+
 def random_sset(rng: random.Random, steps: int = 5) -> SimplicialSet:
     """A random simplicial set from the simplex family: Delta[n], its
     boundary or a horn (n <= 3), then ``steps`` random quotients by the

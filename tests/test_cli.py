@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from simphom import budget
 from simphom.catalog import catalog
 from simphom.cli import main, run
 from simphom.io import print_space
@@ -705,5 +706,5 @@ def test_discrete_spaces_over_the_budget_are_refused_before_they_are_built(monke
          "over the budget of 100000"], 2)
     assert time.perf_counter() - start < 0.1
     monkeypatch.undo()
-    assert run(["euler", "--space", f"discrete:{sset.PRODUCT_BUDGET}"]) == (
-        ["simphom euler", f"chi = {sset.PRODUCT_BUDGET}"], 0)
+    assert run(["euler", "--space", f"discrete:{budget.BUDGET}"]) == (
+        ["simphom euler", f"chi = {budget.BUDGET}"], 0)

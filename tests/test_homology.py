@@ -44,7 +44,7 @@ from simphom.sset import (
 )
 from simphom.subdivision import barycentric_subdivide
 
-from conftest import all_catalog_spaces, connecting_matrix, random_sset
+from conftest import LADDER_RUNGS, all_catalog_spaces, connecting_matrix, random_sset
 from reference import (
     DenseSubquotient,
     betti_numbers_rational,
@@ -108,17 +108,6 @@ def test_groups_path_matches_subquotients():
     for c in _groups_path_complexes():
         degrees = range(c.max_degree + 3)
         assert homology(c, degrees) == [homology_data(c, n).group for n in degrees]
-
-
-# The product spaces of the benchmark's homology ladder, one row per rung,
-# the first of each row its representative; the rung of rp2 alone is among
-# the catalog spaces.
-LADDER_RUNGS = [
-    [("circle", "circle")], [("circle", "rp2"), ("rp2", "circle")],
-    [("torus", "klein"), ("klein", "torus"), ("torus", "torus"), ("klein", "klein")],
-    [("sphere:2", "rp2")], [("torus", "boundary:3"), ("klein", "boundary:3")],
-    [("rp2", "boundary:2"), ("boundary:2", "rp2")], [("boundary:3", "boundary:3")],
-    [("torus", "rp2"), ("klein", "rp2")]]
 
 
 def _uncleared_homology(c, degrees):
@@ -601,10 +590,11 @@ def _agrees_with_dense(sq, ref, out, in_map, m):
 
 def test_relations_first_subquotients_match_the_dense_reference(monkeypatch):
     """homology_data, cohomology_data with Z, Z/2 and Z/3, and the generic
-    Subquotient with the same moduli, on the chains of every catalog space
-    and of one variant per ladder rung, against the dense two-SNF
-    reference.  The reference's SNFs are kept per matrix, so the three
-    moduli share the SNF of each outgoing map."""
+    Subquotient with the same moduli, on the chains of every catalog space,
+    of one variant per ladder rung and of seeded random simplicial sets
+    (``conftest.random_sset``), against the dense two-SNF reference.  The
+    reference's SNFs are kept per matrix, so the three moduli share the SNF
+    of each outgoing map."""
     reference = sys.modules["reference"]
     dense_snf, known = reference.smith_normal_form, {}
 
@@ -616,6 +606,8 @@ def test_relations_first_subquotients_match_the_dense_reference(monkeypatch):
 
     monkeypatch.setattr(reference, "smith_normal_form", kept_snf)
     spaces = all_catalog_spaces() + [product(catalog(a), catalog(b)).space for (a, b), *_ in LADDER_RUNGS]
+    rng = random.Random(602)
+    spaces += [random_sset(rng) for _ in range(40)]
     for space in spaces:
         c = normalized_chains(space)
         for n in range(c.max_degree + 2):

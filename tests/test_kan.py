@@ -6,6 +6,7 @@ import random
 import pytest
 
 import simphom.kan as kan_module
+from simphom import budget
 from simphom.catalog import catalog
 from simphom.cli import run
 from simphom.covers import build_cover, cyclic_labeling, verify_covering
@@ -82,6 +83,20 @@ def test_horn_with_the_wrong_number_of_face_slots_is_refused():
     for h in (HornMap(1, 0, (None, vertex, vertex)), HornMap(1, 1, (vertex,))):
         with pytest.raises(ValueError, match="face slots"):
             fill_horn(point, h)
+
+
+def test_horn_with_a_dangling_face_is_refused_without_a_generator_view(monkeypatch):
+    """check_horn checks each face's generator id in the face table; it
+    builds no NonDegenSimplex view, and a dangling id keeps its message."""
+    def refuse(*args):
+        raise AssertionError("a generator view was built")
+
+    monkeypatch.setattr(SimplicialSet, "gen", refuse)
+    d1 = std_simplex(1)
+    check_horn(d1, HornMap(2, 0, (None, SimplexRef(0, 1, (0,)), SimplexRef(1, 0))))
+    for face, message in ((SimplexRef(1, 1), r"\(1,1\)"), (SimplexRef(0, 2, (0,)), r"\(0,2\)")):
+        with pytest.raises(ValueError, match=f"^no generator {message}$"):
+            fill_horn(d1, HornMap(2, 0, (None, face, SimplexRef(1, 0))))
 
 
 def test_discrete_is_kan_through_three():
@@ -378,21 +393,33 @@ def test_one_rewrite_per_word_and_index_from_load_to_kan(monkeypatch, rp2_x_rp2)
     assert sorted(filter(None, rows_read)) == [(n, g) for n in range(4) for g in range(space.n_gens(n))]
 
 
+def _vertex_horn(n: int) -> HornMap:
+    """The (n, 0) horn on the degenerate simplices of vertex 0."""
+    return HornMap(n, 0, (None,) + (SimplexRef(0, 0, tuple(range(n - 2, -1, -1))),) * n)
+
+
 def test_face_table_estimate_is_exact(monkeypatch):
     """With a budget of -1 every check is refused, and the refusal names the
-    estimate: it equals the faces the tables through that dimension hold."""
-    def faces_held(space, top):
-        return sum((n + 1) * sum(1 for _ in space.all_simplices(n)) for n in range(1, top + 1))
+    estimate: it equals the faces that ``_tables`` builds, through that
+    dimension for kan_check and, for fill_horn, in its two tables of the
+    (n-1)- and n-simplices, n |K_{n-1}| + (n+1) |K_n|."""
+    def faces_built(space, top, bottom=0):
+        return sum(len(row) for table in _tables(space, top, bottom) for row in table.faces)
 
-    monkeypatch.setattr(kan_module, "PRODUCT_BUDGET", -1)
     spaces = [catalog(name) for name in ("point", "rp2", "klein", "boundary:3", "discrete:0")]
+    spaces += [product(catalog(a), catalog(b)).space for a, b in (("circle", "rp2"), ("torus", "klein"))]
+    to_point = constant_map(catalog("rp2"), catalog("point"), 0)
+    monkeypatch.setattr(budget, "BUDGET", -1)
     for space in spaces:
         for dim in (1, 2, 3, 5):
-            with pytest.raises(ValueError, match=f"would hold {faces_held(space, dim)} faces"):
+            with pytest.raises(ValueError, match=f"would have {faces_built(space, dim)} faces"):
                 kan_check(space, dim)
-    to_point = constant_map(catalog("rp2"), catalog("point"), 0)
+            if space.n_gens(0):
+                with pytest.raises(ValueError, match=f"dimensions {dim - 1} and {dim} would have "
+                                                     f"{faces_built(space, dim, dim - 1)} faces"):
+                    fill_horn(space, _vertex_horn(dim))
     # rp2's 504 faces through dimension 3 and the point's 2 + 3 + 4
-    with pytest.raises(ValueError, match=f"would hold {504 + 2 + 3 + 4} faces"):
+    with pytest.raises(ValueError, match=f"would have {504 + 2 + 3 + 4} faces"):
         fibration_check(to_point, 3)
 
 
@@ -409,7 +436,7 @@ def test_face_tables_over_budget_are_refused_before_they_are_built(monkeypatch, 
 
     monkeypatch.setattr(kan_module, "_tables", refuse)
     monkeypatch.setattr(SimplicialSet, "all_simplices", refuse)
-    over = "would hold 112854 faces, over the budget of 100000"
+    over = "would have 112854 faces, over the budget of 100000"
     with pytest.raises(ValueError, match=over):
         kan_check(rp2_x_rp2, 4)
     with pytest.raises(ValueError, match="over the budget"):
@@ -419,34 +446,33 @@ def test_face_tables_over_budget_are_refused_before_they_are_built(monkeypatch, 
     point = catalog("point")  # 14 table faces through dimension 4
     into = SimplicialMap(point, rp2_x_rp2, {(0, 0): SimplexRef(0, 0)}, check=False)
     for space_map in (into, constant_map(rp2_x_rp2, point, 0)):
-        with pytest.raises(ValueError, match="would hold 112868 faces"):
+        with pytest.raises(ValueError, match="would have 112868 faces"):
             fibration_check(space_map, 4)
     monkeypatch.undo()
     assert fibration_check(into, 3).problems_checked > 0
 
 
 def test_fill_horn_refuses_an_over_budget_face_table(monkeypatch, rp2_x_rp2, tmp_path):
-    """fill_horn tabulates the n-simplices: on RP^2 x RP^2 that is
-    (n+1)|K_n| = 9 * 164,836 faces at n = 8, refused from the generator
-    counts before the table is built, and 26,244 at n = 3, which fills."""
+    """fill_horn tabulates the (n-1)- and n-simplices: on RP^2 x RP^2 that is
+    n |K_{n-1}| + (n+1) |K_n| = 8 * 103,041 + 9 * 164,836 faces at n = 8,
+    refused from the generator counts before the tables are built, and
+    32,592 at n = 3, which fills."""
     doc = tmp_path / "rp2xrp2.sset"
     doc.write_text(print_space(rp2_x_rp2))
-
-    def vertex_horn(n):
-        return HornMap(n, 0, (None,) + (SimplexRef(0, 0, tuple(range(n - 2, -1, -1))),) * n)
+    assert budget.face_tables(rp2_x_rp2.counts(), 3, 2) == 32_592
 
     def refuse(*args):
         raise AssertionError("an over-budget face table was built")
 
     monkeypatch.setattr(kan_module, "_tables", refuse)
-    over = "the face table in dimension 8 would hold 1483524 faces, over the budget of 100000"
+    over = "the face tables in dimensions 7 and 8 would have 2307852 faces, over the budget of 100000"
     with pytest.raises(ValueError, match=over):
-        fill_horn(rp2_x_rp2, vertex_horn(8))
+        fill_horn(rp2_x_rp2, _vertex_horn(8))
     faces = json.dumps([[[0, 0], list(range(6, -1, -1))]] * 8)
     assert run(["fill", "--file", str(doc), "--dim", "8", "--k", "0", "--faces", faces]) == (
         [f"error: {over}"], 2)
     monkeypatch.undo()
-    assert SimplexRef(0, 0, (2, 1, 0)) in fill_horn(rp2_x_rp2, vertex_horn(3))
+    assert SimplexRef(0, 0, (2, 1, 0)) in fill_horn(rp2_x_rp2, _vertex_horn(3))
 
 
 def test_empty_space_has_no_horns_in_any_dimension(monkeypatch):

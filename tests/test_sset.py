@@ -7,7 +7,7 @@ import pytest
 
 from conftest import all_catalog_spaces, constant_map
 from reference import reference_is_valid
-from simphom import sset
+from simphom import budget, sset
 from simphom.catalog import catalog
 from simphom.chains import euler_characteristic
 from simphom.cli import run
@@ -94,10 +94,10 @@ def test_product_counts_are_estimated_exactly():
     for left in spaces:
         for right in spaces:
             built = product(left, right).space.counts()
-            estimate = sset._product_counts(left, right)
+            estimate = budget.product_counts(left.counts(), right.counts())
             assert tuple(estimate[:len(built)]) == built and not any(estimate[len(built):])
     rp2 = catalog("rp2")
-    assert sset._product_counts(rp2, rp2) == [36, 405, 1270, 1500, 600]
+    assert budget.product_counts(rp2.counts(), rp2.counts()) == [36, 405, 1270, 1500, 600]
 
 
 def test_product_over_budget_is_refused_before_it_is_built(monkeypatch):
@@ -106,7 +106,7 @@ def test_product_over_budget_is_refused_before_it_is_built(monkeypatch):
     is under the budget.  The refusal builds no simplex."""
     rp2 = catalog("rp2")
     square = product(rp2, rp2).space
-    assert sum(sset._product_counts(catalog("circle"), square)) == 27_312 <= sset.PRODUCT_BUDGET
+    assert sum(budget.product_counts(catalog("circle").counts(), square.counts())) == 27_312 <= budget.BUDGET
 
     def refuse(*args):
         raise AssertionError("an over-budget product was built")
@@ -119,11 +119,12 @@ def test_product_over_budget_is_refused_before_it_is_built(monkeypatch):
 def test_simplex_family_over_budget_is_refused_before_it_is_built(monkeypatch):
     """Delta[n] has 2^(n+1) - 1 non-degenerate simplices: Delta[15]
     (65,535) is under the budget and Delta[16] (131,071) over it.
-    delta:n, boundary:n, horn:n:k and sphere:n are refused from that count
-    alone, building no simplex, and the CLI exits 2 with one line."""
-    assert [sum(map(len, sset._faces_of_simplex(n))) for n in range(6)] == [
-        2 ** (n + 1) - 1 for n in range(6)]
-    assert 2 ** 16 - 1 <= sset.PRODUCT_BUDGET < 2 ** 17 - 1
+    delta:n, boundary:n, horn:n:k and sphere:n are refused from a partial
+    sum of that count, building no simplex, and the CLI exits 2 with one
+    line."""
+    assert [sum(map(len, sset._faces_of_simplex(n))) for n in range(16)] == [
+        budget.simplex_family(n) for n in range(16)] == [2 ** (n + 1) - 1 for n in range(16)]
+    assert 2 ** 16 - 1 <= budget.BUDGET < budget.simplex_family(16) <= 2 ** 17 - 1
 
     def refuse(*args):
         raise AssertionError("an over-budget simplex was built")
@@ -134,7 +135,7 @@ def test_simplex_family_over_budget_is_refused_before_it_is_built(monkeypatch):
         with pytest.raises(ValueError, match="non-degenerate simplices, over the budget of 100000"):
             catalog(name)
     assert run(["homology", "--space", "delta:17"]) == (
-        ["error: Delta[17] would have 2^18 - 1 non-degenerate simplices, over the budget of 100000"], 2)
+        ["error: Delta[17] would have at least 106761 non-degenerate simplices, over the budget of 100000"], 2)
 
 
 def test_product_of_circles(circle):

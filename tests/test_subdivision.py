@@ -11,10 +11,10 @@ from simphom.chains import mapping_cone
 from simphom.homology import homology, homology_of_space
 from simphom.intmatrix import IntegerMatrix
 from simphom.abgroup import AbelianGroup
-from simphom.sset import PRODUCT_BUDGET, is_valid, std_simplex
+from simphom import budget
+from simphom.sset import is_valid, std_simplex
 from simphom.subdivision import (
     OrderedSimplicialComplex,
-    _subdivision_size,
     barycentric_subdivide,
     boundary_complex,
     complex_to_sset,
@@ -62,18 +62,18 @@ def test_subdivision_size_counts_the_simplices_of_sd():
     """sum_m C(n+1, m) a(m), a the ordered Bell numbers, is the size of
     Sd(Delta[n]); without m = n + 1 it is that of Sd of the boundary."""
     for n in range(5):
-        assert _subdivision_size(n, False) == sum(
+        assert budget.subdivision(n, False) == sum(
             barycentric_subdivide(full_simplex_complex(n)).subdivided.counts())
-        assert _subdivision_size(n + 1, True) == sum(
+        assert budget.subdivision(n + 1, True) == sum(
             barycentric_subdivide(boundary_complex(n + 1)).subdivided.counts())
-    assert _subdivision_size(3, False) == 149
-    assert _subdivision_size(6, False) == 94_585 <= PRODUCT_BUDGET
+    assert budget.subdivision(3, False) == 149
+    assert budget.subdivision(6, False) == 94_585 <= budget.BUDGET
 
 
 def test_subdivide_over_budget_is_refused_before_anything_is_built(monkeypatch):
     """Sd(Delta[7]) would have 1,091,669 simplices and Sd of its boundary
-    545,834: both are refused from n alone, building no complex, and the
-    CLI exits 2 with one line."""
+    545,834: both are refused from n alone, at the first partial sum over
+    the budget, building no complex, and the CLI exits 2 with one line."""
     catalog_module = sys.modules["simphom.catalog"]  # simphom.catalog is the function
 
     def refuse(*args):
@@ -82,10 +82,11 @@ def test_subdivide_over_budget_is_refused_before_anything_is_built(monkeypatch):
     monkeypatch.setattr(catalog_module, "full_simplex_complex", refuse)
     monkeypatch.setattr(catalog_module, "boundary_complex", refuse)
     for name in ("delta:7", "boundary:7", "delta:1000000000000"):
-        with pytest.raises(ValueError, match="more simplices than the budget of 100000"):
+        with pytest.raises(ValueError, match="simplices, over the budget of 100000"):
             ordered_complex_catalog(name)
     assert run(["subdivide", "--space", "delta:7"]) == (
-        ["error: the subdivision of delta:7 would have more simplices than the budget of 100000"], 2)
+        ["error: the subdivision of delta:7 would have at least 167490 simplices, "
+         "over the budget of 100000"], 2)
 
 
 def test_subdivide_point_is_identity():
