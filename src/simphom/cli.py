@@ -241,7 +241,7 @@ def cmd_cover(args):
             images[gen.strip()] = group.element(elem.strip())
         labeling = labeling_from_hom(space, data, group, images)
     elif args.group.startswith("cyclic:"):
-        labeling = cyclic_labeling(space, data, group.order)
+        labeling = cyclic_labeling(space, data, group)
     else:
         raise CommandError("cover needs --images for non-cyclic groups")
     cover = build_cover(space, labeling)

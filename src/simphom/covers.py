@@ -4,9 +4,9 @@ A labeling of the non-degenerate edges in a finite group G satisfying the
 2-simplex cocycle condition label(d1) = label(d0) * label(d2) (degenerate
 edges carry the identity) determines a cover with one generator (sigma, g)
 per base generator and group element; the 0-th face twists the group
-coordinate by the label of the initial edge.  Relator words evaluate
-right-to-left (function composition order) so that killing the relators
-of the edge-path presentation is exactly the cocycle condition.
+coordinate by the label of the initial edge.  A relator word a_1 ... a_k
+evaluates in composition order, to phi(a_k) ... phi(a_1), so that killing
+the relators of the edge-path presentation is exactly the cocycle condition.
 """
 
 from __future__ import annotations
@@ -133,13 +133,13 @@ class CoverLabeling:
 
 
 def evaluate_word(group: FiniteGroup, word: tuple[int, ...], images: list[int]) -> int:
-    """Evaluate a relator word right-to-left (composition order)."""
+    """Evaluate a relator word in composition order: a_1 ... a_k to phi(a_k) ... phi(a_1)."""
     result = group.identity
     for letter in word:
         g = images[abs(letter) - 1]
         if letter < 0:
             g = group.inverse[g]
-        result = group.mul(result, g)
+        result = group.mul(g, result)
     return result
 
 
@@ -170,13 +170,12 @@ def labeling_from_hom(space: SimplicialSet, pi1: Pi1Data, group: FiniteGroup,
     return CoverLabeling(space, group, labels)
 
 
-def cyclic_labeling(space: SimplicialSet, pi1: Pi1Data, order: int) -> CoverLabeling:
-    """Labeling in Z/order from the abelianization of the edge-path
-    presentation, projected onto a coordinate whose order admits a
-    surjection onto Z/order."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    group = FiniteGroup.cyclic(order)
+def cyclic_labeling(space: SimplicialSet, pi1: Pi1Data, order: int | FiniteGroup) -> CoverLabeling:
+    """Labeling in Z/order, or in ``order`` as ``FiniteGroup.cyclic`` built it,
+    from the abelianization of the edge-path presentation, projected onto a
+    coordinate whose order admits a surjection onto Z/order."""
+    group = order if isinstance(order, FiniteGroup) else FiniteGroup.cyclic(order)
+    order = group.order
     if order == 1:
         return labeling_from_hom(space, pi1, group,
                                  [0] * len(pi1.presentation.generators))

@@ -6,8 +6,8 @@ H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion of d_{n+1}.  The
 reductions clear from the top boundary of the complex down: ``_reduce``
 eliminates d_k without its columns at the unit-pivot rows of d_{k+1}'s
 elimination, which are Z-combinations of the other columns, so its
-divisors do not change.  The certificate for that is one sparse product,
-d_k * P = 0 for the matrix P of d_{k+1}'s pivot columns.  Each reduction
+divisors do not change: by d_{k+1}'s elimination certificate and dd = 0
+d_k kills them, with no product of its own (see ``_reduce``).  Each reduction
 is cached on the ``ChainComplex``, keyed by its degree alone, so the
 degrees a caller asks for choose what is reported, not how it is
 computed.  Every consumer reads it: ``homology``, the subquotients of
@@ -91,8 +91,8 @@ def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[Abeli
     (clearing): each pivot column c is a cycle carrying +-1 at its own
     pivot row and 0 at the earlier ones, so back-substitution in reverse
     step order writes each dropped column of d_k through the others,
-    and d_k keeps its divisors.  That rests on d_k * P = 0 for the matrix
-    P of those pivot columns, checked by one product; a failure raises
+    and d_k keeps its divisors.  That c is a cycle follows from d_{k+1}'s
+    elimination certificate and dd = 0 (see ``_reduce``); a failure raises
     AssertionError.  The reductions are cached on c and shared with its
     subquotients.
     """

@@ -116,14 +116,18 @@ def _read(values: list, h: tuple) -> tuple:
 
 
 def fill_horn(space: SimplicialSet, h: HornMap) -> list[SimplexRef]:
-    """All n-simplices whose faces match the horn off index k.  The tables
-    of the (n-1)- and n-simplices pass the size budget before they are built."""
+    """All n-simplices whose faces match the horn off index k.  The horn
+    identities are checked on the space's faces, and only the table of the
+    n-simplices passes the size budget and is built."""
     check_horn(space, h)
-    budget.refuse(f"the face tables in dimensions {h.n - 1} and {h.n}",
-                  budget.face_tables(space.counts(), h.n, h.n - 1), "faces")
-    lower, table = _tables(space, h.n, h.n - 1)
-    horn = tuple(None if i == h.k else lower.index[h.faces[i]] for i in range(h.n + 1))
-    _certify(lower.faces, horn, _pairs(h.n, h.k))
+    budget.refuse(f"the face table in dimension {h.n}", budget.face_tables(space.counts(), h.n, h.n), "faces")
+    if any(space._face(*h.faces[j], i) != space._face(*h.faces[i], j - 1) for i, j in _pairs(h.n, h.k)):
+        raise ValueError("incompatible horn data")
+    (table,) = _tables(space, h.n, h.n)
+    # face i of the horn is d_i of its degeneracy s_j, j = min(i, n - 1), as
+    # d_i s_j = id for j = i and j = i - 1: its position is read off that row
+    horn = tuple(None if i == h.k else table.faces[table.index[space.degeneracy(h.faces[i], min(i, h.n - 1))]][i]
+                 for i in range(h.n + 1))
     return [table.refs[x] for x, faces in enumerate(table.faces) if _horn_of(faces, h.k) == horn]
 
 

@@ -127,14 +127,12 @@ class Pi1Data:
 
 def pi1_presentation(space: SimplicialSet, base_vertex: int = 0) -> Pi1Data:
     """Edge-path presentation from a breadth-first spanning tree rooted at
-    the base vertex, tie-broken by ascending generator id."""
+    the base vertex, tie-broken by ascending generator id; the space is
+    connected iff it reaches every vertex (``pi0`` only words the refusal)."""
     if space.n_gens(0) == 0:
         raise ValueError("empty space has no fundamental group")
     if not 0 <= base_vertex < space.n_gens(0):
         raise ValueError(f"no vertex {base_vertex}")
-    comps = pi0(space)
-    if comps.count != 1:
-        raise ValueError(f"space is not connected (pi0 = {comps.count})")
 
     # incidence of non-degenerate edges: edge e runs d1(e) -> d0(e)
     incident: list[list[tuple[int, int]]] = [[] for _ in range(space.n_gens(0))]
@@ -155,6 +153,8 @@ def pi1_presentation(space: SimplicialSet, base_vertex: int = 0) -> Pi1Data:
                 visited.add(w)
                 tree.add(eid)
                 queue.append(w)
+    if len(visited) != space.n_gens(0):
+        raise ValueError(f"space is not connected (pi0 = {pi0(space).count})")
 
     generator_edges = [e for e in range(space.n_gens(1)) if e not in tree]
     generator_index = {eid: k for k, eid in enumerate(generator_edges)}

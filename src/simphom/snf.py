@@ -22,9 +22,9 @@ residue, whose SNF is computed on first read, all in the matrix's own
 row and column indices.  ``elementary_divisors`` answers integral groups
 alone: K ones followed by the divisors of R; an empty R skips its SNF.
 ``_reduce`` is the one entry point of every elimination.  Given the
-reduction of the map into its matrix's domain, it clears: it checks that
-the matrix kills the matrix P of that reduction's pivot columns (mod m),
-then eliminates it without the columns at the pivot rows.
+reduction of the map into its matrix's domain, it clears: it eliminates
+the matrix without the columns at that reduction's pivot rows, which the
+matrix kills by that reduction's certificate and dd = 0 (see ``_reduce``).
 ``homology.homology`` runs it on each boundary, d_k below d_{k+1}, and
 caches the reductions on the complex.  ``Subquotient``, the one builder
 of groups with representatives and of every group with Z/m
@@ -257,28 +257,25 @@ class Reduction:
         return [1] * len(self.steps) + self.snf.divisors
 
 
-def _reduce(m: IntegerMatrix, above: Reduction | None = None, modulus: int = 0) -> Reduction:
+def _reduce(m: IntegerMatrix, above: Reduction | None = None) -> Reduction:
     """The certified unit elimination of m.  Given ``above``, the reduction
-    of a map into m's domain, m must kill (mod the modulus) the matrix P of
-    above's pivot columns (AssertionError otherwise), and is eliminated
-    with its columns at above's pivot rows zeroed (clearing)."""
-    cleared: set[int] = set()
-    part = m
-    if above is not None:
-        cleared, pivots = _pivot_columns(above.steps, m.cols)
-        if not _vanishes(m * pivots, modulus):
-            raise AssertionError("a pivot column of in_map leaves the kernel")
-        part = m.with_zero_columns(cleared)
+    of a map A with m A = 0, m is eliminated with its columns at above's
+    pivot rows zeroed (clearing), and no product checks that m kills
+    above's pivot columns c_k.  Its certificate proved A = sum_l p_l c_l
+    r_l^T + R, r_l zero on the earlier pivot columns and R on all, so
+    A e_{j_k} = c_k + sum_{l<k} p_l r_l[j_k] c_l: c_1 = A e_{j_1} and, by
+    induction, each c_k is a Z-combination of A's columns, killed by m.
+    On a complex, m A = 0 is dd = 0, checked by ``ChainComplex.__init__``
+    (on the dual it is (d_k d_{k+1})^T = 0); in ``Subquotient``,
+    out_map * in_map = 0 (mod the modulus), checked by its ``__init__``.
+    Each c_k carries +-1 at its pivot row and 0 at the earlier ones, so
+    m keeps its image: back-substitution in reverse step order writes each
+    cleared column through the others (mod the modulus)."""
+    cleared = set() if above is None else {i for i, _, _, _, _ in above.steps}
+    part = m.with_zero_columns(cleared) if cleared else m
     steps, residue = ([], {}) if part.is_zero() else _eliminate_units(part)
     _check_elimination(part, steps, residue)
     return Reduction(m, cleared, steps, *_residue_matrix(residue))
-
-
-def _pivot_columns(steps, rows: int) -> tuple[set[int], IntegerMatrix]:
-    """The pivot rows of an elimination, and the matrix with ``rows`` rows
-    whose column k is the pivot column c_k of step k."""
-    return {i for i, _, _, _, _ in steps}, IntegerMatrix.from_entries(rows, len(steps), (
-        (a, k, v) for k, (_, _, _, c, _) in enumerate(steps) for a, v in c.items()))
 
 
 def _vanishes(m: IntegerMatrix, modulus: int = 0) -> bool:
@@ -429,9 +426,9 @@ class Subquotient:
     earlier ones, and a residue R on the other rows N.  The c_k and the
     unit vectors on N form a unimodular basis L of Z^r, so forward
     substitution through the steps (L^-1) maps Z^r onto Z^N with kernel
-    the span of the c_k, which lies in im in_map.  Once out_map * c_k
-    vanishes (mod m), checked by one product, x lies in the kernel iff its
-    image does in ker(out_map on the columns N), and the group is
+    the span of the c_k, which lies in im in_map, so in the kernel (see
+    ``_reduce``): x lies in the kernel iff its image does in
+    ker(out_map on the columns N), and the group is
     ker(out_map on N, mod m) / (im R + m Z^N).
 
     Kernel.  The elimination of out_map on the columns N has pivot rows
@@ -452,14 +449,14 @@ class Subquotient:
 
     out_map and in_map are matrices, or the cached ``Reduction`` of a
     chain complex's d_{n+1} (in_map) and of d_n cleared by it (out_map),
-    whose clearing certificate was checked when they were built; both keep
-    the indices of Z^r.  ``generators`` is the r x g matrix of
+    whose dd = 0 the complex checked when it was built; both keep the
+    indices of Z^r.  ``generators`` is the r x g matrix of
     representatives, zero on in_map's pivot rows; it is built and
     certified on its first read or on the first ``reduce``, which maps a
     matrix of kernel columns to their coordinates with one product for
     the kernel check.  in_map must lie in the kernel and a negative
-    modulus is refused (ValueError); a pivot column of in_map outside the
-    kernel and a generator that does not reduce to its unit vector raise
+    modulus is refused (ValueError); a failed elimination certificate and
+    a generator that does not reduce to its unit vector raise
     AssertionError.
     """
 
@@ -475,7 +472,7 @@ class Subquotient:
             if not _vanishes(out_map * in_map, modulus):
                 raise ValueError("in_map leaves the kernel")
             incoming = _reduce(in_map)
-            outgoing = _reduce(out_map, incoming, modulus)
+            outgoing = _reduce(out_map, incoming)
         self._out, self._in_steps = outgoing.matrix, incoming.steps
         pivot_rows = {i for i, _, _, _, _ in incoming.steps}
         if incoming.matrix.rows != self._out.cols or outgoing.cleared != pivot_rows:

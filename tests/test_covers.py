@@ -1,11 +1,13 @@
 """Finite groups, edge labelings, and covering spaces."""
 
+import itertools
 import re
 
 import pytest
 
 from simphom.abgroup import AbelianGroup
 from simphom.chains import euler_characteristic
+from simphom.cli import run
 from simphom.covers import (
     CoverLabeling,
     FiniteGroup,
@@ -16,6 +18,7 @@ from simphom.covers import (
     verify_covering,
 )
 from simphom.homology import homology_of_space
+from simphom.io import parse_group
 from simphom.pi1 import pi1_presentation
 from simphom.simplex import NonDegenSimplex, SimplexRef
 from simphom.sset import SimplicialMap, SimplicialSet, is_valid, quotient, subcomplex
@@ -33,11 +36,81 @@ def test_finite_group_laws():
         FiniteGroup(["a"], [[0, 0]])
 
 
+# S3 as the permutations of {0, 1, 2}, each named by its images of 0, 1, 2,
+# with (pq)(x) = p(q(x)); the regular S3-covers of the Klein bottle
+S3_GROUP = """group v1
+elements 012 021 102 120 201 210
+table
+012 021 102 120 201 210
+021 012 201 210 102 120
+102 120 012 021 210 201
+120 102 210 201 012 021
+201 210 021 012 120 102
+210 201 120 102 021 012
+"""
+
+
+def _s3() -> FiniteGroup:
+    return parse_group(S3_GROUP)
+
+
 def test_evaluate_word_composition_order():
     z4 = FiniteGroup.cyclic(4)
     # word (g1 g2) evaluates as phi(g2) * phi(g1); abelian here, but the
     # inverse letters must invert
     assert evaluate_word(z4, (1, -2), [1, 3]) == (4 - 3 + 1) % 4
+    # in S3 the two orders differ: a b is phi(b) phi(a), a b^-1 is phi(b)^-1 phi(a)
+    s3 = _s3()
+    a, b = s3.element("021"), s3.element("102")
+    assert s3.mul(a, b) != s3.mul(b, a)
+    assert evaluate_word(s3, (1, 2), [a, b]) == s3.mul(b, a)
+    assert evaluate_word(s3, (1, -2), [a, b]) == s3.mul(s3.inverse[b], a)
+    assert evaluate_word(s3, (2, 1, -2), [a, b]) == s3.mul(s3.inverse[b], s3.mul(a, b))
+
+
+def test_klein_s3_labelings_from_homomorphisms_are_the_cocycles(klein):
+    """Of the 216 image triples of the Klein bottle's three presentation
+    generators in S3, ``labeling_from_hom`` accepts exactly the 18 whose
+    labeling satisfies the cocycle condition, and each gives a valid cover
+    with unique lifts."""
+    s3, data = _s3(), pi1_presentation(klein)
+    assert data.presentation.generators == ["e0", "e1", "e2"] and not data.tree_edges
+    accepted = 0
+    for images in itertools.product(range(s3.order), repeat=3):
+        try:
+            CoverLabeling(klein, s3, dict(enumerate(images)))
+            cocycle = True
+        except ValueError:
+            cocycle = False
+        try:
+            labeling = labeling_from_hom(klein, data, s3, list(images))
+        except ValueError as exc:
+            assert not cocycle and "has non-identity image" in str(exc), images
+            continue
+        assert cocycle, images
+        accepted += 1
+        cover = build_cover(klein, labeling)
+        assert is_valid(cover.space).ok and verify_covering(cover.projection, s3.order, 2).passed
+    assert accepted == 18
+
+
+def test_klein_s3_cover_from_the_command_line(tmp_path):
+    group = tmp_path / "s3.group"
+    group.write_text(S3_GROUP)
+    lines, status = run(["cover", "--space", "klein", "--group", str(group),
+                         "--images", "e0=120,e1=021,e2=210"])
+    assert status == 0 and lines[-1] == "RESULT PASS"
+    assert "H_1(cover) = Z^2" in lines
+    assert run(["cover", "--space", "klein", "--group", str(group), "--images",
+                "e0=120,e1=021,e2=102"]) == (["error: relator e0 e1 e2^-1 has non-identity image"], 2)
+
+
+def test_cover_builds_a_cyclic_group_once(monkeypatch):
+    checks = []
+    check = FiniteGroup._check_associativity
+    monkeypatch.setattr(FiniteGroup, "_check_associativity", lambda self: checks.append(self) or check(self))
+    assert run(["cover", "--space", "circle", "--group", "cyclic:5"])[1] == 0
+    assert [g.order for g in checks] == [5]
 
 
 def test_labeling_requires_cocycle(torus):

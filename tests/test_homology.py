@@ -33,6 +33,7 @@ from simphom.homology import (
 )
 from simphom.intmatrix import IntegerMatrix
 from simphom.io import parse_space, print_space
+from simphom.operators import cohomology_ring_table
 from simphom.snf import Subquotient, elementary_divisors
 from simphom.sset import (
     boundary,
@@ -167,27 +168,60 @@ def _weighted_row(rows, cols):
 
 
 def test_cleared_homology_refuses_a_corrupted_lower_boundary(rp2):
-    """d_1 replaced after construction, so that d_1 d_2 != 0: the pivot
-    columns of d_2 leave ker d_1 and the clearing certificate fails."""
+    """d_1 replaced so that d_1 d_2 != 0: the pivot columns of d_2 would
+    leave ker d_1, and the complex is refused when it is built, by the
+    dd = 0 check that clearing rests on."""
     c = normalized_chains(rp2)
-    c.boundaries[1] = _weighted_row(c.rank(0), c.rank(1))
-    with pytest.raises(AssertionError, match="a pivot column of in_map leaves the kernel"):
-        homology(c)
+    with pytest.raises(ValueError, match="dd != 0 between degrees 2 and 0"):
+        ChainComplex(c.ranks, {**c.boundaries, 1: _weighted_row(c.rank(0), c.rank(1))})
 
 
 def test_cleared_homology_refuses_a_corrupted_pivot_column(monkeypatch, rp2):
-    """A pivot column of d_2 moved off the image of d_2 fails the same
-    certificate before d_1 is reduced without its columns."""
+    """A pivot column of d_2 moved off ker d_1 by one unit, on a row of no
+    pivot or on an earlier pivot row, fails d_2's elimination certificate
+    before d_1 is reduced without its columns."""
     module = sys.modules["simphom.snf"]
-    pivot_columns = module._pivot_columns
+    eliminate = module._eliminate_units
+    for at_pivot, message in ((False, "does not reproduce M"), (True, "does not vanish on earlier pivots")):
+        c = normalized_chains(rp2)
 
-    def corrupted(steps, rows):
-        cleared, columns = pivot_columns(steps, rows)
-        return cleared, columns + IntegerMatrix.from_entries(rows, columns.cols, [(0, 0, 1)])
+        def corrupted(m):
+            steps, residue = eliminate(m)
+            pivot_rows = [i for i, _, _, _, _ in steps]
+            row = pivot_rows[0] if at_pivot else min(set(range(m.rows)) - set(pivot_rows))
+            column = steps[1][3]
+            column[row] = column.get(row, 0) + 1
+            moved = IntegerMatrix.from_entries(m.rows, 1, ((a, 0, v) for a, v in column.items()))
+            assert not (c.boundary(1) * moved).is_zero()
+            return steps, residue
 
-    monkeypatch.setattr(module, "_pivot_columns", corrupted)
-    with pytest.raises(AssertionError, match="a pivot column of in_map leaves the kernel"):
-        homology(normalized_chains(rp2))
+        monkeypatch.setattr(module, "_eliminate_units", corrupted)
+        with pytest.raises(AssertionError, match=message):
+            homology(c)
+
+
+def test_clearing_and_cocycles_make_no_second_product(monkeypatch):
+    """Clearing forms no product: ``homology`` of a built complex, RP^2 x
+    RP^2 and the top ladder rung, multiplies no matrices.  The cup table
+    multiplies once per degree fewer than a per-degree cocycle check
+    would: dd = 0 once per degree from 2 to N, the generator certificate
+    once per degree and one ``reduce`` per (p, q)."""
+    calls = []
+    mul = IntegerMatrix.__mul__
+    monkeypatch.setattr(IntegerMatrix, "__mul__", lambda a, b: calls.append(a.shape) or mul(a, b))
+    for (a, b), h_1 in [(("rp2", "rp2"), "Z/2+Z/2"), (LADDER_RUNGS[-1][0], "Z^2+Z/2")]:
+        c = normalized_chains(product(catalog(a), catalog(b)).space)
+        calls.clear()
+        assert homology(c)[1] == AbelianGroup.parse(h_1)
+        assert calls == [], (a, b)
+    for name in ("torus", "rp2", "point"):
+        space = catalog(name)
+        top = space.top_dim
+        for modulus in (0, 2):
+            calls.clear()
+            cohomology_ring_table(space, modulus)
+            pairs = (top + 1) * (top + 2) // 2
+            assert len(calls) == max(top - 1, 0) + (top + 1) + pairs, (name, modulus)
 
 
 COEFFICIENTS = [AbelianGroup.parse(spec) for spec in ("0", "Z", "Z/2", "Z/3", "Z/4", "Z/6", "Z^2+Z/4")]

@@ -401,8 +401,8 @@ def _vertex_horn(n: int) -> HornMap:
 def test_face_table_estimate_is_exact(monkeypatch):
     """With a budget of -1 every check is refused, and the refusal names the
     estimate: it equals the faces that ``_tables`` builds, through that
-    dimension for kan_check and, for fill_horn, in its two tables of the
-    (n-1)- and n-simplices, n |K_{n-1}| + (n+1) |K_n|."""
+    dimension for kan_check and, for fill_horn, in its one table of the
+    n-simplices, (n+1) |K_n|."""
     def faces_built(space, top, bottom=0):
         return sum(len(row) for table in _tables(space, top, bottom) for row in table.faces)
 
@@ -415,8 +415,8 @@ def test_face_table_estimate_is_exact(monkeypatch):
             with pytest.raises(ValueError, match=f"would have {faces_built(space, dim)} faces"):
                 kan_check(space, dim)
             if space.n_gens(0):
-                with pytest.raises(ValueError, match=f"dimensions {dim - 1} and {dim} would have "
-                                                     f"{faces_built(space, dim, dim - 1)} faces"):
+                with pytest.raises(ValueError, match=f"the face table in dimension {dim} would have "
+                                                     f"{faces_built(space, dim, dim)} faces"):
                     fill_horn(space, _vertex_horn(dim))
     # rp2's 504 faces through dimension 3 and the point's 2 + 3 + 4
     with pytest.raises(ValueError, match=f"would have {504 + 2 + 3 + 4} faces"):
@@ -453,19 +453,19 @@ def test_face_tables_over_budget_are_refused_before_they_are_built(monkeypatch, 
 
 
 def test_fill_horn_refuses_an_over_budget_face_table(monkeypatch, rp2_x_rp2, tmp_path):
-    """fill_horn tabulates the (n-1)- and n-simplices: on RP^2 x RP^2 that is
-    n |K_{n-1}| + (n+1) |K_n| = 8 * 103,041 + 9 * 164,836 faces at n = 8,
-    refused from the generator counts before the tables are built, and
-    32,592 at n = 3, which fills."""
+    """fill_horn tabulates the n-simplices alone: on RP^2 x RP^2 that is
+    (n+1) |K_n| = 9 * 164,836 faces at n = 8, refused from the generator
+    counts before the table is built, and 4 * 6,561 = 26,244 at n = 3,
+    which fills."""
     doc = tmp_path / "rp2xrp2.sset"
     doc.write_text(print_space(rp2_x_rp2))
-    assert budget.face_tables(rp2_x_rp2.counts(), 3, 2) == 32_592
+    assert budget.face_tables(rp2_x_rp2.counts(), 3, 3) == 26_244
 
     def refuse(*args):
         raise AssertionError("an over-budget face table was built")
 
     monkeypatch.setattr(kan_module, "_tables", refuse)
-    over = "the face tables in dimensions 7 and 8 would have 2307852 faces, over the budget of 100000"
+    over = "the face table in dimension 8 would have 1483524 faces, over the budget of 100000"
     with pytest.raises(ValueError, match=over):
         fill_horn(rp2_x_rp2, _vertex_horn(8))
     faces = json.dumps([[[0, 0], list(range(6, -1, -1))]] * 8)

@@ -355,21 +355,24 @@ def test_cup_table_work_is_one_walk_and_one_certificate_per_degree(monkeypatch, 
 
 
 def test_corrupted_basis_cocycle_fails_the_certificate(monkeypatch, capsys):
-    """A basis cocycle moved off the cocycles (one more unit at generator
-    0) fails the per-degree certificate, and ``simphom cup`` exits 3."""
-    generators = Subquotient.generators
+    """A basis cocycle moved off the cocycles (one more unit at the first
+    cochain whose coboundary is nonzero) fails the certificate of
+    ``Subquotient.generators``, its one product with the boundary of the
+    dual complex, and ``simphom cup`` exits 3."""
+    lift = Subquotient._lift
 
-    def corrupted(self):
-        z = generators.fget(self)
-        return z + IntegerMatrix.from_entries(z.rows, z.cols, [(0, 0, 1)] if z.rows and z.cols else [])
+    def corrupted(self, z):
+        x, m = lift(self, z), self._modulus
+        off = [a for a, column in enumerate(self._out.columns()) if any(v % m if m else v for v in column)]
+        return x + IntegerMatrix.from_entries(x.rows, x.cols, [(off[0], 0, 1)] if off and x.cols else [])
 
-    monkeypatch.setattr(Subquotient, "generators", property(corrupted))
+    monkeypatch.setattr(Subquotient, "_lift", corrupted)
     for modulus in (0, 2):
-        with pytest.raises(AssertionError, match="is not a cocycle"):
+        with pytest.raises(AssertionError, match="does not reduce to its unit vector"):
             cohomology_ring_table(catalog("torus"), modulus)
     assert main(["cup", "--space", "rp2", "--coeff", "Z/2"]) == 3
     assert capsys.readouterr().out == (
-        "error: certificate failed: a basis cocycle of degree 0 is not a cocycle\n")
+        "error: certificate failed: a generator does not reduce to its unit vector\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Components, edge-path presentations, abelianization, Tietze moves."""
 
+import sys
+
 import pytest
 
 from simphom.abgroup import AbelianGroup
@@ -64,6 +66,21 @@ def test_disconnected_input_rejected():
         pi1_presentation(discrete(2))
     with pytest.raises(ValueError):
         pi1_presentation(catalog("circle"), base_vertex=5)
+
+
+def test_connectivity_comes_from_the_spanning_tree_search(monkeypatch, rp2):
+    """A connected space is presented without a pi0 pass; pi0 only words
+    the refusal of a disconnected one."""
+    def refuse(space):
+        raise AssertionError("pi0 ran on a connected space")
+
+    monkeypatch.setattr(sys.modules["simphom.pi1"], "pi0", refuse)
+    assert len(pi1_presentation(rp2).presentation.generators) == 10
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"^space is not connected \(pi0 = 2\)$"):
+        pi1_presentation(discrete(2))
+    with pytest.raises(ValueError, match=r"^space is not connected \(pi0 = 2\)$"):
+        pi1_presentation(coproduct([catalog("rp2"), catalog("point")]).space)
 
 
 def test_abelianization_matches_h1_on_catalog():

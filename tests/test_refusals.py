@@ -1,0 +1,69 @@
+"""Refusals that no other test reaches: each input ends in exit 2 with one
+``error:`` line, or in its ``ValueError``, in process."""
+
+import json
+
+import pytest
+
+from simphom.catalog import catalog
+from simphom.cli import run
+from simphom.io import parse_group
+from simphom.kan import fibration_check
+from simphom.sset import std_simplex
+
+from conftest import constant_map
+
+DOCUMENTS = {
+    "late_name.sset": "sset v1\ndim 0\n0 []\nname late\n",
+    "bad_dim.sset": "sset v1\ndim zero\n",
+    "dict_faces.sset": "sset v1\ndim 0\n0 {}\n",
+    "v2.group": "group v2\nelements e\ntable\ne\n",
+    "short_row.group": "group v1\nelements e a\ntable\ne a\na\n",
+    "one_row.group": "group v1\nelements e a\ntable\ne a\n",
+}
+
+CLI_CASES = [
+    (["homology", "--file", "late_name.sset"], "line 4: name must precede the dimension blocks"),
+    (["homology", "--file", "bad_dim.sset"], "line 2: dim needs an integer argument"),
+    (["homology", "--file", "dict_faces.sset"], "line 3: face list must be a list"),
+    (["cover", "--space", "circle", "--group", "v2.group"], "bad or missing group header"),
+    (["cover", "--space", "circle", "--group", "short_row.group"], "table row has the wrong length"),
+    (["cover", "--space", "circle", "--group", "one_row.group"], "table has the wrong number of rows"),
+    (["homology"], "need --space NAME or --file PATH"),
+    (["les", "--space", "rp2", "--sub", "half"],
+     "bad subcomplex spec 'half' (use skeleton:N or gens:D.I,...)"),
+    (["mv", "--space", "rp2", "--a", "skeleton:1"], "mv needs --a and --b subcomplex specs"),
+    (["kunneth", "--space", "rp2"], "kunneth needs --with NAME"),
+    (["fill", "--space", "rp2", "--dim", "2", "--k", "0", "--faces", json.dumps([[[0, 0], []]])],
+     "need 2 faces for a (2,0) horn"),
+    (["cover", "--space", "circle", "--group", "trivial"], "cover needs --images for non-cyclic groups"),
+    (["cover", "--space", "circle", "--group", "cyclic:2", "--images", "e0=h"], "no element named 'h'"),
+    (["subdivide"], "subdivide needs --space with an ordered-complex model"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CLI_CASES, ids=[" ".join(argv[:3]) for argv, _ in CLI_CASES])
+def test_refusal_is_one_error_line(tmp_path, monkeypatch, argv, message):
+    for name, text in DOCUMENTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == ([f"error: {message}"], 2)
+
+
+@pytest.mark.parametrize("elements, table, message", [
+    ("a b", "a a\na a", "no identity element"),
+    ("e a b", "e a b\na e e\nb e e", r"not associative at \(a,a,b\)"),
+])
+def test_group_table_without_the_group_laws_is_refused(elements, table, message):
+    with pytest.raises(ValueError, match=message):
+        parse_group(f"group v1\nelements {elements}\ntable\n{table}\n")
+
+
+def test_a_map_that_is_not_a_fibration_reports_each_failed_lift():
+    """The interval is not Kan, so its map to the point is not a fibration:
+    the report fails and names each relative horn without a lift."""
+    report = fibration_check(constant_map(std_simplex(1), catalog("point"), 0), 2)
+    assert not report.passed and len(report.failures) == 2
+    assert report.lines() == [f"FAIL 2 relative horn problem(s) of {report.problems_checked}"] + [
+        f"  horn (2,{p.horn.k}) over base simplex {p.base_simplex}: 0 solution(s)" for p in report.failures]
+    assert len(report.lines(require_unique=True)) == 1 + 2 + len(report.non_unique)

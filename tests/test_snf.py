@@ -392,6 +392,20 @@ def test_elimination_certificate_rejects_tampering(tamper, message):
         snf._check_elimination(TAMPER_M, steps, residue)
 
 
+def test_pivot_must_carry_its_unit_in_its_column_and_row():
+    """Eliminations of [[1, 1], [-1, 1]] (determinant 2) and of its
+    transpose that reproduce them entry by entry, vanish on the earlier
+    pivots and carry 2 at the second pivot, in its column or in its row,
+    would certify the divisors 1, 1; the unit condition refuses both."""
+    m = IntegerMatrix([[1, 1], [-1, 1]])
+    column = [(0, 0, 1, {0: 1, 1: -1}, {0: 1, 1: 1}), (1, 1, 1, {1: 2}, {1: 1})]
+    row = [(0, 0, 1, {0: 1, 1: 1}, {0: 1, 1: -1}), (1, 1, 1, {1: 1}, {1: 2})]
+    for matrix, steps in ((m, column), (m.transpose(), row)):
+        with pytest.raises(AssertionError, match="unit pivot 1 does not carry"):
+            snf._check_elimination(matrix, steps, {})
+        assert elementary_divisors(matrix) == [1, 2]
+
+
 def test_corrupted_residue_fails_elementary_divisors(monkeypatch):
     eliminate = snf._eliminate_units
 
@@ -532,19 +546,26 @@ def test_corrupted_step_fails_subquotient(monkeypatch, stage):
 
 @pytest.mark.parametrize("modulus", [0, 2])
 def test_pivot_column_outside_the_kernel_fails_subquotient(monkeypatch, modulus):
-    """A pivot column of in_map moved off the kernel of out_map fails the
-    new certificate out_map * P = 0 (mod m) before out_map is reduced
-    without its pivot rows; reductions that do not fit together are
-    refused."""
-    pivot_columns = snf._pivot_columns
+    """A pivot column of in_map moved off the kernel of out_map (mod m), at
+    coordinate 4, fails in_map's elimination certificate before out_map is
+    reduced without its pivot rows; reductions that do not fit together
+    are refused."""
+    eliminate = snf._eliminate_units
+    calls = []
 
-    def corrupted(steps, rows):
-        cleared, columns = pivot_columns(steps, rows)
-        return cleared, columns + IntegerMatrix.from_entries(rows, columns.cols, [(4, 0, 1)])
+    def corrupted(m):
+        steps, residue = eliminate(m)
+        calls.append(m)
+        if len(calls) == 1:
+            steps[0][3][4] = 1
+            moved = IntegerMatrix.from_entries(m.rows, 1, ((a, 0, v) for a, v in steps[0][3].items()))
+            assert any(v % modulus if modulus else v for _, _, v in (STAGED_OUT * moved).entries())
+        return steps, residue
 
-    monkeypatch.setattr(snf, "_pivot_columns", corrupted)
-    with pytest.raises(AssertionError, match="a pivot column of in_map leaves the kernel"):
+    monkeypatch.setattr(snf, "_eliminate_units", corrupted)
+    with pytest.raises(AssertionError, match="does not reproduce M"):
         Subquotient(STAGED_OUT, STAGED_IN, modulus)
+    assert calls == [STAGED_IN]
     with pytest.raises(ValueError, match="not reduced off the pivot rows"):
         Subquotient(snf._reduce(STAGED_OUT), snf._reduce(STAGED_IN), modulus)
 
