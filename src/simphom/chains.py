@@ -12,6 +12,7 @@ off the subcomplex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 from typing import TYPE_CHECKING
 
 from .intmatrix import IntegerMatrix
@@ -78,8 +79,10 @@ class ChainComplex:
         return self._dual
 
     def verify_dd_zero(self):
+        """d_{n-1} d_n = 0 for every n, each product tested row by row as it
+        is formed (``IntegerMatrix.kills``), none built; ValueError if not."""
         for n in range(2, self.max_degree + 1):
-            if not (self.boundary(n - 1) * self.boundary(n)).is_zero():
+            if not self.boundary(n - 1).kills(self.boundary(n)):
                 raise ValueError(f"dd != 0 between degrees {n} and {n-2}")
 
     def euler_characteristic(self) -> int:
@@ -159,13 +162,30 @@ class ChainHomotopy:
 
 def normalized_chains(space: SimplicialSet) -> ChainComplex:
     """Free chains on the non-degenerate generators, read from the face
-    table; a face contributes zero when its word is not empty."""
+    table; a face contributes zero when its word is not empty.  Row b of
+    d_n holds the signs (-1)^i of the faces d_i g = b, summed over i, so
+    the faces of a generator that cancel (the circle's d_0 = d_1) give no
+    entry.  The row dicts are written straight from the table with no
+    bounds check per entry: ``SimplicialSet`` bounded every face id when
+    the space was built (``_check_structure``)."""
     table = space._table
     ranks = list(table.counts)
-    boundaries = {n: IntegerMatrix.from_entries(ranks[n - 1], ranks[n], (
-        (b, at // (n + 1), -1 if at % (n + 1) % 2 else 1)
-        for at, (b, w) in enumerate(zip(table.base[n], table.word[n])) if not w))
-        for n in range(1, space.top_dim + 1)}
+    boundaries = {}
+    ids = list(range(max(ranks, default=0)))  # one int object per id, for every entry
+    for n in range(1, len(ranks)):
+        rows: list[dict[int, int]] = [{} for _ in range(ranks[n - 1])]
+        signs = [1, -1] * ((n + 1) // 2) + [1] * ((n + 1) % 2)
+        gens = (g for g in ids[:ranks[n]] for _ in signs)
+        for g, sign, b, w in zip(gens, cycle(signs), table.base[n], table.word[n]):
+            if w:
+                continue
+            row = rows[b]
+            v = row.get(g, 0) + sign
+            if v:
+                row[g] = v
+            else:
+                del row[g]
+        boundaries[n] = IntegerMatrix._of_rows(ranks[n - 1], ranks[n], rows)
     return ChainComplex(ranks, boundaries)
 
 

@@ -16,6 +16,10 @@ order), ``row_dicts()``, ``row(i)``, ``column(j)`` and ``m[i, j]``.  The
 row dicts never change once a matrix is built, so matrices may share
 them; ``row_dicts()`` hands out fresh copies, which the elimination,
 substitution and SNF code in :mod:`simphom.snf` changes in place.
+``kills``, ``has_row`` and ``nonzero_rows`` answer dd = 0 and the
+elimination certificate without building or copying a matrix.  Only
+``chains.normalized_chains`` wraps row dicts unchecked (``_of_rows``):
+it writes them from a face table whose ids the space has bounded.
 """
 
 from __future__ import annotations
@@ -153,24 +157,31 @@ class IntegerMatrix:
                 {j: v * other for j, v in row.items()} for row in self._nz])
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
+        return IntegerMatrix._of_rows(self.rows, other.cols, [
+            {j: v for j, v in acc.items() if v} if 0 in acc.values() else acc
+            for acc in self._product_rows(other)])
+
+    __rmul__ = __mul__
+
+    def kills(self, other: "IntegerMatrix") -> bool:
+        """Is self * other zero?  Each row of the product is tested as it is
+        formed and none is kept: dd = 0 reads no product matrix."""
+        return not any(any(acc.values()) for acc in self._product_rows(other))
+
+    def _product_rows(self, other: "IntegerMatrix"):
+        """The rows of self * other in order, as dicts that may hold zeros."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
         # row i of the product is the sum of a_ik * (row k of other) over the
         # nonzero a_ik, so only pairs of nonzeros are multiplied
         right = other._nz
-        out = []
         for arow in self._nz:
             acc: dict[int, int] = {}
             get = acc.get
             for k, a in arow.items():
                 for j, b in right[k].items():
                     acc[j] = get(j, 0) + a * b
-            if 0 in acc.values():
-                acc = {j: v for j, v in acc.items() if v}
-            out.append(acc)
-        return IntegerMatrix._of_rows(self.rows, other.cols, out)
-
-    __rmul__ = __mul__
+            yield acc
 
     def _same_shape(self, other: "IntegerMatrix"):
         if self.shape != other.shape:
@@ -196,6 +207,15 @@ class IntegerMatrix:
 
     def is_zero(self) -> bool:
         return not any(self._nz)
+
+    def nonzero_rows(self) -> int:
+        """The number of nonzero rows."""
+        return sum(map(bool, self._nz))
+
+    def has_row(self, i: int, row: dict[int, int]) -> bool:
+        """Is ``row``, ``{col: value}`` with no zero value, row i of this
+        matrix?  False for an i outside the shape; nothing is copied."""
+        return 0 <= i < self.rows and self._nz[i] == row
 
     def entries(self) -> list[tuple[int, int, int]]:
         """The nonzero entries (i, j, v), in row-major order with the

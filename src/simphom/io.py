@@ -14,10 +14,15 @@ Each generator line is ``<id> <faces>`` where faces is a JSON list of
 is a decreasing list of integers, ``[]`` when empty, and the base
 dimension is implied (generator dimension - 1 - word length); ids and
 letters are JSON ints, never booleans.  The parser reads the lines, then
-decodes each dimension block in one ``json.loads`` and writes each entry,
-once checked, to the space's integer face table, checking each distinct
-word of a block once; its errors name the same line as a line-by-line
-parse.  The printer reads the same table and emits dimension-major,
+decodes each dimension block ``DECODE_LINES`` face lists at a time, one
+``json.loads`` each, and writes each entry, once checked, to the space's
+integer face table before the next piece is decoded, so no more than one
+piece's JSON lists are held at once.  An empty word takes index 0 at
+once; each other distinct word of a piece is checked once, and the table
+keeps one int object per distinct base id.  Its errors name the same
+line as a line-by-line parse, and come in the same order: the first
+decode error of any block, then the line pass's error, then the first
+entry error.  The printer reads the same table and emits dimension-major,
 id-minor order with compact JSON; parse(print(K)) is the identity on
 canonical documents.
 
@@ -36,6 +41,8 @@ from .sset import FaceTable, SimplicialSet, is_valid
 
 # the deepest face list decoded, far below the recursion limit of the decoder
 MAX_NESTING = 100
+# the face lists decoded at once: a bound on the decoded lists held in memory
+DECODE_LINES = 1024
 # the brackets of a JSON text, strings skipped
 _BRACKETS = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
@@ -65,7 +72,8 @@ def _parse_unchecked(text: str) -> SimplicialSet:
     # A line pass checks the header, the blocks and the ids, and collects
     # each block's face texts.  Its error waits until those are decoded: a
     # bad face list on an earlier line, or on the same line before a wrong
-    # id, is reported first.  Entry errors come after every block decodes.
+    # id, is reported first.  An entry error is reported only if every
+    # block decodes, line by line when the document is refused.
     lines = ((k, s) for k, s in enumerate(map(str.strip, text.splitlines()), 1) if s and s[0] != "#")
     lineno, header = next(lines, (1, None))
     if header != "sset v1":
@@ -106,49 +114,62 @@ def _parse_unchecked(text: str) -> SimplicialSet:
                         f"ids must be dense and ascending (got {gid}, wanted {len(texts) - 1})", lineno)
     except SpaceDocumentError as exc:
         pending = exc
+    table = FaceTable(len(blocks) - 1)
+    ids: dict[int, int] = {}  # one int object per distinct base id in the table
     try:
-        decoded = [_decode(texts, linenos) for texts, linenos in blocks]
+        # DECODE_LINES face lists at a time: decoded, then checked and
+        # written unless the line pass failed, then dropped
+        for d, (texts, linenos) in enumerate(blocks):
+            for first in range(0, len(texts), DECODE_LINES):
+                piece = slice(first, first + DECODE_LINES)
+                rows = _decode(texts[piece], linenos[piece])
+                if pending is None:
+                    _write_faces(table, d, first, rows, linenos[piece], ids)
+                del rows
+            table.counts[d] = len(texts)
+            table.labels[d] = [None] * len(texts)
         if pending is not None:
             raise pending
-        return _generators(name, decoded, blocks)
+        try:
+            return SimplicialSet(table, name=name)
+        except ValueError as exc:
+            raise SpaceDocumentError(str(exc)) from None
     except SpaceDocumentError:
-        # Whether a block holding a face list nested too deeply decodes in one
-        # piece depends on the caller's stack depth.  So a refused document is
-        # decoded line by line, which refuses such a list before anything else.
+        # A refused document is decoded line by line: a bad face list in any
+        # block, even one after an entry error, is reported first.  Whether a
+        # face list nested too deeply decodes in one piece depends on the
+        # caller's stack depth; line by line it is refused before anything else.
         for texts, linenos in blocks:
             _decode_lines(texts, linenos)
         raise
 
 
-def _generators(name: str | None, decoded: list[list],
-                blocks: list[tuple[list[str], list[int]]]) -> SimplicialSet:
-    """The space of the decoded face lists, every entry checked and written
-    to the face table as it is read."""
-    table = FaceTable(len(decoded) - 1)
-    for d, (rows, (_, linenos)) in enumerate(zip(decoded, blocks)):
-        want = d + 1 if d else 0
-        words = {"[]": 0}  # str(word), which tells 1 from true and 1.0 -> its index
-        base, word = table.base[d], table.word[d]
-        for gid, (faces, lineno) in enumerate(zip(rows, linenos)):
-            if type(faces) is not list:
-                raise SpaceDocumentError("face list must be a list", lineno)
-            if len(faces) != want:
-                raise SpaceDocumentError(f"generator {d}.{gid} has {len(faces)} faces, wanted {want}", lineno)
-            for entry in faces:
-                if (type(entry) is not list or len(entry) != 2      # type(): True is not an id
-                        or type(entry[0]) is not int or type(entry[1]) is not list):
-                    raise SpaceDocumentError(f"face entry {entry!r} is not [base-id, word]", lineno)
-                wi = words.get(str(entry[1]))
+def _write_faces(table: FaceTable, d: int, first: int, rows: list, linenos: list[int],
+                 ids: dict[int, int]) -> None:
+    """Check the decoded face lists of the d-generators from id ``first`` on
+    and write each entry to the face table as it is read."""
+    want = d + 1 if d else 0
+    words = {}  # str(word), which tells 1 from true and 1.0 -> its index
+    base, word = table.base[d], table.word[d]
+    for gid, (faces, lineno) in enumerate(zip(rows, linenos), first):
+        if type(faces) is not list:
+            raise SpaceDocumentError("face list must be a list", lineno)
+        if len(faces) != want:
+            raise SpaceDocumentError(f"generator {d}.{gid} has {len(faces)} faces, wanted {want}", lineno)
+        for entry in faces:
+            if (type(entry) is not list or len(entry) != 2      # type(): True is not an id
+                    or type(entry[0]) is not int or type(entry[1]) is not list):
+                raise SpaceDocumentError(f"face entry {entry!r} is not [base-id, word]", lineno)
+            w = entry[1]
+            if not w:  # the empty word, index 0: nearly every face
+                wi = 0
+            else:
+                key = str(w)
+                wi = words.get(key)
                 if wi is None:
-                    wi = words[str(entry[1])] = table.intern(d, _checked_word(d, entry, lineno))
-                base.append(entry[0])
-                word.append(wi)
-        table.counts[d] = len(rows)
-        table.labels[d] = [None] * len(rows)
-    try:
-        return SimplicialSet(table, name=name)
-    except ValueError as exc:
-        raise SpaceDocumentError(str(exc)) from None
+                    wi = words[key] = table.intern(d, _checked_word(d, entry, lineno))
+            base.append(ids.setdefault(entry[0], entry[0]))
+            word.append(wi)
 
 
 def _decode(texts: list[str], linenos: list[int]) -> list:

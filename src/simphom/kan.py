@@ -54,11 +54,13 @@ def _pairs(n: int, k: int) -> list[tuple[int, int]]:
     return [(i, j) for j in given for i in given if i < j]
 
 
-def _certify(lower: list, faces: tuple, pairs: list) -> None:
+def _certify(lower: list, horns: list, pairs: list) -> None:
     """The horn identities d_i x_j = d_{j-1} x_i of ``pairs``, read from the
-    face table of the (n-1)-simplices, for a horn given as a tuple of positions."""
-    if not all(lower[faces[j]][i] == lower[faces[i]][j - 1] for i, j in pairs):
-        raise ValueError("incompatible horn data")
+    face table of the (n-1)-simplices, for horns given as tuples of
+    positions: one list comparison per pair (i, j) over all the horns."""
+    for i, j in pairs:
+        if [lower[h[j]][i] for h in horns] != [lower[h[i]][j - 1] for h in horns]:
+            raise ValueError("incompatible horn data")
 
 
 def check_horn(space: SimplicialSet, h: HornMap):
@@ -203,10 +205,10 @@ def kan_check(space: SimplicialSet, up_to_dim: int = 3) -> KanReport:
         lower, refs = tables[n - 1].faces, tables[n - 1].refs
         fillable = {_horn_of(faces, k) for faces in tables[n].faces for k in range(n + 1)}
         for k in range(n + 1):
-            pairs = _pairs(n, k)
-            for h in _horns(lower, n, k):
-                _certify(lower, h, pairs)
-                report.horns_checked += 1
+            horns = _horns(lower, n, k)
+            _certify(lower, horns, _pairs(n, k))
+            report.horns_checked += len(horns)
+            for h in horns:
                 if h not in fillable:
                     faces = _read(refs, h)
                     desc = ", ".join(f"d{i}={space.format_ref(x)}"
@@ -278,9 +280,9 @@ def fibration_check(space_map: SimplicialMap, up_to_dim: int = 3) -> FibrationRe
             for k in range(n + 1):
                 over.setdefault(_horn_of(faces, k), []).append(y)
         for k in range(n + 1):
-            pairs = _pairs(n, k)
-            for h in _horns(lower, n, k):
-                _certify(lower, h, pairs)
+            horns = _horns(lower, n, k)
+            _certify(lower, horns, _pairs(n, k))
+            for h in horns:
                 for y in over.get(_read(image, h), ()):
                     report.problems_checked += 1
                     count = lifts[(y, h)]

@@ -16,6 +16,9 @@ c_k r_k^T + R entry by entry, each pivot column c_k and row r_k vanishing
 on the earlier pivots and carrying p_k = +-1 at its own.  That proves M
 equal to L * diag(p_1, ..., p_K, R) * W^T with L and W unimodular and
 triangular in pivot order; the steps are those factors, kept sparse.
+The sum is formed as sparse rows and compared with M's rows whole, each
+pivot row as soon as no later step adds to it; M is read entry by entry
+only to name a failure.
 
 A ``Reduction`` is one certified elimination of a matrix, with its
 residue, whose SNF is computed on first read, all in the matrix's own
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from math import gcd
 
 from .abgroup import AbelianGroup
@@ -322,31 +325,40 @@ def _eliminate_units(m: IntegerMatrix):
     subtracts p * c * r^T, which clears row i and column j.
 
     Candidates sit in a heap keyed by Markowitz cost (|r| - 1)(|c| - 1),
-    pushed when they become units.  Keys go stale as rows change; a popped
-    entry that is gone or no longer a unit is dropped, and one whose cost
-    has risen is pushed back.
+    then row, then column, pushed when they become units; each key is the
+    one int (cost * rows + i) * cols + j, which orders as the triple does.
+    Keys go stale as rows change; a popped entry that is gone or no longer
+    a unit is dropped, and one whose cost has risen is pushed back.  The
+    loop ends when the heap or the rows run out.
     """
     rows = m.row_dicts()
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    heap = [((len(row) - 1) * (len(cols[j]) - 1), i, j)
+    width = m.cols
+    area = m.rows * width
+    heap = [(len(row) - 1) * (len(cols[j]) - 1) * area + i * width + j
             for i, row in rows.items() for j, v in row.items() if v == 1 or v == -1]
     heapify(heap)
     steps = []
-    while heap:
-        cost, i, j = heappop(heap)
+    while heap and rows:
+        key = heap[0]
+        cost, at = divmod(key, area)
+        i, j = divmod(at, width)
         r = rows.get(i)
         if r is None:
+            heappop(heap)
             continue
         p = r.get(j)
         if p != 1 and p != -1:
+            heappop(heap)
             continue
         now = (len(r) - 1) * (len(cols[j]) - 1)
         if now > cost:
-            heappush(heap, (now, i, j))
+            heapreplace(heap, key + (now - cost) * area)
             continue
+        heappop(heap)
         del rows[i]
         c = {k: rows[k][j] for k in cols.pop(j) if k != i}
         for jj in r:
@@ -374,8 +386,9 @@ def _eliminate_units(m: IntegerMatrix):
             if not rk:
                 del rows[k]
                 continue
+            at = k * width
             for jj in fresh:
-                heappush(heap, ((len(rk) - 1) * (len(cols[jj]) - 1), k, jj))
+                heappush(heap, (len(rk) - 1) * (len(cols[jj]) - 1) * area + at + jj)
         c[i] = p
         steps.append((i, j, p, c, r))
     return steps, rows
@@ -385,30 +398,56 @@ def _check_elimination(m: IntegerMatrix, steps, residue) -> None:
     """Certify an elimination: M = sum_k p_k c_k r_k^T + R entry by entry,
     with p_k = +-1, c_k and r_k vanishing on the earlier pivot rows and
     columns and carrying p_k at their own pivot, and R vanishing on every
-    pivot row and column.  Raises AssertionError on the first failure."""
+    pivot row and column.  The sum is built as sparse rows, zeros dropped.
+    Pivot row i_k is complete after step k, as the later pivot columns and
+    R vanish on it: it is compared with M's row then and dropped.  The rows
+    left are compared at the end, and the rows matched must be all of M's
+    nonzero rows.  Only on a mismatch is M read entry by entry, to name the
+    first sum entry that M does not hold.  Raises AssertionError on the
+    first failure."""
     done_rows: set[int] = set()
     done_cols: set[int] = set()
     total = {i: dict(row) for i, row in residue.items()}
+    matched = 0
     for k, (i, j, p, c, r) in enumerate(steps):
         if (p != 1 and p != -1) or c.get(i) != p or r.get(j) != p:
             raise AssertionError(f"unit pivot {k} does not carry +-1 at ({i}, {j})")
-        if (any(c[x] for x in done_rows.intersection(c))
-                or any(r[x] for x in done_cols.intersection(r))):
+        if _meets(c, done_rows) or _meets(r, done_cols):
             raise AssertionError(f"unit pivot {k} does not vanish on earlier pivots")
         done_rows.add(i)
         done_cols.add(j)
         for a, ca in c.items():
-            _add_to(total.setdefault(a, {}), r, p * ca)
+            f = p * ca
+            acc = total.get(a)
+            if acc is None:
+                total[a] = {b: f * v for b, v in r.items()}
+                continue
+            get = acc.get
+            for b, v in r.items():
+                new = get(b, 0) + f * v
+                if new:
+                    acc[b] = new
+                else:
+                    acc.pop(b, None)
+        if m.has_row(i, total[i]):
+            del total[i]
+            matched += 1
     for i, row in residue.items():
-        if (i in done_rows and any(row.values())) or any(
-                row[x] for x in done_cols.intersection(row)):
+        if (i in done_rows and any(row.values())) or _meets(row, done_cols):
             raise AssertionError(f"residue row {i} meets a pivot row or column")
+    rest = {a: acc for a, acc in total.items() if acc}
+    if matched + len(rest) == m.nonzero_rows() and all(m.has_row(a, acc) for a, acc in rest.items()):
+        return
     for a, acc in total.items():
         for b, v in acc.items():
             if not (0 <= a < m.rows and 0 <= b < m.cols) or m[a, b] != v:
                 raise AssertionError(f"elimination does not reproduce M at ({a}, {b})")
-    if sum(map(len, total.values())) != len(m.entries()):
-        raise AssertionError("elimination does not reproduce M: entries missing")
+    raise AssertionError("elimination does not reproduce M: entries missing")
+
+
+def _meets(v: dict[int, int], done: set[int]) -> bool:
+    """Does the sparse vector v hold a nonzero at an index in ``done``?"""
+    return not done.isdisjoint(v) and any(v[x] for x in done.intersection(v))
 
 
 # ---------------------------------------------------------------------------

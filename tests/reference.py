@@ -9,7 +9,9 @@ determinant and Betti number routines use exact fraction, mod-p and
 Bareiss elimination and share no code with the SNF at all.
 ``unnormalized_chains`` is the complex on all simplices, degenerate ones
 included, through a truncation degree: its homology is that of the
-normalized chains below the truncation.
+normalized chains below the truncation.  ``reference_normalized_chains``
+builds the normalized chains entry by entry through ``from_entries``,
+from each generator's simplex view.
 ``reference_is_valid`` checks the simplicial identities, and
 ``reference_verify`` the face commutation of a map, with the
 unconditional face rewrite, without ``SimplicialSet.face`` and its
@@ -222,6 +224,20 @@ def mod_betti_numbers(c: ChainComplex, p: int) -> list[int]:
     """dim H_n(C; Z/p) over the field Z/p, via mod-p ranks."""
     return [c.rank(n) - mod_rank(c.boundary(n), p) - mod_rank(c.boundary(n + 1), p)
             for n in range(c.max_degree + 1)]
+
+
+def reference_normalized_chains(space: SimplicialSet) -> ChainComplex:
+    """Normalized chains with each boundary built by ``from_entries``, which
+    sums repeated positions and bounds every entry: the faces of each
+    generator read through its ``NonDegenSimplex`` view, a degenerate face
+    dropped, not from the face table's lists."""
+    ranks = list(space.counts())
+    boundaries = {n: IntegerMatrix.from_entries(ranks[n - 1], ranks[n], (
+        (ref.base_id, g, (-1) ** i)
+        for g, gen in enumerate(space.gens(n)) for i, ref in enumerate(gen.faces)
+        if not ref.is_degenerate))
+        for n in range(1, len(ranks))}
+    return ChainComplex(ranks, boundaries)
 
 
 def unnormalized_chains(space: SimplicialSet, up_to: int | None = None) -> ChainComplex:

@@ -202,16 +202,17 @@ def test_cleared_homology_refuses_a_corrupted_pivot_column(monkeypatch, rp2):
 
 def test_clearing_and_cocycles_make_no_second_product(monkeypatch):
     """Clearing forms no product: ``homology`` of a built complex, RP^2 x
-    RP^2 and the top ladder rung, multiplies no matrices.  The cup table
-    multiplies once per degree fewer than a per-degree cocycle check
-    would: dd = 0 once per degree from 2 to N, the generator certificate
-    once per degree and one ``reduce`` per (p, q)."""
+    RP^2 and the top ladder rung, multiplies no matrices.  dd = 0 tests
+    its products row by row and builds none.  The cup table multiplies
+    once per degree fewer than a per-degree cocycle check would: the
+    generator certificate once per degree and one ``reduce`` per (p, q)."""
     calls = []
     mul = IntegerMatrix.__mul__
     monkeypatch.setattr(IntegerMatrix, "__mul__", lambda a, b: calls.append(a.shape) or mul(a, b))
     for (a, b), h_1 in [(("rp2", "rp2"), "Z/2+Z/2"), (LADDER_RUNGS[-1][0], "Z^2+Z/2")]:
-        c = normalized_chains(product(catalog(a), catalog(b)).space)
+        space = product(catalog(a), catalog(b)).space
         calls.clear()
+        c = normalized_chains(space)
         assert homology(c)[1] == AbelianGroup.parse(h_1)
         assert calls == [], (a, b)
     for name in ("torus", "rp2", "point"):
@@ -221,7 +222,21 @@ def test_clearing_and_cocycles_make_no_second_product(monkeypatch):
             calls.clear()
             cohomology_ring_table(space, modulus)
             pairs = (top + 1) * (top + 2) // 2
-            assert len(calls) == max(top - 1, 0) + (top + 1) + pairs, (name, modulus)
+            assert len(calls) == (top + 1) + pairs, (name, modulus)
+
+
+def test_homology_reads_no_matrix_entry_by_entry(monkeypatch):
+    """The chains, dd = 0 and the elimination certificates of ``homology``
+    on RP^2 x RP^2 read no entry through ``m[i, j]`` and list no matrix's
+    sorted entries: the certificate compares whole rows."""
+    space = product(catalog("rp2"), catalog("rp2")).space
+    calls = []
+    for name in ("__getitem__", "entries"):
+        method = getattr(IntegerMatrix, name)
+        monkeypatch.setattr(IntegerMatrix, name, lambda self, *args, _name=name, _method=method: (
+            calls.append(_name), _method(self, *args))[1])
+    assert homology(normalized_chains(space))[1] == AbelianGroup.parse("Z/2+Z/2")
+    assert calls == []
 
 
 COEFFICIENTS = [AbelianGroup.parse(spec) for spec in ("0", "Z", "Z/2", "Z/3", "Z/4", "Z/6", "Z^2+Z/4")]

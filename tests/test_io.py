@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from simphom import io
 from simphom.catalog import catalog
 from simphom.cli import run
 from simphom.covers import FiniteGroup
@@ -14,6 +15,7 @@ from simphom.io import (
     print_space,
 )
 from simphom.sset import is_valid
+from test_parse_differential import KINDS, NAMES, corrupted, document, outcome, reference_parse_space
 
 CONFORMANCE = Path(__file__).parent / "conformance"
 
@@ -104,6 +106,23 @@ def test_nesting_past_the_bound_gives_one_message_at_any_stack_depth(tmp_path):
         return framed(k - 1) if k else run(["validate", "--file", str(path)])
 
     assert framed(300) == ([f"error: {err.value}"], 2)
+
+
+@pytest.mark.parametrize("lines", [1, 3])
+def test_documents_decoded_a_few_lines_at_a_time_fail_as_the_reference_does(monkeypatch, lines):
+    """With blocks decoded ``lines`` face lists at a time, no decode holds
+    more, and every document of the differential corpus ends as the
+    reference's does: a decode error in any block first, then the
+    line-pass error, then the first entry error, with its generator id."""
+    decode, sizes = io._decode, []
+    monkeypatch.setattr(io, "DECODE_LINES", lines)
+    monkeypatch.setattr(io, "_decode", lambda texts, linenos: sizes.append(len(texts)) or decode(texts, linenos))
+    for name in NAMES:
+        assert print_space(parse_space(document(name))) == document(name)
+        for kind in KINDS:
+            text = corrupted(name, kind)
+            assert outcome(parse_space, text) == outcome(reference_parse_space, text), (name, kind)
+    assert max(sizes) == lines
 
 
 def test_group_round_trip():

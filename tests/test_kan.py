@@ -339,6 +339,26 @@ def test_fibration_check_certifies_each_horn_it_counts(monkeypatch):
         fibration_check(constant_map(std_simplex(1), catalog("point"), 0), 2)
 
 
+@pytest.mark.parametrize("check", ["kan", "fibration"])
+def test_an_incompatible_horn_among_compatible_ones_is_refused(monkeypatch, check):
+    # the certificate compares each identity over all the horns of one (n, k)
+    # at once: the interval's incompatible horn, slipped first, between or
+    # last among the compatible (2, 0) horns, is refused wherever it sits
+    bad, horns = interval_incompatible_horn(), kan_module._horns
+    interval = std_simplex(1)
+    for at in range(len(horns(_tables(interval, 1)[1].faces, 2, 0)) + 1):
+        def slipped(lower, n, k, at=at):
+            found = horns(lower, n, k)
+            return found[:at] + [bad] + found[at:] if (n, k) == (2, 0) else found
+
+        monkeypatch.setattr(kan_module, "_horns", slipped)
+        with pytest.raises(ValueError, match="incompatible horn data"):
+            if check == "kan":
+                kan_check(interval, 2)
+            else:
+                fibration_check(constant_map(interval, catalog("point"), 0), 2)
+
+
 @pytest.fixture(scope="module")
 def rp2_x_rp2():
     return product(catalog("rp2"), catalog("rp2")).space

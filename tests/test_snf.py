@@ -373,8 +373,23 @@ def _tamper_earlier_pivot_row(steps, residue):
     steps[1][4][steps[0][1]] = 1
 
 
+def _tamper_row_outside(steps, residue):
+    steps[-1][3][TAMPER_M.rows] = 1
+
+
+def _tamper_column_outside(steps, residue):
+    steps[-1][4][TAMPER_M.cols] = 1
+
+
+def _tamper_missing_entry(steps, residue):
+    del residue[max(residue)]
+
+
 @pytest.mark.parametrize("tamper, message", [
     (_tamper_pivot_row, "does not reproduce M"),
+    (_tamper_row_outside, r"does not reproduce M at \(4, "),
+    (_tamper_column_outside, r"does not reproduce M at \(\d, 4\)"),
+    (_tamper_missing_entry, "does not reproduce M: entries missing"),
     (_tamper_pivot_value, "does not carry"),
     (_tamper_residue_entry, "does not reproduce M"),
     (_tamper_residue_on_pivot, "meets a pivot"),
