@@ -97,8 +97,13 @@ class FiniteGroup:
         return f"FiniteGroup({self.names})"
 
 
+class CocycleError(ValueError):
+    """A labeling that breaks the cocycle condition on some 2-simplex."""
+
+
 class CoverLabeling:
-    """Edge labels in a finite group satisfying the cocycle condition."""
+    """Edge labels in a finite group satisfying the cocycle condition,
+    checked on every 2-simplex when the labeling is built."""
 
     def __init__(self, space: SimplicialSet, group: FiniteGroup,
                  labels: dict[int, int]):
@@ -112,7 +117,7 @@ class CoverLabeling:
                 raise ValueError(f"label of edge {space._name(1, e)} out of range")
         bad = self.cocycle_failures()
         if bad:
-            raise ValueError("cocycle condition fails: " + bad[0])
+            raise CocycleError("cocycle condition fails: " + bad[0])
 
     def label_of(self, ref: SimplexRef) -> int:
         """Label of any 1-simplex; degenerate edges carry the identity."""
@@ -147,7 +152,14 @@ def labeling_from_hom(space: SimplicialSet, pi1: Pi1Data, group: FiniteGroup,
                       images: dict[str, int] | list[int]) -> CoverLabeling:
     """Labeling induced by a homomorphism from the edge-path presentation:
     tree edges get the identity, generators get their images.  Every
-    relator must evaluate to the identity."""
+    relator must evaluate to the identity.
+
+    That is proven once, by the labeling's own cocycle check on every
+    2-simplex: the relator of a 2-simplex t is word(d2) word(d0)
+    word(d1)^-1, free-reduced, so its image label(d1)^-1 label(d0)
+    label(d2) is the identity exactly where the cocycle condition holds on
+    t.  Only when the check fails are the relators evaluated, to name the
+    first one whose image is not the identity."""
     pres = pi1.presentation
     if isinstance(images, dict):
         for name in images:
@@ -161,13 +173,15 @@ def labeling_from_hom(space: SimplicialSet, pi1: Pi1Data, group: FiniteGroup,
         image_list = list(images)
     if len(image_list) != len(pres.generators):
         raise ValueError("one image per presentation generator required")
-    for word in pres.relators:
-        if evaluate_word(group, word, image_list) != group.identity:
-            raise ValueError(
-                f"relator {pres.word_str(word)} has non-identity image")
     labels = {e: group.identity if e in pi1.tree_edges else image_list[pi1.generator_index[e]]
               for e in range(space.n_gens(1))}
-    return CoverLabeling(space, group, labels)
+    try:
+        return CoverLabeling(space, group, labels)
+    except CocycleError:
+        for word in pres.relators:
+            if evaluate_word(group, word, image_list) != group.identity:
+                raise ValueError(f"relator {pres.word_str(word)} has non-identity image") from None
+        raise
 
 
 def cyclic_labeling(space: SimplicialSet, pi1: Pi1Data, order: int | FiniteGroup) -> CoverLabeling:

@@ -6,18 +6,23 @@ degenerate) whose faces match.  A space is Kan through a dimension when
 every horn through that dimension fills; a map is a fibration through a
 dimension when every relative horn problem along it has a solution.
 
-Each check reads integer tables made by ``_tables``: the n-simplices in
-``all_simplices`` order, each with the positions of its faces among the
-(n-1)-simplices.  The rows of the generators are the space's own face
-table; only the rows of degenerate simplices are computed, through the
-space's rewrite of each (word, i).  Horns are enumerated as a join on the
-(n-1)-simplex table: slot by slot, one index on the faces at the earlier
-slots gives every simplex that satisfies the identities
-d_i x_j = d_{j-1} x_i bound so far.  A horn is a tuple of positions with
-None at slot k, read back as ``SimplexRef`` faces only when it is
-reported, and every horn counted is certified against those identities.
-Each check's tables pass the size budget, counted from the generator
-counts alone, before any is built.
+Each check reads integer tables made by ``_tables``: the n-simplices
+numbered by arithmetic in ``all_simplices`` order (``sset._Numbering``:
+s_w g, g a p-generator, at an offset for p plus g times the number of
+words plus the rank of w), each with the positions of its faces among the
+(n-1)-simplices.  The space writes the rows from its own face table, one
+template per (p, w, i): the stored face i when w is empty, otherwise one
+rewrite of (w, i) through the space's memo.  No simplex is built and no
+face is computed one simplex at a time, and a map's images are positions
+too, f(s_w g) = s_w f(g) from its generator images.  Horns are enumerated
+as a join on the (n-1)-simplex table: slot by slot, one index on the
+faces at the earlier slots gives every simplex that satisfies the
+identities d_i x_j = d_{j-1} x_i bound so far.  A horn is a tuple of
+positions with None at slot k, decoded to ``SimplexRef`` faces only when
+it is reported (each reported face decoded and formatted once), and every
+horn counted is certified against those identities.  Each check's tables
+pass the size budget, counted from the generator counts alone, before any
+is built.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import NamedTuple
 
 from . import budget
 from .simplex import SimplexRef
-from .sset import SimplicialMap, SimplicialSet
+from .sset import SimplicialMap, SimplicialSet, _Numbering
 
 
 @dataclass(frozen=True)
@@ -82,37 +87,37 @@ def check_horn(space: SimplicialSet, h: HornMap):
 class _Table(NamedTuple):
     """The n-simplices of a space and their faces, by position.
 
-    ``refs`` lists the n-simplices in ``all_simplices`` order, ``index``
-    maps each one to its position there, and ``faces[x]`` holds the
-    positions of d_0 x, ..., d_n x among the (n-1)-simplices."""
+    ``refs`` numbers the n-simplices in ``all_simplices`` order: ``refs[x]``
+    decodes position x and ``refs.index(s)`` encodes the simplex s, both by
+    arithmetic.  ``faces[x]`` holds the positions of d_0 x, ..., d_n x among
+    the (n-1)-simplices."""
 
-    refs: list
+    refs: _Numbering
     faces: list
-    index: dict
 
 
 def _tables(space: SimplicialSet, top: int, bottom: int = 0) -> list[_Table]:
     """The face tables of the n-simplices for n = bottom..top.
 
-    The rows of the n-generators are the space's own face table, and the
-    row of a degenerate simplex s_w g is read through the space's rewrite
-    of each (w, i); each face is placed by its position one dimension down."""
-    low = _Table([], [], {x: k for k, x in enumerate(space.all_simplices(bottom - 1))})
-    tables = []
+    Positions are arithmetic on the generator counts, and the rows are
+    written by the space from its own face table, one template per
+    (p, w, i): no simplex is built and no face is computed one by one."""
+    counts = space.counts()
+    lower, tables = _Numbering(counts, bottom - 1), []
     for n in range(bottom, top + 1):
-        refs = list(space.all_simplices(n))
-        low = _Table(refs, [tuple([low.index[f] for f in space._faces(*x)]) for x in refs],
-                     {x: k for k, x in enumerate(refs)})
-        tables.append(low)
+        upper = _Numbering(counts, n)
+        tables.append(_Table(upper, space._face_rows(upper, lower)))
+        lower = upper
     return tables
 
 
-def _horn_of(faces: tuple, k: int) -> tuple:
-    """The faces of an n-simplex with None at slot k: the (n, k) horn it fills."""
-    return faces[:k] + (None,) + faces[k + 1:]
+def _horns_of(rows: list, k: int) -> list[tuple]:
+    """The faces of each n-simplex of ``rows`` with None at slot k: the
+    (n, k) horns they fill, in order."""
+    return [faces[:k] + (None,) + faces[k + 1:] for faces in rows]
 
 
-def _read(values: list, h: tuple) -> tuple:
+def _read(values, h: tuple) -> tuple:
     """The horn ``h`` with each position x read as ``values[x]``; None stays None."""
     return tuple([None if x is None else values[x] for x in h])
 
@@ -120,17 +125,16 @@ def _read(values: list, h: tuple) -> tuple:
 def fill_horn(space: SimplicialSet, h: HornMap) -> list[SimplexRef]:
     """All n-simplices whose faces match the horn off index k.  The horn
     identities are checked on the space's faces, and only the table of the
-    n-simplices passes the size budget and is built."""
+    n-simplices passes the size budget and is built; the horn's faces are
+    placed in it by their positions."""
     check_horn(space, h)
     budget.refuse(f"the face table in dimension {h.n}", budget.face_tables(space.counts(), h.n, h.n), "faces")
     if any(space._face(*h.faces[j], i) != space._face(*h.faces[i], j - 1) for i, j in _pairs(h.n, h.k)):
         raise ValueError("incompatible horn data")
     (table,) = _tables(space, h.n, h.n)
-    # face i of the horn is d_i of its degeneracy s_j, j = min(i, n - 1), as
-    # d_i s_j = id for j = i and j = i - 1: its position is read off that row
-    horn = tuple(None if i == h.k else table.faces[table.index[space.degeneracy(h.faces[i], min(i, h.n - 1))]][i]
-                 for i in range(h.n + 1))
-    return [table.refs[x] for x, faces in enumerate(table.faces) if _horn_of(faces, h.k) == horn]
+    lower = _Numbering(space.counts(), h.n - 1)
+    horn = tuple(None if i == h.k else lower.index(face) for i, face in enumerate(h.faces))
+    return [table.refs[x] for x, filled in enumerate(_horns_of(table.faces, h.k)) if filled == horn]
 
 
 def _horns(lower: list, n: int, k: int) -> list[tuple]:
@@ -203,17 +207,20 @@ def kan_check(space: SimplicialSet, up_to_dim: int = 3) -> KanReport:
     tables = _tables(space, up_to_dim)
     for n in range(1, up_to_dim + 1):
         lower, refs = tables[n - 1].faces, tables[n - 1].refs
-        fillable = {_horn_of(faces, k) for faces in tables[n].faces for k in range(n + 1)}
+        fillable = {h for k in range(n + 1) for h in _horns_of(tables[n].faces, k)}
+        reported, labels = {}, {}  # each reported face decoded and formatted once
         for k in range(n + 1):
             horns = _horns(lower, n, k)
             _certify(lower, horns, _pairs(n, k))
             report.horns_checked += len(horns)
             for h in horns:
                 if h not in fillable:
-                    faces = _read(refs, h)
-                    desc = ", ".join(f"d{i}={space.format_ref(x)}"
-                                     for i, x in enumerate(faces) if i != k)
-                    report.failures.append(HornFailure(n, k, faces, desc))
+                    for x in h:
+                        if x is not None and x not in reported:
+                            reported[x] = refs[x]
+                            labels[x] = space.format_ref(reported[x])
+                    desc = ", ".join(f"d{i}={labels[x]}" for i, x in enumerate(h) if i != k)
+                    report.failures.append(HornFailure(n, k, _read(reported, h), desc))
     return report
 
 
@@ -256,9 +263,11 @@ class FibrationReport:
 def fibration_check(space_map: SimplicialMap, up_to_dim: int = 3) -> FibrationReport:
     """Relative horn lifting along a map: for every horn in the source and
     every compatible simplex downstairs, count the upstairs fillers that
-    also project correctly.  Every horn is certified against the horn
-    identities; the face tables of source and target pass the size budget
-    together before they are built."""
+    also project correctly.  The image of every source simplex is a
+    position among the target's, read from the map's generator images
+    with one composed word per (w, image word).  Every horn is certified
+    against the horn identities; the face tables of source and target pass
+    the size budget together before they are built."""
     if up_to_dim < 1:
         raise ValueError("up_to_dim must be >= 1")
     E, B = space_map.source, space_map.target
@@ -269,22 +278,23 @@ def fibration_check(space_map: SimplicialMap, up_to_dim: int = 3) -> FibrationRe
         return report
     tables, base_tables = _tables(E, up_to_dim), _tables(B, up_to_dim)
     # per n, the position of f(x) among the base n-simplices
-    images = [[base.index[space_map.apply(x)] for x in table.refs]
+    images = [space_map._image_positions(table.refs, base.refs)
               for table, base in zip(tables, base_tables)]
     for n in range(1, up_to_dim + 1):
         lower, image = tables[n - 1].faces, images[n - 1]
-        lifts = Counter((images[n][x], _horn_of(faces, k))
-                        for x, faces in enumerate(tables[n].faces) for k in range(n + 1))
+        lifts: Counter = Counter()  # (base n-simplex, horn) -> the n-simplices over it filling it
         over: dict = {}  # base horn -> the base n-simplices filling it, in order
-        for y, faces in enumerate(base_tables[n].faces):
-            for k in range(n + 1):
-                over.setdefault(_horn_of(faces, k), []).append(y)
+        for k in range(n + 1):
+            lifts.update(zip(images[n], _horns_of(tables[n].faces, k)))
+            for y, filled in enumerate(_horns_of(base_tables[n].faces, k)):
+                over.setdefault(filled, []).append(y)
         for k in range(n + 1):
             horns = _horns(lower, n, k)
             _certify(lower, horns, _pairs(n, k))
             for h in horns:
-                for y in over.get(_read(image, h), ()):
-                    report.problems_checked += 1
+                below = over.get(tuple([None if x is None else image[x] for x in h]), ())
+                report.problems_checked += len(below)
+                for y in below:
                     count = lifts[(y, h)]
                     if count != 1:
                         bad = report.non_unique if count else report.failures

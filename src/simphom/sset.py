@@ -6,7 +6,9 @@ degeneracy word of every face of every d-generator, in flat lists, and
 the distinct words of the block.  Every reader goes through that table:
 the face operator, the identity check, maps, chains, documents, covers and
 the Kan checks.  Faces of degenerate simplices are rewritten through one
-memo per space, so each (word, i) is rewritten once.  The generators as
+memo per space, so each (word, i) is rewritten once.  For the Kan checks
+the n-simplices are numbered by arithmetic (``_Numbering``), and the space
+writes their faces, and a map its images, as positions.  The generators as
 :class:`NonDegenSimplex` values with :class:`SimplexRef` faces are a view,
 built when read.  Subcomplexes, quotients, coproducts and pushouts are
 built by one gluing routine, ``_glue``: parts are glued in order, and each
@@ -16,6 +18,7 @@ the images so far, or is fixed to a given simplex, or dropped.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from collections.abc import Sequence
@@ -89,6 +92,37 @@ class _Row(Sequence):
         return self.space.gen(self.dim, range(len(self))[k])
 
 
+class _Numbering(Sequence):
+    """The n-simplices of a space, numbered by arithmetic in
+    ``all_simplices`` order: s_w g, g a p-generator, sits at
+    ``offsets[p] + g * len(words[p]) + r``, r the rank of w in
+    ``words[p]``, the words of length n - p in the order that
+    ``all_simplices`` makes them.  Indexing decodes a position, and
+    ``index`` encodes a simplex."""
+
+    def __init__(self, counts: tuple[int, ...], n: int):
+        self.n = n
+        self.words = [[tuple(reversed(chosen)) for chosen in itertools.combinations(range(n), n - p)]
+                      for p in range(min(n, len(counts) - 1) + 1)]
+        self.ranks = [{w: r for r, w in enumerate(words)} for words in self.words]
+        self.offsets = list(itertools.accumulate((a * len(words) for a, words in zip(counts, self.words)),
+                                                 initial=0))
+
+    def __len__(self) -> int:
+        return self.offsets[-1]
+
+    def __getitem__(self, x: int) -> SimplexRef:
+        if not 0 <= x < self.offsets[-1]:
+            raise IndexError(x)
+        p = bisect.bisect_right(self.offsets, x, 0, len(self.words)) - 1
+        g, r = divmod(x - self.offsets[p], len(self.words[p]))
+        return SimplexRef(p, g, self.words[p][r])
+
+    def index(self, s: SimplexRef) -> int:
+        p, g, w = s
+        return self.offsets[p] + g * len(self.words[p]) + self.ranks[p][w]
+
+
 class SimplicialSet:
     """A simplicial set presented by generators and a face table.
 
@@ -159,19 +193,67 @@ class SimplicialSet:
         return [(p - 1 - len(words[k]), b, words[k])
                 for b, k in zip(t.base[p][at:at + p + 1], t.word[p][at:at + p + 1])]
 
+    def _rewrite(self, w: tuple[int, ...], i: int):
+        """``face_word_rewrite(w, i)``, kept in the memo.  Callers read the
+        memo first, so each (w, i) is rewritten once per space."""
+        rewritten = self._rewrites[(w, i)] = face_word_rewrite(w, i)
+        return rewritten
+
     def _face(self, p: int, g: int, w: tuple[int, ...], i: int) -> tuple[int, int, tuple[int, ...]]:
         """d_i of s_w x, x the p-generator g, as (base dim, base id, word):
         a stored face, after one rewrite of (w, i) per space when w is not empty."""
         if w:
-            rewritten = self._rewrites.get((w, i))
-            if rewritten is None:
-                rewritten = self._rewrites[(w, i)] = face_word_rewrite(w, i)
-            w, i = rewritten
+            w, i = self._rewrites.get((w, i)) or self._rewrite(w, i)
             if i is None:
                 return p, g, w
         t, at = self._table, g * (p + 1) + i
         u = t.words[p][t.word[p][at]]
         return p - 1 - len(u), t.base[p][at], compose_words(w, u) if w and u else w or u
+
+    def _face_rows(self, upper: _Numbering, lower: _Numbering) -> list[tuple[int, ...]]:
+        """The faces d_0 x, ..., d_n x of every n-simplex x of ``upper``, in
+        its order, as positions in ``lower``, the (n-1)-simplices.
+
+        They are written from the flat lists of the face table, one column
+        over the p-generators per (p, w, i): for w empty the stored face i,
+        otherwise s_w' g or s_w' d_i' g after one rewrite of (w, i) to
+        (w', i'), with one composed word per (w', stored word)."""
+        t, rows = self._table, [()] * len(upper)
+        if not upper.n:
+            return rows
+        for p, words in enumerate(upper.words):
+            count, width, at = t.counts[p], len(words), upper.offsets[p]
+            columns: dict = {}     # (w', i') -> that face of every p-generator, by position
+            templates: dict = {}   # w' -> (offset, step) per stored word of the block
+            for r, w in enumerate(words):
+                row = []
+                for i in range(upper.n + 1):
+                    key = (self._rewrites.get((w, i)) or self._rewrite(w, i)) if w else ((), i)
+                    column = columns.get(key)
+                    if column is None:
+                        column = columns[key] = self._face_column(p, *key, lower, templates)
+                    row.append(column)
+                rows[at + r:at + count * width:width] = zip(*row)
+        return rows
+
+    def _face_column(self, p: int, w: tuple[int, ...], i: int | None, lower: _Numbering,
+                     templates: dict) -> list[int] | range:
+        """s_w d_i g for every p-generator g as a position in ``lower``, or
+        s_w g when i is None: one template (offset, step) per stored word u
+        of the block, s_w u placed by rank, and the base id times the step."""
+        t = self._table
+        if i is None:
+            start, step = lower.offsets[p] + lower.ranks[p][w], len(lower.words[p])
+            return range(start, start + t.counts[p] * step, step)
+        template = templates.get(w)
+        if template is None:
+            template = templates[w] = []
+            for u in t.words[p]:
+                q = p - 1 - len(u)
+                v = compose_words(w, u) if w and u else w or u
+                template.append((lower.offsets[q] + lower.ranks[q][v], len(lower.words[q])))
+        return [offset + b * step for b, (offset, step) in
+                zip(t.base[p][i::p + 1], map(template.__getitem__, t.word[p][i::p + 1]))]
 
     # -- the operator calculus ----------------------------------------
 
@@ -302,6 +384,25 @@ class SimplicialMap:
     def apply(self, s: SimplexRef) -> SimplexRef:
         img = self.images[(s.base_dim, s.base_id)]
         return SimplexRef(img.base_dim, img.base_id, compose_words(s.degens, img.degens))
+
+    def _image_positions(self, upper: _Numbering, lower: _Numbering) -> list[int]:
+        """The image of every n-simplex of ``upper`` (the source's), in its
+        order, as a position in ``lower`` (the target's): f(s_w g) = s_w f(g)
+        from the generator images, with one composed word per (w, image word)."""
+        out: list[int] = []
+        templates: dict = {}   # (p, image word v) -> the offset of s_w v for each word w
+        for p, words in enumerate(upper.words):
+            for g in range(self.source.n_gens(p)):
+                q, h, v = self.images[(p, g)]
+                self.target._check_gen(q, h)
+                template = templates.get((p, v))
+                if template is None:
+                    offset, ranks = lower.offsets[q], lower.ranks[q]
+                    template = templates[(p, v)] = [offset + ranks[compose_words(w, v) if w and v else w or v]
+                                                    for w in words]
+                shift = h * len(lower.words[q])
+                out += [x + shift for x in template]
+        return out
 
     def verify(self) -> list[str]:
         """All face-commutation failures f(d_i s) != d_i f(s), if any.
@@ -620,6 +721,8 @@ def product(left: SimplicialSet, right: SimplicialSet, name: str | None = None) 
     pair_of_gen: dict[tuple[int, int], tuple[SimplexRef, SimplexRef]] = {}
     table = FaceTable(top)
     split = functools.lru_cache(maxsize=None)(_split)  # few distinct pairs of words
+    # each factor simplex is formatted once, however many generators it labels
+    left_label, right_label = (functools.lru_cache(maxsize=None)(s.format_ref) for s in (left, right))
     for n in range(top + 1):
         level = sorted((p, sigma, tuple(reversed(vset)), q, tau, tuple(reversed(wset)))
                        for p in range(min(n, left.top_dim) + 1)
@@ -635,7 +738,7 @@ def product(left: SimplicialSet, right: SimplicialSet, name: str | None = None) 
             for (fp, fs, fv), (fq, ft, fw) in zip(left._faces(p, sigma, v), right._faces(q, tau, w)):
                 word, fv, fw = split(fv, fw)
                 faces.append((gen_of_pair[(fp, fs, fv, fq, ft, fw)], word))
-            table.add(n, faces, f"({left.format_ref(a)}|{right.format_ref(b)})")
+            table.add(n, faces, f"({left_label(a)}|{right_label(b)})")
     space = SimplicialSet(table, name=name or f"{left.name or '?'}x{right.name or '?'}")
     return ProductResult(
         space, SimplicialMap(space, left, {key: ab[0] for key, ab in pair_of_gen.items()}, check=False),

@@ -113,6 +113,29 @@ def test_cover_builds_a_cyclic_group_once(monkeypatch):
     assert [g.order for g in checks] == [5]
 
 
+def test_cover_proves_the_cocycle_condition_once_per_two_simplex(monkeypatch):
+    """``cover --space rp2 --group cyclic:2`` proves the cocycle condition
+    once: the labeling's own check evaluates it on each of RP^2's ten
+    2-simplices, one product each, and no relator is evaluated."""
+    import sys
+    covers_module = sys.modules["simphom.covers"]
+    checks, products, relators = [], [], []
+    check, mul, evaluate = CoverLabeling.cocycle_failures, FiniteGroup.mul, covers_module.evaluate_word
+
+    def counted_check(self):
+        checks.append(self.space.n_gens(2))
+        monkeypatch.setattr(FiniteGroup, "mul", lambda group, a, b: products.append((a, b)) or mul(group, a, b))
+        try:
+            return check(self)
+        finally:
+            monkeypatch.setattr(FiniteGroup, "mul", mul)
+
+    monkeypatch.setattr(CoverLabeling, "cocycle_failures", counted_check)
+    monkeypatch.setattr(covers_module, "evaluate_word", lambda *args: relators.append(args) or evaluate(*args))
+    assert run(["cover", "--space", "rp2", "--group", "cyclic:2"])[1] == 0
+    assert checks == [10] and len(products) == 10 and relators == []
+
+
 def test_labeling_requires_cocycle(torus):
     z2 = FiniteGroup.cyclic(2)
     labels = {e.id: 0 for e in torus.gens(1)}

@@ -26,7 +26,7 @@ from simphom.kan import (
 )
 from simphom.pi1 import pi1_presentation
 from simphom.simplex import SimplexRef
-from simphom.sset import SimplicialMap, SimplicialSet, discrete, product, std_simplex
+from simphom.sset import SimplicialMap, SimplicialSet, discrete, identity_map, product, std_simplex
 
 from conftest import constant_map, random_sset
 from reference import _rewritten_face
@@ -45,7 +45,7 @@ def interval_incompatible_horn() -> tuple:
     d1 the constant edge at vertex 1 and d2 the edge, as positions in the
     1-simplex table of Delta[1]."""
     edges = _tables(std_simplex(1), 1)[1]
-    return (None, edges.index[SimplexRef(0, 1, (0,))], edges.index[SimplexRef(1, 0)])
+    return (None, edges.refs.index(SimplexRef(0, 1, (0,))), edges.refs.index(SimplexRef(1, 0)))
 
 
 def test_fill_in_discrete_space():
@@ -246,19 +246,21 @@ def table_spaces():
 
 @pytest.mark.parametrize("space,top", table_spaces(), ids=lambda c: getattr(c, "name", str(c)))
 def test_table_entries_are_the_faces_of_their_simplices(space, top):
-    """Every table lists the n-simplices in all_simplices order, places each
-    one where ``index`` says, and reads back face i of x at entry i of
-    its face tuple, as ``SimplicialSet.face`` computes it."""
+    """Every table numbers the n-simplices in all_simplices order: ``refs``
+    decodes position x to the x-th simplex and ``refs.index`` encodes it
+    back to x.  Face i of x is read back at entry i of its face tuple, as
+    ``SimplicialSet.face`` computes it."""
     tables = _tables(space, top)
     for n, table in enumerate(tables):
-        assert table.refs == list(space.all_simplices(n))
-        assert [table.index[x] for x in table.refs] == list(range(len(table.refs)))
+        assert list(table.refs) == list(space.all_simplices(n))
+        assert [table.refs.index(x) for x in table.refs] == list(range(len(table.refs)))
         assert len(table.faces) == len(table.refs)
         for x, faces in zip(table.refs, table.faces):
             assert [tables[n - 1].refs[f] for f in faces] == (
                 [space.face(x, i) for i in range(n + 1)] if n else [])
     for bottom in range(1, top + 1):
-        assert _tables(space, top, bottom) == tables[bottom:]
+        assert [(list(t.refs), t.faces) for t in _tables(space, top, bottom)] == [
+            (list(t.refs), t.faces) for t in tables[bottom:]]
 
 
 @pytest.mark.parametrize("space", differential_spaces(), ids=lambda s: s.name)
@@ -291,6 +293,76 @@ def test_random_simplicial_sets_agree_with_the_rewriting_reference():
                 assert [space.face(x, i) for i in range(n + 1)] == expected
                 assert [tables[n - 1].refs[f] for f in faces] == expected
         assert kan_check(space, 3) == brute_kan_check(space, 3)
+
+
+def position_cases():
+    """Maps whose source and target the position differential reads: the
+    identity and the map to a point of each catalog space and of 20 seeded
+    ``random_sset`` spaces, the projections of two covers, and the two
+    projections of a product, whose images are degenerate."""
+    point = catalog("point")
+    spaces = [catalog(name) for name in ("point", "circle", "torus", "rp2", "klein", "delta:3",
+                                         "boundary:3", "horn:3:1", "sphere:2", "discrete:2")]
+    rng = random.Random(2030)
+    spaces += [random_sset(rng) for _ in range(20)]
+    maps = [f(space) for space in spaces for f in (identity_map, lambda s: constant_map(s, point, 0))]
+    maps += [cover_of("rp2", 2).projection, cover_of("torus", 3).projection]
+    torus_x_rp2 = product(catalog("torus"), catalog("rp2"))
+    return maps + [torus_x_rp2.proj_left, torus_x_rp2.proj_right]
+
+
+def test_positions_faces_and_images_match_the_simplex_calculus():
+    """On every source and target of ``position_cases`` through dimension 3:
+    each position decodes to the simplex at that place in all_simplices
+    order and encodes back, each face position decodes to
+    ``SimplicialSet.face``, and the image positions that fibration_check
+    reads decode to ``SimplicialMap.apply``."""
+    for space_map in position_cases():
+        tables = {}
+        for space in (space_map.source, space_map.target):
+            tables[space] = _tables(space, 3)
+            for n, table in enumerate(tables[space]):
+                refs = list(space.all_simplices(n))
+                assert [table.refs[x] for x in range(len(table.refs))] == refs
+                assert [table.refs.index(x) for x in refs] == list(range(len(refs)))
+                with pytest.raises(IndexError):
+                    table.refs[len(refs)]
+                assert [[tables[space][n - 1].refs[f] for f in faces] for faces in table.faces] == [
+                    [space.face(x, i) for i in range(n + 1)] if n else [] for x in refs]
+        for source, target in zip(tables[space_map.source], tables[space_map.target]):
+            images = space_map._image_positions(source.refs, target.refs)
+            assert [target.refs[y] for y in images] == [space_map.apply(x) for x in source.refs]
+
+
+def test_kan_tables_build_no_simplex_and_compute_no_face(monkeypatch, rp2_x_rp2):
+    """The face tables, the image positions and every check that reports
+    nothing build no ``SimplexRef`` and compute no face one simplex at a
+    time: positions are arithmetic and rows are written from the face
+    table.  A check that reports builds refs only for what it reports."""
+    cover = cover_of("rp2", 2)
+    discrete_2 = catalog("discrete:2")
+    built = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a simplex or a face was computed one by one")
+
+    def counted_new(cls, *args):
+        built.append(args)
+        return tuple.__new__(cls, args)
+
+    monkeypatch.setattr(SimplexRef, "__new__", counted_new)
+    monkeypatch.setattr(SimplexRef, "_make", classmethod(refuse))
+    for name in ("face", "_face", "_faces", "all_simplices", "format_ref", "gen"):
+        monkeypatch.setattr(SimplicialSet, name, refuse)
+    assert sum(len(row) for table in _tables(rp2_x_rp2, 3) for row in table.faces) == 33_474
+    assert fibration_check(cover.projection, 3).unique
+    assert kan_check(discrete_2, 3).passed
+    assert built == []
+    formatted = []
+    monkeypatch.setattr(SimplicialSet, "format_ref", lambda self, s: formatted.append(s) or "")
+    failures = kan_check(catalog("rp2"), 2).failures
+    reported = {(fail.n, x) for fail in failures for x in fail.faces if x is not None}
+    assert len(failures) == 100 and len(built) == len(formatted) == len(reported) < 2 * len(failures)
 
 
 @pytest.mark.parametrize("base,order", [
@@ -378,9 +450,10 @@ def test_kan_counts_on_products_are_pinned(rp2_x_rp2):
 def test_one_rewrite_per_word_and_index_from_load_to_kan(monkeypatch, rp2_x_rp2):
     """Loading RP^2 x RP^2, checking its identities, building its chains and
     checking Kan through dimension 3 rewrite each (word, i) once: all read
-    one face table and its one memo of rewrites.  The Kan tables read the
-    rows of the generators from that table and compute only the rows of
-    degenerate simplices."""
+    one face table and its one memo of rewrites.  The Kan tables are
+    written from that table by the space itself: ``kan`` holds no rewriting
+    function, no face of a generator is rewritten, and no face is computed
+    one simplex at a time."""
     import simphom.sset as sset_module
     from simphom.chains import normalized_chains
     from simphom.io import parse_space
@@ -409,8 +482,8 @@ def test_one_rewrite_per_word_and_index_from_load_to_kan(monkeypatch, rp2_x_rp2)
     assert kan_check(space, 3).horns_checked == 46014
     assert rewrites and len(rewrites) == len(set(rewrites))
     assert not hasattr(kan_module, "face_word_rewrite") and not hasattr(kan_module, "compose_words")
-    assert face_words and all(face_words)  # no face of a generator is computed
-    assert sorted(filter(None, rows_read)) == [(n, g) for n in range(4) for g in range(space.n_gens(n))]
+    assert all(word for word, _ in rewrites)  # no face of a generator is rewritten
+    assert face_words == [] and rows_read == []
 
 
 def _vertex_horn(n: int) -> HornMap:
