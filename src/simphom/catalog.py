@@ -54,7 +54,9 @@ def circle() -> SimplicialSet:
 
 
 def torus_product() -> ProductResult:
-    return product(circle(), circle(), name="torus")
+    """S^1 x S^1, both factors the one circle built here."""
+    s1 = circle()
+    return product(s1, s1, name="torus")
 
 
 def klein_bottle() -> SimplicialSet:

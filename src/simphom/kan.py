@@ -7,7 +7,7 @@ every horn through that dimension fills; a map is a fibration through a
 dimension when every relative horn problem along it has a solution.
 
 Each check reads integer tables made by ``_tables``: the n-simplices
-numbered by arithmetic in ``all_simplices`` order (``sset._Numbering``:
+numbered by arithmetic in (p, g, w) order (``sset._Numbering``:
 s_w g, g a p-generator, at an offset for p plus g times the number of
 words plus the rank of w), each with the positions of its faces among the
 (n-1)-simplices.  The space writes the rows from its own face table, one
@@ -20,9 +20,9 @@ faces at the earlier slots gives every simplex that satisfies the
 identities d_i x_j = d_{j-1} x_i bound so far.  A horn is a tuple of
 positions with None at slot k, decoded to ``SimplexRef`` faces only when
 it is reported (each reported face decoded and formatted once), and every
-horn counted is certified against those identities.  Each check's tables
-pass the size budget, counted from the generator counts alone, before any
-is built.
+horn counted is certified against those identities.  Each check's tables,
+and a Kan check's horn work, pass the size budget, counted from the
+generator counts alone, before any table is built.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def check_horn(space: SimplicialSet, h: HornMap):
 class _Table(NamedTuple):
     """The n-simplices of a space and their faces, by position.
 
-    ``refs`` numbers the n-simplices in ``all_simplices`` order: ``refs[x]``
+    ``refs`` numbers the n-simplices in (p, g, w) order: ``refs[x]``
     decodes position x and ``refs.index(s)`` encodes the simplex s, both by
     arithmetic.  ``faces[x]`` holds the positions of d_0 x, ..., d_n x among
     the (n-1)-simplices."""
@@ -137,7 +137,7 @@ def fill_horn(space: SimplicialSet, h: HornMap) -> list[SimplexRef]:
     return [table.refs[x] for x, filled in enumerate(_horns_of(table.faces, h.k)) if filled == horn]
 
 
-def _horns(lower: list, n: int, k: int) -> list[tuple]:
+def _horns(lower: list, n: int, k: int, joins: dict | None = None) -> list[tuple]:
     """Every compatible horn (n, k) on the (n-1)-simplex face table
     ``lower``, as a tuple of positions with None at slot k, in the order of
     a backtracking over the slots j != k in increasing order and ``lower``
@@ -145,16 +145,23 @@ def _horns(lower: list, n: int, k: int) -> list[tuple]:
 
     A join, one slot at a time: the partial horns on the earlier slots
     extend by the x whose faces d_i x, at each earlier slot i, equal
-    d_{j-1} x_i.  One index on those faces per slot answers that with one
-    lookup, so no candidate is filtered afterwards."""
+    d_{j-1} x_i.  One index on those faces per tuple of earlier slots
+    answers that with one lookup, so no candidate is filtered afterwards.
+    ``joins`` keeps, for one ``lower``, each list of d_{j-1} faces and each
+    index, so the horns of every k of one n build each of them once."""
+    joins = {} if joins is None else joins
     slots = [i for i in range(n + 1) if i != k]
     partial = [(x,) for x in range(len(lower))]
     for pos, j in enumerate(slots[1:], 1):
-        below = [faces[j - 1] for faces in lower]   # d_{j-1} of each simplex
-        key = itemgetter(*slots[:pos])               # a scalar on one earlier slot
-        index: dict = {}
-        for x, faces in enumerate(lower):
-            index.setdefault(key(faces), []).append(x)
+        earlier = tuple(slots[:pos])
+        if j - 1 not in joins:  # d_{j-1} of each simplex
+            joins[j - 1] = [faces[j - 1] for faces in lower]
+        if earlier not in joins:  # the simplices by their faces there, a scalar for one slot
+            key, index = itemgetter(*earlier), {}
+            for x, faces in enumerate(lower):
+                index.setdefault(key(faces), []).append(x)
+            joins[earlier] = index
+        below, index = joins[j - 1], joins[earlier]
         partial = [h + (x,) for h in partial for x in index.get(
             below[h[0]] if pos == 1 else tuple(map(below.__getitem__, h)), ())]
     return [h[:k] + (None,) + h[k:] for h in partial]
@@ -196,11 +203,14 @@ def kan_check(space: SimplicialSet, up_to_dim: int = 3) -> KanReport:
     """Enumerate every horn through the given dimension and report the
     unfillable ones; empty failure list certifies the Kan condition.
     Every counted horn is certified against the horn identities.
-    The face tables pass the size budget before they are built."""
+    The face tables and the horn work pass the size budget before
+    anything is built."""
     if up_to_dim < 1:
         raise ValueError("up_to_dim must be >= 1")
     budget.refuse(f"the face tables through dimension {up_to_dim}",
                   budget.face_tables(space.counts(), up_to_dim), "faces")
+    budget.refuse(f"the horn checks through dimension {up_to_dim}",
+                  budget.kan_work(space.counts(), up_to_dim), "units of work", bound=True)
     report = KanReport(space.name or "K", up_to_dim, 0)
     if space.is_empty():  # no simplex, so no horn in any dimension
         return report
@@ -208,9 +218,9 @@ def kan_check(space: SimplicialSet, up_to_dim: int = 3) -> KanReport:
     for n in range(1, up_to_dim + 1):
         lower, refs = tables[n - 1].faces, tables[n - 1].refs
         fillable = {h for k in range(n + 1) for h in _horns_of(tables[n].faces, k)}
-        reported, labels = {}, {}  # each reported face decoded and formatted once
+        reported, labels, joins = {}, {}, {}  # each reported face decoded and formatted once
         for k in range(n + 1):
-            horns = _horns(lower, n, k)
+            horns = _horns(lower, n, k, joins)
             _certify(lower, horns, _pairs(n, k))
             report.horns_checked += len(horns)
             for h in horns:
@@ -288,8 +298,9 @@ def fibration_check(space_map: SimplicialMap, up_to_dim: int = 3) -> FibrationRe
             lifts.update(zip(images[n], _horns_of(tables[n].faces, k)))
             for y, filled in enumerate(_horns_of(base_tables[n].faces, k)):
                 over.setdefault(filled, []).append(y)
+        joins: dict = {}
         for k in range(n + 1):
-            horns = _horns(lower, n, k)
+            horns = _horns(lower, n, k, joins)
             _certify(lower, horns, _pairs(n, k))
             for h in horns:
                 below = over.get(tuple([None if x is None else image[x] for x in h]), ())

@@ -490,13 +490,13 @@ class Subquotient:
     chain complex's d_{n+1} (in_map) and of d_n cleared by it (out_map),
     whose dd = 0 the complex checked when it was built; both keep the
     indices of Z^r.  ``generators`` is the r x g matrix of
-    representatives, zero on in_map's pivot rows; it is built and
-    certified on its first read or on the first ``reduce``, which maps a
-    matrix of kernel columns to their coordinates with one product for
-    the kernel check.  in_map must lie in the kernel and a negative
-    modulus is refused (ValueError); a failed elimination certificate and
-    a generator that does not reduce to its unit vector raise
-    AssertionError.
+    representatives, zero on in_map's pivot rows; it is built, with its
+    kernel coordinates, and certified on its first read or on the first
+    ``reduce``, which maps a matrix of kernel columns to their
+    coordinates with one product for the kernel check.  in_map must lie
+    in the kernel and a negative modulus is refused (ValueError); a failed
+    elimination certificate and a generator that does not reduce to its
+    unit vector raise AssertionError.
     """
 
     def __init__(self, out_map, in_map, modulus: int = 0):
@@ -550,13 +550,7 @@ class Subquotient:
         # the identity; their rows past the trivial divisors are the coordinates
         self._coord_rows, self._rel_ops = rel_rows + free_rows, rel_snf.row_ops
         self._n_trivial = len(orders) - len(self.torsion_orders)
-        # generator k in kernel coordinates: column n_trivial + k of the
-        # inverse of that map; zero on the relations' pivot rows, where the
-        # inverse forward substitution then changes nothing
-        columns = _replay({self._n_trivial + k: {k: 1} for k in range(self.n_generators)},
-                          self._rel_ops, True)
-        self._gen_coords = IntegerMatrix.from_row_dicts(relations.rows, self.n_generators, {
-            self._coord_rows[i]: row for i, row in columns.items()})
+        self._n_coords = relations.rows
         self._generators = None
 
     @property
@@ -565,7 +559,13 @@ class Subquotient:
         certified to lie in the kernel and to reduce to the identity; built
         on first read."""
         if self._generators is None:
-            generators = self._lift(self._gen_coords)
+            # generator k in kernel coordinates: column n_trivial + k of the
+            # inverse of the coordinate map; zero on the relations' pivot
+            # rows, where the inverse forward substitution then changes nothing
+            columns = _replay({self._n_trivial + k: {k: 1} for k in range(self.n_generators)},
+                              self._rel_ops, True)
+            generators = self._lift(IntegerMatrix.from_row_dicts(self._n_coords, self.n_generators, {
+                self._coord_rows[i]: row for i, row in columns.items()}))
             if (not _vanishes(self._out * generators, self._modulus)
                     or self._coordinates(generators) != IntegerMatrix.identity(self.n_generators)):
                 raise AssertionError("a generator does not reduce to its unit vector")

@@ -13,7 +13,11 @@ writes their faces, and a map its images, as positions.  The generators as
 built when read.  Subcomplexes, quotients, coproducts and pushouts are
 built by one gluing routine, ``_glue``: parts are glued in order, and each
 generator either becomes a new generator with its faces carried through
-the images so far, or is fixed to a given simplex, or dropped.
+the images so far, or is fixed to a given simplex, or dropped.  A product
+is written on positions by ``pairs``: its generators numbered by
+arithmetic, its face table filled column by column from the factors'
+face tables with no face of a factor simplex computed one at a time, and
+its labels formatted when read.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import budget
+from .pairs import _PairNumbering, _split, _write_faces
 from .simplex import (
     NonDegenSimplex,
     SimplexRef,
@@ -93,12 +98,12 @@ class _Row(Sequence):
 
 
 class _Numbering(Sequence):
-    """The n-simplices of a space, numbered by arithmetic in
-    ``all_simplices`` order: s_w g, g a p-generator, sits at
+    """The n-simplices of a space, degenerate ones included, numbered by
+    arithmetic in (p, g, w) order: s_w g, g a p-generator, sits at
     ``offsets[p] + g * len(words[p]) + r``, r the rank of w in
-    ``words[p]``, the words of length n - p in the order that
-    ``all_simplices`` makes them.  Indexing decodes a position, and
-    ``index`` encodes a simplex."""
+    ``words[p]``, the words of length n - p in the order of
+    ``itertools.combinations`` of range(n), each reversed.  Indexing
+    decodes a position, and ``index`` encodes a simplex."""
 
     def __init__(self, counts: tuple[int, ...], n: int):
         self.n = n
@@ -247,13 +252,15 @@ class SimplicialSet:
             return range(start, start + t.counts[p] * step, step)
         template = templates.get(w)
         if template is None:
-            template = templates[w] = []
-            for u in t.words[p]:
-                q = p - 1 - len(u)
-                v = compose_words(w, u) if w and u else w or u
-                template.append((lower.offsets[q] + lower.ranks[q][v], len(lower.words[q])))
+            template = templates[w] = [(lower.offsets[q] + lower.ranks[q][v], len(lower.words[q]))
+                                       for q, v in self._face_words(p, w)]
         return [offset + b * step for b, (offset, step) in
                 zip(t.base[p][i::p + 1], map(template.__getitem__, t.word[p][i::p + 1]))]
+
+    def _face_words(self, p: int, w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """Per stored word u of the p-block, the dimension and word of s_w d_i g
+        for a p-generator g whose face i is s_u of a generator."""
+        return [(p - 1 - len(u), compose_words(w, u) if w and u else w or u) for u in self._table.words[p]]
 
     # -- the operator calculus ----------------------------------------
 
@@ -274,14 +281,6 @@ class SimplicialSet:
         if not 0 <= i <= s.dim:
             raise ValueError(f"degeneracy index {i} out of range for dimension {s.dim}")
         return SimplexRef(s.base_dim, s.base_id, insert_degeneracy(s.degens, i))
-
-    def all_simplices(self, n: int):
-        """All n-simplices (degenerate included), canonical and sorted."""
-        for p in range(min(n, self.top_dim) + 1):
-            words = [tuple(reversed(chosen)) for chosen in itertools.combinations(range(n), n - p)]
-            for g in range(self._table.counts[p]):
-                for w in words:
-                    yield SimplexRef(p, g, w)
 
     def format_ref(self, s: SimplexRef) -> str:
         base_dim, base_id, degens = s
@@ -665,18 +664,35 @@ def pushout(f: SimplicialMap, embedding: SimplicialMap) -> PushoutResult:
 # Products
 
 
-PairKey = tuple[int, int, tuple[int, ...], int, int, tuple[int, ...]]
-
-
 @dataclass
 class ProductResult:
+    """A product and its factors.  Its generators are numbered by
+    arithmetic, one ``pairs._PairNumbering`` per dimension; the lookups
+    between generators and pairs of factor simplices, and the two
+    projections, are decoded from the numberings when first read."""
+
     space: SimplicialSet
-    proj_left: SimplicialMap
-    proj_right: SimplicialMap
     left: SimplicialSet
     right: SimplicialSet
-    gen_of_pair: dict[PairKey, int]
-    pair_of_gen: dict[tuple[int, int], tuple[SimplexRef, SimplexRef]]
+    numberings: list[_PairNumbering]
+
+    @functools.cached_property
+    def pair_of_gen(self) -> dict[tuple[int, int], tuple[SimplexRef, SimplexRef]]:
+        return {(n, g): num[g] for n, num in enumerate(self.numberings) for g in range(len(num))}
+
+    @functools.cached_property
+    def gen_of_pair(self) -> dict[tuple, int]:
+        return {a + b: g for (_, g), (a, b) in self.pair_of_gen.items()}
+
+    @functools.cached_property
+    def proj_left(self) -> SimplicialMap:
+        return SimplicialMap(self.space, self.left, {key: a for key, (a, _) in self.pair_of_gen.items()},
+                             check=False)
+
+    @functools.cached_property
+    def proj_right(self) -> SimplicialMap:
+        return SimplicialMap(self.space, self.right, {key: b for key, (_, b) in self.pair_of_gen.items()},
+                             check=False)
 
     def ref_of_pair(self, a: SimplexRef, b: SimplexRef) -> SimplexRef:
         """Canonical ref of the simplex (a, b): factor out the shared
@@ -688,59 +704,25 @@ class ProductResult:
                           word)
 
 
-def _split(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The letters two words share, as a word, and each word with them
-    factored out."""
-    shared = set(v) & set(w)
-
-    def strip(degens):
-        return tuple(j - sum(1 for t in shared if t < j) for j in degens if j not in shared)
-
-    return tuple(sorted(shared, reverse=True)), strip(v), strip(w)
-
-
 def product(left: SimplicialSet, right: SimplicialSet, name: str | None = None) -> ProductResult:
-    """The product simplicial set with its two projections.
+    """The product simplicial set.
 
     Non-degenerate n-simplices are jointly non-degenerate pairs
     (s_V sigma, s_W tau) with V and W disjoint degeneracy words over
-    non-degenerate sigma, tau; faces are computed componentwise and
-    re-canonicalized.  The product is called ``name``, or "<left>x<right>"
-    by default.  It passes the size budget, counted from the factors'
-    counts alone, before anything is built.
+    non-degenerate sigma, tau, numbered by arithmetic in sorted
+    (p, sigma, V, q, tau, W) order; faces are componentwise, with the
+    shared degeneracy factored out, and written column by column from the
+    factors' face tables (``pairs``).  The product is called ``name``, or
+    "<left>x<right>" by default.  It passes the size budget, counted from
+    the factors' counts alone, before anything is built.
     """
     budget.refuse(f"the product {left.name or '?'}x{right.name or '?'}",
                   sum(budget.product_counts(left.counts(), right.counts())), "non-degenerate simplices")
     if left.is_empty() or right.is_empty():
-        empty = SimplicialSet([], name="empty")
-        return ProductResult(empty, SimplicialMap(empty, left, {}, check=False),
-                             SimplicialMap(empty, right, {}, check=False),
-                             left, right, {}, {})
-    top = left.top_dim + right.top_dim
-    gen_of_pair: dict[PairKey, int] = {}
-    pair_of_gen: dict[tuple[int, int], tuple[SimplexRef, SimplexRef]] = {}
-    table = FaceTable(top)
-    split = functools.lru_cache(maxsize=None)(_split)  # few distinct pairs of words
-    # each factor simplex is formatted once, however many generators it labels
-    left_label, right_label = (functools.lru_cache(maxsize=None)(s.format_ref) for s in (left, right))
-    for n in range(top + 1):
-        level = sorted((p, sigma, tuple(reversed(vset)), q, tau, tuple(reversed(wset)))
-                       for p in range(min(n, left.top_dim) + 1)
-                       for q in range(n - p, min(n, right.top_dim) + 1)
-                       for vset in itertools.combinations(range(n), n - p)
-                       for wset in itertools.combinations([t for t in range(n) if t not in vset], n - q)
-                       for sigma in range(left.n_gens(p)) for tau in range(right.n_gens(q)))
-        for gid, (p, sigma, v, q, tau, w) in enumerate(level):
-            a, b = SimplexRef(p, sigma, v), SimplexRef(q, tau, w)
-            gen_of_pair[(p, sigma, v, q, tau, w)] = gid
-            pair_of_gen[(n, gid)] = (a, b)
-            faces = []
-            for (fp, fs, fv), (fq, ft, fw) in zip(left._faces(p, sigma, v), right._faces(q, tau, w)):
-                word, fv, fw = split(fv, fw)
-                faces.append((gen_of_pair[(fp, fs, fv, fq, ft, fw)], word))
-            table.add(n, faces, f"({left_label(a)}|{right_label(b)})")
-    space = SimplicialSet(table, name=name or f"{left.name or '?'}x{right.name or '?'}")
-    return ProductResult(
-        space, SimplicialMap(space, left, {key: ab[0] for key, ab in pair_of_gen.items()}, check=False),
-        SimplicialMap(space, right, {key: ab[1] for key, ab in pair_of_gen.items()}, check=False),
-        left, right, gen_of_pair, pair_of_gen)
+        return ProductResult(SimplicialSet([], name="empty"), left, right, [])
+    a, b = left.counts(), right.counts()
+    numberings = [_PairNumbering(a, b, n) for n in range(len(a) + len(b) - 1)]
+    table = FaceTable(len(numberings) - 1)
+    _write_faces(table, left, right, numberings)
+    return ProductResult(SimplicialSet(table, name=name or f"{left.name or '?'}x{right.name or '?'}"),
+                         left, right, numberings)

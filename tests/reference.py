@@ -7,9 +7,11 @@ and ``cone_cohomology`` read Z/m groups off the integral homology of the
 mapping cone of m * id, not off a subquotient mod m.  The rank,
 determinant and Betti number routines use exact fraction, mod-p and
 Bareiss elimination and share no code with the SNF at all.
-``unnormalized_chains`` is the complex on all simplices, degenerate ones
-included, through a truncation degree: its homology is that of the
-normalized chains below the truncation.  ``reference_normalized_chains``
+``all_simplices`` lists the n-simplices of a space, degenerate ones
+included, one by one: the order that ``sset._Numbering`` numbers by
+arithmetic.  ``unnormalized_chains`` is the complex on all simplices,
+degenerate ones included, through a truncation degree: its homology is
+that of the normalized chains below the truncation.  ``reference_normalized_chains``
 builds the normalized chains entry by entry through ``from_entries``,
 from each generator's simplex view.
 ``reference_is_valid`` checks the simplicial identities, and
@@ -21,11 +23,19 @@ of each generator afresh by that rewrite, with no face walk shared
 between degrees or pairs.  ``reference_parse_unchecked`` parses a space
 document line by line, decoding each face list on its own, so the block
 decoder of ``simphom.io`` can be held to its messages and line numbers.
+``reference_product`` builds a product generator by generator: it sorts
+the (p, sigma, v, q, tau, w) keys, takes the faces of each factor
+simplex through ``SimplicialSet._faces``, factors out the shared
+degeneracy and looks the face up in a dict of keys, so the arithmetic
+numbering and the column-wise faces of ``simphom.sset.product`` can be
+held to it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -37,7 +47,7 @@ from simphom.io import SpaceDocumentError
 from simphom.operators import Cochain
 from simphom.simplex import NonDegenSimplex, SimplexRef, compose_words, face_word_rewrite
 from simphom.snf import smith_normal_form
-from simphom.sset import SimplicialMap, SimplicialSet, ValidationReport
+from simphom.sset import FaceTable, SimplicialMap, SimplicialSet, ValidationReport
 
 
 class DenseSubquotient:
@@ -240,6 +250,15 @@ def reference_normalized_chains(space: SimplicialSet) -> ChainComplex:
     return ChainComplex(ranks, boundaries)
 
 
+def all_simplices(space: SimplicialSet, n: int):
+    """All n-simplices (degenerate included), canonical and sorted."""
+    for p in range(min(n, space.top_dim) + 1):
+        words = [tuple(reversed(chosen)) for chosen in itertools.combinations(range(n), n - p)]
+        for g in range(space.n_gens(p)):
+            for w in words:
+                yield SimplexRef(p, g, w)
+
+
 def unnormalized_chains(space: SimplicialSet, up_to: int | None = None) -> ChainComplex:
     """Free chains on all simplices through degree ``up_to`` (default
     top_dim + 1), degenerate simplices kept as basis elements."""
@@ -249,7 +268,7 @@ def unnormalized_chains(space: SimplicialSet, up_to: int | None = None) -> Chain
         raise ValueError("up_to must be >= 0")
     if space.is_empty():
         return ChainComplex([], {})
-    bases = [list(space.all_simplices(n)) for n in range(up_to + 1)]
+    bases = [list(all_simplices(space, n)) for n in range(up_to + 1)]
     index = [{ref: k for k, ref in enumerate(level)} for level in bases]
     ranks = [len(level) for level in bases]
     boundaries = {n: IntegerMatrix.from_entries(ranks[n - 1], ranks[n], (
@@ -416,3 +435,63 @@ def reference_parse_unchecked(text: str) -> SimplicialSet:
     except ValueError as exc:
         raise SpaceDocumentError(str(exc)) from None
     return space
+
+
+@dataclass
+class ReferenceProduct:
+    space: SimplicialSet
+    proj_left: SimplicialMap
+    proj_right: SimplicialMap
+    gen_of_pair: dict
+    pair_of_gen: dict
+
+    def ref_of_pair(self, a: SimplexRef, b: SimplexRef) -> SimplexRef:
+        word, v, w = _split(a.degens, b.degens)
+        return SimplexRef(a.dim - len(word), self.gen_of_pair[(a.base_dim, a.base_id, v, b.base_dim, b.base_id, w)],
+                          word)
+
+
+def _split(v: tuple[int, ...], w: tuple[int, ...]):
+    """The letters two words share, as a word, and each word with them
+    factored out."""
+    shared = set(v) & set(w)
+
+    def strip(degens):
+        return tuple(j - sum(1 for t in shared if t < j) for j in degens if j not in shared)
+
+    return tuple(sorted(shared, reverse=True)), strip(v), strip(w)
+
+
+def reference_product(left: SimplicialSet, right: SimplicialSet, name: str | None = None) -> ReferenceProduct:
+    """The product generator by generator: the jointly non-degenerate pairs
+    (s_V sigma, s_W tau), sorted, each face computed componentwise through
+    the factors' face operator and looked up after its shared degeneracy
+    is factored out."""
+    if left.is_empty() or right.is_empty():
+        empty = SimplicialSet([], name="empty")
+        return ReferenceProduct(empty, SimplicialMap(empty, left, {}, check=False),
+                                SimplicialMap(empty, right, {}, check=False), {}, {})
+    top = left.top_dim + right.top_dim
+    gen_of_pair, pair_of_gen = {}, {}
+    table = FaceTable(top)
+    for n in range(top + 1):
+        level = sorted((p, sigma, tuple(reversed(vset)), q, tau, tuple(reversed(wset)))
+                       for p in range(min(n, left.top_dim) + 1)
+                       for q in range(n - p, min(n, right.top_dim) + 1)
+                       for vset in itertools.combinations(range(n), n - p)
+                       for wset in itertools.combinations([t for t in range(n) if t not in vset], n - q)
+                       for sigma in range(left.n_gens(p)) for tau in range(right.n_gens(q)))
+        for gid, (p, sigma, v, q, tau, w) in enumerate(level):
+            a, b = SimplexRef(p, sigma, v), SimplexRef(q, tau, w)
+            gen_of_pair[(p, sigma, v, q, tau, w)] = gid
+            pair_of_gen[(n, gid)] = (a, b)
+            faces = []
+            for (fp, fs, fv), (fq, ft, fw) in zip(left._faces(p, sigma, v), right._faces(q, tau, w)):
+                word, fv, fw = _split(fv, fw)
+                faces.append((gen_of_pair[(fp, fs, fv, fq, ft, fw)], word))
+            table.add(n, faces, f"({left.format_ref(a)}|{right.format_ref(b)})")
+    space = SimplicialSet(table, name=name or f"{left.name or '?'}x{right.name or '?'}")
+    return ReferenceProduct(
+        space, SimplicialMap(space, left, {key: ab[0] for key, ab in pair_of_gen.items()}, check=False),
+        SimplicialMap(space, right, {key: ab[1] for key, ab in pair_of_gen.items()}, check=False),
+        gen_of_pair, pair_of_gen)

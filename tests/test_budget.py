@@ -17,7 +17,7 @@ from simphom.covers import FiniteGroup, build_cover, cyclic_labeling
 from simphom.io import print_space
 from simphom.kan import fibration_check
 from simphom.pi1 import pi1_presentation
-from simphom.sset import SimplicialSet, product
+from simphom.sset import product
 from simphom.subdivision import OrderedSimplicialComplex, complex_to_sset
 
 from conftest import LADDER_RUNGS, all_catalog_spaces, constant_map
@@ -35,7 +35,7 @@ def test_every_refusal_has_one_form_and_builds_nothing(monkeypatch, tmp_path):
     in under 0.1 s, with the builder it would have called patched to raise."""
     catalog_module = sys.modules["simphom.catalog"]  # simphom.catalog is the function
     simplices = [(sset, "FaceTable"), (sset.itertools, "combinations")]
-    tables = [(kan_module, "_tables"), (SimplicialSet, "all_simplices")]
+    tables = [(kan_module, "_tables")]
     faces = json.dumps([[[0, 0], list(range(6, -1, -1))]] * 8)
     rp2_x_rp2 = product(catalog("rp2"), catalog("rp2")).space  # 3,811 generators
     gon = OrderedSimplicialComplex([(i, i + 1) for i in range(1999)] + [(0, 1999)])  # 4,000
@@ -55,6 +55,7 @@ def test_every_refusal_has_one_form_and_builds_nothing(monkeypatch, tmp_path):
          [(catalog_module, "full_simplex_complex"), (catalog_module, "boundary_complex")]),
         (["kan", "--file", square, "--dim", "4"], tables),
         (["kan", "--space", "point", "--dim", str(10 ** 12)], tables),
+        (["kan", "--space", "point", "--dim", "80"], tables),
         (["fill", "--file", square, "--dim", "8", "--k", "0", "--faces", faces], tables),
         (["cover", "--space", "circle", "--group", "cyclic:317"], [(FiniteGroup, "__init__")]),
         (["cover", "--space", "circle", "--group", "cyclic:1000000"], [(FiniteGroup, "__init__")]),
@@ -85,6 +86,30 @@ def test_every_refusal_has_one_form_and_builds_nothing(monkeypatch, tmp_path):
     with pytest.raises(ValueError, match="^the face tables through dimension 4 would have 112868 faces, "
                                          "over the budget of 100000$"):
         fibration_check(constant_map(rp2_x_rp2, point, 0), 4)
+
+
+def test_kan_horn_work_is_budgeted(monkeypatch):
+    """A Kan check's horn work, sum_{n=2}^{D} (n+1) C(n, 2) |K_{n-1}|, is
+    26,715 units for RP^2 x RP^2 through dimension 3 and, on the point,
+    335,790 through 40 and 5,247,180 through 80.  Over the budget the sum
+    stops at its first partial sum past it: the point is refused from
+    dimension 30 (107,880 units).  Every kan input of the golden battery
+    and of the benchmark is under the budget, and an empty space does no
+    work in any dimension."""
+    rp2 = catalog("rp2")
+    assert budget.kan_work(product(rp2, rp2).space.counts(), 3) == 26_715
+    point = catalog("point").counts()
+    assert [budget.kan_work(point, top) for top in (1, 2, 29)] == [0, 3, 94_395]
+    assert budget.kan_work(point, 30) == budget.kan_work(point, 10 ** 12) == 107_880
+    assert budget.kan_work((), 10 ** 12) == 0
+    for name in ("point", "circle", "torus", "rp2", "klein", "sphere:2", "boundary:3", "delta:3",
+                 "discrete:2", "discrete:3"):
+        assert budget.kan_work(catalog(name).counts(), 3) <= budget.BUDGET, name
+    assert run(["kan", "--space", "point", "--dim", "30"]) == (
+        ["error: the horn checks through dimension 30 would have at least 107880 units of work, "
+         "over the budget of 100000"], 2)
+    monkeypatch.setattr(budget, "BUDGET", 10 ** 9)
+    assert [budget.kan_work(point, top) for top in (40, 80)] == [335_790, 5_247_180]
 
 
 def _estimate(build, *args) -> int:

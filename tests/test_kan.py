@@ -29,7 +29,7 @@ from simphom.simplex import SimplexRef
 from simphom.sset import SimplicialMap, SimplicialSet, discrete, identity_map, product, std_simplex
 
 from conftest import constant_map, random_sset
-from reference import _rewritten_face
+from reference import _rewritten_face, all_simplices
 
 
 def table_horns(space: SimplicialSet, n: int, k: int) -> list[HornMap]:
@@ -158,7 +158,7 @@ def test_circle_kan_fails(circle):
 
 
 def brute_enumerate_horns(space, n, k):
-    simplices = list(space.all_simplices(n - 1))
+    simplices = list(all_simplices(space, n - 1))
     indices = [i for i in range(n + 1) if i != k]
 
     def extend(assigned, pos):
@@ -178,7 +178,7 @@ def brute_enumerate_horns(space, n, k):
 
 def brute_fill_horn(space, h):
     check_horn(space, h)
-    return [cand for cand in space.all_simplices(h.n)
+    return [cand for cand in all_simplices(space, h.n)
             if all(space.face(cand, i) == h.faces[i] for i in h.given_indices())]
 
 
@@ -199,8 +199,8 @@ def brute_fibration_check(space_map, up_to_dim):
     E, B = space_map.source, space_map.target
     report = FibrationReport(up_to_dim, 0)
     for n in range(1, up_to_dim + 1):
-        base_simplices = list(B.all_simplices(n))
-        upstairs = list(E.all_simplices(n))
+        base_simplices = list(all_simplices(B, n))
+        upstairs = list(all_simplices(E, n))
         for k in range(n + 1):
             for h in brute_enumerate_horns(E, n, k):
                 given = h.given_indices()
@@ -252,7 +252,7 @@ def test_table_entries_are_the_faces_of_their_simplices(space, top):
     ``SimplicialSet.face`` computes it."""
     tables = _tables(space, top)
     for n, table in enumerate(tables):
-        assert list(table.refs) == list(space.all_simplices(n))
+        assert list(table.refs) == list(all_simplices(space, n))
         assert [table.refs.index(x) for x in table.refs] == list(range(len(table.refs)))
         assert len(table.faces) == len(table.refs)
         for x, faces in zip(table.refs, table.faces):
@@ -322,7 +322,7 @@ def test_positions_faces_and_images_match_the_simplex_calculus():
         for space in (space_map.source, space_map.target):
             tables[space] = _tables(space, 3)
             for n, table in enumerate(tables[space]):
-                refs = list(space.all_simplices(n))
+                refs = list(all_simplices(space, n))
                 assert [table.refs[x] for x in range(len(table.refs))] == refs
                 assert [table.refs.index(x) for x in refs] == list(range(len(refs)))
                 with pytest.raises(IndexError):
@@ -352,7 +352,7 @@ def test_kan_tables_build_no_simplex_and_compute_no_face(monkeypatch, rp2_x_rp2)
 
     monkeypatch.setattr(SimplexRef, "__new__", counted_new)
     monkeypatch.setattr(SimplexRef, "_make", classmethod(refuse))
-    for name in ("face", "_face", "_faces", "all_simplices", "format_ref", "gen"):
+    for name in ("face", "_face", "_faces", "format_ref", "gen"):
         monkeypatch.setattr(SimplicialSet, name, refuse)
     assert sum(len(row) for table in _tables(rp2_x_rp2, 3) for row in table.faces) == 33_474
     assert fibration_check(cover.projection, 3).unique
@@ -397,7 +397,7 @@ def test_kan_check_certifies_each_horn_it_counts(monkeypatch):
     # enumeration: kan_check must refuse it rather than count it
     bad = interval_incompatible_horn()
     assert bad == (None, 1, 2)
-    monkeypatch.setattr(kan_module, "_horns", lambda lower, n, k: [bad] if n == 2 else [])
+    monkeypatch.setattr(kan_module, "_horns", lambda lower, n, k, joins=None: [bad] if n == 2 else [])
     with pytest.raises(ValueError, match="incompatible horn data"):
         kan_check(std_simplex(1), 2)
 
@@ -406,7 +406,7 @@ def test_fibration_check_certifies_each_horn_it_counts(monkeypatch):
     # the same incompatible horn, slipped past the enumeration of the source's
     # horns: fibration_check must refuse it rather than count its lifts
     bad = interval_incompatible_horn()
-    monkeypatch.setattr(kan_module, "_horns", lambda lower, n, k: [bad] if n == 2 else [])
+    monkeypatch.setattr(kan_module, "_horns", lambda lower, n, k, joins=None: [bad] if n == 2 else [])
     with pytest.raises(ValueError, match="incompatible horn data"):
         fibration_check(constant_map(std_simplex(1), catalog("point"), 0), 2)
 
@@ -419,8 +419,8 @@ def test_an_incompatible_horn_among_compatible_ones_is_refused(monkeypatch, chec
     bad, horns = interval_incompatible_horn(), kan_module._horns
     interval = std_simplex(1)
     for at in range(len(horns(_tables(interval, 1)[1].faces, 2, 0)) + 1):
-        def slipped(lower, n, k, at=at):
-            found = horns(lower, n, k)
+        def slipped(lower, n, k, joins=None, at=at):
+            found = horns(lower, n, k, joins)
             return found[:at] + [bad] + found[at:] if (n, k) == (2, 0) else found
 
         monkeypatch.setattr(kan_module, "_horns", slipped)
@@ -434,6 +434,21 @@ def test_an_incompatible_horn_among_compatible_ones_is_refused(monkeypatch, chec
 @pytest.fixture(scope="module")
 def rp2_x_rp2():
     return product(catalog("rp2"), catalog("rp2")).space
+
+
+def test_horn_indexes_are_built_once_per_dimension(monkeypatch):
+    """The horns of every k of one n share each index on a tuple of earlier
+    slots: through dimension 3, kan_check and fibration_check build 2
+    indexes for n = 2 and 5 for n = 3, not one per k and slot (3 and 8),
+    and report the same."""
+    rp2 = catalog("rp2")
+    expected = kan_check(rp2, 3), fibration_check(identity_map(rp2), 3)
+    built, getter = [], kan_module.itemgetter
+    monkeypatch.setattr(kan_module, "itemgetter", lambda *slots: built.append(slots) or getter(*slots))
+    for check, report in zip((kan_check, lambda s, d: fibration_check(identity_map(s), d)), expected):
+        built.clear()
+        assert check(rp2, 3) == report
+        assert sorted(built) == [(0,), (0,), (0, 1), (0, 2), (1,), (1,), (1, 2)]
 
 
 def test_kan_counts_on_products_are_pinned(rp2_x_rp2):
@@ -528,7 +543,6 @@ def test_face_tables_over_budget_are_refused_before_they_are_built(monkeypatch, 
         raise AssertionError("an over-budget face table was built")
 
     monkeypatch.setattr(kan_module, "_tables", refuse)
-    monkeypatch.setattr(SimplicialSet, "all_simplices", refuse)
     over = "would have 112854 faces, over the budget of 100000"
     with pytest.raises(ValueError, match=over):
         kan_check(rp2_x_rp2, 4)
@@ -576,7 +590,6 @@ def test_empty_space_has_no_horns_in_any_dimension(monkeypatch):
 
     empty = discrete(0)
     monkeypatch.setattr(kan_module, "_tables", refuse)
-    monkeypatch.setattr(SimplicialSet, "all_simplices", refuse)
     report = kan_check(empty, 10 ** 12)
     assert report.passed and report.horns_checked == 0
     into_point = SimplicialMap(empty, catalog("point"), {}, check=False)
@@ -589,7 +602,7 @@ def test_face_calls_scale_with_the_face_tables(monkeypatch, rp2):
     face (504 for kan_check here), and a rescan per horn ~108k (kan_check)
     and ~35k (verify_covering) on these inputs."""
     def table_size(space, top):
-        return sum((n + 1) * sum(1 for _ in space.all_simplices(n)) for n in range(1, top + 1))
+        return sum((n + 1) * sum(1 for _ in all_simplices(space, n)) for n in range(1, top + 1))
 
     cover = cover_of("rp2", 2)
     calls = []

@@ -11,6 +11,8 @@ from simphom.simplex import (
 )
 from simphom.sset import std_simplex
 
+from reference import all_simplices
+
 
 def test_insert_degeneracy_examples():
     # s_0 s_0 = s_1 s_0
@@ -85,7 +87,7 @@ def test_simplicial_identities_on_arbitrary_refs():
     """d_i d_j = d_{j-1} d_i (i < j) for every 3-simplex of Delta[2],
     degenerate ones included."""
     space = std_simplex(2)
-    for ref in space.all_simplices(3):
+    for ref in all_simplices(space, 3):
         for j in range(1, 4):
             for i in range(j):
                 assert space.face(space.face(ref, j), i) == \
@@ -96,7 +98,7 @@ def test_degeneracy_face_interchange():
     """d_i s_i = id = d_{i+1} s_i on arbitrary simplices."""
     space = std_simplex(3)
     for n in range(3):
-        for ref in space.all_simplices(n):
+        for ref in all_simplices(space, n):
             for i in range(n + 1):
                 up = space.degeneracy(ref, i)
                 assert space.face(up, i) == ref

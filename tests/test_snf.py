@@ -595,3 +595,21 @@ def test_wrong_generator_fails_subquotient(monkeypatch):
         sq.generators
     with pytest.raises(AssertionError, match="does not reduce to its unit vector"):
         Subquotient(IntegerMatrix.zero(0, 4), TAMPER_M).reduce(IntegerMatrix.zero(4, 0))
+
+
+def test_generator_coordinates_are_built_on_first_read(monkeypatch):
+    """A subquotient read only for its group replays no inverse transform:
+    the kernel coordinates of its generators are built with the
+    generators, on their first read, and certified as before."""
+    inverse = []
+    replay = snf._replay
+
+    def counted(rows, ops, backwards):
+        inverse.append(backwards)
+        return replay(rows, ops, backwards)
+
+    monkeypatch.setattr(snf, "_replay", counted)
+    sq = Subquotient(IntegerMatrix.zero(0, 4), TAMPER_M)
+    assert sq.group == AbelianGroup(0, (2, 2)) and True not in inverse
+    assert sq.reduce(sq.generators) == IntegerMatrix.identity(2)
+    assert True in inverse
