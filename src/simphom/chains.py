@@ -85,9 +85,6 @@ class ChainComplex:
             if not self.boundary(n - 1).kills(self.boundary(n)):
                 raise ValueError(f"dd != 0 between degrees {n} and {n-2}")
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** n * r for n, r in enumerate(self.ranks))
-
     def __repr__(self):
         return f"ChainComplex(ranks={tuple(self.ranks)})"
 

@@ -52,17 +52,21 @@ def _load_space(args) -> SimplicialSet:
 def _parse_subspec(space: SimplicialSet, spec: str) -> list[tuple[int, int]]:
     """Subcomplex specifications: 'skeleton:N' or 'gens:D.I,D.I,...', as
     the (dim, id) pairs they name; ``pair_les`` and ``mayer_vietoris``
-    take the closure."""
-    if spec.startswith("skeleton:"):
-        n = int(spec.split(":", 1)[1])
-        if n < 0:
-            raise CommandError("skeleton:N needs N >= 0")
-        return [(d, g) for d in range(min(n, space.top_dim) + 1) for g in range(space.n_gens(d))]
-    if spec.startswith("gens:"):
-        body = spec.split(":", 1)[1]
-        items = body.split(",") if body else []
-        return [(int(d), int(i)) for d, _, i in (item.partition(".") for item in items)]
-    raise CommandError(f"bad subcomplex spec {spec!r} (use skeleton:N or gens:D.I,...)")
+    take the closure; any other spec, or a number that does not parse, is
+    refused with the forms to use."""
+    kind, _, body = spec.partition(":")
+    try:
+        if kind == "gens":
+            items = body.split(",") if body else []
+            return [(int(d), int(i)) for d, _, i in (item.partition(".") for item in items)]
+        n = int(body) if kind == "skeleton" else None
+    except ValueError:
+        n = None
+    if n is None:
+        raise CommandError(f"bad subcomplex spec {spec!r} (use skeleton:N or gens:D.I,...)")
+    if n < 0:
+        raise CommandError("skeleton:N needs N >= 0")
+    return [(d, g) for d in range(min(n, space.top_dim) + 1) for g in range(space.n_gens(d))]
 
 
 def _group_str(g: AbelianGroup, machine: bool) -> str:
@@ -75,7 +79,11 @@ def _coeff(args) -> AbelianGroup:
 
 def _load_group(spec: str) -> FiniteGroup:
     if spec.startswith("cyclic:"):
-        return FiniteGroup.cyclic(int(spec.split(":", 1)[1]))
+        try:
+            order = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise CommandError(f"bad group spec {spec!r} (use cyclic:N or a table file)") from None
+        return FiniteGroup.cyclic(order)
     if spec == "trivial":
         return FiniteGroup.trivial()
     with open(spec, encoding="utf-8") as fh:
@@ -237,8 +245,10 @@ def cmd_cover(args):
     if args.images:
         images = {}
         for item in args.images.split(","):
-            gen, _, elem = item.partition("=")
-            images[gen.strip()] = group.element(elem.strip())
+            gen, sep, elem = (part.strip() for part in item.partition("="))
+            if not (gen and sep and elem):
+                raise CommandError(f"bad image item {item!r} (use GEN=ELEMENT,...)")
+            images[gen] = group.element(elem)
         labeling = labeling_from_hom(space, data, group, images)
     elif args.group.startswith("cyclic:"):
         labeling = cyclic_labeling(space, data, group)

@@ -209,10 +209,6 @@ class CoverResult:
     projection: SimplicialMap
     labeling: CoverLabeling
 
-    @property
-    def group(self) -> FiniteGroup:
-        return self.labeling.group
-
 
 def build_cover(base: SimplicialSet, labeling: CoverLabeling) -> CoverResult:
     """The covering space with generators (sigma, g).

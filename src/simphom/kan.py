@@ -11,10 +11,11 @@ numbered by arithmetic in (p, g, w) order (``sset._Numbering``:
 s_w g, g a p-generator, at an offset for p plus g times the number of
 words plus the rank of w), each with the positions of its faces among the
 (n-1)-simplices.  The space writes the rows from its own face table, one
-template per (p, w, i): the stored face i when w is empty, otherwise one
-rewrite of (w, i) through the space's memo.  No simplex is built and no
-face is computed one simplex at a time, and a map's images are positions
-too, f(s_w g) = s_w f(g) from its generator images.  Horns are enumerated
+column per (p, w, i) from its one column reader: the stored face i when w
+is empty, otherwise after one rewrite of (w, i) through the one
+process-wide rewrite cache.  No simplex is built and no face is computed
+one simplex at a time, and a map's images are positions too,
+f(s_w g) = s_w f(g) from its generator images.  Horns are enumerated
 as a join on the (n-1)-simplex table: slot by slot, one index on the
 faces at the earlier slots gives every simplex that satisfies the
 identities d_i x_j = d_{j-1} x_i bound so far.  A horn is a tuple of
@@ -100,8 +101,9 @@ def _tables(space: SimplicialSet, top: int, bottom: int = 0) -> list[_Table]:
     """The face tables of the n-simplices for n = bottom..top.
 
     Positions are arithmetic on the generator counts, and the rows are
-    written by the space from its own face table, one template per
-    (p, w, i): no simplex is built and no face is computed one by one."""
+    written by the space from its own face table, one column per (p, w, i)
+    from its one column reader: no simplex is built and no face is
+    computed one by one."""
     counts = space.counts()
     lower, tables = _Numbering(counts, bottom - 1), []
     for n in range(bottom, top + 1):

@@ -7,13 +7,13 @@ the words v and w share no letter, and d_i (x, y) = (d_i x, d_i y)
 (Eilenberg & Zilber, "On products of complexes", Amer. J. Math. 75,
 1953).  ``_PairNumbering`` numbers the non-degenerate n-simplices in the
 order of sorted (p, sigma, v, q, tau, w) by arithmetic.  ``_write_faces``
-writes their faces one column per (p, v, q, w, i): each factor gives
-d_i s_v of all its p-generators at once from its face table, after one
-rewrite of (v, i) through its memo, as a kind per generator (the
-dimension and word of the face) and a base id.  Each pair of kinds has its
-shared degeneracy factored out once, which leaves the position of the
-face linear in the two base ids.  No simplex is built and no face is
-computed one simplex at a time.
+writes their faces one column per (p, v, q, w, i): after the rewrite of
+(v, i) through the one process-wide rewrite cache, each factor's one
+column reader (``_face_column``) gives d_i s_v of all its p-generators at
+once, as a shape (dimension and word) per generator, here a kind, and a
+base id.  Each pair of kinds has its shared degeneracy factored out once,
+which leaves the position of the face linear in the two base ids.  No
+simplex is built and no face is computed one simplex at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import itertools
 import math
 from collections.abc import Sequence
 
-from .simplex import SimplexRef
+from .simplex import SimplexRef, face_word_rewrite
 
 
 @functools.cache
@@ -120,19 +120,14 @@ class _Faces:
         """Per face i, d_i s_w g for every p-generator g of a factor: the
         kinds of the faces (one when they are all of one kind), and per g
         the index of its kind among them and its base id."""
-        space, out = self.factors[side], []
-        t, rewrites, memo = space._table, space._rewrites, self.memo
+        space, out, memo = self.factors[side], [], self.memo
         for i in faces:
-            key = (side, p, *((rewrites.get((w, i)) or space._rewrite(w, i)) if w else ((), i)))
+            key = (side, p, *(face_word_rewrite(w, i) if w else ((), i)))
             if key not in memo:
-                u, j = key[2:]
-                if j is None:  # s_u g itself
-                    memo[key] = [self.kind(side, (p, u))], [0] * t.counts[p], range(t.counts[p])
-                else:
-                    of, shapes = t.word[p][j::p + 1], space._face_words(p, u)
-                    if len(set(of)) == 1:
-                        shapes, of = [shapes[of[0]]], [0] * len(of)
-                    memo[key] = [self.kind(side, shape) for shape in shapes], of, t.base[p][j::p + 1]
+                shapes, of, ids = space._face_column(p, *key[2:])
+                if len(set(of)) == 1:
+                    shapes, of = [shapes[of[0]]], [0] * len(of)
+                memo[key] = [self.kind(side, shape) for shape in shapes], of, ids
             out.append(memo[key])
         return out
 

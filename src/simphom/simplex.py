@@ -15,11 +15,13 @@ canonical form using the simplicial identities
 A :class:`SimplexRef` is a named tuple, so hashing, equality and ordering
 are plain tuple operations.  The faces of a non-degenerate simplex are
 read from its generator's face table; only degenerate simplices go
-through the rewriting here.
+through the rewriting here, whose one process-wide rewrite cache makes
+each (word, i) rewritten once per process, for every space.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -96,8 +98,9 @@ def compose_words(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, 
     return word
 
 
+@functools.cache
 def face_word_rewrite(word: tuple[int, ...], i: int):
-    """Push d_i through a canonical degeneracy word.
+    """Push d_i through a canonical degeneracy word (cached per process).
 
     Returns ``(new_word, residual)``: if ``residual`` is None the face
     operator cancelled against a degeneracy and ``new_word`` is the final

@@ -2,22 +2,23 @@
 
 A :class:`SimplicialSet` stores its faces in one integer table, a
 :class:`FaceTable`: per dimension d, the base id and the index of the
-degeneracy word of every face of every d-generator, in flat lists, and
-the distinct words of the block.  Every reader goes through that table:
-the face operator, the identity check, maps, chains, documents, covers and
-the Kan checks.  Faces of degenerate simplices are rewritten through one
-memo per space, so each (word, i) is rewritten once.  For the Kan checks
-the n-simplices are numbered by arithmetic (``_Numbering``), and the space
-writes their faces, and a map its images, as positions.  The generators as
-:class:`NonDegenSimplex` values with :class:`SimplexRef` faces are a view,
-built when read.  Subcomplexes, quotients, coproducts and pushouts are
-built by one gluing routine, ``_glue``: parts are glued in order, and each
-generator either becomes a new generator with its faces carried through
-the images so far, or is fixed to a given simplex, or dropped.  A product
-is written on positions by ``pairs``: its generators numbered by
-arithmetic, its face table filled column by column from the factors'
-face tables with no face of a factor simplex computed one at a time, and
-its labels formatted when read.
+degeneracy word of every face of every d-generator, in flat lists, and the
+distinct words of the block.  Every reader goes through that table: the
+face operator, the identity check, maps, chains, documents, covers and the
+Kan checks.  Faces of degenerate simplices are rewritten through one
+process-wide rewrite cache, and one column reader, ``_face_column``, gives
+a face of every p-generator at once to the Kan tables and products.  For
+the Kan checks the n-simplices are numbered by arithmetic
+(``_Numbering``), and the space writes their faces, and a map its images,
+as positions.  The generators as :class:`NonDegenSimplex` values with
+:class:`SimplexRef` faces are a view, built when read.  Subcomplexes,
+quotients, coproducts and pushouts are built by one gluing routine,
+``_glue``: parts are glued in order, and each generator either becomes a
+new generator with its faces carried through the images so far, or is
+fixed to a given simplex, or dropped.  A product is written on positions
+by ``pairs``: its generators numbered by arithmetic, its face table filled
+column by column from the factors' face tables with no face of a factor
+simplex computed one at a time, and its labels formatted when read.
 """
 
 from __future__ import annotations
@@ -143,7 +144,6 @@ class SimplicialSet:
             for column in (table.counts, table.base, table.word, table.words, table.labels, table._index):
                 column.pop()
         self._table = table
-        self._rewrites: dict = {}   # (word, i) -> face_word_rewrite(word, i)
         self.name = name
         self._check_structure()
 
@@ -198,17 +198,12 @@ class SimplicialSet:
         return [(p - 1 - len(words[k]), b, words[k])
                 for b, k in zip(t.base[p][at:at + p + 1], t.word[p][at:at + p + 1])]
 
-    def _rewrite(self, w: tuple[int, ...], i: int):
-        """``face_word_rewrite(w, i)``, kept in the memo.  Callers read the
-        memo first, so each (w, i) is rewritten once per space."""
-        rewritten = self._rewrites[(w, i)] = face_word_rewrite(w, i)
-        return rewritten
-
     def _face(self, p: int, g: int, w: tuple[int, ...], i: int) -> tuple[int, int, tuple[int, ...]]:
         """d_i of s_w x, x the p-generator g, as (base dim, base id, word):
-        a stored face, after one rewrite of (w, i) per space when w is not empty."""
+        a stored face, after the rewrite of (w, i) through the one
+        process-wide rewrite cache when w is not empty."""
         if w:
-            w, i = self._rewrites.get((w, i)) or self._rewrite(w, i)
+            w, i = face_word_rewrite(w, i)
             if i is None:
                 return p, g, w
         t, at = self._table, g * (p + 1) + i
@@ -219,48 +214,40 @@ class SimplicialSet:
         """The faces d_0 x, ..., d_n x of every n-simplex x of ``upper``, in
         its order, as positions in ``lower``, the (n-1)-simplices.
 
-        They are written from the flat lists of the face table, one column
-        over the p-generators per (p, w, i): for w empty the stored face i,
-        otherwise s_w' g or s_w' d_i' g after one rewrite of (w, i) to
-        (w', i'), with one composed word per (w', stored word)."""
+        They are written one column per (p, w, i), after the rewrite of
+        (w, i) through the process-wide rewrite cache: from the one column
+        reader, each shape placed by its rank in ``lower`` and each base id
+        times its shape's step, or a range when the face cancelled."""
         t, rows = self._table, [()] * len(upper)
         if not upper.n:
             return rows
         for p, words in enumerate(upper.words):
             count, width, at = t.counts[p], len(words), upper.offsets[p]
             columns: dict = {}     # (w', i') -> that face of every p-generator, by position
-            templates: dict = {}   # w' -> (offset, step) per stored word of the block
             for r, w in enumerate(words):
-                row = []
-                for i in range(upper.n + 1):
-                    key = (self._rewrites.get((w, i)) or self._rewrite(w, i)) if w else ((), i)
-                    column = columns.get(key)
-                    if column is None:
-                        column = columns[key] = self._face_column(p, *key, lower, templates)
-                    row.append(column)
-                rows[at + r:at + count * width:width] = zip(*row)
+                keys = [face_word_rewrite(w, i) if w else ((), i) for i in range(upper.n + 1)]
+                for key in set(keys).difference(columns):
+                    shapes, of, bases = self._face_column(p, *key)
+                    places = [(lower.offsets[q] + lower.ranks[q][v], len(lower.words[q])) for q, v in shapes]
+                    if key[1] is None:
+                        start, step = places[0]
+                        columns[key] = range(start, start + count * step, step)
+                    else:
+                        columns[key] = [offset + b * step for b, (offset, step) in
+                                        zip(bases, map(places.__getitem__, of))]
+                rows[at + r:at + count * width:width] = zip(*map(columns.__getitem__, keys))
         return rows
 
-    def _face_column(self, p: int, w: tuple[int, ...], i: int | None, lower: _Numbering,
-                     templates: dict) -> list[int] | range:
-        """s_w d_i g for every p-generator g as a position in ``lower``, or
-        s_w g when i is None: one template (offset, step) per stored word u
-        of the block, s_w u placed by rank, and the base id times the step."""
+    def _face_column(self, p: int, w: tuple[int, ...], i: int | None) -> tuple[list, Sequence[int], Sequence[int]]:
+        """The one column reader: d_i s_w g for every p-generator g, (w, i)
+        already rewritten and i None when the face cancelled to s_w g, as the
+        shapes (dimension, word), one per stored word of the block, and per
+        g the index of its shape and its base id."""
         t = self._table
         if i is None:
-            start, step = lower.offsets[p] + lower.ranks[p][w], len(lower.words[p])
-            return range(start, start + t.counts[p] * step, step)
-        template = templates.get(w)
-        if template is None:
-            template = templates[w] = [(lower.offsets[q] + lower.ranks[q][v], len(lower.words[q]))
-                                       for q, v in self._face_words(p, w)]
-        return [offset + b * step for b, (offset, step) in
-                zip(t.base[p][i::p + 1], map(template.__getitem__, t.word[p][i::p + 1]))]
-
-    def _face_words(self, p: int, w: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        """Per stored word u of the p-block, the dimension and word of s_w d_i g
-        for a p-generator g whose face i is s_u of a generator."""
-        return [(p - 1 - len(u), compose_words(w, u) if w and u else w or u) for u in self._table.words[p]]
+            return [(p, w)], [0] * t.counts[p], range(t.counts[p])
+        return ([(p - 1 - len(u), compose_words(w, u) if w and u else w or u) for u in t.words[p]],
+                t.word[p][i::p + 1], t.base[p][i::p + 1])
 
     # -- the operator calculus ----------------------------------------
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 
@@ -13,7 +14,7 @@ from simphom.chains import kept, normalized_chains, restricted
 from simphom.homology import homology_data
 from simphom.intmatrix import IntegerMatrix
 from simphom.operators import Cylinder, cylinder
-from simphom.simplex import SimplexRef
+from simphom.simplex import SimplexRef, face_word_rewrite
 from simphom.sset import (
     SimplicialMap,
     SimplicialSet,
@@ -141,6 +142,28 @@ def _attached(rng: random.Random, space: SimplicialSet) -> SimplicialSet:
 def constant_homotopy(f: SimplicialMap, cyl: Cylinder) -> SimplicialMap:
     """The homotopy f . projection from f to itself."""
     return f.compose(cyl.projection)
+
+
+@pytest.fixture
+def count_rewrites(monkeypatch):
+    """Called once, gives every simphom module that reads
+    ``face_word_rewrite`` one fresh cache of it around a counter, and
+    returns the (word, i) pairs computed from then on, in order: a pair is
+    listed when it is computed, not each time it is read."""
+    def install() -> list[tuple[tuple[int, ...], int]]:
+        computed = []
+
+        def rewrite(word, i):
+            computed.append((word, i))
+            return face_word_rewrite.__wrapped__(word, i)
+
+        cached = functools.cache(rewrite)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("simphom") and getattr(module, "face_word_rewrite", None) is face_word_rewrite:
+                monkeypatch.setattr(module, "face_word_rewrite", cached)
+        return computed
+
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -462,23 +462,18 @@ def test_kan_counts_on_products_are_pinned(rp2_x_rp2):
         assert (report.horns_checked, len(report.failures)) == (horns, unfillable), (space, dim)
 
 
-def test_one_rewrite_per_word_and_index_from_load_to_kan(monkeypatch, rp2_x_rp2):
+def test_one_rewrite_per_word_and_index_from_load_to_kan(monkeypatch, count_rewrites, rp2_x_rp2):
     """Loading RP^2 x RP^2, checking its identities, building its chains and
-    checking Kan through dimension 3 rewrite each (word, i) once: all read
-    one face table and its one memo of rewrites.  The Kan tables are
-    written from that table by the space itself: ``kan`` holds no rewriting
-    function, no face of a generator is rewritten, and no face is computed
-    one simplex at a time."""
-    import simphom.sset as sset_module
+    checking Kan through dimension 3 compute each rewrite of a (word, i)
+    once: all read one face table and the one process-wide cache of
+    rewrites.  The Kan tables are written from that table by the space
+    itself: ``kan`` holds no rewriting function, no face of a generator is
+    rewritten, and no face is computed one simplex at a time."""
     from simphom.chains import normalized_chains
     from simphom.io import parse_space
 
-    rewrites, face_words, rows_read = [], [], []
-    rewrite, face, faces = sset_module.face_word_rewrite, SimplicialSet._face, SimplicialSet._faces
-
-    def counted_rewrite(word, i):
-        rewrites.append((word, i))
-        return rewrite(word, i)
+    face_words, rows_read = [], []
+    face, faces = SimplicialSet._face, SimplicialSet._faces
 
     def counted_face(self, p, g, w, i):
         face_words.append(w)
@@ -489,7 +484,7 @@ def test_one_rewrite_per_word_and_index_from_load_to_kan(monkeypatch, rp2_x_rp2)
         return faces(self, p, g, w)
 
     doc = print_space(rp2_x_rp2)
-    monkeypatch.setattr(sset_module, "face_word_rewrite", counted_rewrite)
+    rewrites = count_rewrites()
     space = parse_space(doc)
     normalized_chains(space)
     monkeypatch.setattr(SimplicialSet, "_face", counted_face)

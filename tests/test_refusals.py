@@ -39,6 +39,31 @@ CLI_CASES = [
     (["cover", "--space", "circle", "--group", "trivial"], "cover needs --images for non-cyclic groups"),
     (["cover", "--space", "circle", "--group", "cyclic:2", "--images", "e0=h"], "no element named 'h'"),
     (["subdivide"], "subdivide needs --space with an ordered-complex model"),
+    # A case is named by its first three words, so the option that sets it
+    # apart comes first where the command and space would repeat a name.
+    (["les", "--sub", "skeleton:x", "--space", "rp2"],
+     "bad subcomplex spec 'skeleton:x' (use skeleton:N or gens:D.I,...)"),
+    (["les", "--sub", "gens:1", "--space", "rp2"], "bad subcomplex spec 'gens:1' (use skeleton:N or gens:D.I,...)"),
+    (["les", "--sub", "gens:1.x", "--space", "rp2"],
+     "bad subcomplex spec 'gens:1.x' (use skeleton:N or gens:D.I,...)"),
+    (["mv", "--a", "gens:1", "--b", "skeleton:1", "--space", "rp2"],
+     "bad subcomplex spec 'gens:1' (use skeleton:N or gens:D.I,...)"),
+    (["mv", "--b", "skeleton:x", "--a", "skeleton:1", "--space", "rp2"],
+     "bad subcomplex spec 'skeleton:x' (use skeleton:N or gens:D.I,...)"),
+    (["cover", "--group", "cyclic:x", "--space", "rp2"], "bad group spec 'cyclic:x' (use cyclic:N or a table file)"),
+    (["cover", "--images", "e5", "--space", "rp2", "--group", "cyclic:2"],
+     "bad image item 'e5' (use GEN=ELEMENT,...)"),
+    (["cover", "--images", "e5=", "--space", "rp2", "--group", "cyclic:2"],
+     "bad image item 'e5=' (use GEN=ELEMENT,...)"),
+    (["kan", "--space", "rp2", "--dim", "0"], "up_to_dim must be >= 1"),
+    (["coeffs", "--coeff", "Z/1", "--space", "rp2"], "bad torsion order 1"),
+    (["coeffs", "--coeff", "Q", "--space", "rp2"], "cannot parse group term 'Q'"),
+    (["cover", "--group", "cyclic:0", "--space", "rp2"], "cyclic group order must be >= 1"),
+    (["pi1", "--space", "discrete:0"], "empty space has no fundamental group"),
+    (["fill", "--faces", "[[[0,0],[]],[[1,0],[]]]", "--space", "rp2", "--dim", "2", "--k", "0"],
+     "face 1 missing or of wrong dimension"),
+    (["fill", "--faces", "[[[0,0],[1]],[[1,0],[]]]", "--space", "rp2", "--dim", "2", "--k", "0"],
+     "face 1 has a non-canonical degeneracy word"),
 ]
 
 

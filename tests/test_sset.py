@@ -12,7 +12,7 @@ from simphom.catalog import catalog
 from simphom.chains import euler_characteristic
 from simphom.cli import run
 from simphom.io import print_space
-from simphom.simplex import NonDegenSimplex, SimplexRef
+from simphom.simplex import NonDegenSimplex, SimplexRef, face_word_rewrite
 from simphom.sset import (
     SimplicialMap,
     SimplicialSet,
@@ -360,27 +360,25 @@ def test_is_valid_matches_reference_on_corruptions(ladder_spaces, name, degenera
     assert caught >= 4
 
 
-def test_is_valid_rewrites_only_degenerate_faces(monkeypatch, ladder_spaces):
+def test_is_valid_rewrites_only_degenerate_faces(count_rewrites, ladder_spaces):
     """Faces of non-degenerate faces come from the face table: is_valid
-    rewrites only the words of degenerate faces, each (word, index) pair
-    once per space, and never otherwise."""
-    calls = []
-    rewrite = sset.face_word_rewrite
-    space = product(catalog("sphere:2"), catalog("rp2")).space  # nothing rewritten on it yet
+    computes the rewrites of the words of degenerate faces only, each
+    (word, index) pair once in a process, and never otherwise."""
+    space, other = product(catalog("sphere:2"), catalog("rp2")).space, ladder_spaces["torus*rp2"]
 
-    def counted(word, i):
-        calls.append((word, i))
-        return rewrite(word, i)
+    def degenerate_faces(space):
+        return [(d, ref) for d in range(2, space.top_dim + 1) for g in space.gens(d)
+                for ref in g.faces if ref.is_degenerate]
 
-    monkeypatch.setattr(sset, "face_word_rewrite", counted)
-    assert is_valid(ladder_spaces["torus*rp2"]).ok and calls == []
+    def rewritten(space):
+        return {(ref.degens, i) for d, ref in degenerate_faces(space) for i in range(d)}
 
-    degenerate = [(d, ref) for d in range(2, space.top_dim + 1) for g in space.gens(d)
-                  for ref in g.faces if ref.is_degenerate]
-    assert len(degenerate) == 268
+    calls = count_rewrites()
+    assert len(degenerate_faces(space)) == 268 and calls == []
     assert is_valid(space).ok
-    assert sorted(calls) == sorted({(ref.degens, i) for d, ref in degenerate for i in range(d)})
-    assert is_valid(space).ok and len(calls) == len(set(calls))
+    assert sorted(calls) == sorted(rewritten(space))
+    assert is_valid(space).ok and sorted(calls) == sorted(rewritten(space))
+    assert is_valid(other).ok and sorted(calls) == sorted(rewritten(space) | rewritten(other))
 
     calls.clear()
     for d in range(1, space.top_dim + 1):
@@ -388,6 +386,18 @@ def test_is_valid_rewrites_only_degenerate_faces(monkeypatch, ladder_spaces):
             ref = SimplexRef(d, g.id)
             assert [space.face(ref, i) for i in range(d + 1)] == list(g.faces)
     assert calls == []
+
+
+def test_rewrites_are_computed_once_per_process():
+    """The rewrite of a (word, i) depends on nothing else, so one cache
+    serves every space of a process: a Kunneth check of klein x torus,
+    which builds four spaces, computes 42 rewrites, and a second run
+    computes none."""
+    face_word_rewrite.cache_clear()
+    assert run(["kunneth", "--space", "klein", "--with", "torus"])[1] == 0
+    assert face_word_rewrite.cache_info().misses == 42
+    assert run(["kunneth", "--space", "klein", "--with", "torus"])[1] == 0
+    assert face_word_rewrite.cache_info().misses == 42
 
 
 def test_product_faces_satisfy_identities(rp2):
