@@ -32,9 +32,11 @@ COMMANDS = (
     ["cup", "--coeff", "Z/2"],
     ["cup", "--coeff", "Z/3"],
     ["pi1"],
+    ["pi1", "--base", "1"],
     ["kan", "--dim", "2"],
     ["kan", "--dim", "3"],
     ["cover", "--group", "cyclic:2"],
+    ["cover", "--group", "cyclic:3"],
     ["validate"],
     ["print"],
     ["homology", "--dim", "1"],
@@ -63,6 +65,17 @@ def _subcomplex_commands(space: str) -> list[list[str]]:
             ["les", "--sub", "skeleton:1", "--dim", "1"]]
 
 
+RP2_IMAGES = "e5=e,e6=g,e7=g,e8=e,e9=e,e10=g,e11=g,e12=e,e13=g,e14=e"
+
+# single runs: a cover from explicit images and well-formed horn fillings
+RUNS = (
+    ["cover", "--space", "rp2", "--group", "cyclic:2", "--images", RP2_IMAGES],
+    ["fill", "--space", "point", "--dim", "2", "--k", "1", "--faces", "[[[0,0],[0]],[[0,0],[0]]]"],
+    ["fill", "--space", "rp2", "--dim", "1", "--k", "0", "--faces", "[[[0,0],[]]]"],
+    ["fill", "--space", "torus", "--dim", "2", "--k", "1", "--faces", "[[[1,0],[]],[[1,1],[]]]"],
+    ["fill", "--space", "circle", "--dim", "2", "--k", "1", "--faces", "[[[1,0],[]],[[1,0],[]]]"],
+)
+
 # refusals that end in exit 2 with one line
 REFUSALS = (
     ["homology", "--space", "delta:17"],
@@ -74,12 +87,16 @@ REFUSALS = (
     ["mv", "--space", "rp2", "--a", "gens:2.0", "--b", "gens:2.1"],
     ["les", "--space", "rp2", "--sub", "gens:9.9"],
     ["les", "--space", "rp2", "--sub", "skeleton:-1"],
+    ["cover", "--space", "rp2", "--group", "cyclic:2", "--images",
+     "e11=g,e5=e,e6=e,e7=e,e8=e,e9=e,e10=e,e12=e,e13=e,e14=e"],
+    ["fill", "--space", "rp2", "--dim", "2", "--k", "0", "--faces", "[[[1,5],[]],[[1,10],[]]]"],
+    ["fill", "--space", "rp2", "--dim", "2", "--k", "0", "--faces", "[[[1,0],[]]]"],
 )
 
 ARGVS = [command[:1] + ["--space", space] + command[1:] + ["--format", fmt]
          for space in SPACES for command in COMMANDS + tuple(_subcomplex_commands(space))
          for fmt in ("text", "machine")] + [
-    list(argv) for argv in REFUSALS]
+    list(argv) for argv in RUNS + REFUSALS]
 
 
 def _outputs() -> dict[str, dict]:
