@@ -248,6 +248,8 @@ def cmd_cover(args):
             gen, sep, elem = (part.strip() for part in item.partition("="))
             if not (gen and sep and elem):
                 raise CommandError(f"bad image item {item!r} (use GEN=ELEMENT,...)")
+            if gen in images:
+                raise CommandError(f"bad image item {item!r} ({gen} has an image already)")
             images[gen] = group.element(elem)
         labeling = labeling_from_hom(space, data, group, images)
     elif args.group.startswith("cyclic:"):

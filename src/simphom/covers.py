@@ -2,11 +2,14 @@
 
 A labeling of the non-degenerate edges in a finite group G satisfying the
 2-simplex cocycle condition label(d1) = label(d0) * label(d2) (degenerate
-edges carry the identity) determines a cover with one generator (sigma, g)
-per base generator and group element; the 0-th face twists the group
-coordinate by the label of the initial edge.  A relator word a_1 ... a_k
-evaluates in composition order, to phi(a_k) ... phi(a_1), so that killing
-the relators of the edge-path presentation is exactly the cocycle condition.
+edges carry the identity) determines a cover, the twisted cartesian product
+B x_tau G (May 1967, section 18): one generator (sigma, g) per base
+generator and group element, the 0-th face twisting the group coordinate by
+the label of the initial edge.  The check reads the 2-simplices' faces as
+columns, and the cover's table is written by sheet arithmetic.  A relator
+word a_1 ... a_k evaluates in composition order, to phi(a_k) ... phi(a_1),
+so that killing the relators of the edge-path presentation is exactly the
+cocycle condition.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from dataclasses import dataclass
 from . import budget
 from .chains import euler_characteristic
 from .kan import FibrationReport, fibration_check
-from .pi1 import Pi1Data, abelianization_data
+from .pi1 import Pi1Data, _face_ids, abelianization_data
 from .simplex import SimplexRef
-from .sset import FaceTable, SimplicialMap, SimplicialSet, _walk
+from .sset import FaceTable, SimplicialMap, SimplicialSet
 
 
 class FiniteGroup:
@@ -119,22 +122,13 @@ class CoverLabeling:
         if bad:
             raise CocycleError("cocycle condition fails: " + bad[0])
 
-    def label_of(self, ref: SimplexRef) -> int:
-        """Label of any 1-simplex; degenerate edges carry the identity."""
-        if ref.dim != 1:
-            raise ValueError("labels live on 1-simplices")
-        if ref.is_degenerate:
-            return self.group.identity
-        return self.labels[ref.base_id]
-
     def cocycle_failures(self) -> list[str]:
-        """label(d1 t) = label(d0 t) * label(d2 t) for every 2-generator."""
-        bad = []
-        for t in range(self.space.n_gens(2)):
-            d0, d1, d2 = (SimplexRef._make(f) for f in self.space._faces(2, t))
-            if self.label_of(d1) != self.group.mul(self.label_of(d0), self.label_of(d2)):
-                bad.append(f"2-simplex {self.space._name(2, t)}")
-        return bad
+        """label(d1 t) = label(d0 t) * label(d2 t) for every 2-generator, its
+        faces read as columns, a degenerate face (None) labelled the identity."""
+        labels = {**self.labels, None: self.group.identity}
+        d0, d1, d2 = ([labels[e] for e in _face_ids(self.space, 2, i)] for i in range(3))
+        return [f"2-simplex {self.space._name(2, t)}" for t, (x0, x1, x2) in enumerate(zip(d0, d1, d2))
+                if x1 != self.group.mul(x0, x2)]
 
 
 def evaluate_word(group: FiniteGroup, word: tuple[int, ...], images: list[int]) -> int:
@@ -211,33 +205,41 @@ class CoverResult:
 
 
 def build_cover(base: SimplicialSet, labeling: CoverLabeling) -> CoverResult:
-    """The covering space with generators (sigma, g).
+    """The covering space with generators (sigma, g), numbered sigma * |G| + g.
 
-    Faces: d_i(sigma, g) = (d_i sigma, g) for i >= 1 and
-    d_0(sigma, g) = (d_0 sigma, label(e) * g), e the edge of sigma on its
-    vertices 0 and 1; degeneracy words pass through untouched.  Its
-    order x |base| generators pass the size budget before it is built.
+    Faces: d_i(sigma, g) = (d_i sigma, g) for i >= 1 and d_0(sigma, g) =
+    (d_0 sigma, tau(sigma) * g), with the base's words.  tau(sigma) labels the
+    edge of sigma on vertices 0, 1; above dimension 1 it is read from the last
+    face s_u b: the identity when u holds the letter 0, which collapses that
+    edge, else tau(b).  The order x |base| generators pass the size budget first.
     """
     if labeling.space is not base:
         raise ValueError("labeling belongs to a different space")
-    G = labeling.group
+    G, t = labeling.group, base._table
     order = G.order
     budget.refuse(f"the {order}-sheeted cover of {base.name or 'K'}", order * sum(base.counts()),
                   "non-degenerate simplices")
+    twists = [[G.identity] * base.n_gens(0), [labeling.labels[e] for e in range(base.n_gens(1))]]
     table = FaceTable(base.top_dim)
     for d in range(base.top_dim + 1):
-        for g in range(base.n_gens(d)):
-            edge = _walk(base, (d, g, ()), True, 1)[0] if d else None
-            twisted = G.identity if edge is None else labeling.labels[edge]
-            faces = [(b * order, w) for _, b, w in base._faces(d, g)]
-            for sheet in range(order):
-                table.add(d, [(b + (G.mul(twisted, sheet) if i == 0 else sheet), w)
-                              for i, (b, w) in enumerate(faces)], f"({base._name(d, g)},{G.names[sheet]})")
+        if d > 1:  # tau from the last face s_u b, the shape (dimension, u) of each sigma
+            shapes, of, ids = base._face_column(d, (), d)
+            twists.append([G.identity if 0 in shapes[k][1] else twists[shapes[k][0]][b] for k, b in zip(of, ids)])
+        count, width = t.counts[d], d + 1 if d else 0
+        # face i of (sigma, 0), ..., (sigma, |G| - 1) lies on the sheets G.mul(tau(sigma), g), G's row
+        # tau(sigma), for i = 0, and on the sheets g otherwise
+        rows = [G.table[twist] for twist in twists[d]]
+        columns = [[b * order + s for b, row in zip(t.base[d][i::width], rows if i == 0 else [range(order)] * count)
+                    for s in row] for i in range(width)]
+        table.base[d] = [b for faces in zip(*columns) for b in faces]
+        table.word[d] = [k for g in range(count) for _ in range(order) for k in t.word[d][g * width:(g + 1) * width]]
+        table.words[d], table._index[d] = list(t.words[d]), dict(t._index[d])
+        table.labels[d] = [f"({base._name(d, g)},{name})" for g in range(count) for name in G.names]
+        table.counts[d] = count * order
     cover = SimplicialSet(table, name=f"cover({base.name or 'K'})")
     images = {(d, g * order + sheet): SimplexRef(d, g) for d in range(base.top_dim + 1)
               for g in range(base.n_gens(d)) for sheet in range(order)}
-    projection = SimplicialMap(cover, base, images, check=True)
-    return CoverResult(cover, projection, labeling)
+    return CoverResult(cover, SimplicialMap(cover, base, images, check=True), labeling)
 
 
 @dataclass

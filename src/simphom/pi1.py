@@ -1,11 +1,12 @@
 """Path components and edge-path presentations of the fundamental group.
 
-The presentation comes from the 2-skeleton: a deterministic breadth-first
+Edges and 2-simplices are read as columns of the face table.  The
+presentation comes from the 2-skeleton: a deterministic breadth-first
 spanning tree kills one generator per tree edge, the remaining
 non-degenerate 1-simplices generate, and every non-degenerate 2-simplex
-contributes the relator word(d2) word(d0) word(d1)^{-1}.  Group triviality
-is never decided; reports carry the presentation, its abelianization, and
-its Tietze simplification.
+contributes the relator word(d2) word(d0) word(d1)^{-1}, a degenerate edge
+giving no letter.  Group triviality is never decided; reports carry the
+presentation, its abelianization, and its Tietze simplification.
 """
 
 from __future__ import annotations
@@ -15,10 +16,18 @@ from dataclasses import dataclass
 
 from .abgroup import AbelianGroup
 from .intmatrix import IntegerMatrix
-from .simplex import SimplexRef
 from .snf import Subquotient, elementary_divisors
 from .snf import smith_normal_form  # noqa: F401  perfbench's tracer tests read this binding
 from .sset import SimplicialSet
+
+
+def _face_ids(space: SimplicialSet, p: int, i: int) -> list[int | None]:
+    """Face i of every p-generator, read as one column: its generator id, or
+    None where the face is degenerate (a word index other than the empty word's 0)."""
+    if p > space.top_dim:
+        return []
+    _, of, ids = space._face_column(p, (), i)
+    return [None if k else b for k, b in zip(of, ids)]
 
 
 @dataclass
@@ -39,8 +48,7 @@ def pi0(space: SimplicialSet) -> Pi0Result:
             x = parent[x]
         return x
 
-    for e in range(space.n_gens(1)):
-        (_, a, _), (_, b, _) = space._faces(1, e)
+    for a, b in zip(_face_ids(space, 1, 0), _face_ids(space, 1, 1)):
         a, b = find(a), find(b)
         if a != b:
             parent[a] = b
@@ -115,15 +123,6 @@ class Pi1Data:
     generator_edges: list[int]           # 1-generator id per presentation generator
     generator_index: dict[int, int]      # 1-generator id -> generator position
 
-    def letter_of_edge(self, ref: SimplexRef) -> int | None:
-        """Presentation letter for a 1-simplex ref: None for degenerate and
-        tree edges, else +-(index+1)."""
-        if ref.is_degenerate:
-            return None
-        if ref.base_id in self.tree_edges:
-            return None
-        return self.generator_index[ref.base_id] + 1
-
 
 def pi1_presentation(space: SimplicialSet, base_vertex: int = 0) -> Pi1Data:
     """Edge-path presentation from a breadth-first spanning tree rooted at
@@ -134,14 +133,12 @@ def pi1_presentation(space: SimplicialSet, base_vertex: int = 0) -> Pi1Data:
     if not 0 <= base_vertex < space.n_gens(0):
         raise ValueError(f"no vertex {base_vertex}")
 
-    # incidence of non-degenerate edges: edge e runs d1(e) -> d0(e)
+    # incidence of non-degenerate edges: edge e runs d1(e) -> d0(e); each
+    # list is in ascending edge id, the order the search breaks ties by
     incident: list[list[tuple[int, int]]] = [[] for _ in range(space.n_gens(0))]
-    for e in range(space.n_gens(1)):
-        (_, v_to, _), (_, v_from, _) = space._faces(1, e)
+    for e, (v_to, v_from) in enumerate(zip(_face_ids(space, 1, 0), _face_ids(space, 1, 1))):
         incident[v_from].append((e, v_to))
         incident[v_to].append((e, v_from))
-    for lst in incident:
-        lst.sort()
 
     tree: set[int] = set()
     visited = {base_vertex}
@@ -158,23 +155,15 @@ def pi1_presentation(space: SimplicialSet, base_vertex: int = 0) -> Pi1Data:
 
     generator_edges = [e for e in range(space.n_gens(1)) if e not in tree]
     generator_index = {eid: k for k, eid in enumerate(generator_edges)}
-    names = [f"e{eid}" for eid in generator_edges]
 
-    data = Pi1Data(GroupPresentation(names, []), base_vertex,
-                   frozenset(tree), generator_edges, generator_index)
+    letter = {e: k + 1 for k, e in enumerate(generator_edges)}  # none for tree and degenerate (None) edges
     relators = []
-    for t in range(space.n_gens(2)):
-        faces = [SimplexRef._make(f) for f in space._faces(2, t)]
-        word = []
-        for face_index, inverted in ((2, False), (0, False), (1, True)):
-            letter = data.letter_of_edge(faces[face_index])
-            if letter is not None:
-                word.append(-letter if inverted else letter)
-        word = _free_reduce(tuple(word))
+    for d2, d0, d1 in zip(*(_face_ids(space, 2, i) for i in (2, 0, 1))):
+        word = _free_reduce(tuple(x for x in (letter.get(d2, 0), letter.get(d0, 0), -letter.get(d1, 0)) if x))
         if word:
             relators.append(word)
-    data.presentation = GroupPresentation(names, relators)
-    return data
+    return Pi1Data(GroupPresentation([f"e{eid}" for eid in generator_edges], relators), base_vertex,
+                   frozenset(tree), generator_edges, generator_index)
 
 
 def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:

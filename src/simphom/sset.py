@@ -3,22 +3,22 @@
 A :class:`SimplicialSet` stores its faces in one integer table, a
 :class:`FaceTable`: per dimension d, the base id and the index of the
 degeneracy word of every face of every d-generator, in flat lists, and the
-distinct words of the block.  Every reader goes through that table: the
-face operator, the identity check, maps, chains, documents, covers and the
-Kan checks.  Faces of degenerate simplices are rewritten through one
-process-wide rewrite cache, and one column reader, ``_face_column``, gives
-a face of every p-generator at once to the Kan tables and products.  For
-the Kan checks the n-simplices are numbered by arithmetic
-(``_Numbering``), and the space writes their faces, and a map its images,
-as positions.  The generators as :class:`NonDegenSimplex` values with
-:class:`SimplexRef` faces are a view, built when read.  Subcomplexes,
+distinct words of the block.  Every reader goes through that table: the face
+operator, the identity check, maps, chains, documents, covers and the Kan
+checks.  Faces of degenerate simplices are rewritten through one
+process-wide rewrite cache, and one column reader, ``_face_column``, gives a
+face of every p-generator at once to the Kan tables, products, the map
+check, pi0, pi1 and covers.  For the Kan checks the n-simplices are numbered
+by arithmetic (``_Numbering``), and the space writes their faces, and a map
+its images, as positions.  The generators as :class:`NonDegenSimplex` values
+with :class:`SimplexRef` faces are a view, built when read.  Subcomplexes,
 quotients, coproducts and pushouts are built by one gluing routine,
-``_glue``: parts are glued in order, and each generator either becomes a
-new generator with its faces carried through the images so far, or is
-fixed to a given simplex, or dropped.  A product is written on positions
-by ``pairs``: its generators numbered by arithmetic, its face table filled
-column by column from the factors' face tables with no face of a factor
-simplex computed one at a time, and its labels formatted when read.
+``_glue``: parts are glued in order, and each generator either becomes a new
+generator with its faces carried through the images so far, or is fixed to a
+given simplex, or dropped.  A product is written on positions by ``pairs``:
+its generators numbered by arithmetic, its face table filled column by
+column from the factors' face tables with no face of a factor simplex
+computed one at a time, and its labels formatted when read.
 """
 
 from __future__ import annotations
@@ -242,7 +242,8 @@ class SimplicialSet:
         """The one column reader: d_i s_w g for every p-generator g, (w, i)
         already rewritten and i None when the face cancelled to s_w g, as the
         shapes (dimension, word), one per stored word of the block, and per
-        g the index of its shape and its base id."""
+        g the index of its shape and its base id, for the Kan tables, products,
+        the map check, pi0, pi1 and covers; p must be a dimension of the space."""
         t = self._table
         if i is None:
             return [(p, w)], [0] * t.counts[p], range(t.counts[p])
@@ -292,13 +293,13 @@ class SimplicialSet:
                     raise ValueError(f"{where} dangles: no generator ({d - 1 - len(words[wi])},{b})")
 
 
-def _walk(space: SimplicialSet, ref, front: bool, bottom: int = 0) -> list[int | None]:
+def _walk(space: SimplicialSet, ref, front: bool) -> list[int | None]:
     """The ids of the front faces (down the last face) or of the back faces
-    (down face 0) of ``ref`` by dimension from ``bottom`` up, None where
+    (down face 0) of ``ref`` by dimension from 0 up, None where
     degenerate: the front face of dimension 1 is the edge on vertices 0, 1."""
     p, g, w = ref
     ids = [None if w else g]
-    for t in range(p + len(w), bottom, -1):
+    for t in range(p + len(w), 0, -1):
         p, g, w = space._face(p, g, w, t if front else 0)
         ids.append(None if w else g)
     return ids[::-1]
@@ -393,20 +394,20 @@ class SimplicialMap:
     def verify(self) -> list[str]:
         """All face-commutation failures f(d_i s) != d_i f(s), if any.
 
-        Per dimension, the images of the faces of every generator, read
-        from the source's face table, are compared as one list with the
-        faces of the images, read from the target's: each image's row once."""
+        Per dimension, the images of the faces of every generator, from the
+        source's face table, are compared as one list with the faces of the
+        images, from one column of the target's per face index and image shape."""
         bad = []
         source, target, images, t = self.source, self.target, self.images, self.source._table
-        rows: dict = {}
         for d in range(1, source.top_dim + 1):
-            after = []
+            after, columns = [], {}
             for g in range(t.counts[d]):
-                image = images[(d, g)]
-                if image not in rows:
-                    target._check_gen(image.base_dim, image.base_id)
-                    rows[image] = target._faces(*image)
-                after += rows[image]
+                q, h, v = images[(d, g)]
+                target._check_gen(q, h)
+                if (q, v) not in columns:
+                    columns[(q, v)] = [target._face_column(q, *(face_word_rewrite(v, i) if v else ((), i)))
+                                       for i in range(d + 1)]
+                after += [(shapes[of[h]][0], ids[h], shapes[of[h]][1]) for shapes, of, ids in columns[(q, v)]]
             words = t.words[d]
             before = [images[(d - 1, b)] if not k else self.apply(SimplexRef(d - 1 - len(words[k]), b, words[k]))
                       for b, k in zip(t.base[d], t.word[d])]

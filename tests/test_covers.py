@@ -1,11 +1,14 @@
 """Finite groups, edge labelings, and covering spaces."""
 
 import itertools
+import random
 import re
+import sys
 
 import pytest
 
 from simphom.abgroup import AbelianGroup
+from simphom.catalog import catalog
 from simphom.chains import euler_characteristic
 from simphom.cli import run
 from simphom.covers import (
@@ -18,11 +21,22 @@ from simphom.covers import (
     verify_covering,
 )
 from simphom.homology import homology_of_space
-from simphom.io import parse_group
-from simphom.pi1 import pi1_presentation
+from simphom.io import parse_group, print_space
+from simphom.pi1 import pi0, pi1_presentation
 from simphom.simplex import NonDegenSimplex, SimplexRef
-from simphom.sset import SimplicialMap, SimplicialSet, is_valid, quotient, subcomplex
+from simphom.sset import (
+    FaceTable,
+    SimplicialMap,
+    SimplicialSet,
+    is_valid,
+    product,
+    pushout,
+    quotient,
+    std_simplex,
+    subcomplex,
+)
 
+from conftest import random_sset
 from reference import reference_verify
 
 
@@ -301,3 +315,162 @@ def test_tampered_cover_projection_is_refused(how):
     assert expected and unchecked.verify() == expected
     with pytest.raises(ValueError, match=rf"^not a simplicial map: {re.escape(expected[0])}$"):
         SimplicialMap(space, base, images)
+
+
+def _reference_components(space: SimplicialSet) -> list[set[int]]:
+    """The vertex classes of the edges, grown one edge at a time from
+    ``gen(1, e).faces``."""
+    classes = [{v} for v in range(space.n_gens(0))]
+    for e in space.gens(1):
+        a, b = (next(c for c in classes if f.base_id in c) for f in e.faces)
+        if a is not b:
+            classes.remove(b)
+            a |= b
+    return classes
+
+
+def _reference_presentation(space: SimplicialSet) -> tuple[list[str], list[tuple[int, ...]]]:
+    """The generator names and relators of the edge-path presentation at
+    vertex 0, one simplex at a time: the breadth-first tree over the edges
+    in id order, and per 2-simplex the letters of its faces d2, d0 and d1
+    (a degenerate or tree edge gives none), freely reduced."""
+    edges = list(space.gens(1))
+    tree, seen, queue = set(), {0}, [0]
+    for v in queue:
+        for e in edges:
+            ends = [f.base_id for f in e.faces]
+            if v in ends and ends[0] + ends[1] - v not in seen:
+                seen.add(ends[0] + ends[1] - v)
+                tree.add(e.id)
+                queue.append(ends[0] + ends[1] - v)
+    gens = [e.id for e in edges if e.id not in tree]
+    relators = []
+    for t in space.gens(2):
+        word = []
+        for i, sign in ((2, 1), (0, 1), (1, -1)):
+            face = t.faces[i]
+            if not face.is_degenerate and face.base_id in gens:
+                letter = sign * (gens.index(face.base_id) + 1)
+                if word and word[-1] == -letter:
+                    word.pop()
+                else:
+                    word.append(letter)
+        if word:
+            relators.append(tuple(word))
+    return [f"e{e}" for e in gens], relators
+
+
+def _reference_failures(space: SimplicialSet, group: FiniteGroup, labels: dict[int, int]) -> list[str]:
+    """The 2-simplices where label(d1) != label(d0) * label(d2), a
+    degenerate face labelled by the identity, one simplex at a time."""
+    def label(ref: SimplexRef) -> int:
+        return group.identity if ref.is_degenerate else labels[ref.base_id]
+
+    return [f"2-simplex {t.name()}" for t in space.gens(2)
+            if label(t.faces[1]) != group.mul(label(t.faces[0]), label(t.faces[2]))]
+
+
+def _reference_cover(base: SimplicialSet, labeling: CoverLabeling) -> SimplicialSet:
+    """The cover built one generator and sheet at a time: (sigma, g) is
+    sigma * |G| + g, its faces are those of sigma on sheet g, except face 0
+    on sheet tau(sigma) * g, tau(sigma) the label of the edge of sigma on
+    vertices 0 and 1, reached by taking the last face down to dimension 1."""
+    group, order = labeling.group, labeling.group.order
+    rows = []
+    for d in range(base.top_dim + 1):
+        rows.append([])
+        for sigma in base.gens(d):
+            edge = SimplexRef(d, sigma.id)
+            while edge.dim > 1:
+                edge = base.face(edge, edge.dim)
+            twist = group.identity if d == 0 or edge.is_degenerate else labeling.labels[edge.base_id]
+            for sheet in range(order):
+                faces = tuple(f._replace(base_id=f.base_id * order + (group.mul(twist, sheet) if i == 0 else sheet))
+                              for i, f in enumerate(sigma.faces))
+                rows[d].append(NonDegenSimplex(d, len(rows[d]), faces, label=f"({sigma.name()},{group.names[sheet]})"))
+    return SimplicialSet(rows, name=f"cover({base.name or 'K'})")
+
+
+def _circle_with_degenerate_last_faces() -> SimplicialSet:
+    """The circle (vertex v, loop e) with two 3-simplices attached along
+    their face 012, one at s_1 e and one at s_0 e: their last faces are
+    degenerate over e, with twists label(e) and the identity."""
+    space = catalog("circle")
+    v, e = SimplexRef(0, 0), SimplexRef(1, 0)
+    for top, d0, d1, d2 in ((SimplexRef(1, 0, (1,)), SimplexRef(0, 0, (0,)), e, e),
+                            (SimplexRef(1, 0, (0,)), e, e, SimplexRef(0, 0, (0,)))):
+        cell = subcomplex(std_simplex(3), [(2, 0)])
+        image = {"012": top, "12": d0, "02": d1, "01": d2, "0": v, "1": v, "2": v}
+        images = {(d, g.id): image[g.label] for d in range(3) for g in cell.space.gens(d)}
+        space = pushout(SimplicialMap(cell.space, space, images), cell.inclusion).space
+    return space
+
+
+def _column_reader_inputs() -> list[SimplicialSet]:
+    spaces = [catalog(name) for name in ("point", "circle", "torus", "rp2", "klein", "sphere:2", "boundary:3",
+                                         "discrete:3", "sphere:0", "horn:2:1")]
+    products = [product(catalog(a), catalog(b)).space for a, b in (("circle", "rp2"), ("klein", "circle"))]
+    rng = random.Random(3301)
+    return spaces + products + [_circle_with_degenerate_last_faces()] + [random_sset(rng) for _ in range(20)]
+
+
+def test_edge_path_columns_match_the_per_simplex_calculus():
+    """pi0, the presentation, the cocycle check (of a valid labeling and of
+    one broken on an edge) and the cover's faces, labels and document, read
+    as columns, equal a per-simplex reference through ``gen(d, g).faces``,
+    on the catalog spaces, spaces with no edges or no 2-simplices, two
+    products, 3-simplices with last faces s_0 e and s_1 e, and seeded
+    random simplicial sets, whose faces mix degenerate and non-degenerate
+    edges."""
+    z2, covered = FiniteGroup.cyclic(2), 0
+    for space in _column_reader_inputs():
+        components = _reference_components(space)
+        assert sorted(map(sorted, components)) == sorted(
+            [v for v in range(space.n_gens(0)) if pi0(space).component_of[v] == c] for c in range(pi0(space).count))
+        if len(components) > 1:
+            with pytest.raises(ValueError, match="not connected"):
+                pi1_presentation(space)
+            labeling = CoverLabeling(space, z2, {e: 0 for e in range(space.n_gens(1))})
+        else:
+            data = pi1_presentation(space)
+            pres = data.presentation
+            assert (pres.generators, pres.relators) == _reference_presentation(space)
+            try:
+                labeling = cyclic_labeling(space, data, 2)
+            except ValueError:
+                labeling = labeling_from_hom(space, data, z2, [0] * len(pres.generators))
+        assert labeling.cocycle_failures() == [] == _reference_failures(space, z2, labeling.labels)
+        cover = build_cover(space, labeling)
+        reference = _reference_cover(space, labeling)
+        covered += any(labeling.labels.values())
+        assert cover.space.counts() == reference.counts()
+        assert all(cover.space.gen(d, g) == reference.gen(d, g) and cover.space.gen(d, g).label == reference.gen(d, g).label
+                   for d in range(reference.top_dim + 1) for g in range(reference.n_gens(d)))
+        assert print_space(cover.space) == print_space(reference)
+        # an edge that is one face only of some 2-simplex breaks its cocycle when flipped
+        faces = [[f.base_id for f in t.faces if not f.is_degenerate] for t in space.gens(2)]
+        edges = [e for row in faces for e in row if row.count(e) == 1]
+        if edges:
+            labeling.labels[edges[0]] = 1 - labeling.labels[edges[0]]
+            broken = labeling.cocycle_failures()
+            assert broken and broken == _reference_failures(space, z2, labeling.labels)
+    assert covered >= 10
+
+
+@pytest.mark.parametrize("name", ["rp2", "klein x rp2"])
+def test_edge_path_layer_reads_no_face_one_simplex_at_a_time(monkeypatch, name):
+    """``pi1_presentation``, ``cyclic_labeling`` and ``build_cover`` (its
+    projection check included) read faces only through the one column
+    reader: they run with ``SimplicialSet._faces`` and ``_face``,
+    ``sset._walk`` and ``FaceTable.add`` refused."""
+    space = catalog("rp2") if name == "rp2" else product(catalog("klein"), catalog("rp2")).space
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a face read one simplex at a time")
+
+    for owner, attribute in ((SimplicialSet, "_faces"), (SimplicialSet, "_face"),
+                             (sys.modules["simphom.sset"], "_walk"), (FaceTable, "add")):
+        monkeypatch.setattr(owner, attribute, refused)
+    data = pi1_presentation(space)
+    cover = build_cover(space, cyclic_labeling(space, data, 2))
+    assert cover.space.counts() == tuple(2 * c for c in space.counts())

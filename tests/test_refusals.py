@@ -55,6 +55,10 @@ CLI_CASES = [
      "bad image item 'e5' (use GEN=ELEMENT,...)"),
     (["cover", "--images", "e5=", "--space", "rp2", "--group", "cyclic:2"],
      "bad image item 'e5=' (use GEN=ELEMENT,...)"),
+    # e11 twice: the first image, g, breaks the relator e9 e13 e11^-1 and the
+    # second, e, keeps it; neither is taken
+    (["cover", "--images", "e11=g,e5=e,e6=e,e7=e,e8=e,e9=e,e10=e,e12=e,e13=e,e14=e,e11=e", "--space", "rp2",
+      "--group", "cyclic:2"], "bad image item 'e11=e' (e11 has an image already)"),
     (["kan", "--space", "rp2", "--dim", "0"], "up_to_dim must be >= 1"),
     (["coeffs", "--coeff", "Z/1", "--space", "rp2"], "bad torsion order 1"),
     (["coeffs", "--coeff", "Q", "--space", "rp2"], "cannot parse group term 'Q'"),
