@@ -23,7 +23,8 @@ from .sset import SimplicialSet
 
 def _face_ids(space: SimplicialSet, p: int, i: int) -> list[int | None]:
     """Face i of every p-generator, read as one column: its generator id, or
-    None where the face is degenerate (a word index other than the empty word's 0)."""
+    None where the face is degenerate (a word index other than the empty
+    word's 0); empty above the top dimension, where the table has no block."""
     if p > space.top_dim:
         return []
     _, of, ids = space._face_column(p, (), i)
