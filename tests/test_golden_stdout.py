@@ -67,13 +67,17 @@ def _subcomplex_commands(space: str) -> list[list[str]]:
 
 RP2_IMAGES = "e5=e,e6=g,e7=g,e8=e,e9=e,e10=g,e11=g,e12=e,e13=g,e14=e"
 
-# single runs: a cover from explicit images and well-formed horn fillings
+# single runs: a cover from explicit images, well-formed horn fillings and
+# degrees above the top of a 2-dimensional space
 RUNS = (
     ["cover", "--space", "rp2", "--group", "cyclic:2", "--images", RP2_IMAGES],
     ["fill", "--space", "point", "--dim", "2", "--k", "1", "--faces", "[[[0,0],[0]],[[0,0],[0]]]"],
     ["fill", "--space", "rp2", "--dim", "1", "--k", "0", "--faces", "[[[0,0],[]]]"],
     ["fill", "--space", "torus", "--dim", "2", "--k", "1", "--faces", "[[[1,0],[]],[[1,1],[]]]"],
     ["fill", "--space", "circle", "--dim", "2", "--k", "1", "--faces", "[[[1,0],[]],[[1,0],[]]]"],
+    ["homology", "--space", "rp2", "--dim", "5"],
+    ["coeffs", "--space", "rp2", "--coeff", "Z/2", "--dim", "5"],
+    ["cohomology", "--space", "rp2", "--coeff", "Z/2", "--dim", "5"],
 )
 
 # refusals that end in exit 2 with one line
