@@ -4,9 +4,10 @@ Boundaries follow the alternating-sum convention: the boundary of an
 n-simplex is sum_i (-1)^i d_i.  Normalized chains are free on the
 non-degenerate generators with degenerate faces discarded.  The chains
 of a subcomplex and of a pair are not built again: ``restricted`` keeps
-some basis indices of C(K) per degree and reads each boundary as a
-submatrix, and ``relative_chains`` is the restriction to the generators
-off the subcomplex.
+some basis indices of C(K) per degree, shares what it keeps whole with
+C(K) and reads the rest of each boundary as a submatrix, and
+``relative_chains`` is the restriction to the generators off the
+subcomplex.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ class ChainComplex:
                 raise ValueError(
                     f"boundary {n} has shape {mat.shape}, wanted {(self.rank(n-1), self.rank(n))}")
             self.boundaries[n] = mat
-        # certified boundary reductions, filled and read by simphom.homology
-        # and keyed by the boundary degree: one per boundary
-        self.reductions: dict[int, Reduction] = {}
+        # certified boundary reductions, filled and read by simphom.homology,
+        # keyed by what each depends on: its matrix and the reduction that
+        # clears it; a restriction shares the dict of its complex
+        self.reductions: dict[tuple, Reduction] = {}
         self._dual: ChainComplex | None = None
 
     @property
@@ -89,27 +91,39 @@ class ChainComplex:
         return f"ChainComplex(ranks={tuple(self.ranks)})"
 
 
-class ChainMap:
-    """Degreewise matrices commuting with the boundaries."""
+class _Degreewise:
+    """Matrices C_n -> D_{n + shift} in every degree n where both can be
+    nonzero: the given one, of checked shape, or zero."""
+
+    shift, what = 0, "matrix"
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
                  matrices: dict[int, IntegerMatrix]):
         self.source = source
         self.target = target
         self.matrices = {}
-        for n in range(max(source.max_degree, target.max_degree) + 1):
+        for n in range(max(source.max_degree, target.max_degree - self.shift) + 1):
             mat = matrices.get(n)
             if mat is None:
-                mat = IntegerMatrix.zero(target.rank(n), source.rank(n))
-            if mat.shape != (target.rank(n), source.rank(n)):
-                raise ValueError(f"degree {n} matrix has shape {mat.shape}")
+                mat = self.matrix(n)
+            if mat.shape != (target.rank(n + self.shift), source.rank(n)):
+                raise ValueError(f"degree {n} {self.what} has shape {mat.shape}")
             self.matrices[n] = mat
+
+    def matrix(self, n: int) -> IntegerMatrix:
+        return self.matrices.get(
+            n, IntegerMatrix.zero(self.target.rank(n + self.shift), self.source.rank(n)))
+
+
+class ChainMap(_Degreewise):
+    """Degreewise matrices commuting with the boundaries."""
+
+    def __init__(self, source: ChainComplex, target: ChainComplex,
+                 matrices: dict[int, IntegerMatrix]):
+        super().__init__(source, target, matrices)
         bad = self.commutation_failures()
         if bad:
             raise ValueError(f"not a chain map: fails in degrees {bad}")
-
-    def matrix(self, n: int) -> IntegerMatrix:
-        return self.matrices.get(n, IntegerMatrix.zero(self.target.rank(n), self.source.rank(n)))
 
     def commutation_failures(self) -> list[int]:
         bad = []
@@ -121,31 +135,15 @@ class ChainMap:
         return bad
 
 
-class ChainHomotopy:
+class ChainHomotopy(_Degreewise):
     """Degree +1 maps D_n : C_n -> D_{n+1}."""
 
-    def __init__(self, source: ChainComplex, target: ChainComplex,
-                 matrices: dict[int, IntegerMatrix]):
-        self.source = source
-        self.target = target
-        self.matrices = {}
-        for n in range(source.max_degree + 1):
-            mat = matrices.get(n)
-            if mat is None:
-                mat = IntegerMatrix.zero(target.rank(n + 1), source.rank(n))
-            if mat.shape != (target.rank(n + 1), source.rank(n)):
-                raise ValueError(f"degree {n} homotopy matrix has shape {mat.shape}")
-            self.matrices[n] = mat
-
-    def matrix(self, n: int) -> IntegerMatrix:
-        return self.matrices.get(
-            n, IntegerMatrix.zero(self.target.rank(n + 1), self.source.rank(n)))
+    shift, what = 1, "homotopy matrix"
 
     def defect(self, n: int, f: ChainMap, g: ChainMap) -> IntegerMatrix:
         """dD + Dd - (g - f) in degree n; zero iff the homotopy identity holds."""
         dD = self.target.boundary(n + 1) * self.matrix(n)
-        Dd = self.matrix(n - 1) * self.source.boundary(n) if n >= 1 else \
-            IntegerMatrix.zero(self.target.rank(n), self.source.rank(n))
+        Dd = self.matrix(n - 1) * self.source.boundary(n)
         return dD + Dd - (g.matrix(n) - f.matrix(n))
 
     def is_homotopy_between(self, f: ChainMap, g: ChainMap) -> bool:
@@ -188,13 +186,20 @@ def normalized_chains(space: SimplicialSet) -> ChainComplex:
 
 def restricted(c: ChainComplex, keep: list[list[int]]) -> ChainComplex:
     """The complex on the basis indices ``keep[n]`` of each degree n of
-    ``c``, with each boundary the submatrix of c's on the kept indices.
-    This is a subcomplex when the kept span is closed under d, and the
-    quotient complex when the dropped span is; ``ChainComplex`` checks
-    dd = 0 either way."""
-    return ChainComplex([len(level) for level in keep],
-                        {n: c.boundary(n).submatrix(keep[n - 1], keep[n])
-                         for n in range(1, len(keep))})
+    ``c``: c itself when each keeps all of c's in order, else a complex
+    sharing c's cache of reductions, whose d_n is c's own matrix where
+    degrees n-1 and n are kept whole in order and the submatrix on the
+    kept indices elsewhere.  A subcomplex when the kept span is closed
+    under d, the quotient complex when the dropped span is; ``ChainComplex``
+    checks dd = 0 either way."""
+    whole = [level == list(range(c.rank(n))) for n, level in enumerate(keep)]
+    if len(keep) == len(c.ranks) and all(whole):
+        return c
+    term = ChainComplex([len(level) for level in keep], {
+        n: c.boundary(n) if whole[n - 1] and whole[n] else c.boundary(n).submatrix(keep[n - 1], keep[n])
+        for n in range(1, len(keep))})
+    term.reductions = c.reductions
+    return term
 
 
 def kept(c: ChainComplex, ids, inside: bool = True) -> list[list[int]]:

@@ -14,6 +14,7 @@ import json
 import sys
 import time
 
+from . import budget
 from .abgroup import AbelianGroup
 from .catalog import catalog, ordered_complex_catalog, CATALOG_NAMES
 from .chains import euler_characteristic, mapping_cone, normalized_chains
@@ -109,8 +110,10 @@ def _machine(lines: list[str]) -> list[str]:
 
 
 def _degrees(args, space) -> range:
-    """Degrees 0 to --dim, or to the top dimension of the space."""
-    return range((space.top_dim if args.dim is None else args.dim) + 1)
+    """Degrees 0 to --dim, or to the top of the space; refused over the budget."""
+    count = (space.top_dim if args.dim is None else args.dim) + 1
+    budget.refuse(f"--dim {args.dim}", count, "degrees")
+    return range(count)
 
 
 def _graded(args, symbol: str, groups):

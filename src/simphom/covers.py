@@ -201,7 +201,6 @@ def cyclic_labeling(space: SimplicialSet, pi1: Pi1Data, order: int | FiniteGroup
 class CoverResult:
     space: SimplicialSet
     projection: SimplicialMap
-    labeling: CoverLabeling
 
 
 def build_cover(base: SimplicialSet, labeling: CoverLabeling) -> CoverResult:
@@ -239,7 +238,7 @@ def build_cover(base: SimplicialSet, labeling: CoverLabeling) -> CoverResult:
     cover = SimplicialSet(table, name=f"cover({base.name or 'K'})")
     images = {(d, g * order + sheet): SimplexRef(d, g) for d in range(base.top_dim + 1)
               for g in range(base.n_gens(d)) for sheet in range(order)}
-    return CoverResult(cover, SimplicialMap(cover, base, images, check=True), labeling)
+    return CoverResult(cover, SimplicialMap(cover, base, images, check=True))
 
 
 @dataclass

@@ -8,9 +8,10 @@ eliminates d_k without its columns at the unit-pivot rows of d_{k+1}'s
 elimination, which are Z-combinations of the other columns, so its
 divisors do not change: by d_{k+1}'s elimination certificate and dd = 0
 d_k kills them, with no product of its own (see ``_reduce``).  Each reduction
-is cached on the ``ChainComplex``, keyed by its degree alone, so the
-degrees a caller asks for choose what is reported, not how it is
-computed.  Every consumer reads it: ``homology``, the subquotients of
+is cached by its matrix and the reduction that clears it, not by degree,
+so the degrees asked for choose what is reported, not how it is
+computed, and a restriction shares the reductions of what it keeps
+whole.  Every consumer reads them: ``homology``, the subquotients of
 ``homology_data`` and the Z/m groups of ``with_coefficients``.
 Cohomology is read off the dual complex,
 H^n(C; G) = H_{N-n}(Hom(C, Z); G), built once per complex, so integral
@@ -70,13 +71,16 @@ def _subquotient(c: ChainComplex, n: int, modulus: int = 0) -> Subquotient:
 
 
 def _reduction(c: ChainComplex, k: int) -> Reduction:
-    """The certified reduction of d_k, cached on c by k: without the columns
-    at the pivot rows of d_{k+1}'s reduction where c holds d_{k+1}, in full
-    at the top.  A zero boundary clears nothing."""
-    if k not in c.reductions:
-        above = _reduction(c, k + 1) if k + 1 in c.boundaries else None
-        c.reductions[k] = _reduce(c.boundary(k), above)
-    return c.reductions[k]
+    """The certified reduction of d_k, without the columns at the pivot
+    rows of d_{k+1}'s reduction where c holds d_{k+1}, in full at the top.
+    It is cached under the ids of d_k (the shape of an absent d_k, which
+    is zero) and of the reduction above; neither id is reused while
+    cached: a reduction holds its matrix, and the one above is cached."""
+    above = _reduction(c, k + 1) if k + 1 in c.boundaries else None
+    key = (id(c.boundaries[k]) if k in c.boundaries else (c.rank(k - 1), c.rank(k)), id(above))
+    if key not in c.reductions:
+        c.reductions[key] = _reduce(c.boundary(k), above)
+    return c.reductions[key]
 
 
 def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[AbelianGroup]:
@@ -97,11 +101,9 @@ def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[Abeli
     subquotients.
     """
     degrees = list(range(c.max_degree + 1) if degrees is None else degrees)
-    divisors = {k: _reduction(c, k).divisors if k in c.boundaries else []
-                for n in degrees for k in (n, n + 1)}
     out = []
     for n in degrees:
-        d_out, d_in = divisors[n], divisors[n + 1]
+        d_out, d_in = _reduction(c, n).divisors, _reduction(c, n + 1).divisors
         g = AbelianGroup(c.rank(n) - len(d_out) - len(d_in), tuple(d for d in d_in if d > 1))
         if reduced and n == 0:
             if g.betti < 1:
@@ -191,12 +193,6 @@ class ExactSequenceReport:
                 for node in self.nodes]
 
 
-def _term(ck: ChainComplex, keep: list[list[int]]) -> ChainComplex:
-    """C(K) on the basis indices ``keep``: C(K) itself where that is all of
-    them, so that its reductions are shared."""
-    return ck if [len(level) for level in keep] == ck.ranks else restricted(ck, keep)
-
-
 def _shared(src: list[int], dst: list[int], sign: int = 1) -> IntegerMatrix:
     """The 0/1 map, times ``sign``, from the span of the basis indices
     ``src`` to that of ``dst`` keeping the indices both hold: an inclusion
@@ -228,7 +224,7 @@ def _exact_sequence(labels: tuple[str, str, str], ck: ChainComplex, a: list[list
     rows of A.  The top node's incoming map comes from H_{top+1}(C), the
     zero group at full depth.
     """
-    ta, tbs, tc = _term(ck, a), [_term(ck, b) for b, _ in bs], _term(ck, c)
+    ta, tbs, tc = restricted(ck, a), [restricted(ck, b) for b, _ in bs], restricted(ck, c)
     top = max(x.max_degree for x in (ta, tc, *tbs))
     if up_to is not None:
         top = min(top, up_to)
@@ -312,12 +308,12 @@ def with_coefficients(c: ChainComplex, coeffs: AbelianGroup, degrees=None) -> li
     ``coeffs`` (m = 0 for Z).  The Z summand is one ``homology`` call over
     all degrees; a Z/m summand in degree n is the group of
     ker(d_n mod m) / (im d_{n+1} + m C_n), one ``Subquotient`` per degree
-    on the boundary reductions that ``homology`` caches, and reads only
-    its group."""
+    of C on the cached boundary reductions, reading only its group, and
+    trivial, with none, where C_n = 0 outside degrees 0 to the top."""
     degrees = list(range(c.max_degree + 1) if degrees is None else degrees)
     parts = [0] * coeffs.betti + list(coeffs.torsion)
-    groups = {m: [_subquotient(c, n, m).group for n in degrees]
-              if m else homology(c, degrees) for m in set(parts)}
+    groups = {m: [_subquotient(c, n, m).group if 0 <= n <= c.max_degree else AbelianGroup.trivial()
+                  for n in degrees] if m else homology(c, degrees) for m in set(parts)}
     total = [AbelianGroup.trivial()] * len(degrees)
     for m in parts:
         total = [a.direct_sum(b) for a, b in zip(total, groups[m])]

@@ -119,9 +119,7 @@ def abelianization_data(p: GroupPresentation) -> AbelianizationData:
 @dataclass
 class Pi1Data:
     presentation: GroupPresentation
-    base_vertex: int
     tree_edges: frozenset[int]           # 1-generator ids in the spanning tree
-    generator_edges: list[int]           # 1-generator id per presentation generator
     generator_index: dict[int, int]      # 1-generator id -> generator position
 
 
@@ -163,8 +161,8 @@ def pi1_presentation(space: SimplicialSet, base_vertex: int = 0) -> Pi1Data:
         word = _free_reduce(tuple(x for x in (letter.get(d2, 0), letter.get(d0, 0), -letter.get(d1, 0)) if x))
         if word:
             relators.append(word)
-    return Pi1Data(GroupPresentation([f"e{eid}" for eid in generator_edges], relators), base_vertex,
-                   frozenset(tree), generator_edges, generator_index)
+    return Pi1Data(GroupPresentation([f"e{eid}" for eid in generator_edges], relators),
+                   frozenset(tree), generator_index)
 
 
 def _free_reduce(word: tuple[int, ...]) -> tuple[int, ...]:

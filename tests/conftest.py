@@ -10,7 +10,7 @@ import pytest
 
 from simphom.abgroup import AbelianGroup
 from simphom.catalog import catalog
-from simphom.chains import kept, normalized_chains, restricted
+from simphom.chains import kept, normalized_chains
 from simphom.homology import homology_data
 from simphom.intmatrix import IntegerMatrix
 from simphom.operators import Cylinder, cylinder
@@ -48,8 +48,8 @@ def connecting_matrix(space: SimplicialSet, sub, p: int) -> tuple[IntegerMatrix,
     ids = module._sub_ids(space, sub)
     ck = normalized_chains(space)
     inside, outside = kept(ck, ids), kept(ck, ids, inside=False)
-    h_rel = homology_data(restricted(ck, outside), p)
-    h_l = homology_data(restricted(ck, inside), p - 1)
+    h_rel = homology_data(module.restricted(ck, outside), p)
+    h_l = homology_data(module.restricted(ck, inside), p - 1)
     whole = [list(range(r)) for r in ck.ranks]
     return (module._connecting(h_rel, h_l, module._lift(ck, outside, whole, p), inside[p - 1]),
             h_rel.group, h_l.group)

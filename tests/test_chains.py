@@ -10,6 +10,7 @@ from simphom.chains import (
     ChainComplex,
     ChainMap,
     euler_characteristic,
+    kept,
     mapping_cone,
     normalized_chains,
     relative_chains,
@@ -178,3 +179,27 @@ def test_restrictions_match_rebuilt_subcomplexes_and_quotients(rp2, torus, klein
             if ids:
                 assert homology(relative_chains(space, ids), degrees) == homology(
                     normalized_chains(quotient(space, ids).space), degrees, reduced=True)
+
+
+def test_a_restriction_shares_what_it_keeps_whole(circle, rp2):
+    """Whole keep lists give back the complex itself.  The quotient by the
+    1-skeleton of circle x RP^2 keeps degrees 2 and 3 whole, so its d_3 is
+    C(K)'s matrix and, sharing C(K)'s cache, its reduction is C(K)'s; its
+    d_2 loses degree 1 and is a submatrix.  A whole list in another order
+    is still a permuted submatrix."""
+    from simphom.homology import _reduction
+
+    space = product(circle, rp2).space
+    ck = normalized_chains(space)
+    assert restricted(ck, [list(range(r)) for r in ck.ranks]) is ck
+    quotient_term = restricted(ck, kept(ck, skeleton(space, 1).id_set, inside=False))
+    assert quotient_term.boundaries[3] is ck.boundaries[3]
+    assert quotient_term.boundaries[2] == ck.boundary(2).submatrix([], range(ck.rank(2)))
+    assert quotient_term.reductions is ck.reductions
+    assert _reduction(quotient_term, 3) is _reduction(ck, 3)
+    backwards = [list(reversed(range(r))) for r in ck.ranks]
+    reversed_term = restricted(ck, backwards)
+    assert reversed_term is not ck
+    for n in range(1, ck.max_degree + 1):
+        assert reversed_term.boundaries[n] is not ck.boundaries[n]
+        assert reversed_term.boundary(n) == ck.boundary(n).submatrix(backwards[n - 1], backwards[n])

@@ -289,6 +289,25 @@ def test_groups_only_callers_build_no_subquotient(monkeypatch, rp2, klein):
     assert uct_check(rp2, Z).passed
 
 
+def test_coefficients_above_the_top_build_no_subquotient(monkeypatch, rp2):
+    """Z/m groups in degrees 0 to 49 of RP^2 build one subquotient per
+    degree of the complex, three per modulus; the degrees above its top
+    are trivial with none."""
+    built = []
+    init = Subquotient.__init__
+
+    def counted(self, out_map, in_map, modulus=0):
+        built.append(modulus)
+        init(self, out_map, in_map, modulus)
+
+    monkeypatch.setattr(Subquotient, "__init__", counted)
+    c = normalized_chains(rp2)
+    for m, low in ((2, [Z2, Z2, Z2]), (3, [AbelianGroup.cyclic(3), trivial, trivial])):
+        built.clear()
+        assert with_coefficients(c, AbelianGroup.cyclic(m), range(50)) == low + [trivial] * 47
+        assert len(built) <= 3, built
+
+
 def test_coefficients_match_the_cone_reference():
     """Z/m groups from subquotients mod m agree with the integral homology
     of the mapping cone of m * id, in every degree up to two above the top,
@@ -445,6 +464,70 @@ def test_random_pairs_and_covers_match_their_glued_subcomplexes():
                 assert report.groups[f"H_{p}(AnB)"] == h_ab[p], (space.name, p)
                 assert report.groups[f"H_{p}(A)+H_{p}(B)"] == h_a[p].direct_sum(h_b[p]), (space.name, p)
                 assert report.groups[f"H_{p}(K)"] == h_k[p], (space.name, p)
+
+
+def test_a_pair_term_reads_the_reductions_it_keeps_whole(monkeypatch):
+    """The pair sequence of circle x RP^2 and its 1-skeleton makes 17 unit
+    eliminations: K/L keeps degrees 2 and 3 of C(K) whole, so it reads
+    K's reduction of d_3 and does not eliminate that matrix again."""
+    snf = sys.modules["simphom.snf"]
+    eliminate, calls = snf._eliminate_units, []
+
+    def counted(m):
+        calls.append(m.shape)
+        return eliminate(m)
+
+    monkeypatch.setattr(snf, "_eliminate_units", counted)
+    space = product(catalog("circle"), catalog("rp2")).space
+    assert pair_les(space, skeleton(space, 1)).passed
+    assert len(calls) == 17, calls
+
+
+def _copied(c, keep):
+    """The restriction that shares nothing: every boundary a submatrix
+    copy, and a cache of reductions of its own."""
+    return ChainComplex([len(level) for level in keep],
+                        {n: c.boundary(n).submatrix(keep[n - 1], keep[n]) for n in range(1, len(keep))})
+
+
+def test_shared_terms_match_terms_that_copy_every_boundary(monkeypatch):
+    """pair_les and mayer_vietoris give the same lines and groups, and
+    ``conftest.connecting_matrix`` the same connecting maps, whether the
+    terms share C(K)'s boundaries and reductions or copy every boundary
+    and reduce it anew.  The pairs: the golden battery's catalog spaces
+    and circle x RP^2 with each skeleton below the top and the closures
+    of the two halves of the top generators, and seeded random
+    subcomplexes and covers of seeded random simplicial sets."""
+    cases = []
+    names = ("point", "circle", "torus", "rp2", "klein", "sphere:2", "boundary:3")
+    for space in [catalog(name) for name in names] + [product(catalog("circle"), catalog("rp2")).space]:
+        top, m = space.top_dim, space.n_gens(space.top_dim)
+        halves = [(top, i) for i in range(-(-m // 2))], [(top, i) for i in range(m // 2, m)]
+        cases.append((space, [skeleton(space, s) for s in range(top)], halves))
+    rng = random.Random(3434)
+    for _ in range(20):
+        space = random_sset(rng)
+        a_ids = subcomplex(space, _random_ids(rng, space)).id_set
+        b_raw = [(d, g.id) for d in range(space.top_dim + 1) for g in space.gens(d)
+                 if (d, g.id) not in a_ids] + _random_ids(rng, space)
+        cases.append((space, [_random_ids(rng, space)], (sorted(a_ids), b_raw)))
+
+    def outputs():
+        out = []
+        for space, subs, (a, b) in cases:
+            for sub in subs:
+                report = pair_les(space, sub)
+                assert report.passed, (space.name, report.lines())
+                out += [report.lines(), report.groups]
+                out += [connecting_matrix(space, sub, p) for p in range(1, space.top_dim + 1)]
+            report = mayer_vietoris(space, a, b)
+            assert report.passed, (space.name, report.lines())
+            out += [report.lines(), report.groups]
+        return out
+
+    shared = outputs()
+    monkeypatch.setattr(sys.modules["simphom.homology"], "restricted", _copied)
+    assert outputs() == shared
 
 
 def test_pair_les_fails_with_a_zero_connecting_map(monkeypatch):

@@ -64,6 +64,8 @@ CLI_CASES = [
     (["coeffs", "--coeff", "Q", "--space", "rp2"], "cannot parse group term 'Q'"),
     (["cover", "--group", "cyclic:0", "--space", "rp2"], "cyclic group order must be >= 1"),
     (["pi1", "--space", "discrete:0"], "empty space has no fundamental group"),
+    (["homology", "--space", "rp2", "--dim", "100000"],
+     "--dim 100000 would have 100001 degrees, over the budget of 100000"),
     (["fill", "--faces", "[[[0,0],[]],[[1,0],[]]]", "--space", "rp2", "--dim", "2", "--k", "0"],
      "face 1 missing or of wrong dimension"),
     (["fill", "--faces", "[[[0,0],[1]],[[1,0],[]]]", "--space", "rp2", "--dim", "2", "--k", "0"],
