@@ -140,7 +140,7 @@ def cmd_coeffs(args):
 
 def cmd_uct(args):
     space = _load_space(args)
-    report = uct_check(space, _coeff(args))
+    report = uct_check(space, _coeff(args), _degrees(args, space))
     return report.lines(), report.passed
 
 

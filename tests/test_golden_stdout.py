@@ -42,6 +42,7 @@ COMMANDS = (
     ["homology", "--dim", "1"],
     ["cohomology", "--coeff", "Z/2", "--dim", "1"],
     ["coeffs", "--coeff", "Z/3", "--dim", "1"],
+    ["uct", "--coeff", "Z/2", "--dim", "1"],
     ["cup", "--dim", "1"],
 )
 

@@ -66,6 +66,8 @@ CLI_CASES = [
     (["pi1", "--space", "discrete:0"], "empty space has no fundamental group"),
     (["homology", "--space", "rp2", "--dim", "100000"],
      "--dim 100000 would have 100001 degrees, over the budget of 100000"),
+    (["uct", "--dim", "100000", "--space", "rp2", "--coeff", "Z/2"],
+     "--dim 100000 would have 100001 degrees, over the budget of 100000"),
     (["fill", "--faces", "[[[0,0],[]],[[1,0],[]]]", "--space", "rp2", "--dim", "2", "--k", "0"],
      "face 1 missing or of wrong dimension"),
     (["fill", "--faces", "[[[0,0],[1]],[[1,0],[]]]", "--space", "rp2", "--dim", "2", "--k", "0"],
