@@ -1,19 +1,18 @@
 """Chain complexes of free Z-modules and the complexes of a simplicial set.
 
 Boundaries follow the alternating-sum convention: the boundary of an
-n-simplex is sum_i (-1)^i d_i.  Normalized chains are free on the
-non-degenerate generators with degenerate faces discarded.  The chains
-of a subcomplex and of a pair are not built again: ``restricted`` keeps
-some basis indices of C(K) per degree, shares what it keeps whole with
-C(K) and reads the rest of each boundary as a submatrix, and
-``relative_chains`` is the restriction to the generators off the
+n-simplex is sum_i (-1)^i d_i.  Normalized chains, read from face columns,
+are free on the non-degenerate generators, degenerate faces discarded.
+The chains of a subcomplex and of a pair are not built again:
+``restricted`` keeps some basis indices of C(K) per degree, shares what it
+keeps whole with C(K) and reads the rest of each boundary as a submatrix,
+and ``relative_chains`` is the restriction to the generators off the
 subcomplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
 from typing import TYPE_CHECKING
 
 from .intmatrix import IntegerMatrix
@@ -156,30 +155,29 @@ class ChainHomotopy(_Degreewise):
 
 
 def normalized_chains(space: SimplicialSet) -> ChainComplex:
-    """Free chains on the non-degenerate generators, read from the face
-    table; a face contributes zero when its word is not empty.  Row b of
-    d_n holds the signs (-1)^i of the faces d_i g = b, summed over i, so
-    the faces of a generator that cancel (the circle's d_0 = d_1) give no
-    entry.  The row dicts are written straight from the table with no
-    bounds check per entry: ``SimplicialSet`` bounded every face id when
-    the space was built (``_check_structure``)."""
-    table = space._table
-    ranks = list(table.counts)
+    """Free chains on the non-degenerate generators, read one face column
+    at a time through the column reader; a face contributes zero when its
+    word is not empty.  Row b of d_n holds the signs (-1)^i of the faces
+    d_i g = b, summed over i, so the faces of a generator that cancel (the
+    circle's d_0 = d_1) give no entry.  The row dicts are written straight
+    from the columns with no bounds check per entry: ``SimplicialSet``
+    bounded every face id when the space was built (``_check_structure``)."""
+    ranks = list(space.counts())
     boundaries = {}
     ids = list(range(max(ranks, default=0)))  # one int object per id, for every entry
     for n in range(1, len(ranks)):
         rows: list[dict[int, int]] = [{} for _ in range(ranks[n - 1])]
-        signs = [1, -1] * ((n + 1) // 2) + [1] * ((n + 1) % 2)
-        gens = (g for g in ids[:ranks[n]] for _ in signs)
-        for g, sign, b, w in zip(gens, cycle(signs), table.base[n], table.word[n]):
-            if w:
-                continue
-            row = rows[b]
-            v = row.get(g, 0) + sign
-            if v:
-                row[g] = v
-            else:
-                del row[g]
+        for i, sign in zip(range(n + 1), [1, -1] * n):
+            _, of, bases = space._face_column(n, (), i)
+            for g, k, b in zip(ids, of, bases):
+                if k:  # a word other than the empty word, index 0
+                    continue
+                row = rows[b]
+                v = row.get(g, 0) + sign
+                if v:
+                    row[g] = v
+                else:
+                    del row[g]
         boundaries[n] = IntegerMatrix._of_rows(ranks[n - 1], ranks[n], rows)
     return ChainComplex(ranks, boundaries)
 

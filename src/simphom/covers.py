@@ -5,8 +5,8 @@ A labeling of the non-degenerate edges in a finite group G satisfying the
 edges carry the identity) determines a cover, the twisted cartesian product
 B x_tau G (May 1967, section 18): one generator (sigma, g) per base
 generator and group element, the 0-th face twisting the group coordinate by
-the label of the initial edge.  The check reads the 2-simplices' faces as
-columns, and the cover's table is written by sheet arithmetic.  A relator
+the label of the initial edge.  The check and the cover read the base's faces
+as columns, and the cover's table is written by sheet arithmetic.  A relator
 word a_1 ... a_k evaluates in composition order, to phi(a_k) ... phi(a_1),
 so that killing the relators of the edge-path presentation is exactly the
 cocycle condition.
@@ -210,31 +210,30 @@ def build_cover(base: SimplicialSet, labeling: CoverLabeling) -> CoverResult:
     (d_0 sigma, tau(sigma) * g), with the base's words.  tau(sigma) labels the
     edge of sigma on vertices 0, 1; above dimension 1 it is read from the last
     face s_u b: the identity when u holds the letter 0, which collapses that
-    edge, else tau(b).  The order x |base| generators pass the size budget first.
+    edge, else tau(b).  Faces are read and written as columns.  The order x
+    |base| generators pass the size budget first.
     """
     if labeling.space is not base:
         raise ValueError("labeling belongs to a different space")
-    G, t = labeling.group, base._table
+    G = labeling.group
     order = G.order
     budget.refuse(f"the {order}-sheeted cover of {base.name or 'K'}", order * sum(base.counts()),
                   "non-degenerate simplices")
     twists = [[G.identity] * base.n_gens(0), [labeling.labels[e] for e in range(base.n_gens(1))]]
     table = FaceTable(base.top_dim)
     for d in range(base.top_dim + 1):
+        reads = [base._face_column(d, (), i) for i in range(d + 1 if d else 0)]
         if d > 1:  # tau from the last face s_u b, the shape (dimension, u) of each sigma
-            shapes, of, ids = base._face_column(d, (), d)
+            shapes, of, ids = reads[d]
             twists.append([G.identity if 0 in shapes[k][1] else twists[shapes[k][0]][b] for k, b in zip(of, ids)])
-        count, width = t.counts[d], d + 1 if d else 0
+        index = [table.intern(d, w) for _, w in reads[0][0]] if d else []
         # face i of (sigma, 0), ..., (sigma, |G| - 1) lies on the sheets G.mul(tau(sigma), g), G's row
         # tau(sigma), for i = 0, and on the sheets g otherwise
-        rows = [G.table[twist] for twist in twists[d]]
-        columns = [[b * order + s for b, row in zip(t.base[d][i::width], rows if i == 0 else [range(order)] * count)
-                    for s in row] for i in range(width)]
-        table.base[d] = [b for faces in zip(*columns) for b in faces]
-        table.word[d] = [k for g in range(count) for _ in range(order) for k in t.word[d][g * width:(g + 1) * width]]
-        table.words[d], table._index[d] = list(t.words[d]), dict(t._index[d])
-        table.labels[d] = [f"({base._name(d, g)},{name})" for g in range(count) for name in G.names]
-        table.counts[d] = count * order
+        rows, sheets = [G.table[twist] for twist in twists[d]], [range(order)] * base.n_gens(d)
+        table.put(d, [[b * order + s for b, row in zip(ids, sheets if i else rows) for s in row]
+                      for i, (_, _, ids) in enumerate(reads)],
+                  [[index[k] for k in of for _ in range(order)] for _, of, _ in reads],
+                  [f"({base._name(d, g)},{name})" for g in range(base.n_gens(d)) for name in G.names])
     cover = SimplicialSet(table, name=f"cover({base.name or 'K'})")
     images = {(d, g * order + sheet): SimplexRef(d, g) for d in range(base.top_dim + 1)
               for g in range(base.n_gens(d)) for sheet in range(order)}

@@ -22,9 +22,9 @@ once; each other distinct word of a piece is checked once, and the table
 keeps one int object per distinct base id.  Its errors name the same
 line as a line-by-line parse, and come in the same order: the first
 decode error of any block, then the line pass's error, then the first
-entry error.  The printer reads the same table and emits dimension-major,
-id-minor order with compact JSON; parse(print(K)) is the identity on
-canonical documents.
+entry error.  The printer reads the space one face column at a time
+(``_face_column``) and emits dimension-major, id-minor order with compact
+JSON; parse(print(K)) is the identity on canonical documents.
 
 Finite-group tables (``group v1``) use the same versioned-header style.
 """
@@ -221,16 +221,17 @@ def _checked_word(d: int, entry: list, lineno: int) -> tuple[int, ...]:
 
 
 def print_space(space: SimplicialSet) -> str:
-    """Canonical document: dimension-major, id-minor, compact JSON faces."""
+    """Canonical document, dimension-major, id-minor, written a face column at a time."""
     out = ["sset v1"]
     if space.name:
         out.append(f"name {space.name}")
-    table = space._table
-    for d, (count, base, word, words) in enumerate(zip(table.counts, table.base, table.word, table.words)):
+    for d in range(space.top_dim + 1):
         out.append(f"dim {d}")
-        texts = [f"[{','.join(map(str, w))}]" for w in words]
-        faces = [f"[{b},{texts[w]}]" for b, w in zip(base, word)]
-        out += [f"{k} [{','.join(faces[k * (d + 1):(k + 1) * (d + 1)])}]" for k in range(count)]
+        reads = [space._face_column(d, (), i) for i in range(d + 1 if d else 0)]
+        texts = [f"[{','.join(map(str, w))}]" for _, w in reads[0][0]] if d else []
+        columns = [[f"[{b},{texts[k]}]" for k, b in zip(of, bases)] for _, of, bases in reads]
+        rows = zip(*columns) if d else [()] * space.n_gens(0)
+        out += [f"{g} [{','.join(faces)}]" for g, faces in enumerate(rows)]
     return "\n".join(out) + "\n"
 
 

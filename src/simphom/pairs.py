@@ -1,5 +1,5 @@
 """The non-degenerate simplices of a product, numbered by arithmetic, and
-their faces and labels written from the factors' face tables.
+their faces, read and written as columns (``FaceTable.put``), and labels.
 
 An n-simplex of X x Y is a pair (s_v sigma, s_w tau) of n-simplices, sigma
 a p-generator of X and tau a q-generator of Y; it is non-degenerate when
@@ -196,10 +196,8 @@ class _Labels(Sequence):
 
 def _write_faces(table, left, right, numberings: list[_PairNumbering]) -> None:
     """Fill ``table`` with the generators of left x right, dimension by
-    dimension: their faces from ``_Faces``, their labels formatted when
-    read."""
+    dimension: their face columns from ``_Faces``, their labels formatted
+    when read."""
     faces = _Faces(left, right, numberings, table)
     for num in numberings:
-        table.base[num.n], table.word[num.n] = (list(itertools.chain.from_iterable(zip(*columns)))
-                                                for columns in faces.columns(num))
-        table.labels[num.n], table.counts[num.n] = _Labels(num, left, right), len(num)
+        table.put(num.n, *faces.columns(num), _Labels(num, left, right))

@@ -3,22 +3,22 @@
 A :class:`SimplicialSet` stores its faces in one integer table, a
 :class:`FaceTable`: per dimension d, the base id and the index of the
 degeneracy word of every face of every d-generator, in flat lists, and the
-distinct words of the block.  Every reader goes through that table: the face
-operator, the identity check, maps, chains, documents, covers and the Kan
-checks.  Faces of degenerate simplices are rewritten through one
-process-wide rewrite cache, and one column reader, ``_face_column``, gives a
-face of every p-generator at once to the Kan tables, products, the map
-check, pi0, pi1 and covers.  For the Kan checks the n-simplices are numbered
-by arithmetic (``_Numbering``), and the space writes their faces, and a map
-its images, as positions.  The generators as :class:`NonDegenSimplex` values
-with :class:`SimplexRef` faces are a view, built when read.  Subcomplexes,
-quotients, coproducts and pushouts are built by one gluing routine,
-``_glue``: parts are glued in order, and each generator either becomes a new
-generator with its faces carried through the images so far, or is fixed to a
-given simplex, or dropped.  A product is written on positions by ``pairs``:
-its generators numbered by arithmetic, its face table filled column by
-column from the factors' face tables with no face of a factor simplex
-computed one at a time, and its labels formatted when read.
+distinct words of the block.  Only this module and the document parser's
+row appends know that layout.  Readers elsewhere take a face of every
+p-generator at once from the one column reader, ``_face_column``, and
+products and covers write whole dimensions through ``FaceTable.put``.
+Faces of degenerate simplices are rewritten through one process-wide
+rewrite cache.  For the Kan checks the n-simplices are numbered by
+arithmetic (``_Numbering``), and the space writes their faces, and a map
+its images, as positions.  The generators as :class:`NonDegenSimplex`
+values with :class:`SimplexRef` faces are a view, built when read.
+Subcomplexes, quotients, coproducts and pushouts are built by one gluing
+routine, ``_glue``: parts are glued in order, and each generator either
+becomes a new generator with its faces carried through the images so far,
+or is fixed to a given simplex, or dropped.  A product is written on
+positions by ``pairs``: its generators numbered by arithmetic, its face
+columns read from the factors' column readers with no face of a factor
+simplex computed one at a time, and its labels formatted when read.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from . import budget
 from .pairs import _PairNumbering, _split, _write_faces
@@ -41,10 +40,10 @@ from .simplex import (
 )
 
 class FaceTable:
-    """The faces of a space as integers, filled one generator at a time:
-    face i of the d-generator k is s_w of the generator ``base[d][k*(d+1) + i]``
-    of dimension d - 1 - len(w), w = ``words[d][word[d][k*(d+1) + i]]``, and
-    ``words[d]`` holds each word of the block once, the empty word first."""
+    """The faces of a space as integers, written a generator (``add``) or a
+    dimension (``put``) at a time: face i of the d-generator k is s_w of the
+    generator ``base[d][k*(d+1) + i]`` of dimension d - 1 - len(w), w the
+    word ``words[d][word[d][k*(d+1) + i]]``, each word once, () first."""
 
     def __init__(self, top: int):
         self.counts = [0] * (top + 1)
@@ -65,6 +64,13 @@ class FaceTable:
         self.word[d] += [self.intern(d, w) for _, w in faces]
         self.labels[d].append(label)
         self.counts[d] += 1
+
+    def put(self, d: int, bases: list, words: list, labels: Sequence) -> None:
+        """Write the d-generators whole: face i of generator k is s_w of the
+        generator ``bases[i][k]``, w of index ``words[i][k]``, its label ``labels[k]``."""
+        self.base[d] = list(itertools.chain.from_iterable(zip(*bases)))
+        self.word[d] = list(itertools.chain.from_iterable(zip(*words)))
+        self.labels[d], self.counts[d] = labels, len(labels)
 
 
 def _table_of_rows(rows) -> FaceTable:
@@ -241,9 +247,9 @@ class SimplicialSet:
     def _face_column(self, p: int, w: tuple[int, ...], i: int | None) -> tuple[list, Sequence[int], Sequence[int]]:
         """The one column reader: d_i s_w g for every p-generator g, (w, i)
         already rewritten and i None when the face cancelled to s_w g, as the
-        shapes (dimension, word), one per stored word of the block, and per
-        g the index of its shape and its base id, for the Kan tables, products,
-        the map check, pi0, pi1 and covers; p must be a dimension of the space."""
+        shapes (dimension, word), one per stored word of the block, the empty
+        word's first, and per g the index of its shape and its base id; p must
+        be a dimension of the space."""
         t = self._table
         if i is None:
             return [(p, w)], [0] * t.counts[p], range(t.counts[p])
@@ -318,29 +324,30 @@ class ValidationReport:
 def is_valid(space: SimplicialSet) -> ValidationReport:
     """Check all invariants: canonical face tables and the simplicial
     identities d_i d_j = d_{j-1} d_i (i < j), each compared on all the
-    generators of a dimension at once.  Faces of faces are (base id, word
-    index) pairs: a row of the table one dimension down for a non-degenerate
-    face, and rewritten once for each distinct degenerate face."""
-    problems, t = [], space._table
+    generators of a dimension at once.  Faces of faces come from the one
+    column reader: column j of the d-generators, then per shape (q, w) of
+    that column one column of the q-generators, after the rewrite of (w, i)
+    through the process-wide rewrite cache when w is not empty."""
+    problems = []
     for d in range(2, space.top_dim + 1):
-        index = {w: k for k, w in enumerate(t.words[d - 1])}  # grows by the rewritten words
-        lower, words, faces = list(zip(t.base[d - 1], t.word[d - 1])), t.words[d], list(zip(t.base[d], t.word[d]))
-        rows = {(b, k): [(f[1], index.setdefault(f[2], len(index)))
-                         for f in space._faces(d - 1 - len(words[k]), b, words[k])] if k else lower[b * d:b * d + d]
-                for b, k in set(faces)}
-        at = [[rows[f] for f in faces[j::d + 1]] for j in range(d + 1)]  # the faces of face j, per generator
         bad = []
-        for j in range(1, d + 1):
-            for i in range(j):
-                left, right = list(map(itemgetter(i), at[j])), list(map(itemgetter(j - 1), at[i]))
-                if left != right:
-                    bad += [(g, j, i, x, y) for g, (x, y) in enumerate(zip(left, right)) if x != y]
-        word_of = list(index)
+        for i, j in itertools.combinations(range(d + 1), 2):
+            left, right = _faces_of_face(space, d, j, i), _faces_of_face(space, d, i, j - 1)
+            if left != right:
+                bad += [(g, j, i, x, y) for g, (x, y) in enumerate(zip(left, right)) if x != y]
         for g, j, i, *pair in sorted(bad):
-            left, right = (space.format_ref(SimplexRef(d - 2 - len(word_of[k]), b, word_of[k])) for b, k in pair)
+            left, right = (space.format_ref(SimplexRef(q, b, w)) for (q, w), b in pair)
             problems.append(f"simplicial identity fails on {space._name(d, g)} at (i,j)=({i},{j}): "
                             f"d{i} d{j} = {left} but d{j-1} d{i} = {right}")
     return ValidationReport(not problems, problems)
+
+
+def _faces_of_face(space: SimplicialSet, d: int, j: int, i: int) -> list:
+    """d_i d_j of every d-generator, as ((base dim, word), base id)."""
+    shapes, of, ids = space._face_column(d, (), j)
+    reads = [space._face_column(q, *(face_word_rewrite(w, i) if w else ((), i))) for q, w in shapes]
+    return [(kinds[kind_of[b]], bases[b])
+            for (kinds, kind_of, bases), b in zip(map(reads.__getitem__, of), ids)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from conftest import all_catalog_spaces, constant_map
+from conftest import all_catalog_spaces, constant_map, random_sset
 from reference import all_simplices, reference_is_valid
 from simphom import budget, sset
 from simphom.catalog import catalog
@@ -246,23 +246,41 @@ def test_is_valid_catches_corruption():
     assert "(i,j)=" in report.first_violation
 
 
-def test_is_valid_catches_a_violation_seen_only_through_a_degenerate_face():
-    """Delta[2] with its edge 01 collapsed onto vertex 0.  Putting vertex 1
-    under the degenerate face d2 breaks exactly the two identities that
-    read the faces of d2; the faces d0 and d1 stay consistent."""
+def _cone(vertex):
+    """Delta[2] with its edge 01 collapsed onto vertex 0, its degenerate
+    face d2 put over ``vertex``."""
     v0, v1 = (NonDegenSimplex(0, k, (), label=f"v{k}") for k in range(2))
     edge = NonDegenSimplex(1, 0, (SimplexRef(0, 1), SimplexRef(0, 0)), label="e")
+    faces = (SimplexRef(1, 0), SimplexRef(1, 0), SimplexRef(0, vertex, (0,)))
+    return SimplicialSet([[v0, v1], [edge], [NonDegenSimplex(2, 0, faces, label="t")]])
 
-    def cone(vertex):
-        faces = (SimplexRef(1, 0), SimplexRef(1, 0), SimplexRef(0, vertex, (0,)))
-        return SimplicialSet([[v0, v1], [edge], [NonDegenSimplex(2, 0, faces, label="t")]])
 
-    assert is_valid(cone(0)).ok
-    report = is_valid(cone(1))
-    assert report.problems == [
-        "simplicial identity fails on t at (i,j)=(0,2): d0 d2 = v1 but d1 d0 = v0",
-        "simplicial identity fails on t at (i,j)=(1,2): d1 d2 = v1 but d1 d1 = v0",
-    ]
+CONE_PROBLEMS = [
+    "simplicial identity fails on t at (i,j)=(0,2): d0 d2 = v1 but d1 d0 = v0",
+    "simplicial identity fails on t at (i,j)=(1,2): d1 d2 = v1 but d1 d1 = v0",
+]
+
+
+def test_is_valid_catches_a_violation_seen_only_through_a_degenerate_face():
+    """Putting vertex 1 under the degenerate face d2 of the cone breaks
+    exactly the two identities that read the faces of d2; the faces d0 and
+    d1 stay consistent."""
+    assert is_valid(_cone(0)).ok
+    assert is_valid(_cone(1)).problems == CONE_PROBLEMS
+
+
+def test_is_valid_reads_faces_only_through_the_column_reader(monkeypatch):
+    """``is_valid`` reads faces of faces as columns: it runs with
+    ``SimplicialSet._faces`` and ``_face`` refused, on klein x RP2, whose
+    degenerate faces take several word shapes, and on the cone."""
+    spaces = product(catalog("klein"), catalog("rp2")).space, _cone(0), _cone(1)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a face read one simplex at a time")
+
+    for attribute in ("_faces", "_face"):
+        monkeypatch.setattr(SimplicialSet, attribute, refused)
+    assert [is_valid(space).problems for space in spaces] == [[], [], CONE_PROBLEMS]
 
 
 @pytest.mark.parametrize("name,face,message", [
@@ -339,8 +357,22 @@ def _corruptions(space, rng, n, degenerate):
     return out
 
 
-def test_is_valid_matches_reference(ladder_spaces):
-    for space in all_catalog_spaces() + list(ladder_spaces.values()):
+@pytest.fixture(scope="module")
+def random_spaces():
+    """20 seeded random spaces, with degenerate faces of several shapes."""
+    rng = random.Random("is_valid differential")
+    return [random_sset(rng) for _ in range(20)]
+
+
+def _corruptible(space, degenerate):
+    """Whether ``_corruptions`` can move a face of ``space`` (a degenerate
+    one with ``degenerate``) to another generator."""
+    return any(space.n_gens(ref.base_dim) > 1 for d in range(2, space.top_dim + 1) for g in space.gens(d)
+               for ref in g.faces if ref.is_degenerate or not degenerate)
+
+
+def test_is_valid_matches_reference(ladder_spaces, random_spaces):
+    for space in all_catalog_spaces() + list(ladder_spaces.values()) + random_spaces:
         report = is_valid(space)
         assert report.ok, space.name
         assert report == reference_is_valid(space), space.name
@@ -348,14 +380,20 @@ def test_is_valid_matches_reference(ladder_spaces):
 
 @pytest.mark.parametrize("name,degenerate", [
     ("sphere:2*rp2", True), ("sphere:2*rp2", False), ("torus*rp2", False),
-    ("circle*rp2", False), ("boundary:3*boundary:3", False),
+    ("circle*rp2", False), ("boundary:3*boundary:3", False), ("random", True), ("random", False),
 ])
-def test_is_valid_matches_reference_on_corruptions(ladder_spaces, name, degenerate):
+def test_is_valid_matches_reference_on_corruptions(ladder_spaces, random_spaces, name, degenerate):
+    """Eight corruptions of a ladder space, or two of each random space
+    that has a face to move, give the reference's report, messages in
+    order; at least four of them are caught."""
     rng = random.Random(f"{name} {degenerate}")
+    corrupted = (_corruptions(ladder_spaces[name], rng, 8, degenerate) if name != "random" else
+                 [bad for space in random_spaces if _corruptible(space, degenerate)
+                  for bad in _corruptions(space, rng, 2, degenerate)])
     caught = 0
-    for bad in _corruptions(ladder_spaces[name], rng, 8, degenerate):
+    for bad in corrupted:
         report = is_valid(bad)
-        assert report.problems == reference_is_valid(bad).problems
+        assert report == reference_is_valid(bad)
         caught += not report.ok
     assert caught >= 4
 
