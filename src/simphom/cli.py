@@ -1,10 +1,10 @@
 """Command-line surface.
 
-One command per invocation; stdout is deterministic for fixed inputs
-(timing goes to stderr) and the exit status encodes PASS/FAIL for the
-property commands: 0 PASS (or no verdict), 1 FAIL, 2 a usage or data
-error, 3 a failed internal certificate (an SNF postcondition, the
-elimination check, a chain-level identity), each error as one line.
+One command per invocation, with only the options it reads; stdout is
+deterministic (timing goes to stderr) and the exit status encodes PASS/FAIL
+for the property commands: 0 PASS (or no verdict), 1 FAIL, 2 a bad argument
+list, usage or data error, 3 a failed internal certificate (an SNF postcondition,
+the elimination check, a chain-level identity), each error as one line.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ class CommandError(Exception):
 
 
 def _load_space(args) -> SimplicialSet:
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file, encoding="utf-8") as fh:
             return parse_space(fh.read())
-    if getattr(args, "space", None):
+    if args.space:
         return catalog(args.space)
     raise CommandError("need --space NAME or --file PATH")
 
@@ -75,7 +75,7 @@ def _group_str(g: AbelianGroup, machine: bool) -> str:
 
 
 def _coeff(args) -> AbelianGroup:
-    return AbelianGroup.parse(getattr(args, "coeff", None) or "Z")
+    return AbelianGroup.parse(args.coeff or "Z")
 
 
 def _load_group(spec: str) -> FiniteGroup:
@@ -211,10 +211,10 @@ def cmd_fill(args):
     if not 0 <= k <= n:
         raise CommandError("horn index out of range")
     entries = json.loads(args.faces)
+    if len(entries) != n:
+        raise CommandError(f"need {n} faces for a ({n},{k}) horn")
     faces = [None] * (n + 1)
     given = [i for i in range(n + 1) if i != k]
-    if len(entries) != len(given):
-        raise CommandError(f"need {len(given)} faces for a ({n},{k}) horn")
     for i, entry in zip(given, entries):
         (bdim, bid), word = entry
         faces[i] = SimplexRef(bdim, bid, tuple(word))
@@ -325,28 +325,43 @@ COMMANDS = {
     "print": cmd_print,
 }
 
+# Each option: the commands whose handlers read it, and its argparse settings.
+_LOADERS = "homology cohomology coeffs uct les mv cup kunneth euler kan fill pi1 cover validate print"
+OPTIONS = (
+    ("--space", _LOADERS + " subdivide", dict(help="catalog space name")),
+    ("--file", _LOADERS, dict(help="space document file")),
+    ("--dim", "homology cohomology coeffs uct les mv cup kunneth kan fill", dict(type=int, help="degree bound")),
+    ("--coeff", "cohomology coeffs uct cup", dict(help="coefficient group, e.g. Z, Z/2, Z^2+Z/4")),
+    ("--group", "cover", dict(help="finite group: cyclic:N or a table file")),
+    ("--base", "pi1 cover", dict(type=int, default=0, help="base vertex id")),
+    ("--sub", "les", dict(help="subcomplex spec (skeleton:N or gens:D.I,...)")),
+    ("--a", "mv", dict(dest="cover_a", help="first cover piece for mv")),
+    ("--b", "mv", dict(dest="cover_b", help="second cover piece for mv")),
+    ("--with", "kunneth", dict(dest="with_space", help="second space for kunneth")),
+    ("--k", "fill", dict(dest="horn_k", type=int, help="horn index")),
+    ("--faces", "fill", dict(help="horn faces as JSON [[[bdim,bid],[word]],...] in index order")),
+    ("--images", "cover", dict(help="generator images, e.g. e1=g,e3=e")),
+    ("--format", " ".join(COMMANDS), dict(choices=("text", "machine"), default="text")),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors come back from ``run`` as one error line."""
+
+    def error(self, message):
+        raise CommandError(message)
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="simphom",
-        description="homotopy-theoretic invariants of finitely presented simplicial sets")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("--space", help="catalog space name")
-    parser.add_argument("--file", help="space document file")
-    parser.add_argument("--dim", type=int, default=None, help="degree bound")
-    parser.add_argument("--coeff", default=None, help="coefficient group, e.g. Z, Z/2, Z^2+Z/4")
-    parser.add_argument("--group", default=None, help="finite group: cyclic:N or a table file")
-    parser.add_argument("--base", type=int, default=0, help="base vertex id")
-    parser.add_argument("--sub", default=None, help="subcomplex spec (skeleton:N or gens:D.I,...)")
-    parser.add_argument("--a", dest="cover_a", default=None, help="first cover piece for mv")
-    parser.add_argument("--b", dest="cover_b", default=None, help="second cover piece for mv")
-    parser.add_argument("--with", dest="with_space", default=None, help="second space for kunneth")
-    parser.add_argument("--k", dest="horn_k", type=int, default=None, help="horn index")
-    parser.add_argument("--faces", default=None,
-                        help='horn faces as JSON [[[bdim,bid],[word]],...] in index order')
-    parser.add_argument("--images", default=None, help="generator images, e.g. e1=g,e3=e")
-    parser.add_argument("--seed", default=None, help="reserved; deterministic operations ignore it")
-    parser.add_argument("--format", choices=("text", "machine"), default="text")
+    """One subparser per command, with the options of ``OPTIONS`` it reads."""
+    parser = _Parser(prog="simphom", allow_abbrev=False,
+                     description="homotopy-theoretic invariants of finitely presented simplicial sets")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name in sorted(COMMANDS):
+        command = commands.add_parser(name, allow_abbrev=False)
+        for flag, readers, settings in OPTIONS:
+            if name in readers.split():
+                command.add_argument(flag, **settings)
     return parser
 
 
@@ -355,10 +370,10 @@ PARSER = build_parser()
 
 
 def run(argv: list[str]) -> tuple[list[str], int]:
-    args = PARSER.parse_args(argv)
     started = time.monotonic()
     try:
-        if args.dim is not None and args.dim < 0:
+        args = PARSER.parse_args(argv)
+        if getattr(args, "dim", None) is not None and args.dim < 0:
             raise CommandError("--dim must be >= 0")
         lines, passed = COMMANDS[args.command](args)
     except (CommandError, SpaceDocumentError, ValueError, OSError) as exc:

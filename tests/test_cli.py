@@ -1,12 +1,15 @@
 """The command-line surface: outputs, determinism, exit codes."""
 
+import argparse
 import json
 import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from simphom import budget
+from simphom import budget, cli
 from simphom.catalog import catalog
 from simphom.cli import main, run
 from simphom.io import print_space
@@ -359,7 +362,8 @@ def test_error_paths(tmp_path):
 
 def test_runs_share_no_options(capsys):
     """One argument parser serves every run: the options of one call do not
-    carry over into the next, and bad arguments still exit 2 with usage."""
+    carry over into the next, and bad arguments exit 2 with argparse's
+    reason as the one error line, with no usage text."""
     assert out_of(["homology", "--space", "rp2", "--dim", "1"])[0].splitlines()[1:] == [
         "H_0 = Z", "H_1 = Z/2"]
     assert out_of(["homology", "--space", "rp2"])[0].splitlines()[1:] == [
@@ -372,18 +376,85 @@ def test_runs_share_no_options(capsys):
                          (["homology", "--dim", "x"], "argument --dim: invalid int value: 'x'"),
                          (["homology", "--format", "json"], "argument --format: invalid choice"),
                          ([], "the following arguments are required: command")):
-        with pytest.raises(SystemExit) as exit_:
-            run(argv)
-        assert exit_.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: simphom ") and f"simphom: error: {reason}" in err
+        lines, status = run(argv)
+        assert status == 2 and len(lines) == 1 and lines[0].startswith(f"error: {reason}"), argv
+    assert capsys.readouterr().err == ""
     assert out_of(["euler", "--space", "torus"]) == out_of(["euler", "--space", "torus"])
 
 
-def test_seed_flag_is_accepted():
-    first = out_of(["homology", "--space", "circle", "--seed", "7"])
-    second = out_of(["homology", "--space", "circle", "--seed", "8"])
-    assert first == second
+# One value per option: every command runs on boundary:2, which has an
+# ordered-complex model for subdivide, and --file is given empty, so that
+# its handler reads it and goes on to --space.
+VALUES = {"--space": "boundary:2", "--file": "", "--dim": "1", "--coeff": "Z/2", "--group": "cyclic:2",
+          "--base": "0", "--sub": "skeleton:0", "--a": "skeleton:0", "--b": "skeleton:1",
+          "--with": "boundary:2", "--k": "0", "--faces": "[[[0,0],[]]]", "--images": "e2=g",
+          "--format": "machine"}
+
+
+def _takes(name: str) -> dict[str, str]:
+    """The options of ``cli.OPTIONS`` that ``name`` takes, with their dests."""
+    return {flag: settings.get("dest", flag[2:])
+            for flag, readers, settings in cli.OPTIONS if name in readers.split()}
+
+
+def test_the_option_table_counts():
+    assert list(VALUES) == [flag for flag, _, _ in cli.OPTIONS]
+    assert len(cli.OPTIONS) == 14
+    assert sum(len(_takes(name)) for name in cli.COMMANDS) == 72
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_each_command_reads_every_option_it_takes(name):
+    """The handler, given every option of its row, reads each of them and
+    nothing else; ``run`` reads --format for every command."""
+    reads = set()
+
+    class Recorded(argparse.Namespace):
+        def __getattribute__(self, attr):
+            reads.add(attr)
+            return super().__getattribute__(attr)
+
+    takes = _takes(name)
+    argv = [name] + [word for flag in takes for word in (flag, VALUES[flag])]
+    cli.COMMANDS[name](Recorded(**vars(cli.PARSER.parse_args(argv))))
+    assert reads | {"format"} == set(takes.values())
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_each_command_refuses_every_option_it_does_not_take(name):
+    for flag in VALUES.keys() - _takes(name).keys():
+        assert run([name, flag, VALUES[flag]]) == (
+            [f"error: unrecognized arguments: {flag} {VALUES[flag]}"], 2)
+
+
+def test_every_workload_argv_parses(tmp_path):
+    """The benchmark's jobs, over seeds 1 to 39, give each command only the
+    options it takes."""
+    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    mods = {name.rsplit(".", 1)[-1]: module for name, module in sys.modules.items()
+            if name.startswith("simphom.")}
+    inputs = workloads.Inputs(mods, str(tmp_path))
+    argvs = {tuple(job.argv) for workload in workloads.WORKLOADS for seed in range(1, 40)
+             for job in workloads.build(workload, seed, inputs)}
+    for argv in argvs:
+        cli.PARSER.parse_args(list(argv))
+
+
+def test_fill_counts_the_faces_before_it_builds_the_horn():
+    """A horn of a huge dimension with too few faces is refused before any
+    list of that length is built."""
+    tracemalloc.start()
+    try:
+        result = run(["fill", "--space", "rp2", "--dim", "1000000", "--k", "0", "--faces", "[]"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (["error: need 1000000 faces for a (1000000,0) horn"], 2)
+    assert peak < 1 << 20
 
 
 def test_validate_checks_a_space_once(monkeypatch, tmp_path):

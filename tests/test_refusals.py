@@ -72,6 +72,13 @@ CLI_CASES = [
      "face 1 missing or of wrong dimension"),
     (["fill", "--faces", "[[[0,0],[1]],[[1,0],[]]]", "--space", "rp2", "--dim", "2", "--k", "0"],
      "face 1 has a non-canonical degeneracy word"),
+    # An option the command does not read, --seed, which no command reads,
+    # and an abbreviation are refused as arguments.
+    (["homology", "--coeff", "Z/0", "--space", "rp2"], "unrecognized arguments: --coeff Z/0"),
+    (["euler", "--space", "rp2", "--dim", "2"], "unrecognized arguments: --dim 2"),
+    (["subdivide", "--space", "rp2", "--file", "x.sset"], "unrecognized arguments: --file x.sset"),
+    (["homology", "--seed", "1", "--space", "rp2"], "unrecognized arguments: --seed 1"),
+    (["homology", "--sp", "rp2"], "unrecognized arguments: --sp rp2"),
 ]
 
 
