@@ -5,6 +5,11 @@ quotient of delta:n by its boundary; ``sphere:0`` is two points, the
 collapsed empty boundary and the vertex), ``circle``, ``torus``, ``rp2``
 (the 6-vertex triangulation), ``klein`` (a document shipped with the
 package), ``point``, ``discrete:m``.
+
+``circle`` and ``sphere:n`` are written directly as their two generators
+(``sset.sphere``), with nothing of delta:n built, though sphere:n is
+refused as delta:n is; delta, boundary, horn, discrete and rp2 are
+vertex-tuple spaces, written a dimension at a time.
 """
 
 from __future__ import annotations
@@ -18,10 +23,8 @@ from .sset import (
     discrete,
     horn,
     product,
-    quotient,
-    skeleton,
+    sphere,
     std_simplex,
-    vertex_tuple_space,
 )
 from .sset import boundary as boundary_space
 from .subdivision import (
@@ -49,8 +52,7 @@ def rp2_complex() -> OrderedSimplicialComplex:
 
 
 def circle() -> SimplicialSet:
-    d1 = std_simplex(1)
-    return quotient(d1, skeleton(d1, 0), name="circle").space
+    return sphere(1, name="circle")
 
 
 def torus_product() -> ProductResult:
@@ -88,11 +90,7 @@ def catalog(name: str) -> SimplicialSet:
         if kind == "horn" and len(parts) == 3:
             return horn(int(parts[1]), int(parts[2]))
         if kind == "sphere" and len(parts) == 2:
-            n = int(parts[1])
-            if n == 0:  # Delta[0] over its empty boundary is Delta[0] + *
-                return vertex_tuple_space([[("*",), ("0",)]], name="sphere:0")
-            dn = std_simplex(n)
-            return quotient(dn, skeleton(dn, n - 1), name=f"sphere:{n}").space
+            return sphere(int(parts[1]), name=name)
         if kind == "discrete" and len(parts) == 2:
             return discrete(int(parts[1]))
     except ValueError as exc:

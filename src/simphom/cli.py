@@ -5,6 +5,11 @@ deterministic (timing goes to stderr) and the exit status encodes PASS/FAIL
 for the property commands: 0 PASS (or no verdict), 1 FAIL, 2 a bad argument
 list, usage or data error, 3 a failed internal certificate (an SNF postcondition,
 the elimination check, a chain-level identity), each error as one line.
+
+``run`` parses an argv that starts with a command name with that command's
+own subparser, so one argparse level runs; an argv that starts with an
+option other than -h/--help is refused, since options follow the command;
+any other argv (--help, an unknown or missing command) goes to ``PARSER``.
 """
 
 from __future__ import annotations
@@ -353,7 +358,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, with the options of ``OPTIONS`` it reads."""
+    """One subparser per command, with the options of ``OPTIONS`` it reads;
+    the parser's ``commands`` holds each subparser by command name."""
     parser = _Parser(prog="simphom", allow_abbrev=False,
                      description="homotopy-theoretic invariants of finitely presented simplicial sets")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -362,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, readers, settings in OPTIONS:
             if name in readers.split():
                 command.add_argument(flag, **settings)
+    parser.commands = commands.choices
     return parser
 
 
@@ -369,10 +376,24 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of ``argv``.  An argv that starts with a command name
+    is parsed by that command's own subparser, one argparse level; one
+    that starts with any option but -h/--help is refused, since options
+    follow the command; any other goes to ``PARSER``."""
+    command = PARSER.commands.get(argv[0]) if argv else None
+    if command is not None:
+        return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        raise CommandError(f"option {argv[0].partition('=')[0]} comes before the command; "
+                           "options follow the command")
+    return PARSER.parse_args(argv)
+
+
 def run(argv: list[str]) -> tuple[list[str], int]:
     started = time.monotonic()
     try:
-        args = PARSER.parse_args(argv)
+        args = _parse(argv)
         if getattr(args, "dim", None) is not None and args.dim < 0:
             raise CommandError("--dim must be >= 0")
         lines, passed = COMMANDS[args.command](args)

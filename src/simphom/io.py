@@ -15,9 +15,11 @@ is a decreasing list of integers, ``[]`` when empty, and the base
 dimension is implied (generator dimension - 1 - word length); ids and
 letters are JSON ints, never booleans.  The parser reads the lines, then
 decodes each dimension block ``DECODE_LINES`` face lists at a time, one
-``json.loads`` each, and writes each entry, once checked, to the space's
-integer face table before the next piece is decoded, so no more than one
-piece's JSON lists are held at once.  An empty word takes index 0 at
+``json.loads`` each (kept when the piece has no string and each line has
+as many ``[`` as ``]``, counted by two ``str.count`` maps), and writes
+each entry, once checked, to the space's integer face table before the
+next piece is decoded, so no more than one piece's JSON lists are held
+at once.  An empty word takes index 0 at
 once; each other distinct word of a piece is checked once, and the table
 keeps one int object per distinct base id.  Its errors name the same
 line as a line-by-line parse, and come in the same order: the first
@@ -31,6 +33,7 @@ Finite-group tables (``group v1``) use the same versioned-header style.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 
@@ -183,8 +186,8 @@ def _decode(texts: list[str], linenos: list[int]) -> list:
         rows = json.loads(block)
     except (ValueError, RecursionError):
         rows = []
-    if (len(rows) == len(texts) and '"' not in block
-            and all(text.count("[") == text.count("]") for text in texts)):
+    opens, closes = (list(map(str.count, texts, itertools.repeat(bracket))) for bracket in "[]")
+    if len(rows) == len(texts) and '"' not in block and opens == closes:
         return rows
     return _decode_lines(texts, linenos)
 

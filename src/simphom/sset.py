@@ -19,6 +19,17 @@ or is fixed to a given simplex, or dropped.  A product is written on
 positions by ``pairs``: its generators numbered by arithmetic, its face
 columns read from the factors' column readers with no face of a factor
 simplex computed one at a time, and its labels formatted when read.
+``vertex_tuple_space`` (Delta[n], its boundary, horns, discrete spaces
+and ordered complexes) writes a dimension with one ``put``, and
+``sphere`` writes Delta[n]/dDelta[n] as its two generators, with nothing
+of Delta[n] built.
+
+Checks read whole columns.  The structure check bounds the base ids of a
+dimension by a column-wide ``min`` and ``max`` and reads face by face only
+to name a failure.  ``is_valid`` compares both sides of an identity as a
+list of word codes and a list of base ids, each column of faces of faces
+read once per dimension, and decodes only a failing generator's faces
+into its message.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -285,13 +297,19 @@ class SimplicialSet:
 
     def _check_structure(self):
         """Every face has a canonical word, each word checked once, and lies
-        on an existing generator."""
+        on an existing generator: per dimension, the least base id and the
+        largest base id less the generator count of its word's dimension,
+        each over the whole column.  The loop over the faces runs only to
+        name the first failure."""
         t = self._table
         for d in range(1, len(t.counts)):
-            words = t.words[d]
+            words, base = t.words[d], t.base[d]
             ok = [not w or SimplexRef(d - 1 - len(w), 0, w).words_ok() for w in words]
             limits = [t.counts[d - 1 - len(w)] if good else 0 for w, good in zip(words, ok)]
-            for at, (b, wi) in enumerate(zip(t.base[d], t.word[d])):
+            if not base or (min(base) >= 0
+                            and max(map(operator.sub, base, map(limits.__getitem__, t.word[d]))) < 0):
+                continue
+            for at, (b, wi) in enumerate(zip(base, t.word[d])):
                 if not 0 <= b < limits[wi]:
                     where = f"face {at % (d + 1)} of {self._name(d, at // (d + 1))}"
                     if not ok[wi]:
@@ -327,27 +345,49 @@ def is_valid(space: SimplicialSet) -> ValidationReport:
     generators of a dimension at once.  Faces of faces come from the one
     column reader: column j of the d-generators, then per shape (q, w) of
     that column one column of the q-generators, after the rewrite of (w, i)
-    through the process-wide rewrite cache when w is not empty."""
+    through the process-wide rewrite cache when w is not empty, each read
+    once per dimension.  A face of a face is two ints, the code of its
+    word and its base id, so each side of an identity is a list of codes
+    and a list of base ids, compared whole; only a failing generator's
+    codes are decoded back into words for its message."""
     problems = []
     for d in range(2, space.top_dim + 1):
+        codes: dict = {}    # word of a (d-2)-simplex -> its shape code
+        reads: dict = {}    # (q, w, i) -> d_i s_w of every q-generator
+        columns = [space._face_column(d, (), j) for j in range(d + 1)]
         bad = []
         for i, j in itertools.combinations(range(d + 1), 2):
-            left, right = _faces_of_face(space, d, j, i), _faces_of_face(space, d, i, j - 1)
+            left = _faces_of_face(space, columns[j], i, reads, codes)
+            right = _faces_of_face(space, columns[i], j - 1, reads, codes)
             if left != right:
-                bad += [(g, j, i, x, y) for g, (x, y) in enumerate(zip(left, right)) if x != y]
+                bad += [(g, j, i, x, y) for g, (x, y) in enumerate(zip(zip(*left), zip(*right))) if x != y]
+        words = list(codes)
         for g, j, i, *pair in sorted(bad):
-            left, right = (space.format_ref(SimplexRef(q, b, w)) for (q, w), b in pair)
+            left, right = (space.format_ref(SimplexRef(d - 2 - len(words[c]), b, words[c])) for c, b in pair)
             problems.append(f"simplicial identity fails on {space._name(d, g)} at (i,j)=({i},{j}): "
                             f"d{i} d{j} = {left} but d{j-1} d{i} = {right}")
     return ValidationReport(not problems, problems)
 
 
-def _faces_of_face(space: SimplicialSet, d: int, j: int, i: int) -> list:
-    """d_i d_j of every d-generator, as ((base dim, word), base id)."""
-    shapes, of, ids = space._face_column(d, (), j)
-    reads = [space._face_column(q, *(face_word_rewrite(w, i) if w else ((), i))) for q, w in shapes]
-    return [(kinds[kind_of[b]], bases[b])
-            for (kinds, kind_of, bases), b in zip(map(reads.__getitem__, of), ids)]
+def _faces_of_face(space: SimplicialSet, column, i: int, reads: dict, codes: dict) -> tuple[list, list]:
+    """d_i of the faces in ``column`` (one face of every d-generator, as the
+    column reader gives it), as the code of each word in ``codes`` and each
+    base id.  The codes and base ids of each (q, w, i) are read once into
+    ``reads``, for every q-generator."""
+    shapes, of, ids = column
+    parts = []
+    for q, w in shapes:
+        key = (q, *(face_word_rewrite(w, i) if w else ((), i)))
+        if key not in reads:
+            kinds, kind_of, bases = space._face_column(*key)
+            steps = [codes.setdefault(u, len(codes)) for _, u in kinds]
+            reads[key] = list(map(steps.__getitem__, kind_of)), bases
+        parts.append(reads[key])
+    if len(parts) == 1:
+        (word_codes, bases), = parts
+        return list(map(word_codes.__getitem__, ids)), list(map(bases.__getitem__, ids))
+    word_codes, bases = zip(*parts)
+    return [word_codes[s][b] for s, b in zip(of, ids)], [bases[s][b] for s, b in zip(of, ids)]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +443,9 @@ class SimplicialMap:
 
         Per dimension, the images of the faces of every generator, from the
         source's face table, are compared as one list with the faces of the
-        images, from one column of the target's per face index and image shape."""
+        images.  Those come from one column of the target per image shape and
+        face index, its face tuples built once for every target generator
+        and indexed per image."""
         bad = []
         source, target, images, t = self.source, self.target, self.images, self.source._table
         for d in range(1, source.top_dim + 1):
@@ -412,11 +454,13 @@ class SimplicialMap:
                 q, h, v = images[(d, g)]
                 target._check_gen(q, h)
                 if (q, v) not in columns:
-                    columns[(q, v)] = [target._face_column(q, *(face_word_rewrite(v, i) if v else ((), i)))
-                                       for i in range(d + 1)]
-                after += [(shapes[of[h]][0], ids[h], shapes[of[h]][1]) for shapes, of, ids in columns[(q, v)]]
-            words = t.words[d]
-            before = [images[(d - 1, b)] if not k else self.apply(SimplexRef(d - 1 - len(words[k]), b, words[k]))
+                    columns[(q, v)] = [
+                        [(shapes[k][0], b, shapes[k][1]) for k, b in zip(of, ids)]
+                        for shapes, of, ids in (target._face_column(q, *(face_word_rewrite(v, i) if v else ((), i)))
+                                                for i in range(d + 1))]
+                after += [faces[h] for faces in columns[(q, v)]]
+            words, below = t.words[d], [images[(d - 1, b)] for b in range(t.counts[d - 1])]
+            before = [below[b] if not k else self.apply(SimplexRef(d - 1 - len(words[k]), b, words[k]))
                       for b, k in zip(t.base[d], t.word[d])]
             if before != after:
                 bad += [f"f(d{i} {source._name(d, g)}) != d{i} f({source._name(d, g)})"
@@ -447,20 +491,26 @@ def identity_map(space: SimplicialSet) -> SimplicialMap:
 def vertex_tuple_space(by_dim: list[list[tuple]], name: str | None = None) -> SimplicialSet:
     """One d-simplex per sorted vertex tuple in ``by_dim[d]``, labelled by
     its vertices, with face i deleting vertex i; every face of a tuple
-    must be listed one level down."""
-    index = [{vs: k for k, vs in enumerate(level)} for level in by_dim]
+    must be listed one level down.  Each dimension is written whole, one
+    ``FaceTable.put``: column i holds the index one level down of every
+    tuple with its vertex i deleted, and every word is empty."""
     table = FaceTable(len(by_dim) - 1)
     for d, level in enumerate(by_dim):
-        for vs in level:
-            table.add(d, [(index[d - 1][vs[:i] + vs[i + 1:]], ()) for i in range(d + 1) if d],
-                      "".join(map(str, vs)))
+        index = {vs: k for k, vs in enumerate(by_dim[d - 1])} if d else {}
+        bases = [[index[vs[:i] + vs[i + 1:]] for vs in level] for i in range(d + 1 if d else 0)]
+        table.put(d, bases, [[0] * len(level)] * len(bases), ["".join(map(str, vs)) for vs in level])
     return SimplicialSet(table, name=name)
+
+
+def _simplex_budget(n: int) -> None:
+    """Refuse Delta[n] over the size budget, counted from n alone."""
+    budget.refuse(f"Delta[{n}]", budget.simplex_family(n), "non-degenerate simplices", bound=True)
 
 
 def _faces_of_simplex(n: int) -> list[list[tuple[int, ...]]]:
     """The vertex tuples of the faces of Delta[n], per dimension, after
-    they pass the size budget, counted from n alone."""
-    budget.refuse(f"Delta[{n}]", budget.simplex_family(n), "non-degenerate simplices", bound=True)
+    they pass the size budget."""
+    _simplex_budget(n)
     return [list(itertools.combinations(range(n + 1), m + 1)) for m in range(n + 1)]
 
 
@@ -476,6 +526,23 @@ def boundary(n: int) -> SimplicialSet:
     if n < 0:
         raise ValueError("n must be >= 0")
     return vertex_tuple_space(_faces_of_simplex(n)[:-1], name=f"dDelta[{n}]")
+
+
+def sphere(n: int, name: str | None = None) -> SimplicialSet:
+    """Delta[n] over its boundary, written directly after n passes the
+    checks of Delta[n], though nothing of Delta[n] is built: for n >= 1 the
+    vertex ``*`` and one n-simplex labelled ``01...n``, each face of which
+    is ``*`` under the word (n-2, ..., 0); for n = 0 the two vertices ``*``,
+    the collapsed empty boundary, and ``0``."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    _simplex_budget(n)
+    if n == 0:
+        return vertex_tuple_space([[("*",), ("0",)]], name=name)
+    table = FaceTable(n)
+    table.add(0, [], "*")
+    table.add(n, [(0, tuple(range(n - 2, -1, -1)))] * (n + 1), "".join(map(str, range(n + 1))))
+    return SimplicialSet(table, name=name)
 
 
 def horn(n: int, k: int) -> SimplicialSet:

@@ -28,7 +28,11 @@ the (p, sigma, v, q, tau, w) keys, takes the faces of each factor
 simplex through ``SimplicialSet._faces``, factors out the shared
 degeneracy and looks the face up in a dict of keys, so the arithmetic
 numbering and the column-wise faces of ``simphom.sset.product`` can be
-held to it.
+held to it.  ``reference_sphere`` builds Delta[n]/dDelta[n] as a quotient
+of Delta[n] by its (n-1)-skeleton, and ``reference_vertex_tuple_space``
+writes a vertex-tuple space one generator at a time, so the catalog's
+directly written spheres and its dimension-at-a-time tuple spaces can be
+held to them.
 """
 
 from __future__ import annotations
@@ -47,7 +51,15 @@ from simphom.io import SpaceDocumentError
 from simphom.operators import Cochain
 from simphom.simplex import NonDegenSimplex, SimplexRef, compose_words, face_word_rewrite
 from simphom.snf import smith_normal_form
-from simphom.sset import FaceTable, SimplicialMap, SimplicialSet, ValidationReport
+from simphom.sset import (
+    FaceTable,
+    SimplicialMap,
+    SimplicialSet,
+    ValidationReport,
+    quotient,
+    skeleton,
+    std_simplex,
+)
 
 
 class DenseSubquotient:
@@ -495,3 +507,25 @@ def reference_product(left: SimplicialSet, right: SimplicialSet, name: str | Non
         space, SimplicialMap(space, left, {key: ab[0] for key, ab in pair_of_gen.items()}, check=False),
         SimplicialMap(space, right, {key: ab[1] for key, ab in pair_of_gen.items()}, check=False),
         gen_of_pair, pair_of_gen)
+
+
+def reference_vertex_tuple_space(by_dim: list[list[tuple]], name: str | None = None) -> SimplicialSet:
+    """One d-simplex per vertex tuple of ``by_dim[d]``, added one generator
+    at a time, face i the tuple with its vertex i deleted."""
+    index = [{vs: k for k, vs in enumerate(level)} for level in by_dim]
+    table = FaceTable(len(by_dim) - 1)
+    for d, level in enumerate(by_dim):
+        for vs in level:
+            table.add(d, [(index[d - 1][vs[:i] + vs[i + 1:]], ()) for i in range(d + 1) if d],
+                      "".join(map(str, vs)))
+    return SimplicialSet(table, name=name)
+
+
+def reference_sphere(n: int, name: str | None = None) -> SimplicialSet:
+    """Delta[n] over its boundary through the gluing routine: Delta[n], its
+    (n-1)-skeleton and the quotient, which glues the vertex * first; for
+    n = 0, Delta[0] and *, as two vertices."""
+    if n == 0:
+        return reference_vertex_tuple_space([[("*",), ("0",)]], name=name)
+    dn = std_simplex(n)
+    return quotient(dn, skeleton(dn, n - 1), name=name).space

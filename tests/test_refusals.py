@@ -79,6 +79,15 @@ CLI_CASES = [
     (["subdivide", "--space", "rp2", "--file", "x.sset"], "unrecognized arguments: --file x.sset"),
     (["homology", "--seed", "1", "--space", "rp2"], "unrecognized arguments: --seed 1"),
     (["homology", "--sp", "rp2"], "unrecognized arguments: --sp rp2"),
+    # Options come after the command.
+    (["--space", "rp2", "homology"], "option --space comes before the command; options follow the command"),
+    # sphere:n is refused as Delta[n] is, though Delta[n] is not built.
+    (["homology", "--space", "sphere:-1"], "n must be >= 0"),
+    (["homology", "--space", "sphere:16"],
+     "Delta[16] would have at least 109293 non-degenerate simplices, over the budget of 100000"),
+    (["homology", "--space", "sphere:x"], "bad numeric argument in space name 'sphere:x'"),
+    (["homology", "--space", "delta:17"],
+     "Delta[17] would have at least 106761 non-degenerate simplices, over the budget of 100000"),
 ]
 
 

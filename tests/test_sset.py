@@ -398,6 +398,42 @@ def test_is_valid_matches_reference_on_corruptions(ladder_spaces, random_spaces,
     assert caught >= 4
 
 
+def _degenerate_corruptions(space, rng, n):
+    """``n`` seeded corruptions of generators of dimension d >= 2: one face
+    put over a degeneracy, s_w of a random generator, w a random word of
+    length 1 to d - 1."""
+    gens = [g for d in range(2, space.top_dim + 1) for g in space.gens(d)]
+    out = []
+    for _ in range(n):
+        g = rng.choice(gens)
+        word = tuple(sorted(rng.sample(range(g.dim - 1), rng.randrange(1, g.dim)), reverse=True))
+        base_dim = g.dim - 1 - len(word)
+        faces = list(g.faces)
+        faces[rng.randrange(g.dim + 1)] = SimplexRef(base_dim, rng.randrange(space.n_gens(base_dim)), word)
+        out.append(_with_faces(space, g, faces))
+    return out
+
+
+@pytest.mark.parametrize("name", ["circle*rp2", "klein*rp2"])
+@pytest.mark.parametrize("degenerate", [True, False], ids=["degenerate faces", "plain faces"])
+def test_is_valid_decodes_the_faces_of_each_failing_identity(name, degenerate):
+    """Eight corruptions of a product, one face put over a degeneracy word
+    or plain faces swapped and moved, give the reference's messages in
+    order: each failing face of a face, compared as a word code and a base
+    id, is decoded back into its word and its generator."""
+    left, right = name.split("*")
+    space = product(catalog(left), catalog(right)).space
+    rng = random.Random(f"decode {name} {degenerate}")
+    corrupted = _degenerate_corruptions(space, rng, 8) if degenerate else _corruptions(space, rng, 8, False)
+    problems = []
+    for bad in corrupted:
+        report = is_valid(bad)
+        assert report.problems == reference_is_valid(bad).problems
+        problems += report.problems
+    assert len(problems) >= 8
+    assert any(" = s" in problem for problem in problems) == degenerate
+
+
 def test_is_valid_rewrites_only_degenerate_faces(count_rewrites, ladder_spaces):
     """Faces of non-degenerate faces come from the face table: is_valid
     computes the rewrites of the words of degenerate faces only, each
