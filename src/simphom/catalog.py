@@ -15,6 +15,7 @@ vertex-tuple spaces, written a dimension at a time.
 from __future__ import annotations
 
 import importlib.resources
+from functools import cache
 
 from . import budget
 from .sset import (
@@ -61,11 +62,17 @@ def torus_product() -> ProductResult:
     return product(s1, s1, name="torus")
 
 
+@cache
+def _klein_text() -> str:
+    """The shipped Klein bottle document, read once per process; each call
+    of ``klein_bottle`` parses a fresh space from it."""
+    return importlib.resources.files("simphom").joinpath("data/klein.sset").read_text()
+
+
 def klein_bottle() -> SimplicialSet:
-    text = importlib.resources.files("simphom").joinpath("data/klein.sset").read_text()
     from .io import _parse_unchecked
 
-    return _parse_unchecked(text)
+    return _parse_unchecked(_klein_text())
 
 
 def catalog(name: str) -> SimplicialSet:

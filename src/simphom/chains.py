@@ -49,6 +49,7 @@ class ChainComplex:
         # clears it; a restriction shares the dict of its complex
         self.reductions: dict[tuple, Reduction] = {}
         self._dual: ChainComplex | None = None
+        self.transposes: ChainComplex | None = None  # on a dual, the complex it is the dual of
 
     @property
     def max_degree(self) -> int:
@@ -70,13 +71,17 @@ class ChainComplex:
         holds C^n, and the boundary out of it is d_{n+1} transposed.  Built
         once per complex, so its reductions are shared too, and its own dual
         is the complex.  dd = 0 is not checked again: d_n^T d_{n+1}^T is
-        (d_{n+1} d_n)^T, checked when the complex was built."""
+        (d_{n+1} d_n)^T, checked when the complex was built.  The dual
+        records the complex it transposes (``transposes``), whose matrices
+        its reductions eliminate, steps and residue transposed back, so its
+        cleared columns are rows zeroed there (see ``snf._reduce``); they
+        are indexed by C's N, as a dual's trailing zero ranks are dropped."""
         if self._dual is None:
             top = self.max_degree
             dual = ChainComplex.__new__(ChainComplex)
             dual._build([self.rank(top - k) for k in range(top + 1)], {
                 k: self.boundary(top - k + 1).transpose() for k in range(1, top + 1)})
-            dual._dual, self._dual = self, dual
+            dual._dual, self._dual, dual.transposes = self, dual, self
         return self._dual
 
     def verify_dd_zero(self):

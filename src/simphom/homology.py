@@ -2,25 +2,32 @@
 
 Integral groups alone have one engine, ``homology``: the certified
 elementary divisors of each boundary, reduced once, give
-H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion of d_{n+1}.  The
-reductions clear from the top boundary of the complex down: ``_reduce``
+H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion of d_{n+1}.  d_k
+and d_k^T have the same divisors, so ``homology`` reads them from the
+chain of the dual complex Hom(C, Z), built once per complex, which
+cohomology reads too: integral homology, Z and Z/m cohomology,
+``cohomology_data`` and the cup table share one reduction per boundary.
+Each chain clears from the top boundary of its complex down: ``_reduce``
 eliminates d_k without its columns at the unit-pivot rows of d_{k+1}'s
 elimination, which are Z-combinations of the other columns, so its
 divisors do not change: by d_{k+1}'s elimination certificate and dd = 0
-d_k kills them, with no product of its own (see ``_reduce``).  Each reduction
-is cached by its matrix and the reduction that clears it, not by degree,
-so the degrees asked for choose what is reported, not how it is
-computed, and a restriction shares the reductions of what it keeps
-whole.  Every consumer reads them: ``homology``, the subquotients of
-``homology_data`` and the Z/m groups of ``with_coefficients``.
-Cohomology is read off the dual complex,
-H^n(C; G) = H_{N-n}(Hom(C, Z); G), built once per complex, so integral
-cohomology, ``cohomology_data`` and Z/m cohomology share its reductions
-in the same way.  Every group with Z/m coefficients is the group of one
-``Subquotient`` ker(d mod m) / (im d + m C) per degree, which reads only
-the group.  So the universal coefficient check still compares two
-different computations: a direct mod-m subquotient against the
-tensor/Tor and Hom/Ext formulas applied to the integral divisors.
+d_k kills them, with no product of its own (see ``_reduce``).  A dual's
+d_k is eliminated on C's matrix d_{N-k+1}, those columns zeroed as rows,
+and its steps are stored transposed: on C the dual's chain is
+compression, and a step updates as many rows as its pivot column holds,
+at first at most k + 1 in a column of d_k.  Each reduction is cached by
+its matrix and the reduction that clears it, not by degree, so the
+degrees asked for choose what is reported, not how it is computed, and
+a restriction shares the reductions of what it keeps whole.  C's own
+cleared chain serves what reads C's cycles: the subquotients of
+``homology_data``, the Z/m groups of ``with_coefficients`` and the pair
+and Mayer-Vietoris sequences; ``uct`` reads both chains.  Every group
+with Z/m coefficients is the group of one ``Subquotient``
+ker(d mod m) / (im d + m C) per degree, which reads only the group, and
+cohomology is H^n(C; G) = H_{N-n}(Hom(C, Z); G).  So the universal
+coefficient check still compares two different computations: a direct
+mod-m subquotient against the tensor/Tor and Hom/Ext formulas applied
+to the integral divisors.
 
 Everything else is a ``Subquotient`` ker/im with a matrix of generator
 representatives, so induced maps and connecting homomorphisms come out
@@ -73,13 +80,17 @@ def _subquotient(c: ChainComplex, n: int, modulus: int = 0) -> Subquotient:
 def _reduction(c: ChainComplex, k: int) -> Reduction:
     """The certified reduction of d_k, without the columns at the pivot
     rows of d_{k+1}'s reduction where c holds d_{k+1}, in full at the top.
-    It is cached under the ids of d_k (the shape of an absent d_k, which
-    is zero) and of the reduction above; neither id is reused while
-    cached: a reduction holds its matrix, and the one above is cached."""
+    On a dual it is eliminated as the transposed complex's d_{N-k+1}, N
+    that complex's top degree, those columns zeroed as rows (see
+    ``_reduce``).  It is cached under the ids of d_k (the shape of an
+    absent d_k, which is zero) and of the reduction above; neither id is
+    reused while cached: a reduction holds its matrix, and the one above
+    is cached."""
     above = _reduction(c, k + 1) if k + 1 in c.boundaries else None
     key = (id(c.boundaries[k]) if k in c.boundaries else (c.rank(k - 1), c.rank(k)), id(above))
     if key not in c.reductions:
-        c.reductions[key] = _reduce(c.boundary(k), above)
+        primal = c.transposes and c.transposes.boundary(c.transposes.max_degree - k + 1)
+        c.reductions[key] = _reduce(c.boundary(k), above, primal)
     return c.reductions[key]
 
 
@@ -87,23 +98,30 @@ def homology(c: ChainComplex, degrees=None, reduced: bool = False) -> list[Abeli
     """Homology groups per degree (default all degrees of the complex).
 
     Groups only: H_n = Z^(r_n - rk d_n - rk d_{n+1}) plus the torsion Z/d
-    of the divisors d > 1 of d_{n+1}.  Each boundary needed is reduced
-    once, by the certified unit elimination and the verified SNF of its
-    residue, in the clearing chain from the top boundary of c down, which
-    does not depend on ``degrees``.  Below d_{k+1}, d_k is reduced
-    without its columns at the pivot rows of d_{k+1}'s elimination
-    (clearing): each pivot column c is a cycle carrying +-1 at its own
-    pivot row and 0 at the earlier ones, so back-substitution in reverse
-    step order writes each dropped column of d_k through the others,
-    and d_k keeps its divisors.  That c is a cycle follows from d_{k+1}'s
-    elimination certificate and dd = 0 (see ``_reduce``); a failure raises
-    AssertionError.  The reductions are cached on c and shared with its
-    subquotients.
+    of the divisors d > 1 of d_{n+1}.  d_k and d_k^T have the same
+    divisors, so they are read from the dual's chain, where d_k is the
+    dual's d_{N-k+1} and cohomology reads the same reductions; a dual
+    reads its own.  Each boundary needed is reduced once, by the certified
+    unit elimination and the verified SNF of its residue, in the clearing
+    chain from the dual's top boundary d_1^T down, which does not depend
+    on ``degrees``.  Below it, each is reduced without its columns at the
+    pivot rows of the reduction above (clearing): each pivot column c is a
+    cycle carrying +-1 at its own pivot row and 0 at the earlier ones, so
+    back-substitution in reverse step order writes each dropped column
+    through the others, and the divisors do not change.  That c is a
+    cycle follows from the elimination certificate above and dd = 0 (see
+    ``_reduce``); a failure raises AssertionError.  The reductions are
+    cached on the dual and shared with its subquotients.
     """
     degrees = list(range(c.max_degree + 1) if degrees is None else degrees)
+    chain = c if c.transposes else c.dual()
+
+    def divisors(k):  # of d_k, which is the dual's d_{N-k+1}
+        return _reduction(chain, k if chain is c else c.max_degree + 1 - k).divisors
+
     out = []
     for n in degrees:
-        d_out, d_in = _reduction(c, n).divisors, _reduction(c, n + 1).divisors
+        d_out, d_in = divisors(n), divisors(n + 1)
         g = AbelianGroup(c.rank(n) - len(d_out) - len(d_in), tuple(d for d in d_in if d > 1))
         if reduced and n == 0:
             if g.betti < 1:

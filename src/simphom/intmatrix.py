@@ -266,6 +266,11 @@ class IntegerMatrix:
             row if cols.isdisjoint(row) else {j: v for j, v in row.items() if j not in cols}
             for row in self._nz])
 
+    def with_zero_rows(self, rows: set[int]) -> "IntegerMatrix":
+        """This matrix with the rows ``rows`` set to zero, in its shape."""
+        return IntegerMatrix._of_rows(self.rows, self.cols, [
+            {} if i in rows else row for i, row in enumerate(self._nz)])
+
     def apply(self, vec: list[int]) -> list[int]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")

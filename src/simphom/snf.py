@@ -28,19 +28,19 @@ alone: K ones followed by the divisors of R; an empty R skips its SNF.
 reduction of the map into its matrix's domain, it clears: it eliminates
 the matrix without the columns at that reduction's pivot rows, which the
 matrix kills by that reduction's certificate and dd = 0 (see ``_reduce``).
-``homology.homology`` runs it on each boundary, d_k below d_{k+1}, and
-caches the reductions on the complex.  ``Subquotient``, the one builder
-of groups with representatives and of every group with Z/m
-coefficients, reads the same reductions, relations first: in_map's
-elimination, then out_map's cleared by it, whose kernel is small, then
-the relations, in_map's small residue in those kernel coordinates.  It
-works on whole matrices: its generators are one matrix, built and
-certified on first read, and ``reduce`` takes a matrix of kernel
-columns, checks them by one sparse product with the outgoing map, and
-returns their coordinates by a forward substitution through in_map's
-steps, the kernel coordinates, a forward substitution through the
-relation steps, then the residue SNF's U.  A failed check raises
-AssertionError.
+``homology`` runs it on each boundary, d_k below d_{k+1} (a dual's on
+its transposes), and caches the reductions on the complex.
+``Subquotient``, the one builder of groups with representatives and of
+every group with Z/m coefficients, reads the same reductions, relations
+first: in_map's elimination, then out_map's cleared by it, whose kernel
+is small, then the relations, in_map's small residue in those kernel
+coordinates.  It works on whole matrices: its generators are one
+matrix, built and certified on first read, and ``reduce`` takes a
+matrix of kernel columns, checks them by one sparse product with the
+outgoing map, and returns their coordinates by a forward substitution
+through in_map's steps, the kernel coordinates, a forward substitution
+through the relation steps, then the residue SNF's U.  A failed check
+raises AssertionError.
 """
 
 from __future__ import annotations
@@ -260,7 +260,8 @@ class Reduction:
         return [1] * len(self.steps) + self.snf.divisors
 
 
-def _reduce(m: IntegerMatrix, above: Reduction | None = None) -> Reduction:
+def _reduce(m: IntegerMatrix, above: Reduction | None = None,
+            primal: IntegerMatrix | None = None) -> Reduction:
     """The certified unit elimination of m.  Given ``above``, the reduction
     of a map A with m A = 0, m is eliminated with its columns at above's
     pivot rows zeroed (clearing), and no product checks that m kills
@@ -273,12 +274,27 @@ def _reduce(m: IntegerMatrix, above: Reduction | None = None) -> Reduction:
     out_map * in_map = 0 (mod the modulus), checked by its ``__init__``.
     Each c_k carries +-1 at its pivot row and 0 at the earlier ones, so
     m keeps its image: back-substitution in reverse step order writes each
-    cleared column through the others (mod the modulus)."""
+    cleared column through the others (mod the modulus).
+
+    Given ``primal``, m's transpose, the elimination runs on it instead,
+    with the rows at above's pivot rows zeroed, which are m's cleared
+    columns, and is certified there: primal = sum p c r^T + R holds
+    exactly when m = sum p r c^T + R^T does, and the pivot conditions are
+    symmetric.  The steps (i, j, p, c, r) are stored as (j, i, p, r, c)
+    and the residue transposed, all in m's indices.  A pivot update costs
+    the length of its pivot column, so the orientation chooses the cost."""
     cleared = set() if above is None else {i for i, _, _, _, _ in above.steps}
-    part = m.with_zero_columns(cleared) if cleared else m
+    if primal is None:
+        part = m.with_zero_columns(cleared) if cleared else m
+    else:
+        part = primal.with_zero_rows(cleared) if cleared else primal
     steps, residue = ([], {}) if part.is_zero() else _eliminate_units(part)
     _check_elimination(part, steps, residue)
-    return Reduction(m, cleared, steps, *_residue_matrix(residue))
+    residue, row_ids, col_ids = _residue_matrix(residue)
+    if primal is not None:
+        steps = [(j, i, p, r, c) for i, j, p, c, r in steps]
+        residue, row_ids, col_ids = residue.transpose(), col_ids, row_ids
+    return Reduction(m, cleared, steps, residue, row_ids, col_ids)
 
 
 def _vanishes(m: IntegerMatrix, modulus: int = 0) -> bool:

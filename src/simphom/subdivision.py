@@ -10,6 +10,7 @@ the cone formula sd(sigma) = b_sigma * sd(boundary sigma).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .chains import ChainMap, normalized_chains
 from .intmatrix import IntegerMatrix
@@ -24,30 +25,20 @@ class OrderedSimplicialComplex:
     """
 
     def __init__(self, faces):
-        face_set: set[tuple] = set()
+        levels: dict[int, set[tuple]] = {}  # faces by vertex count
         for f in faces:
             f = tuple(f)
             if len(set(f)) != len(f):
                 raise ValueError(f"repeated vertex in face {f}")
-            face_set.add(tuple(sorted(f)))
-        # downward closure
-        todo = list(face_set)
-        while todo:
-            f = todo.pop()
-            for i in range(len(f)):
-                sub = f[:i] + f[i + 1:]
-                if sub and sub not in face_set:
-                    face_set.add(sub)
-                    todo.append(sub)
-        self.vertices = sorted({v for f in face_set for v in f})
-        self.by_dim: list[list[tuple]] = []
-        d = 0
-        while True:
-            level = sorted(f for f in face_set if len(f) == d + 1)
-            if not level:
-                break
-            self.by_dim.append(level)
-            d += 1
+            levels.setdefault(len(f), set()).add(tuple(sorted(f)))
+        # downward closure, one dimension at a time from the top
+        top = max(levels, default=0)
+        for n in range(top, 1, -1):
+            below = levels.setdefault(n - 1, set())
+            for f in levels.get(n, ()):
+                below.update(combinations(f, n - 1))
+        self.by_dim: list[list[tuple]] = [sorted(levels[n]) for n in range(1, top + 1)]
+        self.vertices = [v for v, in self.by_dim[0]] if self.by_dim else []
 
     @property
     def top_dim(self) -> int:

@@ -32,7 +32,8 @@ held to it.  ``reference_sphere`` builds Delta[n]/dDelta[n] as a quotient
 of Delta[n] by its (n-1)-skeleton, and ``reference_vertex_tuple_space``
 writes a vertex-tuple space one generator at a time, so the catalog's
 directly written spheres and its dimension-at-a-time tuple spaces can be
-held to them.
+held to them.  ``reference_closure`` closes a face list downward one
+tuple at a time, for ``OrderedSimplicialComplex``'s per-dimension closure.
 """
 
 from __future__ import annotations
@@ -529,3 +530,23 @@ def reference_sphere(n: int, name: str | None = None) -> SimplicialSet:
         return reference_vertex_tuple_space([[("*",), ("0",)]], name=name)
     dn = std_simplex(n)
     return quotient(dn, skeleton(dn, n - 1), name=name).space
+
+
+def reference_closure(faces) -> tuple[list, list[list[tuple]]]:
+    """The vertices and the faces by dimension of the downward closure of
+    ``faces``, closed one popped tuple at a time, each dimension read by a
+    scan of the whole face set."""
+    face_set = {tuple(sorted(f)) for f in faces}
+    todo = list(face_set)
+    while todo:
+        f = todo.pop()
+        for i in range(len(f)):
+            sub = f[:i] + f[i + 1:]
+            if sub and sub not in face_set:
+                face_set.add(sub)
+                todo.append(sub)
+    by_dim, d = [], 0
+    while level := sorted(f for f in face_set if len(f) == d + 1):
+        by_dim.append(level)
+        d += 1
+    return sorted({v for f in face_set for v in f}), by_dim

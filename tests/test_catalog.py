@@ -121,3 +121,20 @@ def test_sphere_15_builds_nothing_of_delta_15(monkeypatch):
     assert run(["kunneth", "--space", "sphere:15", "--with", "sphere:15"]) == (
         ["error: the product sphere:15xsphere:15 would have 44642381826 non-degenerate simplices, "
          "over the budget of 100000"], 2)
+
+
+def test_klein_document_is_read_once_per_process(monkeypatch):
+    """The shipped Klein bottle document is read from the package once and
+    kept as its text; every ``catalog("klein")`` parses a fresh space from
+    it, equal to the first."""
+    catalog_module = sys.modules["simphom.catalog"]
+    files = catalog_module.importlib.resources.files
+    reads = []
+    monkeypatch.setattr(catalog_module.importlib.resources, "files",
+                        lambda package: reads.append(package) or files(package))
+    catalog_module._klein_text.cache_clear()
+    spaces = [catalog("klein") for _ in range(3)]
+    assert reads == ["simphom"]
+    assert isinstance(catalog_module._klein_text(), str)
+    assert spaces[0] is not spaces[1] and spaces[1] is not spaces[2]
+    assert {print_space(space) for space in spaces} == {print_space(catalog("klein"))}

@@ -561,19 +561,19 @@ H^3 = Z/2 with 1 generator(s)
       a0_0       a3_0   (1,)
       a1_0       a0_0   (1, 0)
       a1_0       a1_0   (0, 1)
-      a1_0       a1_1   (1, 1)
+      a1_0       a1_1   (1, 0)
       a1_0       a2_0   (1,)
-      a1_0       a2_1   (0,)
+      a1_0       a2_1   (1,)
       a1_1       a0_0   (0, 1)
-      a1_1       a1_0   (1, 1)
+      a1_1       a1_0   (1, 0)
       a1_1       a1_1   (0, 0)
-      a1_1       a2_0   (1,)
+      a1_1       a2_0   (0,)
       a1_1       a2_1   (1,)
       a2_0       a0_0   (1, 0)
       a2_0       a1_0   (1,)
-      a2_0       a1_1   (1,)
+      a2_0       a1_1   (0,)
       a2_1       a0_0   (0, 1)
-      a2_1       a1_0   (0,)
+      a2_1       a1_0   (1,)
       a2_1       a1_1   (1,)
       a3_0       a0_0   (1,)
 """,
@@ -666,6 +666,45 @@ def test_circle_x_rp2_stdout_is_pinned(key, circle_x_rp2_doc, capsys):
              "cover": ["cover", "--group", "cyclic:2"], "pi1": ["pi1"]}[key]
     assert main([extra[0], "--file", doc] + extra[1:]) == 0
     assert capsys.readouterr().out == CIRCLE_X_RP2_STDOUT[key]
+
+
+def test_circle_x_rp2_cup_z2_tables_differ_by_a_change_of_basis(monkeypatch, circle_x_rp2_doc):
+    """The Z/2 cup table of circle x RP^2 pinned above reads its cocycles
+    from the dual's chain eliminated on the primal matrices.  Eliminating
+    the dual's boundaries as they stand, as a complex of their own, gives
+    other pivots and so the table once pinned, with (1, 1) at a1_0 u a1_1.
+    In each degree n the two cocycle bases differ by a change of basis
+    B_n, invertible mod 2, which carries one table to the other:
+    B_{p+q} old(a, b) = sum_ij B_p[i, a] B_q[j, b] new(i, j) mod 2."""
+    from simphom.chains import ChainComplex
+    from simphom.homology import _subquotient
+    from simphom.io import parse_space
+    from simphom.operators import cohomology_ring_table
+
+    _, doc = circle_x_rp2_doc
+    space = parse_space(Path(doc).read_text())
+    new = cohomology_ring_table(space, 2)
+    assert new.lines() == CIRCLE_X_RP2_STDOUT["cup_z2"].splitlines()[1:]
+
+    def as_they_stand(chains, n, modulus):
+        dual = chains.dual()
+        return _subquotient(ChainComplex(dual.ranks, dual.boundaries), chains.max_degree - n, modulus)
+
+    monkeypatch.setattr(sys.modules["simphom.operators"], "cohomology_data", as_they_stand)
+    old = cohomology_ring_table(space, 2)
+    assert (old.products[(1, 0, 1, 1)], new.products[(1, 0, 1, 1)]) == ((1, 1), (1, 0))
+    change = {n: new.classes[n].reduce(old.classes[n].generators) for n in new.classes}
+    for n, b in change.items():
+        back = old.classes[n].reduce(new.classes[n].generators)
+        assert all(v % 2 == (i == j) for i, row in enumerate((b * back).columns()) for j, v in enumerate(row))
+    for (p, a, q, b), coords in old.products.items():
+        width = (new.classes[p].n_generators, new.classes[q].n_generators)
+        carried = [sum(change[p + q][k, t] * v for t, v in enumerate(coords)) % 2
+                   for k in range(len(coords))]
+        mixed = [sum(change[p][i, a] * change[q][j, b] * new.products[(p, i, q, j)][k]
+                     for i in range(width[0]) for j in range(width[1])) % 2
+                 for k in range(len(coords))]
+        assert carried == mixed, (p, a, q, b)
 
 
 KLEIN_X_CIRCLE_CUP = {

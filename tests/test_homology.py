@@ -34,7 +34,7 @@ from simphom.homology import (
 from simphom.intmatrix import IntegerMatrix
 from simphom.io import parse_space, print_space
 from simphom.operators import cohomology_ring_table
-from simphom.snf import Subquotient, elementary_divisors
+from simphom.snf import Subquotient, elementary_divisors, smith_normal_form
 from simphom.sset import (
     boundary,
     coproduct,
@@ -177,9 +177,12 @@ def test_cleared_homology_refuses_a_corrupted_lower_boundary(rp2):
 
 
 def test_cleared_homology_refuses_a_corrupted_pivot_column(monkeypatch, rp2):
-    """A pivot column of d_2 moved off ker d_1 by one unit, on a row of no
-    pivot or on an earlier pivot row, fails d_2's elimination certificate
-    before d_1 is reduced without its columns."""
+    """``homology`` reads the dual's chain, whose first elimination is of
+    d_1, the primal matrix of the dual's top boundary d_1^T.  A pivot row
+    of d_1, a pivot column of d_1^T and so a cocycle, moved off ker d_2^T
+    by one unit, at a column of no pivot or at an earlier pivot column,
+    fails that elimination's certificate before d_2 is reduced without
+    the rows at its pivot columns."""
     module = sys.modules["simphom.snf"]
     eliminate = module._eliminate_units
     for at_pivot, message in ((False, "does not reproduce M"), (True, "does not vanish on earlier pivots")):
@@ -187,12 +190,13 @@ def test_cleared_homology_refuses_a_corrupted_pivot_column(monkeypatch, rp2):
 
         def corrupted(m):
             steps, residue = eliminate(m)
-            pivot_rows = [i for i, _, _, _, _ in steps]
-            row = pivot_rows[0] if at_pivot else min(set(range(m.rows)) - set(pivot_rows))
-            column = steps[1][3]
-            column[row] = column.get(row, 0) + 1
-            moved = IntegerMatrix.from_entries(m.rows, 1, ((a, 0, v) for a, v in column.items()))
-            assert not (c.boundary(1) * moved).is_zero()
+            assert m == c.boundary(1)
+            pivot_cols = [j for _, j, _, _, _ in steps]
+            col = pivot_cols[0] if at_pivot else min(set(range(m.cols)) - set(pivot_cols))
+            row = steps[1][4]
+            row[col] = row.get(col, 0) + 1
+            moved = IntegerMatrix.from_entries(m.cols, 1, ((b, 0, v) for b, v in row.items()))
+            assert not (c.dual().boundary(1) * moved).is_zero()
             return steps, residue
 
         monkeypatch.setattr(module, "_eliminate_units", corrupted)
@@ -655,20 +659,22 @@ def test_subquotient_builders_make_two_snf_calls_each(monkeypatch, rp2):
         assert all(rows and cols for rows, cols in calls), calls
 
 
-def _is_elimination_of(m, d):
-    """Is m the boundary d with some of its columns zeroed (cleared)?"""
-    return m.shape == d.shape and all(
-        col == other or not any(col) for col, other in zip(m.columns(), d.columns()))
+def _is_elimination_of(m, d, dual=False, top=False):
+    """Is m the boundary d with some of its columns zeroed (cleared), or,
+    for a boundary of the dual (``dual``), d's primal matrix d^T with some
+    of its rows zeroed?  Below the ``top`` of its chain d has a clearing
+    source, and at least one column (row) must be zeroed."""
+    if dual:
+        m = m.transpose()
+    if m.shape != d.shape:
+        return False
+    pairs = list(zip(m.columns(), d.columns()))
+    return (all(col == other or not any(col) for col, other in pairs)
+            and (top or any(col != other for col, other in pairs)))
 
 
-def test_each_boundary_is_eliminated_once_for_every_consumer(monkeypatch):
-    """On T^2 x RP^2, homology of each single degree, asked for top down
-    and then bottom up, Z/2 coefficients in degree 1, homology(), every
-    homology_data, Z/2 coefficients and every Z/2 cohomology_data share
-    one cleared reduction per boundary of the chains and of their dual:
-    each nonzero boundary is eliminated exactly once, whatever degrees
-    the first query asked for, and every other elimination is that of a
-    relations matrix with at most 8 rows."""
+def _recorded_eliminations(monkeypatch) -> list:
+    """Every matrix that ``_eliminate_units`` is given from now on."""
     snf = sys.modules["simphom.snf"]
     eliminate = snf._eliminate_units
     eliminated = []
@@ -678,6 +684,19 @@ def test_each_boundary_is_eliminated_once_for_every_consumer(monkeypatch):
         return eliminate(m)
 
     monkeypatch.setattr(snf, "_eliminate_units", recorded)
+    return eliminated
+
+
+def test_each_boundary_is_eliminated_once_for_every_consumer(monkeypatch):
+    """On T^2 x RP^2, homology of each single degree, asked for top down
+    and then bottom up, Z/2 coefficients in degree 1, homology(), every
+    homology_data, Z/2 coefficients and every Z/2 cohomology_data share
+    one cleared reduction per boundary of the chains and of their dual:
+    each nonzero boundary is eliminated exactly once, the chains' with
+    columns zeroed and the dual's as its primal matrix with rows zeroed,
+    whatever degrees the first query asked for, and every other
+    elimination is that of a relations matrix with at most 8 rows."""
+    eliminated = _recorded_eliminations(monkeypatch)
     c = normalized_chains(product(catalog("torus"), catalog("rp2")).space)
     degrees = range(c.max_degree + 2)
     singles = [homology(c, [n]) for n in [*reversed(degrees), *degrees]]
@@ -686,13 +705,46 @@ def test_each_boundary_is_eliminated_once_for_every_consumer(monkeypatch):
     assert singles == [[g] for g in [trivial, *reversed(groups), *groups, trivial]]
     assert [homology_data(c, n).group for n in degrees] == groups + [trivial]
     assert with_coefficients(c, Z2) == [cohomology_data(c, n, 2).group for n in range(c.max_degree + 1)]
-    boundaries = [d for complex_ in (c, c.dual()) for d in complex_.boundaries.values() if not d.is_zero()]
+    boundaries = [(d, complex_ is c.dual(), n == complex_.max_degree)
+                  for complex_ in (c, c.dual()) for n, d in complex_.boundaries.items() if not d.is_zero()]
     assert len(boundaries) == 8
-    for d in boundaries:
-        assert sum(1 for m in eliminated if _is_elimination_of(m, d)) == 1
-    others = [m for m in eliminated if not any(_is_elimination_of(m, d) for d in boundaries)]
+    for d, dual, top in boundaries:
+        assert sum(1 for m in eliminated if _is_elimination_of(m, d, dual, top)) == 1
+    others = [m for m in eliminated if not any(_is_elimination_of(m, *b) for b in boundaries)]
     assert len(others) == len(eliminated) - 8
     assert all(m.rows <= 8 for m in others), [m.shape for m in others]
+
+
+def _eliminations_of(d, eliminated) -> int:
+    """How many of the matrices ``eliminated`` are d or d^T with some rows
+    or some columns zeroed, that is, d reduced in either chain and in
+    either orientation."""
+    t = d.transpose()
+    return sum(1 for m in eliminated if any(_is_elimination_of(m, x, dual, True)
+                                            for x in (d, t) for dual in (False, True)))
+
+
+def test_integral_groups_and_cohomology_share_one_chain(monkeypatch):
+    """On T^2 x RP^2, homology(), integral cohomology and every Z/2
+    cohomology_data read one chain, the dual's: each boundary is
+    eliminated once among them, where the chains' own cleared chain
+    and the dual's would eliminate it twice.  uct with Z/2 makes the 18
+    eliminations it made when integral groups read the chains' cleared
+    chain: both chains in full, and each boundary twice."""
+    eliminated = _recorded_eliminations(monkeypatch)
+    space = product(catalog("torus"), catalog("rp2")).space
+    c = normalized_chains(space)
+    assert [str(g) for g in homology(c)] == ["Z", "Z^2 + Z/2", "Z + Z/2 + Z/2", "Z/2", "0"]
+    assert [str(g) for g in cohomology(c, Z)] == ["Z", "Z^2", "Z + Z/2", "Z/2 + Z/2", "Z/2"]
+    for n in range(c.max_degree + 1):
+        cohomology_data(c, n, 2).generators
+    boundaries = [d for d in c.boundaries.values() if not d.is_zero()]
+    assert len(boundaries) == 4
+    assert [_eliminations_of(d, eliminated) for d in boundaries] == [1] * 4
+    eliminated.clear()
+    assert uct_check(space, Z2).passed
+    assert len(eliminated) <= 18
+    assert [_eliminations_of(d, eliminated) for d in boundaries] == [2] * 4
 
 
 def _change_of_basis(sq, ref, orders):
@@ -752,6 +804,64 @@ def test_relations_first_subquotients_match_the_dense_reference(monkeypatch):
                 co_out, co_in = in_map.transpose(), out.transpose()
                 assert _agrees_with_dense(cohomology_data(c, n, m), DenseSubquotient(co_out, co_in, m),
                                           co_out, co_in, m), (space.name, n, m)
+
+
+def _groups_from_divisors(c, divisors, degrees) -> list[AbelianGroup]:
+    """H_n = Z^(r_n - rk d_n - rk d_{n+1}) + the torsion of d_{n+1}, from
+    the divisors of each d_k (``divisors(k)``)."""
+    return [AbelianGroup(c.rank(n) - len(divisors(n)) - len(divisors(n + 1)),
+                         tuple(d for d in divisors(n + 1) if d > 1)) for n in degrees]
+
+
+def _differential_complexes() -> list:
+    """The chains of every catalog space, every ladder variant and seeded
+    random simplicial sets; relative chains of those sets by random
+    subcomplexes, by the 0-skeleton (rank 0 in degree 0) and by the
+    closure of the top generators (trailing zero ranks); hand-made
+    complexes with zero ranks at either end or inside; and the mapping
+    cones that ``subdivide`` checks on rp2 and delta:3."""
+    spaces = all_catalog_spaces() + [product(catalog(a), catalog(b)).space
+                                     for rung in LADDER_RUNGS for a, b in rung]
+    rng = random.Random(3801)
+    randoms = [random_sset(rng) for _ in range(30)]
+    complexes = [normalized_chains(space) for space in spaces + randoms]
+    trimmed = 0
+    for space in randoms:
+        top = space.top_dim
+        for ids in (_random_ids(rng, space), [(0, g.id) for g in space.gens(0)],
+                    [(top, g.id) for g in space.gens(top)]):
+            complexes.append(relative_chains(space, subcomplex(space, ids).id_set))
+            trimmed += complexes[-1].max_degree < top
+    assert trimmed
+    d2 = IntegerMatrix([[1, 0], [1, 1], [0, 1]])
+    complexes += [ChainComplex([0, 3, 2], {1: IntegerMatrix.zero(0, 3), 2: d2}),
+                  ChainComplex([3, 2, 0, 0], {1: d2}),
+                  ChainComplex([0, 0, 2, 1], {3: IntegerMatrix([[2], [0]])}),
+                  ChainComplex([1, 0, 1], {}), ChainComplex([], {})]
+    for name in ("rp2", "delta:3"):
+        complexes.append(mapping_cone(barycentric_subdivide(ordered_complex_catalog(name)).chain_map))
+    return complexes
+
+
+def test_integral_groups_from_the_dual_chain_match_the_cleared_chain_and_the_reference():
+    """``homology`` reads each d_k's divisors from the dual's chain.  Its
+    groups, in every degree from -1 to one past the top, equal those read
+    from the complex's own cleared chain and those of the reference SNF
+    of each whole boundary, on ``_differential_complexes``; at least one
+    complex has rank 0 in degree 0, and the subdivision cones are
+    acyclic."""
+    from simphom.homology import _reduction
+
+    complexes = _differential_complexes()
+    assert any(c.ranks and c.ranks[0] == 0 for c in complexes)
+    for c in complexes:
+        degrees = range(-1, c.max_degree + 2)
+        dense = {k: smith_normal_form(c.boundary(k)).divisors for k in range(-1, c.max_degree + 3)}
+        expected = _groups_from_divisors(c, dense.__getitem__, degrees)
+        assert _groups_from_divisors(c, lambda k: _reduction(c, k).divisors, degrees) == expected, c
+        assert homology(c, degrees) == expected, c
+    for cone in complexes[-2:]:
+        assert all(g.is_trivial() for g in homology(cone))
 
 
 def test_pair_les_horn_is_homologically_trivial():

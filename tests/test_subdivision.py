@@ -1,6 +1,7 @@
 """Barycentric subdivision and the ordered-complex bridge."""
 
 import itertools
+import random
 import sys
 
 import pytest
@@ -21,12 +22,30 @@ from simphom.subdivision import (
     full_simplex_complex,
 )
 
+from reference import reference_closure
+
 
 def test_downward_closure():
     cx = OrderedSimplicialComplex([(0, 1, 2)])
     assert cx.counts() == (3, 3, 1)
     with pytest.raises(ValueError):
         OrderedSimplicialComplex([(0, 0, 1)])
+
+
+def test_closure_by_dimension_equals_the_closure_by_tuple():
+    """The closure a dimension at a time gives the vertices and faces by
+    dimension of the closure one tuple at a time, on seeded random face
+    lists of mixed sizes, the empty face and the empty list included, on
+    the rp2 triangles and on all 5-subsets of 9 vertices."""
+    from simphom.catalog import RP2_TRIANGLES
+
+    rng = random.Random(3802)
+    lists = [[rng.sample(range(9), rng.randint(0, 6)) for _ in range(rng.randint(0, 12))]
+             for _ in range(300)]
+    lists += [[], [()], RP2_TRIANGLES, list(itertools.combinations(range(9), 5))]
+    for faces in lists:
+        cx = OrderedSimplicialComplex(faces)
+        assert (cx.vertices, cx.by_dim) == reference_closure(faces), faces
 
 
 def test_complex_to_sset_is_standard_simplex():
